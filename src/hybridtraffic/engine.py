@@ -4,31 +4,39 @@ source injection, control wiring, bookkeeping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nodemodel
+from . import scenario as scenario_mod
 from .demand import RoutingContext, Source
+from .models.base import TrafficModel
 from .network import Network
 from .packets import (
     FluidToVehicleTranslator,
     FluxPacket,
+    ProtocolError,
     StateIndex,
-    Vehicle,
     VehicleFactory,
     compute_alpha,
+    distribute,
     scale_fluid_packet,
     split_vehicle_packet,
     state_sort_key,
     to_fluid,
+    vehicle_packet,
 )
 
 TIME_TOL = 1e-6
 
 
 class SimulationError(RuntimeError):
+    """A failure during a run, with the model time and the network element
+    (junction, road connection, lane group) where it happened."""
+
     def __init__(self, msg, time=None, element=None):
+        self.reason, self.time, self.element = msg, time, element
         ctx = []
         if time is not None:
             ctx.append("t=%.3f" % time)
@@ -65,13 +73,69 @@ class VirtualTracker:
     active: bool = True
 
 
+@dataclass(slots=True)
+class _Connection:
+    """Static data of one road connection. Holds the receiving model, never
+    its bound methods, so methods replaced on a built engine take effect."""
+
+    id: int
+    junction: int
+    up_link: int
+    down_link: int
+    receiver: TrafficModel  # model of the downstream link
+    groups: tuple  # D_r, sorted
+
+
+@dataclass(slots=True)
+class _Junction:
+    """Static adjacency of one junction, sorted as `NodeProblem` takes it.
+    G, R and H are its upstream lane groups, road connections and downstream
+    lane groups; `pairs` lists every (g, r) in delivery order."""
+
+    id: int
+    upstream: tuple  # G
+    rcs: tuple  # R
+    downstream: tuple  # H
+    down_of_g: dict
+    up_of_r: dict
+    down_of_r: dict
+    up_of_h: dict
+    access: dict
+    pairs: tuple
+
+    def problem(self, demand, supply, closed_rcs) -> nodemodel.NodeProblem:
+        return nodemodel.NodeProblem(
+            self.upstream, self.rcs, self.downstream, self.down_of_g, self.up_of_r,
+            self.down_of_r, self.up_of_h, demand, supply, self.access, closed_rcs,
+        )
+
+
+class _Supply:
+    """Lane-group supply left within one flow phase. A fluid model's supply
+    is read once and reduced by what it has been delivered since; a vehicle
+    model's is read live, as it counts the vehicles already placed."""
+
+    __slots__ = ("model_of_group", "read", "delivered")
+
+    def __init__(self, model_of_group):
+        self.model_of_group = model_of_group
+        self.read: dict[str, float] = {}
+        self.delivered: dict[str, float] = {}
+
+    def remaining(self, gid: str) -> float:
+        m = self.model_of_group[gid]
+        if m.vehicle_based:
+            return m.lane_group_supply(gid)
+        if gid not in self.read:
+            self.read[gid] = m.lane_group_supply(gid)
+        return max(0.0, self.read[gid] - self.delivered.get(gid, 0.0))
+
+
 class Engine:
     def __init__(self, scenario, audit: bool = False):
-        from .scenario import build_runtime  # local import to avoid a cycle
-
         self.scenario = scenario
         self.audit = audit
-        rt = build_runtime(scenario)
+        rt = scenario_mod.build_runtime(scenario)
         self.net: Network = rt["network"]
         self.models = rt["models"]  # list, deterministic order
         self.model_of_link = rt["model_of_link"]
@@ -91,14 +155,13 @@ class Engine:
         # vehicles can cross boundaries whose per-step supply is below one
         self._entry_credit: dict[int, float] = {}
         self.trackers: list[VirtualTracker] = []
-        self.probe_ids: set[int] = set()
 
         for m in self.models:
             m.set_routing(self.routing)
-            if hasattr(m, "headway_query") or m.kind == "newell":
+            if m.kind == "newell":
                 m.headway_query = self.boundary_headway
 
-        self._junction_of_rc, self._junction_rcs = self._build_junctions()
+        self._rc, self._junctions = self._compile_junctions()
         self.model_of_group = {
             gid: m for m in self.models for gid in m.group_ids
         }
@@ -122,9 +185,12 @@ class Engine:
 
     # --- construction helpers -----------------------------------------
 
-    def _build_junctions(self):
-        """Group road connections into junctions: RCs sharing an upstream
-        link's downstream end or a downstream link's upstream end interact."""
+    def _compile_junctions(self):
+        """Group road connections into junctions (RCs sharing an upstream
+        link's downstream end or a downstream link's upstream end interact)
+        and compile the static tables of both, checking the access fractions
+        and adjacency once."""
+        net = self.net
         parent: dict = {}
 
         def find(x):
@@ -136,30 +202,58 @@ class Engine:
         def union(a, b):
             parent[find(a)] = find(b)
 
-        for rc in self.net.road_connections.values():
+        for rc in net.road_connections.values():
             union(("rc", rc.id), ("dn-end", rc.up_link))
             union(("rc", rc.id), ("up-end", rc.down_link))
         comp: dict = {}
-        for rc in self.net.road_connections.values():
+        for rc in net.road_connections.values():
             comp.setdefault(find(("rc", rc.id)), []).append(rc.id)
-        junction_rcs = {}
-        junction_of_rc = {}
+
+        connections, junctions = {}, {}
         for rcs in comp.values():
-            jid = min(rcs)
-            junction_rcs[jid] = sorted(rcs)
-            for r in rcs:
-                junction_of_rc[r] = jid
-        return junction_of_rc, junction_rcs
+            rcs = tuple(sorted(rcs))
+            jid = rcs[0]
+            up_of_r = {r: tuple(net.rc_up_groups[r]) for r in rcs}
+            down_of_r = {r: tuple(net.rc_down_groups[r]) for r in rcs}
+            down_of_g: dict = {}
+            up_of_h: dict = {}
+            for r in rcs:  # ascending, so every list below comes out sorted
+                for g in up_of_r[r]:
+                    down_of_g.setdefault(g, []).append(r)
+                for h in down_of_r[r]:
+                    up_of_h.setdefault(h, []).append(r)
+                rc = net.road_connections[r]
+                connections[r] = _Connection(
+                    r, jid, rc.up_link, rc.down_link,
+                    self.model_of_link[rc.down_link], down_of_r[r],
+                )
+            junction = _Junction(
+                id=jid,
+                upstream=tuple(sorted(down_of_g)),
+                rcs=rcs,
+                downstream=tuple(sorted(up_of_h)),
+                down_of_g={g: tuple(v) for g, v in down_of_g.items()},
+                up_of_r=up_of_r,
+                down_of_r=down_of_r,
+                up_of_h={h: tuple(v) for h, v in up_of_h.items()},
+                access={
+                    (r, h): net.lane_access_fraction(r, h)
+                    for r in rcs for h in down_of_r[r]
+                },
+                pairs=tuple(sorted((g, r) for r in rcs for g in up_of_r[r])),
+            )
+            junction.problem({}, {}, set()).validate()
+            junctions[jid] = junction
+        return connections, junctions
 
     # --- cross-model queries -------------------------------------------
 
     def boundary_headway(self, rc_id: int) -> float:
         """Distance from the downstream link's upstream boundary to the
         nearest vehicle reachable through rc_id (the emptiest lane group)."""
-        rc = self.net.road_connections[rc_id]
-        model = self.model_of_link[rc.down_link]
-        groups = self.net.rc_down_groups[rc_id]
-        gid = min(groups, key=lambda g: (model.total_vehicles(g), g))
+        conn = self._rc[rc_id]
+        model = conn.receiver
+        gid = min(conn.groups, key=lambda g: (model.total_vehicles(g), g))
         return model.distance_to_last_vehicle(gid)
 
     def find_vehicle(self, vehicle_id: int):
@@ -194,6 +288,8 @@ class Engine:
             self.now = t
             try:
                 self._step(t, observer)
+            except SimulationError as exc:
+                raise SimulationError(exc.reason, time=t, element=exc.element) from exc
             except Exception as exc:
                 raise SimulationError(exc, time=t) from exc
 
@@ -247,26 +343,14 @@ class Engine:
     # --- flow phase ------------------------------------------------------
 
     def _flow_phase(self, t, due_models):
-        supply_snapshot: dict[str, float] = {}
-        delivered: dict[str, float] = {}
-
-        def remaining(gid: str) -> float:
-            m = self.model_of_group[gid]
-            if m.vehicle_based:
-                return m.lane_group_supply(gid)
-            if gid not in supply_snapshot:
-                supply_snapshot[gid] = m.lane_group_supply(gid)
-            return max(0.0, supply_snapshot[gid] - delivered.get(gid, 0.0))
-
-        self._remaining = remaining
-        self._delivered = delivered
+        supply = _Supply(self.model_of_group)
 
         # sources first, in id order
         due_ids = {id(m) for m in due_models}
         for src in sorted(self.sources, key=lambda s: s.id):
             m = self.model_of_link[src.demand.link]
             if id(m) in due_ids:
-                self._source_step(src, m, t)
+                self._source_step(src, m, t, supply)
 
         # collect release requests, model order
         requests = []
@@ -279,220 +363,140 @@ class Engine:
         # network exits are unconstrained
         for m, req in requests:
             if req.rc is None:
-                self._take_exit(m, req)
+                m.remove(req.group_id, None, req.packet)
+                link = self.net.lane_groups[req.group_id].link
+                self._book(req.packet, self.cum_out[link], self.exits)
         junction_reqs: dict[int, list] = {}
         for m, req in requests:
             if req.rc is not None:
-                junction_reqs.setdefault(self._junction_of_rc[req.rc], []).append(
-                    (m, req)
-                )
+                junction_reqs.setdefault(self._rc[req.rc].junction, []).append((m, req))
         for jid in sorted(junction_reqs):
-            self._solve_junction(t, junction_reqs[jid])
+            self._solve_junction(t, self._junctions[jid], junction_reqs[jid], supply)
 
-    def _take_exit(self, m, req):
-        m.remove(req.group_id, None, req.packet)
-        link = self.net.lane_groups[req.group_id].link
-        amounts = (
-            req.packet.fluid
-            if req.packet.is_fluid
-            else {s: float(len(v)) for s, v in req.packet.vehicles.items()}
-        )
-        for s, a in amounts.items():
-            self.cum_out[link][s] = self.cum_out[link].get(s, 0.0) + a
-            self.exits[s] = self.exits.get(s, 0.0) + a
-
-    def _solve_junction(self, t, reqs):
-        demand = {}
-        packets = {}
-        senders = {}
-        down_of_g: dict[str, list[int]] = {}
-        supplies = {}
-        access = {}
-        up_of_r: dict[int, list[str]] = {}
-        down_of_r: dict[int, list[str]] = {}
-        up_of_h: dict[str, list[int]] = {}
-        for m, req in reqs:
-            g, r = req.group_id, req.rc
-            receiver = self.model_of_link[self.net.road_connections[r].down_link]
-            size = receiver.get_packet_size(req.packet, r)
-            if size < 0:
-                raise SimulationError("negative packet size", element=r)
-            if size <= 0:
-                continue
-            key = (g, r)
-            demand[key] = demand.get(key, 0.0) + size
-            packets[key] = req.packet
-            senders[key] = m
-            down_of_g.setdefault(g, [])
-            if r not in down_of_g[g]:
-                down_of_g[g].append(r)
-            up_of_r.setdefault(r, [])
-            if g not in up_of_r[r]:
-                up_of_r[r].append(g)
-            if r not in down_of_r:
-                down_of_r[r] = list(self.net.rc_down_groups[r])
-                for h in down_of_r[r]:
-                    access[(r, h)] = self.net.lane_access_fraction(r, h)
-                    up_of_h.setdefault(h, []).append(r)
-                    if h not in supplies:
-                        supplies[h] = self._remaining(h)
-        if not demand:
-            return
-        problem = nodemodel.NodeProblem(
-            upstream=sorted(down_of_g),
-            rcs=sorted(up_of_r),
-            downstream=sorted(up_of_h),
-            down_of_g={g: sorted(v) for g, v in down_of_g.items()},
-            up_of_r={r: sorted(v) for r, v in up_of_r.items()},
-            down_of_r={r: sorted(v) for r, v in down_of_r.items()},
-            up_of_h={h: sorted(v) for h, v in up_of_h.items()},
-            demand=demand,
-            supply=supplies,
-            access=access,
-            closed_rcs={r for r in up_of_r if r in self.closed_rcs},
-        )
-        sol = nodemodel.solve(problem)
-        for key in sorted(demand, key=lambda k: (str(k[0]), k[1])):
-            delta = sol.flow_gr.get(key, 0.0)
-            if delta <= nodemodel.EPS:
-                continue
-            g, r = key
-            self._deliver(t, senders[key], g, r, packets[key], delta)
+    def _solve_junction(self, t, junction: _Junction, reqs, supply: _Supply):
+        """Size the requests (once each), solve the junction and deliver.
+        Any failure is reported with the junction and, where one is in hand,
+        the road connection and upstream lane group."""
+        g = r = None
+        try:
+            offers = {}  # (g, r) -> (sender, packet, size)
+            for m, req in reqs:
+                g, r = req.group_id, req.rc
+                size = self._rc[r].receiver.get_packet_size(req.packet, r)
+                if size < 0:
+                    raise ProtocolError("negative packet size %r" % size)
+                if size <= 0:
+                    continue
+                if (g, r) in offers:
+                    raise ProtocolError("more than one request per lane group and rc")
+                offers[(g, r)] = (m, req.packet, size)
+            if len(offers) == 1:
+                ((g, r), (sender, packet, size)), = offers.items()
+                conn = self._rc[r]
+                if len(conn.groups) == 1:
+                    # one upstream group, one rc and one downstream group
+                    # carry flow this step; the idle rest cannot change it
+                    delta = nodemodel.solve_1x1(
+                        size, supply.remaining(conn.groups[0]), r in self.closed_rcs
+                    )
+                    if delta > nodemodel.EPS:
+                        self._deliver(t, sender, g, conn, packet, size, delta, supply)
+                    return
+            g = r = None
+            if not offers:
+                return
+            problem = junction.problem(
+                {key: offer[2] for key, offer in offers.items()},
+                {h: supply.remaining(h) for h in junction.downstream},
+                self.closed_rcs.intersection(junction.rcs),
+            )
+            flow = nodemodel.solve(problem).flow_gr
+            for g, r in junction.pairs:
+                offer = offers.get((g, r))
+                if offer is None:
+                    continue
+                delta = flow.get((g, r), 0.0)
+                if delta > nodemodel.EPS:
+                    self._deliver(t, offer[0], g, self._rc[r], offer[1], offer[2],
+                                  delta, supply)
+        except Exception as exc:
+            where = "junction %s" % junction.id
+            if r is not None:
+                where += ", rc %s, lane group %s" % (r, g)
+            raise SimulationError(exc, element=where) from exc
 
     # --- delivery --------------------------------------------------------
 
-    def _deliver(self, t, sender, g, r, packet, delta):
-        rc = self.net.road_connections[r]
-        receiver = self.model_of_link[rc.down_link]
-        size = receiver.get_packet_size(packet, r)
-        alpha = compute_alpha(size, delta)
-        groups = self.net.rc_down_groups[r]
-        caps = {h: self._remaining(h) for h in groups}
+    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta, supply):
+        """Send the part of `packet` the junction accepted (`delta` of its
+        `size`) from lane group g through the road connection."""
+        caps = {h: supply.remaining(h) for h in conn.groups}
         allow = sum(caps.values())
-
         if packet.is_fluid:
-            total = min(alpha * size, allow)
+            total = min(compute_alpha(size, delta) * size, allow)
             if total <= 0:
                 return
-            factor = min(1.0, total / packet.total())
-            candidate, _ = scale_fluid_packet(packet, factor)
-            sender.remove(g, r, candidate)
-            self._book_out(rc.up_link, candidate)
-            routed = self.routing.assign_next_link(candidate, rc.down_link, t, self.rng)
-            self._book_in(rc.down_link, routed)
-            if receiver.vehicle_based:
-                vehicles = self.translator.translate(routed, rc.down_link, t)
-                receiver.receive_vehicles(rc.down_link, vehicles, t)
-            else:
-                for h, part in self._distribute(routed, caps).items():
-                    if part.is_empty():
-                        continue
-                    receiver.receive_fluid(h, part.fluid, t)
-                    self._delivered[h] = self._delivered.get(h, 0.0) + part.total()
+            sent, _ = scale_fluid_packet(packet, min(1.0, total / packet.total()))
         else:
-            credit = self._entry_credit.get(r, 0.0)
+            credit = self._entry_credit.get(conn.id, 0.0)
             entitled = min(delta + credit, size)
             sent, _ = split_vehicle_packet(packet, compute_alpha(size, entitled))
-            vehs = sent.all_vehicles()
-            n_allow = int(math.floor(allow + credit + 1e-9))
-            vehs = vehs[:n_allow]
-            self._entry_credit[r] = min(max(0.0, entitled - len(vehs)), 1.0)
+            vehs = sent.all_vehicles()[: int(math.floor(allow + credit + 1e-9))]
+            self._entry_credit[conn.id] = min(max(0.0, entitled - len(vehs)), 1.0)
             if not vehs:
                 return
-            from .packets import vehicle_packet
+            sent = vehicle_packet(vehs)
+        sender.remove(g, conn.id, sent)
+        self._book(sent, self.cum_out[conn.up_link])
+        routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
+        self._enter(conn.receiver, conn.down_link, routed, caps, supply, t)
 
-            candidate = vehicle_packet(vehs)
-            sender.remove(g, r, candidate)
-            self._book_out(rc.up_link, candidate)
-            routed = self.routing.assign_next_link(candidate, rc.down_link, t, self.rng)
-            self._book_in(rc.down_link, routed)
-            if receiver.vehicle_based:
-                receiver.receive_vehicles(rc.down_link, routed.all_vehicles(), t)
-            else:
-                for v in routed.all_vehicles():
-                    if v.probe:
-                        self._spawn_tracker(v, rc.down_link, groups[0])
-                fluid = to_fluid(routed)
-                for h, part in self._distribute(fluid, caps).items():
-                    if part.is_empty():
-                        continue
-                    receiver.receive_fluid(h, part.fluid, t)
-                    self._delivered[h] = self._delivered.get(h, 0.0) + part.total()
+    def _enter(self, receiver, link, packet: FluxPacket, caps, supply, t):
+        """Book a routed packet into `link` and hand it to the link's model:
+        whole vehicles as they come or condensed from fluid, fluid spread
+        over the lane groups of `caps` within their remaining supply."""
+        self._book(packet, self.cum_in[link])
+        if receiver.vehicle_based:
+            vehicles = (
+                self.translator.translate(packet, link, t)
+                if packet.is_fluid
+                else packet.all_vehicles()
+            )
+            receiver.receive_vehicles(link, vehicles, t)
+            return
+        if not packet.is_fluid:
+            for v in packet.all_vehicles():
+                if v.probe:  # a tracker follows it through the fluid
+                    self.trackers.append(
+                        VirtualTracker(v.id, v.state, link, next(iter(caps)), 0.0)
+                    )
+            packet = to_fluid(packet)
+        for h, part in distribute(packet, caps, self.distribution).items():
+            if part.is_empty():
+                continue
+            receiver.receive_fluid(h, part.fluid, t)
+            supply.delivered[h] = supply.delivered.get(h, 0.0) + part.total()
 
-    def _distribute(self, packet: FluxPacket, caps: dict[str, float]):
-        from .packets import distribute_equalizing, distribute_uniform
-
-        if self.distribution == "uniform":
-            parts = distribute_uniform(packet, sorted(caps))
-            return self._cap_and_spill(parts, caps)
-        return distribute_equalizing(packet, caps)
-
-    def _cap_and_spill(self, parts, caps):
-        """Clamp per-group fluid shares at the remaining supply; spill the
-        excess to groups with slack. Conserves totals."""
-        if any(not p.is_fluid for p in parts.values()):
-            return parts
-        for _ in range(len(caps) + 1):
-            spill: dict[StateIndex, float] = {}
-            slack = {}
-            for h, p in parts.items():
-                tot = p.total()
-                cap = max(0.0, caps[h])
-                if tot > cap + 1e-12:
-                    f = cap / tot if tot > 0 else 0.0
-                    for s in p.states():
-                        extra = p.fluid[s] * (1 - f)
-                        p.fluid[s] *= f
-                        spill[s] = spill.get(s, 0.0) + extra
-                    slack[h] = 0.0
-                else:
-                    slack[h] = cap - tot
-            total_spill = sum(spill.values())
-            if total_spill <= 1e-12:
-                break
-            total_slack = sum(slack.values())
-            if total_slack <= 0:
-                # nowhere to go; put it back proportionally (callers cap totals
-                # at the aggregate supply, so this is a numerical corner)
-                for h in parts:
-                    for s, a in spill.items():
-                        parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a / len(parts)
-                break
-            for h in parts:
-                w = slack[h] / total_slack
-                if w <= 0:
-                    continue
-                for s, a in spill.items():
-                    parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a * w
-        return parts
-
-    def _book_out(self, link, packet: FluxPacket):
+    @staticmethod
+    def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
+        """Add the packet's per-state amounts to each ledger."""
         amounts = (
             packet.fluid
             if packet.is_fluid
             else {s: float(len(v)) for s, v in packet.vehicles.items()}
         )
         for s, a in amounts.items():
-            self.cum_out[link][s] = self.cum_out[link].get(s, 0.0) + a
-
-    def _book_in(self, link, packet: FluxPacket):
-        amounts = (
-            packet.fluid
-            if packet.is_fluid
-            else {s: float(len(v)) for s, v in packet.vehicles.items()}
-        )
-        for s, a in amounts.items():
-            self.cum_in[link][s] = self.cum_in[link].get(s, 0.0) + a
+            for ledger in ledgers:
+                ledger[s] = ledger.get(s, 0.0) + a
 
     # --- sources ---------------------------------------------------------
 
-    def _source_step(self, src: Source, model, t):
+    def _source_step(self, src: Source, model, t, supply: _Supply):
         src.accrue(t, model.dt, model.vehicle_based, self.rng)
         if src.buffer <= 0:
             return
         link = src.demand.link
-        groups = self.net.link_groups[link]
-        caps = {h: self._remaining(h) for h in groups}
+        caps = {h: supply.remaining(h) for h in self.net.link_groups[link]}
         allow = sum(caps.values())
         if model.vehicle_based:
             n = int(min(math.floor(src.buffer + 1e-9), math.floor(allow + 1e-9)))
@@ -517,22 +521,9 @@ class Engine:
             key = src.demand.route if src.demand.route is not None else None
             p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, key): amount})
             routed = self.routing.assign_next_link(p0, link, t, self.rng)
-            self._book_in(link, routed)
-            for h, part in self._distribute(routed, caps).items():
-                if part.is_empty():
-                    continue
-                model.receive_fluid(h, part.fluid, t)
-                self._delivered[h] = self._delivered.get(h, 0.0) + part.total()
+            self._enter(model, link, routed, caps, supply, t)
 
     # --- probes ----------------------------------------------------------
-
-    def _spawn_tracker(self, v: Vehicle, link, group_id):
-        self.trackers.append(
-            VirtualTracker(
-                vehicle_id=v.id, state=v.state, link=link, group_id=group_id,
-                position=0.0,
-            )
-        )
 
     def _advance_trackers(self, t, due_models):
         due_ids = {id(m) for m in due_models}

@@ -42,21 +42,12 @@ class TrafficModel(ABC):
             gid for lid in self.links for gid in net.link_groups[lid]
         ]
 
-    # --- protocol surface (Eqs. for |p|, p_max, send) ------------------
+    # --- protocol surface (Eqs. for |p|, send) --------------------------
 
     def get_packet_size(self, packet: FluxPacket, rc: int | None) -> float:
         """The receiving model's norm for a packet; default is the vehicle
         total, which suits all first-order models."""
         return packet.total()
-
-    def get_max_packet_size(self, packet: FluxPacket, rc: int) -> float:
-        """Space available along road connection rc: access-weighted sum of
-        lane-group supplies over D_r."""
-        assert self.net is not None
-        total = 0.0
-        for h in self.net.rc_down_groups[rc]:
-            total += self.net.lane_access_fraction(rc, h) * self.lane_group_supply(h)
-        return total
 
     @abstractmethod
     def lane_group_supply(self, group_id: str) -> float:

@@ -165,8 +165,6 @@ class CtmModel(TrafficModel):
         """Move lane-changing vehicles laterally; mutates occupancies into the
         intermediate (pre-advance) state. Conserves each state exactly."""
         gids = self.net.link_groups[lid]
-        if len(gids) == 1 and maps is None:
-            return
         states = self._link_states(lid)
         if maps is None:
             maps = self._state_maps(lid, states)
@@ -241,7 +239,8 @@ class CtmModel(TrafficModel):
         for lid in self.links:
             states = self._link_states(lid)
             maps = self._state_maps(lid, states)
-            self.lane_change_step(lid, maps)
+            if len(self.net.link_groups[lid]) > 1:  # no lane to change to
+                self.lane_change_step(lid, maps)
             v = self.link_v[lid]
             for gid in self.net.link_groups[lid]:
                 gc = self.groups[gid]

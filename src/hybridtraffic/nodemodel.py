@@ -59,7 +59,6 @@ class NodeSolution:
     flow_gr: dict  # (g, r) -> delivered veh
     flow_r: dict  # r -> delivered veh
     flow_h: dict  # h -> accepted veh
-    residual_demand: dict  # (g, r) -> veh left behind
     iterations: int = 0
 
 
@@ -74,7 +73,6 @@ def solve(problem: NodeProblem) -> NodeSolution:
         flow_gr={k: 0.0 for k in d},
         flow_r={r: 0.0 for r in R},
         flow_h={h: 0.0 for h in H},
-        residual_demand={},
     )
 
     max_iters = max(1, len(G))
@@ -176,5 +174,22 @@ def solve(problem: NodeProblem) -> NodeSolution:
             break  # numerical safety net beyond the |G| bound
 
     sol.iterations = work_iters
-    sol.residual_demand = {k: v for k, v in d.items()}
     return sol
+
+
+def solve_1x1(demand: float, supply: float, closed: bool = False) -> float:
+    """Flow through a junction with one upstream lane group, one road
+    connection and one downstream lane group.
+
+    This is `solve`'s single iteration in closed form, with the same float
+    operations in the same order, so it equals `solve(...).flow_gr` bit for
+    bit (wherever `solve` terminates). The access fraction cancels: the one
+    apportionment is mu = lam*s / (lam*s) = 1.
+    """
+    if demand < 0:
+        raise NodeModelError("negative demand %r" % demand)
+    if supply < 0:
+        raise NodeModelError("negative supply %r" % supply)
+    if closed or not demand > EPS or supply <= EPS:
+        return 0.0  # the group is empty or blocked
+    return demand * (1.0 - max(0.0, 1.0 - supply / demand))

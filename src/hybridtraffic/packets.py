@@ -81,11 +81,11 @@ class FluxPacket:
 
 
 def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
-    clean = {s: a for s, a in amounts.items() if a > 0}
-    for s, a in clean.items():
+    """A fluid packet of the positive amounts; a negative one is an error."""
+    for s, a in amounts.items():
         if a < 0:
             raise ProtocolError("negative fluid amount for state %s" % (s,))
-    return FluxPacket(fluid=clean)
+    return FluxPacket(fluid={s: a for s, a in amounts.items() if a > 0})
 
 
 def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
@@ -198,6 +198,52 @@ def distribute_equalizing(
             out[g].vehicles.setdefault(v.state, []).append(v)
             remaining[g] -= 1.0
     return out
+
+
+def distribute(
+    p: FluxPacket, caps: dict[str, float], mode: str
+) -> dict[str, FluxPacket]:
+    """Spread a packet over the lane groups of `caps` (their remaining
+    supply): "uniform" splits it evenly, then spills any share above a cap
+    to groups with slack; otherwise `distribute_equalizing`."""
+    if mode != "uniform":
+        return distribute_equalizing(p, caps)
+    parts = distribute_uniform(p, sorted(caps))
+    if any(not q.is_fluid for q in parts.values()):
+        return parts
+    for _ in range(len(caps) + 1):
+        spill: dict[StateIndex, float] = {}
+        slack = {}
+        for h, q in parts.items():
+            tot = q.total()
+            cap = max(0.0, caps[h])
+            if tot > cap + 1e-12:
+                f = cap / tot if tot > 0 else 0.0
+                for s in q.states():
+                    extra = q.fluid[s] * (1 - f)
+                    q.fluid[s] *= f
+                    spill[s] = spill.get(s, 0.0) + extra
+                slack[h] = 0.0
+            else:
+                slack[h] = cap - tot
+        total_spill = sum(spill.values())
+        if total_spill <= 1e-12:
+            break
+        total_slack = sum(slack.values())
+        if total_slack <= 0:
+            # nowhere to go; put it back proportionally (callers cap totals
+            # at the aggregate supply, so this is a numerical corner)
+            for h in parts:
+                for s, a in spill.items():
+                    parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a / len(parts)
+            break
+        for h in parts:
+            w = slack[h] / total_slack
+            if w <= 0:
+                continue
+            for s, a in spill.items():
+                parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a * w
+    return parts
 
 
 # --- representation translation ---------------------------------------

@@ -230,3 +230,14 @@ def test_vsl_reduces_speed_and_rechecks_cfl():
     m.set_speed_limit(0, 50.0)
     assert m.link_v[0] == pytest.approx(50.0 / 3.6 * 2.0 / 100.0)
     assert m.mean_speed_kmh("0:1") == 50.0  # empty group reports the limit
+
+
+def test_single_lane_group_links_skip_the_lane_change_step(rng):
+    m, _ = _single_link_model(dt=2.0, lanes=1)
+    m.groups["0:1"].occ[-1][S] = 3.0
+
+    def fail(*args):
+        raise AssertionError("lane change on a single lane group")
+
+    m.lane_change_step = fail
+    assert m.compute_demands(0.0, rng)  # still releases its demand

@@ -50,8 +50,12 @@ def test_junction_grouping_unifies_shared_ends():
     )
     d["models"][0]["links"] = [0, 1, 2, 3]
     eng = Engine(parse_scenario(d))
-    assert eng._junction_of_rc[1] == eng._junction_of_rc[5]
-    assert eng._junction_of_rc[0] != eng._junction_of_rc[1]
+    assert eng._rc[1].junction == eng._rc[5].junction
+    assert eng._rc[0].junction != eng._rc[1].junction
+    merge = eng._junctions[eng._rc[1].junction]
+    assert merge.rcs == (1, 5) and merge.downstream == ("2:1",)
+    assert merge.upstream == ("1:1", "3:1") and merge.down_of_g == {"1:1": (1,), "3:1": (5,)}
+    assert eng._junctions[eng._rc[0].junction].rcs == (0,)
 
 
 def test_same_seed_reproduces_history():
@@ -150,3 +154,40 @@ def test_random_networks_conserve(seed):
     assert eng.audit_failures == []
     bal = eng.total_injected() - eng.total_exited() - eng.total_in_network()
     assert abs(bal) < 1e-6
+
+
+def test_one_by_one_junctions_skip_the_general_solver(monkeypatch):
+    from hybridtraffic import nodemodel
+
+    calls = []
+    solve = nodemodel.solve
+    monkeypatch.setattr(nodemodel, "solve", lambda p: calls.append(p) or solve(p))
+    eng = _run([("ctm", [0, 1]), ("two_queue", [2, 3])], duration=200.0)
+    assert eng.total_exited() > 0 and calls == []
+    d = corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3, duration=200.0)
+    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
+                       "speed": 100.0, "jam_density": 100.0})
+    d["road_connections"].append(
+        {"id": 5, "up_link": 3, "up_lanes": [1], "down_link": 2, "down_lanes": [1]}
+    )
+    d["models"][0]["links"] = [0, 1, 2, 3]
+    d["routes"].append({"id": 1, "links": [3, 2]})
+    d["demands"].append(dict(d["demands"][0], link=3, route=1))
+    Engine(parse_scenario(d)).run()
+    # the merge, whenever both of its inputs send
+    assert calls and all(len(p.demand) == 2 and p.rcs == (1, 5) for p in calls)
+
+
+def test_junction_failure_names_junction_rc_and_lane_group():
+    from hybridtraffic.engine import SimulationError
+
+    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
+    eng = Engine(parse_scenario(d))
+    # a stub receiver on link 2 whose packet size is negative
+    eng.model_of_link[2].get_packet_size = lambda packet, rc: -1.0
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    err = info.value
+    assert err.element == "junction 1, rc 1, lane group 1:1"
+    assert err.time is not None and err.time > 0
+    assert "negative packet size" in str(err) and "element=junction 1" in str(err)

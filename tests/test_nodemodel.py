@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridtraffic.nodemodel import EPS, NodeProblem, solve
+from hybridtraffic.nodemodel import EPS, NodeModelError, NodeProblem, solve, solve_1x1
 
 
 def siso(d=10.0, s=4.0):
@@ -109,3 +109,66 @@ def test_fuzzed_problems_terminate_and_conserve(seed):
         # nothing moves through a closed road connection
         for r in p.closed_rcs:
             assert sol.flow_r[r] == pytest.approx(0.0, abs=1e-12)
+
+
+def _flow_1x1(p):
+    return solve_1x1(p.demand[("g", 0)], p.supply["h"], 0 in p.closed_rcs)
+
+
+def test_closed_form_1x1_is_bitwise_solve_on_fuzzed_junctions():
+    from junction_fuzz import random_siso
+
+    rng = np.random.default_rng(7)
+    moved = 0
+    for _ in range(20000):
+        p = random_siso(rng)
+        expected = solve(p).flow_gr[("g", 0)]
+        assert _flow_1x1(p).hex() == expected.hex(), p
+        moved += expected > EPS
+    assert moved > 10000  # most draws do move flow
+
+
+@pytest.mark.parametrize("d, s, closed", [
+    (10.0, 4.0, True),  # closed road connection
+    (10.0, 0.0, False),  # zero supply
+    (EPS, 5.0, False),  # demand at EPS
+    (EPS / 2, 5.0, False),  # demand below EPS
+    (3.7, 3.7, False),  # supply equal to demand
+    (0.3, 1e6, False),  # supply far above demand
+    (1e6, 0.3, False),  # demand far above supply
+], ids=["closed", "zero-supply", "demand-eps", "demand-below-eps",
+        "supply-eq-demand", "supply-gg-demand", "demand-gg-supply"])
+def test_closed_form_1x1_hand_cases(d, s, closed):
+    p = siso(d, s)
+    p.closed_rcs = {0} if closed else set()
+    expected = solve(p).flow_gr[("g", 0)]
+    assert _flow_1x1(p).hex() == expected.hex()
+    # 1 - s/d loses digits when d >> s, hence the relative tolerance
+    assert expected == pytest.approx(0.0 if closed or d <= EPS else min(d, s),
+                                     rel=1e-9, abs=0.0)
+
+
+def test_closed_form_1x1_rejects_negative_demand_and_supply():
+    with pytest.raises(NodeModelError, match="negative demand"):
+        solve_1x1(-1.0, 5.0)
+    with pytest.raises(NodeModelError, match="negative supply"):
+        solve_1x1(5.0, -1.0)
+
+
+def test_idle_pairs_leave_the_solution_bitwise_unchanged():
+    # an engine compiles each junction once and poses every (g, r) pair of
+    # it, idle ones without demand; flows must be those of the sub-problem
+    # of the pairs that carry demand, bit for bit
+    from junction_fuzz import random_junction_pair
+
+    rng = np.random.default_rng(11)
+    compared = 0
+    for _ in range(3000):
+        pair = random_junction_pair(rng)
+        if pair is None:
+            continue
+        active, full = pair
+        a, f = solve(active).flow_gr, solve(full).flow_gr
+        assert {k: v.hex() for k, v in a.items()} == {k: f[k].hex() for k in a}
+        compared += len(full.upstream) > len(active.upstream)
+    assert compared > 300  # many draws had idle upstream groups

@@ -8,6 +8,7 @@ from hybridtraffic.packets import (
     Vehicle,
     VehicleFactory,
     compute_alpha,
+    distribute,
     distribute_equalizing,
     distribute_uniform,
     fluid_packet,
@@ -37,6 +38,12 @@ def test_totals_and_states():
     q = vehicle_packet(_vehs(3))
     assert q.total() == 3.0
     assert not q.is_fluid
+
+
+def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
+    with pytest.raises(ProtocolError, match="negative fluid amount"):
+        fluid_packet({S0: 1.0, S1: -0.5})
+    assert fluid_packet({S0: 0.0, S1: 2.0}).fluid == {S1: 2.0}
 
 
 def test_alpha():
@@ -88,6 +95,18 @@ def test_distribute_equalizing_proportional_to_space():
     assert parts["b"].fluid[S0] == pytest.approx(0.75)
     # shares never exceed free space when the total fits
     assert parts["a"].fluid[S0] <= 9.0 and parts["b"].fluid[S0] <= 3.0
+
+
+def test_distribute_uniform_mode_spills_shares_above_caps():
+    p = fluid_packet({S0: 3.0, S1: 1.0})
+    parts = distribute(p, {"a": 1.0, "b": 10.0}, "uniform")
+    assert parts["a"].total() == pytest.approx(1.0)  # capped
+    assert parts["b"].total() == pytest.approx(3.0)  # took the spill
+    for s, amount in p.fluid.items():  # each state conserved
+        assert sum(q.fluid[s] for q in parts.values()) == pytest.approx(amount)
+    # within the caps an even split stays even
+    even = distribute(p, {"a": 5.0, "b": 5.0}, "uniform")
+    assert even["a"].fluid == even["b"].fluid == {S0: 1.5, S1: 0.5}
 
 
 def test_distribute_equalizing_vehicles_greedy():
