@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import os
 import sys
 
 from .engine import Engine
@@ -13,8 +14,6 @@ from .scenario import load_scenario, validate_scenario
 
 def _resolve(path: str) -> str:
     """Bare names fall back to the bundled scenario directory."""
-    import os
-
     if os.path.exists(path):
         return path
     name = path if path.endswith(".yaml") else path + ".yaml"

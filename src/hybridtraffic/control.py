@@ -52,19 +52,15 @@ class LaneGroupSensor(Sensor):
 
 
 @dataclass
-class LocalSensor:
+class LocalSensor(Sensor):
     """Point detector at a fixed offset along a link: flow over the sensor
     period, local density, and the derived space-mean speed."""
 
-    id: int
-    dt: float
     link: int = 0
     offset_m: float = 0.0
-    last: dict = field(default_factory=dict)
-    history: list = field(default_factory=list)
     _prev_cum: float | None = None
 
-    def read(self, engine, now: float):
+    def measure(self, engine, now):
         model = engine.model_of_link[self.link]
         cum = model.local_cumulative_count(self.link, self.offset_m)
         density_per_m = model.local_density_per_m(self.link, self.offset_m)
@@ -77,14 +73,11 @@ class LocalSensor:
             speed_kmh = (flow_vph / 3600.0) / density_per_m * 3.6
         else:
             speed_kmh = engine.net.links[self.link].params.speed_limit
-        m = {
-            "time": now,
+        return {
             "flow_vph": flow_vph,
             "density_vpkm": density_per_m * 1000.0,
             "speed_kmh": speed_kmh,
         }
-        self.last = m
-        self.history.append(m)
 
 
 @dataclass

@@ -187,30 +187,32 @@ class RoutingContext:
         # actuated route reassignment: vehicle type id -> route id
         self.route_overrides: dict[int, int] = {}
 
-    def _override_route(self, vtype: int, entered_link: int) -> int | None:
+    def _routed_state(self, vtype: int, route: int | None, entered_link: int) -> StateIndex:
+        """State of a routed type entering a link: an actuated override whose
+        route passes the link replaces `route`."""
         rid = self.route_overrides.get(vtype)
-        if rid is not None and entered_link in self.routes[rid].links:
-            return rid
-        return None
+        if rid is None or entered_link not in self.routes[rid].links:
+            rid = route
+        if rid is None:
+            raise RoutingError("routed type %s needs a route" % vtype)
+        return StateIndex(vtype, rid)
+
+    @staticmethod
+    def _sample(ratios: dict[int, float], rng: np.random.Generator) -> int:
+        """One next link drawn with the given split ratios."""
+        links = sorted(ratios)
+        probs = np.array([ratios[l] for l in links])
+        return links[int(rng.choice(len(links), p=probs / probs.sum()))]
 
     def entry_state(self, vtype: int, entered_link: int, route: int | None,
                     now: float, rng: np.random.Generator) -> StateIndex:
         """State index for a vehicle/commodity entering `entered_link`."""
-        vt = self.vehicle_types[vtype]
-        if vt.is_routed:
-            rid = self._override_route(vtype, entered_link)
-            if rid is None:
-                rid = route
-            if rid is None:
-                raise RoutingError("routed type %s needs a route" % vtype)
-            return StateIndex(vtype, rid)
+        if self.vehicle_types[vtype].is_routed:
+            return self._routed_state(vtype, route, entered_link)
         ratios = self._split_row(vtype, entered_link, now)
         if ratios is None:
             return StateIndex(vtype, None)
-        links = sorted(ratios)
-        probs = np.array([ratios[l] for l in links])
-        pick = links[int(rng.choice(len(links), p=probs / probs.sum()))]
-        return StateIndex(vtype, pick)
+        return StateIndex(vtype, self._sample(ratios, rng))
 
     def _split_row(self, vtype: int, link: int, now: float) -> dict[int, float] | None:
         """Nonzero split ratios for a probabilistic type at a link, or None on
@@ -256,8 +258,7 @@ class RoutingContext:
                 amount = p.fluid[s]
                 vt = self.vehicle_types[s.vtype]
                 if vt.is_routed:
-                    rid = self._override_route(s.vtype, entered_link)
-                    ns = StateIndex(s.vtype, rid) if rid is not None else s
+                    ns = self._routed_state(s.vtype, s.key, entered_link)
                     out[ns] = out.get(ns, 0.0) + amount
                     continue
                 ratios = self._split_row(s.vtype, entered_link, now)
@@ -279,17 +280,13 @@ class RoutingContext:
                 ratios = self._split_row(s.vtype, entered_link, now)
             for v in p.vehicles[s]:
                 if vt.is_routed:
-                    rid = self._override_route(s.vtype, entered_link)
-                    ns = StateIndex(s.vtype, rid) if rid is not None else s
+                    ns = self._routed_state(s.vtype, s.key, entered_link)
                 elif ratios is None:
                     ns = StateIndex(s.vtype, None)
                 elif len(ratios) == 1:
                     ns = StateIndex(s.vtype, next(iter(ratios)))
                 else:
-                    links = sorted(ratios)
-                    probs = np.array([ratios[l] for l in links])
-                    pick = links[int(rng.choice(len(links), p=probs / probs.sum()))]
-                    ns = StateIndex(s.vtype, pick)
+                    ns = StateIndex(s.vtype, self._sample(ratios, rng))
                 v.state = ns
                 vout.setdefault(ns, []).append(v)
         vout = {s: vout[s] for s in sorted(vout, key=state_sort_key)}

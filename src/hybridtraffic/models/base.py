@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..demand import RoutingContext, RoutingError
 from ..network import Network
 from ..packets import FluxPacket, StateIndex
 
@@ -32,8 +33,10 @@ class TrafficModel(ABC):
             raise ValueError("model time step must be positive")
         self.dt = dt
         self.net: Network | None = None
+        self.routing: RoutingContext | None = None
         self.links: list[int] = []
         self.group_ids: list[str] = []
+        self.speed_limit_eff: dict[int, float] = {}  # km/h, VSL-adjustable
 
     def build(self, net: Network, link_ids: list[int]):
         self.net = net
@@ -41,6 +44,41 @@ class TrafficModel(ABC):
         self.group_ids = [
             gid for lid in self.links for gid in net.link_groups[lid]
         ]
+        self.speed_limit_eff = {
+            lid: net.links[lid].params.speed_limit for lid in self.links
+        }
+
+    def set_routing(self, routing: RoutingContext):
+        self.routing = routing
+
+    # --- routing over the network tables ------------------------------
+
+    def rc_toward(self, group_id: str, link_id: int, state: StateIndex) -> int | None:
+        """Road connection by which the lane group serves the state's next
+        link; None when the state leaves the network at this link."""
+        nxt = self.routing.next_link_of(state, link_id)
+        if nxt is None:
+            return None
+        rc = self.net.rc_toward.get((group_id, nxt))
+        if rc is None:
+            raise RoutingError(
+                "lane group %s has no road connection toward link %s" % (group_id, nxt)
+            )
+        return rc
+
+    def groups_toward(self, link_id: int, state: StateIndex) -> list[str]:
+        """Lane groups of the link from which the state can reach its next
+        link (every group when it leaves the network here)."""
+        nxt = self.routing.next_link_of(state, link_id)
+        gids = self.net.link_groups[link_id]
+        if nxt is None:
+            return gids
+        cands = [gid for gid in gids if (gid, nxt) in self.net.rc_toward]
+        if not cands:
+            raise RoutingError(
+                "no lane group of link %s leads to link %s" % (link_id, nxt)
+            )
+        return cands
 
     # --- protocol surface (Eqs. for |p|, send) --------------------------
 
@@ -102,8 +140,9 @@ class TrafficModel(ABC):
     # --- optional hooks ------------------------------------------------
 
     def set_speed_limit(self, link_id: int, v_kmh: float):
-        """Variable-speed-limit actuation; models reinterpret as needed."""
-        raise NotImplementedError
+        """Variable-speed-limit actuation; models that derive quantities from
+        the limit extend this."""
+        self.speed_limit_eff[link_id] = v_kmh
 
     def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
         """Cumulative vehicle crossings at the internal boundary nearest to

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..demand import ConfigurationError, RoutingContext, RoutingError
+from ..demand import ConfigurationError, RoutingError
 from ..packets import FluxPacket, StateIndex, state_sort_key
 from .base import DemandRequest, TrafficModel
 
@@ -21,7 +21,6 @@ class _Cells:
 
     group_id: str
     link: int
-    lane_index: int  # position of the group within the link, inner=0
     num_lanes: int
     count: int  # number of cells
     length: float  # cell length, m
@@ -55,12 +54,10 @@ class CtmModel(TrafficModel):
             raise ConfigurationError("lane-change supply factor must be in [0,1]")
         self.max_cell_length = max_cell_length
         self.xi = lc_supply_factor
-        self.routing: RoutingContext | None = None
         self.groups: dict[str, _Cells] = {}
         self.link_v: dict[int, float] = {}  # normalized free-flow speed per step
         self.link_w: dict[int, float] = {}  # normalized congestion speed per step
         self.link_cell_len: dict[int, float] = {}
-        self.speed_limit_eff: dict[int, float] = {}  # km/h, may be lowered by VSL
 
     # --- construction --------------------------------------------------
 
@@ -71,15 +68,13 @@ class CtmModel(TrafficModel):
             n_cells = max(1, math.ceil(link.length / self.max_cell_length))
             cell_len = link.length / n_cells
             self.link_cell_len[lid] = cell_len
-            self.speed_limit_eff[lid] = link.params.speed_limit
             self._set_normalized_speeds(lid)
-            for j, gid in enumerate(net.link_groups[lid]):
+            for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
                 gc = max(1, round(g.length / cell_len))
                 self.groups[gid] = _Cells(
                     group_id=gid,
                     link=lid,
-                    lane_index=j,
                     num_lanes=g.num_lanes,
                     count=gc,
                     length=cell_len,
@@ -108,9 +103,6 @@ class CtmModel(TrafficModel):
         self.link_v[lid] = min(v, 1.0)
         self.link_w[lid] = min(w_ms * self.dt / cell_len, 1.0)
 
-    def set_routing(self, routing: RoutingContext):
-        self.routing = routing
-
     # --- state maps (rho, phi) ----------------------------------------
 
     def _state_maps(self, lid: int, states) -> dict[str, dict[StateIndex, object]]:
@@ -127,15 +119,12 @@ class CtmModel(TrafficModel):
                     maps[gid]["rho"][s] = None
                     maps[gid]["phi"][s] = 0
                 continue
-            target_idx = []
-            rc_of = {}
-            for j, gid in enumerate(gids):
-                g = net.lane_groups[gid]
-                for rc_id in g.exiting_rcs:
-                    if net.road_connections[rc_id].down_link == nxt:
-                        target_idx.append(j)
-                        rc_of[j] = rc_id
-            if not target_idx:
+            rc_of = {
+                j: net.rc_toward[(gid, nxt)]
+                for j, gid in enumerate(gids)
+                if (gid, nxt) in net.rc_toward
+            }
+            if not rc_of:
                 raise RoutingError(
                     "link %s has no road connection toward link %s (state %s)"
                     % (lid, nxt, (s,))
@@ -144,7 +133,7 @@ class CtmModel(TrafficModel):
                 if j in rc_of:
                     maps[gid]["rho"][s] = rc_of[j]
                     maps[gid]["phi"][s] = 0
-                elif j < min(target_idx):
+                elif j < min(rc_of):
                     maps[gid]["phi"][s] = 1  # must move outward
                 else:
                     maps[gid]["phi"][s] = -1  # must move inward
@@ -386,7 +375,7 @@ class CtmModel(TrafficModel):
     # --- actuation and sensors ----------------------------------------
 
     def set_speed_limit(self, link_id: int, v_kmh: float):
-        self.speed_limit_eff[link_id] = v_kmh
+        super().set_speed_limit(link_id, v_kmh)
         self._set_normalized_speeds(link_id)
 
     def local_cumulative_count(self, link_id: int, offset_m: float) -> float:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..demand import ConfigurationError, RoutingContext, RoutingError
+from ..demand import ConfigurationError
 from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
 from .base import DemandRequest, TrafficModel
 
@@ -57,16 +57,13 @@ class NewellModel(TrafficModel):
         self.sigma_v = sigma_v  # m per step
         self.sigma_w = sigma_w  # m per step
         self.sigma_f = sigma_f  # veh per step
-        self.routing: RoutingContext | None = None
         self.lanes: dict[str, _Lane] = {}
-        self.speed_limit_eff: dict[int, float] = {}  # km/h, VSL-adjustable
         self.headway_query = None  # set by the engine: rc id -> eta meters
 
     def build(self, net, link_ids):
         super().build(net, link_ids)
         for lid in self.links:
             link = net.links[lid]
-            self.speed_limit_eff[lid] = link.params.speed_limit
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
                 self.lanes[gid] = _Lane(
@@ -77,9 +74,6 @@ class NewellModel(TrafficModel):
                     jam_spacing=1000.0
                     / (link.params.jam_density_per_lane * g.num_lanes),
                 )
-
-    def set_routing(self, routing: RoutingContext):
-        self.routing = routing
 
     # --- per-step parameter draws --------------------------------------
 
@@ -98,20 +92,6 @@ class NewellModel(TrafficModel):
         f_vps = link.params.capacity_per_lane / 3600.0 * lane.num_lanes
         return v_ms * self.dt, w_ms * self.dt, f_vps * self.dt
 
-    # --- routing helpers -----------------------------------------------
-
-    def _target_rc(self, lane: _Lane, v: Vehicle) -> int | None:
-        nxt = self.routing.next_link_of(v.state, lane.link)
-        if nxt is None:
-            return None
-        g = self.net.lane_groups[lane.group_id]
-        for rc_id in g.exiting_rcs:
-            if self.net.road_connections[rc_id].down_link == nxt:
-                return rc_id
-        raise RoutingError(
-            "lane group %s has no road connection toward link %s" % (lane.group_id, nxt)
-        )
-
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
@@ -126,7 +106,7 @@ class NewellModel(TrafficModel):
                 dw = self._draw(dw_mean, self.sigma_w, rng)
                 df = self._draw(df_mean, self.sigma_f, rng)
                 if i == 0:
-                    car.target_rc = self._target_rc(lane, car.vehicle)
+                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
                     if car.target_rc is None:
                         eta = BIG_HEADWAY
                     else:
@@ -138,7 +118,7 @@ class NewellModel(TrafficModel):
                 car.tentative = car.x + adv
                 car.exiting = car.tentative >= lane.length - 1e-9
                 if car.exiting and car.target_rc is None and i > 0:
-                    car.target_rc = self._target_rc(lane, car.vehicle)
+                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
             # exit candidates are a prefix of the FIFO order
             by_rc: dict[object, list[Vehicle]] = {}
             for car in lane.cars:
@@ -179,30 +159,16 @@ class NewellModel(TrafficModel):
 
     def receive_vehicles(self, link_id, vehicles, now):
         for v in vehicles:
-            gid = self._choose_group(link_id, v)
+            # the lane group with the most room serving the next link
+            gid = max(
+                self.groups_toward(link_id, v.state),
+                key=lambda g: (self.lanes[g].upstream_gap(), g),
+            )
             lane = self.lanes[gid]
             if not lane.buffer and lane.upstream_gap() >= lane.jam_spacing - 1e-9:
                 lane.cars.append(_Car(vehicle=v, x=0.0, fresh=True))
             else:
                 lane.buffer.append(v)
-
-    def _choose_group(self, link_id: int, v: Vehicle) -> str:
-        nxt = self.routing.next_link_of(v.state, link_id)
-        cands = []
-        for gid in self.net.link_groups[link_id]:
-            g = self.net.lane_groups[gid]
-            if nxt is None:
-                cands.append(gid)
-                continue
-            for rc_id in g.exiting_rcs:
-                if self.net.road_connections[rc_id].down_link == nxt:
-                    cands.append(gid)
-                    break
-        if not cands:
-            raise RoutingError(
-                "no lane group of link %s leads to link %s" % (link_id, nxt)
-            )
-        return max(cands, key=lambda gid: (self.lanes[gid].upstream_gap(), gid))
 
     def advance_state(self, now, rng):
         for gid in self.group_ids:
@@ -263,9 +229,6 @@ class NewellModel(TrafficModel):
             for v in lane.buffer:
                 out[v.state] = out.get(v.state, 0.0) + 1.0
         return out
-
-    def set_speed_limit(self, link_id: int, v_kmh: float):
-        self.speed_limit_eff[link_id] = v_kmh
 
     def vehicle_positions(self, link_id: int):
         """(vehicle, group_id, position_m, speed_kmh) for trajectory output."""

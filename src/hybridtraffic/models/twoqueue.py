@@ -6,8 +6,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..demand import RoutingContext, RoutingError
-from ..packets import FluxPacket, StateIndex, Vehicle, state_sort_key, vehicle_packet
+from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
 from .base import DemandRequest, TrafficModel
 
 
@@ -22,7 +21,6 @@ class _Queues:
     transit: deque = field(default_factory=deque)  # (Vehicle, eligible_time)
     waiting: deque = field(default_factory=deque)  # Vehicle
     buffer: deque = field(default_factory=deque)  # Vehicle held at entry
-    entered: dict = field(default_factory=dict)  # vehicle id -> entry time
     cum_out: float = 0.0
 
     def stored(self) -> int:
@@ -36,9 +34,7 @@ class TwoQueueModel(TrafficModel):
 
     def __init__(self, dt: float):
         super().__init__(dt)
-        self.routing: RoutingContext | None = None
         self.groups: dict[str, _Queues] = {}
-        self._service_draw: dict[str, int] = {}
 
     def build(self, net, link_ids):
         super().build(net, link_ids)
@@ -57,22 +53,7 @@ class TwoQueueModel(TrafficModel):
                     tau=g.length / (link.params.speed_limit / 3.6),
                 )
 
-    def set_routing(self, routing: RoutingContext):
-        self.routing = routing
-
     # --- helpers -------------------------------------------------------
-
-    def _target_rc(self, gq: _Queues, v: Vehicle):
-        nxt = self.routing.next_link_of(v.state, gq.link)
-        if nxt is None:
-            return None
-        g = self.net.lane_groups[gq.group_id]
-        for rc_id in g.exiting_rcs:
-            if self.net.road_connections[rc_id].down_link == nxt:
-                return rc_id
-        raise RoutingError(
-            "lane group %s has no road connection toward link %s" % (gq.group_id, nxt)
-        )
 
     def _promote_transit(self, gq: _Queues, now: float):
         while gq.transit and gq.transit[0][1] <= now + 1e-9:
@@ -94,13 +75,12 @@ class TwoQueueModel(TrafficModel):
             gq = self.groups[gid]
             self._promote_transit(gq, now)
             k = int(rng.poisson(gq.service_rate * self.dt))
-            self._service_draw[gid] = k
             if k <= 0 or not gq.waiting:
                 continue
             head = list(gq.waiting)[: min(k, len(gq.waiting))]
             by_rc: dict[object, list[Vehicle]] = {}
             for v in head:
-                by_rc.setdefault(self._target_rc(gq, v), []).append(v)
+                by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
             for rc in sorted(by_rc, key=lambda x: (x is None, x or 0)):
                 reqs.append(DemandRequest(gid, rc, vehicle_packet(by_rc[rc])))
         return reqs
@@ -123,41 +103,22 @@ class TwoQueueModel(TrafficModel):
             )
         gq.waiting = kept
         gq.cum_out += removed
-        for v in packet.all_vehicles():
-            gq.entered.pop(v.id, None)
 
     def receive_fluid(self, group_id, amounts, now):
         raise RuntimeError("two-queue model receives whole vehicles only")
 
     def receive_vehicles(self, link_id, vehicles, now):
         for v in vehicles:
-            gid = self._choose_group(link_id, v)
+            # the emptiest lane group serving the vehicle's next link
+            gid = min(
+                self.groups_toward(link_id, v.state),
+                key=lambda g: (self.groups[g].stored(), g),
+            )
             gq = self.groups[gid]
-            gq.entered[v.id] = now
             if len(gq.transit) + len(gq.waiting) < gq.n_max - 1e-9:
                 gq.transit.append((v, now + gq.tau))
             else:
                 gq.buffer.append(v)
-
-    def _choose_group(self, link_id: int, v: Vehicle) -> str:
-        """Target lane group: one whose exiting road connections serve the
-        vehicle's next link; the emptiest such group wins."""
-        nxt = self.routing.next_link_of(v.state, link_id)
-        cands = []
-        for gid in self.net.link_groups[link_id]:
-            g = self.net.lane_groups[gid]
-            if nxt is None:
-                cands.append(gid)
-                continue
-            for rc_id in g.exiting_rcs:
-                if self.net.road_connections[rc_id].down_link == nxt:
-                    cands.append(gid)
-                    break
-        if not cands:
-            raise RoutingError(
-                "no lane group of link %s leads to link %s" % (link_id, nxt)
-            )
-        return min(cands, key=lambda gid: (self.groups[gid].stored(), gid))
 
     def advance_state(self, now, rng):
         for gid in self.group_ids:
@@ -177,7 +138,7 @@ class TwoQueueModel(TrafficModel):
     def mean_speed_kmh(self, group_id: str) -> float:
         gq = self.groups[group_id]
         n = gq.stored()
-        limit = self.net.links[gq.link].params.speed_limit
+        limit = self.speed_limit_eff[gq.link]
         if n == 0:
             return limit
         moving = len(gq.transit)
@@ -194,6 +155,7 @@ class TwoQueueModel(TrafficModel):
         return out
 
     def set_speed_limit(self, link_id: int, v_kmh: float):
+        super().set_speed_limit(link_id, v_kmh)
         for gid in self.net.link_groups[link_id]:
             gq = self.groups[gid]
             gq.tau = gq.length / (v_kmh / 3.6)
@@ -211,7 +173,7 @@ class TwoQueueModel(TrafficModel):
         """Returns (link, group_id, position_m, speed_kmh) or None."""
         for gid in self.group_ids:
             gq = self.groups[gid]
-            limit = self.net.links[gq.link].params.speed_limit
+            limit = self.speed_limit_eff[gq.link]
             for v, elig in gq.transit:
                 if v.id == vehicle_id:
                     frac = min(1.0, max(0.0, 1.0 - (elig - now) / gq.tau))

@@ -59,7 +59,6 @@ class PartialLaneStructure:
     position: str  # one of PARTIAL_POSITIONS
     lanes: int
     length: float  # meters
-    gates: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.position not in PARTIAL_POSITIONS:
@@ -94,11 +93,6 @@ class Link:
                 raise NetworkError(
                     "link %s: partial lane longer than link" % self.id
                 )
-            for a, b in p.gates:
-                if not (0 <= a <= b <= p.length):
-                    raise NetworkError(
-                        "link %s: gate [%s, %s] outside structure" % (self.id, a, b)
-                    )
 
     @property
     def lanes(self) -> list[int]:
@@ -149,7 +143,6 @@ class LaneGroup:
     link: int
     lanes: tuple[int, ...]  # sorted inner to outer
     exiting_rcs: tuple[int, ...]  # sorted rc ids
-    entering_rcs: tuple[int, ...]
     length: float  # meters
 
     @property
@@ -161,27 +154,11 @@ def lane_group_id(link_id: int, lowest_lane: int) -> str:
     return "%s:%s" % (link_id, lowest_lane)
 
 
-def derive_lane_groups(
-    link: Link, road_connections: list[RoadConnection], strict: bool = True
-) -> list[LaneGroup]:
+def derive_lane_groups(link: Link, exiting: list[RoadConnection]) -> list[LaneGroup]:
     """Partition the link's lanes into maximal contiguous runs sharing the
-    same set of exiting road connections.
-
-    With strict=True, two road connections exiting the same lane group toward
-    the same downstream link raise a NetworkError; with strict=False the
-    condition is left for validate_network to report.
-    """
-    exiting = [rc for rc in road_connections if rc.up_link == link.id]
-    entering = [rc for rc in road_connections if rc.down_link == link.id]
-    lanes = link.lanes
-    lane_set = set(lanes)
-    for rc in exiting:
-        bad = rc.up_lanes - lane_set
-        if bad and strict:
-            raise NetworkError(
-                "road connection %s references missing lanes %s of link %s"
-                % (rc.id, sorted(bad), link.id)
-            )
+    same set of exiting road connections (`exiting` are the link's own).
+    Lanes out of range and ambiguous turning options are left for
+    validate_network to report."""
 
     def exit_set(lane: int) -> frozenset[int]:
         return frozenset(rc.id for rc in exiting if lane in rc.up_lanes)
@@ -193,33 +170,19 @@ def derive_lane_groups(
     def close_run():
         if not run:
             return
-        down_links = {}
-        for rc_id in sorted(run_exits):
-            rc = next(r for r in exiting if r.id == rc_id)
-            if rc.down_link in down_links and strict:
-                raise NetworkError(
-                    "link %s lanes %s: road connections %s and %s both lead to link %s "
-                    "(ambiguous turning options)"
-                    % (link.id, run, down_links[rc.down_link], rc.id, rc.down_link)
-                )
-            down_links[rc.down_link] = rc.id
         lengths = {link.lane_length(l) for l in run}
         length = min(lengths) if len(lengths) > 1 else lengths.pop()
-        ent = tuple(
-            sorted(rc.id for rc in entering if rc.down_lanes & set(run))
-        )
         groups.append(
             LaneGroup(
                 id=lane_group_id(link.id, run[0]),
                 link=link.id,
                 lanes=tuple(run),
                 exiting_rcs=tuple(sorted(run_exits)),
-                entering_rcs=ent,
                 length=length,
             )
         )
 
-    for lane in lanes:
+    for lane in link.lanes:
         es = exit_set(lane)
         if run and es == run_exits:
             run.append(lane)
@@ -233,13 +196,19 @@ def derive_lane_groups(
 
 @dataclass
 class Network:
+    """Links and road connections plus the topology tables `build` derives
+    from them once; every model and check reads these tables."""
+
     links: dict[int, Link]
     road_connections: dict[int, RoadConnection]
     lane_groups: dict[str, LaneGroup] = field(default_factory=dict)
     # adjacency, filled by build()
     link_groups: dict[int, list[str]] = field(default_factory=dict)  # inner->outer
+    out_rcs: dict[int, list[RoadConnection]] = field(default_factory=dict)  # by id
     rc_down_groups: dict[int, list[str]] = field(default_factory=dict)  # D_r
     rc_up_groups: dict[int, list[str]] = field(default_factory=dict)  # U_r
+    # (lane group, next link) -> the lowest-id road connection between them
+    rc_toward: dict[tuple[str, int], int] = field(default_factory=dict)
 
     @classmethod
     def build(cls, links: list[Link], road_connections: list[RoadConnection]) -> "Network":
@@ -251,51 +220,42 @@ class Network:
             raise NetworkError("duplicate link ids")
         if len(net.road_connections) != len(road_connections):
             raise NetworkError("duplicate road connection ids")
+        net.out_rcs = {l.id: [] for l in links}
+        for rc in sorted(road_connections, key=lambda r: r.id):
+            net.out_rcs.setdefault(rc.up_link, []).append(rc)
         for link in links:
-            groups = derive_lane_groups(link, road_connections, strict=False)
+            groups = derive_lane_groups(link, net.out_rcs[link.id])
             net.link_groups[link.id] = [g.id for g in groups]
             for g in groups:
                 net.lane_groups[g.id] = g
+                for rc_id in g.exiting_rcs:  # ascending: the first one wins
+                    down = net.road_connections[rc_id].down_link
+                    net.rc_toward.setdefault((g.id, down), rc_id)
         for rc in road_connections:
-            down = [
-                g.id
-                for g in net.lane_groups.values()
-                if g.link == rc.down_link and set(g.lanes) & rc.down_lanes
-            ]
-            net.rc_down_groups[rc.id] = sorted(down)
-            up = [
-                g.id
-                for g in net.lane_groups.values()
-                if g.link == rc.up_link and rc.id in g.exiting_rcs
-            ]
-            net.rc_up_groups[rc.id] = sorted(up)
+            net.rc_down_groups[rc.id] = sorted(
+                gid
+                for gid in net.link_groups.get(rc.down_link, ())
+                if rc.down_lanes.intersection(net.lane_groups[gid].lanes)
+            )
+            net.rc_up_groups[rc.id] = sorted(
+                gid
+                for gid in net.link_groups.get(rc.up_link, ())
+                if rc.id in net.lane_groups[gid].exiting_rcs
+            )
         return net
 
     # --- queries -----------------------------------------------------
 
-    def outgoing_rcs(self, link_id: int) -> list[RoadConnection]:
-        return sorted(
-            (r for r in self.road_connections.values() if r.up_link == link_id),
-            key=lambda r: r.id,
-        )
-
-    def incoming_rcs(self, link_id: int) -> list[RoadConnection]:
-        return sorted(
-            (r for r in self.road_connections.values() if r.down_link == link_id),
-            key=lambda r: r.id,
-        )
-
     def is_terminal(self, link_id: int) -> bool:
-        return not self.outgoing_rcs(link_id)
+        return not self.out_rcs.get(link_id)
 
     def next_links(self, link_id: int) -> list[int]:
-        return sorted({r.down_link for r in self.outgoing_rcs(link_id)})
+        return sorted({r.down_link for r in self.out_rcs.get(link_id, ())})
 
     def rc_between(self, up_link: int, down_link: int) -> RoadConnection | None:
-        for rc in self.outgoing_rcs(up_link):
-            if rc.down_link == down_link:
-                return rc
-        return None
+        return next(
+            (r for r in self.out_rcs.get(up_link, ()) if r.down_link == down_link), None
+        )
 
     def lane_access_fraction(self, rc_id: int, group_id: str) -> float:
         """Portion of lane group `group_id` reachable through road connection

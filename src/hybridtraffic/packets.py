@@ -73,12 +73,6 @@ class FluxPacket:
             out.extend(self.vehicles.get(s, []))
         return out
 
-    def copy(self) -> "FluxPacket":
-        return FluxPacket(
-            fluid=dict(self.fluid),
-            vehicles={s: list(v) for s, v in self.vehicles.items()},
-        )
-
 
 def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
     """A fluid packet of the positive amounts; a negative one is an error."""
@@ -283,9 +277,6 @@ class FluidToVehicleTranslator:
 
     def residue(self, location: Any, state: StateIndex) -> float:
         return self.residues.get((location, state), 0.0)
-
-    def total_residue(self, location: Any) -> float:
-        return sum(v for (loc, _), v in self.residues.items() if loc == location)
 
     def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
         if not p.is_fluid:

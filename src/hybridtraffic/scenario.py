@@ -101,19 +101,22 @@ def _profile_dict(p: Profile) -> dict:
     return {"start": p.start_time, "period": p.period, "values": list(p.values)}
 
 
+def _partial(link_id, d: dict) -> PartialLaneStructure:
+    if "gates" in d:
+        raise ScenarioError(
+            "link %s: partial-lane gates are not supported (the simulator has no "
+            "gate model); remove the 'gates' entry" % link_id
+        )
+    return PartialLaneStructure(
+        position=d["position"], lanes=int(d["lanes"]), length=float(d["length"])
+    )
+
+
 def parse_scenario(data: dict) -> Scenario:
     try:
         links = []
         for d in data["links"]:
-            partials = tuple(
-                PartialLaneStructure(
-                    position=p["position"],
-                    lanes=int(p["lanes"]),
-                    length=float(p["length"]),
-                    gates=tuple((float(a), float(b)) for a, b in p.get("gates", [])),
-                )
-                for p in d.get("partials", [])
-            )
+            partials = tuple(_partial(d.get("id"), p) for p in d.get("partials", []))
             links.append(
                 Link(
                     id=int(d["id"]),
@@ -218,7 +221,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
                                 "position": p.position,
                                 "lanes": p.lanes,
                                 "length": p.length,
-                                **({"gates": [list(g) for g in p.gates]} if p.gates else {}),
                             }
                             for p in l.partials
                         ]
@@ -294,11 +296,16 @@ def save_scenario(sc: Scenario, path: str):
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Structural and referential checks; returns diagnostics (empty = ok)."""
+    return _checked_network(sc)[1]
+
+
+def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
+    """Build the network once and run every scenario check against it."""
     diags: list[str] = []
     try:
         net = Network.build(sc.links, sc.road_connections)
     except Exception as exc:
-        return ["network: %s" % exc]
+        return None, ["network: %s" % exc]
     diags += validate_network(net)
 
     link_ids = set(net.links)
@@ -418,7 +425,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
                 diags.append("controller %s references unknown actuator %s" % (d.get("id"), aid))
         if d.get("type") not in ("fixed_time_signal", "constant", "noop"):
             diags.append("controller %s: unknown type %r" % (d.get("id"), d.get("type")))
-    return diags
+    return net, diags
 
 
 # --- runtime construction ---------------------------------------------
@@ -504,10 +511,9 @@ def _make_controller(d: dict):
 
 
 def build_runtime(sc: Scenario) -> dict:
-    diags = validate_scenario(sc)
+    net, diags = _checked_network(sc)
     if diags:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
-    net = Network.build(sc.links, sc.road_connections)
 
     models = []
     model_of_link = {}

@@ -156,3 +156,15 @@ def test_cli_resolves_bundled_scenarios(tmp_path):
 
 def test_cli_unknown_scenario_fails():
     assert cli_main(["validate", "no_such_scenario"]) != 0
+
+
+def test_partial_lane_gates_are_rejected():
+    d = _base()
+    d["links"][0]["partials"] = [
+        {"position": "outer-downstream", "lanes": 1, "length": 100.0,
+         "gates": [[10.0, 20.0]]}
+    ]
+    with pytest.raises(ScenarioError, match="gates are not supported"):
+        parse_scenario(d)
+    del d["links"][0]["partials"][0]["gates"]
+    assert validate_scenario(parse_scenario(d)) == []

@@ -157,3 +157,13 @@ def test_find_vehicle_positions(rng):
     link, gid, pos, speed = m.find_vehicle(0, now=20.0)
     assert pos == pytest.approx(500.0) and speed == 0.0
     assert m.find_vehicle(42, now=0.0) is None
+
+
+def test_speed_limit_command_reaches_speed_reports():
+    m = _model()
+    m.set_speed_limit(0, 50.0)
+    m.receive_vehicles(0, _vehs(3), now=0.0)  # all three in transit
+    assert m.mean_speed_kmh("0:1") == pytest.approx(50.0)
+    link, gid, pos, speed = m.find_vehicle(1, now=18.0)
+    assert speed == pytest.approx(50.0)
+    assert pos == pytest.approx(250.0)  # halfway through a 36 s transit
