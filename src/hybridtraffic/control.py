@@ -72,7 +72,7 @@ class LocalSensor(Sensor):
         if density_per_m > 1e-12:
             speed_kmh = (flow_vph / 3600.0) / density_per_m * 3.6
         else:
-            speed_kmh = engine.net.links[self.link].params.speed_limit
+            speed_kmh = model.speed_limit_eff[self.link]
         return {
             "flow_vph": flow_vph,
             "density_vpkm": density_per_m * 1000.0,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -140,13 +141,13 @@ class Engine:
         self.models = rt["models"]  # list, deterministic order
         self.model_of_link = rt["model_of_link"]
         self.routing: RoutingContext = rt["routing"]
-        self.sources: list[Source] = rt["sources"]
-        self.sensors = rt["sensors"]
-        self.actuators = rt["actuators"]
-        self.controllers = rt["controllers"]
+        # each kind fires in id order
+        self.sources: list[Source] = sorted(rt["sources"], key=attrgetter("id"))
+        self.sensors = sorted(rt["sensors"], key=attrgetter("id"))
+        self.actuators = sorted(rt["actuators"], key=attrgetter("id"))
+        self.controllers = sorted(rt["controllers"], key=attrgetter("id"))
         self.duration = scenario.run.duration
         self.output_dt = scenario.run.output_dt
-        self.distribution = scenario.run.distribution
         self.rng = np.random.default_rng(scenario.run.seed)
         self.factory = VehicleFactory()
         self.translator = FluidToVehicleTranslator(self.factory)
@@ -186,33 +187,17 @@ class Engine:
     # --- construction helpers -----------------------------------------
 
     def _compile_junctions(self):
-        """Group road connections into junctions (RCs sharing an upstream
-        link's downstream end or a downstream link's upstream end interact)
-        and compile the static tables of both, checking the access fractions
-        and adjacency once."""
+        """Compile the static tables of every road connection and of every
+        junction (`Network.junction_of`), checking the access fractions and
+        adjacency once."""
         net = self.net
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        for rc in net.road_connections.values():
-            union(("rc", rc.id), ("dn-end", rc.up_link))
-            union(("rc", rc.id), ("up-end", rc.down_link))
         comp: dict = {}
-        for rc in net.road_connections.values():
-            comp.setdefault(find(("rc", rc.id)), []).append(rc.id)
+        for r in sorted(net.junction_of):
+            comp.setdefault(net.junction_of[r], []).append(r)
 
         connections, junctions = {}, {}
-        for rcs in comp.values():
-            rcs = tuple(sorted(rcs))
-            jid = rcs[0]
+        for jid, rcs in comp.items():
+            rcs = tuple(rcs)
             up_of_r = {r: tuple(net.rc_up_groups[r]) for r in rcs}
             down_of_r = {r: tuple(net.rc_down_groups[r]) for r in rcs}
             down_of_g: dict = {}
@@ -304,19 +289,19 @@ class Engine:
 
     def _step(self, t, observer):
         # phase 1: sensors observe the pre-actuation, pre-advance state
-        for s in sorted(self.sensors, key=lambda s: s.id):
+        for s in self.sensors:
             c = self._clock_sensors[s.id]
             if c.due(t):
                 s.read(self, t)
                 c.fired += 1
         # phase 2: controllers
-        for ctrl in sorted(self.controllers, key=lambda c: c.id):
+        for ctrl in self.controllers:
             c = self._clock_controllers[ctrl.id]
             if c.due(t):
                 ctrl.step(self, t)
                 c.fired += 1
         # phase 3: actuators
-        for act in sorted(self.actuators, key=lambda a: a.id):
+        for act in self.actuators:
             c = self._clock_actuators[act.id]
             if c.due(t):
                 act.flush(self, t)
@@ -347,7 +332,7 @@ class Engine:
 
         # sources first, in id order
         due_ids = {id(m) for m in due_models}
-        for src in sorted(self.sources, key=lambda s: s.id):
+        for src in self.sources:
             m = self.model_of_link[src.demand.link]
             if id(m) in due_ids:
                 self._source_step(src, m, t, supply)
@@ -471,7 +456,7 @@ class Engine:
                         VirtualTracker(v.id, v.state, link, next(iter(caps)), 0.0)
                     )
             packet = to_fluid(packet)
-        for h, part in distribute(packet, caps, self.distribution).items():
+        for h, part in distribute(packet, caps).items():
             if part.is_empty():
                 continue
             receiver.receive_fluid(h, part.fluid, t)

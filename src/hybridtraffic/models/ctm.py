@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-import numpy as np
-
-from ..demand import ConfigurationError, RoutingError
+from ..demand import ConfigurationError
 from ..packets import FluxPacket, StateIndex, state_sort_key
 from .base import DemandRequest, TrafficModel
 
@@ -42,6 +41,15 @@ class _Cells:
         )
 
 
+class _LanePlan(NamedTuple):
+    """Where one state goes on one link, per lane group inner to outer: the
+    road connection it leaves by (None when it exits the network there), or
+    the lateral move it must make first (+1 outward, -1 inward, 0 none)."""
+
+    rc: tuple
+    move: tuple
+
+
 class CtmModel(TrafficModel):
     kind = "ctm"
     vehicle_based = False
@@ -58,6 +66,7 @@ class CtmModel(TrafficModel):
         self.link_v: dict[int, float] = {}  # normalized free-flow speed per step
         self.link_w: dict[int, float] = {}  # normalized congestion speed per step
         self.link_cell_len: dict[int, float] = {}
+        self._plans: dict[int, dict[StateIndex, _LanePlan]] = {}
 
     # --- construction --------------------------------------------------
 
@@ -69,6 +78,7 @@ class CtmModel(TrafficModel):
             cell_len = link.length / n_cells
             self.link_cell_len[lid] = cell_len
             self._set_normalized_speeds(lid)
+            self._plans[lid] = {}
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
                 gc = max(1, round(g.length / cell_len))
@@ -103,60 +113,33 @@ class CtmModel(TrafficModel):
         self.link_v[lid] = min(v, 1.0)
         self.link_w[lid] = min(w_ms * self.dt / cell_len, 1.0)
 
-    # --- state maps (rho, phi) ----------------------------------------
+    # --- lane plans -----------------------------------------------------
 
-    def _state_maps(self, lid: int, states) -> dict[str, dict[StateIndex, object]]:
-        """For every lane group of the link: rho (state -> rc id, None for
-        network exit, absent if unreachable) and phi (state -> -1 in, +1 out,
-        0 none)."""
-        net = self.net
-        gids = net.link_groups[lid]
-        maps = {gid: {"rho": {}, "phi": {}} for gid in gids}
-        for s in states:
-            nxt = self.routing.next_link_of(s, lid)
-            if nxt is None:
-                for gid in gids:
-                    maps[gid]["rho"][s] = None
-                    maps[gid]["phi"][s] = 0
-                continue
-            rc_of = {
-                j: net.rc_toward[(gid, nxt)]
-                for j, gid in enumerate(gids)
-                if (gid, nxt) in net.rc_toward
-            }
-            if not rc_of:
-                raise RoutingError(
-                    "link %s has no road connection toward link %s (state %s)"
-                    % (lid, nxt, (s,))
-                )
-            for j, gid in enumerate(gids):
-                if j in rc_of:
-                    maps[gid]["rho"][s] = rc_of[j]
-                    maps[gid]["phi"][s] = 0
-                elif j < min(rc_of):
-                    maps[gid]["phi"][s] = 1  # must move outward
-                else:
-                    maps[gid]["phi"][s] = -1  # must move inward
-        return maps
-
-    def _link_states(self, lid: int) -> list[StateIndex]:
-        states = set()
-        for gid in self.net.link_groups[lid]:
-            gc = self.groups[gid]
-            for cell in gc.occ:
-                states.update(k for k, v in cell.items() if v > 0)
-            states.update(k for k, v in gc.inflow.items() if v > 0)
-        return sorted(states, key=state_sort_key)
+    def _plan(self, lid: int, s: StateIndex) -> _LanePlan:
+        """The state's lane plan on the link, resolved on first use; it
+        depends only on the state's next link, so it is kept."""
+        plan = self._plans[lid].get(s)
+        if plan is None:
+            gids = self.net.link_groups[lid]
+            served = self.groups_toward(lid, s)
+            first = gids.index(served[0])
+            plan = self._plans[lid][s] = _LanePlan(
+                rc=tuple(
+                    self.rc_toward(g, lid, s) if g in served else None for g in gids
+                ),
+                move=tuple(
+                    0 if g in served else (1 if j < first else -1)
+                    for j, g in enumerate(gids)
+                ),
+            )
+        return plan
 
     # --- lane changes (intermediate state) -----------------------------
 
-    def lane_change_step(self, lid: int, maps=None):
+    def lane_change_step(self, lid: int):
         """Move lane-changing vehicles laterally; mutates occupancies into the
         intermediate (pre-advance) state. Conserves each state exactly."""
         gids = self.net.link_groups[lid]
-        states = self._link_states(lid)
-        if maps is None:
-            maps = self._state_maps(lid, states)
         chains = [self.groups[gid] for gid in gids]
         max_c = max(c.count for c in chains)
 
@@ -176,10 +159,9 @@ class CtmModel(TrafficModel):
             for j, c in enumerate(chains):
                 if idx[j] is None:
                     continue
-                phi = maps[c.group_id]["phi"]
                 for s, n in c.occ[idx[j]].items():
                     n_tot[j] += n
-                    d = phi.get(s, 0)
+                    d = self._plan(lid, s).move[j]
                     if d == -1:
                         n_in[j] += n
                     elif d == 1:
@@ -203,9 +185,8 @@ class CtmModel(TrafficModel):
             for j, c in enumerate(chains):
                 if idx[j] is None:
                     continue
-                phi = maps[c.group_id]["phi"]
                 for s, n in c.occ[idx[j]].items():
-                    d = phi.get(s, 0)
+                    d = self._plan(lid, s).move[j]
                     stay = n
                     if d == -1 and j - 1 >= 0 and idx[j - 1] is not None:
                         moved = beta[j - 1] * n
@@ -226,12 +207,11 @@ class CtmModel(TrafficModel):
     def compute_demands(self, now, rng) -> list[DemandRequest]:
         reqs: list[DemandRequest] = []
         for lid in self.links:
-            states = self._link_states(lid)
-            maps = self._state_maps(lid, states)
-            if len(self.net.link_groups[lid]) > 1:  # no lane to change to
-                self.lane_change_step(lid, maps)
+            gids = self.net.link_groups[lid]
+            if len(gids) > 1:  # no lane to change to
+                self.lane_change_step(lid)
             v = self.link_v[lid]
-            for gid in self.net.link_groups[lid]:
+            for j, gid in enumerate(gids):
                 gc = self.groups[gid]
                 gc.pre = [dict(c) for c in gc.occ]
                 gc.outflow = {}
@@ -239,16 +219,18 @@ class CtmModel(TrafficModel):
                 n_tot = sum(last.values())
                 if n_tot <= 0:
                     continue
-                rho = maps[gid]["rho"]
                 by_rc: dict[object, dict[StateIndex, float]] = {}
                 for s in sorted(last, key=state_sort_key):
                     n_s = last[s]
-                    if n_s <= 0 or s not in rho:
+                    if n_s <= 0:
+                        continue
+                    plan = self._plan(lid, s)
+                    if plan.move[j]:  # not served from this lane group
                         continue
                     d_s = min(v * n_s, gc.f_cap * n_s / n_tot)
                     if d_s <= 0:
                         continue
-                    by_rc.setdefault(rho[s], {})[s] = d_s
+                    by_rc.setdefault(plan.rc[j], {})[s] = d_s
                 for rc in sorted(by_rc, key=lambda x: (x is None, x or 0)):
                     reqs.append(
                         DemandRequest(gid, rc, FluxPacket(fluid=dict(by_rc[rc])))
@@ -277,8 +259,11 @@ class CtmModel(TrafficModel):
 
     def receive_fluid(self, group_id, amounts, now):
         gc = self.groups[group_id]
+        plans = self._plans[gc.link]
         for s, a in amounts.items():
             if a > 0:
+                if s not in plans:  # an unroutable state fails on entry
+                    self._plan(gc.link, s)
                 gc.inflow[s] = gc.inflow.get(s, 0.0) + a
 
     def receive_vehicles(self, link_id, vehicles, now):

@@ -209,6 +209,10 @@ class Network:
     rc_up_groups: dict[int, list[str]] = field(default_factory=dict)  # U_r
     # (lane group, next link) -> the lowest-id road connection between them
     rc_toward: dict[tuple[str, int], int] = field(default_factory=dict)
+    # road connection -> lowest rc id of its junction: road connections that
+    # share an upstream link's downstream end or a downstream link's upstream
+    # end interact, and so do the ones those share an end with
+    junction_of: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def build(cls, links: list[Link], road_connections: list[RoadConnection]) -> "Network":
@@ -221,8 +225,20 @@ class Network:
         if len(net.road_connections) != len(road_connections):
             raise NetworkError("duplicate road connection ids")
         net.out_rcs = {l.id: [] for l in links}
-        for rc in sorted(road_connections, key=lambda r: r.id):
+        in_rcs: dict[int, list[RoadConnection]] = {}
+        ordered = sorted(road_connections, key=lambda r: r.id)
+        for rc in ordered:
             net.out_rcs.setdefault(rc.up_link, []).append(rc)
+            in_rcs.setdefault(rc.down_link, []).append(rc)
+        out_rcs = dict(net.out_rcs)  # both bucket maps are used up below
+        for rc in ordered:
+            if rc.id in net.junction_of:
+                continue
+            todo = [rc]
+            while todo:
+                r = todo.pop()
+                net.junction_of[r.id] = rc.id
+                todo += out_rcs.pop(r.up_link, []) + in_rcs.pop(r.down_link, [])
         for link in links:
             groups = derive_lane_groups(link, net.out_rcs[link.id])
             net.link_groups[link.id] = [g.id for g in groups]

@@ -143,101 +143,26 @@ def split_vehicle_packet(p: FluxPacket, alpha: float) -> tuple[FluxPacket, FluxP
 # --- distribution over downstream lane groups -------------------------
 
 
-def distribute_uniform(
-    p: FluxPacket, group_ids: list[str]
-) -> dict[str, FluxPacket]:
-    """Split a packet into |D_r| equal parts (vehicles round-robin, FIFO)."""
-    if not group_ids:
+def distribute(p: FluxPacket, caps: dict[str, float]) -> dict[str, FluxPacket]:
+    """Spread a fluid packet over the lane groups of `caps` (their remaining
+    supply) in proportion to their free space. When none has any, which
+    happens when entry credit admits a whole vehicle into fluid lane groups
+    without supply, the packet is split evenly."""
+    if not p.is_fluid:
+        raise ProtocolError("distribute requires a fluid packet")
+    if not caps:
         raise ProtocolError("cannot distribute over an empty lane-group set")
-    n = len(group_ids)
-    out: dict[str, FluxPacket] = {g: FluxPacket() for g in group_ids}
-    if p.is_fluid:
-        for s in p.states():
-            share = p.fluid[s] / n
-            for g in group_ids:
-                out[g].fluid[s] = out[g].fluid.get(s, 0.0) + share
-    else:
-        i = 0
-        for v in p.all_vehicles():
-            g = group_ids[i % n]
-            out[g].vehicles.setdefault(v.state, []).append(v)
-            i += 1
+    space = {g: max(0.0, caps[g]) for g in sorted(caps)}
+    total = sum(space.values())
+    if total <= 0:
+        space, total = dict.fromkeys(space, 1.0), float(len(space))
+    out: dict[str, FluxPacket] = {g: FluxPacket() for g in space}
+    for s in p.states():
+        for g, w in space.items():
+            share = p.fluid[s] * w / total
+            if share > 0:
+                out[g].fluid[s] = share
     return out
-
-
-def distribute_equalizing(
-    p: FluxPacket, free_space: dict[str, float]
-) -> dict[str, FluxPacket]:
-    """Apportion a packet proportionally to the current free space per lane
-    group; whole vehicles go greedily to the lane group with the most
-    remaining space (ties broken by id order)."""
-    if not free_space:
-        raise ProtocolError("cannot distribute over an empty lane-group set")
-    group_ids = sorted(free_space.keys())
-    out: dict[str, FluxPacket] = {g: FluxPacket() for g in group_ids}
-    total_space = sum(max(0.0, free_space[g]) for g in group_ids)
-    if p.is_fluid:
-        if total_space <= 0:
-            return distribute_uniform(p, group_ids)
-        for s in p.states():
-            amount = p.fluid[s]
-            for g in group_ids:
-                share = amount * max(0.0, free_space[g]) / total_space
-                if share > 0:
-                    out[g].fluid[s] = out[g].fluid.get(s, 0.0) + share
-    else:
-        remaining = {g: max(0.0, free_space[g]) for g in group_ids}
-        for v in p.all_vehicles():
-            g = max(group_ids, key=lambda gid: (remaining[gid], gid))
-            out[g].vehicles.setdefault(v.state, []).append(v)
-            remaining[g] -= 1.0
-    return out
-
-
-def distribute(
-    p: FluxPacket, caps: dict[str, float], mode: str
-) -> dict[str, FluxPacket]:
-    """Spread a packet over the lane groups of `caps` (their remaining
-    supply): "uniform" splits it evenly, then spills any share above a cap
-    to groups with slack; otherwise `distribute_equalizing`."""
-    if mode != "uniform":
-        return distribute_equalizing(p, caps)
-    parts = distribute_uniform(p, sorted(caps))
-    if any(not q.is_fluid for q in parts.values()):
-        return parts
-    for _ in range(len(caps) + 1):
-        spill: dict[StateIndex, float] = {}
-        slack = {}
-        for h, q in parts.items():
-            tot = q.total()
-            cap = max(0.0, caps[h])
-            if tot > cap + 1e-12:
-                f = cap / tot if tot > 0 else 0.0
-                for s in q.states():
-                    extra = q.fluid[s] * (1 - f)
-                    q.fluid[s] *= f
-                    spill[s] = spill.get(s, 0.0) + extra
-                slack[h] = 0.0
-            else:
-                slack[h] = cap - tot
-        total_spill = sum(spill.values())
-        if total_spill <= 1e-12:
-            break
-        total_slack = sum(slack.values())
-        if total_slack <= 0:
-            # nowhere to go; put it back proportionally (callers cap totals
-            # at the aggregate supply, so this is a numerical corner)
-            for h in parts:
-                for s, a in spill.items():
-                    parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a / len(parts)
-            break
-        for h in parts:
-            w = slack[h] / total_slack
-            if w <= 0:
-                continue
-            for s, a in spill.items():
-                parts[h].fluid[s] = parts[h].fluid.get(s, 0.0) + a * w
-    return parts
 
 
 # --- representation translation ---------------------------------------

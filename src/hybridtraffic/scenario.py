@@ -59,15 +59,12 @@ class RunSettings:
     duration: float
     output_dt: float = 10.0
     seed: int = 0
-    distribution: str = "equalizing"
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ScenarioError("run duration must be positive")
         if self.output_dt <= 0:
             raise ScenarioError("output period must be positive")
-        if self.distribution not in ("equalizing", "uniform"):
-            raise ScenarioError("unknown distribution strategy %r" % self.distribution)
 
 
 @dataclass
@@ -179,11 +176,16 @@ def parse_scenario(data: dict) -> Scenario:
             for d in data.get("splits", [])
         ]
         run_d = data["run"]
+        if run_d.get("distribution", "equalizing") != "equalizing":
+            raise ScenarioError(
+                "run: distribution %r is not supported (fluid is spread over lane "
+                "groups in proportion to their free space); remove the "
+                "'distribution' entry" % run_d["distribution"]
+            )
         run = RunSettings(
             duration=float(run_d["duration"]),
             output_dt=float(run_d.get("output_dt", 10.0)),
             seed=int(run_d.get("seed", 0)),
-            distribution=run_d.get("distribution", "equalizing"),
         )
     except KeyError as exc:
         raise ScenarioError("missing required field %s" % exc) from exc
@@ -273,14 +275,13 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "duration": sc.run.duration,
             "output_dt": sc.run.output_dt,
             "seed": sc.run.seed,
-            "distribution": sc.run.distribution,
         },
     }
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as f:
-        data = yaml.safe_load(f)
+        data = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a mapping")
     return parse_scenario(data)
@@ -323,8 +324,10 @@ def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
     for l in sorted(link_ids - set(assigned)):
         diags.append("link %s has no model assigned" % l)
 
-    vt_ids = {v.id for v in sc.vehicle_types}
-    route_ids = {r.id for r in sc.routes}
+    # reversed, so that the first of any duplicate ids wins
+    vtype_of = {v.id: v for v in reversed(sc.vehicle_types)}
+    route_of = {r.id: r for r in reversed(sc.routes)}
+    vt_ids, route_ids = set(vtype_of), set(route_of)
     for r in sc.routes:
         for a, b in zip(r.links, r.links[1:]):
             if a not in link_ids or b not in link_ids:
@@ -339,7 +342,7 @@ def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
             diags.append("demand references unknown link %s" % d.link)
         if d.vtype not in vt_ids:
             diags.append("demand references unknown vehicle type %s" % d.vtype)
-        vt = next((v for v in sc.vehicle_types if v.id == d.vtype), None)
+        vt = vtype_of.get(d.vtype)
         if vt is not None and vt.is_routed:
             if d.route is None:
                 diags.append(
@@ -348,7 +351,7 @@ def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
             elif d.route not in route_ids:
                 diags.append("demand references unknown route %s" % d.route)
             else:
-                route = next(r for r in sc.routes if r.id == d.route)
+                route = route_of[d.route]
                 if route.links[0] != d.link:
                     diags.append(
                         "demand at link %s uses route %s which starts at link %s"
@@ -368,12 +371,13 @@ def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
     # probabilistic types need splits at true diverges they can reach; checked
     # lazily at run time, but flag diverges with no split at all
     prob_types = [v.id for v in sc.vehicle_types if not v.is_routed]
+    split_keys = {(s.link, s.vtype) for s in sc.splits}
     if prob_types and any(d.vtype in prob_types for d in sc.demands):
         for l in sorted(link_ids):
             nexts = net.next_links(l)
             if len(nexts) > 1:
                 for vt in prob_types:
-                    if not any(s.link == l and s.vtype == vt for s in sc.splits):
+                    if (l, vt) not in split_keys:
                         diags.append(
                             "diverge link %s has no split profile for type %s" % (l, vt)
                         )

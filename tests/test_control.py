@@ -54,6 +54,22 @@ def test_local_sensor_flow_matches_throughput():
     assert s.last["speed_kmh"] > 0
 
 
+def test_local_sensor_on_an_empty_link_reports_the_commanded_limit():
+    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], rate_vph=0.0, duration=20.0)
+    d["sensors"] = [
+        {"id": 0, "kind": "local", "dt": 10.0, "link": 2, "offset": 250.0},
+        {"id": 1, "kind": "lane_group", "dt": 10.0, "lane_group": "2:1"},
+    ]
+    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 2}]
+    d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [0],
+                         "params": {"at": 0.0, "commands": {0: {"speed_kmh": 50.0}}}}]
+    eng = Engine(parse_scenario(d))
+    eng.run()
+    local, group = eng.sensors
+    assert local.last["density_vpkm"] == 0.0
+    assert local.last["speed_kmh"] == group.last["speed_kmh"] == 50.0
+
+
 def test_probe_sensor_follows_then_loses_vehicle():
     eng = _engine(
         extra={

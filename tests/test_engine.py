@@ -58,6 +58,19 @@ def test_junction_grouping_unifies_shared_ends():
     assert eng._junctions[eng._rc[0].junction].rcs == (0,)
 
 
+def test_sensors_fire_in_id_order():
+    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], duration=1.0)
+    d["sensors"] = [
+        {"id": i, "kind": "lane_group", "dt": 10.0, "lane_group": "0:1"} for i in (2, 0, 1)
+    ]
+    eng = Engine(parse_scenario(d))
+    fired = []
+    for s in eng.sensors:
+        s.read = lambda e, t, sid=s.id: fired.append(sid)
+    eng.run()
+    assert fired == [0, 1, 2]
+
+
 def test_same_seed_reproduces_history():
     def trace(seed):
         d = corridor_scenario_dict(

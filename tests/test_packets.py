@@ -9,8 +9,6 @@ from hybridtraffic.packets import (
     VehicleFactory,
     compute_alpha,
     distribute,
-    distribute_equalizing,
-    distribute_uniform,
     fluid_packet,
     scale_fluid_packet,
     split_vehicle_packet,
@@ -79,41 +77,18 @@ def test_split_never_exceeds_alpha():
         assert sent.total() <= alpha * 7 + 1e-9
 
 
-def test_distribute_uniform_fluid_and_vehicles():
-    p = fluid_packet({S0: 3.0})
-    parts = distribute_uniform(p, ["a", "b", "c"])
-    assert all(parts[g].fluid[S0] == pytest.approx(1.0) for g in "abc")
-    q = vehicle_packet(_vehs(5))
-    parts = distribute_uniform(q, ["a", "b"])
-    assert parts["a"].total() + parts["b"].total() == 5
-
-
 def test_distribute_equalizing_proportional_to_space():
     p = fluid_packet({S0: 3.0})
-    parts = distribute_equalizing(p, {"a": 9.0, "b": 3.0})
+    parts = distribute(p, {"a": 9.0, "b": 3.0})
     assert parts["a"].fluid[S0] == pytest.approx(2.25)
     assert parts["b"].fluid[S0] == pytest.approx(0.75)
     # shares never exceed free space when the total fits
     assert parts["a"].fluid[S0] <= 9.0 and parts["b"].fluid[S0] <= 3.0
-
-
-def test_distribute_uniform_mode_spills_shares_above_caps():
-    p = fluid_packet({S0: 3.0, S1: 1.0})
-    parts = distribute(p, {"a": 1.0, "b": 10.0}, "uniform")
-    assert parts["a"].total() == pytest.approx(1.0)  # capped
-    assert parts["b"].total() == pytest.approx(3.0)  # took the spill
-    for s, amount in p.fluid.items():  # each state conserved
-        assert sum(q.fluid[s] for q in parts.values()) == pytest.approx(amount)
-    # within the caps an even split stays even
-    even = distribute(p, {"a": 5.0, "b": 5.0}, "uniform")
-    assert even["a"].fluid == even["b"].fluid == {S0: 1.5, S1: 0.5}
-
-
-def test_distribute_equalizing_vehicles_greedy():
-    q = vehicle_packet(_vehs(4))
-    parts = distribute_equalizing(q, {"a": 3.0, "b": 1.0})
-    assert parts["a"].total() == 3
-    assert parts["b"].total() == 1
+    # without any free space the packet is split evenly
+    parts = distribute(fluid_packet({S0: 3.0, S1: 1.0}), {"a": 0.0, "b": -1.0})
+    assert parts["a"].fluid == parts["b"].fluid == {S0: 1.5, S1: 0.5}
+    with pytest.raises(ProtocolError):
+        distribute(vehicle_packet(_vehs(2)), {"a": 1.0})
 
 
 def test_to_fluid_counts():

@@ -168,3 +168,14 @@ def test_partial_lane_gates_are_rejected():
         parse_scenario(d)
     del d["links"][0]["partials"][0]["gates"]
     assert validate_scenario(parse_scenario(d)) == []
+
+
+def test_only_the_equalizing_distribution_is_accepted():
+    d = _base()
+    d["run"]["distribution"] = "uniform"
+    with pytest.raises(ScenarioError, match="distribution 'uniform' is not supported"):
+        parse_scenario(d)
+    d["run"]["distribution"] = "equalizing"
+    sc = parse_scenario(d)
+    assert validate_scenario(sc) == []
+    assert "distribution" not in scenario_to_dict(sc)["run"]

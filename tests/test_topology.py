@@ -48,6 +48,26 @@ def scan_up_groups(net, rc):
     )
 
 
+def union_find_junctions(net):
+    """Road connection -> lowest rc id of its junction, by union-find over
+    road connections and link ends."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for rc in net.road_connections.values():
+        parent[find(("rc", rc.id))] = find(("dn-end", rc.up_link))
+        parent[find(("rc", rc.id))] = find(("up-end", rc.down_link))
+    lowest = {}
+    for rc_id in sorted(net.road_connections):
+        lowest.setdefault(find(("rc", rc_id)), rc_id)
+    return {r: lowest[find(("rc", r))] for r in net.road_connections}
+
+
 def _window(rng, lanes):
     """A random contiguous lane window reaching one lane past either end."""
     lo = int(rng.integers(lanes[0] - 1, lanes[-1] + 1))
@@ -108,6 +128,7 @@ def test_tables_equal_the_scans(seed):
     for rc in net.road_connections.values():
         assert net.rc_down_groups[rc.id] == scan_down_groups(net, rc)
         assert net.rc_up_groups[rc.id] == scan_up_groups(net, rc)
+    assert net.junction_of == union_find_junctions(net)
 
 
 def test_first_road_connection_wins_on_ambiguous_turns():
