@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import os
 import sys
@@ -35,7 +36,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--duration", type=float, help="override run duration, s")
     p_run.add_argument("--seed", type=int, help="override the random seed")
     p_run.add_argument("--out-dir", default="out", help="output directory")
-    p_run.add_argument("--out-dt", type=float, help="override output period, s")
+    p_run.add_argument("--out-dt", dest="output_dt", type=float,
+                       help="override output period, s")
 
     p_val = sub.add_parser("validate", help="check a scenario file and report problems")
     p_val.add_argument("scenario", help="scenario file (or bundled scenario name)")
@@ -44,6 +46,11 @@ def main(argv=None) -> int:
 
     try:
         sc = load_scenario(_resolve(args.scenario))
+        # run overrides pass the same checks as the file's values
+        sc.run = dataclasses.replace(sc.run, **{
+            k: getattr(args, k) for k in ("duration", "seed", "output_dt")
+            if getattr(args, k, None) is not None
+        })
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -57,13 +64,6 @@ def main(argv=None) -> int:
             return 1
         print("scenario %r is valid" % sc.name)
         return 0
-
-    if args.duration is not None:
-        sc.run.duration = args.duration
-    if args.seed is not None:
-        sc.run.seed = args.seed
-    if args.out_dt is not None:
-        sc.run.output_dt = args.out_dt
 
     try:
         engine = Engine(sc)

@@ -180,7 +180,7 @@ class DemandActuator(Actuator):
     source: int = -1
 
     def apply(self, engine, now, cmd):
-        src = next(s for s in engine.sources if s.id == self.source)
+        src = engine.sources[self.source]  # source ids are their indices
         rate = cmd.get("intensity_vph")
         if rate is not None and rate < 0:
             raise ControlError("demand intensity must be >= 0")
@@ -231,16 +231,14 @@ class Controller:
     def step(self, engine, now: float):
         if self.algorithm is None:
             return
-        sensors = {s.id: s for s in engine.sensors}
-        actuators = {a.id: a for a in engine.actuators}
-        measurements = {sid: sensors[sid].last for sid in self.sensor_ids}
+        measurements = {sid: engine.sensor_of[sid].last for sid in self.sensor_ids}
         commands = self.algorithm.update(now, measurements) or {}
         for aid, cmd in sorted(commands.items()):
             if aid not in self.actuator_ids:
                 raise ControlError(
                     "controller %s commanded unowned actuator %s" % (self.id, aid)
                 )
-            actuators[aid].command(cmd)
+            engine.actuator_of[aid].command(cmd)
 
 
 class FixedTimeSignal:

@@ -132,9 +132,6 @@ class SplitTable:
             self._by_key[(link, vtype)] = sp
         sp.override = dict(ratios)
 
-    def profiles(self) -> list[SplitProfile]:
-        return [self._by_key[k] for k in sorted(self._by_key)]
-
 
 @dataclass
 class Source:

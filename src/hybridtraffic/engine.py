@@ -46,19 +46,20 @@ class SimulationError(RuntimeError):
         super().__init__(("[%s] " % ", ".join(ctx) if ctx else "") + str(msg))
 
 
-@dataclass
-class _Clocked:
+@dataclass(slots=True)
+class _Clock:
     """Fixed-period activity tracked by the scheduler."""
 
     period: float
     fired: int = 0  # completed firings
-
-    @property
-    def next_time(self) -> float:
-        return self.fired * self.period
+    next_time: float = 0.0
 
     def due(self, t: float) -> bool:
         return abs(self.next_time - t) < TIME_TOL
+
+    def tick(self):
+        self.fired += 1
+        self.next_time = self.fired * self.period
 
 
 @dataclass
@@ -146,6 +147,8 @@ class Engine:
         self.sensors = sorted(rt["sensors"], key=attrgetter("id"))
         self.actuators = sorted(rt["actuators"], key=attrgetter("id"))
         self.controllers = sorted(rt["controllers"], key=attrgetter("id"))
+        self.sensor_of = {s.id: s for s in self.sensors}
+        self.actuator_of = {a.id: a for a in self.actuators}
         self.duration = scenario.run.duration
         self.output_dt = scenario.run.output_dt
         self.rng = np.random.default_rng(scenario.run.seed)
@@ -177,11 +180,18 @@ class Engine:
         self.exits: dict[StateIndex, float] = {}
         self.audit_failures: list[str] = []
 
-        self._clock_models = {id(m): _Clocked(m.dt) for m in self.models}
-        self._clock_sensors = {s.id: _Clocked(s.dt) for s in self.sensors}
-        self._clock_controllers = {c.id: _Clocked(c.dt) for c in self.controllers}
-        self._clock_actuators = {a.id: _Clocked(a.dt) for a in self.actuators}
-        self._clock_output = _Clocked(self.output_dt) if self.output_dt else None
+        # the schedule: control elements in the order they fire within a step
+        # (sensors, controllers, actuators), with the method each fire calls
+        self._control = [
+            (_Clock(x.dt), x, method)
+            for xs, method in ((self.sensors, "read"), (self.controllers, "step"),
+                               (self.actuators, "flush"))
+            for x in xs
+        ]
+        self._model_clocks = [(_Clock(m.dt), m) for m in self.models]
+        self._output_clock = _Clock(self.output_dt)
+        self._clocks = [c for c, *_ in self._control + self._model_clocks]
+        self._clocks.append(self._output_clock)
         self.now = 0.0
 
     # --- construction helpers -----------------------------------------
@@ -267,8 +277,8 @@ class Engine:
         """Run to the configured duration. `observer(engine, t)` is called at
         every output time."""
         while True:
-            t = self._next_time()
-            if t is None or t > self.duration + TIME_TOL:
+            t = min(c.next_time for c in self._clocks)
+            if t > self.duration + TIME_TOL:
                 break
             self.now = t
             try:
@@ -278,52 +288,29 @@ class Engine:
             except Exception as exc:
                 raise SimulationError(exc, time=t) from exc
 
-    def _next_time(self):
-        cands = [c.next_time for c in self._clock_models.values()]
-        cands += [c.next_time for c in self._clock_sensors.values()]
-        cands += [c.next_time for c in self._clock_controllers.values()]
-        cands += [c.next_time for c in self._clock_actuators.values()]
-        if self._clock_output:
-            cands.append(self._clock_output.next_time)
-        return min(cands) if cands else None
-
     def _step(self, t, observer):
-        # phase 1: sensors observe the pre-actuation, pre-advance state
-        for s in self.sensors:
-            c = self._clock_sensors[s.id]
-            if c.due(t):
-                s.read(self, t)
-                c.fired += 1
-        # phase 2: controllers
-        for ctrl in self.controllers:
-            c = self._clock_controllers[ctrl.id]
-            if c.due(t):
-                ctrl.step(self, t)
-                c.fired += 1
-        # phase 3: actuators
-        for act in self.actuators:
-            c = self._clock_actuators[act.id]
-            if c.due(t):
-                act.flush(self, t)
-                c.fired += 1
-        # phase 4: model flow exchange, then state advance
-        due_models = [
-            m for m in self.models if self._clock_models[id(m)].due(t)
-        ]
-        if due_models:
+        # sensors observe the pre-actuation, pre-advance state; the method is
+        # looked up at each fire, so one replaced on an element takes effect
+        for clock, x, method in self._control:
+            if clock.due(t):
+                getattr(x, method)(self, t)
+                clock.tick()
+        # model flow exchange, then state advance
+        due = [(c, m) for c, m in self._model_clocks if c.due(t)]
+        if due:
+            due_models = [m for _, m in due]
             self._flow_phase(t, due_models)
             for m in due_models:
                 m.advance_state(t, self.rng)
             self._advance_trackers(t, due_models)
-            for m in due_models:
-                self._clock_models[id(m)].fired += 1
+            for c, _ in due:
+                c.tick()
             if self.audit:
                 self._audit(t)
-        # phase 5: outputs
-        if self._clock_output and self._clock_output.due(t):
+        if self._output_clock.due(t):
             if observer:
                 observer(self, t)
-            self._clock_output.fired += 1
+            self._output_clock.tick()
 
     # --- flow phase ------------------------------------------------------
 
@@ -503,8 +490,7 @@ class Engine:
             if amount <= 0:
                 return
             src.withdraw(amount)
-            key = src.demand.route if src.demand.route is not None else None
-            p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, key): amount})
+            p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, src.demand.route): amount})
             routed = self.routing.assign_next_link(p0, link, t, self.rng)
             self._enter(model, link, routed, caps, supply, t)
 

@@ -80,6 +80,16 @@ class TrafficModel(ABC):
             )
         return cands
 
+    @staticmethod
+    def requests(group_id: str, by_rc: dict, packet) -> list[DemandRequest]:
+        """One request per road connection of `by_rc`, carrying `packet` of
+        its contents: rcs ascending and the exit (None) last, the order in
+        which the engine books the exits."""
+        return [
+            DemandRequest(group_id, rc, packet(by_rc[rc]))
+            for rc in sorted(by_rc, key=lambda x: (x is None, x or 0))
+        ]
+
     # --- protocol surface (Eqs. for |p|, send) --------------------------
 
     def get_packet_size(self, packet: FluxPacket, rc: int | None) -> float:
@@ -132,10 +142,6 @@ class TrafficModel(ABC):
     def state_counts(self, link_id: int) -> dict[StateIndex, float]:
         """Per-state vehicle counts over the whole link (for conservation
         audits and outputs)."""
-
-    def link_total(self, link_id: int) -> float:
-        assert self.net is not None
-        return sum(self.total_vehicles(g) for g in self.net.link_groups[link_id])
 
     # --- optional hooks ------------------------------------------------
 

@@ -18,9 +18,7 @@ NEG_TOL = -1e-9
 class _Cells:
     """Cell chain of one lane group (index 0 = upstream-most)."""
 
-    group_id: str
     link: int
-    num_lanes: int
     count: int  # number of cells
     length: float  # cell length, m
     n_max: float  # veh per cell
@@ -83,9 +81,7 @@ class CtmModel(TrafficModel):
                 g = net.lane_groups[gid]
                 gc = max(1, round(g.length / cell_len))
                 self.groups[gid] = _Cells(
-                    group_id=gid,
                     link=lid,
-                    num_lanes=g.num_lanes,
                     count=gc,
                     length=cell_len,
                     n_max=link.params.jam_density_per_lane / 1000.0
@@ -231,10 +227,7 @@ class CtmModel(TrafficModel):
                     if d_s <= 0:
                         continue
                     by_rc.setdefault(plan.rc[j], {})[s] = d_s
-                for rc in sorted(by_rc, key=lambda x: (x is None, x or 0)):
-                    reqs.append(
-                        DemandRequest(gid, rc, FluxPacket(fluid=dict(by_rc[rc])))
-                    )
+                reqs += self.requests(gid, by_rc, FluxPacket)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

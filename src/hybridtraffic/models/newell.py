@@ -27,7 +27,6 @@ class _Car:
 
 @dataclass
 class _Lane:
-    group_id: str
     link: int
     length: float
     num_lanes: int
@@ -67,7 +66,6 @@ class NewellModel(TrafficModel):
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
                 self.lanes[gid] = _Lane(
-                    group_id=gid,
                     link=lid,
                     length=g.length,
                     num_lanes=g.num_lanes,
@@ -125,8 +123,7 @@ class NewellModel(TrafficModel):
                 if not car.exiting:
                     break
                 by_rc.setdefault(car.target_rc, []).append(car.vehicle)
-            for rc in sorted(by_rc, key=lambda x: (x is None, x or 0)):
-                reqs.append(DemandRequest(gid, rc, vehicle_packet(by_rc[rc])))
+            reqs += self.requests(gid, by_rc, vehicle_packet)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

@@ -12,7 +12,6 @@ from .base import DemandRequest, TrafficModel
 
 @dataclass
 class _Queues:
-    group_id: str
     link: int
     length: float
     n_max: float  # veh
@@ -43,7 +42,6 @@ class TwoQueueModel(TrafficModel):
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
                 self.groups[gid] = _Queues(
-                    group_id=gid,
                     link=lid,
                     length=g.length,
                     n_max=link.params.jam_density_per_lane / 1000.0
@@ -81,8 +79,7 @@ class TwoQueueModel(TrafficModel):
             by_rc: dict[object, list[Vehicle]] = {}
             for v in head:
                 by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
-            for rc in sorted(by_rc, key=lambda x: (x is None, x or 0)):
-                reqs.append(DemandRequest(gid, rc, vehicle_packet(by_rc[rc])))
+            reqs += self.requests(gid, by_rc, vehicle_packet)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

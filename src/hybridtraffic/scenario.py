@@ -3,6 +3,7 @@ construction of the runtime objects the engine needs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -61,10 +62,10 @@ class RunSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ScenarioError("run duration must be positive")
-        if self.output_dt <= 0:
-            raise ScenarioError("output period must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ScenarioError("run duration must be positive and finite")
+        if not 0 < self.output_dt < math.inf:
+            raise ScenarioError("output period must be positive and finite")
 
 
 @dataclass
@@ -297,16 +298,17 @@ def save_scenario(sc: Scenario, path: str):
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Structural and referential checks; returns diagnostics (empty = ok)."""
-    return _checked_network(sc)[1]
+    return _checked(sc)[2]
 
 
-def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
-    """Build the network once and run every scenario check against it."""
+def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
+    """Build the network and every control element once, and run every
+    scenario check against what was built."""
     diags: list[str] = []
     try:
         net = Network.build(sc.links, sc.road_connections)
     except Exception as exc:
-        return None, ["network: %s" % exc]
+        return None, {}, ["network: %s" % exc]
     diags += validate_network(net)
 
     link_ids = set(net.links)
@@ -382,54 +384,55 @@ def _checked_network(sc: Scenario) -> tuple[Network | None, list[str]]:
                             "diverge link %s has no split profile for type %s" % (l, vt)
                         )
 
-    seen_sensor = set()
-    for d in sc.sensors:
-        sid = d.get("id")
-        if sid in seen_sensor:
-            diags.append("duplicate sensor id %s" % sid)
-        seen_sensor.add(sid)
-        kind = d.get("kind")
-        if kind not in ("lane_group", "local", "probe"):
-            diags.append("sensor %s: unknown kind %r" % (sid, kind))
-        elif kind == "lane_group" and d.get("lane_group") not in net.lane_groups:
-            diags.append("sensor %s: unknown lane group %r" % (sid, d.get("lane_group")))
-        elif kind == "local" and d.get("link") not in link_ids:
-            diags.append("sensor %s: unknown link %r" % (sid, d.get("link")))
-    seen_act = set()
-    for d in sc.actuators:
-        aid = d.get("id")
-        if aid in seen_act:
-            diags.append("duplicate actuator id %s" % aid)
-        seen_act.add(aid)
-        kind = d.get("kind")
-        if kind == "rc_block":
-            if d.get("rc") not in net.road_connections:
-                diags.append("actuator %s: unknown road connection %r" % (aid, d.get("rc")))
-        elif kind == "vsl":
-            if d.get("link") not in link_ids:
-                diags.append("actuator %s: unknown link %r" % (aid, d.get("link")))
-        elif kind == "router":
-            if d.get("vtype") not in vt_ids:
-                diags.append("actuator %s: unknown vehicle type %r" % (aid, d.get("vtype")))
-        elif kind == "demand":
-            n_src = len(sc.demands)
-            if not isinstance(d.get("source"), int) or not (0 <= d["source"] < n_src):
-                diags.append("actuator %s: unknown source %r" % (aid, d.get("source")))
-        elif kind == "split":
-            if d.get("link") not in link_ids or d.get("vtype") not in vt_ids:
-                diags.append("actuator %s: bad split target" % aid)
-        else:
-            diags.append("actuator %s: unknown kind %r" % (aid, kind))
-    for d in sc.controllers:
-        for sid in d.get("sensors", []):
-            if sid not in seen_sensor:
-                diags.append("controller %s references unknown sensor %s" % (d.get("id"), sid))
-        for aid in d.get("actuators", []):
-            if aid not in seen_act:
-                diags.append("controller %s references unknown actuator %s" % (d.get("id"), aid))
-        if d.get("type") not in ("fixed_time_signal", "constant", "noop"):
-            diags.append("controller %s: unknown type %r" % (d.get("id"), d.get("type")))
-    return net, diags
+    elements = {
+        key: _built(key[:-1], make, getattr(sc, key), diags)
+        for key, make in (("sensors", _make_sensor), ("actuators", _make_actuator),
+                          ("controllers", _make_controller))
+    }
+    # field of a control element -> (what it names, the ids it may take)
+    names = {
+        "group_id": ("lane group", net.lane_groups),
+        "link": ("link", link_ids),
+        "rc": ("road connection", net.road_connections),
+        "vtype": ("vehicle type", vt_ids),
+        "source": ("source", range(len(sc.demands))),
+    }
+    for key, built in elements.items():
+        label, seen = key[:-1], set()
+        for e in built:
+            if e.id in seen:
+                diags.append("duplicate %s id %s" % (label, e.id))
+            seen.add(e.id)
+            if not 0 < e.dt < math.inf:
+                diags.append("%s %s: period dt must be positive and finite, got %r"
+                             % (label, e.id, e.dt))
+            for f, v in vars(e).items():
+                if f in names and v not in names[f][1]:
+                    diags.append("%s %s: unknown %s %r" % (label, e.id, names[f][0], v))
+    sensor_ids = {s.id for s in elements["sensors"]}
+    actuator_ids = {a.id for a in elements["actuators"]}
+    for c in elements["controllers"]:
+        for sid in c.sensor_ids:
+            if sid not in sensor_ids:
+                diags.append("controller %s references unknown sensor %s" % (c.id, sid))
+        for aid in c.actuator_ids:
+            if aid not in actuator_ids:
+                diags.append("controller %s references unknown actuator %s" % (c.id, aid))
+    return net, elements, diags
+
+
+def _built(label: str, make, entries: list[dict], diags: list[str]) -> list:
+    """Each entry built by `make`; a construction error becomes a diagnostic
+    naming the entry, which is then left out."""
+    built = []
+    for i, d in enumerate(entries):
+        try:
+            built.append(make(d))
+        except KeyError as exc:
+            diags.append("%s %s: missing field %s" % (label, d.get("id", "#%d" % i), exc))
+        except (ValueError, TypeError) as exc:
+            diags.append("%s %s: %s" % (label, d.get("id", "#%d" % i), exc))
+    return built
 
 
 # --- runtime construction ---------------------------------------------
@@ -468,7 +471,7 @@ def _make_sensor(d: dict):
         return control.ProbeSensor(
             id=int(d["id"]), dt=float(d["dt"]), vehicle_id=int(d["vehicle"])
         )
-    raise ScenarioError("unknown sensor kind %r" % kind)
+    raise ScenarioError("unknown kind %r" % kind)
 
 
 def _make_actuator(d: dict):
@@ -486,11 +489,11 @@ def _make_actuator(d: dict):
         return control.SplitActuator(
             id=aid, dt=dt, link=int(d["link"]), vtype=int(d["vtype"])
         )
-    raise ScenarioError("unknown actuator kind %r" % kind)
+    raise ScenarioError("unknown kind %r" % kind)
 
 
 def _make_controller(d: dict):
-    ctype = d.get("type", "noop")
+    ctype = d["type"]
     params = d.get("params", {})
     if ctype == "fixed_time_signal":
         algo = control.FixedTimeSignal(
@@ -503,8 +506,10 @@ def _make_controller(d: dict):
             at_time=float(params.get("at", 0.0)),
             commands={int(k): v for k, v in params.get("commands", {}).items()},
         )
-    else:
+    elif ctype == "noop":
         algo = None
+    else:
+        raise ScenarioError("unknown type %r" % ctype)
     return control.Controller(
         id=int(d["id"]),
         dt=float(d["dt"]),
@@ -515,7 +520,7 @@ def _make_controller(d: dict):
 
 
 def build_runtime(sc: Scenario) -> dict:
-    net, diags = _checked_network(sc)
+    net, elements, diags = _checked(sc)
     if diags:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
 
@@ -538,17 +543,11 @@ def build_runtime(sc: Scenario) -> dict:
         terminal_links={l for l in net.links if net.is_terminal(l)},
         link_next_links={l: net.next_links(l) for l in net.links},
     )
-    sources = [Source(id=i, demand=d) for i, d in enumerate(sc.demands)]
-    sensors = [_make_sensor(d) for d in sc.sensors]
-    actuators = [_make_actuator(d) for d in sc.actuators]
-    controllers = [_make_controller(d) for d in sc.controllers]
     return {
         "network": net,
         "models": models,
         "model_of_link": model_of_link,
         "routing": routing,
-        "sources": sources,
-        "sensors": sensors,
-        "actuators": actuators,
-        "controllers": controllers,
+        "sources": [Source(id=i, demand=d) for i, d in enumerate(sc.demands)],
+        **elements,
     }

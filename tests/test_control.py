@@ -10,7 +10,7 @@ from hybridtraffic.control import (
     FixedTimeSignal,
 )
 from hybridtraffic.engine import Engine, SimulationError
-from hybridtraffic.scenario import parse_scenario
+from hybridtraffic.scenario import ScenarioError, parse_scenario, validate_scenario
 
 
 def _engine(extra=None, duration=200.0, kinds=None, **kw):
@@ -221,3 +221,42 @@ def test_constant_command_fires_once():
 def test_signal_plan_requires_stages():
     with pytest.raises(ControlError):
         FixedTimeSignal(stages=[], rc_actuators={})
+
+
+SENSOR = {"id": 3, "kind": "lane_group", "dt": 10.0, "lane_group": "0:1"}
+ACTUATOR = {"id": 4, "kind": "vsl", "dt": 2.0, "link": 0}
+CONTROLLER = {"id": 5, "type": "noop", "dt": 2.0}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("section, entry, diag", [
+    ("sensors", dict(SENSOR, dt=0), "sensor 3: period dt must be positive"),
+    ("sensors", dict(SENSOR, dt=-2), "sensor 3: period dt must be positive"),
+    ("actuators", dict(ACTUATOR, dt=0), "actuator 4: period dt must be positive"),
+    ("actuators", dict(ACTUATOR, dt=-2), "actuator 4: period dt must be positive"),
+    ("controllers", dict(CONTROLLER, dt=0), "controller 5: period dt must be positive"),
+    ("controllers", dict(CONTROLLER, dt=-2), "controller 5: period dt must be positive"),
+    ("sensors", _without(SENSOR, "dt"), "sensor 3: missing field 'dt'"),
+    ("actuators", _without(ACTUATOR, "dt"), "actuator 4: missing field 'dt'"),
+    ("sensors", _without(SENSOR, "id"), "sensor #0: missing field 'id'"),
+    ("controllers", _without(CONTROLLER, "type"), "controller 5: missing field 'type'"),
+    ("sensors", dict(SENSOR, kind="radar"), "sensor 3: unknown kind 'radar'"),
+    ("controllers", dict(CONTROLLER, type="adaptive"), "controller 5: unknown type 'adaptive'"),
+    ("controllers",
+     dict(CONTROLLER, type="fixed_time_signal", params={"stages": [], "rc_actuators": {}}),
+     "controller 5: signal plan needs at least one stage"),
+    ("actuators", {"id": 4, "kind": "split", "dt": 2.0, "link": 0, "vtype": 9},
+     "actuator 4: unknown vehicle type 9"),
+])
+def test_malformed_control_entries_fail_validation(section, entry, diag):
+    # validate is asserted first: a non-positive period makes `run` loop forever
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2, duration=20.0)
+    d[section] = [entry]
+    sc = parse_scenario(d)
+    diags = validate_scenario(sc)
+    assert any(x.startswith(diag) for x in diags), diags
+    with pytest.raises(ScenarioError):
+        Engine(sc)

@@ -71,6 +71,26 @@ def test_sensors_fire_in_id_order():
     assert fired == [0, 1, 2]
 
 
+def test_clocks_of_mixed_periods_fire_in_phase_order():
+    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], duration=30.0, output_dt=7.0)
+    d["sensors"] = [{"id": 0, "kind": "lane_group", "dt": 3.0, "lane_group": "0:1"}]
+    d["controllers"] = [{"id": 0, "type": "noop", "dt": 2.0}]
+    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 5.0, "link": 0}]
+    eng = Engine(parse_scenario(d))  # the model's dt is 2 s
+    fired = []
+    eng.sensors[0].read = lambda e, t: fired.append((t, "sensor"))
+    eng.controllers[0].step = lambda e, t: fired.append((t, "controller"))
+    eng.actuators[0].flush = lambda e, t: fired.append((t, "actuator"))
+    model = eng.models[0]
+    advance = model.advance_state
+    model.advance_state = lambda t, rng: (fired.append((t, "model")), advance(t, rng))
+    eng.run(observer=lambda e, t: fired.append((t, "output")))
+    periods = [("sensor", 3), ("controller", 2), ("actuator", 5), ("model", 2), ("output", 7)]
+    assert fired == [
+        (float(t), phase) for t in range(31) for phase, p in periods if t % p == 0
+    ]
+
+
 def test_same_seed_reproduces_history():
     def trace(seed):
         d = corridor_scenario_dict(

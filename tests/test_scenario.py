@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from conftest import corridor_scenario_dict
+from hybridtraffic import cli
 from hybridtraffic.cli import main as cli_main
 from hybridtraffic.scenario import (
     ScenarioError,
@@ -148,6 +149,23 @@ def test_cli_run_writes_outputs(tmp_path):
     assert rc == 0
     for f in ("lane_groups.csv", "link_states.csv", "boundaries.csv"):
         assert (out / f).exists() and (out / f).stat().st_size > 0
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--out-dt", "-5"], "output period must be positive"),
+    (["--out-dt", "0"], "output period must be positive"),
+    (["--duration", "-1"], "run duration must be positive"),
+])
+def test_cli_run_checks_overrides_like_file_values(override, message, tmp_path,
+                                                   monkeypatch, capsys):
+    def no_run(sc):  # at --out-dt -5 a started run would never end
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(cli, "Engine", no_run)
+    out = tmp_path / "out"
+    assert cli_main(["run", "macro_meso", "--out-dir", str(out), *override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_resolves_bundled_scenarios(tmp_path):
