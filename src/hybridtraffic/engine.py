@@ -11,6 +11,7 @@ import numpy as np
 
 from . import nodemodel
 from . import scenario as scenario_mod
+from .control import ProbeSensor
 from .demand import RoutingContext, Source
 from .models.base import TrafficModel
 from .network import Network
@@ -20,12 +21,9 @@ from .packets import (
     ProtocolError,
     StateIndex,
     VehicleFactory,
-    compute_alpha,
     distribute,
-    scale_fluid_packet,
-    split_vehicle_packet,
     state_sort_key,
-    to_fluid,
+    take,
     vehicle_packet,
 )
 
@@ -159,6 +157,8 @@ class Engine:
         # vehicles can cross boundaries whose per-step supply is below one
         self._entry_credit: dict[int, float] = {}
         self.trackers: list[VirtualTracker] = []
+        # vehicles a probe sensor follows, through fluid links too
+        self._probed = {s.vehicle_id for s in self.sensors if isinstance(s, ProbeSensor)}
 
         for m in self.models:
             m.set_routing(self.routing)
@@ -325,12 +325,7 @@ class Engine:
                 self._source_step(src, m, t, supply)
 
         # collect release requests, model order
-        requests = []
-        for m in due_models:
-            for req in m.compute_demands(t, self.rng):
-                if req.packet.is_empty():
-                    continue
-                requests.append((m, req))
+        requests = [(m, req) for m in due_models for req in m.compute_demands(t, self.rng)]
 
         # network exits are unconstrained
         for m, req in requests:
@@ -405,19 +400,22 @@ class Engine:
         caps = {h: supply.remaining(h) for h in conn.groups}
         allow = sum(caps.values())
         if packet.is_fluid:
-            total = min(compute_alpha(size, delta) * size, allow)
+            total = min(min(1.0, delta / size) * size, allow)
             if total <= 0:
                 return
-            sent, _ = scale_fluid_packet(packet, min(1.0, total / packet.total()))
+            sent = take(packet, min(1.0, total / packet.total()))
         else:
             credit = self._entry_credit.get(conn.id, 0.0)
             entitled = min(delta + credit, size)
-            sent, _ = split_vehicle_packet(packet, compute_alpha(size, entitled))
-            vehs = sent.all_vehicles()[: int(math.floor(allow + credit + 1e-9))]
+            sent = take(packet, entitled / size)
+            vehs = sent.all_vehicles()
+            n = int(math.floor(allow + credit + 1e-9))  # whole vehicles that fit
+            if len(vehs) > n:
+                vehs = vehs[:n]
+                sent = vehicle_packet(vehs)
             self._entry_credit[conn.id] = min(max(0.0, entitled - len(vehs)), 1.0)
             if not vehs:
                 return
-            sent = vehicle_packet(vehs)
         sender.remove(g, conn.id, sent)
         self._book(sent, self.cum_out[conn.up_link])
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
@@ -427,7 +425,7 @@ class Engine:
         """Book a routed packet into `link` and hand it to the link's model:
         whole vehicles as they come or condensed from fluid, fluid spread
         over the lane groups of `caps` within their remaining supply."""
-        self._book(packet, self.cum_in[link])
+        amounts = self._book(packet, self.cum_in[link])
         if receiver.vehicle_based:
             vehicles = (
                 self.translator.translate(packet, link, t)
@@ -438,20 +436,20 @@ class Engine:
             return
         if not packet.is_fluid:
             for v in packet.all_vehicles():
-                if v.probe:  # a tracker follows it through the fluid
+                if v.id in self._probed:  # a tracker follows it through the fluid
                     self.trackers.append(
                         VirtualTracker(v.id, v.state, link, next(iter(caps)), 0.0)
                     )
-            packet = to_fluid(packet)
-        for h, part in distribute(packet, caps).items():
-            if part.is_empty():
+        for h, part in distribute(amounts, caps).items():
+            if not part:
                 continue
-            receiver.receive_fluid(h, part.fluid, t)
-            supply.delivered[h] = supply.delivered.get(h, 0.0) + part.total()
+            receiver.receive_fluid(h, part, t)
+            supply.delivered[h] = supply.delivered.get(h, 0.0) + sum(part.values())
 
     @staticmethod
     def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
-        """Add the packet's per-state amounts to each ledger."""
+        """Add the packet's per-state amounts, vehicle counts for whole
+        vehicles, to each ledger; return the amounts."""
         amounts = (
             packet.fluid
             if packet.is_fluid
@@ -460,6 +458,7 @@ class Engine:
         for s, a in amounts.items():
             for ledger in ledgers:
                 ledger[s] = ledger.get(s, 0.0) + a
+        return amounts
 
     # --- sources ---------------------------------------------------------
 
@@ -475,16 +474,13 @@ class Engine:
             if n <= 0:
                 return
             src.withdraw(float(n))
-            vehicles = []
-            for _ in range(n):
-                state = self.routing.entry_state(
-                    src.demand.vtype, link, src.demand.route, t, self.rng
-                )
-                v = self.factory.make(state, t, probe=False)
-                vehicles.append(v)
+            vehicles = [
+                self.factory.make(self.routing.entry_state(
+                    src.demand.vtype, link, src.demand.route, t, self.rng), t)
+                for _ in range(n)
+            ]
             model.receive_vehicles(link, vehicles, t)
-            for v in vehicles:
-                self.cum_in[link][v.state] = self.cum_in[link].get(v.state, 0.0) + 1.0
+            self._book(vehicle_packet(vehicles), self.cum_in[link])
         else:
             amount = min(src.buffer, allow)
             if amount <= 0:

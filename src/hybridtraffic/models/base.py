@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -29,8 +30,8 @@ class TrafficModel(ABC):
     vehicle_based: bool = False
 
     def __init__(self, dt: float):
-        if dt <= 0:
-            raise ValueError("model time step must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError("model time step must be positive and finite")
         self.dt = dt
         self.net: Network | None = None
         self.routing: RoutingContext | None = None

@@ -51,8 +51,8 @@ class NewellModel(TrafficModel):
         sigma_f: float = 0.0,
     ):
         super().__init__(dt)
-        if min(sigma_v, sigma_w, sigma_f) < 0:
-            raise ConfigurationError("standard deviations must be >= 0")
+        if not all(0 <= x < math.inf for x in (sigma_v, sigma_w, sigma_f)):
+            raise ConfigurationError("standard deviations must be >= 0 and finite")
         self.sigma_v = sigma_v  # m per step
         self.sigma_w = sigma_w  # m per step
         self.sigma_f = sigma_f  # veh per step

@@ -36,7 +36,6 @@ class Vehicle:
     id: int
     state: StateIndex
     created: float
-    probe: bool = False
     ext: Any = None  # model-specific extension slot
 
 
@@ -59,9 +58,6 @@ class FluxPacket:
         if self.vehicles:
             return float(sum(len(v) for v in self.vehicles.values()))
         return sum(self.fluid.values())
-
-    def is_empty(self, tol: float = 0.0) -> bool:
-        return self.total() <= tol
 
     def states(self) -> list[StateIndex]:
         src = self.vehicles if self.vehicles else self.fluid
@@ -89,92 +85,52 @@ def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
     return FluxPacket(vehicles=by_state)
 
 
-# --- protocol scaling -------------------------------------------------
+# --- the sent part of a packet ----------------------------------------
 
 
-def compute_alpha(packet_size: float, max_packet_size: float) -> float:
-    """Scaling factor min(1, p_max / |p|) for a single released packet."""
-    if packet_size < 0 or max_packet_size < 0:
-        raise ProtocolError(
-            "negative packet size (|p|=%s, max=%s)" % (packet_size, max_packet_size)
-        )
-    if packet_size == 0:
-        return 1.0
-    return min(1.0, max_packet_size / packet_size)
-
-
-def scale_fluid_packet(p: FluxPacket, alpha: float) -> tuple[FluxPacket, FluxPacket]:
-    """Uniformly scale a fluid packet; returns (sent, remainder)."""
-    if not p.is_fluid:
-        raise ProtocolError("scale_fluid_packet requires a fluid packet")
-    sent = {}
-    rest = {}
-    for s in p.states():
-        a = p.fluid[s]
-        sent_a = a * alpha
-        if sent_a > 0:
-            sent[s] = sent_a
-        r = a - sent_a
-        if r > 0:
-            rest[s] = r
-    return FluxPacket(fluid=sent), FluxPacket(fluid=rest)
-
-
-def split_vehicle_packet(p: FluxPacket, alpha: float) -> tuple[FluxPacket, FluxPacket]:
-    """Per state, send the first floor(alpha*n) vehicles in FIFO order.
-
-    Whole vehicles are preserved; the sent fraction never exceeds alpha.
-    """
+def take(p: FluxPacket, alpha: float) -> FluxPacket:
+    """The part of a packet sent at scaling factor alpha in [0, 1]: each
+    fluid amount times alpha, or per state the first floor(alpha*n) vehicles
+    in FIFO order, so whole vehicles never exceed the fraction alpha."""
     if p.is_fluid:
-        raise ProtocolError("split_vehicle_packet requires a vehicle packet")
-    sent: dict[StateIndex, list[Vehicle]] = {}
-    rest: dict[StateIndex, list[Vehicle]] = {}
+        fluid = {}
+        for s in p.states():
+            a = p.fluid[s] * alpha
+            if a > 0:
+                fluid[s] = a
+        return FluxPacket(fluid=fluid)
+    vehicles = {}
     for s in p.states():
         vehs = p.vehicles[s]
         k = int(math.floor(alpha * len(vehs) + 1e-9))
-        k = min(k, len(vehs))
         if k:
-            sent[s] = vehs[:k]
-        if len(vehs) > k:
-            rest[s] = vehs[k:]
-    return FluxPacket(vehicles=sent), FluxPacket(vehicles=rest)
+            vehicles[s] = vehs[:k]
+    return FluxPacket(vehicles=vehicles)
 
 
-# --- distribution over downstream lane groups -------------------------
-
-
-def distribute(p: FluxPacket, caps: dict[str, float]) -> dict[str, FluxPacket]:
-    """Spread a fluid packet over the lane groups of `caps` (their remaining
-    supply) in proportion to their free space. When none has any, which
-    happens when entry credit admits a whole vehicle into fluid lane groups
-    without supply, the packet is split evenly."""
-    if not p.is_fluid:
-        raise ProtocolError("distribute requires a fluid packet")
+def distribute(
+    amounts: dict[StateIndex, float], caps: dict[str, float]
+) -> dict[str, dict[StateIndex, float]]:
+    """Spread per-state fluid amounts over the lane groups of `caps` (their
+    remaining supply) in proportion to their free space. When none has any,
+    which happens when entry credit admits a whole vehicle into fluid lane
+    groups without supply, the amounts are split evenly."""
     if not caps:
         raise ProtocolError("cannot distribute over an empty lane-group set")
     space = {g: max(0.0, caps[g]) for g in sorted(caps)}
     total = sum(space.values())
     if total <= 0:
         space, total = dict.fromkeys(space, 1.0), float(len(space))
-    out: dict[str, FluxPacket] = {g: FluxPacket() for g in space}
-    for s in p.states():
+    out: dict[str, dict[StateIndex, float]] = {g: {} for g in space}
+    for s in sorted(amounts, key=state_sort_key):
         for g, w in space.items():
-            share = p.fluid[s] * w / total
+            share = amounts[s] * w / total
             if share > 0:
-                out[g].fluid[s] = share
+                out[g][s] = share
     return out
 
 
 # --- representation translation ---------------------------------------
-
-
-def to_fluid(p: FluxPacket) -> FluxPacket:
-    """Vehicle -> fluid: amount equals the vehicle count per state."""
-    if p.is_fluid:
-        return p
-    return FluxPacket(
-        fluid={s: float(len(v)) for s, v in p.vehicles.items() if v}
-    )
 
 
 class VehicleFactory:
@@ -183,8 +139,8 @@ class VehicleFactory:
     def __init__(self):
         self._next = 0
 
-    def make(self, state: StateIndex, now: float, probe: bool = False) -> Vehicle:
-        v = Vehicle(id=self._next, state=state, created=now, probe=probe)
+    def make(self, state: StateIndex, now: float) -> Vehicle:
+        v = Vehicle(id=self._next, state=state, created=now)
         self._next += 1
         return v
 
@@ -204,8 +160,7 @@ class FluidToVehicleTranslator:
         return self.residues.get((location, state), 0.0)
 
     def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
-        if not p.is_fluid:
-            return p.all_vehicles()
+        """Whole vehicles condensed from a fluid packet at `location`."""
         out: list[Vehicle] = []
         for s in p.states():
             key = (location, s)

@@ -49,8 +49,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ScenarioError("unknown model kind %r" % self.kind)
-        if self.dt <= 0:
-            raise ScenarioError("model dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ScenarioError("model dt must be positive and finite")
         if not self.links:
             raise ScenarioError("model spec with no links")
 
@@ -418,6 +418,10 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
         for aid in c.actuator_ids:
             if aid not in actuator_ids:
                 diags.append("controller %s references unknown actuator %s" % (c.id, aid))
+        if isinstance(c.algorithm, control.FixedTimeSignal):
+            for aid in sorted(set(c.algorithm.rc_actuators.values()) - set(c.actuator_ids)):
+                diags.append("controller %s: signal plan names actuator %s it does not own"
+                             % (c.id, aid))
     return net, elements, diags
 
 

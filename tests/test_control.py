@@ -250,6 +250,10 @@ def _without(d, key):
      "controller 5: signal plan needs at least one stage"),
     ("actuators", {"id": 4, "kind": "split", "dt": 2.0, "link": 0, "vtype": 9},
      "actuator 4: unknown vehicle type 9"),
+    ("controllers",
+     dict(CONTROLLER, type="fixed_time_signal",
+          params={"stages": [{"duration": 10.0, "open_rcs": [0]}], "rc_actuators": {0: 4}}),
+     "controller 5: signal plan names actuator 4 it does not own"),
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

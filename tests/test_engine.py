@@ -115,6 +115,7 @@ def test_probe_tracker_crosses_into_fluid_link():
         [("newell", [0, 1]), ("ctm", [2, 3])], n_links=4, duration=400.0,
         rate_vph=600.0,
     )
+    d["sensors"] = [{"id": 0, "kind": "probe", "dt": 2.0, "vehicle": 0}]
     eng = Engine(parse_scenario(d))
     seen_on_fluid = []
 
@@ -123,20 +124,12 @@ def test_probe_tracker_crosses_into_fluid_link():
             if tr.active:
                 seen_on_fluid.append((tr.vehicle_id, tr.link, tr.position))
 
-    # mark the first created vehicle as a probe as soon as it exists
-    orig = eng.factory.make
-
-    def make(state, now, probe=False):
-        v = orig(state, now, probe=False)
-        if v.id == 0:
-            v.probe = True
-        return v
-
-    eng.factory.make = make
     eng.run(observer=obs)
     assert seen_on_fluid, "probe never tracked through the fluid region"
     links = {l for _, l, _ in seen_on_fluid}
     assert links <= {2, 3}
+    reported = {m["link"] for m in eng.sensors[0].history if m["active"]}
+    assert {2, 3} <= reported
     # position advances monotonically within a link
     per_link = {}
     for vid, l, x in seen_on_fluid:

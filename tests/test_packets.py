@@ -7,12 +7,9 @@ from hybridtraffic.packets import (
     StateIndex,
     Vehicle,
     VehicleFactory,
-    compute_alpha,
     distribute,
     fluid_packet,
-    scale_fluid_packet,
-    split_vehicle_packet,
-    to_fluid,
+    take,
     vehicle_packet,
 )
 
@@ -44,57 +41,46 @@ def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
     assert fluid_packet({S0: 0.0, S1: 2.0}).fluid == {S1: 2.0}
 
 
-def test_alpha():
-    assert compute_alpha(10.0, 4.0) == pytest.approx(0.4)
-    assert compute_alpha(2.0, 5.0) == 1.0
-    assert compute_alpha(0.0, 5.0) == 1.0
-    with pytest.raises(ProtocolError):
-        compute_alpha(-1.0, 1.0)
-
-
 def test_scale_fluid_conserves():
     p = fluid_packet({S0: 3.0, S1: 1.0})
-    sent, rest = scale_fluid_packet(p, 0.25)
-    assert sent.total() + rest.total() == pytest.approx(p.total())
-    assert sent.fluid[S0] == pytest.approx(0.75)
+    sent = take(p, 0.25)
+    assert sent.fluid == {S0: 0.75, S1: 0.25}
+    assert list(sent.fluid) == [S0, S1]  # sorted-state order
+    assert take(p, 1.0).fluid == p.fluid
+    assert take(p, 0.0).fluid == {}  # a zero share is not kept
+    assert p.fluid == {S0: 3.0, S1: 1.0}  # the offered packet is left as it was
 
 
 def test_split_vehicle_floor_per_state():
     p = vehicle_packet(_vehs(5, S0) + _vehs(3, S1, start=100))
-    sent, rest = split_vehicle_packet(p, 0.5)
+    sent = take(p, 0.5)
     # floor(0.5*5)=2, floor(0.5*3)=1
     assert len(sent.vehicles[S0]) == 2
     assert len(sent.vehicles[S1]) == 1
-    assert sent.total() + rest.total() == 8
-    # FIFO: first vehicles go first
-    assert [v.id for v in sent.vehicles[S0]] == [0, 1]
+    # FIFO: first vehicles go first, in sorted-state order
+    assert [v.id for v in sent.all_vehicles()] == [0, 1, 100]
+    assert take(p, 1.0).total() == 8
 
 
 def test_split_never_exceeds_alpha():
     p = vehicle_packet(_vehs(7))
     for alpha in (0.0, 0.1, 0.33, 0.5, 0.99, 1.0):
-        sent, _ = split_vehicle_packet(p, alpha)
+        sent = take(p, alpha)
         assert sent.total() <= alpha * 7 + 1e-9
 
 
 def test_distribute_equalizing_proportional_to_space():
-    p = fluid_packet({S0: 3.0})
-    parts = distribute(p, {"a": 9.0, "b": 3.0})
-    assert parts["a"].fluid[S0] == pytest.approx(2.25)
-    assert parts["b"].fluid[S0] == pytest.approx(0.75)
+    parts = distribute({S0: 3.0}, {"a": 9.0, "b": 3.0})
+    assert parts["a"][S0] == pytest.approx(2.25)
+    assert parts["b"][S0] == pytest.approx(0.75)
     # shares never exceed free space when the total fits
-    assert parts["a"].fluid[S0] <= 9.0 and parts["b"].fluid[S0] <= 3.0
-    # without any free space the packet is split evenly
-    parts = distribute(fluid_packet({S0: 3.0, S1: 1.0}), {"a": 0.0, "b": -1.0})
-    assert parts["a"].fluid == parts["b"].fluid == {S0: 1.5, S1: 0.5}
+    assert parts["a"][S0] <= 9.0 and parts["b"][S0] <= 3.0
+    # without any free space the amounts are split evenly
+    parts = distribute({S1: 1.0, S0: 3.0}, {"a": 0.0, "b": -1.0})
+    assert parts["a"] == parts["b"] == {S0: 1.5, S1: 0.5}
+    assert list(parts["a"]) == [S0, S1]  # sorted-state order
     with pytest.raises(ProtocolError):
-        distribute(vehicle_packet(_vehs(2)), {"a": 1.0})
-
-
-def test_to_fluid_counts():
-    q = vehicle_packet(_vehs(4, S0) + _vehs(2, S1, start=50))
-    f = to_fluid(q)
-    assert f.fluid == {S0: 4.0, S1: 2.0}
+        distribute({S0: 1.0}, {})
 
 
 def test_translator_residues_conserve():

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 import yaml
@@ -6,6 +7,8 @@ import yaml
 from conftest import corridor_scenario_dict
 from hybridtraffic import cli
 from hybridtraffic.cli import main as cli_main
+from hybridtraffic.engine import Engine
+from hybridtraffic.models.newell import NewellModel
 from hybridtraffic.scenario import (
     ScenarioError,
     build_runtime,
@@ -47,6 +50,25 @@ def test_unknown_model_kind_raises():
     d["models"][0]["kind"] = "quantum"
     with pytest.raises(ScenarioError):
         parse_scenario(d)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("param", ["dt", "sigma_v"])
+def test_model_parameters_reject_nan_and_inf(param, value):
+    # asserted before anything runs: a NaN model period made `run` loop
+    # forever, and a NaN sigma froze every car
+    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4,
+                               duration=200.0, rate_vph=900.0)
+    d["models"][1][param] = value
+    if param == "dt":
+        with pytest.raises(ScenarioError, match="positive and finite"):
+            parse_scenario(d)
+        with pytest.raises(ValueError, match="positive and finite"):
+            NewellModel(dt=value)
+    else:
+        sc = parse_scenario(d)
+        with pytest.raises(ValueError, match="standard deviations"):
+            Engine(sc)
 
 
 def test_validate_flags_uncovered_and_doubly_covered_links():
