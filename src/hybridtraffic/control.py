@@ -211,7 +211,7 @@ class SplitActuator(Actuator):
                 "links %s", self.id, sorted(set(ratios) - valid),
             )
             return
-        engine.routing.splits.set_override(self.link, self.vtype, ratios)
+        engine.routing.split_overrides[self.link, self.vtype] = ratios
 
 
 # --- controllers -------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .network import Network
 from .packets import FluxPacket, StateIndex, state_sort_key
 
 
@@ -62,10 +64,14 @@ class Profile:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigurationError("profile period must be positive")
+        if not (math.isfinite(self.start_time) and 0 < self.period < math.inf):
+            raise ConfigurationError(
+                "profile start must be finite and its period positive and finite"
+            )
         if not self.values:
             raise ConfigurationError("profile needs at least one sample")
+        if not all(0 <= v < math.inf for v in self.values):
+            raise ConfigurationError("profile values must be finite and >= 0")
 
     def value_at(self, t: float) -> float:
         i = int((t - self.start_time) // self.period)
@@ -80,10 +86,6 @@ class DemandProfile:
     profile: Profile  # veh/hr
     route: int | None = None
 
-    def __post_init__(self):
-        if any(v < 0 for v in self.profile.values):
-            raise ConfigurationError("demand intensities must be >= 0")
-
 
 @dataclass
 class SplitProfile:
@@ -92,13 +94,9 @@ class SplitProfile:
     link: int
     vtype: int
     ratios: dict[int, Profile]
-    override: dict[int, float] | None = None  # actuated replacement ratios
 
     def ratios_at(self, t: float) -> dict[int, float]:
-        if self.override is not None:
-            vals = dict(self.override)
-        else:
-            vals = {nl: p.value_at(t) for nl, p in self.ratios.items()}
+        vals = {nl: p.value_at(t) for nl, p in self.ratios.items()}
         total = sum(vals.values())
         if total <= 0:
             raise ConfigurationError(
@@ -107,30 +105,6 @@ class SplitProfile:
         if abs(total - 1.0) > 1e-6:
             vals = {nl: v / total for nl, v in vals.items()}
         return vals
-
-
-class SplitTable:
-    def __init__(self, splits: list[SplitProfile]):
-        self._by_key: dict[tuple[int, int], SplitProfile] = {}
-        for sp in splits:
-            key = (sp.link, sp.vtype)
-            if key in self._by_key:
-                raise ConfigurationError(
-                    "duplicate split profile for link %s, type %s" % key
-                )
-            self._by_key[key] = sp
-
-    def get(self, link: int, vtype: int) -> SplitProfile | None:
-        return self._by_key.get((link, vtype))
-
-    def set_override(self, link: int, vtype: int, ratios: dict[int, float]):
-        sp = self._by_key.get((link, vtype))
-        if sp is None:
-            sp = SplitProfile(link=link, vtype=vtype, ratios={
-                nl: Profile(0.0, 1.0, (r,)) for nl, r in ratios.items()
-            })
-            self._by_key[(link, vtype)] = sp
-        sp.override = dict(ratios)
 
 
 @dataclass
@@ -168,70 +142,57 @@ class Source:
 class RoutingContext:
     """Resolves state indices: route successors and split sampling."""
 
-    def __init__(
-        self,
-        vehicle_types: dict[int, VehicleType],
-        routes: dict[int, Route],
-        splits: SplitTable,
-        terminal_links: set[int],
-        link_next_links: dict[int, list[int]],
-    ):
+    def __init__(self, net: Network, vehicle_types: dict[int, VehicleType],
+                 routes: dict[int, Route], splits: dict[tuple[int, int], SplitProfile]):
+        self.successors = net.successors
         self.vehicle_types = vehicle_types
         self.routes = routes
-        self.splits = splits
-        self.terminal_links = terminal_links
-        self.link_next_links = link_next_links
-        # actuated route reassignment: vehicle type id -> route id
+        self.splits = splits  # (link, vehicle type) -> profile
+        # actuated replacements: vehicle type -> route id, and
+        # (link, vehicle type) -> turn ratios
         self.route_overrides: dict[int, int] = {}
+        self.split_overrides: dict[tuple[int, int], dict[int, float]] = {}
 
-    def _routed_state(self, vtype: int, route: int | None, entered_link: int) -> StateIndex:
-        """State of a routed type entering a link: an actuated override whose
-        route passes the link replaces `route`."""
-        rid = self.route_overrides.get(vtype)
-        if rid is None or entered_link not in self.routes[rid].links:
-            rid = route
-        if rid is None:
-            raise RoutingError("routed type %s needs a route" % vtype)
-        return StateIndex(vtype, rid)
+    def _row(self, s: StateIndex, link: int, now: float) -> dict[StateIndex, float]:
+        """Next state -> ratio for state `s` entering `link`: a routed type
+        keeps its route, or takes the override route where that passes the
+        link; a probabilistic type is keyed None on a terminal link, by the
+        single successor, or by the positive split ratios in link order."""
+        vtype = s.vtype
+        if self.vehicle_types[vtype].is_routed:
+            rid = self.route_overrides.get(vtype)
+            if rid is not None and link in self.routes[rid].links:
+                return {StateIndex(vtype, rid): 1.0}
+            if s.key is None:
+                raise RoutingError("routed type %s needs a route" % vtype)
+            return {s: 1.0}
+        nexts = self.successors[link]
+        if len(nexts) < 2:
+            return {StateIndex(vtype, nexts[0] if nexts else None): 1.0}
+        ratios = self.split_overrides.get((link, vtype))
+        if ratios is None:
+            sp = self.splits.get((link, vtype))
+            if sp is None:
+                raise ConfigurationError(
+                    "missing split profile for type %s at diverge link %s" % (vtype, link)
+                )
+            ratios = sp.ratios_at(now)
+        return {StateIndex(vtype, nl): ratios[nl] for nl in sorted(ratios) if ratios[nl] > 0}
 
     @staticmethod
-    def _sample(ratios: dict[int, float], rng: np.random.Generator) -> int:
-        """One next link drawn with the given split ratios."""
-        links = sorted(ratios)
-        probs = np.array([ratios[l] for l in links])
-        return links[int(rng.choice(len(links), p=probs / probs.sum()))]
+    def _draw(row: dict[StateIndex, float], rng: np.random.Generator) -> StateIndex:
+        """One next state of the row: drawn with its ratios when there are
+        two or more."""
+        if len(row) == 1:
+            return next(iter(row))
+        states = list(row)
+        probs = np.array(list(row.values()))
+        return states[int(rng.choice(len(states), p=probs / probs.sum()))]
 
     def entry_state(self, vtype: int, entered_link: int, route: int | None,
                     now: float, rng: np.random.Generator) -> StateIndex:
         """State index for a vehicle/commodity entering `entered_link`."""
-        if self.vehicle_types[vtype].is_routed:
-            return self._routed_state(vtype, route, entered_link)
-        ratios = self._split_row(vtype, entered_link, now)
-        if ratios is None:
-            return StateIndex(vtype, None)
-        return StateIndex(vtype, self._sample(ratios, rng))
-
-    def _split_row(self, vtype: int, link: int, now: float) -> dict[int, float] | None:
-        """Nonzero split ratios for a probabilistic type at a link, or None on
-        a terminal link. Single-successor links need no split profile."""
-        if link in self.terminal_links:
-            return None
-        nexts = self.link_next_links.get(link, [])
-        sp = self.splits.get(link, vtype)
-        if sp is None:
-            if len(nexts) == 1:
-                return {nexts[0]: 1.0}
-            raise ConfigurationError(
-                "missing split profile for type %s at diverge link %s" % (vtype, link)
-            )
-        ratios = {nl: r for nl, r in sp.ratios_at(now).items() if r > 0}
-        bad = set(ratios) - set(nexts)
-        if bad:
-            raise ConfigurationError(
-                "split profile at link %s references non-successor links %s"
-                % (link, sorted(bad))
-            )
-        return ratios
+        return self._draw(self._row(StateIndex(vtype, route), entered_link, now), rng)
 
     def next_link_of(self, state: StateIndex, current_link: int) -> int | None:
         """Link the state proceeds to after current_link (None = exits)."""
@@ -245,46 +206,25 @@ class RoutingContext:
     ) -> FluxPacket:
         """Re-key a packet as it enters a link.
 
-        Routed states keep their route id. Probabilistic fluid content is
-        divided over the nonzero split ratios; probabilistic vehicles each
-        sample one next link. Totals are conserved exactly.
+        Fluid content of each state is divided over its row's ratios;
+        vehicles each take one next state drawn from their state's row.
+        Totals are conserved exactly.
         """
         if p.is_fluid:
             out: dict[StateIndex, float] = {}
             for s in p.states():
                 amount = p.fluid[s]
-                vt = self.vehicle_types[s.vtype]
-                if vt.is_routed:
-                    ns = self._routed_state(s.vtype, s.key, entered_link)
-                    out[ns] = out.get(ns, 0.0) + amount
-                    continue
-                ratios = self._split_row(s.vtype, entered_link, now)
-                if ratios is None:
-                    ns = StateIndex(s.vtype, None)
-                    out[ns] = out.get(ns, 0.0) + amount
-                    continue
-                total = sum(ratios.values())
-                for nl in sorted(ratios):
-                    ns = StateIndex(s.vtype, nl)
-                    out[ns] = out.get(ns, 0.0) + amount * ratios[nl] / total
+                row = self._row(s, entered_link, now)
+                total = sum(row.values())
+                for ns, r in row.items():
+                    out[ns] = out.get(ns, 0.0) + amount * r / total
             return FluxPacket(fluid=out)
 
         vout: dict[StateIndex, list] = {}
         for s in p.states():
-            vt = self.vehicle_types[s.vtype]
-            ratios = None
-            if not vt.is_routed:
-                ratios = self._split_row(s.vtype, entered_link, now)
+            row = self._row(s, entered_link, now)
             for v in p.vehicles[s]:
-                if vt.is_routed:
-                    ns = self._routed_state(s.vtype, s.key, entered_link)
-                elif ratios is None:
-                    ns = StateIndex(s.vtype, None)
-                elif len(ratios) == 1:
-                    ns = StateIndex(s.vtype, next(iter(ratios)))
-                else:
-                    ns = StateIndex(s.vtype, self._sample(ratios, rng))
-                v.state = ns
+                v.state = ns = self._draw(row, rng)
                 vout.setdefault(ns, []).append(v)
         vout = {s: vout[s] for s in sorted(vout, key=state_sort_key)}
         return FluxPacket(vehicles=vout)

@@ -205,6 +205,7 @@ class Network:
     # adjacency, filled by build()
     link_groups: dict[int, list[str]] = field(default_factory=dict)  # inner->outer
     out_rcs: dict[int, list[RoadConnection]] = field(default_factory=dict)  # by id
+    successors: dict[int, list[int]] = field(default_factory=dict)  # ascending
     rc_down_groups: dict[int, list[str]] = field(default_factory=dict)  # D_r
     rc_up_groups: dict[int, list[str]] = field(default_factory=dict)  # U_r
     # (lane group, next link) -> the lowest-id road connection between them
@@ -230,6 +231,9 @@ class Network:
         for rc in ordered:
             net.out_rcs.setdefault(rc.up_link, []).append(rc)
             in_rcs.setdefault(rc.down_link, []).append(rc)
+        net.successors = {
+            l: sorted({r.down_link for r in rcs}) for l, rcs in net.out_rcs.items()
+        }
         out_rcs = dict(net.out_rcs)  # both bucket maps are used up below
         for rc in ordered:
             if rc.id in net.junction_of:
@@ -266,7 +270,7 @@ class Network:
         return not self.out_rcs.get(link_id)
 
     def next_links(self, link_id: int) -> list[int]:
-        return sorted({r.down_link for r in self.out_rcs.get(link_id, ())})
+        return self.successors.get(link_id, [])
 
     def rc_between(self, up_link: int, down_link: int) -> RoadConnection | None:
         return next(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import yaml
 
@@ -17,7 +18,6 @@ from .demand import (
     RoutingContext,
     Source,
     SplitProfile,
-    SplitTable,
     VehicleType,
 )
 from .models.ctm import CtmModel
@@ -87,12 +87,15 @@ class Scenario:
 # --- parsing -----------------------------------------------------------
 
 
-def _profile(d: dict) -> Profile:
-    return Profile(
-        start_time=float(d.get("start", 0.0)),
-        period=float(d["period"]),
-        values=tuple(float(v) for v in d["values"]),
-    )
+def _profile(d: dict, owner: str) -> Profile:
+    try:
+        return Profile(
+            start_time=float(d.get("start", 0.0)),
+            period=float(d["period"]),
+            values=tuple(float(v) for v in d["values"]),
+        )
+    except ConfigurationError as exc:
+        raise ScenarioError("%s: %s" % (owner, exc)) from exc
 
 
 def _profile_dict(p: Profile) -> dict:
@@ -163,16 +166,19 @@ def parse_scenario(data: dict) -> Scenario:
             DemandProfile(
                 link=int(d["link"]),
                 vtype=int(d["vtype"]),
-                profile=_profile(d["profile"]),
+                profile=_profile(d["profile"], "demand %d" % i),
                 route=int(d["route"]) if d.get("route") is not None else None,
             )
-            for d in data.get("demands", [])
+            for i, d in enumerate(data.get("demands", []))
         ]
         splits = [
             SplitProfile(
                 link=int(d["link"]),
                 vtype=int(d["vtype"]),
-                ratios={int(nl): _profile(p) for nl, p in d["ratios"].items()},
+                ratios={
+                    int(nl): _profile(p, "split at link %(link)s, type %(vtype)s" % d)
+                    for nl, p in d["ratios"].items()
+                },
             )
             for d in data.get("splits", [])
         ]
@@ -298,23 +304,25 @@ def save_scenario(sc: Scenario, path: str):
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Structural and referential checks; returns diagnostics (empty = ok)."""
-    return _checked(sc)[2]
+    return _checked(sc)[1]
 
 
-def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
-    """Build the network and every control element once, and run every
-    scenario check against what was built."""
+def _checked(sc: Scenario) -> tuple[dict, list[str]]:
+    """Build every runtime object once (network, models, routing context,
+    control elements) and run every scenario check against what was built;
+    a construction error becomes a diagnostic naming the element."""
     diags: list[str] = []
     try:
         net = Network.build(sc.links, sc.road_connections)
     except Exception as exc:
-        return None, {}, ["network: %s" % exc]
+        return {}, ["network: %s" % exc]
     diags += validate_network(net)
 
     link_ids = set(net.links)
     assigned: dict[int, int] = {}
-    for i, m in enumerate(sc.models):
-        for l in m.links:
+    models, model_of_link = [], {}
+    for i, spec in enumerate(sc.models):
+        for l in spec.links:
             if l not in link_ids:
                 diags.append("model %d references unknown link %s" % (i, l))
             elif l in assigned:
@@ -323,13 +331,23 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
                 )
             else:
                 assigned[l] = i
+        if not link_ids.issuperset(spec.links):
+            continue
+        try:
+            m = _make_model(spec)
+            m.build(net, spec.links)
+        except (ValueError, TypeError) as exc:
+            diags.append("model %d (%s): %s" % (i, spec.kind, exc))
+            continue
+        models.append(m)
+        model_of_link.update(dict.fromkeys(spec.links, m))
     for l in sorted(link_ids - set(assigned)):
         diags.append("link %s has no model assigned" % l)
 
-    # reversed, so that the first of any duplicate ids wins
-    vtype_of = {v.id: v for v in reversed(sc.vehicle_types)}
-    route_of = {r.id: r for r in reversed(sc.routes)}
-    vt_ids, route_ids = set(vtype_of), set(route_of)
+    vtype_of = _keyed(sc.vehicle_types, attrgetter("id"), "vehicle type id %s", diags)
+    route_of = _keyed(sc.routes, attrgetter("id"), "route id %s", diags)
+    split_of = _keyed(sc.splits, attrgetter("link", "vtype"),
+                      "split profile for link %s, type %s", diags)
     for r in sc.routes:
         for a, b in zip(r.links, r.links[1:]):
             if a not in link_ids or b not in link_ids:
@@ -342,7 +360,7 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
     for d in sc.demands:
         if d.link not in link_ids:
             diags.append("demand references unknown link %s" % d.link)
-        if d.vtype not in vt_ids:
+        if d.vtype not in vtype_of:
             diags.append("demand references unknown vehicle type %s" % d.vtype)
         vt = vtype_of.get(d.vtype)
         if vt is not None and vt.is_routed:
@@ -350,7 +368,7 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
                 diags.append(
                     "demand for routed type %s at link %s has no route" % (d.vtype, d.link)
                 )
-            elif d.route not in route_ids:
+            elif d.route not in route_of:
                 diags.append("demand references unknown route %s" % d.route)
             else:
                 route = route_of[d.route]
@@ -363,7 +381,7 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
         if s.link not in link_ids:
             diags.append("split references unknown link %s" % s.link)
             continue
-        if s.vtype not in vt_ids:
+        if s.vtype not in vtype_of:
             diags.append("split references unknown vehicle type %s" % s.vtype)
         bad = set(s.ratios) - set(net.next_links(s.link))
         if bad:
@@ -372,14 +390,13 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
             )
     # probabilistic types need splits at true diverges they can reach; checked
     # lazily at run time, but flag diverges with no split at all
-    prob_types = [v.id for v in sc.vehicle_types if not v.is_routed]
-    split_keys = {(s.link, s.vtype) for s in sc.splits}
+    prob_types = [v.id for v in vtype_of.values() if not v.is_routed]
     if prob_types and any(d.vtype in prob_types for d in sc.demands):
         for l in sorted(link_ids):
             nexts = net.next_links(l)
             if len(nexts) > 1:
                 for vt in prob_types:
-                    if (l, vt) not in split_keys:
+                    if (l, vt) not in split_of:
                         diags.append(
                             "diverge link %s has no split profile for type %s" % (l, vt)
                         )
@@ -394,15 +411,13 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
         "group_id": ("lane group", net.lane_groups),
         "link": ("link", link_ids),
         "rc": ("road connection", net.road_connections),
-        "vtype": ("vehicle type", vt_ids),
+        "vtype": ("vehicle type", vtype_of),
         "source": ("source", range(len(sc.demands))),
     }
     for key, built in elements.items():
-        label, seen = key[:-1], set()
+        label = key[:-1]
+        _keyed(built, attrgetter("id"), label + " id %s", diags)
         for e in built:
-            if e.id in seen:
-                diags.append("duplicate %s id %s" % (label, e.id))
-            seen.add(e.id)
             if not 0 < e.dt < math.inf:
                 diags.append("%s %s: period dt must be positive and finite, got %r"
                              % (label, e.id, e.dt))
@@ -418,11 +433,37 @@ def _checked(sc: Scenario) -> tuple[Network | None, dict, list[str]]:
         for aid in c.actuator_ids:
             if aid not in actuator_ids:
                 diags.append("controller %s references unknown actuator %s" % (c.id, aid))
-        if isinstance(c.algorithm, control.FixedTimeSignal):
-            for aid in sorted(set(c.algorithm.rc_actuators.values()) - set(c.actuator_ids)):
-                diags.append("controller %s: signal plan names actuator %s it does not own"
-                             % (c.id, aid))
-    return net, elements, diags
+        alg = c.algorithm
+        if isinstance(alg, control.FixedTimeSignal):
+            plan, named = "signal plan", set(alg.rc_actuators.values())
+        elif isinstance(alg, control.ConstantCommand):
+            plan, named = "constant command", set(alg.commands)
+        else:
+            continue
+        for aid in sorted(named - set(c.actuator_ids)):
+            diags.append("controller %s: %s names actuator %s it does not own"
+                         % (c.id, plan, aid))
+    runtime = {
+        "network": net,
+        "models": models,
+        "model_of_link": model_of_link,
+        "routing": RoutingContext(net, vtype_of, route_of, split_of),
+        **elements,
+    }
+    return runtime, diags
+
+
+def _keyed(items: list, key, duplicate: str, diags: list[str]) -> dict:
+    """Items by key; the first of a duplicate key is kept and each later one
+    reported as `duplicate` formatted with the key."""
+    out = {}
+    for x in items:
+        k = key(x)
+        if k in out:
+            diags.append("duplicate " + duplicate % k)
+        else:
+            out[k] = x
+    return out
 
 
 def _built(label: str, make, entries: list[dict], diags: list[str]) -> list:
@@ -524,34 +565,10 @@ def _make_controller(d: dict):
 
 
 def build_runtime(sc: Scenario) -> dict:
-    net, elements, diags = _checked(sc)
+    """The runtime objects `_checked` built, plus the demand sources; raises
+    on any diagnostic."""
+    runtime, diags = _checked(sc)
     if diags:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
-
-    models = []
-    model_of_link = {}
-    for spec in sc.models:
-        m = _make_model(spec)
-        m.build(net, spec.links)
-        models.append(m)
-        for l in spec.links:
-            model_of_link[l] = m
-
-    vtypes = {v.id: v for v in sc.vehicle_types}
-    routes = {r.id: r for r in sc.routes}
-    splits = SplitTable(sc.splits)
-    routing = RoutingContext(
-        vehicle_types=vtypes,
-        routes=routes,
-        splits=splits,
-        terminal_links={l for l in net.links if net.is_terminal(l)},
-        link_next_links={l: net.next_links(l) for l in net.links},
-    )
-    return {
-        "network": net,
-        "models": models,
-        "model_of_link": model_of_link,
-        "routing": routing,
-        "sources": [Source(id=i, demand=d) for i, d in enumerate(sc.demands)],
-        **elements,
-    }
+    runtime["sources"] = [Source(id=i, demand=d) for i, d in enumerate(sc.demands)]
+    return runtime

@@ -34,6 +34,18 @@ def corridor_network(n_links=3, lanes=2, length=500.0, last_lanes=None):
     return Network.build(links, rcs), links, rcs
 
 
+def successor_network(nexts):
+    """One single-lane link per key of `nexts` (link -> its next links) and
+    one road connection per (link, next link)."""
+    links = [Link(id=l, length=500.0, full_lanes=1, params=std_params()) for l in nexts]
+    pairs = [(a, b) for a in nexts for b in nexts[a]]
+    rcs = [
+        RoadConnection(i, a, frozenset([1]), b, frozenset([1]))
+        for i, (a, b) in enumerate(pairs)
+    ]
+    return Network.build(links, rcs)
+
+
 def corridor_scenario_dict(
     model_blocks,
     n_links=4,

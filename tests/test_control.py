@@ -156,7 +156,7 @@ def test_split_actuator_validates_commands(caplog):
         act.apply(eng, 0.0, {"ratios": {5: 1.0}})  # not a successor of link 0
     assert "non-successor" in caplog.text
     act.apply(eng, 0.0, {"ratios": {1: 1.0}})
-    assert eng.routing.splits.get(0, 0).override == {1: 1.0}
+    assert eng.routing.split_overrides[0, 0] == {1: 1.0}
 
 
 def test_fixed_time_signal_stage_schedule():

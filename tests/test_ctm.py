@@ -8,7 +8,6 @@ from hybridtraffic.demand import (
     Route,
     RoutingContext,
     SplitProfile,
-    SplitTable,
     VehicleType,
 )
 from hybridtraffic.models.ctm import CtmModel
@@ -20,11 +19,10 @@ S = StateIndex(0, 0)
 
 def _routing_for(net, route_links):
     return RoutingContext(
+        net,
         vehicle_types={0: VehicleType(0, "routed")},
         routes={0: Route(0, tuple(route_links))},
-        splits=SplitTable([]),
-        terminal_links={l for l in net.links if net.is_terminal(l)},
-        link_next_links={l: net.next_links(l) for l in net.links},
+        splits={},
     )
 
 
@@ -135,11 +133,10 @@ def test_lane_change_conserves_and_moves_target_states(rng):
     m = CtmModel(dt=2.0, max_cell_length=100.0)
     m.build(net, [0, 1, 2])
     routing = RoutingContext(
+        net,
         vehicle_types={0: VehicleType(0, "routed")},
         routes={0: Route(0, (0, 1)), 1: Route(1, (0, 2))},
-        splits=SplitTable([]),
-        terminal_links={1, 2},
-        link_next_links={0: [1, 2], 1: [], 2: []},
+        splits={},
     )
     m.set_routing(routing)
     s_in = StateIndex(0, 0)  # heads to link 1 via inner lane group
@@ -166,11 +163,10 @@ def test_lane_change_limited_by_target_space(rng):
     m = CtmModel(dt=2.0, max_cell_length=100.0)
     m.build(net, [0, 1, 2])
     routing = RoutingContext(
+        net,
         vehicle_types={0: VehicleType(0, "routed")},
         routes={0: Route(0, (0, 1)), 1: Route(1, (0, 2))},
-        splits=SplitTable([]),
-        terminal_links={1, 2},
-        link_next_links={0: [1, 2], 1: [], 2: []},
+        splits={},
     )
     m.set_routing(routing)
     s_out = StateIndex(0, 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import successor_network
 from hybridtraffic.demand import (
     ConfigurationError,
     DemandProfile,
@@ -10,19 +11,17 @@ from hybridtraffic.demand import (
     RoutingError,
     Source,
     SplitProfile,
-    SplitTable,
     VehicleType,
 )
 from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet, vehicle_packet
 
 
-def _ctx(splits=None, terminal=None, nexts=None):
+def _ctx(splits=(), nexts=None):
     return RoutingContext(
+        successor_network(nexts or {10: [11], 11: [12], 12: []}),
         vehicle_types={0: VehicleType(0, "routed"), 1: VehicleType(1, "probabilistic")},
         routes={0: Route(0, (10, 11, 12))},
-        splits=SplitTable(splits or []),
-        terminal_links=terminal or {12},
-        link_next_links=nexts or {10: [11], 11: [12], 12: []},
+        splits={(sp.link, sp.vtype): sp for sp in splits},
     )
 
 
@@ -68,12 +67,14 @@ def test_source_fluid_exact_vehicle_poisson(rng):
 
 def test_entry_state_routed_and_probabilistic(rng):
     ctx = _ctx()
+    before = rng.bit_generator.state
     s = ctx.entry_state(0, 10, 0, 0.0, rng)
     assert s == StateIndex(0, 0)
     s = ctx.entry_state(1, 10, None, 0.0, rng)
     assert s == StateIndex(1, 11)  # single successor needs no split profile
     s = ctx.entry_state(1, 12, None, 0.0, rng)
     assert s == StateIndex(1, None)  # terminal link
+    assert rng.bit_generator.state == before  # only a diverge draws
 
 
 def test_next_link_of():
@@ -131,11 +132,10 @@ def test_assign_next_link_routed_unchanged(rng):
 
 def test_route_override_applies_where_route_passes(rng):
     ctx = RoutingContext(
+        successor_network({10: [11, 12], 11: [], 12: []}),
         vehicle_types={0: VehicleType(0, "routed")},
         routes={0: Route(0, (10, 11)), 1: Route(1, (10, 12))},
-        splits=SplitTable([]),
-        terminal_links={11, 12},
-        link_next_links={10: [11, 12], 11: [], 12: []},
+        splits={},
     )
     ctx.route_overrides[0] = 1
     assert ctx.entry_state(0, 10, 0, 0.0, rng) == StateIndex(0, 1)

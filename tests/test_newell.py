@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import corridor_network, std_params
-from hybridtraffic.demand import Route, RoutingContext, SplitTable, VehicleType
+from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models.newell import NewellModel
 from hybridtraffic.network import Link, Network, RoadConnection
 from hybridtraffic.packets import StateIndex, Vehicle
@@ -18,11 +18,10 @@ def _model(n_links=1, lanes=1, length=500.0, dt=2.0, **sig):
     m.build(net, list(range(n_links)))
     m.set_routing(
         RoutingContext(
+            net,
             vehicle_types={0: VehicleType(0, "routed")},
             routes={0: Route(0, tuple(range(n_links)))},
-            splits=SplitTable([]),
-            terminal_links={n_links - 1},
-            link_next_links={l: net.next_links(l) for l in net.links},
+            splits={},
         )
     )
     m.headway_query = lambda rc: 1e9
@@ -79,11 +78,10 @@ def test_capacity_term_caps_flow(rng):
     m.build(net, [0])
     m.set_routing(
         RoutingContext(
+            net,
             vehicle_types={0: VehicleType(0, "routed")},
             routes={0: Route(0, (0,))},
-            splits=SplitTable([]),
-            terminal_links={0},
-            link_next_links={0: []},
+            splits={},
         )
     )
     m.headway_query = lambda rc: 1e9
@@ -166,11 +164,10 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
     m.build(net, [0, 1])
     m.set_routing(
         RoutingContext(
+            net,
             vehicle_types={1: VehicleType(1, "probabilistic")},
             routes={},
-            splits=SplitTable([]),
-            terminal_links=set(),
-            link_next_links={0: [1], 1: [0]},
+            splits={},
         )
     )
     down_group = {0: "1:1", 1: "0:1"}

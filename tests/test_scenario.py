@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import pytest
 import yaml
@@ -135,6 +136,70 @@ def test_build_runtime_rejects_invalid():
     d["models"] = [{"kind": "ctm", "links": [0], "dt": 2.0}]
     with pytest.raises(ScenarioError):
         build_runtime(parse_scenario(d))
+
+
+def _constant_command_unowned(d):
+    d["actuators"] = [{"id": 0, "kind": "rc_block", "dt": 2.0, "rc": 0}]
+    d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [],
+                         "params": {"at": 4.0, "commands": {0: {"open": False}}}}]
+
+
+_ONE_SPLIT = {"link": 0, "vtype": 0, "ratios": {1: {"period": 4000, "values": [1.0]}}}
+
+
+@pytest.mark.parametrize("change, diagnostic", [
+    (lambda d: d["models"][0].update(dt=10), r"model 0 \(ctm\): link 0: CFL violated"),
+    (lambda d: d["models"][0].update(max_cell_length=0),
+     r"model 0 \(ctm\): max_cell_length must be positive"),
+    (lambda d: d["models"][0].update(lc_supply_factor=2),
+     r"model 0 \(ctm\): lane-change supply factor"),
+    (lambda d: d["models"][1].update(kind="newell", sigma_v=math.nan),
+     r"model 1 \(newell\): standard deviations"),
+    (lambda d: d["vehicle_types"].append({"id": 0, "routing": "probabilistic"}),
+     r"duplicate vehicle type id 0$"),
+    (lambda d: d["routes"].append({"id": 0, "links": [0, 1]}), r"duplicate route id 0$"),
+    (lambda d: d.update(splits=[_ONE_SPLIT, copy.deepcopy(_ONE_SPLIT)]),
+     r"duplicate split profile for link 0, type 0$"),
+    (_constant_command_unowned,
+     r"controller 0: constant command names actuator 0 it does not own"),
+], ids=["cfl", "max_cell_length", "lc_supply_factor", "nan_sigma", "dup_vtype",
+        "dup_route", "dup_split", "constant_unowned"])
+def test_validate_reports_what_the_engine_rejects(change, diagnostic):
+    # each of these once validated clean and then failed, or ran another
+    # scenario than the one validated, once the engine was built
+    with open(cli._resolve("macro_meso")) as f:
+        d = yaml.safe_load(f)
+    change(d)
+    sc = parse_scenario(d)
+    diags = validate_scenario(sc)
+    assert len(diags) == 1 and re.search(diagnostic, diags[0]), diags
+    with pytest.raises(ScenarioError, match=diagnostic.rstrip("$")):
+        Engine(sc)
+
+
+@pytest.mark.parametrize("path, value, owner", [
+    (("demands", 0, "profile", "values"), [math.nan], "demand 0"),
+    (("demands", 0, "profile", "values"), [-1.0], "demand 0"),
+    (("demands", 0, "profile", "values"), [math.inf], "demand 0"),
+    (("demands", 0, "profile", "period"), math.nan, "demand 0"),
+    (("demands", 0, "profile", "period"), 0.0, "demand 0"),
+    (("demands", 0, "profile", "period"), math.inf, "demand 0"),
+    (("demands", 0, "profile", "start"), -math.inf, "demand 0"),
+    (("splits", 0, "ratios", 1, "values"), [-0.5], "split at link 0, type 0"),
+    (("splits", 0, "ratios", 1, "values"), [math.nan], "split at link 0, type 0"),
+    (("splits", 0, "ratios", 1, "period"), -1.0, "split at link 0, type 0"),
+])
+def test_profiles_reject_bad_values_at_parse(path, value, owner):
+    # a NaN demand once ran to a NaN total, a NaN period failed at t=0 and a
+    # lone negative ratio failed at t=0 as a zero sum
+    d = _base()
+    d["splits"] = [copy.deepcopy(_ONE_SPLIT)]
+    target = d
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError, match=owner):
+        parse_scenario(d)
 
 
 @pytest.mark.parametrize("name", BUNDLED)

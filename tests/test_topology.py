@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import corridor_network
-from hybridtraffic.demand import Route, RoutingContext, RoutingError, SplitTable, VehicleType
+from hybridtraffic.demand import Route, RoutingContext, RoutingError, VehicleType
 from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.models.newell import NewellModel
 from hybridtraffic.models.twoqueue import TwoQueueModel
@@ -154,11 +154,10 @@ def test_routing_error_from_rc_toward_and_groups_toward(kind, rng):
     m.build(net, [0, 1, 2])
     m.set_routing(
         RoutingContext(
+            net,
             vehicle_types={0: VehicleType(0, "routed")},
             routes={0: Route(0, (0, 1, 2)), 1: Route(1, (0, 2))},
-            splits=SplitTable([]),
-            terminal_links={2},
-            link_next_links={l: net.next_links(l) for l in net.links},
+            splits={},
         )
     )
     through, skipping = StateIndex(0, 0), StateIndex(0, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import corridor_network
-from hybridtraffic.demand import Route, RoutingContext, SplitTable, VehicleType
+from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models.twoqueue import TwoQueueModel
 from hybridtraffic.packets import StateIndex, Vehicle, vehicle_packet
 
@@ -15,11 +15,10 @@ def _model(n_links=1, lanes=1, length=500.0, dt=2.0):
     m.build(net, list(range(n_links)))
     m.set_routing(
         RoutingContext(
+            net,
             vehicle_types={0: VehicleType(0, "routed")},
             routes={0: Route(0, tuple(range(n_links)))},
-            splits=SplitTable([]),
-            terminal_links={n_links - 1},
-            link_next_links={l: net.next_links(l) for l in net.links},
+            splits={},
         )
     )
     return m
