@@ -86,30 +86,6 @@ class _Connection:
     groups: tuple  # D_r, sorted
 
 
-@dataclass(slots=True)
-class _Junction:
-    """Static adjacency of one junction, sorted as `NodeProblem` takes it.
-    G, R and H are its upstream lane groups, road connections and downstream
-    lane groups; `pairs` lists every (g, r) in delivery order."""
-
-    id: int
-    upstream: tuple  # G
-    rcs: tuple  # R
-    downstream: tuple  # H
-    down_of_g: dict
-    up_of_r: dict
-    down_of_r: dict
-    up_of_h: dict
-    access: dict
-    pairs: tuple
-
-    def problem(self, demand, supply, closed_rcs) -> nodemodel.NodeProblem:
-        return nodemodel.NodeProblem(
-            self.upstream, self.rcs, self.downstream, self.down_of_g, self.up_of_r,
-            self.down_of_r, self.up_of_h, demand, supply, self.access, closed_rcs,
-        )
-
-
 class _Supply:
     """Lane-group supply left within one flow phase. A fluid model's supply
     is read once and reduced by what it has been delivered since; a vehicle
@@ -198,8 +174,8 @@ class Engine:
 
     def _compile_junctions(self):
         """Compile the static tables of every road connection and of every
-        junction (`Network.junction_of`), checking the access fractions and
-        adjacency once."""
+        junction (`Network.junction_of`); `nodemodel.Junction` checks the
+        access fractions and adjacency once."""
         net = self.net
         comp: dict = {}
         for r in sorted(net.junction_of):
@@ -207,38 +183,19 @@ class Engine:
 
         connections, junctions = {}, {}
         for jid, rcs in comp.items():
-            rcs = tuple(rcs)
-            up_of_r = {r: tuple(net.rc_up_groups[r]) for r in rcs}
-            down_of_r = {r: tuple(net.rc_down_groups[r]) for r in rcs}
-            down_of_g: dict = {}
-            up_of_h: dict = {}
-            for r in rcs:  # ascending, so every list below comes out sorted
-                for g in up_of_r[r]:
-                    down_of_g.setdefault(g, []).append(r)
-                for h in down_of_r[r]:
-                    up_of_h.setdefault(h, []).append(r)
+            for r in rcs:
                 rc = net.road_connections[r]
                 connections[r] = _Connection(
                     r, jid, rc.up_link, rc.down_link,
-                    self.model_of_link[rc.down_link], down_of_r[r],
+                    self.model_of_link[rc.down_link], tuple(net.rc_down_groups[r]),
                 )
-            junction = _Junction(
-                id=jid,
-                upstream=tuple(sorted(down_of_g)),
-                rcs=rcs,
-                downstream=tuple(sorted(up_of_h)),
-                down_of_g={g: tuple(v) for g, v in down_of_g.items()},
-                up_of_r=up_of_r,
-                down_of_r=down_of_r,
-                up_of_h={h: tuple(v) for h, v in up_of_h.items()},
-                access={
-                    (r, h): net.lane_access_fraction(r, h)
-                    for r in rcs for h in down_of_r[r]
-                },
-                pairs=tuple(sorted((g, r) for r in rcs for g in up_of_r[r])),
+            junctions[jid] = nodemodel.Junction(
+                jid,
+                {r: net.rc_up_groups[r] for r in rcs},
+                {r: net.rc_down_groups[r] for r in rcs},
+                {(r, h): net.lane_access_fraction(r, h)
+                 for r in rcs for h in net.rc_down_groups[r]},
             )
-            junction.problem({}, {}, set()).validate()
-            junctions[jid] = junction
         return connections, junctions
 
     # --- cross-model queries -------------------------------------------
@@ -340,7 +297,7 @@ class Engine:
         for jid in sorted(junction_reqs):
             self._solve_junction(t, self._junctions[jid], junction_reqs[jid], supply)
 
-    def _solve_junction(self, t, junction: _Junction, reqs, supply: _Supply):
+    def _solve_junction(self, t, junction: nodemodel.Junction, reqs, supply: _Supply):
         """Size the requests (once each), solve the junction and deliver.
         Any failure is reported with the junction and, where one is in hand,
         the road connection and upstream lane group."""
@@ -372,18 +329,16 @@ class Engine:
             g = r = None
             if not offers:
                 return
-            problem = junction.problem(
-                {key: offer[2] for key, offer in offers.items()},
-                {h: supply.remaining(h) for h in junction.downstream},
-                self.closed_rcs.intersection(junction.rcs),
-            )
-            flow = nodemodel.solve(problem).flow_gr
-            for g, r in junction.pairs:
+            demand = [0.0] * len(junction.pairs)
+            for key, offer in offers.items():
+                demand[junction.pair_index[key]] = offer[2]
+            flow = nodemodel.solve(
+                junction, demand, [supply.remaining(h) for h in junction.downstream],
+                [r in self.closed_rcs for r in junction.rcs],
+            ).flow
+            for (g, r), delta in zip(junction.pairs, flow):
                 offer = offers.get((g, r))
-                if offer is None:
-                    continue
-                delta = flow.get((g, r), 0.0)
-                if delta > nodemodel.EPS:
+                if offer is not None and delta > nodemodel.EPS:
                     self._deliver(t, offer[0], g, self._rc[r], offer[1], offer[2],
                                   delta, supply)
         except Exception as exc:

@@ -4,11 +4,14 @@ Scales simultaneous packet requests through a multi-input/multi-output
 junction so that they fit the downstream supplies, with FIFO blocking:
 an upstream lane group with any demanded-but-blocked exiting road
 connection delivers nothing.
+
+A junction is compiled once into integer-indexed tables (`Junction`); each
+`solve` then works over flat lists indexed by those tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 EPS = 1e-9
 
@@ -17,84 +20,117 @@ class NodeModelError(RuntimeError):
     pass
 
 
-@dataclass
-class NodeProblem:
-    """Working description of one junction's simultaneous requests.
+class Junction:
+    """Static tables of one junction. G, R and H (`upstream`, `rcs`,
+    `downstream`) are its upstream lane groups, road connections and
+    downstream lane groups, sorted; `pairs` lists every (g, r) with g in U_r
+    in delivery order. Every (r, h) with h in D_r is an edge, numbered in
+    the order of R and then of D_r. The tables, by index:
 
-    g: upstream lane group ids, r: road connection ids, h: downstream lane
-    group ids. `demand` is per (g, r) in vehicles; `supply` per h in
-    vehicles; `access` holds the per-(r, h) accessible fraction of h.
+    - `g_pairs[g]`: (r, pair) for each road connection g feeds (D_g);
+    - `r_edges[r]`: (edge, h, access fraction) for each h in D_r;
+    - `h_edges[h]`: (r, edge) for each road connection into h (U_h).
     """
 
-    upstream: list  # G
-    rcs: list  # R
-    downstream: list  # H
-    down_of_g: dict  # g -> list of r          (D_g)
-    up_of_r: dict  # r -> list of g            (U_r)
-    down_of_r: dict  # r -> list of h          (D_r)
-    up_of_h: dict  # h -> list of r            (U_h)
-    demand: dict  # (g, r) -> veh
-    supply: dict  # h -> veh
-    access: dict  # (r, h) -> fraction in (0, 1]
-    closed_rcs: set = field(default_factory=set)
+    __slots__ = ("id", "upstream", "rcs", "downstream", "pairs", "pair_index",
+                 "g_pairs", "r_edges", "h_edges", "n_edges")
 
-    def validate(self):
-        for (g, r), d in self.demand.items():
-            if d < 0:
-                raise NodeModelError("negative demand on (%s, %s)" % (g, r))
-        for h, s in self.supply.items():
-            if s < 0:
-                raise NodeModelError("negative supply on %s" % h)
-        for (r, h), lam in self.access.items():
-            if not (0 < lam <= 1 + EPS):
-                raise NodeModelError("access fraction out of (0,1] on (%s, %s)" % (r, h))
-        for g in self.upstream:
-            for r in self.down_of_g[g]:
-                if g not in self.up_of_r[r]:
-                    raise NodeModelError("inconsistent adjacency at (%s, %s)" % (g, r))
+    def __init__(self, id, up_of_r: dict, down_of_r: dict, access: dict):
+        """`up_of_r` and `down_of_r` map each road connection to its U_r and
+        D_r; `access` maps each (r, h) with h in D_r to its fraction of h."""
+        self.id = id
+        self.rcs = R = tuple(sorted(up_of_r))
+        self.upstream = tuple(sorted({g for r in R for g in up_of_r[r]}))
+        self.downstream = tuple(sorted({h for r in R for h in down_of_r[r]}))
+        self.pairs = tuple(sorted((g, r) for r in R for g in up_of_r[r]))
+        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
+        g_of = {g: i for i, g in enumerate(self.upstream)}
+        h_of = {h: i for i, h in enumerate(self.downstream)}
+        g_pairs = [[] for _ in self.upstream]
+        h_edges = [[] for _ in self.downstream]
+        r_edges, e = [], 0
+        for k, r in enumerate(R):
+            if not up_of_r[r] or not down_of_r[r]:
+                raise NodeModelError("junction %s: road connection %s needs an upstream "
+                                     "and a downstream lane group" % (id, r))
+            for g in sorted(up_of_r[r]):
+                g_pairs[g_of[g]].append((k, self.pair_index[g, r]))
+            edges = []
+            for h in sorted(down_of_r[r]):
+                lam = access[r, h]
+                if not 0 < lam <= 1 + EPS:
+                    raise NodeModelError("junction %s: access fraction %r out of (0,1] on "
+                                         "(%s, %s)" % (id, lam, r, h))
+                edges.append((e, h_of[h], lam))
+                h_edges[h_of[h]].append((k, e))
+                e += 1
+            r_edges.append(tuple(edges))
+        self.g_pairs = tuple(map(tuple, g_pairs))
+        self.r_edges = tuple(r_edges)
+        self.h_edges = tuple(map(tuple, h_edges))
+        self.n_edges = e
 
 
-@dataclass
-class NodeSolution:
-    flow_gr: dict  # (g, r) -> delivered veh
-    flow_r: dict  # r -> delivered veh
-    flow_h: dict  # h -> accepted veh
-    iterations: int = 0
+class Flows(NamedTuple):
+    flow: list  # per pair: delivered veh
+    flow_h: list  # per downstream lane group: accepted veh
+    iterations: int
 
 
-def solve(problem: NodeProblem) -> NodeSolution:
-    problem.validate()
-    G, R, H = problem.upstream, problem.rcs, problem.downstream
-    d = dict(problem.demand)  # mutated: remaining demand
-    s = dict(problem.supply)  # mutated: remaining supply
-    lam = problem.access
+def solve(junction: Junction, demand: list, supply: list, closed: list) -> Flows:
+    """Allocate `demand` (veh per pair of `junction.pairs`) within `supply`
+    (veh per downstream lane group); `closed` flags each road connection.
 
-    sol = NodeSolution(
-        flow_gr={k: 0.0 for k in d},
-        flow_r={r: 0.0 for r in R},
-        flow_h={h: 0.0 for h in H},
-    )
+    Steps NM 0-6 below take the same float operations in the same order as
+    the readable dict-based solver kept with the tests; every sum runs left
+    to right from 0.0, leaving out only terms that are exactly 0.0 (closed
+    road connections, blocked groups), which cannot change it."""
+    if min(demand) < 0:
+        raise NodeModelError("negative demand on (%s, %s)"
+                             % junction.pairs[demand.index(min(demand))])
+    if min(supply) < 0:
+        raise NodeModelError("negative supply on %s"
+                             % junction.downstream[supply.index(min(supply))])
+    g_pairs, r_edges, h_edges = junction.g_pairs, junction.r_edges, junction.h_edges
+    n_r = len(r_edges)
+    d = list(demand)  # mutated: remaining demand
+    s = list(supply)  # mutated: remaining supply
+    flow, flow_h = [0.0] * len(d), [0.0] * len(s)
 
-    max_iters = max(1, len(G))
+    max_iters = max(1, len(g_pairs))
     work_iters = 0
     while True:
-        # NM 0: demanded road connections and blocked flags
-        d_plus = {
-            g: [r for r in problem.down_of_g[g] if d.get((g, r), 0.0) > EPS]
-            for g in G
-        }
-        blocked_h = {h: s[h] <= EPS for h in H}
-        blocked_r = {
-            r: (r in problem.closed_rcs)
-            or all(blocked_h[h] for h in problem.down_of_r[r])
-            for r in R
-        }
-        blocked_g = {
-            g: (not d_plus[g]) or any(blocked_r[r] for r in d_plus[g]) for g in G
-        }
+        # NM 0: a road connection is blocked when closed or when all its
+        # downstream groups are full; an upstream group when it demands
+        # nothing or any road connection it demands is blocked. Groups that
+        # send sum their demand per road connection (NM 1) on the way:
+        # blocked groups deliver nothing this iteration, so their retained
+        # demand exerts no pressure on the downstream supplies.
+        blocked_r = list(closed)
+        for k, edges in enumerate(r_edges):
+            if not blocked_r[k]:
+                for _, h, _ in edges:
+                    if s[h] > EPS:
+                        break
+                else:
+                    blocked_r[k] = True
+        d_r = [0.0] * n_r
+        sending = []  # the demanded (r, pair) entries of each group that sends
+        for entries in g_pairs:
+            plus = []
+            for k, p in entries:
+                if d[p] > EPS:
+                    if blocked_r[k]:
+                        break
+                    plus.append((k, p))
+            else:
+                if plus:
+                    sending.append(plus)
+                    for k, p in entries:
+                        d_r[k] += d[p]
 
         # stopping criterion: every upstream lane group blocked or empty
-        if all(blocked_g[g] for g in G):
+        if not sending:
             break
         if work_iters >= max_iters:
             raise NodeModelError(
@@ -102,79 +138,58 @@ def solve(problem: NodeProblem) -> NodeSolution:
             )
         work_iters += 1
 
-        # NM 1: demands and supplies per road connection, apportionment mu.
-        # Blocked upstream groups deliver nothing this iteration, so their
-        # retained demand exerts no pressure on the downstream supplies
-        # (otherwise unblocked competitors would be throttled forever and
-        # the |G| termination bound would not hold).
-        d_r = {
-            r: sum(
-                d.get((g, r), 0.0)
-                for g in problem.up_of_r[r]
-                if not blocked_g[g]
-            )
-            for r in R
-        }
-        s_r = {
-            r: sum(lam[(r, h)] * s[h] for h in problem.down_of_r[r]) for r in R
-        }
-        mu = {}
-        for r in R:
-            for h in problem.down_of_r[r]:
-                mu[(r, h)] = 0.0 if s_r[r] <= 0 else lam[(r, h)] * s[h] / s_r[r]
-        for r in problem.closed_rcs:
-            for h in problem.down_of_r[r]:
-                mu[(r, h)] = 0.0
-
-        # NM 2: demand and excess-demand factor per downstream lane group
-        d_h = {
-            h: sum(mu[(r, h)] * d_r[r] for r in problem.up_of_h[h]) for h in H
-        }
-        psi_h = {
-            h: (max(0.0, 1.0 - s[h] / d_h[h]) if d_h[h] > 0 else 0.0) for h in H
-        }
+        # NM 1-2: apportionment mu per edge, demand per downstream group
+        mu, d_h = [0.0] * junction.n_edges, [0.0] * len(s)
+        for k, edges in enumerate(r_edges):
+            if closed[k]:
+                continue
+            s_r = 0.0
+            for _, h, lam in edges:
+                s_r += lam * s[h]
+            if s_r <= 0:
+                continue
+            for e, h, lam in edges:
+                mu[e] = m = lam * s[h] / s_r
+                d_h[h] += m * d_r[k]
+        psi_h = [max(0.0, 1.0 - x / y) if y > 0 else 0.0 for x, y in zip(s, d_h)]
 
         # NM 3: propagate the excess-demand factors to the road connections
-        psi_r = {}
-        for r in R:
-            if blocked_r[r]:
-                psi_r[r] = 1.0
-            else:
-                psi_r[r] = sum(mu[(r, h)] * psi_h[h] for h in problem.down_of_r[r])
+        psi_r = [1.0] * n_r
+        for k, edges in enumerate(r_edges):
+            if not blocked_r[k]:
+                x = 0.0
+                for e, h, _ in edges:
+                    x += mu[e] * psi_h[h]
+                psi_r[k] = x
 
-        # NM 4: upstream reduction factors; advance and retain demand
-        delta_gr = {}
-        for g in G:
-            psi_g = 1.0 if blocked_g[g] else max(psi_r[r] for r in d_plus[g])
-            for r in d_plus[g]:
-                adv = d[(g, r)] * (1.0 - psi_g)
-                delta_gr[(g, r)] = adv
-                d[(g, r)] = psi_g * d[(g, r)]
-                sol.flow_gr[(g, r)] += adv
-
-        # NM 5: advancing flow per road connection
-        delta_r = {
-            r: sum(delta_gr.get((g, r), 0.0) for g in problem.up_of_r[r]) for r in R
-        }
-        for r in R:
-            sol.flow_r[r] += delta_r[r]
+        # NM 4-5: upstream reduction factors; advance and retain demand
+        delta_r = [0.0] * n_r
+        for plus in sending:
+            psi_g = 0.0  # the max over its demanded rcs; every psi_r >= 0
+            for k, _ in plus:
+                if psi_r[k] > psi_g:
+                    psi_g = psi_r[k]
+            for k, p in plus:
+                adv = d[p] * (1.0 - psi_g)
+                d[p] = psi_g * d[p]
+                flow[p] += adv
+                delta_r[k] += adv
 
         # NM 6: flow into each downstream lane group; reduce supplies
         total_advance = 0.0
-        for h in H:
+        for h, entries in enumerate(h_edges):
             delta_h = 0.0
-            for r in problem.up_of_h[h]:
-                if psi_r[r] >= 1.0 - 1e-15:
+            for k, e in entries:
+                if psi_r[k] >= 1.0 - 1e-15:
                     continue  # delta_r is zero for blocked connections
-                delta_h += (1.0 - psi_h[h]) / (1.0 - psi_r[r]) * mu[(r, h)] * delta_r[r]
-            sol.flow_h[h] += delta_h
+                delta_h += (1.0 - psi_h[h]) / (1.0 - psi_r[k]) * mu[e] * delta_r[k]
+            flow_h[h] += delta_h
             s[h] = max(0.0, s[h] - delta_h)
             total_advance += delta_h
         if total_advance < EPS:
             break  # numerical safety net beyond the |G| bound
 
-    sol.iterations = work_iters
-    return sol
+    return Flows(flow, flow_h, work_iters)
 
 
 def solve_1x1(demand: float, supply: float, closed: bool = False) -> float:
@@ -182,8 +197,8 @@ def solve_1x1(demand: float, supply: float, closed: bool = False) -> float:
     connection and one downstream lane group.
 
     This is `solve`'s single iteration in closed form, with the same float
-    operations in the same order, so it equals `solve(...).flow_gr` bit for
-    bit (wherever `solve` terminates). The access fraction cancels: the one
+    operations in the same order, so it equals `solve(...).flow` bit for bit
+    (wherever `solve` terminates). The access fraction cancels: the one
     apportionment is mu = lam*s / (lam*s) = 1.
     """
     if demand < 0:

@@ -3,6 +3,7 @@ construction of the runtime objects the engine needs."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -26,6 +27,7 @@ from .models.twoqueue import TwoQueueModel
 from .network import (
     Link,
     Network,
+    NetworkError,
     PartialLaneStructure,
     RoadConnection,
     RoadParams,
@@ -87,15 +89,24 @@ class Scenario:
 # --- parsing -----------------------------------------------------------
 
 
-def _profile(d: dict, owner: str) -> Profile:
+@contextlib.contextmanager
+def _entry(owner: str):
+    """Report a constructor's error as a `ScenarioError` naming the entry."""
     try:
+        yield
+    except (ConfigurationError, NetworkError) as exc:
+        msg = str(exc)
+        named = msg.startswith((owner + ":", owner + " "))
+        raise ScenarioError(msg if named else "%s: %s" % (owner, msg)) from exc
+
+
+def _profile(d: dict, owner: str) -> Profile:
+    with _entry(owner):
         return Profile(
             start_time=float(d.get("start", 0.0)),
             period=float(d["period"]),
             values=tuple(float(v) for v in d["values"]),
         )
-    except ConfigurationError as exc:
-        raise ScenarioError("%s: %s" % (owner, exc)) from exc
 
 
 def _profile_dict(p: Profile) -> dict:
@@ -117,9 +128,9 @@ def parse_scenario(data: dict) -> Scenario:
     try:
         links = []
         for d in data["links"]:
-            partials = tuple(_partial(d.get("id"), p) for p in d.get("partials", []))
-            links.append(
-                Link(
+            with _entry("link %s" % d.get("id")):
+                partials = tuple(_partial(d.get("id"), p) for p in d.get("partials", []))
+                links.append(Link(
                     id=int(d["id"]),
                     length=float(d["length"]),
                     full_lanes=int(d["lanes"]),
@@ -129,18 +140,17 @@ def parse_scenario(data: dict) -> Scenario:
                         jam_density_per_lane=float(d["jam_density"]),
                     ),
                     partials=partials,
-                )
-            )
-        rcs = [
-            RoadConnection(
-                id=int(d["id"]),
-                up_link=int(d["up_link"]),
-                up_lanes=frozenset(int(l) for l in d["up_lanes"]),
-                down_link=int(d["down_link"]),
-                down_lanes=frozenset(int(l) for l in d["down_lanes"]),
-            )
-            for d in data.get("road_connections", [])
-        ]
+                ))
+        rcs = []
+        for d in data.get("road_connections", []):
+            with _entry("road connection %s" % d.get("id")):
+                rcs.append(RoadConnection(
+                    id=int(d["id"]),
+                    up_link=int(d["up_link"]),
+                    up_lanes=frozenset(int(l) for l in d["up_lanes"]),
+                    down_link=int(d["down_link"]),
+                    down_lanes=frozenset(int(l) for l in d["down_lanes"]),
+                ))
         models = [
             ModelSpec(
                 kind=d["kind"],
@@ -154,14 +164,13 @@ def parse_scenario(data: dict) -> Scenario:
             )
             for d in data["models"]
         ]
-        vtypes = [
-            VehicleType(id=int(d["id"]), routing=d["routing"])
-            for d in data["vehicle_types"]
-        ]
-        routes = [
-            Route(id=int(d["id"]), links=tuple(int(l) for l in d["links"]))
-            for d in data.get("routes", [])
-        ]
+        vtypes, routes = [], []
+        for d in data["vehicle_types"]:
+            with _entry("vehicle type %s" % d.get("id")):
+                vtypes.append(VehicleType(id=int(d["id"]), routing=d["routing"]))
+        for d in data.get("routes", []):
+            with _entry("route %s" % d.get("id")):
+                routes.append(Route(id=int(d["id"]), links=tuple(int(l) for l in d["links"])))
         demands = [
             DemandProfile(
                 link=int(d["link"]),

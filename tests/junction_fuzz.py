@@ -10,7 +10,8 @@ from hybridtraffic.network import (
     RoadParams,
     validate_network,
 )
-from hybridtraffic.nodemodel import EPS, NodeProblem
+from hybridtraffic.nodemodel import EPS
+from reference_nodemodel import NodeProblem
 
 _P = RoadParams(1000.0, 100.0, 100.0)
 

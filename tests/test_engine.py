@@ -15,6 +15,20 @@ PAIRINGS = [
 ]
 
 
+def _merge_dict(**kw):
+    """A 3-link CTM corridor with a merge into link 2 from a new link 3: rc 1
+    (1->2) and the new rc 5 share link 2's upstream end, so they form one
+    junction."""
+    d = corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3, **kw)
+    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
+                       "speed": 100.0, "jam_density": 100.0})
+    d["road_connections"].append(
+        {"id": 5, "up_link": 3, "up_lanes": [1], "down_link": 2, "down_lanes": [1]}
+    )
+    d["models"][0]["links"] = [0, 1, 2, 3]
+    return d
+
+
 def _run(blocks, duration=400.0, audit=True, **kw):
     d = corridor_scenario_dict(blocks, n_links=4, duration=duration, **kw)
     eng = Engine(parse_scenario(d), audit=audit)
@@ -40,22 +54,32 @@ def test_vehicle_counts_are_integers_in_vehicle_models():
 
 
 def test_junction_grouping_unifies_shared_ends():
-    d = corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3)
-    # add a merge into link 2 from a new link 3: rc 1 (1->2) and the new rc
-    # share link 2's upstream end, so they form one junction
-    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
-                       "speed": 100.0, "jam_density": 100.0})
-    d["road_connections"].append(
-        {"id": 5, "up_link": 3, "up_lanes": [1], "down_link": 2, "down_lanes": [1]}
-    )
-    d["models"][0]["links"] = [0, 1, 2, 3]
+    d = _merge_dict()
     eng = Engine(parse_scenario(d))
     assert eng._rc[1].junction == eng._rc[5].junction
     assert eng._rc[0].junction != eng._rc[1].junction
     merge = eng._junctions[eng._rc[1].junction]
     assert merge.rcs == (1, 5) and merge.downstream == ("2:1",)
-    assert merge.upstream == ("1:1", "3:1") and merge.down_of_g == {"1:1": (1,), "3:1": (5,)}
+    assert merge.upstream == ("1:1", "3:1") and merge.pairs == (("1:1", 1), ("3:1", 5))
+    # by index: each upstream group feeds its own rc, both rcs reach lane group 0
+    assert merge.g_pairs == (((0, 0),), ((1, 1),))
+    assert merge.r_edges == (((0, 0, 1.0),), ((1, 0, 1.0),))
+    assert merge.h_edges == (((0, 0), (1, 1)),)
     assert eng._junctions[eng._rc[0].junction].rcs == (0,)
+
+
+def test_access_fraction_outside_unit_interval_fails_at_build(monkeypatch):
+    from hybridtraffic.network import Network
+    from hybridtraffic.nodemodel import NodeModelError
+
+    sc = parse_scenario(_merge_dict())
+    fraction = Network.lane_access_fraction
+    for lam in (0.0, 1.5):
+        monkeypatch.setattr(Network, "lane_access_fraction", lambda net, r, h, lam=lam: (
+            lam if r == 5 else fraction(net, r, h)))
+        with pytest.raises(NodeModelError, match=r"junction 1: access fraction %r out "
+                           r"of \(0,1\] on \(5, 2:1\)" % lam):
+            Engine(sc)
 
 
 def test_sensors_fire_in_id_order():
@@ -187,21 +211,17 @@ def test_one_by_one_junctions_skip_the_general_solver(monkeypatch):
 
     calls = []
     solve = nodemodel.solve
-    monkeypatch.setattr(nodemodel, "solve", lambda p: calls.append(p) or solve(p))
+    monkeypatch.setattr(nodemodel, "solve", lambda j, demand, supply, closed: (
+        calls.append((j, demand)) or solve(j, demand, supply, closed)))
     eng = _run([("ctm", [0, 1]), ("two_queue", [2, 3])], duration=200.0)
     assert eng.total_exited() > 0 and calls == []
-    d = corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3, duration=200.0)
-    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
-                       "speed": 100.0, "jam_density": 100.0})
-    d["road_connections"].append(
-        {"id": 5, "up_link": 3, "up_lanes": [1], "down_link": 2, "down_lanes": [1]}
-    )
-    d["models"][0]["links"] = [0, 1, 2, 3]
+    d = _merge_dict(duration=200.0)
     d["routes"].append({"id": 1, "links": [3, 2]})
     d["demands"].append(dict(d["demands"][0], link=3, route=1))
     Engine(parse_scenario(d)).run()
     # the merge, whenever both of its inputs send
-    assert calls and all(len(p.demand) == 2 and p.rcs == (1, 5) for p in calls)
+    assert calls and all(j.rcs == (1, 5) and len(demand) == 2 and min(demand) > 0
+                         for j, demand in calls)
 
 
 def test_junction_failure_names_junction_rc_and_lane_group():

@@ -202,6 +202,32 @@ def test_profiles_reject_bad_values_at_parse(path, value, owner):
         parse_scenario(d)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("vehicle_types", 0, "routing"), "foo",
+     "vehicle type 0: unknown routing behavior 'foo'"),
+    (("routes", 0, "links"), [0, 1, 0], "route 0 repeats a link"),
+    (("links", 0, "lanes"), 0, "link 0: needs >=1 full lane"),
+    (("links", 0, "length"), -5, "link 0: length must be positive"),
+], ids=["routing", "route", "lanes", "length"])
+def test_bad_entries_fail_as_scenario_errors_naming_the_entry(path, value, message):
+    # the constructors' own errors once escaped parsing unwrapped
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
+    target = d
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(d)
+    assert str(info.value) == message
+
+
+def test_link_parameter_errors_name_the_link():
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
+    d["links"][1]["capacity"] = -1.0
+    with pytest.raises(ScenarioError, match="^link 1: capacity_per_lane must be positive$"):
+        parse_scenario(d)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_are_valid(name):
     sc = load_scenario("src/hybridtraffic/scenarios/%s.yaml" % name)
