@@ -165,12 +165,9 @@ class RouterActuator(Actuator):
 
     def apply(self, engine, now, cmd):
         route = cmd.get("route")
-        if route is None:
-            engine.routing.route_overrides.pop(self.vtype, None)
-            return
-        if route not in engine.routing.routes:
+        if route is not None and route not in engine.routing.routes:
             raise ControlError("unknown route %s" % route)
-        engine.routing.route_overrides[self.vtype] = int(route)
+        engine.routing.override_route(self.vtype, None if route is None else int(route))
 
 
 @dataclass
@@ -189,13 +186,17 @@ class DemandActuator(Actuator):
 
 @dataclass
 class SplitActuator(Actuator):
-    """Overrides the turn ratios of one (link, vehicle type) pair. Commands
-    whose ratios do not sum to one are rejected with a warning."""
+    """Overrides the turn ratios of one (link, vehicle type) pair; a command
+    without ratios returns it to its split profile. Commands whose ratios do
+    not sum to one are rejected with a warning."""
 
     link: int = -1
     vtype: int = -1
 
     def apply(self, engine, now, cmd):
+        if cmd.get("ratios") is None:
+            engine.routing.override_split(self.link, self.vtype, None)
+            return
         ratios = {int(k): float(v) for k, v in cmd["ratios"].items()}
         total = sum(ratios.values())
         if abs(total - 1.0) > 1e-6 or any(v < 0 for v in ratios.values()):
@@ -211,7 +212,7 @@ class SplitActuator(Actuator):
                 "links %s", self.id, sorted(set(ratios) - valid),
             )
             return
-        engine.routing.split_overrides[self.link, self.vtype] = ratios
+        engine.routing.override_split(self.link, self.vtype, ratios)
 
 
 # --- controllers -------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +74,13 @@ class Profile:
         if not all(0 <= v < math.inf for v in self.values):
             raise ConfigurationError("profile values must be finite and >= 0")
 
-    def value_at(self, t: float) -> float:
+    def piece(self, t: float) -> int:
+        """Index of the value in force at time t."""
         i = int((t - self.start_time) // self.period)
-        i = max(0, min(i, len(self.values) - 1))
-        return self.values[i]
+        return max(0, min(i, len(self.values) - 1))
+
+    def value_at(self, t: float) -> float:
+        return self.values[self.piece(t)]
 
 
 @dataclass
@@ -96,15 +100,20 @@ class SplitProfile:
     ratios: dict[int, Profile]
 
     def ratios_at(self, t: float) -> dict[int, float]:
+        """Next link -> ratio at time t, normalised when the values do not
+        sum to one (`validate` rejects a zero sum within the run)."""
         vals = {nl: p.value_at(t) for nl, p in self.ratios.items()}
         total = sum(vals.values())
-        if total <= 0:
-            raise ConfigurationError(
-                "split ratios at link %s, type %s sum to zero" % (self.link, self.vtype)
-            )
-        if abs(total - 1.0) > 1e-6:
+        if total > 0 and abs(total - 1.0) > 1e-6:
             vals = {nl: v / total for nl, v in vals.items()}
         return vals
+
+    def pieces_at(self, t: float) -> tuple[int, ...] | None:
+        """The pieces of the ratio profiles in force at time t; None when
+        every profile has one value, so the ratios never change."""
+        if all(len(p.values) == 1 for p in self.ratios.values()):
+            return None
+        return tuple(p.piece(t) for p in self.ratios.values())
 
 
 @dataclass
@@ -139,6 +148,18 @@ class Source:
         return taken
 
 
+class Row(NamedTuple):
+    """A compiled routing row: next states and ratios in row order, their
+    total summed in that order, a draw's probabilities (None for one state)
+    and the split profile pieces it was compiled from (None: never stale)."""
+
+    states: tuple[StateIndex, ...]
+    ratios: tuple[float, ...]
+    total: float
+    probs: np.ndarray | None
+    pieces: tuple[int, ...] | None = None
+
+
 class RoutingContext:
     """Resolves state indices: route successors and split sampling."""
 
@@ -149,12 +170,39 @@ class RoutingContext:
         self.routes = routes
         self.splits = splits  # (link, vehicle type) -> profile
         # actuated replacements: vehicle type -> route id, and
-        # (link, vehicle type) -> turn ratios
+        # (link, vehicle type) -> turn ratios; set through `override_route`
+        # and `override_split`, which drop the compiled rows
         self.route_overrides: dict[int, int] = {}
         self.split_overrides: dict[tuple[int, int], dict[int, float]] = {}
+        self._rows: dict[tuple[int, StateIndex], Row] = {}
 
-    def _row(self, s: StateIndex, link: int, now: float) -> dict[StateIndex, float]:
-        """Next state -> ratio for state `s` entering `link`: a routed type
+    def override_route(self, vtype: int, route: int | None):
+        """Send a routed type along `route` wherever it passes; None clears."""
+        if route is None:
+            self.route_overrides.pop(vtype, None)
+        else:
+            self.route_overrides[vtype] = route
+        self._rows.clear()
+
+    def override_split(self, link: int, vtype: int, ratios: dict[int, float] | None):
+        """Replace a split profile's ratios; None returns to the profile."""
+        if ratios is None:
+            self.split_overrides.pop((link, vtype), None)
+        else:
+            self.split_overrides[link, vtype] = ratios
+        self._rows.clear()
+
+    def _row(self, s: StateIndex, link: int, now: float) -> Row:
+        """The compiled row of state `s` entering `link`, recompiled only
+        when its split profile has moved to another piece."""
+        row = self._rows.get((link, s))
+        if row is None or (row.pieces is not None
+                           and row.pieces != self.splits[link, s.vtype].pieces_at(now)):
+            row = self._rows[link, s] = self._compile(s, link, now)
+        return row
+
+    def _compile(self, s: StateIndex, link: int, now: float) -> Row:
+        """Next states and ratios for state `s` entering `link`: a routed type
         keeps its route, or takes the override route where that passes the
         link; a probabilistic type is keyed None on a terminal link, by the
         single successor, or by the positive split ratios in link order."""
@@ -162,13 +210,14 @@ class RoutingContext:
         if self.vehicle_types[vtype].is_routed:
             rid = self.route_overrides.get(vtype)
             if rid is not None and link in self.routes[rid].links:
-                return {StateIndex(vtype, rid): 1.0}
+                return Row((StateIndex(vtype, rid),), (1.0,), 1.0, None)
             if s.key is None:
                 raise RoutingError("routed type %s needs a route" % vtype)
-            return {s: 1.0}
+            return Row((s,), (1.0,), 1.0, None)
         nexts = self.successors[link]
         if len(nexts) < 2:
-            return {StateIndex(vtype, nexts[0] if nexts else None): 1.0}
+            return Row((StateIndex(vtype, nexts[0] if nexts else None),), (1.0,), 1.0, None)
+        pieces = None
         ratios = self.split_overrides.get((link, vtype))
         if ratios is None:
             sp = self.splits.get((link, vtype))
@@ -176,18 +225,24 @@ class RoutingContext:
                 raise ConfigurationError(
                     "missing split profile for type %s at diverge link %s" % (vtype, link)
                 )
-            ratios = sp.ratios_at(now)
-        return {StateIndex(vtype, nl): ratios[nl] for nl in sorted(ratios) if ratios[nl] > 0}
+            ratios, pieces = sp.ratios_at(now), sp.pieces_at(now)
+        nls = [nl for nl in sorted(ratios) if ratios[nl] > 0]
+        if not nls:
+            raise ConfigurationError(
+                "split ratios at link %s, type %s sum to zero" % (link, vtype)
+            )
+        vals = tuple(ratios[nl] for nl in nls)
+        probs = np.array(vals)
+        return Row(tuple(StateIndex(vtype, nl) for nl in nls), vals, sum(vals),
+                   probs / probs.sum() if len(vals) > 1 else None, pieces)
 
     @staticmethod
-    def _draw(row: dict[StateIndex, float], rng: np.random.Generator) -> StateIndex:
+    def _draw(row: Row, rng: np.random.Generator) -> StateIndex:
         """One next state of the row: drawn with its ratios when there are
         two or more."""
-        if len(row) == 1:
-            return next(iter(row))
-        states = list(row)
-        probs = np.array(list(row.values()))
-        return states[int(rng.choice(len(states), p=probs / probs.sum()))]
+        if row.probs is None:
+            return row.states[0]
+        return row.states[int(rng.choice(len(row.states), p=row.probs))]
 
     def entry_state(self, vtype: int, entered_link: int, route: int | None,
                     now: float, rng: np.random.Generator) -> StateIndex:
@@ -206,17 +261,16 @@ class RoutingContext:
     ) -> FluxPacket:
         """Re-key a packet as it enters a link.
 
-        Fluid content of each state is divided over its row's ratios;
-        vehicles each take one next state drawn from their state's row.
-        Totals are conserved exactly.
+        Fluid content of each state is divided over its row's ratios, in
+        state order, so the re-keyed packet is in state order too; vehicles
+        each take one next state drawn from their state's row. Totals are
+        conserved exactly.
         """
         if p.is_fluid:
             out: dict[StateIndex, float] = {}
-            for s in p.states():
-                amount = p.fluid[s]
-                row = self._row(s, entered_link, now)
-                total = sum(row.values())
-                for ns, r in row.items():
+            for s, amount in p.fluid.items():
+                states, ratios, total, _, _ = self._row(s, entered_link, now)
+                for ns, r in zip(states, ratios):
                     out[ns] = out.get(ns, 0.0) + amount * r / total
             return FluxPacket(fluid=out)
 

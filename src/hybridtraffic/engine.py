@@ -21,7 +21,6 @@ from .packets import (
     ProtocolError,
     StateIndex,
     VehicleFactory,
-    distribute,
     state_sort_key,
     take,
     vehicle_packet,
@@ -31,8 +30,9 @@ TIME_TOL = 1e-6
 
 
 class SimulationError(RuntimeError):
-    """A failure during a run, with the model time and the network element
-    (junction, road connection, lane group) where it happened."""
+    """A failure during a run, with the model time and the element where it
+    happened: a junction (with its road connection and lane group), a source,
+    an exiting lane group or a model."""
 
     def __init__(self, msg, time=None, element=None):
         self.reason, self.time, self.element = msg, time, element
@@ -99,12 +99,13 @@ class _Supply:
         self.delivered: dict[str, float] = {}
 
     def remaining(self, gid: str) -> float:
-        m = self.model_of_group[gid]
-        if m.vehicle_based:
-            return m.lane_group_supply(gid)
-        if gid not in self.read:
-            self.read[gid] = m.lane_group_supply(gid)
-        return max(0.0, self.read[gid] - self.delivered.get(gid, 0.0))
+        read = self.read.get(gid)
+        if read is None:
+            m = self.model_of_group[gid]
+            if m.vehicle_based:
+                return m.lane_group_supply(gid)
+            read = self.read[gid] = m.lane_group_supply(gid)
+        return max(0.0, read - self.delivered.get(gid, 0.0))
 
 
 class Engine:
@@ -258,7 +259,11 @@ class Engine:
             due_models = [m for _, m in due]
             self._flow_phase(t, due_models)
             for m in due_models:
-                m.advance_state(t, self.rng)
+                try:
+                    m.advance_state(t, self.rng)
+                except Exception as exc:
+                    where = "model %d (%s)" % (self.models.index(m), m.kind)
+                    raise SimulationError(exc, element=where) from exc
             self._advance_trackers(t, due_models)
             for c, _ in due:
                 c.tick()
@@ -279,7 +284,11 @@ class Engine:
         for src in self.sources:
             m = self.model_of_link[src.demand.link]
             if id(m) in due_ids:
-                self._source_step(src, m, t, supply)
+                try:
+                    self._source_step(src, m, t, supply)
+                except Exception as exc:
+                    where = "source %s, link %s" % (src.id, src.demand.link)
+                    raise SimulationError(exc, element=where) from exc
 
         # collect release requests, model order
         requests = [(m, req) for m in due_models for req in m.compute_demands(t, self.rng)]
@@ -287,9 +296,13 @@ class Engine:
         # network exits are unconstrained
         for m, req in requests:
             if req.rc is None:
-                m.remove(req.group_id, None, req.packet)
-                link = self.net.lane_groups[req.group_id].link
-                self._book(req.packet, self.cum_out[link], self.exits)
+                try:
+                    m.remove(req.group_id, None, req.packet)
+                    link = self.net.lane_groups[req.group_id].link
+                    self._book(req.packet, self.cum_out[link], self.exits)
+                except Exception as exc:
+                    where = "lane group %s (exit)" % req.group_id
+                    raise SimulationError(exc, element=where) from exc
         junction_reqs: dict[int, list] = {}
         for m, req in requests:
             if req.rc is not None:
@@ -352,59 +365,82 @@ class Engine:
     def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta, supply):
         """Send the part of `packet` the junction accepted (`delta` of its
         `size`) from lane group g through the road connection."""
-        caps = {h: supply.remaining(h) for h in conn.groups}
-        allow = sum(caps.values())
+        caps = [supply.remaining(h) for h in conn.groups]
+        allow = sum(caps)
         if packet.is_fluid:
             total = min(min(1.0, delta / size) * size, allow)
             if total <= 0:
                 return
-            sent = take(packet, min(1.0, total / packet.total()))
-        else:
-            credit = self._entry_credit.get(conn.id, 0.0)
-            entitled = min(delta + credit, size)
-            sent = take(packet, entitled / size)
-            vehs = sent.all_vehicles()
-            n = int(math.floor(allow + credit + 1e-9))  # whole vehicles that fit
-            if len(vehs) > n:
-                vehs = vehs[:n]
-                sent = vehicle_packet(vehs)
-            self._entry_credit[conn.id] = min(max(0.0, entitled - len(vehs)), 1.0)
-            if not vehs:
-                return
+            alpha = min(1.0, total / packet.size)
+            sent = FluxPacket(fluid={
+                s: b for s, a in packet.fluid.items() if (b := a * alpha) > 0})
+            sender.remove(g, conn.id, sent)
+            ledger = self.cum_out[conn.up_link]
+            for s, a in sent.fluid.items():
+                ledger[s] = ledger.get(s, 0.0) + a
+            routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
+            self._enter_fluid(conn.receiver, conn.down_link, routed, conn.groups, caps,
+                              allow, supply, t)
+            return
+        credit = self._entry_credit.get(conn.id, 0.0)
+        entitled = min(delta + credit, size)
+        sent = take(packet, entitled / size)
+        vehs = sent.all_vehicles()
+        n = int(math.floor(allow + credit + 1e-9))  # whole vehicles that fit
+        if len(vehs) > n:
+            vehs = vehs[:n]
+            sent = vehicle_packet(vehs)
+        self._entry_credit[conn.id] = min(max(0.0, entitled - len(vehs)), 1.0)
+        if not vehs:
+            return
         sender.remove(g, conn.id, sent)
         self._book(sent, self.cum_out[conn.up_link])
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-        self._enter(conn.receiver, conn.down_link, routed, caps, supply, t)
-
-    def _enter(self, receiver, link, packet: FluxPacket, caps, supply, t):
-        """Book a routed packet into `link` and hand it to the link's model:
-        whole vehicles as they come or condensed from fluid, fluid spread
-        over the lane groups of `caps` within their remaining supply."""
-        amounts = self._book(packet, self.cum_in[link])
+        receiver, link = conn.receiver, conn.down_link
         if receiver.vehicle_based:
-            vehicles = (
-                self.translator.translate(packet, link, t)
-                if packet.is_fluid
-                else packet.all_vehicles()
-            )
-            receiver.receive_vehicles(link, vehicles, t)
+            self._book(routed, self.cum_in[link])
+            receiver.receive_vehicles(link, routed.all_vehicles(), t)
             return
-        if not packet.is_fluid:
-            for v in packet.all_vehicles():
-                if v.id in self._probed:  # a tracker follows it through the fluid
-                    self.trackers.append(
-                        VirtualTracker(v.id, v.state, link, next(iter(caps)), 0.0)
-                    )
-        for h, part in distribute(amounts, caps).items():
-            if not part:
-                continue
-            receiver.receive_fluid(h, part, t)
-            supply.delivered[h] = supply.delivered.get(h, 0.0) + sum(part.values())
+        for v in routed.all_vehicles():
+            if v.id in self._probed:  # a tracker follows it through the fluid
+                self.trackers.append(VirtualTracker(v.id, v.state, link, conn.groups[0], 0.0))
+        # the vehicles dissolve: their per-state counts enter as fluid
+        self._enter_fluid(receiver, link, FluxPacket(fluid=self._book(routed)), conn.groups,
+                          caps, allow, supply, t)
+
+    def _enter_fluid(self, receiver, link, packet: FluxPacket, groups, caps, space,
+                     supply, t):
+        """Book a re-keyed fluid packet into `link` and hand it to the link's
+        model: condensed into whole vehicles, or spread over `groups` (sorted,
+        `caps` their remaining supply, summing to `space`) in proportion to
+        their free space, evenly when none has any (entry credit can admit a
+        whole vehicle into full fluid lane groups). One pass per state, in
+        state order."""
+        ledger = self.cum_in[link]
+        if receiver.vehicle_based:
+            for s, a in packet.fluid.items():
+                ledger[s] = ledger.get(s, 0.0) + a
+            receiver.receive_vehicles(link, self.translator.translate(packet, link, t), t)
+            return
+        if space <= 0:
+            caps, space = [1.0] * len(groups), float(len(groups))
+        parts = [{} for _ in groups]
+        for s, a in packet.fluid.items():
+            ledger[s] = ledger.get(s, 0.0) + a
+            for part, w in zip(parts, caps):
+                share = a * w / space
+                if share > 0:
+                    part[s] = share
+        delivered = supply.delivered
+        for h, part in zip(groups, parts):
+            if part:
+                receiver.receive_fluid(h, part, t)
+                delivered[h] = delivered.get(h, 0.0) + sum(part.values())
 
     @staticmethod
     def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
         """Add the packet's per-state amounts, vehicle counts for whole
-        vehicles, to each ledger; return the amounts."""
+        vehicles, to each ledger (if any); return the amounts."""
         amounts = (
             packet.fluid
             if packet.is_fluid
@@ -422,8 +458,7 @@ class Engine:
         if src.buffer <= 0:
             return
         link = src.demand.link
-        caps = {h: supply.remaining(h) for h in self.net.link_groups[link]}
-        allow = sum(caps.values())
+        allow = sum([supply.remaining(h) for h in self.net.link_groups[link]])
         if model.vehicle_based:
             n = int(min(math.floor(src.buffer + 1e-9), math.floor(allow + 1e-9)))
             if n <= 0:
@@ -443,7 +478,9 @@ class Engine:
             src.withdraw(amount)
             p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, src.demand.route): amount})
             routed = self.routing.assign_next_link(p0, link, t, self.rng)
-            self._enter(model, link, routed, caps, supply, t)
+            groups = sorted(self.net.link_groups[link])  # the order fluid is spread in
+            caps = [supply.remaining(h) for h in groups]
+            self._enter_fluid(model, link, routed, groups, caps, sum(caps), supply, t)
 
     # --- probes ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ homogeneous: all-fluid or all-vehicle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 
@@ -39,29 +39,37 @@ class Vehicle:
     ext: Any = None  # model-specific extension slot
 
 
-@dataclass
 class FluxPacket:
-    """Either `fluid` or `vehicles` is populated, never both."""
+    """Either `fluid` or `vehicles` is populated, never both.
 
-    fluid: dict[StateIndex, float] = field(default_factory=dict)
-    vehicles: dict[StateIndex, list[Vehicle]] = field(default_factory=dict)
+    A fluid packet's states are its keys in state order (`state_sort_key`),
+    the order in which every caller inserts them, and its `size` is their
+    total, summed once in that order when the packet is made."""
 
-    def __post_init__(self):
-        if self.fluid and self.vehicles:
-            raise ProtocolError("packet must be homogeneous (fluid or vehicle)")
+    __slots__ = ("fluid", "vehicles", "size")
+
+    def __init__(self, fluid: dict[StateIndex, float] | None = None,
+                 vehicles: dict[StateIndex, list[Vehicle]] | None = None):
+        self.fluid = fluid = {} if fluid is None else fluid
+        self.vehicles = vehicles = {} if vehicles is None else vehicles
+        if vehicles:
+            if fluid:
+                raise ProtocolError("packet must be homogeneous (fluid or vehicle)")
+            self.size = float(sum(len(v) for v in vehicles.values()))
+        else:
+            self.size = sum(fluid.values())
 
     @property
     def is_fluid(self) -> bool:
         return not self.vehicles
 
     def total(self) -> float:
-        if self.vehicles:
-            return float(sum(len(v) for v in self.vehicles.values()))
-        return sum(self.fluid.values())
+        return self.size
 
     def states(self) -> list[StateIndex]:
-        src = self.vehicles if self.vehicles else self.fluid
-        return sorted(src.keys(), key=state_sort_key)
+        if self.vehicles:
+            return sorted(self.vehicles, key=state_sort_key)
+        return list(self.fluid)
 
     def all_vehicles(self) -> list[Vehicle]:
         out: list[Vehicle] = []
@@ -71,11 +79,14 @@ class FluxPacket:
 
 
 def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
-    """A fluid packet of the positive amounts; a negative one is an error."""
+    """A fluid packet of the positive amounts, in state order; a negative
+    one is an error."""
     for s, a in amounts.items():
         if a < 0:
             raise ProtocolError("negative fluid amount for state %s" % (s,))
-    return FluxPacket(fluid={s: a for s, a in amounts.items() if a > 0})
+    return FluxPacket(fluid={
+        s: amounts[s] for s in sorted(amounts, key=state_sort_key) if amounts[s] > 0
+    })
 
 
 def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
@@ -85,20 +96,13 @@ def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
     return FluxPacket(vehicles=by_state)
 
 
-# --- the sent part of a packet ----------------------------------------
+# --- the sent part of a vehicle packet --------------------------------
 
 
 def take(p: FluxPacket, alpha: float) -> FluxPacket:
-    """The part of a packet sent at scaling factor alpha in [0, 1]: each
-    fluid amount times alpha, or per state the first floor(alpha*n) vehicles
-    in FIFO order, so whole vehicles never exceed the fraction alpha."""
-    if p.is_fluid:
-        fluid = {}
-        for s in p.states():
-            a = p.fluid[s] * alpha
-            if a > 0:
-                fluid[s] = a
-        return FluxPacket(fluid=fluid)
+    """The vehicles sent at scaling factor alpha in [0, 1]: per state the
+    first floor(alpha*n) in FIFO order, so whole vehicles never exceed the
+    fraction alpha. (The engine scales fluid as it delivers it.)"""
     vehicles = {}
     for s in p.states():
         vehs = p.vehicles[s]
@@ -106,28 +110,6 @@ def take(p: FluxPacket, alpha: float) -> FluxPacket:
         if k:
             vehicles[s] = vehs[:k]
     return FluxPacket(vehicles=vehicles)
-
-
-def distribute(
-    amounts: dict[StateIndex, float], caps: dict[str, float]
-) -> dict[str, dict[StateIndex, float]]:
-    """Spread per-state fluid amounts over the lane groups of `caps` (their
-    remaining supply) in proportion to their free space. When none has any,
-    which happens when entry credit admits a whole vehicle into fluid lane
-    groups without supply, the amounts are split evenly."""
-    if not caps:
-        raise ProtocolError("cannot distribute over an empty lane-group set")
-    space = {g: max(0.0, caps[g]) for g in sorted(caps)}
-    total = sum(space.values())
-    if total <= 0:
-        space, total = dict.fromkeys(space, 1.0), float(len(space))
-    out: dict[str, dict[StateIndex, float]] = {g: {} for g in space}
-    for s in sorted(amounts, key=state_sort_key):
-        for g, w in space.items():
-            share = amounts[s] * w / total
-            if share > 0:
-                out[g][s] = share
-    return out
 
 
 # --- representation translation ---------------------------------------
@@ -162,9 +144,9 @@ class FluidToVehicleTranslator:
     def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
         """Whole vehicles condensed from a fluid packet at `location`."""
         out: list[Vehicle] = []
-        for s in p.states():
+        for s, a in p.fluid.items():
             key = (location, s)
-            acc = self.residues.get(key, 0.0) + p.fluid[s]
+            acc = self.residues.get(key, 0.0) + a
             count = int(math.floor(acc + 1e-12))
             for _ in range(count):
                 out.append(self.factory.make(s, now))

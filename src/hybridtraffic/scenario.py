@@ -12,7 +12,6 @@ import yaml
 
 from . import control
 from .demand import (
-    ConfigurationError,
     DemandProfile,
     Profile,
     Route,
@@ -27,7 +26,6 @@ from .models.twoqueue import TwoQueueModel
 from .network import (
     Link,
     Network,
-    NetworkError,
     PartialLaneStructure,
     RoadConnection,
     RoadParams,
@@ -91,22 +89,22 @@ class Scenario:
 
 @contextlib.contextmanager
 def _entry(owner: str):
-    """Report a constructor's error as a `ScenarioError` naming the entry."""
+    """Report a constructor's or a number conversion's error as a
+    `ScenarioError` naming the entry."""
     try:
         yield
-    except (ConfigurationError, NetworkError) as exc:
+    except (ValueError, TypeError) as exc:
         msg = str(exc)
         named = msg.startswith((owner + ":", owner + " "))
         raise ScenarioError(msg if named else "%s: %s" % (owner, msg)) from exc
 
 
-def _profile(d: dict, owner: str) -> Profile:
-    with _entry(owner):
-        return Profile(
-            start_time=float(d.get("start", 0.0)),
-            period=float(d["period"]),
-            values=tuple(float(v) for v in d["values"]),
-        )
+def _profile(d: dict) -> Profile:
+    return Profile(
+        start_time=float(d.get("start", 0.0)),
+        period=float(d["period"]),
+        values=tuple(float(v) for v in d["values"]),
+    )
 
 
 def _profile_dict(p: Profile) -> dict:
@@ -151,19 +149,15 @@ def parse_scenario(data: dict) -> Scenario:
                     down_link=int(d["down_link"]),
                     down_lanes=frozenset(int(l) for l in d["down_lanes"]),
                 ))
-        models = [
-            ModelSpec(
-                kind=d["kind"],
-                links=[int(l) for l in d["links"]],
-                dt=float(d["dt"]),
-                params={
-                    k: v
-                    for k, v in d.items()
-                    if k not in ("kind", "links", "dt")
-                },
-            )
-            for d in data["models"]
-        ]
+        models = []
+        for i, d in enumerate(data["models"]):
+            with _entry("model %d (%s)" % (i, d.get("kind"))):
+                models.append(ModelSpec(
+                    kind=d["kind"],
+                    links=[int(l) for l in d["links"]],
+                    dt=float(d["dt"]),
+                    params={k: v for k, v in d.items() if k not in ("kind", "links", "dt")},
+                ))
         vtypes, routes = [], []
         for d in data["vehicle_types"]:
             with _entry("vehicle type %s" % d.get("id")):
@@ -171,26 +165,23 @@ def parse_scenario(data: dict) -> Scenario:
         for d in data.get("routes", []):
             with _entry("route %s" % d.get("id")):
                 routes.append(Route(id=int(d["id"]), links=tuple(int(l) for l in d["links"])))
-        demands = [
-            DemandProfile(
-                link=int(d["link"]),
-                vtype=int(d["vtype"]),
-                profile=_profile(d["profile"], "demand %d" % i),
-                route=int(d["route"]) if d.get("route") is not None else None,
-            )
-            for i, d in enumerate(data.get("demands", []))
-        ]
-        splits = [
-            SplitProfile(
-                link=int(d["link"]),
-                vtype=int(d["vtype"]),
-                ratios={
-                    int(nl): _profile(p, "split at link %(link)s, type %(vtype)s" % d)
-                    for nl, p in d["ratios"].items()
-                },
-            )
-            for d in data.get("splits", [])
-        ]
+        demands = []
+        for i, d in enumerate(data.get("demands", [])):
+            with _entry("demand %d" % i):
+                demands.append(DemandProfile(
+                    link=int(d["link"]),
+                    vtype=int(d["vtype"]),
+                    profile=_profile(d["profile"]),
+                    route=int(d["route"]) if d.get("route") is not None else None,
+                ))
+        splits = []
+        for d in data.get("splits", []):
+            with _entry("split at link %(link)s, type %(vtype)s" % d):
+                splits.append(SplitProfile(
+                    link=int(d["link"]),
+                    vtype=int(d["vtype"]),
+                    ratios={int(nl): _profile(p) for nl, p in d["ratios"].items()},
+                ))
         run_d = data["run"]
         if run_d.get("distribution", "equalizing") != "equalizing":
             raise ScenarioError(
@@ -198,11 +189,12 @@ def parse_scenario(data: dict) -> Scenario:
                 "groups in proportion to their free space); remove the "
                 "'distribution' entry" % run_d["distribution"]
             )
-        run = RunSettings(
-            duration=float(run_d["duration"]),
-            output_dt=float(run_d.get("output_dt", 10.0)),
-            seed=int(run_d.get("seed", 0)),
-        )
+        with _entry("run"):
+            run = RunSettings(
+                duration=float(run_d["duration"]),
+                output_dt=float(run_d.get("output_dt", 10.0)),
+                seed=int(run_d.get("seed", 0)),
+            )
     except KeyError as exc:
         raise ScenarioError("missing required field %s" % exc) from exc
     return Scenario(
@@ -397,6 +389,10 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
             diags.append(
                 "split at link %s names non-successor links %s" % (s.link, sorted(bad))
             )
+        t = _zero_split_time(s, sc.run.duration)
+        if t is not None:
+            diags.append("split at link %s, type %s: ratios sum to zero at t=%g"
+                         % (s.link, s.vtype, t))
     # probabilistic types need splits at true diverges they can reach; checked
     # lazily at run time, but flag diverges with no split at all
     prob_types = [v.id for v in vtype_of.values() if not v.is_routed]
@@ -460,6 +456,19 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
         **elements,
     }
     return runtime, diags
+
+
+def _zero_split_time(sp: SplitProfile, duration: float) -> float | None:
+    """The first time within the run at which the split's ratios sum to
+    zero, or None: checked at each breakpoint of its profiles (where a later
+    value takes over) and halfway between each two."""
+    marks = sorted({0.0, duration} | {
+        t for p in sp.ratios.values() for k in range(1, len(p.values))
+        if 0.0 < (t := p.start_time + k * p.period) < duration})
+    for t in sorted(marks + [(a + b) / 2 for a, b in zip(marks, marks[1:])]):
+        if sum(p.value_at(t) for p in sp.ratios.values()) <= 0:
+            return t
+    return None
 
 
 def _keyed(items: list, key, duplicate: str, diags: list[str]) -> dict:

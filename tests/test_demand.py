@@ -143,3 +143,97 @@ def test_route_override_applies_where_route_passes(rng):
     p = fluid_packet({StateIndex(0, 0): 1.0})
     out = ctx.assign_next_link(p, 11, 0.0, rng)
     assert out.fluid == {StateIndex(0, 0): 1.0}
+
+
+# --- compiled rows ---------------------------------------------------------
+
+_DIVERGE = {10: [11, 12], 11: [12], 12: []}
+
+
+def _diverge_engine(ratios):
+    """A routing context over a diverge at link 10, with a split profile of
+    the probabilistic type there, and an engine stand-in for actuators."""
+    from types import SimpleNamespace
+
+    net = successor_network(_DIVERGE)
+    ctx = RoutingContext(
+        net,
+        vehicle_types={0: VehicleType(0, "routed"), 1: VehicleType(1, "probabilistic")},
+        routes={0: Route(0, (10, 11)), 1: Route(1, (10, 12))},
+        splits={(10, 1): SplitProfile(link=10, vtype=1, ratios=ratios)},
+    )
+    return SimpleNamespace(net=net, routing=ctx)
+
+
+def _rekeyed(ctx, state, now, rng):
+    return ctx.assign_next_link(fluid_packet({state: 4.0}), 10, now, rng).fluid
+
+
+def test_two_piece_split_rekeys_with_the_new_ratios_from_the_boundary(rng):
+    eng = _diverge_engine({11: Profile(0, 100, (0.25, 0.5)), 12: Profile(0, 100, (0.75, 0.5))})
+    ctx, s = eng.routing, StateIndex(1, 10)
+    assert _rekeyed(ctx, s, 0.0, rng) == {StateIndex(1, 11): 1.0, StateIndex(1, 12): 3.0}
+    assert _rekeyed(ctx, s, 99.9, rng) == {StateIndex(1, 11): 1.0, StateIndex(1, 12): 3.0}
+    assert _rekeyed(ctx, s, 100.0, rng) == {StateIndex(1, 11): 2.0, StateIndex(1, 12): 2.0}
+    assert _rekeyed(ctx, s, 1e6, rng) == {StateIndex(1, 11): 2.0, StateIndex(1, 12): 2.0}
+    # a row is compiled for the time asked, whichever was compiled last
+    assert _rekeyed(ctx, s, 50.0, rng) == {StateIndex(1, 11): 1.0, StateIndex(1, 12): 3.0}
+    assert ctx._draw(ctx._row(s, 10, 50.0), rng) in (StateIndex(1, 11), StateIndex(1, 12))
+
+
+def test_split_actuator_override_applies_to_the_next_delivery_until_cleared(rng):
+    from hybridtraffic.control import SplitActuator
+
+    eng = _diverge_engine({11: Profile(0, 1, (0.25,)), 12: Profile(0, 1, (0.75,))})
+    ctx, s = eng.routing, StateIndex(1, 10)
+    act = SplitActuator(id=0, dt=1.0, link=10, vtype=1)
+    assert _rekeyed(ctx, s, 0.0, rng) == {StateIndex(1, 11): 1.0, StateIndex(1, 12): 3.0}
+    act.apply(eng, 1.0, {"ratios": {11: 0.0, 12: 1.0}})
+    assert _rekeyed(ctx, s, 1.0, rng) == {StateIndex(1, 12): 4.0}
+    before = rng.bit_generator.state
+    assert ctx.entry_state(1, 10, None, 1.0, rng) == StateIndex(1, 12)
+    assert rng.bit_generator.state == before  # a one-state row does not draw
+    act.apply(eng, 2.0, {"ratios": None})
+    assert _rekeyed(ctx, s, 2.0, rng) == {StateIndex(1, 11): 1.0, StateIndex(1, 12): 3.0}
+
+
+def test_route_actuator_override_and_its_removal_are_honoured(rng):
+    from hybridtraffic.control import RouterActuator
+
+    eng = _diverge_engine({11: Profile(0, 1, (0.5,)), 12: Profile(0, 1, (0.5,))})
+    ctx = eng.routing
+    act = RouterActuator(id=0, dt=1.0, vtype=0)
+    assert _rekeyed(ctx, StateIndex(0, 0), 0.0, rng) == {StateIndex(0, 0): 4.0}
+    act.apply(eng, 1.0, {"route": 1})
+    assert _rekeyed(ctx, StateIndex(0, 0), 1.0, rng) == {StateIndex(0, 1): 4.0}
+    assert ctx.entry_state(0, 10, 0, 1.0, rng) == StateIndex(0, 1)
+    act.apply(eng, 2.0, {"route": None})
+    assert _rekeyed(ctx, StateIndex(0, 0), 2.0, rng) == {StateIndex(0, 0): 4.0}
+    assert ctx.entry_state(0, 10, 0, 2.0, rng) == StateIndex(0, 0)
+
+
+def test_rekeyed_fluid_stays_in_state_order(rng):
+    # the engine spreads and condenses a re-keyed packet in its key order,
+    # which must be state order for any mix of types, routes and overrides
+    from hybridtraffic.packets import state_sort_key
+
+    nexts = {10: [11, 12, 13], 11: [12], 12: [], 13: []}
+    vtypes = {v: VehicleType(v, "routed" if v % 2 else "probabilistic") for v in range(4)}
+    routes = {0: Route(0, (10, 11, 12)), 1: Route(1, (10, 12)), 2: Route(2, (10, 13))}
+    for _ in range(300):
+        splits = {
+            (10, v): SplitProfile(10, v, {nl: Profile(0, 1, (float(rng.integers(0, 3)),))
+                                         for nl in (11, 12, 13)})
+            for v in (0, 2)
+        }
+        for sp in splits.values():
+            sp.ratios[13].values = (1.0,)  # never all zero
+        ctx = RoutingContext(successor_network(nexts), vtypes, routes, splits)
+        if rng.random() < 0.5:
+            ctx.override_route(int(rng.choice([1, 3])), int(rng.integers(0, 3)))
+        link = int(rng.choice([10, 11, 12]))
+        states = {StateIndex(v, int(rng.integers(0, 3)) if v % 2 else link) for v in range(4)}
+        p = fluid_packet({s: float(rng.random()) + 0.1 for s in states})
+        out = ctx.assign_next_link(p, link, 0.0, rng)
+        assert list(out.fluid) == sorted(out.fluid, key=state_sort_key)
+        assert out.size == pytest.approx(p.size)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import corridor_scenario_dict
-from hybridtraffic.engine import Engine
+from hybridtraffic.engine import Engine, _Connection
+from hybridtraffic.packets import StateIndex, fluid_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
 
 PAIRINGS = [
@@ -237,3 +238,123 @@ def test_junction_failure_names_junction_rc_and_lane_group():
     assert err.element == "junction 1, rc 1, lane group 1:1"
     assert err.time is not None and err.time > 0
     assert "negative packet size" in str(err) and "element=junction 1" in str(err)
+
+
+# --- one fluid delivery --------------------------------------------------
+
+
+class _Space:
+    """A stand-in for a flow phase's lane-group supply: fixed free space."""
+
+    def __init__(self, caps):
+        self.caps, self.delivered = caps, {}
+
+    def remaining(self, gid):
+        return self.caps[gid]
+
+
+def _recording_ends():
+    from types import SimpleNamespace
+
+    sent, got = [], []
+    sender = SimpleNamespace(remove=lambda g, rc, p: sent.append((g, rc, p.fluid)))
+    receiver = SimpleNamespace(
+        vehicle_based=False, receive_fluid=lambda h, part, t: got.append((h, part)))
+    return sender, receiver, sent, got
+
+
+S0, S1 = StateIndex(0, 0), StateIndex(0, 1)
+
+
+def test_fluid_delivery_scales_the_accepted_share_in_state_order():
+    # the engine cuts a fluid request as it delivers it: each amount times
+    # min(1, delta / size), further limited by the free space, in state
+    # order, zero shares dropped, the offered packet left as it was
+    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    sender, receiver, sent, got = _recording_ends()
+    conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
+    p = fluid_packet({S1: 1.0, S0: 3.0})
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, _Space({"1:1": 10.0}))
+    assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]
+    assert list(sent[0][2]) == [S0, S1]
+    assert got == [("1:1", {S0: 0.75, S1: 0.25})]
+    assert eng.cum_out[0] == eng.cum_in[1] == {S0: 0.75, S1: 0.25}
+    assert p.fluid == {S0: 3.0, S1: 1.0}
+    # the whole request is accepted and fits
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 10.0}))
+    assert sent[-1][2] == p.fluid
+    # the whole request is accepted, but only half of it fits
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 2.0}))
+    assert sent[-1][2] == {S0: 1.5, S1: 0.5}
+    # no free space: nothing is sent
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 0.0}))
+    assert len(sent) == 3
+    # a share that scales to zero is not kept
+    tiny = fluid_packet({S0: 4.0, S1: 5e-324})
+    eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0, _Space({"1:1": 10.0}))
+    assert sent[-1][2] == {S0: 1.0}
+
+
+def test_fluid_entry_spreads_by_free_space_in_state_order():
+    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    _, receiver, _, got = _recording_ends()
+    space = _Space({})
+    eng._enter_fluid(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+                     [9.0, 3.0], 12.0, space, 0.0)
+    assert got == [("a", {S0: 2.25, S1: 0.75}), ("b", {S0: 0.75, S1: 0.25})]
+    assert [list(part) for _, part in got] == [[S0, S1], [S0, S1]]
+    assert space.delivered == {"a": 3.0, "b": 1.0}  # within the free space
+    assert eng.cum_in[1] == {S0: 3.0, S1: 1.0}
+    # a lane group without free space gets nothing while another has some
+    got.clear()
+    eng._enter_fluid(receiver, 1, fluid_packet({S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0,
+                     _Space({}), 0.0)
+    assert got == [("b", {S0: 3.0})]
+    # without any free space the amounts are split evenly
+    got.clear()
+    eng._enter_fluid(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+                     [0.0, 0.0], 0.0, _Space({}), 0.0)
+    assert got == [("a", {S0: 1.5, S1: 0.5}), ("b", {S0: 1.5, S1: 0.5})]
+
+
+# --- run-time failures name the element ------------------------------------
+
+
+def _fails(*args, **kwargs):
+    raise RuntimeError("stub failure")
+
+
+def _failure(eng):
+    from hybridtraffic.engine import SimulationError
+
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    err = info.value
+    assert "stub failure" in str(err) and "element=%s" % err.element in str(err)
+    assert err.time is not None
+    return err
+
+
+def test_source_failure_names_the_source_and_link():
+    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    eng.sources[0].accrue = _fails
+    err = _failure(eng)
+    assert err.element == "source 0, link 0" and err.time == 0.0
+
+
+def test_exit_failure_names_the_exiting_lane_group():
+    eng = Engine(parse_scenario(
+        corridor_scenario_dict([("ctm", [0]), ("ctm", [1])], n_links=2)))
+    exit_model = eng.model_of_link[1]
+    remove = exit_model.remove
+    exit_model.remove = lambda g, rc, p: _fails() if rc is None else remove(g, rc, p)
+    err = _failure(eng)
+    assert err.element == "lane group 1:1 (exit)" and err.time > 0
+
+
+def test_model_advance_failure_names_the_model():
+    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
+    eng = Engine(parse_scenario(d))
+    eng.model_of_link[2].advance_state = _fails
+    err = _failure(eng)
+    assert err.element == "model 1 (newell)" and err.time == 0.0

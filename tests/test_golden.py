@@ -1,13 +1,20 @@
 """Golden outputs: the four bundled scenarios, shortened to 600 s and run with
-seed 5 as acceptance criterion 8 runs them, must write the same CSV bytes as
-the recorded digests. A change that moves any output byte fails here; if the
+seed 5 as acceptance criterion 8 runs them, and the benchmark's two generated
+grids at seed 1 with CSVs every 10 s, must write the same CSV bytes as the
+recorded digests. A change that moves any output byte fails here; if the
 move is intended, re-record the digests and say why."""
 
 import hashlib
+import os
+import sys
 
 import pytest
 
 from hybridtraffic.cli import main as cli_main
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+from gridgen import write_grid  # noqa: E402
+from harness import GRIDS  # noqa: E402
 
 GOLDEN = {
     "macro_meso/boundaries.csv": "57532478d90c2759e0e410e2dac0a0c0a512ffee953e54afcd2c8ea4fdd1d385",
@@ -29,14 +36,41 @@ GOLDEN = {
 }
 SCENARIOS = sorted({key.split("/")[0] for key in GOLDEN})
 
+# bench/run.py's grid_macro (~1000 CTM links with a two_queue block, signals,
+# turn splits) and grid_micro (noisy Newell behind a CTM entry block)
+GRID_GOLDEN = {
+    "grid_macro/boundaries.csv": "481b5843f68cf676b83851c7b3ad6e8fef1bd53e8cec27bc81cca050d474d351",
+    "grid_macro/lane_groups.csv": "bbd8ddd1c799d3982e8cbb45a2c24b007f2d8f3c8f31bd98e89a66fb451b53c4",
+    "grid_macro/link_states.csv": "4bb2d0977af170a893d7c24d0d244687f53181606faa9231f9d62b4457de30c6",
+    "grid_macro/trajectories.csv": "47295e7e97cf0f4e22a2fa31de6ac8b172ef8e16851a966e281a98e6b8071e76",
+    "grid_micro/boundaries.csv": "34b9907464862a25ede84df679c1e769d6707ca0c3e997145e074bffe9b196c7",
+    "grid_micro/lane_groups.csv": "b947de7e41783d4e976c8bf8153b84ada0139f5c81bf90529b63ff1b97507922",
+    "grid_micro/link_states.csv": "3d3da0511230ba018093492cb2035fd8493e3310ae32e0c08857cb4d58b1c86d",
+    "grid_micro/trajectories.csv": "df9d8301487844171daee3ee60dc9dd82cf4cc9f498ea45b7d646b5549906923",
+}
+
+
+def _digests(out, name):
+    return {
+        "%s/%s" % (name, p.name): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_bundled_scenario_csvs_match_recorded_digests(name, tmp_path):
     out = tmp_path / name
     assert cli_main(["run", name, "--out-dir", str(out), "--duration", "600",
                      "--seed", "5"]) == 0
-    written = {
-        "%s/%s" % (name, p.name): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.iterdir())
-    }
-    assert written == {k: v for k, v in GOLDEN.items() if k.startswith(name + "/")}
+    assert _digests(out, name) == {
+        k: v for k, v in GOLDEN.items() if k.startswith(name + "/")}
+
+
+@pytest.mark.parametrize("name", ["grid_macro", "grid_micro"])
+def test_generated_grid_csvs_match_recorded_digests(name, tmp_path):
+    path = tmp_path / "scenario.yaml"
+    write_grid(GRIDS[name], 1, str(path))
+    out = tmp_path / name
+    assert cli_main(["run", str(path), "--out-dir", str(out), "--out-dt", "10"]) == 0
+    assert _digests(out, name) == {
+        k: v for k, v in GRID_GOLDEN.items() if k.startswith(name + "/")}

@@ -7,7 +7,6 @@ from hybridtraffic.packets import (
     StateIndex,
     Vehicle,
     VehicleFactory,
-    distribute,
     fluid_packet,
     take,
     vehicle_packet,
@@ -30,6 +29,10 @@ def test_totals_and_states():
     p = fluid_packet({S0: 1.5, S1: 0.5})
     assert p.total() == pytest.approx(2.0)
     assert p.states() == [S0, S1]
+    # a fluid packet keeps its states in state order and its total
+    p = fluid_packet({S1: 0.5, S0: 1.5})
+    assert list(p.fluid) == p.states() == [S0, S1]
+    assert p.size == p.total() == 2.0
     q = vehicle_packet(_vehs(3))
     assert q.total() == 3.0
     assert not q.is_fluid
@@ -39,16 +42,6 @@ def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
     with pytest.raises(ProtocolError, match="negative fluid amount"):
         fluid_packet({S0: 1.0, S1: -0.5})
     assert fluid_packet({S0: 0.0, S1: 2.0}).fluid == {S1: 2.0}
-
-
-def test_scale_fluid_conserves():
-    p = fluid_packet({S0: 3.0, S1: 1.0})
-    sent = take(p, 0.25)
-    assert sent.fluid == {S0: 0.75, S1: 0.25}
-    assert list(sent.fluid) == [S0, S1]  # sorted-state order
-    assert take(p, 1.0).fluid == p.fluid
-    assert take(p, 0.0).fluid == {}  # a zero share is not kept
-    assert p.fluid == {S0: 3.0, S1: 1.0}  # the offered packet is left as it was
 
 
 def test_split_vehicle_floor_per_state():
@@ -67,20 +60,6 @@ def test_split_never_exceeds_alpha():
     for alpha in (0.0, 0.1, 0.33, 0.5, 0.99, 1.0):
         sent = take(p, alpha)
         assert sent.total() <= alpha * 7 + 1e-9
-
-
-def test_distribute_equalizing_proportional_to_space():
-    parts = distribute({S0: 3.0}, {"a": 9.0, "b": 3.0})
-    assert parts["a"][S0] == pytest.approx(2.25)
-    assert parts["b"][S0] == pytest.approx(0.75)
-    # shares never exceed free space when the total fits
-    assert parts["a"][S0] <= 9.0 and parts["b"][S0] <= 3.0
-    # without any free space the amounts are split evenly
-    parts = distribute({S1: 1.0, S0: 3.0}, {"a": 0.0, "b": -1.0})
-    assert parts["a"] == parts["b"] == {S0: 1.5, S1: 0.5}
-    assert list(parts["a"]) == [S0, S1]  # sorted-state order
-    with pytest.raises(ProtocolError):
-        distribute({S0: 1.0}, {})
 
 
 def test_translator_residues_conserve():

@@ -310,3 +310,49 @@ def test_only_the_equalizing_distribution_is_accepted():
     sc = parse_scenario(d)
     assert validate_scenario(sc) == []
     assert "distribution" not in scenario_to_dict(sc)["run"]
+
+
+@pytest.mark.parametrize("path, value, owner", [
+    (("links", 0, "lanes"), "two", "link 0: "),
+    (("models", 0, "dt"), None, "model 0 (ctm): "),
+    (("run", "seed"), "abc", "run: "),
+], ids=["lanes", "model_dt", "seed"])
+def test_bad_numbers_fail_as_scenario_errors_naming_the_entry(path, value, owner):
+    # the ValueError/TypeError of a conversion once escaped parsing unwrapped
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
+    target = d
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(d)
+    assert str(info.value).startswith(owner)
+
+
+def test_validate_reports_split_ratios_that_sum_to_zero_within_the_run():
+    # once this validated clean and failed mid-run, at the first delivery
+    # into the diverge after t=300
+    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], n_links=3, duration=600.0)
+    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
+                       "speed": 100.0, "jam_density": 100.0})
+    d["road_connections"].append(
+        {"id": 9, "up_link": 0, "up_lanes": [1], "down_link": 3, "down_lanes": [1]})
+    d["vehicle_types"] = [{"id": 0, "routing": "probabilistic"}]
+    d["routes"] = []
+    del d["demands"][0]["route"]
+    fading = {"start": 0.0, "period": 300.0, "values": [0.5, 0.0]}
+    d["splits"] = [{"link": 0, "vtype": 0, "ratios": {1: fading, 3: dict(fading)}}]
+    sc = parse_scenario(d)
+    assert validate_scenario(sc) == [
+        "split at link 0, type 0: ratios sum to zero at t=300"]
+    with pytest.raises(ScenarioError, match="ratios sum to zero at t=300"):
+        Engine(sc)
+    # ratios that reach zero only after the run are fine; the run's last
+    # step is at its duration
+    for p in d["splits"][0]["ratios"].values():
+        p["period"] = 600.0
+    assert validate_scenario(parse_scenario(d)) == [
+        "split at link 0, type 0: ratios sum to zero at t=600"]
+    for p in d["splits"][0]["ratios"].values():
+        p["period"] = 601.0
+    assert validate_scenario(parse_scenario(d)) == []
