@@ -12,6 +12,8 @@ from .engine import Engine
 from .outputs import OutputWriter
 from .scenario import load_scenario, validate_scenario
 
+AUDIT_SHOWN = 10  # audit failures printed by `run --audit`
+
 
 def _resolve(path: str) -> str:
     """Bare names fall back to the bundled scenario directory."""
@@ -38,6 +40,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out-dir", default="out", help="output directory")
     p_run.add_argument("--out-dt", dest="output_dt", type=float,
                        help="override output period, s")
+    p_run.add_argument("--audit", action="store_true",
+                       help="check vehicle conservation on every link after each "
+                            "step; exit 1 if it fails")
 
     p_val = sub.add_parser("validate", help="check a scenario file and report problems")
     p_val.add_argument("scenario", help="scenario file (or bundled scenario name)")
@@ -66,7 +71,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        engine = Engine(sc)
+        engine = Engine(sc, audit=args.audit)
         with OutputWriter(args.out_dir) as writer:
             engine.run(observer=lambda e, t: writer.write(e, t))
     except Exception as exc:
@@ -82,6 +87,13 @@ def main(argv=None) -> int:
             engine.total_in_network(),
         )
     )
+    failures = engine.audit_failures
+    if failures:
+        print("error: audit found %d conservation failure(s), the first:"
+              % len(failures), file=sys.stderr)
+        for f in failures[:AUDIT_SHOWN]:
+            print("  " + f, file=sys.stderr)
+        return 1
     return 0
 
 

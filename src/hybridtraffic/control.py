@@ -187,30 +187,35 @@ class DemandActuator(Actuator):
 @dataclass
 class SplitActuator(Actuator):
     """Overrides the turn ratios of one (link, vehicle type) pair; a command
-    without ratios returns it to its split profile. Commands whose ratios do
-    not sum to one are rejected with a warning."""
+    without ratios returns it to its split profile. Commands whose ratios are
+    negative, do not sum to one or name a link that does not follow this one
+    are rejected with a warning."""
 
     link: int = -1
     vtype: int = -1
 
-    def apply(self, engine, now, cmd):
+    def ratios(self, net, cmd: dict) -> dict[int, float] | None:
+        """The command's ratios by next link, or None when it has none;
+        raises ControlError when they cannot be applied."""
         if cmd.get("ratios") is None:
-            engine.routing.override_split(self.link, self.vtype, None)
-            return
-        ratios = {int(k): float(v) for k, v in cmd["ratios"].items()}
-        total = sum(ratios.values())
-        if abs(total - 1.0) > 1e-6 or any(v < 0 for v in ratios.values()):
-            log.warning(
-                "actuator %s: rejected split command %s (ratios must be >= 0 "
-                "and sum to one)", self.id, ratios,
-            )
-            return
-        valid = set(engine.net.next_links(self.link))
-        if set(ratios) - valid:
-            log.warning(
-                "actuator %s: rejected split command naming non-successor "
-                "links %s", self.id, sorted(set(ratios) - valid),
-            )
+            return None
+        try:
+            ratios = {int(k): float(v) for k, v in cmd["ratios"].items()}
+        except (AttributeError, TypeError, ValueError):
+            raise ControlError("split ratios %r are not a map of link to ratio"
+                               % (cmd["ratios"],)) from None
+        if abs(sum(ratios.values()) - 1.0) > 1e-6 or any(v < 0 for v in ratios.values()):
+            raise ControlError("split ratios %s must be >= 0 and sum to one" % ratios)
+        bad = set(ratios) - set(net.next_links(self.link))
+        if bad:
+            raise ControlError("split ratios name non-successor links %s" % sorted(bad))
+        return ratios
+
+    def apply(self, engine, now, cmd):
+        try:
+            ratios = self.ratios(engine.net, cmd)
+        except ControlError as exc:
+            log.warning("actuator %s: rejected split command: %s", self.id, exc)
             return
         engine.routing.override_split(self.link, self.vtype, ratios)
 

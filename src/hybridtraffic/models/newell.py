@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..demand import ConfigurationError
 from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
 from .base import DemandRequest, TrafficModel
@@ -31,6 +33,7 @@ class _Lane:
     length: float
     num_lanes: int
     jam_spacing: float  # m per vehicle at jam, single file
+    means: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dv, dw, df per step
     cars: list[_Car] = field(default_factory=list)  # index 0 = downstream-most
     buffer: list[Vehicle] = field(default_factory=list)
     cum_out: float = 0.0
@@ -72,58 +75,103 @@ class NewellModel(TrafficModel):
                     jam_spacing=1000.0
                     / (link.params.jam_density_per_lane * g.num_lanes),
                 )
+            self._set_means(lid)
+
+    def set_speed_limit(self, link_id, v_kmh):
+        super().set_speed_limit(link_id, v_kmh)
+        self._set_means(link_id)
+
+    def _set_means(self, link_id: int):
+        """Mean per-step free-flow advance, wave gap and capacity share of
+        each lane group of the link, at its current speed limit."""
+        link = self.net.links[link_id]
+        v_ms = self.speed_limit_eff[link_id] / 3.6
+        w_ms = link.params.congestion_wave_speed / 3.6
+        for gid in self.net.link_groups[link_id]:
+            lane = self.lanes[gid]
+            f_vps = link.params.capacity_per_lane / 3600.0 * lane.num_lanes
+            lane.means = (v_ms * self.dt, w_ms * self.dt, f_vps * self.dt)
 
     # --- per-step parameter draws --------------------------------------
 
-    def _draw(self, mean: float, sigma: float, rng) -> float:
-        if sigma <= 0:
-            return mean
-        x = rng.normal(mean, sigma)
-        while x < 0:  # negative advances are meaningless; redraw
-            x = rng.normal(mean, sigma)
-        return float(x)
+    def _draws(self, lanes: list[_Lane], rng) -> np.ndarray:
+        """Each car's (dv, dw, df) for one step, cars in lane order and FIFO
+        within a lane, drawn as mean + sigma * z truncated at zero.
 
-    def _means(self, lane: _Lane) -> tuple[float, float, float]:
-        link = self.net.links[lane.link]
-        v_ms = self.speed_limit_eff[lane.link] / 3.6
-        w_ms = link.params.congestion_wave_speed / 3.6
-        f_vps = link.params.capacity_per_lane / 3600.0 * lane.num_lanes
-        return v_ms * self.dt, w_ms * self.dt, f_vps * self.dt
+        One normal draw covers the step: its slots go car by car, dv, dw, df
+        within a car, skipping a term whose sigma is zero. From the first
+        negative slot on, each slot takes the stream's next values until one
+        is non-negative, and when they run out the draw is topped up by
+        exactly the slots still unfilled. The stream is thus read as one
+        scalar `rng.normal(mean, sigma)` per term, redrawn while negative,
+        would read it, and `mean + sigma * z` is the value that call gives."""
+        out = np.repeat([lane.means for lane in lanes],
+                        [len(lane.cars) for lane in lanes], axis=0)
+        sigma = (self.sigma_v, self.sigma_w, self.sigma_f)
+        noisy = [j for j in range(3) if sigma[j] > 0]
+        if not noisy:
+            return out
+        mu = out[:, noisy].ravel()
+        s = np.tile([sigma[j] for j in noisy], len(out))
+        z = rng.normal(0.0, 1.0, mu.size)
+        x = mu + s * z
+        if (x < 0).any():
+            x, mu, s, z = x.tolist(), mu.tolist(), s.tolist(), z.tolist()
+            slot = pos = next(i for i, v in enumerate(x) if v < 0)
+            while slot < len(x):
+                if pos == len(z):
+                    z += rng.normal(0.0, 1.0, len(x) - slot).tolist()
+                v = mu[slot] + s[slot] * z[pos]
+                pos += 1
+                if v >= 0:
+                    x[slot] = v
+                    slot += 1
+        out[:, noisy] = np.reshape(x, (len(out), len(noisy)))
+        return out
 
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
+        busy = [(gid, self.lanes[gid]) for gid in self.group_ids if self.lanes[gid].cars]
+        if not busy:
+            return []
+        lanes = [lane for _, lane in busy]
+        dv, dw, df = self._draws(lanes, rng).T
+        cars = [car for lane in lanes for car in lane.cars]
+        x = np.array([car.x for car in cars])
+        # the gap ahead: to the next car, or for a lane's leader to the end
+        # of its lane plus the downstream tail's distance
+        h = np.empty_like(x)
+        h[1:] = x[:-1] - x[1:]
+        end = np.empty_like(x)
+        k = 0
+        for gid, lane in busy:
+            lead = lane.cars[0]
+            lead.target_rc = self.rc_toward(gid, lane.link, lead.vehicle.state)
+            if lead.target_rc is None:
+                eta = BIG_HEADWAY
+            else:
+                eta = self.headway_query(lead.target_rc)
+            h[k] = (lane.length - lead.x) + eta
+            end[k:k + len(lane.cars)] = lane.length - 1e-9
+            k += len(lane.cars)
+        # max(0, min(dv, h - dw, h * df)) per car, the same float operations
+        tentative = x + np.maximum(0.0, np.minimum(np.minimum(dv, h - dw), h * df))
+        for car, t, e in zip(cars, tentative.tolist(), (tentative >= end).tolist()):
+            car.tentative = t
+            car.exiting = e
         reqs: list[DemandRequest] = []
-        for gid in self.group_ids:
-            lane = self.lanes[gid]
-            if not lane.cars:
-                continue
-            dv_mean, dw_mean, df_mean = self._means(lane)
-            for i, car in enumerate(lane.cars):
-                dv = self._draw(dv_mean, self.sigma_v, rng)
-                dw = self._draw(dw_mean, self.sigma_w, rng)
-                df = self._draw(df_mean, self.sigma_f, rng)
-                if i == 0:
-                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
-                    if car.target_rc is None:
-                        eta = BIG_HEADWAY
-                    else:
-                        eta = self.headway_query(car.target_rc)
-                    h = (lane.length - car.x) + eta
-                else:
-                    h = lane.cars[i - 1].x - car.x
-                adv = max(0.0, min(dv, h - dw, h * df))
-                car.tentative = car.x + adv
-                car.exiting = car.tentative >= lane.length - 1e-9
-                if car.exiting and car.target_rc is None and i > 0:
-                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
+        for gid, lane in busy:
             # exit candidates are a prefix of the FIFO order
             by_rc: dict[object, list[Vehicle]] = {}
-            for car in lane.cars:
+            for i, car in enumerate(lane.cars):
                 if not car.exiting:
                     break
+                if car.target_rc is None and i > 0:
+                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
                 by_rc.setdefault(car.target_rc, []).append(car.vehicle)
-            reqs += self.requests(gid, by_rc, vehicle_packet)
+            if by_rc:
+                reqs += self.requests(gid, by_rc, vehicle_packet)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
@@ -170,7 +218,7 @@ class NewellModel(TrafficModel):
     def advance_state(self, now, rng):
         for gid in self.group_ids:
             lane = self.lanes[gid]
-            dv_mean, dw_mean, df_mean = self._means(lane)
+            dv_mean, dw_mean, df_mean = lane.means
             prev_x = None
             for car in lane.cars:
                 if car.fresh:

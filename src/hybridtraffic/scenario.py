@@ -419,9 +419,10 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
         "vtype": ("vehicle type", vtype_of),
         "source": ("source", range(len(sc.demands))),
     }
+    by_id = {}
     for key, built in elements.items():
         label = key[:-1]
-        _keyed(built, attrgetter("id"), label + " id %s", diags)
+        by_id[key] = _keyed(built, attrgetter("id"), label + " id %s", diags)
         for e in built:
             if not 0 < e.dt < math.inf:
                 diags.append("%s %s: period dt must be positive and finite, got %r"
@@ -429,14 +430,13 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
             for f, v in vars(e).items():
                 if f in names and v not in names[f][1]:
                     diags.append("%s %s: unknown %s %r" % (label, e.id, names[f][0], v))
-    sensor_ids = {s.id for s in elements["sensors"]}
-    actuator_ids = {a.id for a in elements["actuators"]}
+    actuator_of = by_id["actuators"]
     for c in elements["controllers"]:
         for sid in c.sensor_ids:
-            if sid not in sensor_ids:
+            if sid not in by_id["sensors"]:
                 diags.append("controller %s references unknown sensor %s" % (c.id, sid))
         for aid in c.actuator_ids:
-            if aid not in actuator_ids:
+            if aid not in actuator_of:
                 diags.append("controller %s references unknown actuator %s" % (c.id, aid))
         alg = c.algorithm
         if isinstance(alg, control.FixedTimeSignal):
@@ -448,6 +448,16 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
         for aid in sorted(named - set(c.actuator_ids)):
             diags.append("controller %s: %s names actuator %s it does not own"
                          % (c.id, plan, aid))
+        if plan == "constant command":
+            for aid, cmd in sorted(alg.commands.items()):
+                act = actuator_of.get(aid)
+                if (isinstance(act, control.SplitActuator) and act.link in link_ids
+                        and isinstance(cmd, dict)):
+                    try:
+                        act.ratios(net, cmd)
+                    except control.ControlError as exc:
+                        diags.append("controller %s: constant command to actuator %s: %s"
+                                     % (c.id, aid, exc))
     runtime = {
         "network": net,
         "models": models,

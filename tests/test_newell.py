@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corridor_network, std_params
+import reference_newell
+from conftest import corridor_network, corridor_scenario_dict, std_params
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
-from hybridtraffic.models.newell import NewellModel
+from hybridtraffic.engine import Engine
+from hybridtraffic.models.newell import NewellModel, _Car
 from hybridtraffic.network import Link, Network, RoadConnection
 from hybridtraffic.packets import StateIndex, Vehicle
+from hybridtraffic.scenario import parse_scenario
 
 S = StateIndex(0, 0)
 
@@ -32,12 +37,10 @@ def _vehs(n, start=0):
     return [Vehicle(id=start + i, state=S, created=0.0) for i in range(n)]
 
 
-def _place(lane, positions):
+def _place(lane, positions, start=0):
     # downstream-most first; bypasses the entry buffer used by receive
-    from hybridtraffic.models.newell import _Car
-
     lane.cars = [
-        _Car(vehicle=Vehicle(id=i, state=S, created=0.0), x=x)
+        _Car(vehicle=Vehicle(id=start + i, state=S, created=0.0), x=x)
         for i, x in enumerate(positions)
     ]
 
@@ -89,7 +92,7 @@ def test_capacity_term_caps_flow(rng):
     _place(lane, [300.0, 250.0])
     m.compute_demands(0.0, rng)
     df = 1000.0 / 3600.0 * 0.5
-    expect = min(100.0 / 3.6 * 0.5, 50.0 - m._means(lane)[1], 50.0 * df)
+    expect = min(100.0 / 3.6 * 0.5, 50.0 - lane.means[1], 50.0 * df)
     assert lane.cars[1].tentative - 250.0 == pytest.approx(expect, abs=1e-9)
 
 
@@ -128,6 +131,126 @@ def test_no_collisions_under_noise():
         m.advance_state(k * 2.0, rng)
         xs = [c.x for c in lane.cars]
         assert all(a > b for a, b in zip(xs, xs[1:])), "ordering lost at step %d" % k
+
+
+# --- the batched draw against the scalar reference ---------------------
+
+
+class _SizedRng:
+    """A generator that records the size of each normal draw."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.sizes = []
+
+    def normal(self, loc, scale, size=None):
+        self.sizes.append(size)
+        return self.gen.normal(loc, scale, size)
+
+
+def _stepped_pair(n_links, lanes, dt, sigmas, limits, cars, eta, seed):
+    """One compute_demands of the model and of the scalar reference on twin
+    models; returns both models, both request lists and both generators."""
+    out = []
+    for step in (NewellModel.compute_demands, reference_newell.compute_demands):
+        m = _model(n_links, lanes=lanes, dt=dt, **sigmas)
+        m.headway_query = lambda rc: eta + rc
+        for lid, v in enumerate(limits):
+            if v is not None:
+                m.set_speed_limit(lid, v)
+        for lid, xs in enumerate(cars):
+            _place(m.lanes["%d:1" % lid], sorted(xs, reverse=True), start=100 * lid)
+        rng = _SizedRng(seed)
+        out.append((m, step(m, 0.0, rng), rng))
+    return out
+
+
+def _assert_same_step(pair):
+    def cars(m):
+        return [(c.vehicle.id, c.tentative.hex(), c.exiting, c.target_rc)
+                for gid in m.group_ids for c in m.lanes[gid].cars]
+
+    def requests(reqs):
+        return [(r.group_id, r.rc, [v.id for v in r.packet.all_vehicles()])
+                for r in reqs]
+
+    (m, reqs, rng), (ref, ref_reqs, ref_rng) = pair
+    assert cars(m) == cars(ref)
+    assert requests(reqs) == requests(ref_reqs)
+    assert rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state
+
+
+SIGMA = st.one_of(st.just(0.0), st.floats(0.01, 20.0))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, 3),
+        st.sampled_from([0.05, 0.5, 2.0]),
+        st.fixed_dictionaries({"sigma_v": SIGMA, "sigma_w": SIGMA, "sigma_f": SIGMA}),
+        st.lists(st.one_of(st.none(), st.floats(0.5, 100.0)), min_size=n, max_size=n),
+        st.lists(st.lists(st.floats(0.0, 499.0), max_size=6, unique=True),
+                 min_size=n, max_size=n),
+        st.floats(0.0, 200.0),
+        st.integers(0, 2**32 - 1),
+    ))
+)
+def test_batched_draw_matches_scalar_reference(case):
+    # small dt, low speed limits and wide sigmas put the means near zero,
+    # where the truncation redraws
+    _assert_same_step(_stepped_pair(*case))
+
+
+def test_batched_draw_tops_up_redraws_exactly():
+    # means near zero with wide sigmas: about half the slots are redrawn, so
+    # the step needs more than its first batch
+    pair = _stepped_pair(
+        3, 2, 0.05, {"sigma_v": 5.0, "sigma_w": 0.0, "sigma_f": 0.2},
+        [0.5, None, 2.0], [[400.0, 300.0, 200.0, 100.0], [], [499.0, 10.0]],
+        eta=50.0, seed=3,
+    )
+    _assert_same_step(pair)
+    sizes = pair[0][2].sizes
+    assert sizes[0] == 2 * 6 and len(sizes) > 1
+    assert all(0 < b <= a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_no_draws_without_noise():
+    pair = _stepped_pair(2, 1, 2.0, {}, [None, None], [[300.0, 200.0], [100.0]],
+                         eta=1e9, seed=0)
+    _assert_same_step(pair)
+    assert pair[0][2].sizes == []
+
+
+# --- variable speed limits reach the cached means -----------------------
+
+
+def _free_advance(m, rng):
+    """How far one free car at 100 m on link 0 moves in the next step."""
+    lane = m.lanes["0:1"]
+    _place(lane, [100.0])
+    m.compute_demands(0.0, rng)
+    m.advance_state(0.0, rng)
+    return lane.cars[0].x - 100.0
+
+
+def test_set_speed_limit_sets_the_free_advance(rng):
+    m = _model(n_links=2, dt=2.0)
+    m.set_speed_limit(0, 40.0)
+    assert m.lanes["0:1"].means[0] == 40.0 / 3.6 * 2.0
+    assert m.lanes["1:1"].means[0] == 100.0 / 3.6 * 2.0
+    assert _free_advance(m, rng) == pytest.approx(40.0 / 3.6 * 2.0, abs=1e-9)
+
+
+def test_vsl_actuator_sets_the_free_advance():
+    d = corridor_scenario_dict([("newell", [0, 1])], n_links=2, rate_vph=0.0)
+    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
+    eng = Engine(parse_scenario(d))
+    eng.actuators[0].apply(eng, 0.0, {"speed_kmh": 30.0})
+    m = eng.model_of_link[0]
+    assert _free_advance(m, eng.rng) == pytest.approx(30.0 / 3.6 * 2.0, abs=1e-9)
 
 
 def test_buffer_counts_against_supply(rng):
@@ -173,8 +296,6 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
     down_group = {0: "1:1", 1: "0:1"}
     m.headway_query = lambda rc: m.distance_to_last_vehicle(down_group[rc])
     # seed vehicles evenly, already keyed to their next link
-    from hybridtraffic.models.newell import _Car
-
     n_total = int(round(density_per_km * 2 * length / 1000.0))
     per_link = [n_total // 2 + (n_total % 2), n_total // 2]
     vid = 0

@@ -9,6 +9,7 @@ from conftest import corridor_scenario_dict
 from hybridtraffic import cli
 from hybridtraffic.cli import main as cli_main
 from hybridtraffic.engine import Engine
+from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.models.newell import NewellModel
 from hybridtraffic.scenario import (
     ScenarioError,
@@ -101,19 +102,22 @@ def test_validate_flags_route_not_starting_at_demand_link():
     assert any("starts at link" in x for x in diags)
 
 
-def test_validate_flags_missing_split_at_diverge():
-    d = corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3)
-    # add a second exit from link 0 to make it a diverge
+def _diverge(duration=600.0):
+    """A 3-link CTM corridor with a second exit from link 0, to link 3, and
+    probabilistic demand at link 0 with no split profile yet."""
+    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], n_links=3, duration=duration)
     d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
                        "speed": 100.0, "jam_density": 100.0})
     d["road_connections"].append(
-        {"id": 9, "up_link": 0, "up_lanes": [1], "down_link": 3, "down_lanes": [1]}
-    )
-    d["models"][0]["links"] = [0, 1, 2, 3]
+        {"id": 9, "up_link": 0, "up_lanes": [1], "down_link": 3, "down_lanes": [1]})
     d["vehicle_types"] = [{"id": 0, "routing": "probabilistic"}]
     d["routes"] = []
     del d["demands"][0]["route"]
-    diags = validate_scenario(parse_scenario(d))
+    return d
+
+
+def test_validate_flags_missing_split_at_diverge():
+    diags = validate_scenario(parse_scenario(_diverge()))
     assert any("no split profile" in x for x in diags)
 
 
@@ -281,6 +285,27 @@ def test_cli_run_checks_overrides_like_file_values(override, message, tmp_path,
     assert not out.exists()
 
 
+def test_cli_run_audit_clean(tmp_path, capsys):
+    p = tmp_path / "s.yaml"
+    p.write_text(yaml.safe_dump(_base()))
+    assert cli_main(["run", str(p), "--duration", "100", "--audit",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert "audit" not in capsys.readouterr().err
+
+
+def test_cli_run_audit_reports_failures(tmp_path, capsys, monkeypatch):
+    # a CTM that keeps what it sends: every sent vehicle is counted twice
+    monkeypatch.setattr(CtmModel, "remove", lambda self, group_id, rc, packet: None)
+    p = tmp_path / "s.yaml"
+    p.write_text(yaml.safe_dump(_base()))
+    assert cli_main(["run", str(p), "--duration", "100", "--audit",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: audit found ")
+    assert 1 <= len(err) - 1 <= cli.AUDIT_SHOWN
+    assert all("imbalance=" in line for line in err[1:])
+
+
 def test_cli_resolves_bundled_scenarios(tmp_path):
     assert cli_main(["validate", "macro_meso"]) == 0
 
@@ -332,14 +357,7 @@ def test_bad_numbers_fail_as_scenario_errors_naming_the_entry(path, value, owner
 def test_validate_reports_split_ratios_that_sum_to_zero_within_the_run():
     # once this validated clean and failed mid-run, at the first delivery
     # into the diverge after t=300
-    d = corridor_scenario_dict([("ctm", [0, 1, 2, 3])], n_links=3, duration=600.0)
-    d["links"].append({"id": 3, "length": 500.0, "lanes": 1, "capacity": 1000.0,
-                       "speed": 100.0, "jam_density": 100.0})
-    d["road_connections"].append(
-        {"id": 9, "up_link": 0, "up_lanes": [1], "down_link": 3, "down_lanes": [1]})
-    d["vehicle_types"] = [{"id": 0, "routing": "probabilistic"}]
-    d["routes"] = []
-    del d["demands"][0]["route"]
+    d = _diverge()
     fading = {"start": 0.0, "period": 300.0, "values": [0.5, 0.0]}
     d["splits"] = [{"link": 0, "vtype": 0, "ratios": {1: fading, 3: dict(fading)}}]
     sc = parse_scenario(d)
@@ -356,3 +374,39 @@ def test_validate_reports_split_ratios_that_sum_to_zero_within_the_run():
     for p in d["splits"][0]["ratios"].values():
         p["period"] = 601.0
     assert validate_scenario(parse_scenario(d)) == []
+
+
+def _commanded_split(ratios):
+    """The diverge, split half and half, with a constant controller that
+    commands its split actuator to `ratios` at 4 s."""
+    d = _diverge(duration=20.0)
+    half = {"start": 0.0, "period": 20.0, "values": [0.5]}
+    d["splits"] = [{"link": 0, "vtype": 0, "ratios": {1: half, 3: dict(half)}}]
+    d["actuators"] = [{"id": 0, "kind": "split", "dt": 2.0, "link": 0, "vtype": 0}]
+    d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [0],
+                         "params": {"at": 4.0, "commands": {0: {"ratios": ratios}}}}]
+    return parse_scenario(d)
+
+
+@pytest.mark.parametrize("ratios, problem", [
+    ({1: 0.7, 3: 0.7}, "split ratios {1: 0.7, 3: 0.7} must be >= 0 and sum to one"),
+    ({1: -0.5, 3: 1.5}, "split ratios {1: -0.5, 3: 1.5} must be >= 0 and sum to one"),
+    ({1: 0.5, 2: 0.5}, "split ratios name non-successor links [2]"),
+    ("half", "split ratios 'half' are not a map of link to ratio"),
+])
+def test_validate_rejects_bad_constant_split_commands(ratios, problem):
+    # these once validated clean; the run then dropped the command with only
+    # a log warning and kept the profile's split
+    sc = _commanded_split(ratios)
+    assert validate_scenario(sc) == [
+        "controller 0: constant command to actuator 0: " + problem]
+    with pytest.raises(ScenarioError, match="constant command to actuator 0"):
+        Engine(sc)
+
+
+def test_good_constant_split_command_validates_and_applies():
+    sc = _commanded_split({1: 0.3, 3: 0.7})
+    assert validate_scenario(sc) == []
+    eng = Engine(sc)
+    eng.run()
+    assert eng.routing.split_overrides == {(0, 0): {1: 0.3, 3: 0.7}}
