@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,15 +150,28 @@ class Source:
 
 
 class Row(NamedTuple):
-    """A compiled routing row: next states and ratios in row order, their
-    total summed in that order, a draw's probabilities (None for one state)
-    and the split profile pieces it was compiled from (None: never stale)."""
+    """A compiled routing row: next states and ratios in row order (which is
+    state order), their total summed in that order, a draw's cumulative
+    distribution (None for one state) and the split profile pieces it was
+    compiled from (None: never stale)."""
 
     states: tuple[StateIndex, ...]
     ratios: tuple[float, ...]
     total: float
-    probs: np.ndarray | None
+    cdf: list[float] | None
     pieces: tuple[int, ...] | None = None
+
+
+def _cdf(ratios: tuple[float, ...]) -> list[float]:
+    """The cumulative distribution of the ratios, built as numpy's
+    `Generator.choice(p=...)` builds it from the normalised probabilities, so
+    `bisect_right(cdf, rng.random())` picks what `choice` picks from the same
+    uniform."""
+    p = np.array(ratios)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class RoutingContext:
@@ -232,17 +246,16 @@ class RoutingContext:
                 "split ratios at link %s, type %s sum to zero" % (link, vtype)
             )
         vals = tuple(ratios[nl] for nl in nls)
-        probs = np.array(vals)
         return Row(tuple(StateIndex(vtype, nl) for nl in nls), vals, sum(vals),
-                   probs / probs.sum() if len(vals) > 1 else None, pieces)
+                   _cdf(vals) if len(vals) > 1 else None, pieces)
 
     @staticmethod
     def _draw(row: Row, rng: np.random.Generator) -> StateIndex:
         """One next state of the row: drawn with its ratios when there are
         two or more."""
-        if row.probs is None:
+        if row.cdf is None:
             return row.states[0]
-        return row.states[int(rng.choice(len(row.states), p=row.probs))]
+        return row.states[bisect_right(row.cdf, rng.random())]
 
     def entry_state(self, vtype: int, entered_link: int, route: int | None,
                     now: float, rng: np.random.Generator) -> StateIndex:
@@ -263,8 +276,9 @@ class RoutingContext:
 
         Fluid content of each state is divided over its row's ratios, in
         state order, so the re-keyed packet is in state order too; vehicles
-        each take one next state drawn from their state's row. Totals are
-        conserved exactly.
+        each take one next state drawn from their state's row, one uniform
+        per vehicle in packet order, and keep their order within each new
+        state. Totals are conserved exactly.
         """
         if p.is_fluid:
             out: dict[StateIndex, float] = {}
@@ -275,10 +289,20 @@ class RoutingContext:
             return FluxPacket(fluid=out)
 
         vout: dict[StateIndex, list] = {}
-        for s in p.states():
-            row = self._row(s, entered_link, now)
-            for v in p.vehicles[s]:
-                v.state = ns = self._draw(row, rng)
-                vout.setdefault(ns, []).append(v)
-        vout = {s: vout[s] for s in sorted(vout, key=state_sort_key)}
+        for s, vehs in p.vehicles.items():
+            states, _, _, cdf, _ = self._row(s, entered_link, now)
+            if cdf is None:
+                picks = [vehs]
+            else:
+                picks = [[] for _ in states]
+                for v, u in zip(vehs, rng.random(len(vehs)).tolist()):
+                    picks[bisect_right(cdf, u)].append(v)
+            for ns, vs in zip(states, picks):
+                if vs:
+                    for v in vs:
+                        v.state = ns
+                    vout.setdefault(ns, []).extend(vs)
+        if len(p.vehicles) > 1:
+            # a row is in state order, but two rows' states may interleave
+            vout = {s: vout[s] for s in sorted(vout, key=state_sort_key)}
         return FluxPacket(vehicles=vout)

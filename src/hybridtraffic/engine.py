@@ -205,8 +205,10 @@ class Engine:
         """Distance from the downstream link's upstream boundary to the
         nearest vehicle reachable through rc_id (the emptiest lane group)."""
         conn = self._rc[rc_id]
-        model = conn.receiver
-        gid = min(conn.groups, key=lambda g: (model.total_vehicles(g), g))
+        model, groups = conn.receiver, conn.groups
+        if len(groups) == 1:
+            return model.distance_to_last_vehicle(groups[0])
+        gid = min(groups, key=lambda g: (model.total_vehicles(g), g))
         return model.distance_to_last_vehicle(gid)
 
     def find_vehicle(self, vehicle_id: int):
@@ -384,14 +386,11 @@ class Engine:
             return
         credit = self._entry_credit.get(conn.id, 0.0)
         entitled = min(delta + credit, size)
-        sent = take(packet, entitled / size)
-        vehs = sent.all_vehicles()
-        n = int(math.floor(allow + credit + 1e-9))  # whole vehicles that fit
-        if len(vehs) > n:
-            vehs = vehs[:n]
-            sent = vehicle_packet(vehs)
-        self._entry_credit[conn.id] = min(max(0.0, entitled - len(vehs)), 1.0)
-        if not vehs:
+        # one cut: the entitled share per state, no more than fit in the free
+        # space plus the credit
+        sent = take(packet, entitled / size, int(math.floor(allow + credit + 1e-9)))
+        self._entry_credit[conn.id] = min(max(0.0, entitled - sent.size), 1.0)
+        if not sent.size:
             return
         sender.remove(g, conn.id, sent)
         self._book(sent, self.cum_out[conn.up_link])

@@ -96,7 +96,7 @@ class TrafficModel(ABC):
     def get_packet_size(self, packet: FluxPacket, rc: int | None) -> float:
         """The receiving model's norm for a packet; default is the vehicle
         total, which suits all first-order models."""
-        return packet.total()
+        return packet.size
 
     @abstractmethod
     def lane_group_supply(self, group_id: str) -> float:

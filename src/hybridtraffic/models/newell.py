@@ -20,7 +20,9 @@ GAP_EPS = 1e-3  # m, strict no-collision margin
 class _Car:
     vehicle: Vehicle
     x: float  # m from the link's upstream end
-    target_rc: int | None = None
+    # road connection toward the vehicle's next link (None: exits the
+    # network), resolved once when the car is placed in its lane
+    target_rc: int | None
     tentative: float = 0.0
     exiting: bool = False
     last_advance: float = 0.0
@@ -145,9 +147,8 @@ class NewellModel(TrafficModel):
         h[1:] = x[:-1] - x[1:]
         end = np.empty_like(x)
         k = 0
-        for gid, lane in busy:
+        for lane in lanes:
             lead = lane.cars[0]
-            lead.target_rc = self.rc_toward(gid, lane.link, lead.vehicle.state)
             if lead.target_rc is None:
                 eta = BIG_HEADWAY
             else:
@@ -164,11 +165,9 @@ class NewellModel(TrafficModel):
         for gid, lane in busy:
             # exit candidates are a prefix of the FIFO order
             by_rc: dict[object, list[Vehicle]] = {}
-            for i, car in enumerate(lane.cars):
+            for car in lane.cars:
                 if not car.exiting:
                     break
-                if car.target_rc is None and i > 0:
-                    car.target_rc = self.rc_toward(gid, lane.link, car.vehicle.state)
                 by_rc.setdefault(car.target_rc, []).append(car.vehicle)
             if by_rc:
                 reqs += self.requests(gid, by_rc, vehicle_packet)
@@ -211,7 +210,8 @@ class NewellModel(TrafficModel):
             )
             lane = self.lanes[gid]
             if not lane.buffer and lane.upstream_gap() >= lane.jam_spacing - 1e-9:
-                lane.cars.append(_Car(vehicle=v, x=0.0, fresh=True))
+                lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, link_id, v.state),
+                                      fresh=True))
             else:
                 lane.buffer.append(v)
 
@@ -247,7 +247,7 @@ class NewellModel(TrafficModel):
             # admit buffered vehicles while the upstream gap allows
             while lane.buffer and lane.upstream_gap() >= lane.jam_spacing - 1e-9:
                 v = lane.buffer.pop(0)
-                lane.cars.append(_Car(vehicle=v, x=0.0))
+                lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, lane.link, v.state)))
 
     # --- queries -------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
 from .base import DemandRequest, TrafficModel
@@ -75,9 +76,8 @@ class TwoQueueModel(TrafficModel):
             k = int(rng.poisson(gq.service_rate * self.dt))
             if k <= 0 or not gq.waiting:
                 continue
-            head = list(gq.waiting)[: min(k, len(gq.waiting))]
             by_rc: dict[object, list[Vehicle]] = {}
-            for v in head:
+            for v in islice(gq.waiting, k):
                 by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
             reqs += self.requests(gid, by_rc, vehicle_packet)
         return reqs
@@ -106,6 +106,9 @@ class TwoQueueModel(TrafficModel):
 
     def receive_vehicles(self, link_id, vehicles, now):
         for v in vehicles:
+            # a queue keeps no position, so an exit overshoot carried from a
+            # car-following link does not survive it
+            v.ext = None
             # the emptiest lane group serving the vehicle's next link
             gid = min(
                 self.groups_toward(link_id, v.state),

@@ -42,9 +42,12 @@ class Vehicle:
 class FluxPacket:
     """Either `fluid` or `vehicles` is populated, never both.
 
-    A fluid packet's states are its keys in state order (`state_sort_key`),
-    the order in which every caller inserts them, and its `size` is their
-    total, summed once in that order when the packet is made."""
+    A packet's states are its keys in state order (`state_sort_key`), the
+    order in which every caller inserts them: `fluid_packet` and
+    `vehicle_packet` sort once, and a cut or a re-keying keeps the order. A
+    vehicle packet's lists keep each state's vehicles in FIFO order. `size`
+    is the total amount, or the number of vehicles, summed once in state
+    order when the packet is made."""
 
     __slots__ = ("fluid", "vehicles", "size")
 
@@ -63,19 +66,9 @@ class FluxPacket:
     def is_fluid(self) -> bool:
         return not self.vehicles
 
-    def total(self) -> float:
-        return self.size
-
-    def states(self) -> list[StateIndex]:
-        if self.vehicles:
-            return sorted(self.vehicles, key=state_sort_key)
-        return list(self.fluid)
-
     def all_vehicles(self) -> list[Vehicle]:
-        out: list[Vehicle] = []
-        for s in self.states():
-            out.extend(self.vehicles.get(s, []))
-        return out
+        """The vehicles in state order, FIFO within a state."""
+        return [v for vs in self.vehicles.values() for v in vs]
 
 
 def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
@@ -90,25 +83,30 @@ def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
 
 
 def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
+    """A vehicle packet of `vehicles`, grouped by state in state order and
+    kept in their given (FIFO) order within a state."""
     by_state: dict[StateIndex, list[Vehicle]] = {}
     for v in vehicles:
         by_state.setdefault(v.state, []).append(v)
+    if len(by_state) > 1:
+        by_state = {s: by_state[s] for s in sorted(by_state, key=state_sort_key)}
     return FluxPacket(vehicles=by_state)
 
 
 # --- the sent part of a vehicle packet --------------------------------
 
 
-def take(p: FluxPacket, alpha: float) -> FluxPacket:
-    """The vehicles sent at scaling factor alpha in [0, 1]: per state the
-    first floor(alpha*n) in FIFO order, so whole vehicles never exceed the
-    fraction alpha. (The engine scales fluid as it delivers it.)"""
+def take(p: FluxPacket, alpha: float, limit: int) -> FluxPacket:
+    """The vehicles sent at scaling factor alpha in [0, 1], at most `limit`
+    of them: per state in state order the first floor(alpha*n) in FIFO
+    order, so whole vehicles never exceed the fraction alpha, until `limit`
+    are taken. (The engine scales fluid as it delivers it.)"""
     vehicles = {}
-    for s in p.states():
-        vehs = p.vehicles[s]
-        k = int(math.floor(alpha * len(vehs) + 1e-9))
-        if k:
+    for s, vehs in p.vehicles.items():
+        k = min(int(math.floor(alpha * len(vehs) + 1e-9)), limit)
+        if k > 0:
             vehicles[s] = vehs[:k]
+            limit -= k
     return FluxPacket(vehicles=vehicles)
 
 
@@ -137,9 +135,6 @@ class FluidToVehicleTranslator:
     def __init__(self, factory: VehicleFactory):
         self.factory = factory
         self.residues: dict[tuple[Any, StateIndex], float] = {}
-
-    def residue(self, location: Any, state: StateIndex) -> float:
-        return self.residues.get((location, state), 0.0)
 
     def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
         """Whole vehicles condensed from a fluid packet at `location`."""

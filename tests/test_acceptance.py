@@ -264,7 +264,7 @@ def test_criterion_7_queue_service_rate_and_minimum_dwell():
             gq.waiting.extend(_vehs(10, start=next_id))
             next_id += 10
         reqs = m.compute_demands(1e9, rng)
-        got = sum(r.packet.total() for r in reqs)
+        got = sum(r.packet.size for r in reqs)
         total += got
         for r in reqs:
             m.remove(r.group_id, None, r.packet)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_routing
 from conftest import successor_network
 from hybridtraffic.demand import (
     ConfigurationError,
@@ -103,7 +106,7 @@ def test_assign_next_link_fluid_divides_exactly(rng):
     out = ctx.assign_next_link(p, 10, 0.0, rng)
     assert out.fluid[StateIndex(1, 11)] == pytest.approx(1.0)
     assert out.fluid[StateIndex(1, 12)] == pytest.approx(3.0)
-    assert out.total() == pytest.approx(4.0)
+    assert out.size == pytest.approx(4.0)
 
 
 def test_assign_next_link_vehicles_sampled_and_conserved(rng):
@@ -116,7 +119,7 @@ def test_assign_next_link_vehicles_sampled_and_conserved(rng):
     ctx = _ctx(splits=splits, nexts={10: [11, 12], 11: [12], 12: []})
     vehs = [Vehicle(i, StateIndex(1, 10), 0.0) for i in range(200)]
     out = ctx.assign_next_link(vehicle_packet(vehs), 10, 0.0, rng)
-    assert out.total() == 200
+    assert out.size == 200
     n11 = len(out.vehicles.get(StateIndex(1, 11), []))
     assert 60 < n11 < 140  # p=0.5, loose bound
     for s, vs in out.vehicles.items():
@@ -237,3 +240,71 @@ def test_rekeyed_fluid_stays_in_state_order(rng):
         out = ctx.assign_next_link(p, link, 0.0, rng)
         assert list(out.fluid) == sorted(out.fluid, key=state_sort_key)
         assert out.size == pytest.approx(p.size)
+
+
+# --- the inverse-CDF draw against `rng.choice` ---------------------------
+
+
+RATIO = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def _routing_cases(draw):
+    """A diverge at link 10 into 2-5 links, split profiles of 1-3 pieces for
+    two probabilistic types, maybe a split override for one of them, maybe
+    a route override, and 1-50 vehicles of mixed states in shuffled order."""
+    n = draw(st.integers(2, 5))
+    nexts = list(range(11, 11 + n))
+    pieces = draw(st.integers(1, 3))
+
+    def profile_ratios():
+        rows = [draw(st.lists(RATIO, min_size=n, max_size=n)) for _ in range(pieces)]
+        for row in rows:
+            row[draw(st.integers(0, n - 1))] = draw(st.floats(0.1, 10.0))  # one > 0
+        return {nl: Profile(0, 50, tuple(row[i] for row in rows))
+                for i, nl in enumerate(nexts)}
+
+    splits = {vt: profile_ratios() for vt in (1, 2)}
+    override = None
+    if draw(st.booleans()):
+        ratios = draw(st.lists(RATIO, min_size=n, max_size=n))
+        ratios[0] = draw(st.floats(0.1, 10.0))
+        override = dict(zip(nexts, ratios))
+    route = draw(st.one_of(st.none(), st.integers(0, 1)))
+    # type 2 also under a second key: a probabilistic row ignores the key,
+    # so the two rows' draws interleave and the result must be re-sorted
+    states = [StateIndex(1, 10), StateIndex(2, 10), StateIndex(2, 9), StateIndex(0, 0),
+              StateIndex(0, 1)]
+    vehicles = draw(st.lists(st.sampled_from(states), min_size=1, max_size=50))
+    order = draw(st.permutations(range(len(vehicles))))
+    now = draw(st.floats(0.0, 200.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nexts, splits, override, route, [vehicles[i] for i in order], now, seed
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_routing_cases())
+def test_inverse_cdf_draw_matches_rng_choice(case):
+    nexts, splits, override, route, states, now, seed = case
+    net = successor_network({10: nexts, **{nl: [] for nl in nexts}})
+    runs = []
+    for assign in (RoutingContext.assign_next_link, reference_routing.assign_next_link):
+        ctx = RoutingContext(
+            net,
+            vehicle_types={0: VehicleType(0, "routed"), 1: VehicleType(1, "probabilistic"),
+                           2: VehicleType(2, "probabilistic")},
+            routes={0: Route(0, (10, nexts[0])), 1: Route(1, (10, nexts[-1]))},
+            splits={(10, vt): SplitProfile(10, vt, dict(r)) for vt, r in splits.items()},
+        )
+        if override is not None:
+            ctx.override_split(10, 1, override)
+        if route is not None:
+            ctx.override_route(0, route)
+        vehs = [Vehicle(i, s, 0.0) for i, s in enumerate(states)]
+        rng = np.random.default_rng(seed)
+        out = assign(ctx, vehicle_packet(vehs), 10, now, rng)
+        out = out.vehicles if isinstance(out, FluxPacket) else out
+        entry = [ctx.entry_state(1, 10, None, now, rng) for _ in range(3)]
+        runs.append(([(s, [v.id for v in vs]) for s, vs in out.items()],
+                     [v.state for v in vehs], entry, rng.random()))
+    assert runs[0] == runs[1]

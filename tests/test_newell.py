@@ -37,10 +37,13 @@ def _vehs(n, start=0):
     return [Vehicle(id=start + i, state=S, created=0.0) for i in range(n)]
 
 
-def _place(lane, positions, start=0):
-    # downstream-most first; bypasses the entry buffer used by receive
+def _place(m, gid, positions, start=0):
+    # downstream-most first; bypasses the entry buffer used by receive, so
+    # the road connection is resolved here as the model resolves it
+    lane = m.lanes[gid]
     lane.cars = [
-        _Car(vehicle=Vehicle(id=start + i, state=S, created=0.0), x=x)
+        _Car(Vehicle(id=start + i, state=S, created=0.0), x,
+             m.rc_toward(gid, lane.link, S))
         for i, x in enumerate(positions)
     ]
 
@@ -67,7 +70,7 @@ def test_follower_respects_wave_gap(rng):
     m = _model(dt=2.0)
     lane = m.lanes["0:1"]
     # leader parked near the end, follower close behind
-    _place(lane, [400.0, 390.0])
+    _place(m, "0:1", [400.0, 390.0])
     m.compute_demands(0.0, rng)
     # h = 10, delta_w = w*dt = 6.17 m -> advance h - dw = 3.83 m
     dw = std_params().congestion_wave_speed / 3.6 * 2.0
@@ -89,7 +92,7 @@ def test_capacity_term_caps_flow(rng):
     )
     m.headway_query = lambda rc: 1e9
     lane = m.lanes["0:1"]
-    _place(lane, [300.0, 250.0])
+    _place(m, "0:1", [300.0, 250.0])
     m.compute_demands(0.0, rng)
     df = 1000.0 / 3600.0 * 0.5
     expect = min(100.0 / 3.6 * 0.5, 50.0 - lane.means[1], 50.0 * df)
@@ -99,7 +102,7 @@ def test_capacity_term_caps_flow(rng):
 def test_exit_demand_is_fifo_prefix(rng):
     m = _model(dt=2.0)
     lane = m.lanes["0:1"]
-    _place(lane, [499.0, 250.0, 240.0])  # only the first reaches the end
+    _place(m, "0:1", [499.0, 250.0, 240.0])  # only the first reaches the end
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
     assert [v.id for v in reqs[0].packet.all_vehicles()] == [0]
@@ -114,7 +117,7 @@ def test_rejected_exiter_parks_at_boundary(rng):
     m.advance_state(0.0, rng)  # nothing removed: rejected at the boundary
     assert lane.cars[0].x == pytest.approx(500.0)
     reqs = m.compute_demands(2.0, rng)
-    assert reqs and reqs[0].packet.total() == 1
+    assert reqs and reqs[0].packet.size == 1
 
 
 def test_no_collisions_under_noise():
@@ -159,7 +162,7 @@ def _stepped_pair(n_links, lanes, dt, sigmas, limits, cars, eta, seed):
             if v is not None:
                 m.set_speed_limit(lid, v)
         for lid, xs in enumerate(cars):
-            _place(m.lanes["%d:1" % lid], sorted(xs, reverse=True), start=100 * lid)
+            _place(m, "%d:1" % lid, sorted(xs, reverse=True), start=100 * lid)
         rng = _SizedRng(seed)
         out.append((m, step(m, 0.0, rng), rng))
     return out
@@ -230,7 +233,7 @@ def test_no_draws_without_noise():
 def _free_advance(m, rng):
     """How far one free car at 100 m on link 0 moves in the next step."""
     lane = m.lanes["0:1"]
-    _place(lane, [100.0])
+    _place(m, "0:1", [100.0])
     m.compute_demands(0.0, rng)
     m.advance_state(0.0, rng)
     return lane.cars[0].x - 100.0
@@ -303,9 +306,10 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
         # evenly spaced, downstream-most first, tagged with the next link
         lane = m.lanes["%d:1" % lid]
         k = per_link[lid]
+        state = StateIndex(1, 1 - lid)
         lane.cars = [
-            _Car(vehicle=Vehicle(vid + j, StateIndex(1, 1 - lid), 0.0),
-                 x=length - (j + 0.5) * length / k)
+            _Car(Vehicle(vid + j, state, 0.0), length - (j + 0.5) * length / k,
+                 m.rc_toward("%d:1" % lid, lid, state))
             for j in range(k)
         ] if k else []
         vid += k

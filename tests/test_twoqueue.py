@@ -89,7 +89,7 @@ def test_buffer_admitted_as_space_frees(rng):
     k = 10
     while removed < 10 and k < 500:
         for req in m.compute_demands(k * 2.0, rng):
-            removed += req.packet.total()
+            removed += req.packet.size
             m.remove(req.group_id, None, req.packet)
         m.advance_state(k * 2.0, rng)
         k += 1
@@ -120,7 +120,7 @@ def test_service_draw_long_run_mean(rng):
             gq.waiting.extend(_vehs(10, start=next_id))
             next_id += 10
         reqs = m.compute_demands(1e9, rng)  # far past any transit delay
-        offered = sum(r.packet.total() for r in reqs)
+        offered = sum(r.packet.size for r in reqs)
         assert offered <= len(gq.waiting)
         total += offered
         for r in reqs:
@@ -166,3 +166,31 @@ def test_speed_limit_command_reaches_speed_reports():
     link, gid, pos, speed = m.find_vehicle(1, now=18.0)
     assert speed == pytest.approx(50.0)
     assert pos == pytest.approx(250.0)  # halfway through a 36 s transit
+
+
+def test_queue_clears_a_carried_newell_overshoot():
+    # newell -> two_queue -> newell: a car leaving link 0 carries its exit
+    # overshoot; the queue on link 1 keeps no position, so link 2 must grant
+    # the documented half mean step, not the distance earned on link 0
+    from conftest import corridor_scenario_dict
+    from hybridtraffic.engine import Engine
+    from hybridtraffic.scenario import parse_scenario
+
+    eng = Engine(parse_scenario(corridor_scenario_dict(
+        [("newell", [0]), ("two_queue", [1]), ("newell", [2, 3])], duration=300.0)))
+    carried = {1: [], 2: []}  # link -> ext of each vehicle as it arrives
+    for link in carried:
+        m = eng.model_of_link[link]
+
+        def spy(link_id, vehicles, now, receive=m.receive_vehicles):
+            if link_id in carried:
+                carried[link_id] += [v.ext for v in vehicles]
+            return receive(link_id, vehicles, now)
+
+        m.receive_vehicles = spy
+    eng.run()
+    # link 0's cars do carry an overshoot into the queue ...
+    assert any(isinstance(x, float) and x > 0 for x in carried[1])
+    # ... which is dropped there
+    assert len(carried[2]) > 10
+    assert all(x is None for x in carried[2])
