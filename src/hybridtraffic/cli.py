@@ -41,8 +41,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out-dt", dest="output_dt", type=float,
                        help="override output period, s")
     p_run.add_argument("--audit", action="store_true",
-                       help="check vehicle conservation on every link after each "
-                            "step; exit 1 if it fails")
+                       help="check vehicle conservation on every link, CTM "
+                            "occupancies and boundary residues after each step; "
+                            "exit 1 if a check fails")
 
     p_val = sub.add_parser("validate", help="check a scenario file and report problems")
     p_val.add_argument("scenario", help="scenario file (or bundled scenario name)")
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     )
     failures = engine.audit_failures
     if failures:
-        print("error: audit found %d conservation failure(s), the first:"
+        print("error: audit found %d failure(s), the first:"
               % len(failures), file=sys.stderr)
         for f in failures[:AUDIT_SHOWN]:
             print("  " + f, file=sys.stderr)

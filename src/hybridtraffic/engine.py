@@ -508,6 +508,8 @@ class Engine:
     # --- conservation audit ----------------------------------------------
 
     def _audit(self, t):
+        """Each link's per-state balance of vehicles in, out and present, the
+        models' own invariants and the boundary residues, after a step."""
         for link in sorted(self.net.links):
             counts = self.link_state_counts(link)
             states = set(counts) | set(self.cum_in[link]) | set(self.cum_out[link])
@@ -521,6 +523,13 @@ class Engine:
                     self.audit_failures.append(
                         "t=%.3f link=%s state=%s imbalance=%.3e" % (t, link, s, bal)
                     )
+        for m in self.models:
+            self.audit_failures += ["t=%.3f %s" % (t, msg) for msg in m.audit_failures()]
+        for (link, s), r in self.translator.residues.items():
+            if not 0.0 <= r < 1.0:
+                self.audit_failures.append(
+                    "t=%.3f link=%s state=%s residue=%r outside [0, 1)" % (t, link, s, r)
+                )
 
     # --- summary ----------------------------------------------------------
 

@@ -151,6 +151,11 @@ class TrafficModel(ABC):
         the limit extend this."""
         self.speed_limit_eff[link_id] = v_kmh
 
+    def audit_failures(self) -> list[str]:
+        """Broken invariants of the model's own state, each naming its lane
+        group or link; checked after every step in audit mode."""
+        return []
+
     def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
         """Cumulative vehicle crossings at the internal boundary nearest to
         `offset_m` from the link's upstream end."""

@@ -1,51 +1,62 @@
 """Cell-transmission model with multi-commodity state and a lateral
-lane-change step per cell."""
+lane-change step per cell, held in one array per model.
+
+Every cell of the model is a row of a `(cells + 1) x slots` occupancy array:
+a lane group's cells are consecutive rows, upstream-most first, in the
+model's `group_ids` order. A link's slots are the states it can hold, in
+state order, compiled once routing is set; columns past a link's own slots
+stay zero, and so does the extra last row, which stands in for a missing
+lateral neighbour. The lane changes, the demands and the internal fluxes are
+a fixed number of numpy operations per step, whatever the number of links.
+Within a flow phase the model works on per-step Python lists (each lane
+group's last cell, its outflow, the inflow, the cell totals) and folds them
+into the arrays in `advance_state`.
+
+Every float operation keeps the order of the dict model kept as the oracle
+in `tests/reference_ctm.py`. A cell's total is summed column by column, in
+slot order, so it equals the dict model's sum whenever a cell holds at most
+two states.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from ..demand import ConfigurationError
+import numpy as np
+
+from ..demand import ConfigurationError, RoutingError
 from ..packets import FluxPacket, StateIndex, state_sort_key
 from .base import DemandRequest, TrafficModel
 
 NEG_TOL = -1e-9
+TINY = 5e-324  # divisor for empty cells: leaves every positive float as it is
 
 
-@dataclass
-class _Cells:
-    """Cell chain of one lane group (index 0 = upstream-most)."""
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Per-row sums of `a`, added column by column from the left."""
+    if a.shape[1] == 1:
+        return a[:, 0].copy()
+    tot = a[:, 0] + a[:, 1]
+    for k in range(2, a.shape[1]):
+        tot += a[:, k]
+    return tot
 
-    link: int
-    count: int  # number of cells
-    length: float  # cell length, m
-    n_max: float  # veh per cell
-    f_cap: float  # veh per step per cell
-    occ: list[dict[StateIndex, float]] = field(default_factory=list)
-    inflow: dict[StateIndex, float] = field(default_factory=dict)
-    outflow: dict[StateIndex, float] = field(default_factory=dict)
-    pre: list[dict[StateIndex, float]] = field(default_factory=list)
-    out_last: list[float] = field(default_factory=list)  # per-cell outflux, veh/step
-    cum_internal: list[float] = field(default_factory=list)  # C-1 boundaries
+
+class _Group:
+    """One lane group's cell chain: rows `start` to `start + count - 1` of
+    the model's arrays, upstream-most first."""
+
+    __slots__ = ("model", "index", "link", "start", "count", "length", "n_max", "f_cap")
+
+    def __init__(self, model, index, link, start, count, length, n_max, f_cap):
+        self.model, self.index, self.link = model, index, link
+        self.start, self.count = start, count
+        self.length = length  # cell length, m
+        self.n_max = n_max  # veh per cell
+        self.f_cap = f_cap  # veh per step per cell
 
     def cell_total(self, i: int) -> float:
-        return sum(self.occ[i].values())
-
-    def total(self) -> float:
-        return sum(self.cell_total(i) for i in range(self.count)) + sum(
-            self.inflow.values()
-        )
-
-
-class _LanePlan(NamedTuple):
-    """Where one state goes on one link, per lane group inner to outer: the
-    road connection it leaves by (None when it exits the network there), or
-    the lateral move it must make first (+1 outward, -1 inward, 0 none)."""
-
-    rc: tuple
-    move: tuple
+        return self.model._tot[self.start + i % self.count]
 
 
 class CtmModel(TrafficModel):
@@ -60,42 +71,34 @@ class CtmModel(TrafficModel):
             raise ConfigurationError("lane-change supply factor must be in [0,1]")
         self.max_cell_length = max_cell_length
         self.xi = lc_supply_factor
-        self.groups: dict[str, _Cells] = {}
+        self.groups: dict[str, _Group] = {}
         self.link_v: dict[int, float] = {}  # normalized free-flow speed per step
         self.link_w: dict[int, float] = {}  # normalized congestion speed per step
         self.link_cell_len: dict[int, float] = {}
-        self._plans: dict[int, dict[StateIndex, _LanePlan]] = {}
 
     # --- construction --------------------------------------------------
 
     def build(self, net, link_ids):
         super().build(net, link_ids)
+        rows = 0
         for lid in self.links:
             link = net.links[lid]
             n_cells = max(1, math.ceil(link.length / self.max_cell_length))
             cell_len = link.length / n_cells
             self.link_cell_len[lid] = cell_len
-            self._set_normalized_speeds(lid)
-            self._plans[lid] = {}
+            self.link_v[lid], self.link_w[lid] = self._normalized_speeds(lid)
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
-                gc = max(1, round(g.length / cell_len))
-                self.groups[gid] = _Cells(
-                    link=lid,
-                    count=gc,
-                    length=cell_len,
-                    n_max=link.params.jam_density_per_lane / 1000.0
-                    * g.num_lanes
-                    * cell_len,
-                    f_cap=link.params.capacity_per_lane / 3600.0
-                    * g.num_lanes
-                    * self.dt,
-                    occ=[{} for _ in range(gc)],
-                    out_last=[0.0] * gc,
-                    cum_internal=[0.0] * max(0, gc - 1),
+                count = max(1, round(g.length / cell_len))
+                self.groups[gid] = _Group(
+                    self, len(self.groups), lid, rows, count, cell_len,
+                    link.params.jam_density_per_lane / 1000.0 * g.num_lanes * cell_len,
+                    link.params.capacity_per_lane / 3600.0 * g.num_lanes * self.dt,
                 )
+                rows += count
+        self._compile_cells(rows)
 
-    def _set_normalized_speeds(self, lid: int):
+    def _normalized_speeds(self, lid: int) -> tuple[float, float]:
         link = self.net.links[lid]
         cell_len = self.link_cell_len[lid]
         v_ms = self.speed_limit_eff[lid] / 3.6
@@ -106,270 +109,423 @@ class CtmModel(TrafficModel):
                 "link %s: CFL violated (v*dt=%.1f m > cell %.1f m); reduce dt or "
                 "increase max_cell_length" % (lid, v_ms * self.dt, cell_len)
             )
-        self.link_v[lid] = min(v, 1.0)
-        self.link_w[lid] = min(w_ms * self.dt / cell_len, 1.0)
+        return min(v, 1.0), min(w_ms * self.dt / cell_len, 1.0)
 
-    # --- lane plans -----------------------------------------------------
+    def _compile_cells(self, n_rows: int):
+        """Per-cell constants, each lane group's first and last cell, and the
+        lateral neighbours on links with more than one lane group, aligned at
+        the downstream end. A lane group's last cell gets no capacity in the
+        per-cell constants: its outflow leaves through `remove`, so the
+        internal flux computed for it, into the next lane group's first
+        cell, is always 0."""
+        groups = list(self.groups.values())
+        self._group_list = groups
+        self._n_rows = n_rows
+        self._last_rows = np.array([g.start + g.count - 1 for g in groups], dtype=np.intp)
+        lc, inner, outer = [], [], []
+        self._span = {}
+        for lid in self.links:
+            chain = [self.groups[gid] for gid in self.net.link_groups[lid]]
+            ra, ga = chain[0].start, chain[0].index
+            self._span[lid] = (ra, chain[-1].start + chain[-1].count, ga, ga + len(chain))
+            if len(chain) < 2:
+                continue
+            local = {}  # (lane group position, cells from the downstream end) -> lc index
+            for j, g in enumerate(chain):
+                for i in range(g.count):
+                    local[j, g.count - 1 - i] = len(lc) + (g.start + i - chain[0].start)
+            for j, g in enumerate(chain):
+                for i in range(g.count):
+                    k = g.count - 1 - i
+                    inner.append(local.get((j - 1, k), -1))
+                    outer.append(local.get((j + 1, k), -1))
+            lc += range(chain[0].start, chain[-1].start + chain[-1].count)
+        row_group = [g for g in groups for _ in range(g.count)]
+        self._row_group = row_group
+        self._lc = None  # no link with a lane to change to
+        if lc:
+            m = len(lc)  # the zero row's place in the lateral arrays
+            self._lc = np.array(lc + [n_rows], dtype=np.intp)
+            self._lc_inner, self._lc_outer = np.array(
+                [[x if x >= 0 else m for x in inner] + [m],
+                 [x if x >= 0 else m for x in outer] + [m]], dtype=np.intp)
+            self._lc_groups = [row_group[r].index for r in lc]
+            self._lc_nmax = np.array([row_group[r].n_max for r in lc] + [0.0])
+        self._nmax_r, self._fcap_r, self._v_r, self._w_r = np.array([
+            [g.n_max for g in row_group],
+            [g.f_cap if r < g.start + g.count - 1 else 0.0 for r, g in enumerate(row_group)],
+            [self.link_v[g.link] for g in row_group],
+            [self.link_w[g.link] for g in row_group],
+        ]).reshape(4, n_rows)
+        self._f_g = np.array([g.f_cap for g in groups]).reshape(-1, 1)
 
-    def _plan(self, lid: int, s: StateIndex) -> _LanePlan:
-        """The state's lane plan on the link, resolved on first use; it
-        depends only on the state's next link, so it is kept."""
-        plan = self._plans[lid].get(s)
-        if plan is None:
-            gids = self.net.link_groups[lid]
-            served = self.groups_toward(lid, s)
-            first = gids.index(served[0])
-            plan = self._plans[lid][s] = _LanePlan(
-                rc=tuple(
-                    self.rc_toward(g, lid, s) if g in served else None for g in gids
-                ),
-                move=tuple(
-                    0 if g in served else (1 if j < first else -1)
-                    for j, g in enumerate(gids)
-                ),
-            )
-        return plan
+    # --- slots ----------------------------------------------------------
+
+    def set_routing(self, routing):
+        """Compile each link's slots, the states it can hold in state order,
+        with the lane plan of each state (see `_plan`): a probabilistic type
+        keyed by each next link (None on a terminal link), a routed type by
+        each route through the link. A state whose plan fails gets no slot
+        and is refused when it first enters the link. Starts the model
+        empty."""
+        super().set_routing(routing)
+        types, routes = routing.vehicle_types, routing.routes
+        plans = {}
+        for lid in self.links:
+            states = []
+            for vid, vt in types.items():
+                if vt.is_routed:
+                    states += [StateIndex(vid, rid) for rid, r in routes.items()
+                               if lid in r.links]
+                else:
+                    states += [StateIndex(vid, nl)
+                               for nl in self.net.successors[lid] or [None]]
+            plans[lid] = {}
+            for s in sorted(states, key=state_sort_key):
+                try:
+                    plans[lid][s] = self._plan(lid, s)
+                except RoutingError:
+                    pass
+        self._states = {lid: tuple(p) for lid, p in plans.items()}
+        self._slot = {lid: {s: k for k, s in enumerate(p)} for lid, p in plans.items()}
+        n_slots = max([1] + [len(p) for p in plans.values()])
+        groups = self._group_list
+        moves, self._group_states, self._group_rcs = [], [], []
+        for g in groups:
+            j = g.index - self._span[g.link][2]  # its place on the link
+            lane_plans = plans[g.link].values()
+            moves.append([mv[j] for _, mv in lane_plans] + [2] * (n_slots - len(lane_plans)))
+            self._group_states.append(self._states[g.link])
+            self._group_rcs.append([rc[j] for rc, _ in lane_plans])
+        move = np.array(moves, dtype=np.int8).reshape(len(groups), n_slots)
+        # free-flow speed where the lane group serves the slot, else 0, so
+        # that no demand is formed there
+        self._served = move == 0
+        self._v_gs = np.array([self.link_v[g.link] for g in groups])[:, None] * self._served
+        if self._lc is not None:
+            lc_move = move[self._lc_groups]
+            self._lc_in = np.zeros((len(self._lc), n_slots))
+            self._lc_out = np.zeros((len(self._lc), n_slots))
+            self._lc_in[:-1] = lc_move == -1
+            self._lc_out[:-1] = lc_move == 1
+        self._occ = np.zeros((self._n_rows + 1, n_slots))
+        self._cum = np.zeros(self._n_rows)  # crossings of each internal boundary
+        self._cum_out = [0.0] * len(groups)  # crossings of each downstream boundary
+        self._n_slots = n_slots
+        self._flux_np = np.zeros(self._n_rows)  # last step's internal fluxes
+        self._flux: list[float] | None = None  # the same as a list, once asked for
+        self._out_prev = [0.0] * len(groups)  # last step's outflows
+        # within a flow phase: the lane groups' last cells, flat (lane group
+        # by lane group, slot by slot), and their outflows
+        self._last: list[float] | None = None
+        self._outflow: list[float] = []
+        # inflow by flat place in the occupancy array (first cell, slot),
+        # in the order it arrived
+        self._inflow: dict[int, float] = {}
+        self._tot_np = np.zeros(self._n_rows + 1)  # cell totals
+        self._tot = [0.0] * (self._n_rows + 1)  # the same as a list
+
+    def _plan(self, lid: int, s: StateIndex) -> tuple[tuple, tuple]:
+        """Where the state goes on the link, per lane group inner to outer:
+        the road connection it leaves by (None when it exits the network
+        there), and the lateral move it must make first (+1 outward, -1
+        inward, 0 none)."""
+        gids = self.net.link_groups[lid]
+        served = self.groups_toward(lid, s)
+        first = gids.index(served[0])
+        rc = tuple(self.rc_toward(g, lid, s) if g in served else None for g in gids)
+        move = tuple(
+            0 if g in served else (1 if j < first else -1) for j, g in enumerate(gids)
+        )
+        return rc, move
+
+    def _refuse(self, lid: int, s: StateIndex):
+        self._plan(lid, s)  # an unroutable state raises its RoutingError here
+        raise RoutingError("state %s has no slot on link %s" % (s, lid))
+
+    def _set_totals(self):
+        self._tot_np = _row_sums(self._occ)
+        self._tot = self._tot_np.tolist()
+
+    def _open(self, last: np.ndarray):
+        """Start a flow phase: the last cells and outflows as Python lists."""
+        self._last = last.ravel().tolist()
+        self._outflow = [0.0] * len(self._group_list)
+
+    def _group_inflow(self, g: _Group) -> list[tuple[int, float]]:
+        """The lane group's inflow this step, (slot, veh) in arrival order."""
+        n = self._n_slots
+        lo = g.start * n
+        return [(key - lo, a) for key, a in self._inflow.items() if lo <= key < lo + n]
+
+    # --- seeding and reading one cell ----------------------------------
+
+    def occupancy(self, group_id: str, cell: int) -> dict[StateIndex, float]:
+        """The cell's non-zero occupancies by state, in state order."""
+        g = self.groups[group_id]
+        return {s: n for s, n in zip(self._states[g.link], self._cell(g, cell % g.count))
+                if n}
+
+    def set_occupancy(self, group_id: str, cell: int, amounts: dict[StateIndex, float]):
+        """Replace the cell's occupancies (e.g. to seed a test); not within a
+        flow phase."""
+        g = self.groups[group_id]
+        row = np.zeros(self._occ.shape[1])
+        for s, a in amounts.items():
+            k = self._slot[g.link].get(s)
+            if k is None:
+                self._refuse(g.link, s)
+            row[k] = a
+        self._occ[g.start + cell % g.count] = row
+        self._set_totals()
+
+    def _cell(self, g: _Group, i: int) -> list[float]:
+        if self._last is not None and i == g.count - 1:
+            n = self._n_slots
+            return self._last[g.index * n:(g.index + 1) * n]
+        return self._occ[g.start + i].tolist()
 
     # --- lane changes (intermediate state) -----------------------------
 
-    def lane_change_step(self, lid: int):
-        """Move lane-changing vehicles laterally; mutates occupancies into the
-        intermediate (pre-advance) state. Conserves each state exactly."""
-        gids = self.net.link_groups[lid]
-        chains = [self.groups[gid] for gid in gids]
-        max_c = max(c.count for c in chains)
-
-        def cell_at(j: int, k: int) -> int | None:
-            # k counts from the downstream end so chains of different length
-            # stay aligned at the downstream boundary
-            c = chains[j]
-            i = c.count - 1 - k
-            return i if i >= 0 else None
-
-        for k in range(max_c):
-            idx = [cell_at(j, k) for j in range(len(chains))]
-            # lane-change totals per cell
-            n_in = [0.0] * len(chains)
-            n_out = [0.0] * len(chains)
-            n_tot = [0.0] * len(chains)
-            for j, c in enumerate(chains):
-                if idx[j] is None:
-                    continue
-                for s, n in c.occ[idx[j]].items():
-                    n_tot[j] += n
-                    d = self._plan(lid, s).move[j]
-                    if d == -1:
-                        n_in[j] += n
-                    elif d == 1:
-                        n_out[j] += n
-            beta = [1.0] * len(chains)
-            for j, c in enumerate(chains):
-                if idx[j] is None:
-                    beta[j] = 0.0
-                    continue
-                incoming = 0.0
-                if j + 1 < len(chains) and idx[j + 1] is not None:
-                    incoming += n_in[j + 1]  # outer neighbor moving inward
-                if j - 1 >= 0 and idx[j - 1] is not None:
-                    incoming += n_out[j - 1]  # inner neighbor moving outward
-                if incoming <= 0:
-                    beta[j] = 1.0
-                else:
-                    beta[j] = min(1.0, self.xi * (c.n_max - n_tot[j]) / incoming)
-                    beta[j] = max(0.0, beta[j])
-            new = [dict() for _ in chains]
-            for j, c in enumerate(chains):
-                if idx[j] is None:
-                    continue
-                for s, n in c.occ[idx[j]].items():
-                    d = self._plan(lid, s).move[j]
-                    stay = n
-                    if d == -1 and j - 1 >= 0 and idx[j - 1] is not None:
-                        moved = beta[j - 1] * n
-                        stay = n - moved
-                        new[j - 1][s] = new[j - 1].get(s, 0.0) + moved
-                    elif d == 1 and j + 1 < len(chains) and idx[j + 1] is not None:
-                        moved = beta[j + 1] * n
-                        stay = n - moved
-                        new[j + 1][s] = new[j + 1].get(s, 0.0) + moved
-                    if stay > 0:
-                        new[j][s] = new[j].get(s, 0.0) + stay
-            for j, c in enumerate(chains):
-                if idx[j] is not None:
-                    c.occ[idx[j]] = {s: n for s, n in new[j].items() if n > 0}
+    def lane_change_step(self):
+        """Move lane-changing vehicles laterally on every link with more than
+        one lane group, between cells at the same distance from the
+        downstream end; mutates occupancies into the intermediate
+        (pre-advance) state. Conserves each state exactly."""
+        lc, inner, outer = self._lc, self._lc_inner, self._lc_outer
+        x = self._occ[lc]
+        tot = _row_sums(x)
+        n_in = _row_sums(x * self._lc_in)
+        n_out = _row_sums(x * self._lc_out)
+        # what wants to come in: the outer neighbour moving inward, then the
+        # inner neighbour moving outward
+        incoming = n_in[outer] + n_out[inner]
+        some = incoming > 0
+        beta = (self.xi * (self._lc_nmax - tot)) / np.where(some, incoming, 1.0)
+        np.minimum(beta, 1.0, out=beta)
+        np.maximum(beta, 0.0, out=beta)
+        beta = np.where(some, beta, 1.0)
+        beta[-1] = 0.0  # a missing neighbour takes nothing
+        moved = x * (self._lc_in * beta[inner][:, None]
+                     + self._lc_out * beta[outer][:, None])
+        stay = x - moved
+        moved_in = moved * self._lc_in
+        # from the inner neighbour, staying, from the outer neighbour
+        new = (moved - moved_in)[inner] + stay
+        new += moved_in[outer]
+        self._occ[lc] = new
+        self._set_totals()
 
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
+        if self._lc is not None:
+            self.lane_change_step()
+        last = self._occ[self._last_rows]
+        n_tot = last if last.shape[1] == 1 else _row_sums(last)[:, None]
+        d = np.minimum(self._v_gs * last, (self._f_g * last) / np.maximum(n_tot, TINY))
+        self._open(last)
         reqs: list[DemandRequest] = []
-        for lid in self.links:
-            gids = self.net.link_groups[lid]
-            if len(gids) > 1:  # no lane to change to
-                self.lane_change_step(lid)
-            v = self.link_v[lid]
-            for j, gid in enumerate(gids):
-                gc = self.groups[gid]
-                gc.pre = [dict(c) for c in gc.occ]
-                gc.outflow = {}
-                last = gc.occ[-1]
-                n_tot = sum(last.values())
-                if n_tot <= 0:
-                    continue
-                by_rc: dict[object, dict[StateIndex, float]] = {}
-                for s in sorted(last, key=state_sort_key):
-                    n_s = last[s]
-                    if n_s <= 0:
-                        continue
-                    plan = self._plan(lid, s)
-                    if plan.move[j]:  # not served from this lane group
-                        continue
-                    d_s = min(v * n_s, gc.f_cap * n_s / n_tot)
-                    if d_s <= 0:
-                        continue
-                    by_rc.setdefault(plan.rc[j], {})[s] = d_s
-                reqs += self.requests(gid, by_rc, FluxPacket)
+        states, rcs, gids = self._group_states, self._group_rcs, self.group_ids
+        prev, by_rc = -1, {}
+
+        def flush():
+            if len(by_rc) == 1:
+                (rc, fluid), = by_rc.items()
+                reqs.append(DemandRequest(gids[prev], rc, FluxPacket(fluid)))
+            elif by_rc:
+                reqs.extend(self.requests(gids[prev], by_rc, FluxPacket))
+
+        for j, d_s in enumerate(d.ravel().tolist()):
+            if d_s > 0:
+                i, k = divmod(j, self._n_slots)
+                if i != prev:
+                    flush()
+                    prev, by_rc = i, {}
+                by_rc.setdefault(rcs[i][k], {})[states[i][k]] = d_s
+        flush()
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        gc = self.groups[group_id]
-        w = self.link_w[gc.link]
-        return max(0.0, w * (gc.n_max - gc.cell_total(0)))
+        g = self.groups[group_id]
+        return max(0.0, self.link_w[g.link] * (g.n_max - self._tot[g.start]))
 
     def remove(self, group_id: str, rc, packet: FluxPacket):
-        gc = self.groups[group_id]
-        last = gc.occ[-1]
+        g = self.groups[group_id]
+        i = g.index
+        if self._last is None:
+            self._open(self._occ[self._last_rows])
+        last, slot = self._last, self._slot[g.link]
+        base = i * self._n_slots
+        out, cum = self._outflow[i], self._cum_out[i]
         for s, a in packet.fluid.items():
-            cur = last.get(s, 0.0) - a
+            k = base + slot[s]
+            cur = last[k] - a
             if cur < NEG_TOL:
                 raise RuntimeError(
                     "lane group %s: outflow exceeds occupancy for state %s" % (group_id, s)
                 )
-            if cur > 0:
-                last[s] = cur
-            else:
-                last.pop(s, None)
-            gc.outflow[s] = gc.outflow.get(s, 0.0) + a
+            last[k] = cur if cur > 0 else 0.0
+            out += a
+            cum += a
+        self._outflow[i], self._cum_out[i] = out, cum
+        self._tot[g.start + g.count - 1] = sum(last[base:base + self._n_slots])
 
     def receive_fluid(self, group_id, amounts, now):
-        gc = self.groups[group_id]
-        plans = self._plans[gc.link]
+        g = self.groups[group_id]
+        slot, inflow = self._slot[g.link], self._inflow
+        base = g.start * self._n_slots
         for s, a in amounts.items():
             if a > 0:
-                if s not in plans:  # an unroutable state fails on entry
-                    self._plan(gc.link, s)
-                gc.inflow[s] = gc.inflow.get(s, 0.0) + a
+                k = slot.get(s)
+                if k is None:
+                    self._refuse(g.link, s)
+                k += base
+                inflow[k] = inflow.get(k, 0.0) + a
 
     def receive_vehicles(self, link_id, vehicles, now):
         raise RuntimeError("CTM receives fluid packets only; translate first")
 
     def advance_state(self, now, rng):
-        for lid in self.links:
-            v = self.link_v[lid]
-            w = self.link_w[lid]
-            for gid in self.net.link_groups[lid]:
-                gc = self.groups[gid]
-                pre = gc.pre if gc.pre else [dict(c) for c in gc.occ]
-                # internal fluxes from the intermediate state
-                for i in range(gc.count - 1):
-                    n_i = sum(pre[i].values())
-                    if n_i <= 0:
-                        gc.out_last[i] = 0.0
-                        continue
-                    n_next = sum(pre[i + 1].values())
-                    flux = min(v * n_i, gc.f_cap, w * (gc.n_max - n_next))
-                    flux = max(0.0, flux)
-                    gc.out_last[i] = flux
-                    gc.cum_internal[i] += flux
-                    if flux <= 0:
-                        continue
-                    for s in sorted(pre[i], key=state_sort_key):
-                        f_s = flux * pre[i][s] / n_i
-                        if f_s <= 0:
-                            continue
-                        cur = gc.occ[i].get(s, 0.0) - f_s
-                        if cur < NEG_TOL:
-                            raise RuntimeError(
-                                "negative occupancy in %s cell %d" % (gid, i)
-                            )
-                        if cur > 0:
-                            gc.occ[i][s] = cur
-                        else:
-                            gc.occ[i].pop(s, None)
-                        gc.occ[i + 1][s] = gc.occ[i + 1].get(s, 0.0) + f_s
-                gc.out_last[-1] = sum(gc.outflow.values())
-                # boundary inflow into the upstream-most cell
-                for s, a in gc.inflow.items():
-                    gc.occ[0][s] = gc.occ[0].get(s, 0.0) + a
-                gc.inflow = {}
-                gc.outflow = {}
-                gc.pre = []
+        occ, n = self._occ, self._tot_np  # totals of the intermediate state
+        if self._last is not None:
+            occ[self._last_rows] = np.array(self._last).reshape(-1, self._n_slots)
+        # internal fluxes from the intermediate state, split over the states
+        # in proportion to their share of the cell: into the next cell, then
+        # out of this one, clamped at 0 where anything left
+        flux = np.minimum(self._v_r * n[:-1], self._fcap_r)
+        np.minimum(flux, self._w_r * (self._nmax_r - n[1:]), out=flux)
+        np.maximum(flux, 0.0, out=flux)
+        f = occ[:-1] * flux[:, None]
+        f /= np.maximum(n[:-1], TINY)[:, None]
+        occ[1:] += f
+        cur = occ[:-1]
+        cur -= f
+        neg = cur < 0.0
+        if neg.any():
+            neg &= f > 0
+            if (cur[neg] < NEG_TOL).any():
+                r = np.nonzero(neg & (cur < NEG_TOL))[0][0]
+                g = self._row_group[r]
+                raise RuntimeError("negative occupancy in %s cell %d" % (
+                    self.group_ids[g.index], r - g.start))
+            cur[neg] = 0.0
+        # boundary inflow into the upstream-most cells
+        inflow = self._inflow
+        if inflow:
+            size = len(inflow)
+            occ.reshape(-1)[np.fromiter(inflow, np.intp, size)] += np.fromiter(
+                inflow.values(), float, size)
+            self._inflow = {}
+        self._cum += flux
+        self._flux_np, self._flux = flux, None
+        if self._last is not None:
+            self._out_prev, self._last = self._outflow, None
+        else:
+            self._out_prev = [0.0] * len(self._group_list)
+        self._set_totals()
 
     # --- queries -------------------------------------------------------
 
+    def _out_of(self, g: _Group, i: int) -> float:
+        """Cell i's outflux in the last step, veh/step."""
+        if i == g.count - 1:
+            return self._out_prev[g.index]
+        if self._flux is None:
+            self._flux = self._flux_np.tolist()
+        return self._flux[g.start + i]
+
     def distance_to_last_vehicle(self, group_id: str) -> float:
-        gc = self.groups[group_id]
-        n = gc.cell_total(0)
-        return min(gc.length, max(0.0, gc.length * (gc.n_max - n) / gc.n_max))
+        g = self.groups[group_id]
+        n = self._tot[g.start]
+        return min(g.length, max(0.0, g.length * (g.n_max - n) / g.n_max))
 
     def total_vehicles(self, group_id: str) -> float:
-        return self.groups[group_id].total()
+        g = self.groups[group_id]
+        total = sum(self._tot[g.start:g.start + g.count])
+        if self._inflow:
+            total += sum(a for _, a in self._group_inflow(g))
+        return total
 
     def mean_speed_kmh(self, group_id: str) -> float:
-        gc = self.groups[group_id]
-        limit = self.speed_limit_eff[gc.link]
+        g = self.groups[group_id]
+        limit = self.speed_limit_eff[g.link]
         num = 0.0
         den = 0.0
-        for i in range(gc.count):
-            n = gc.cell_total(i)
+        for i in range(g.count):
+            n = self._tot[g.start + i]
             if n <= 1e-9:
                 continue
-            v_ms = gc.out_last[i] * gc.length / (n * self.dt)
+            v_ms = self._out_of(g, i) * g.length / (n * self.dt)
             num += n * min(limit, v_ms * 3.6)
             den += n
         return limit if den <= 1e-9 else num / den
 
     def local_speed_ms(self, link_id: int, group_id: str, offset_m: float) -> float:
-        gc = self.groups[group_id]
-        i = min(gc.count - 1, max(0, int(offset_m // gc.length)))
-        n = gc.cell_total(i)
+        g = self.groups[group_id]
+        i = min(g.count - 1, max(0, int(offset_m // g.length)))
+        n = self._tot[g.start + i]
         if n <= 1e-9:
             return self.speed_limit_eff[link_id] / 3.6
         return min(
             self.speed_limit_eff[link_id] / 3.6,
-            gc.out_last[i] * gc.length / (n * self.dt),
+            self._out_of(g, i) * g.length / (n * self.dt),
         )
 
     def state_counts(self, link_id: int) -> dict[StateIndex, float]:
         out: dict[StateIndex, float] = {}
+        states = self._states[link_id]
         for gid in self.net.link_groups[link_id]:
-            gc = self.groups[gid]
-            for cell in gc.occ:
-                for s, n in cell.items():
-                    out[s] = out.get(s, 0.0) + n
-            for s, n in gc.inflow.items():
-                out[s] = out.get(s, 0.0) + n
+            g = self.groups[gid]
+            for i in range(g.count):
+                for s, n in zip(states, self._cell(g, i)):
+                    if n > 0:
+                        out[s] = out.get(s, 0.0) + n
+            for k, a in self._group_inflow(g) if self._inflow else ():
+                out[states[k]] = out.get(states[k], 0.0) + a
+        return out
+
+    def audit_failures(self) -> list[str]:
+        occ = self._occ
+        bad = ~np.isfinite(occ) | (occ < 0.0)
+        if not bad.any():
+            return []
+        out = []
+        for r, k in zip(*np.nonzero(bad)):
+            g = self._row_group[r]
+            states = self._states[g.link]
+            out.append("lane group %s cell %d state %s: occupancy %r" % (
+                self.group_ids[g.index], r - g.start,
+                states[k] if k < len(states) else "slot %d" % k, float(occ[r, k])))
         return out
 
     # --- actuation and sensors ----------------------------------------
 
     def set_speed_limit(self, link_id: int, v_kmh: float):
         super().set_speed_limit(link_id, v_kmh)
-        self._set_normalized_speeds(link_id)
+        v, w = self.link_v[link_id], self.link_w[link_id] = self._normalized_speeds(link_id)
+        ra, rb, ga, gb = self._span[link_id]
+        self._v_r[ra:rb] = v
+        self._w_r[ra:rb] = w
+        self._v_gs[ga:gb] = v * self._served[ga:gb]
 
     def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
+        """Crossings of the internal cell boundary nearest to the offset; a
+        lane group of one cell counts its downstream boundary."""
         total = 0.0
         for gid in self.net.link_groups[link_id]:
-            gc = self.groups[gid]
-            if gc.count < 2:
+            g = self.groups[gid]
+            if g.count < 2:
+                total += self._cum_out[g.index]
                 continue
-            b = min(gc.count - 1, max(1, round(offset_m / gc.length)))
-            total += gc.cum_internal[b - 1]
+            b = min(g.count - 1, max(1, round(offset_m / g.length)))
+            total += float(self._cum[g.start + b - 1])
         return total
 
     def local_density_per_m(self, link_id: int, offset_m: float) -> float:
         total = 0.0
         for gid in self.net.link_groups[link_id]:
-            gc = self.groups[gid]
-            i = min(gc.count - 1, max(0, int(offset_m // gc.length)))
-            total += gc.cell_total(i) / gc.length
+            g = self.groups[gid]
+            i = min(g.count - 1, max(0, int(offset_m // g.length)))
+            total += self._tot[g.start + i] / g.length
         return total

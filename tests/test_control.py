@@ -264,3 +264,30 @@ def test_malformed_control_entries_fail_validation(section, entry, diag):
     assert any(x.startswith(diag) for x in diags), diags
     with pytest.raises(ScenarioError):
         Engine(sc)
+
+
+def test_local_sensor_on_one_cell_lane_groups_counts_their_outflow():
+    """A CTM lane group of a single cell has no internal boundary; its
+    detector counts the downstream one, as a two_queue link's does. With
+    500-m cells the bundled macro_meso corridor measures its 1500 veh/h
+    demand on link 1 (CTM), upstream of the queue, and about the 1000 veh/h
+    bottleneck capacity on link 4 (two_queue)."""
+    import importlib.resources
+
+    import yaml
+
+    path = importlib.resources.files("hybridtraffic") / "scenarios" / "macro_meso.yaml"
+    d = yaml.safe_load(path.read_text())
+    d["models"][0]["max_cell_length"] = 600
+    d["sensors"] = [
+        {"id": 0, "kind": "local", "dt": 100.0, "link": 1, "offset": 250.0},
+        {"id": 1, "kind": "local", "dt": 100.0, "link": 4, "offset": 250.0},
+    ]
+    d["run"]["duration"] = 1500.0
+    eng = Engine(parse_scenario(d))
+    assert eng.model_of_link[1].groups["1:1"].count == 1
+    eng.run()
+    ctm, queue = eng.sensors
+    assert queue.last["flow_vph"] == pytest.approx(1000.0, rel=0.1)
+    assert ctm.last["flow_vph"] == pytest.approx(1500.0, rel=0.1)
+    assert ctm.last["speed_kmh"] == pytest.approx(100.0, rel=0.05)  # free flow

@@ -172,6 +172,26 @@ def test_translator_residue_counted_in_link_states():
     assert 0.0 <= res < 2.0  # strictly fractional per state
 
 
+def test_audit_names_a_negative_occupancy_and_a_residue_outside_the_unit_interval():
+    # an empty corridor stays audit-clean until a negative CTM occupancy and
+    # a translator residue of 1.5 are injected after the step at t=10
+    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4,
+                               rate_vph=0.0, duration=20.0)
+    eng = Engine(parse_scenario(d), audit=True)
+    s = StateIndex(0, 0)
+
+    def inject(e, t):
+        if t == 10.0:
+            e.model_of_link[1].set_occupancy("1:1", -1, {s: -0.5})
+            e.translator.residues[2, s] = 1.5
+
+    eng.run(observer=inject)
+    assert eng.audit_failures[0].startswith("t=12.000")
+    assert "t=12.000 lane group 1:1 cell 4 state %s: occupancy -0.5" % (s,) in eng.audit_failures
+    assert ("t=12.000 link=2 state=%s residue=1.5 outside [0, 1)" % (s,)
+            in eng.audit_failures)
+
+
 def test_source_blocked_by_full_link():
     d = corridor_scenario_dict(
         [("two_queue", [0, 1])], n_links=2, duration=1200.0, rate_vph=3000.0,
