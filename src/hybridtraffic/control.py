@@ -8,6 +8,7 @@ theirs. All three fire at fixed periods managed by the engine.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -142,17 +143,24 @@ class VslActuator(Actuator):
 
     link: int = -1
 
+    def speed(self, net, cmd) -> float:
+        """The command's `speed_kmh` as a finite positive float, clamped at
+        the link's structural limit; raises ControlError otherwise."""
+        if not isinstance(cmd, dict) or "speed_kmh" not in cmd:
+            raise ControlError("speed limit command %r has no 'speed_kmh'" % (cmd,))
+        try:
+            v = float(cmd["speed_kmh"])
+        except (TypeError, ValueError):
+            raise ControlError("speed limit %r is not a number" % (cmd["speed_kmh"],)) from None
+        if not 0 < v < math.inf:
+            raise ControlError("speed limit %r km/h must be positive and finite" % v)
+        return min(v, net.links[self.link].params.speed_limit)
+
     def apply(self, engine, now, cmd):
-        v = float(cmd["speed_kmh"])
-        limit = engine.net.links[self.link].params.speed_limit
-        if v > limit:
-            log.warning(
-                "actuator %s: %.1f km/h exceeds the structural limit %.1f, clamping",
-                self.id, v, limit,
-            )
-            v = limit
-        if v <= 0:
-            raise ControlError("speed limit command must be positive")
+        v = self.speed(engine.net, cmd)
+        if v < float(cmd["speed_kmh"]):
+            log.warning("actuator %s: %s km/h exceeds the structural limit %.1f, clamping",
+                        self.id, cmd["speed_kmh"], v)
         engine.model_of_link[self.link].set_speed_limit(self.link, v)
 
 

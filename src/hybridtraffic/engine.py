@@ -86,28 +86,6 @@ class _Connection:
     groups: tuple  # D_r, sorted
 
 
-class _Supply:
-    """Lane-group supply left within one flow phase. A fluid model's supply
-    is read once and reduced by what it has been delivered since; a vehicle
-    model's is read live, as it counts the vehicles already placed."""
-
-    __slots__ = ("model_of_group", "read", "delivered")
-
-    def __init__(self, model_of_group):
-        self.model_of_group = model_of_group
-        self.read: dict[str, float] = {}
-        self.delivered: dict[str, float] = {}
-
-    def remaining(self, gid: str) -> float:
-        read = self.read.get(gid)
-        if read is None:
-            m = self.model_of_group[gid]
-            if m.vehicle_based:
-                return m.lane_group_supply(gid)
-            read = self.read[gid] = m.lane_group_supply(gid)
-        return max(0.0, read - self.delivered.get(gid, 0.0))
-
-
 class Engine:
     def __init__(self, scenario, audit: bool = False):
         self.scenario = scenario
@@ -159,10 +137,12 @@ class Engine:
 
         # the schedule: control elements in the order they fire within a step
         # (sensors, controllers, actuators), with the method each fire calls
+        # and the name a failure is reported under
         self._control = [
-            (_Clock(x.dt), x, method)
-            for xs, method in ((self.sensors, "read"), (self.controllers, "step"),
-                               (self.actuators, "flush"))
+            (_Clock(x.dt), x, method, "%s %s" % (kind, x.id))
+            for xs, method, kind in ((self.sensors, "read", "sensor"),
+                                     (self.controllers, "step", "controller"),
+                                     (self.actuators, "flush", "actuator"))
             for x in xs
         ]
         self._model_clocks = [(_Clock(m.dt), m) for m in self.models]
@@ -251,9 +231,12 @@ class Engine:
     def _step(self, t, observer):
         # sensors observe the pre-actuation, pre-advance state; the method is
         # looked up at each fire, so one replaced on an element takes effect
-        for clock, x, method in self._control:
+        for clock, x, method, where in self._control:
             if clock.due(t):
-                getattr(x, method)(self, t)
+                try:
+                    getattr(x, method)(self, t)
+                except Exception as exc:
+                    raise SimulationError(exc, element=where) from exc
                 clock.tick()
         # model flow exchange, then state advance
         due = [(c, m) for c, m in self._model_clocks if c.due(t)]
@@ -279,15 +262,13 @@ class Engine:
     # --- flow phase ------------------------------------------------------
 
     def _flow_phase(self, t, due_models):
-        supply = _Supply(self.model_of_group)
-
         # sources first, in id order
         due_ids = {id(m) for m in due_models}
         for src in self.sources:
             m = self.model_of_link[src.demand.link]
             if id(m) in due_ids:
                 try:
-                    self._source_step(src, m, t, supply)
+                    self._source_step(src, m, t)
                 except Exception as exc:
                     where = "source %s, link %s" % (src.id, src.demand.link)
                     raise SimulationError(exc, element=where) from exc
@@ -310,9 +291,9 @@ class Engine:
             if req.rc is not None:
                 junction_reqs.setdefault(self._rc[req.rc].junction, []).append((m, req))
         for jid in sorted(junction_reqs):
-            self._solve_junction(t, self._junctions[jid], junction_reqs[jid], supply)
+            self._solve_junction(t, self._junctions[jid], junction_reqs[jid])
 
-    def _solve_junction(self, t, junction: nodemodel.Junction, reqs, supply: _Supply):
+    def _solve_junction(self, t, junction: nodemodel.Junction, reqs):
         """Size the requests (once each), solve the junction and deliver.
         Any failure is reported with the junction and, where one is in hand,
         the road connection and upstream lane group."""
@@ -336,10 +317,10 @@ class Engine:
                     # one upstream group, one rc and one downstream group
                     # carry flow this step; the idle rest cannot change it
                     delta = nodemodel.solve_1x1(
-                        size, supply.remaining(conn.groups[0]), r in self.closed_rcs
-                    )
+                        size, conn.receiver.lane_group_supply(conn.groups[0]),
+                        r in self.closed_rcs)
                     if delta > nodemodel.EPS:
-                        self._deliver(t, sender, g, conn, packet, size, delta, supply)
+                        self._deliver(t, sender, g, conn, packet, size, delta)
                     return
             g = r = None
             if not offers:
@@ -347,15 +328,14 @@ class Engine:
             demand = [0.0] * len(junction.pairs)
             for key, offer in offers.items():
                 demand[junction.pair_index[key]] = offer[2]
-            flow = nodemodel.solve(
-                junction, demand, [supply.remaining(h) for h in junction.downstream],
-                [r in self.closed_rcs for r in junction.rcs],
-            ).flow
+            model_of = self.model_of_group
+            supply = [model_of[h].lane_group_supply(h) for h in junction.downstream]
+            flow = nodemodel.solve(junction, demand, supply,
+                                   [r in self.closed_rcs for r in junction.rcs]).flow
             for (g, r), delta in zip(junction.pairs, flow):
                 offer = offers.get((g, r))
                 if offer is not None and delta > nodemodel.EPS:
-                    self._deliver(t, offer[0], g, self._rc[r], offer[1], offer[2],
-                                  delta, supply)
+                    self._deliver(t, offer[0], g, self._rc[r], offer[1], offer[2], delta)
         except Exception as exc:
             where = "junction %s" % junction.id
             if r is not None:
@@ -364,10 +344,12 @@ class Engine:
 
     # --- delivery --------------------------------------------------------
 
-    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta, supply):
+    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta):
         """Send the part of `packet` the junction accepted (`delta` of its
-        `size`) from lane group g through the road connection."""
-        caps = [supply.remaining(h) for h in conn.groups]
+        `size`) from lane group g through the road connection: one cut within
+        the receiving lane groups' supply, then remove, book, re-key, enter."""
+        receiver = conn.receiver
+        caps = [receiver.lane_group_supply(h) for h in conn.groups]
         allow = sum(caps)
         if packet.is_fluid:
             total = min(min(1.0, delta / size) * size, allow)
@@ -376,70 +358,51 @@ class Engine:
             alpha = min(1.0, total / packet.size)
             sent = FluxPacket(fluid={
                 s: b for s, a in packet.fluid.items() if (b := a * alpha) > 0})
-            sender.remove(g, conn.id, sent)
-            ledger = self.cum_out[conn.up_link]
-            for s, a in sent.fluid.items():
-                ledger[s] = ledger.get(s, 0.0) + a
-            routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-            self._enter_fluid(conn.receiver, conn.down_link, routed, conn.groups, caps,
-                              allow, supply, t)
-            return
-        credit = self._entry_credit.get(conn.id, 0.0)
-        entitled = min(delta + credit, size)
-        # one cut: the entitled share per state, no more than fit in the free
-        # space plus the credit
-        sent = take(packet, entitled / size, int(math.floor(allow + credit + 1e-9)))
-        self._entry_credit[conn.id] = min(max(0.0, entitled - sent.size), 1.0)
-        if not sent.size:
-            return
+        else:
+            credit = self._entry_credit.get(conn.id, 0.0)
+            entitled = min(delta + credit, size)
+            # the entitled share per state, no more than fit in the supply plus the credit
+            sent = take(packet, entitled / size, int(math.floor(allow + credit + 1e-9)))
+            self._entry_credit[conn.id] = min(max(0.0, entitled - sent.size), 1.0)
+            if not sent.size:
+                return
         sender.remove(g, conn.id, sent)
         self._book(sent, self.cum_out[conn.up_link])
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-        receiver, link = conn.receiver, conn.down_link
-        if receiver.vehicle_based:
-            self._book(routed, self.cum_in[link])
-            receiver.receive_vehicles(link, routed.all_vehicles(), t)
-            return
-        for v in routed.all_vehicles():
-            if v.id in self._probed:  # a tracker follows it through the fluid
-                self.trackers.append(VirtualTracker(v.id, v.state, link, conn.groups[0], 0.0))
-        # the vehicles dissolve: their per-state counts enter as fluid
-        self._enter_fluid(receiver, link, FluxPacket(fluid=self._book(routed)), conn.groups,
-                          caps, allow, supply, t)
+        self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
 
-    def _enter_fluid(self, receiver, link, packet: FluxPacket, groups, caps, space,
-                     supply, t):
-        """Book a re-keyed fluid packet into `link` and hand it to the link's
-        model: condensed into whole vehicles, or spread over `groups` (sorted,
-        `caps` their remaining supply, summing to `space`) in proportion to
-        their free space, evenly when none has any (entry credit can admit a
-        whole vehicle into full fluid lane groups). One pass per state, in
-        state order."""
-        ledger = self.cum_in[link]
+    def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
+        """Book a re-keyed packet into `link` and hand it to the link's model:
+        whole vehicles, condensed from fluid first, or per-state amounts
+        (vehicles dissolve; a probed one starts a tracker) spread over
+        `groups` (sorted, `caps` their supply, summing to `space`) in
+        proportion to their free space, evenly when none has any (entry credit
+        can admit a vehicle into full fluid lane groups), state by state."""
+        amounts = self._book(packet, self.cum_in[link])
         if receiver.vehicle_based:
-            for s, a in packet.fluid.items():
-                ledger[s] = ledger.get(s, 0.0) + a
-            receiver.receive_vehicles(link, self.translator.translate(packet, link, t), t)
+            receiver.receive_vehicles(link, (
+                self.translator.translate(packet, link, t) if packet.is_fluid
+                else packet.all_vehicles()), t)
             return
+        for v in packet.all_vehicles():
+            if v.id in self._probed:
+                self.trackers.append(VirtualTracker(v.id, v.state, link, groups[0], 0.0))
         if space <= 0:
             caps, space = [1.0] * len(groups), float(len(groups))
         parts = [{} for _ in groups]
-        for s, a in packet.fluid.items():
-            ledger[s] = ledger.get(s, 0.0) + a
+        for s, a in amounts.items():
             for part, w in zip(parts, caps):
                 share = a * w / space
                 if share > 0:
                     part[s] = share
-        delivered = supply.delivered
         for h, part in zip(groups, parts):
             if part:
                 receiver.receive_fluid(h, part, t)
-                delivered[h] = delivered.get(h, 0.0) + sum(part.values())
 
     @staticmethod
     def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
         """Add the packet's per-state amounts, vehicle counts for whole
-        vehicles, to each ledger (if any); return the amounts."""
+        vehicles, to each ledger; return the amounts."""
         amounts = (
             packet.fluid
             if packet.is_fluid
@@ -452,13 +415,15 @@ class Engine:
 
     # --- sources ---------------------------------------------------------
 
-    def _source_step(self, src: Source, model, t, supply: _Supply):
+    def _source_step(self, src: Source, model, t):
         src.accrue(t, model.dt, model.vehicle_based, self.rng)
         if src.buffer <= 0:
             return
         link = src.demand.link
-        allow = sum([supply.remaining(h) for h in self.net.link_groups[link]])
+        supply = {h: model.lane_group_supply(h) for h in self.net.link_groups[link]}
+        allow = sum(supply.values())
         if model.vehicle_based:
+            # in creation order, which `_enter` (state order) would not keep
             n = int(min(math.floor(src.buffer + 1e-9), math.floor(allow + 1e-9)))
             if n <= 0:
                 return
@@ -470,16 +435,16 @@ class Engine:
             ]
             model.receive_vehicles(link, vehicles, t)
             self._book(vehicle_packet(vehicles), self.cum_in[link])
-        else:
-            amount = min(src.buffer, allow)
-            if amount <= 0:
-                return
-            src.withdraw(amount)
-            p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, src.demand.route): amount})
-            routed = self.routing.assign_next_link(p0, link, t, self.rng)
-            groups = sorted(self.net.link_groups[link])  # the order fluid is spread in
-            caps = [supply.remaining(h) for h in groups]
-            self._enter_fluid(model, link, routed, groups, caps, sum(caps), supply, t)
+            return
+        amount = min(src.buffer, allow)
+        if amount <= 0:
+            return
+        src.withdraw(amount)
+        p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, src.demand.route): amount})
+        routed = self.routing.assign_next_link(p0, link, t, self.rng)
+        groups = sorted(supply)  # the order fluid is spread in
+        caps = [supply[h] for h in groups]
+        self._enter(model, link, routed, groups, caps, sum(caps), t)
 
     # --- probes ----------------------------------------------------------
 

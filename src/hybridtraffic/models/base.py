@@ -100,7 +100,9 @@ class TrafficModel(ABC):
 
     @abstractmethod
     def lane_group_supply(self, group_id: str) -> float:
-        """Vehicles the lane group can accept this step (>= 0)."""
+        """Vehicles the lane group can still take before its next advance
+        (>= 0), net of what it has received since its last one. The engine
+        reads it live whenever it needs a supply, and keeps no copy."""
 
     @abstractmethod
     def compute_demands(self, now: float, rng: np.random.Generator) -> list[DemandRequest]:

@@ -9,8 +9,8 @@ stay zero, and so does the extra last row, which stands in for a missing
 lateral neighbour. The lane changes, the demands and the internal fluxes are
 a fixed number of numpy operations per step, whatever the number of links.
 Within a flow phase the model works on per-step Python lists (each lane
-group's last cell, its outflow, the inflow, the cell totals) and folds them
-into the arrays in `advance_state`.
+group's last cell, its outflow, the inflow and its total, the cell totals)
+and folds them into the arrays in `advance_state`.
 
 Every float operation keeps the order of the dict model kept as the oracle
 in `tests/reference_ctm.py`. A cell's total is summed column by column, in
@@ -220,8 +220,9 @@ class CtmModel(TrafficModel):
         self._last: list[float] | None = None
         self._outflow: list[float] = []
         # inflow by flat place in the occupancy array (first cell, slot),
-        # in the order it arrived
+        # in the order it arrived, and its total per lane group
         self._inflow: dict[int, float] = {}
+        self._received = [0.0] * len(groups)
         self._tot_np = np.zeros(self._n_rows + 1)  # cell totals
         self._tot = [0.0] * (self._n_rows + 1)  # the same as a list
 
@@ -347,8 +348,11 @@ class CtmModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
+        """w (N - n) of the first cell, net of the fluid received since the
+        last advance (Daganzo's receiving flow, once per own step)."""
         g = self.groups[group_id]
-        return max(0.0, self.link_w[g.link] * (g.n_max - self._tot[g.start]))
+        return max(0.0, max(0.0, self.link_w[g.link] * (g.n_max - self._tot[g.start]))
+                   - self._received[g.index])
 
     def remove(self, group_id: str, rc, packet: FluxPacket):
         g = self.groups[group_id]
@@ -375,6 +379,7 @@ class CtmModel(TrafficModel):
         g = self.groups[group_id]
         slot, inflow = self._slot[g.link], self._inflow
         base = g.start * self._n_slots
+        self._received[g.index] += sum(amounts.values())
         for s, a in amounts.items():
             if a > 0:
                 k = slot.get(s)
@@ -417,6 +422,7 @@ class CtmModel(TrafficModel):
             occ.reshape(-1)[np.fromiter(inflow, np.intp, size)] += np.fromiter(
                 inflow.values(), float, size)
             self._inflow = {}
+        self._received = [0.0] * len(self._group_list)
         self._cum += flux
         self._flux_np, self._flux = flux, None
         if self._last is not None:

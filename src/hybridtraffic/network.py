@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-PARTIAL_POSITIONS = (
-    "inner-upstream",
-    "inner-downstream",
-    "outer-upstream",
-    "outer-downstream",
-)
+# partial lanes end where the link ends: every lane group is aligned at the
+# downstream end (turn pockets, exit lanes)
+PARTIAL_POSITIONS = ("inner-downstream", "outer-downstream")
 
 
 class NetworkError(ValueError):

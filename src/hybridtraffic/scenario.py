@@ -117,6 +117,11 @@ def _partial(link_id, d: dict) -> PartialLaneStructure:
             "link %s: partial-lane gates are not supported (the simulator has no "
             "gate model); remove the 'gates' entry" % link_id
         )
+    if d.get("position") in ("inner-upstream", "outer-upstream"):
+        raise ScenarioError(
+            "link %s: partial lanes at the upstream end are not supported (every "
+            "lane group is aligned at the downstream end); got %r" % (link_id, d["position"])
+        )
     return PartialLaneStructure(
         position=d["position"], lanes=int(d["lanes"]), length=float(d["length"])
     )
@@ -449,15 +454,18 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
             diags.append("controller %s: %s names actuator %s it does not own"
                          % (c.id, plan, aid))
         if plan == "constant command":
+            # by the rule the actuator applies at run time
             for aid, cmd in sorted(alg.commands.items()):
                 act = actuator_of.get(aid)
-                if (isinstance(act, control.SplitActuator) and act.link in link_ids
-                        and isinstance(cmd, dict)):
-                    try:
+                try:
+                    if (isinstance(act, control.SplitActuator) and act.link in link_ids
+                            and isinstance(cmd, dict)):
                         act.ratios(net, cmd)
-                    except control.ControlError as exc:
-                        diags.append("controller %s: constant command to actuator %s: %s"
-                                     % (c.id, aid, exc))
+                    elif isinstance(act, control.VslActuator) and act.link in link_ids:
+                        act.speed(net, cmd)
+                except control.ControlError as exc:
+                    diags.append("controller %s: constant command to actuator %s: %s"
+                                 % (c.id, aid, exc))
     runtime = {
         "network": net,
         "models": models,

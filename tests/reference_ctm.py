@@ -34,6 +34,7 @@ class _Cells:
     f_cap: float  # veh per step per cell
     occ: list[dict[StateIndex, float]] = field(default_factory=list)
     inflow: dict[StateIndex, float] = field(default_factory=dict)
+    received: float = 0.0  # fluid received since the last advance, summed per call
     outflow: dict[StateIndex, float] = field(default_factory=dict)
     pre: list[dict[StateIndex, float]] = field(default_factory=list)
     out_last: list[float] = field(default_factory=list)  # per-cell outflux, veh/step
@@ -242,7 +243,7 @@ class ReferenceCtmModel(TrafficModel):
     def lane_group_supply(self, group_id: str) -> float:
         gc = self.groups[group_id]
         w = self.link_w[gc.link]
-        return max(0.0, w * (gc.n_max - gc.cell_total(0)))
+        return max(0.0, max(0.0, w * (gc.n_max - gc.cell_total(0))) - gc.received)
 
     def remove(self, group_id: str, rc, packet: FluxPacket):
         gc = self.groups[group_id]
@@ -262,6 +263,7 @@ class ReferenceCtmModel(TrafficModel):
     def receive_fluid(self, group_id, amounts, now):
         gc = self.groups[group_id]
         plans = self._plans[gc.link]
+        gc.received += sum(amounts.values())
         for s, a in amounts.items():
             if a > 0:
                 if s not in plans:  # an unroutable state fails on entry
@@ -310,6 +312,7 @@ class ReferenceCtmModel(TrafficModel):
                 for s, a in gc.inflow.items():
                     gc.occ[0][s] = gc.occ[0].get(s, 0.0) + a
                 gc.inflow = {}
+                gc.received = 0.0
                 gc.outflow = {}
                 gc.pre = []
 

@@ -96,6 +96,25 @@ def test_supply_and_demand_formulas(rng):
     assert d == pytest.approx(min(m.link_v[0] * 10.0, gc.f_cap))
 
 
+def test_supply_is_net_of_the_fluid_received_until_the_advance(rng):
+    # Daganzo's receiving flow w (N - n) is admitted once per own step, so
+    # whatever senders call receive_fluid in between counts against it
+    m, _ = _single_link_model(dt=2.0, lanes=2)
+    gc = m.groups["0:1"]
+    full = m.link_w[0] * gc.n_max  # 1.23 veh per step
+    m.receive_fluid("0:1", {S: 0.5}, 0.0)
+    assert m.lane_group_supply("0:1") == full - 0.5
+    m.compute_demands(0.0, rng)
+    m.receive_fluid("0:1", {S: 0.25}, 0.0)
+    assert m.lane_group_supply("0:1") == full - 0.75
+    m.receive_fluid("0:1", {S: 1.0}, 0.0)
+    assert m.lane_group_supply("0:1") == 0.0  # never negative
+    m.advance_state(0.0, rng)
+    n = gc.cell_total(0)
+    assert n == pytest.approx(1.75)
+    assert m.lane_group_supply("0:1") == max(0.0, m.link_w[0] * (gc.n_max - n))
+
+
 def test_demand_split_proportional_to_occupancy(rng):
     m, _ = _single_link_model(dt=2.0, lanes=2)
     gc = m.groups["0:1"]

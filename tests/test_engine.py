@@ -227,6 +227,33 @@ def test_random_networks_conserve(seed):
     assert abs(bal) < 1e-6
 
 
+def _peak_jam_share(dt_up):
+    """Densest cell of the downstream CTM, as a share of jam, sampled every
+    second on a 2 -> 1-lane CTM corridor at 1900 veh/h whose upstream CTM
+    (links 0-1) runs at `dt_up` and downstream CTM (links 2-3) at 2 s."""
+    cells = {"max_cell_length": 100.0}
+    d = corridor_scenario_dict(
+        [("ctm", [0, 1], {"dt": dt_up, **cells}), ("ctm", [2, 3], {"dt": 2.0, **cells})],
+        n_links=4, lanes=2, last_lanes=1, rate_vph=1900.0, duration=1200.0, output_dt=1.0,
+    )
+    eng = Engine(parse_scenario(d), audit=True)
+    groups = eng.model_of_link[2].groups.values()
+    peak = []
+    eng.run(observer=lambda e, t: peak.append(max(
+        g.cell_total(i) / g.n_max for g in groups for i in range(g.count))))
+    assert eng.audit_failures == []
+    return max(peak)
+
+
+def test_a_faster_sender_fills_a_ctm_no_denser_than_equal_clocks():
+    # the receiving CTM admits w (N - n) per cell once per its own step, not
+    # once per sender step: the bottleneck queue is as dense as at equal clocks
+    equal = _peak_jam_share(2.0)
+    assert equal == pytest.approx(0.55, abs=1e-3)
+    for dt_up in (1.0, 0.5):
+        assert _peak_jam_share(dt_up) == pytest.approx(equal, rel=0.005)
+
+
 def test_one_by_one_junctions_skip_the_general_solver(monkeypatch):
     from hybridtraffic import nodemodel
 
@@ -263,23 +290,16 @@ def test_junction_failure_names_junction_rc_and_lane_group():
 # --- one fluid delivery --------------------------------------------------
 
 
-class _Space:
-    """A stand-in for a flow phase's lane-group supply: fixed free space."""
-
-    def __init__(self, caps):
-        self.caps, self.delivered = caps, {}
-
-    def remaining(self, gid):
-        return self.caps[gid]
-
-
-def _recording_ends():
+def _recording_ends(caps=None):
+    """A sender and a fluid receiver that record what they are handed; the
+    receiver reports the free space in `caps` as its lane groups' supply."""
     from types import SimpleNamespace
 
     sent, got = [], []
     sender = SimpleNamespace(remove=lambda g, rc, p: sent.append((g, rc, p.fluid)))
     receiver = SimpleNamespace(
-        vehicle_based=False, receive_fluid=lambda h, part, t: got.append((h, part)))
+        vehicle_based=False, receive_fluid=lambda h, part, t: got.append((h, part)),
+        lane_group_supply=lambda h: caps[h])
     return sender, receiver, sent, got
 
 
@@ -291,49 +311,52 @@ def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     # min(1, delta / size), further limited by the free space, in state
     # order, zero shares dropped, the offered packet left as it was
     eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
-    sender, receiver, sent, got = _recording_ends()
+    caps = {"1:1": 10.0}
+    sender, receiver, sent, got = _recording_ends(caps)
     conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
     p = fluid_packet({S1: 1.0, S0: 3.0})
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, _Space({"1:1": 10.0}))
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0)
     assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]
     assert list(sent[0][2]) == [S0, S1]
     assert got == [("1:1", {S0: 0.75, S1: 0.25})]
     assert eng.cum_out[0] == eng.cum_in[1] == {S0: 0.75, S1: 0.25}
     assert p.fluid == {S0: 3.0, S1: 1.0}
     # the whole request is accepted and fits
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 10.0}))
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
     assert sent[-1][2] == p.fluid
     # the whole request is accepted, but only half of it fits
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 2.0}))
+    caps["1:1"] = 2.0
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
     assert sent[-1][2] == {S0: 1.5, S1: 0.5}
     # no free space: nothing is sent
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, _Space({"1:1": 0.0}))
+    caps["1:1"] = 0.0
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
     assert len(sent) == 3
     # a share that scales to zero is not kept
+    caps["1:1"] = 10.0
     tiny = fluid_packet({S0: 4.0, S1: 5e-324})
-    eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0, _Space({"1:1": 10.0}))
+    eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0)
     assert sent[-1][2] == {S0: 1.0}
 
 
 def test_fluid_entry_spreads_by_free_space_in_state_order():
+    # what a lane group has received counts against its supply in the model
+    # (test_ctm.py::test_supply_is_net_of_the_fluid_received_until_the_advance)
     eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
     _, receiver, _, got = _recording_ends()
-    space = _Space({})
-    eng._enter_fluid(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
-                     [9.0, 3.0], 12.0, space, 0.0)
+    eng._enter(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+               [9.0, 3.0], 12.0, 0.0)
     assert got == [("a", {S0: 2.25, S1: 0.75}), ("b", {S0: 0.75, S1: 0.25})]
     assert [list(part) for _, part in got] == [[S0, S1], [S0, S1]]
-    assert space.delivered == {"a": 3.0, "b": 1.0}  # within the free space
     assert eng.cum_in[1] == {S0: 3.0, S1: 1.0}
     # a lane group without free space gets nothing while another has some
     got.clear()
-    eng._enter_fluid(receiver, 1, fluid_packet({S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0,
-                     _Space({}), 0.0)
+    eng._enter(receiver, 1, fluid_packet({S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0, 0.0)
     assert got == [("b", {S0: 3.0})]
     # without any free space the amounts are split evenly
     got.clear()
-    eng._enter_fluid(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
-                     [0.0, 0.0], 0.0, _Space({}), 0.0)
+    eng._enter(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+               [0.0, 0.0], 0.0, 0.0)
     assert got == [("a", {S0: 1.5, S1: 0.5}), ("b", {S0: 1.5, S1: 0.5})]
 
 
@@ -378,3 +401,18 @@ def test_model_advance_failure_names_the_model():
     eng.model_of_link[2].advance_state = _fails
     err = _failure(eng)
     assert err.element == "model 1 (newell)" and err.time == 0.0
+
+
+@pytest.mark.parametrize("kind", ["sensor", "controller", "actuator"])
+def test_control_failure_names_the_element(kind):
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
+    d["sensors"] = [{"id": 3, "kind": "lane_group", "dt": 2.0, "lane_group": "0:1"}]
+    d["controllers"] = [{"id": 4, "type": "noop", "dt": 2.0}]
+    d["actuators"] = [{"id": 5, "kind": "vsl", "dt": 2.0, "link": 0}]
+    eng = Engine(parse_scenario(d))
+    element = {"sensor": eng.sensors, "controller": eng.controllers,
+               "actuator": eng.actuators}[kind][0]
+    setattr(element, {"sensor": "read", "controller": "step", "actuator": "flush"}[kind],
+            _fails)
+    err = _failure(eng)
+    assert err.element == "%s %d" % (kind, element.id) and err.time == 0.0

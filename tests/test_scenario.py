@@ -8,6 +8,7 @@ import yaml
 from conftest import corridor_scenario_dict
 from hybridtraffic import cli
 from hybridtraffic.cli import main as cli_main
+from hybridtraffic.control import ControlError
 from hybridtraffic.engine import Engine
 from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.models.newell import NewellModel
@@ -326,6 +327,22 @@ def test_partial_lane_gates_are_rejected():
     assert validate_scenario(parse_scenario(d)) == []
 
 
+@pytest.mark.parametrize("position", ["inner-upstream", "outer-upstream"])
+def test_partial_lanes_at_the_upstream_end_are_rejected(position):
+    # every lane group is aligned at the downstream end, so these were never
+    # simulated; an upstream pocket also gave its link's downstream pocket
+    # the same lane length
+    d = _base()
+    d["links"][0]["partials"] = [
+        {"position": position, "lanes": 1, "length": 100.0},
+        {"position": position.replace("upstream", "downstream"), "lanes": 1,
+         "length": 50.0},
+    ]
+    with pytest.raises(ScenarioError, match="link 0: partial lanes at the upstream end "
+                       "are not supported"):
+        parse_scenario(d)
+
+
 def test_only_the_equalizing_distribution_is_accepted():
     d = _base()
     d["run"]["distribution"] = "uniform"
@@ -402,6 +419,47 @@ def test_validate_rejects_bad_constant_split_commands(ratios, problem):
         "controller 0: constant command to actuator 0: " + problem]
     with pytest.raises(ScenarioError, match="constant command to actuator 0"):
         Engine(sc)
+
+
+def _commanded_vsl(cmd):
+    """A 2-link CTM corridor with a constant controller that commands a VSL
+    actuator on link 0 with `cmd` at 4 s."""
+    d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2, duration=20.0)
+    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
+    d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [0],
+                         "params": {"at": 4.0, "commands": {0: cmd}}}]
+    return parse_scenario(d)
+
+
+@pytest.mark.parametrize("cmd, problem", [
+    ({"speed_kmh": 0}, "speed limit 0.0 km/h must be positive and finite"),
+    ({"speed_kmh": -10}, "speed limit -10.0 km/h must be positive and finite"),
+    ({"speed_kmh": float("nan")}, "speed limit nan km/h must be positive and finite"),
+    ({"speed_kmh": float("inf")}, "speed limit inf km/h must be positive and finite"),
+    ({}, "speed limit command {} has no 'speed_kmh'"),
+    ({"speed_kmh": "fast"}, "speed limit 'fast' is not a number"),
+], ids=["zero", "negative", "nan", "inf", "missing", "text"])
+def test_validate_rejects_bad_constant_vsl_commands(cmd, problem):
+    # these once validated clean; the run then stopped when the command
+    # fired at t=4, and a NaN was applied and crashed the run at t=14
+    sc = _commanded_vsl(cmd)
+    assert validate_scenario(sc) == [
+        "controller 0: constant command to actuator 0: " + problem]
+    with pytest.raises(ScenarioError, match="constant command to actuator 0"):
+        Engine(sc)
+    # the actuator applies the same rule at run time
+    eng = Engine(_commanded_vsl({"speed_kmh": 50.0}))
+    with pytest.raises(ControlError, match=re.escape(problem)):
+        eng.actuators[0].apply(eng, 0.0, cmd)
+    assert eng.model_of_link[0].speed_limit_eff[0] == 100.0
+
+
+def test_good_constant_vsl_command_is_clamped_at_the_structural_limit():
+    sc = _commanded_vsl({"speed_kmh": 140.0})
+    assert validate_scenario(sc) == []
+    eng = Engine(sc)
+    eng.run()
+    assert eng.model_of_link[0].speed_limit_eff[0] == 100.0
 
 
 def test_good_constant_split_command_validates_and_applies():
