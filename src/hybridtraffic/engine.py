@@ -316,11 +316,10 @@ class Engine:
                 if len(conn.groups) == 1:
                     # one upstream group, one rc and one downstream group
                     # carry flow this step; the idle rest cannot change it
-                    delta = nodemodel.solve_1x1(
-                        size, conn.receiver.lane_group_supply(conn.groups[0]),
-                        r in self.closed_rcs)
+                    caps = [conn.receiver.lane_group_supply(conn.groups[0])]
+                    delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
                     if delta > nodemodel.EPS:
-                        self._deliver(t, sender, g, conn, packet, size, delta)
+                        self._deliver(t, sender, g, conn, packet, size, delta, caps)
                     return
             g = r = None
             if not offers:
@@ -335,7 +334,10 @@ class Engine:
             for (g, r), delta in zip(junction.pairs, flow):
                 offer = offers.get((g, r))
                 if offer is not None and delta > nodemodel.EPS:
-                    self._deliver(t, offer[0], g, self._rc[r], offer[1], offer[2], delta)
+                    # read per delivery: earlier ones here may have filled it
+                    conn = self._rc[r]
+                    caps = [conn.receiver.lane_group_supply(h) for h in conn.groups]
+                    self._deliver(t, offer[0], g, conn, offer[1], offer[2], delta, caps)
         except Exception as exc:
             where = "junction %s" % junction.id
             if r is not None:
@@ -344,12 +346,12 @@ class Engine:
 
     # --- delivery --------------------------------------------------------
 
-    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta):
+    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta, caps):
         """Send the part of `packet` the junction accepted (`delta` of its
         `size`) from lane group g through the road connection: one cut within
-        the receiving lane groups' supply, then remove, book, re-key, enter."""
+        the receiving lane groups' supply (`caps`, read just before), then
+        remove, book, re-key, enter."""
         receiver = conn.receiver
-        caps = [receiver.lane_group_supply(h) for h in conn.groups]
         allow = sum(caps)
         if packet.is_fluid:
             total = min(min(1.0, delta / size) * size, allow)

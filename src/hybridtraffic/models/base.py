@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +39,7 @@ class TrafficModel(ABC):
         self.routing: RoutingContext | None = None
         self.links: list[int] = []
         self.group_ids: list[str] = []
+        self.groups: dict = {}  # lane group id -> the model's state of it
         self.speed_limit_eff: dict[int, float] = {}  # km/h, VSL-adjustable
 
     def build(self, net: Network, link_ids: list[int]):
@@ -114,14 +117,14 @@ class TrafficModel(ABC):
         """Take the given contents out of the lane group (the accepted part
         of a previously offered demand)."""
 
-    @abstractmethod
     def receive_fluid(self, group_id: str, amounts: dict[StateIndex, float], now: float):
         """Insert fluid content at the upstream end of a lane group."""
+        raise RuntimeError("%s model receives whole vehicles only" % self.kind)
 
-    @abstractmethod
     def receive_vehicles(self, link_id: int, vehicles: list, now: float):
         """Insert whole vehicles entering a link; the model places each into
         its target lane group (or an entry buffer when full)."""
+        raise RuntimeError("%s model receives fluid only; translate first" % self.kind)
 
     @abstractmethod
     def advance_state(self, now: float, rng: np.random.Generator):
@@ -165,3 +168,93 @@ class TrafficModel(ABC):
 
     def local_density_per_m(self, link_id: int, offset_m: float) -> float:
         raise NotImplementedError
+
+
+@dataclass
+class VehicleStore:
+    """One lane group's whole vehicles: those its model has placed and, at
+    the upstream end, a FIFO entry buffer of arrivals waiting for room. A
+    model's store adds `placed()` (a list of the placed vehicles, in its own
+    order), `n_placed()`, `has_room()` (whether one more can be placed) and
+    `release(ids)` (take out the placed vehicles with these ids and return
+    how many there were)."""
+
+    link: int
+    length: float
+    buffer: deque = field(default_factory=deque, kw_only=True)
+    cum_out: float = field(default=0.0, kw_only=True)
+
+    def stored(self) -> int:
+        return self.n_placed() + len(self.buffer)
+
+    def vehicles(self):
+        return chain(self.placed(), self.buffer)
+
+
+class VehicleModel(TrafficModel):
+    """A model of whole vehicles with one `VehicleStore` per lane group. Entry,
+    buffer admission, release, counts and lookups are here; a model adds its
+    dynamics and three hooks: `_pick(gids)`, the lane group among those
+    serving its next link that a vehicle enters; `_place(gid, g, v, now,
+    fresh)`, which places it at the upstream end (`fresh` in the flow phase,
+    not from the buffer in an advance); and `_placed_positions(g, now)`, a
+    list of the (vehicle, position_m, speed_kmh) of each placed vehicle."""
+
+    vehicle_based = True
+
+    def receive_vehicles(self, link_id, vehicles, now):
+        # an arrival queues behind any buffered vehicle, so entry is FIFO
+        for v in vehicles:
+            gids = self.groups_toward(link_id, v.state)
+            gid = gids[0] if len(gids) == 1 else self._pick(gids)
+            g = self.groups[gid]
+            if g.buffer or not g.has_room():
+                g.buffer.append(v)
+            else:
+                self._place(gid, g, v, now, fresh=True)
+
+    def _admit(self, now: float):
+        """Place buffered vehicles, first come first served, while their lane
+        group has room."""
+        for gid in self.group_ids:
+            g = self.groups[gid]
+            while g.buffer and g.has_room():
+                self._place(gid, g, g.buffer.popleft(), now, fresh=False)
+
+    def remove(self, group_id, rc, packet: FluxPacket):
+        g = self.groups[group_id]
+        ids = {v.id for v in packet.all_vehicles()}
+        found = g.release(ids)
+        if found != len(ids):
+            raise RuntimeError(
+                "lane group %s: %d of %d released vehicles not present"
+                % (group_id, len(ids) - found, len(ids))
+            )
+        g.cum_out += found
+
+    def total_vehicles(self, group_id: str) -> float:
+        return float(self.groups[group_id].stored())
+
+    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
+        out: dict[StateIndex, float] = {}
+        for gid in self.net.link_groups[link_id]:
+            for v in self.groups[gid].vehicles():
+                out[v.state] = out.get(v.state, 0.0) + 1.0
+        return out
+
+    def positions(self, g: VehicleStore, now: float) -> list:
+        """(vehicle, position_m, speed_kmh) of each vehicle in the store; a
+        buffered one waits, stopped, at the upstream end."""
+        return self._placed_positions(g, now) + [(v, 0.0, 0.0) for v in g.buffer]
+
+    def find_vehicle(self, vehicle_id: int, now: float = 0.0):
+        """(link, group_id, position_m, speed_kmh) of the vehicle, or None."""
+        for gid in self.group_ids:
+            g = self.groups[gid]
+            for v, x, speed in self.positions(g, now):
+                if v.id == vehicle_id:
+                    return g.link, gid, x, speed
+        return None
+
+    def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
+        return sum(self.groups[g].cum_out for g in self.net.link_groups[link_id])

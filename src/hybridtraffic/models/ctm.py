@@ -61,7 +61,6 @@ class _Group:
 
 class CtmModel(TrafficModel):
     kind = "ctm"
-    vehicle_based = False
 
     def __init__(self, dt: float, max_cell_length: float, lc_supply_factor: float = 1.0):
         super().__init__(dt)
@@ -71,7 +70,6 @@ class CtmModel(TrafficModel):
             raise ConfigurationError("lane-change supply factor must be in [0,1]")
         self.max_cell_length = max_cell_length
         self.xi = lc_supply_factor
-        self.groups: dict[str, _Group] = {}
         self.link_v: dict[int, float] = {}  # normalized free-flow speed per step
         self.link_w: dict[int, float] = {}  # normalized congestion speed per step
         self.link_cell_len: dict[int, float] = {}
@@ -387,9 +385,6 @@ class CtmModel(TrafficModel):
                     self._refuse(g.link, s)
                 k += base
                 inflow[k] = inflow.get(k, 0.0) + a
-
-    def receive_vehicles(self, link_id, vehicles, now):
-        raise RuntimeError("CTM receives fluid packets only; translate first")
 
     def advance_state(self, now, rng):
         occ, n = self._occ, self._tot_np  # totals of the intermediate state

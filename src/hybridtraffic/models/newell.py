@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..demand import ConfigurationError
-from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
-from .base import DemandRequest, TrafficModel
+from ..packets import Vehicle, vehicle_packet
+from .base import DemandRequest, VehicleModel, VehicleStore
 
 BIG_HEADWAY = 1e9
 GAP_EPS = 1e-3  # m, strict no-collision margin
@@ -30,23 +30,40 @@ class _Car:
 
 
 @dataclass
-class _Lane:
-    link: int
-    length: float
+class _Lane(VehicleStore):
     num_lanes: int
     jam_spacing: float  # m per vehicle at jam, single file
     means: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dv, dw, df per step
     cars: list[_Car] = field(default_factory=list)  # index 0 = downstream-most
-    buffer: list[Vehicle] = field(default_factory=list)
-    cum_out: float = 0.0
 
     def upstream_gap(self) -> float:
         return self.length if not self.cars else self.cars[-1].x
 
+    def placed(self):
+        return [c.vehicle for c in self.cars]
 
-class NewellModel(TrafficModel):
+    def n_placed(self) -> int:
+        return len(self.cars)
+
+    def has_room(self) -> bool:
+        return self.upstream_gap() >= self.jam_spacing - 1e-9
+
+    def release(self, ids):
+        kept = []
+        for c in self.cars:
+            if c.vehicle.id in ids:
+                # carry the crossing overshoot so the next link can grant the
+                # distance already earned this step (keeps mean speed exact)
+                c.vehicle.ext = max(0.0, c.tentative - self.length)
+            else:
+                kept.append(c)
+        found = len(self.cars) - len(kept)
+        self.cars = kept
+        return found
+
+
+class NewellModel(VehicleModel):
     kind = "newell"
-    vehicle_based = True
 
     def __init__(
         self,
@@ -61,7 +78,6 @@ class NewellModel(TrafficModel):
         self.sigma_v = sigma_v  # m per step
         self.sigma_w = sigma_w  # m per step
         self.sigma_f = sigma_f  # veh per step
-        self.lanes: dict[str, _Lane] = {}
         self.headway_query = None  # set by the engine: rc id -> eta meters
 
     def build(self, net, link_ids):
@@ -70,7 +86,7 @@ class NewellModel(TrafficModel):
             link = net.links[lid]
             for gid in net.link_groups[lid]:
                 g = net.lane_groups[gid]
-                self.lanes[gid] = _Lane(
+                self.groups[gid] = _Lane(
                     link=lid,
                     length=g.length,
                     num_lanes=g.num_lanes,
@@ -90,7 +106,7 @@ class NewellModel(TrafficModel):
         v_ms = self.speed_limit_eff[link_id] / 3.6
         w_ms = link.params.congestion_wave_speed / 3.6
         for gid in self.net.link_groups[link_id]:
-            lane = self.lanes[gid]
+            lane = self.groups[gid]
             f_vps = link.params.capacity_per_lane / 3600.0 * lane.num_lanes
             lane.means = (v_ms * self.dt, w_ms * self.dt, f_vps * self.dt)
 
@@ -134,7 +150,7 @@ class NewellModel(TrafficModel):
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
-        busy = [(gid, self.lanes[gid]) for gid in self.group_ids if self.lanes[gid].cars]
+        busy = [(gid, self.groups[gid]) for gid in self.group_ids if self.groups[gid].cars]
         if not busy:
             return []
         lanes = [lane for _, lane in busy]
@@ -174,50 +190,20 @@ class NewellModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        lane = self.lanes[group_id]
+        lane = self.groups[group_id]
         n = math.floor(lane.upstream_gap() / lane.jam_spacing + 1e-9)
         return float(max(0, n - len(lane.buffer)))
 
-    def remove(self, group_id, rc, packet: FluxPacket):
-        lane = self.lanes[group_id]
-        ids = {v.id for v in packet.all_vehicles()}
-        if not ids:
-            return
-        kept = []
-        for c in lane.cars:
-            if c.vehicle.id in ids:
-                # carry the crossing overshoot so the next link can grant the
-                # distance already earned this step (keeps mean speed exact)
-                c.vehicle.ext = max(0.0, c.tentative - lane.length)
-            else:
-                kept.append(c)
-        if len(lane.cars) - len(kept) != len(ids):
-            raise RuntimeError(
-                "lane group %s: released vehicles not present" % group_id
-            )
-        lane.cars = kept
-        lane.cum_out += len(ids)
+    def _pick(self, gids):
+        # the lane group with the most room
+        return max(gids, key=lambda g: (self.groups[g].upstream_gap(), g))
 
-    def receive_fluid(self, group_id, amounts, now):
-        raise RuntimeError("car-following model receives whole vehicles only")
-
-    def receive_vehicles(self, link_id, vehicles, now):
-        for v in vehicles:
-            # the lane group with the most room serving the next link
-            gid = max(
-                self.groups_toward(link_id, v.state),
-                key=lambda g: (self.lanes[g].upstream_gap(), g),
-            )
-            lane = self.lanes[gid]
-            if not lane.buffer and lane.upstream_gap() >= lane.jam_spacing - 1e-9:
-                lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, link_id, v.state),
-                                      fresh=True))
-            else:
-                lane.buffer.append(v)
+    def _place(self, gid, lane, v, now, fresh):
+        lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, lane.link, v.state), fresh=fresh))
 
     def advance_state(self, now, rng):
         for gid in self.group_ids:
-            lane = self.lanes[gid]
+            lane = self.groups[gid]
             dv_mean, dw_mean, df_mean = lane.means
             prev_x = None
             for car in lane.cars:
@@ -244,63 +230,29 @@ class NewellModel(TrafficModel):
                 car.x = new_x
                 car.exiting = False
                 prev_x = new_x
-            # admit buffered vehicles while the upstream gap allows
-            while lane.buffer and lane.upstream_gap() >= lane.jam_spacing - 1e-9:
-                v = lane.buffer.pop(0)
-                lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, lane.link, v.state)))
+        self._admit(now)
 
     # --- queries -------------------------------------------------------
 
     def distance_to_last_vehicle(self, group_id: str) -> float:
-        return self.lanes[group_id].upstream_gap()
-
-    def total_vehicles(self, group_id: str) -> float:
-        lane = self.lanes[group_id]
-        return float(len(lane.cars) + len(lane.buffer))
+        return self.groups[group_id].upstream_gap()
 
     def mean_speed_kmh(self, group_id: str) -> float:
-        lane = self.lanes[group_id]
+        lane = self.groups[group_id]
         if not lane.cars:
             return self.speed_limit_eff[lane.link]
         mean_adv = sum(c.last_advance for c in lane.cars) / len(lane.cars)
         return mean_adv / self.dt * 3.6
 
-    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        out: dict[StateIndex, float] = {}
-        for gid in self.net.link_groups[link_id]:
-            lane = self.lanes[gid]
-            for c in lane.cars:
-                out[c.vehicle.state] = out.get(c.vehicle.state, 0.0) + 1.0
-            for v in lane.buffer:
-                out[v.state] = out.get(v.state, 0.0) + 1.0
-        return out
+    def _placed_positions(self, lane, now):
+        return [(c.vehicle, c.x, c.last_advance / self.dt * 3.6) for c in lane.cars]
 
     def vehicle_positions(self, link_id: int):
         """(vehicle, group_id, position_m, speed_kmh) for trajectory output."""
-        rows = []
-        for gid in self.net.link_groups[link_id]:
-            lane = self.lanes[gid]
-            for c in lane.cars:
-                rows.append((c.vehicle, gid, c.x, c.last_advance / self.dt * 3.6))
-            for v in lane.buffer:
-                rows.append((v, gid, 0.0, 0.0))
-        return rows
-
-    def find_vehicle(self, vehicle_id: int, now: float = 0.0):
-        for gid in self.group_ids:
-            lane = self.lanes[gid]
-            for c in lane.cars:
-                if c.vehicle.id == vehicle_id:
-                    return lane.link, gid, c.x, c.last_advance / self.dt * 3.6
-            for v in lane.buffer:
-                if v.id == vehicle_id:
-                    return lane.link, gid, 0.0, 0.0
-        return None
-
-    def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
-        return sum(self.lanes[g].cum_out for g in self.net.link_groups[link_id])
+        return [(v, gid, x, speed) for gid in self.net.link_groups[link_id]
+                for v, x, speed in self.positions(self.groups[gid], 0.0)]
 
     def local_density_per_m(self, link_id: int, offset_m: float) -> float:
-        total = sum(len(self.lanes[g].cars) for g in self.net.link_groups[link_id])
-        length = max(self.lanes[g].length for g in self.net.link_groups[link_id])
+        total = sum(len(self.groups[g].cars) for g in self.net.link_groups[link_id])
+        length = max(self.groups[g].length for g in self.net.link_groups[link_id])
         return total / length

@@ -7,34 +7,36 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ..packets import FluxPacket, StateIndex, Vehicle, vehicle_packet
-from .base import DemandRequest, TrafficModel
+from ..packets import Vehicle, vehicle_packet
+from .base import DemandRequest, VehicleModel, VehicleStore
 
 
 @dataclass
-class _Queues:
-    link: int
-    length: float
+class _Queues(VehicleStore):
     n_max: float  # veh
     service_rate: float  # veh/s
     tau: float  # free-flow travel time, s
     transit: deque = field(default_factory=deque)  # (Vehicle, eligible_time)
     waiting: deque = field(default_factory=deque)  # Vehicle
-    buffer: deque = field(default_factory=deque)  # Vehicle held at entry
-    cum_out: float = 0.0
 
-    def stored(self) -> int:
-        # buffered vehicles count against the link's holding capacity
-        return len(self.transit) + len(self.waiting) + len(self.buffer)
+    def placed(self):
+        return [v for v, _ in self.transit] + list(self.waiting)
+
+    def n_placed(self) -> int:
+        return len(self.transit) + len(self.waiting)
+
+    def has_room(self) -> bool:
+        return self.n_placed() < self.n_max - 1e-9
+
+    def release(self, ids):
+        kept = deque(v for v in self.waiting if v.id not in ids)
+        found = len(self.waiting) - len(kept)
+        self.waiting = kept
+        return found
 
 
-class TwoQueueModel(TrafficModel):
+class TwoQueueModel(VehicleModel):
     kind = "two_queue"
-    vehicle_based = True
-
-    def __init__(self, dt: float):
-        super().__init__(dt)
-        self.groups: dict[str, _Queues] = {}
 
     def build(self, net, link_ids):
         super().build(net, link_ids)
@@ -59,12 +61,15 @@ class TwoQueueModel(TrafficModel):
             v, _ = gq.transit.popleft()
             gq.waiting.append(v)
 
-    def _admit_buffer(self, gq: _Queues, now: float):
-        # buffered vehicles already count as stored; admission just starts
-        # their transit delay
-        while gq.buffer and len(gq.transit) + len(gq.waiting) < gq.n_max - 1e-9:
-            v = gq.buffer.popleft()
-            gq.transit.append((v, now + gq.tau))
+    def _pick(self, gids):
+        # the emptiest lane group
+        return min(gids, key=lambda g: (self.groups[g].stored(), g))
+
+    def _place(self, gid, gq, v, now, fresh):
+        # a queue keeps no position, so an exit overshoot carried from a
+        # car-following link does not survive it
+        v.ext = None
+        gq.transit.append((v, now + gq.tau))
 
     # --- protocol ------------------------------------------------------
 
@@ -83,57 +88,20 @@ class TwoQueueModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
+        # buffered vehicles count against the link's holding capacity
         gq = self.groups[group_id]
         return max(0.0, gq.n_max - gq.stored())
 
-    def remove(self, group_id, rc, packet: FluxPacket):
-        gq = self.groups[group_id]
-        ids = {v.id for v in packet.all_vehicles()}
-        if not ids:
-            return
-        kept = deque(v for v in gq.waiting if v.id not in ids)
-        removed = len(gq.waiting) - len(kept)
-        if removed != len(ids):
-            raise RuntimeError(
-                "lane group %s: %d of %d released vehicles not in waiting queue"
-                % (group_id, len(ids) - removed, len(ids))
-            )
-        gq.waiting = kept
-        gq.cum_out += removed
-
-    def receive_fluid(self, group_id, amounts, now):
-        raise RuntimeError("two-queue model receives whole vehicles only")
-
-    def receive_vehicles(self, link_id, vehicles, now):
-        for v in vehicles:
-            # a queue keeps no position, so an exit overshoot carried from a
-            # car-following link does not survive it
-            v.ext = None
-            # the emptiest lane group serving the vehicle's next link
-            gid = min(
-                self.groups_toward(link_id, v.state),
-                key=lambda g: (self.groups[g].stored(), g),
-            )
-            gq = self.groups[gid]
-            if len(gq.transit) + len(gq.waiting) < gq.n_max - 1e-9:
-                gq.transit.append((v, now + gq.tau))
-            else:
-                gq.buffer.append(v)
-
     def advance_state(self, now, rng):
+        self._admit(now)
         for gid in self.group_ids:
-            gq = self.groups[gid]
-            self._admit_buffer(gq, now)
-            self._promote_transit(gq, now)
+            self._promote_transit(self.groups[gid], now)
 
     # --- queries -------------------------------------------------------
 
     def distance_to_last_vehicle(self, group_id: str) -> float:
         gq = self.groups[group_id]
         return max(0.0, gq.length * (gq.n_max - gq.stored()) / gq.n_max)
-
-    def total_vehicles(self, group_id: str) -> float:
-        return float(self.groups[group_id].stored())
 
     def mean_speed_kmh(self, group_id: str) -> float:
         gq = self.groups[group_id]
@@ -144,44 +112,20 @@ class TwoQueueModel(TrafficModel):
         moving = len(gq.transit)
         return limit * moving / n
 
-    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        out: dict[StateIndex, float] = {}
-        for gid in self.net.link_groups[link_id]:
-            gq = self.groups[gid]
-            vehs = [v for v, _ in gq.transit]
-            vehs += list(gq.waiting) + list(gq.buffer)
-            for v in vehs:
-                out[v.state] = out.get(v.state, 0.0) + 1.0
-        return out
-
     def set_speed_limit(self, link_id: int, v_kmh: float):
         super().set_speed_limit(link_id, v_kmh)
         for gid in self.net.link_groups[link_id]:
             gq = self.groups[gid]
             gq.tau = gq.length / (v_kmh / 3.6)
 
-    def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
-        return sum(self.groups[g].cum_out for g in self.net.link_groups[link_id])
-
     def local_density_per_m(self, link_id: int, offset_m: float) -> float:
         total = sum(self.groups[g].stored() for g in self.net.link_groups[link_id])
         length = max(self.groups[g].length for g in self.net.link_groups[link_id])
         return total / length
 
-    # probe support
-    def find_vehicle(self, vehicle_id: int, now: float = 0.0):
-        """Returns (link, group_id, position_m, speed_kmh) or None."""
-        for gid in self.group_ids:
-            gq = self.groups[gid]
-            limit = self.speed_limit_eff[gq.link]
-            for v, elig in gq.transit:
-                if v.id == vehicle_id:
-                    frac = min(1.0, max(0.0, 1.0 - (elig - now) / gq.tau))
-                    return gq.link, gid, gq.length * frac, limit
-            for v in gq.waiting:
-                if v.id == vehicle_id:
-                    return gq.link, gid, gq.length, 0.0
-            for v in gq.buffer:
-                if v.id == vehicle_id:
-                    return gq.link, gid, 0.0, 0.0
-        return None
+    def _placed_positions(self, gq, now):
+        limit = self.speed_limit_eff[gq.link]
+        return [
+            (v, gq.length * min(1.0, max(0.0, 1.0 - (elig - now) / gq.tau)), limit)
+            for v, elig in gq.transit
+        ] + [(v, gq.length, 0.0) for v in gq.waiting]

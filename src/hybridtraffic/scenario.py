@@ -32,7 +32,12 @@ from .network import (
     validate_network,
 )
 
-MODEL_KINDS = ("ctm", "two_queue", "newell")
+# each model kind's class and its parameters, with their defaults
+MODELS = {
+    "ctm": (CtmModel, {"max_cell_length": 100.0, "lc_supply_factor": 1.0}),
+    "two_queue": (TwoQueueModel, {}),
+    "newell": (NewellModel, {"sigma_v": 0.0, "sigma_w": 0.0, "sigma_f": 0.0}),
+}
 
 
 class ScenarioError(ValueError):
@@ -47,7 +52,7 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise ScenarioError("unknown model kind %r" % self.kind)
         if not 0 < self.dt < math.inf:
             raise ScenarioError("model dt must be positive and finite")
@@ -520,21 +525,11 @@ def _built(label: str, make, entries: list[dict], diags: list[str]) -> list:
 
 
 def _make_model(spec: ModelSpec):
-    p = spec.params
-    if spec.kind == "ctm":
-        return CtmModel(
-            dt=spec.dt,
-            max_cell_length=float(p.get("max_cell_length", 100.0)),
-            lc_supply_factor=float(p.get("lc_supply_factor", 1.0)),
-        )
-    if spec.kind == "two_queue":
-        return TwoQueueModel(dt=spec.dt)
-    return NewellModel(
-        dt=spec.dt,
-        sigma_v=float(p.get("sigma_v", 0.0)),
-        sigma_w=float(p.get("sigma_w", 0.0)),
-        sigma_f=float(p.get("sigma_f", 0.0)),
-    )
+    cls, defaults = MODELS[spec.kind]
+    for k in spec.params:
+        if k not in defaults:
+            raise ValueError("unknown parameter %r" % k)
+    return cls(dt=spec.dt, **{k: float(spec.params.get(k, d)) for k, d in defaults.items()})
 
 
 def _make_sensor(d: dict):

@@ -36,7 +36,7 @@ def means(model, lane) -> tuple[float, float, float]:
 def compute_demands(model, now, rng) -> list:
     reqs = []
     for gid in model.group_ids:
-        lane = model.lanes[gid]
+        lane = model.groups[gid]
         if not lane.cars:
             continue
         dv_mean, dw_mean, df_mean = means(model, lane)

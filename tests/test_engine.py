@@ -185,7 +185,10 @@ def test_audit_names_a_negative_occupancy_and_a_residue_outside_the_unit_interva
             e.model_of_link[1].set_occupancy("1:1", -1, {s: -0.5})
             e.translator.residues[2, s] = 1.5
 
-    eng.run(observer=inject)
+    # the CTM's demand step divides by the cell total floored at a tiny
+    # positive value, which overflows for the negative cell
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        eng.run(observer=inject)
     assert eng.audit_failures[0].startswith("t=12.000")
     assert "t=12.000 lane group 1:1 cell 4 state %s: occupancy -0.5" % (s,) in eng.audit_failures
     assert ("t=12.000 link=2 state=%s residue=1.5 outside [0, 1)" % (s,)
@@ -315,27 +318,27 @@ def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     sender, receiver, sent, got = _recording_ends(caps)
     conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
     p = fluid_packet({S1: 1.0, S0: 3.0})
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0)
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, [caps["1:1"]])
     assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]
     assert list(sent[0][2]) == [S0, S1]
     assert got == [("1:1", {S0: 0.75, S1: 0.25})]
     assert eng.cum_out[0] == eng.cum_in[1] == {S0: 0.75, S1: 0.25}
     assert p.fluid == {S0: 3.0, S1: 1.0}
     # the whole request is accepted and fits
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
     assert sent[-1][2] == p.fluid
     # the whole request is accepted, but only half of it fits
     caps["1:1"] = 2.0
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
     assert sent[-1][2] == {S0: 1.5, S1: 0.5}
     # no free space: nothing is sent
     caps["1:1"] = 0.0
-    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0)
+    eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
     assert len(sent) == 3
     # a share that scales to zero is not kept
     caps["1:1"] = 10.0
     tiny = fluid_packet({S0: 4.0, S1: 5e-324})
-    eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0)
+    eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0, [caps["1:1"]])
     assert sent[-1][2] == {S0: 1.0}
 
 

@@ -40,7 +40,7 @@ def _vehs(n, start=0):
 def _place(m, gid, positions, start=0):
     # downstream-most first; bypasses the entry buffer used by receive, so
     # the road connection is resolved here as the model resolves it
-    lane = m.lanes[gid]
+    lane = m.groups[gid]
     lane.cars = [
         _Car(Vehicle(id=start + i, state=S, created=0.0), x,
              m.rc_toward(gid, lane.link, S))
@@ -50,7 +50,7 @@ def _place(m, gid, positions, start=0):
 
 def test_jam_spacing_and_supply():
     m = _model(lanes=2)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     assert lane.jam_spacing == pytest.approx(5.0)  # 200 veh/km single file
     assert m.lane_group_supply("0:1") == 100.0  # empty 500 m lane
 
@@ -59,16 +59,16 @@ def test_free_car_advances_at_speed_limit(rng):
     m = _model(dt=2.0)
     m.receive_vehicles(0, _vehs(1), now=0.0)
     m.advance_state(0.0, rng)  # fresh car moves within its entry step
-    x0 = m.lanes["0:1"].cars[0].x
+    x0 = m.groups["0:1"].cars[0].x
     m.compute_demands(2.0, rng)
     m.advance_state(2.0, rng)
-    x1 = m.lanes["0:1"].cars[0].x
+    x1 = m.groups["0:1"].cars[0].x
     assert x1 - x0 == pytest.approx(100.0 / 3.6 * 2.0, abs=1e-9)
 
 
 def test_follower_respects_wave_gap(rng):
     m = _model(dt=2.0)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     # leader parked near the end, follower close behind
     _place(m, "0:1", [400.0, 390.0])
     m.compute_demands(0.0, rng)
@@ -91,7 +91,7 @@ def test_capacity_term_caps_flow(rng):
         )
     )
     m.headway_query = lambda rc: 1e9
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     _place(m, "0:1", [300.0, 250.0])
     m.compute_demands(0.0, rng)
     df = 1000.0 / 3600.0 * 0.5
@@ -101,7 +101,7 @@ def test_capacity_term_caps_flow(rng):
 
 def test_exit_demand_is_fifo_prefix(rng):
     m = _model(dt=2.0)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     _place(m, "0:1", [499.0, 250.0, 240.0])  # only the first reaches the end
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
@@ -110,7 +110,7 @@ def test_exit_demand_is_fifo_prefix(rng):
 
 def test_rejected_exiter_parks_at_boundary(rng):
     m = _model(dt=2.0)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     m.receive_vehicles(0, _vehs(1), now=0.0)
     lane.cars[0].x = 499.0
     m.compute_demands(0.0, rng)
@@ -123,7 +123,7 @@ def test_rejected_exiter_parks_at_boundary(rng):
 def test_no_collisions_under_noise():
     rng = np.random.default_rng(99)
     m = _model(dt=2.0, sigma_v=5.0, sigma_w=3.0, sigma_f=0.2)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     next_id = 0
     for k in range(300):
         if m.lane_group_supply("0:1") >= 1:
@@ -171,7 +171,7 @@ def _stepped_pair(n_links, lanes, dt, sigmas, limits, cars, eta, seed):
 def _assert_same_step(pair):
     def cars(m):
         return [(c.vehicle.id, c.tentative.hex(), c.exiting, c.target_rc)
-                for gid in m.group_ids for c in m.lanes[gid].cars]
+                for gid in m.group_ids for c in m.groups[gid].cars]
 
     def requests(reqs):
         return [(r.group_id, r.rc, [v.id for v in r.packet.all_vehicles()])
@@ -232,7 +232,7 @@ def test_no_draws_without_noise():
 
 def _free_advance(m, rng):
     """How far one free car at 100 m on link 0 moves in the next step."""
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     _place(m, "0:1", [100.0])
     m.compute_demands(0.0, rng)
     m.advance_state(0.0, rng)
@@ -242,8 +242,8 @@ def _free_advance(m, rng):
 def test_set_speed_limit_sets_the_free_advance(rng):
     m = _model(n_links=2, dt=2.0)
     m.set_speed_limit(0, 40.0)
-    assert m.lanes["0:1"].means[0] == 40.0 / 3.6 * 2.0
-    assert m.lanes["1:1"].means[0] == 100.0 / 3.6 * 2.0
+    assert m.groups["0:1"].means[0] == 40.0 / 3.6 * 2.0
+    assert m.groups["1:1"].means[0] == 100.0 / 3.6 * 2.0
     assert _free_advance(m, rng) == pytest.approx(40.0 / 3.6 * 2.0, abs=1e-9)
 
 
@@ -259,7 +259,7 @@ def test_vsl_actuator_sets_the_free_advance():
 def test_buffer_counts_against_supply(rng):
     m = _model()
     m.receive_vehicles(0, _vehs(3), now=0.0)
-    lane = m.lanes["0:1"]
+    lane = m.groups["0:1"]
     assert len(lane.cars) == 1 and len(lane.buffer) == 2
     assert m.lane_group_supply("0:1") == 0.0
 
@@ -304,7 +304,7 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
     vid = 0
     for lid in (0, 1):
         # evenly spaced, downstream-most first, tagged with the next link
-        lane = m.lanes["%d:1" % lid]
+        lane = m.groups["%d:1" % lid]
         k = per_link[lid]
         state = StateIndex(1, 1 - lid)
         lane.cars = [

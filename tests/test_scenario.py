@@ -182,6 +182,23 @@ def test_validate_reports_what_the_engine_rejects(change, diagnostic):
         Engine(sc)
 
 
+@pytest.mark.parametrize("name, model, key", [
+    ("macro_micro", 0, "max_cell_lenght"), ("macro_micro", 0, "sigma_v"),
+    ("macro_micro", 1, "max_cell_length"), ("macro_meso", 1, "lc_supply_factor"),
+])
+def test_validate_rejects_unknown_model_parameters(name, model, key):
+    # a misspelled key, or another kind's, once validated clean and was
+    # silently ignored
+    with open(cli._resolve(name)) as f:
+        d = yaml.safe_load(f)
+    d["models"][model][key] = 50
+    diag = "model %d (%s): unknown parameter %r" % (model, d["models"][model]["kind"], key)
+    sc = parse_scenario(d)
+    assert validate_scenario(sc) == [diag]
+    with pytest.raises(ScenarioError, match=re.escape(diag)):
+        Engine(sc)
+
+
 @pytest.mark.parametrize("path, value, owner", [
     (("demands", 0, "profile", "values"), [math.nan], "demand 0"),
     (("demands", 0, "profile", "values"), [-1.0], "demand 0"),
