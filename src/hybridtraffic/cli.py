@@ -78,14 +78,18 @@ def main(argv=None) -> int:
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    # the fluid a boundary has not yet condensed into a whole vehicle is
+    # in the network too, but in no model
     print(
-        "simulated %r for %g s: %g veh injected, %g exited, %g in network"
+        "simulated %r for %g s: %g veh injected, %g exited, %g in the models, "
+        "%g stranded in boundary residues"
         % (
             sc.name,
             sc.run.duration,
             engine.total_injected(),
             engine.total_exited(),
-            engine.total_in_network(),
+            engine.total_in_models(),
+            engine.total_in_residues(),
         )
     )
     failures = engine.audit_failures

@@ -151,15 +151,17 @@ class Source:
 
 class Row(NamedTuple):
     """A compiled routing row: next states and ratios in row order (which is
-    state order), their total summed in that order, a draw's cumulative
+    state order), the slot of each next state in the entered link's state
+    table, the ratios' total summed in row order, a draw's cumulative
     distribution (None for one state) and the split profile pieces it was
     compiled from (None: never stale)."""
 
     states: tuple[StateIndex, ...]
+    slots: tuple[int, ...]
     ratios: tuple[float, ...]
     total: float
     cdf: list[float] | None
-    pieces: tuple[int, ...] | None = None
+    pieces: tuple[int, ...] | None
 
 
 def _cdf(ratios: tuple[float, ...]) -> list[float]:
@@ -175,7 +177,8 @@ def _cdf(ratios: tuple[float, ...]) -> list[float]:
 
 
 class RoutingContext:
-    """Resolves state indices: route successors and split sampling."""
+    """Resolves state indices: each link's state table, route successors and
+    split sampling."""
 
     def __init__(self, net: Network, vehicle_types: dict[int, VehicleType],
                  routes: dict[int, Route], splits: dict[tuple[int, int], SplitProfile]):
@@ -183,6 +186,23 @@ class RoutingContext:
         self.vehicle_types = vehicle_types
         self.routes = routes
         self.splits = splits  # (link, vehicle type) -> profile
+        # per link, the states it can hold in state order, and each one's
+        # slot: a probabilistic type keyed by each next link (ascending, or
+        # None on a terminal link), a routed type by each route through the
+        # link (ascending)
+        through: dict[int, list[int]] = {}
+        for rid in sorted(routes):
+            for lid in routes[rid].links:
+                through.setdefault(lid, []).append(rid)
+        types = [(vid, vehicle_types[vid].is_routed) for vid in sorted(vehicle_types)]
+        self.tables: dict[int, tuple[StateIndex, ...]] = {
+            lid: tuple(StateIndex(vid, key) for vid, routed in types
+                       for key in (through.get(lid, ()) if routed else nexts or (None,)))
+            for lid, nexts in net.successors.items()
+        }
+        self.slots: dict[int, dict[StateIndex, int]] = {
+            lid: {s: k for k, s in enumerate(table)} for lid, table in self.tables.items()
+        }
         # actuated replacements: vehicle type -> route id, and
         # (link, vehicle type) -> turn ratios; set through `override_route`
         # and `override_split`, which drop the compiled rows
@@ -216,21 +236,34 @@ class RoutingContext:
         return row
 
     def _compile(self, s: StateIndex, link: int, now: float) -> Row:
-        """Next states and ratios for state `s` entering `link`: a routed type
-        keeps its route, or takes the override route where that passes the
-        link; a probabilistic type is keyed None on a terminal link, by the
-        single successor, or by the positive split ratios in link order."""
+        """The row of state `s` entering `link`, with the slot of each next
+        state in the link's table; a next state the link cannot hold is
+        refused here, on its first entry."""
+        states, ratios, pieces = self._next_states(s, link, now)
+        slot = self.slots[link]
+        for ns in states:
+            if ns not in slot:
+                raise RoutingError("state %s has no slot on link %s" % (ns, link))
+        return Row(states, tuple(slot[ns] for ns in states), ratios, sum(ratios),
+                   _cdf(ratios) if len(ratios) > 1 else None, pieces)
+
+    def _next_states(self, s: StateIndex, link: int, now: float):
+        """Next states, ratios and split profile pieces for state `s`
+        entering `link`: a routed type keeps its route, or takes the override
+        route where that passes the link; a probabilistic type is keyed None
+        on a terminal link, by the single successor, or by the positive split
+        ratios in link order."""
         vtype = s.vtype
         if self.vehicle_types[vtype].is_routed:
             rid = self.route_overrides.get(vtype)
             if rid is not None and link in self.routes[rid].links:
-                return Row((StateIndex(vtype, rid),), (1.0,), 1.0, None)
+                return (StateIndex(vtype, rid),), (1.0,), None
             if s.key is None:
                 raise RoutingError("routed type %s needs a route" % vtype)
-            return Row((s,), (1.0,), 1.0, None)
+            return (s,), (1.0,), None
         nexts = self.successors[link]
         if len(nexts) < 2:
-            return Row((StateIndex(vtype, nexts[0] if nexts else None),), (1.0,), 1.0, None)
+            return (StateIndex(vtype, nexts[0] if nexts else None),), (1.0,), None
         pieces = None
         ratios = self.split_overrides.get((link, vtype))
         if ratios is None:
@@ -245,9 +278,8 @@ class RoutingContext:
             raise ConfigurationError(
                 "split ratios at link %s, type %s sum to zero" % (link, vtype)
             )
-        vals = tuple(ratios[nl] for nl in nls)
-        return Row(tuple(StateIndex(vtype, nl) for nl in nls), vals, sum(vals),
-                   _cdf(vals) if len(vals) > 1 else None, pieces)
+        return (tuple(StateIndex(vtype, nl) for nl in nls),
+                tuple(ratios[nl] for nl in nls), pieces)
 
     @staticmethod
     def _draw(row: Row, rng: np.random.Generator) -> StateIndex:
@@ -274,23 +306,25 @@ class RoutingContext:
     ) -> FluxPacket:
         """Re-key a packet as it enters a link.
 
-        Fluid content of each state is divided over its row's ratios, in
-        state order, so the re-keyed packet is in state order too; vehicles
-        each take one next state drawn from their state's row, one uniform
-        per vehicle in packet order, and keep their order within each new
-        state. Totals are conserved exactly.
+        Fluid content of each state is divided over its row's ratios into
+        the slots of the entered link's state table; vehicles each take one
+        next state drawn from their state's row, one uniform per vehicle in
+        packet order, and keep their order within each new state. Totals are
+        conserved exactly.
         """
         if p.is_fluid:
-            out: dict[StateIndex, float] = {}
-            for s, amount in p.fluid.items():
-                states, ratios, total, _, _ = self._row(s, entered_link, now)
-                for ns, r in zip(states, ratios):
-                    out[ns] = out.get(ns, 0.0) + amount * r / total
-            return FluxPacket(fluid=out)
+            table = self.tables[entered_link]
+            out = [0.0] * len(table)
+            for s, amount in zip(p.table, p.amounts):
+                if amount > 0:
+                    _, slots, ratios, total, _, _ = self._row(s, entered_link, now)
+                    for k, r in zip(slots, ratios):
+                        out[k] += amount * r / total
+            return FluxPacket(table, out)
 
         vout: dict[StateIndex, list] = {}
         for s, vehs in p.vehicles.items():
-            states, _, _, cdf, _ = self._row(s, entered_link, now)
+            states, _, _, _, cdf, _ = self._row(s, entered_link, now)
             if cdf is None:
                 picks = [vehs]
             else:

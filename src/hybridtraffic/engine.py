@@ -84,6 +84,7 @@ class _Connection:
     down_link: int
     receiver: TrafficModel  # model of the downstream link
     groups: tuple  # D_r, sorted
+    down_at: tuple  # the place of each in its junction's `downstream`
 
 
 class Engine:
@@ -164,19 +165,20 @@ class Engine:
 
         connections, junctions = {}, {}
         for jid, rcs in comp.items():
-            for r in rcs:
-                rc = net.road_connections[r]
-                connections[r] = _Connection(
-                    r, jid, rc.up_link, rc.down_link,
-                    self.model_of_link[rc.down_link], tuple(net.rc_down_groups[r]),
-                )
-            junctions[jid] = nodemodel.Junction(
+            junctions[jid] = junction = nodemodel.Junction(
                 jid,
                 {r: net.rc_up_groups[r] for r in rcs},
                 {r: net.rc_down_groups[r] for r in rcs},
                 {(r, h): net.lane_access_fraction(r, h)
                  for r in rcs for h in net.rc_down_groups[r]},
             )
+            for r in rcs:
+                rc = net.road_connections[r]
+                groups = tuple(net.rc_down_groups[r])
+                connections[r] = _Connection(
+                    r, jid, rc.up_link, rc.down_link, self.model_of_link[rc.down_link],
+                    groups, tuple(junction.downstream.index(h) for h in groups),
+                )
         return connections, junctions
 
     # --- cross-model queries -------------------------------------------
@@ -299,7 +301,7 @@ class Engine:
         the road connection and upstream lane group."""
         g = r = None
         try:
-            offers = {}  # (g, r) -> (sender, packet, size)
+            offers = {}  # pair index -> (sender, packet, size)
             for m, req in reqs:
                 g, r = req.group_id, req.rc
                 size = self._rc[r].receiver.get_packet_size(req.packet, r)
@@ -307,11 +309,13 @@ class Engine:
                     raise ProtocolError("negative packet size %r" % size)
                 if size <= 0:
                     continue
-                if (g, r) in offers:
+                i = junction.pair_index[g, r]
+                if i in offers:
                     raise ProtocolError("more than one request per lane group and rc")
-                offers[(g, r)] = (m, req.packet, size)
+                offers[i] = (m, req.packet, size)
             if len(offers) == 1:
-                ((g, r), (sender, packet, size)), = offers.items()
+                (i, (sender, packet, size)), = offers.items()
+                g, r = junction.pairs[i]
                 conn = self._rc[r]
                 if len(conn.groups) == 1:
                     # one upstream group, one rc and one downstream group
@@ -325,19 +329,24 @@ class Engine:
             if not offers:
                 return
             demand = [0.0] * len(junction.pairs)
-            for key, offer in offers.items():
-                demand[junction.pair_index[key]] = offer[2]
+            for i, offer in offers.items():
+                demand[i] = offer[2]
             model_of = self.model_of_group
             supply = [model_of[h].lane_group_supply(h) for h in junction.downstream]
             flow = nodemodel.solve(junction, demand, supply,
                                    [r in self.closed_rcs for r in junction.rcs]).flow
-            for (g, r), delta in zip(junction.pairs, flow):
-                offer = offers.get((g, r))
-                if offer is not None and delta > nodemodel.EPS:
-                    # read per delivery: earlier ones here may have filled it
+            first = True
+            for i in sorted(offers):  # in pair order
+                if flow[i] > nodemodel.EPS:
+                    g, r = junction.pairs[i]
                     conn = self._rc[r]
-                    caps = [conn.receiver.lane_group_supply(h) for h in conn.groups]
-                    self._deliver(t, offer[0], g, conn, offer[1], offer[2], delta, caps)
+                    # the first delivery has the supply the solve read; a
+                    # later one reads it again, as earlier ones may have filled it
+                    caps = ([supply[j] for j in conn.down_at] if first else
+                            [conn.receiver.lane_group_supply(h) for h in conn.groups])
+                    first = False
+                    sender, packet, size = offers[i]
+                    self._deliver(t, sender, g, conn, packet, size, flow[i], caps)
         except Exception as exc:
             where = "junction %s" % junction.id
             if r is not None:
@@ -358,8 +367,9 @@ class Engine:
             if total <= 0:
                 return
             alpha = min(1.0, total / packet.size)
-            sent = FluxPacket(fluid={
-                s: b for s, a in packet.fluid.items() if (b := a * alpha) > 0})
+            # a whole request is sent as it is (a * 1.0 == a)
+            sent = packet if alpha == 1.0 else FluxPacket(
+                packet.table, [a * alpha for a in packet.amounts])
         else:
             credit = self._entry_credit.get(conn.id, 0.0)
             entitled = min(delta + credit, size)
@@ -375,45 +385,49 @@ class Engine:
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
         """Book a re-keyed packet into `link` and hand it to the link's model:
-        whole vehicles, condensed from fluid first, or per-state amounts
-        (vehicles dissolve; a probed one starts a tracker) spread over
-        `groups` (sorted, `caps` their supply, summing to `space`) in
-        proportion to their free space, evenly when none has any (entry credit
-        can admit a vehicle into full fluid lane groups), state by state."""
-        amounts = self._book(packet, self.cum_in[link])
+        whole vehicles, condensed from fluid first, or amounts over the
+        link's state table (vehicles dissolve into counts; a probed one
+        starts a tracker) spread over `groups` (sorted, `caps` their supply,
+        summing to `space`) in proportion to their free space, evenly when
+        none has any (entry credit can admit a vehicle into full fluid lane
+        groups)."""
+        self._book(packet, self.cum_in[link])
         if receiver.vehicle_based:
             receiver.receive_vehicles(link, (
                 self.translator.translate(packet, link, t) if packet.is_fluid
                 else packet.all_vehicles()), t)
             return
-        for v in packet.all_vehicles():
-            if v.id in self._probed:
-                self.trackers.append(VirtualTracker(v.id, v.state, link, groups[0], 0.0))
+        if packet.is_fluid:
+            amounts = packet.amounts
+        else:
+            amounts = [0.0] * len(self.routing.tables[link])
+            slot = self.routing.slots[link]
+            for s, vs in packet.vehicles.items():
+                amounts[slot[s]] = float(len(vs))
+                for v in vs:
+                    if v.id in self._probed:
+                        self.trackers.append(VirtualTracker(v.id, s, link, groups[0], 0.0))
         if space <= 0:
             caps, space = [1.0] * len(groups), float(len(groups))
-        parts = [{} for _ in groups]
-        for s, a in amounts.items():
-            for part, w in zip(parts, caps):
-                share = a * w / space
-                if share > 0:
-                    part[s] = share
-        for h, part in zip(groups, parts):
-            if part:
+        for h, w in zip(groups, caps):
+            part = [a * w / space for a in amounts]
+            if any(part):
                 receiver.receive_fluid(h, part, t)
 
     @staticmethod
     def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
         """Add the packet's per-state amounts, vehicle counts for whole
-        vehicles, to each ledger; return the amounts."""
-        amounts = (
-            packet.fluid
-            if packet.is_fluid
-            else {s: float(len(v)) for s, v in packet.vehicles.items()}
-        )
-        for s, a in amounts.items():
+        vehicles, to each ledger."""
+        if packet.is_fluid:
+            for s, a in zip(packet.table, packet.amounts):
+                if a > 0:
+                    for ledger in ledgers:
+                        ledger[s] = ledger.get(s, 0.0) + a
+            return
+        for s, vs in packet.vehicles.items():
+            a = float(len(vs))
             for ledger in ledgers:
                 ledger[s] = ledger.get(s, 0.0) + a
-        return amounts
 
     # --- sources ---------------------------------------------------------
 
@@ -442,7 +456,7 @@ class Engine:
         if amount <= 0:
             return
         src.withdraw(amount)
-        p0 = FluxPacket(fluid={StateIndex(src.demand.vtype, src.demand.route): amount})
+        p0 = FluxPacket((StateIndex(src.demand.vtype, src.demand.route),), [amount])
         routed = self.routing.assign_next_link(p0, link, t, self.rng)
         groups = sorted(supply)  # the order fluid is spread in
         caps = [supply[h] for h in groups]
@@ -501,9 +515,19 @@ class Engine:
     # --- summary ----------------------------------------------------------
 
     def total_in_network(self) -> float:
+        """Vehicles in the models plus the fluid stranded in the boundary
+        residues of the fluid-to-vehicle translator."""
         return sum(
             sum(self.link_state_counts(l).values()) for l in self.net.links
         )
+
+    def total_in_models(self) -> float:
+        return sum(
+            sum(self.model_of_link[l].state_counts(l).values()) for l in self.net.links
+        )
+
+    def total_in_residues(self) -> float:
+        return sum(self.translator.residues.values())
 
     def total_injected(self) -> float:
         return sum(s.total_injected for s in self.sources)

@@ -117,8 +117,9 @@ class TrafficModel(ABC):
         """Take the given contents out of the lane group (the accepted part
         of a previously offered demand)."""
 
-    def receive_fluid(self, group_id: str, amounts: dict[StateIndex, float], now: float):
-        """Insert fluid content at the upstream end of a lane group."""
+    def receive_fluid(self, group_id: str, amounts: list[float], now: float):
+        """Insert fluid content at the upstream end of a lane group: amounts
+        aligned with its link's state table (`RoutingContext.tables`)."""
         raise RuntimeError("%s model receives whole vehicles only" % self.kind)
 
     def receive_vehicles(self, link_id: int, vehicles: list, now: float):
@@ -258,3 +259,10 @@ class VehicleModel(TrafficModel):
 
     def local_cumulative_count(self, link_id: int, offset_m: float) -> float:
         return sum(self.groups[g].cum_out for g in self.net.link_groups[link_id])
+
+    def local_density_per_m(self, link_id: int, offset_m: float) -> float:
+        """Every vehicle stored on the link, buffered ones too, over its
+        longest lane group."""
+        gids = self.net.link_groups[link_id]
+        return (sum(self.groups[g].stored() for g in gids)
+                / max(self.groups[g].length for g in gids))

@@ -3,11 +3,13 @@ lane-change step per cell, held in one array per model.
 
 Every cell of the model is a row of a `(cells + 1) x slots` occupancy array:
 a lane group's cells are consecutive rows, upstream-most first, in the
-model's `group_ids` order. A link's slots are the states it can hold, in
-state order, compiled once routing is set; columns past a link's own slots
-stay zero, and so does the extra last row, which stands in for a missing
-lateral neighbour. The lane changes, the demands and the internal fluxes are
-a fixed number of numpy operations per step, whatever the number of links.
+model's `group_ids` order. A link's slots are its state table
+(`RoutingContext.tables`), the states it can hold in state order, and fluid
+enters and leaves as amounts aligned with that table; columns past a link's
+own slots stay zero, and so does the extra last row, which stands in for a
+missing lateral neighbour. The lane changes, the demands and the internal
+fluxes are a fixed number of numpy operations per step, whatever the number
+of links.
 Within a flow phase the model works on per-step Python lists (each lane
 group's last cell, its outflow, the inflow and its total, the cell totals)
 and folds them into the arrays in `advance_state`.
@@ -21,11 +23,12 @@ two states.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from ..demand import ConfigurationError, RoutingError
-from ..packets import FluxPacket, StateIndex, state_sort_key
+from ..packets import FluxPacket, ProtocolError, StateIndex
 from .base import DemandRequest, TrafficModel
 
 NEG_TOL = -1e-9
@@ -44,9 +47,12 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 class _Group:
     """One lane group's cell chain: rows `start` to `start + count - 1` of
-    the model's arrays, upstream-most first."""
+    the model's arrays, upstream-most first; once routing is set, its link's
+    state table and the slots of that table with no lane plan, each with
+    its `RoutingError`."""
 
-    __slots__ = ("model", "index", "link", "start", "count", "length", "n_max", "f_cap")
+    __slots__ = ("model", "index", "link", "start", "count", "length", "n_max", "f_cap",
+                 "table", "refused")
 
     def __init__(self, model, index, link, start, count, length, n_max, f_cap):
         self.model, self.index, self.link = model, index, link
@@ -160,41 +166,29 @@ class CtmModel(TrafficModel):
     # --- slots ----------------------------------------------------------
 
     def set_routing(self, routing):
-        """Compile each link's slots, the states it can hold in state order,
-        with the lane plan of each state (see `_plan`): a probabilistic type
-        keyed by each next link (None on a terminal link), a routed type by
-        each route through the link. A state whose plan fails gets no slot
-        and is refused when it first enters the link. Starts the model
-        empty."""
+        """Compile the lane plan of each slot of each link (see `_plan`).
+        A state whose plan fails keeps its slot but is never served, and is
+        refused when it first enters the link. Starts the model empty."""
         super().set_routing(routing)
-        types, routes = routing.vehicle_types, routing.routes
-        plans = {}
+        plans, refused = {}, {}
         for lid in self.links:
-            states = []
-            for vid, vt in types.items():
-                if vt.is_routed:
-                    states += [StateIndex(vid, rid) for rid, r in routes.items()
-                               if lid in r.links]
-                else:
-                    states += [StateIndex(vid, nl)
-                               for nl in self.net.successors[lid] or [None]]
-            plans[lid] = {}
-            for s in sorted(states, key=state_sort_key):
+            plans[lid], refused[lid] = [], {}
+            for k, s in enumerate(routing.tables[lid]):
                 try:
-                    plans[lid][s] = self._plan(lid, s)
-                except RoutingError:
-                    pass
-        self._states = {lid: tuple(p) for lid, p in plans.items()}
-        self._slot = {lid: {s: k for k, s in enumerate(p)} for lid, p in plans.items()}
+                    plans[lid].append(self._plan(lid, s))
+                except RoutingError as exc:
+                    plans[lid].append(None)
+                    refused[lid][k] = exc
         n_slots = max([1] + [len(p) for p in plans.values()])
         groups = self._group_list
-        moves, self._group_states, self._group_rcs = [], [], []
+        moves, self._group_rcs = [], []
         for g in groups:
+            g.table, g.refused = routing.tables[g.link], refused[g.link]
             j = g.index - self._span[g.link][2]  # its place on the link
-            lane_plans = plans[g.link].values()
-            moves.append([mv[j] for _, mv in lane_plans] + [2] * (n_slots - len(lane_plans)))
-            self._group_states.append(self._states[g.link])
-            self._group_rcs.append([rc[j] for rc, _ in lane_plans])
+            lane_plans = plans[g.link]
+            moves.append([2 if p is None else p[1][j] for p in lane_plans]
+                         + [2] * (n_slots - len(lane_plans)))
+            self._group_rcs.append([None if p is None else p[0][j] for p in lane_plans])
         move = np.array(moves, dtype=np.int8).reshape(len(groups), n_slots)
         # free-flow speed where the lane group serves the slot, else 0, so
         # that no demand is formed there
@@ -238,9 +232,10 @@ class CtmModel(TrafficModel):
         )
         return rc, move
 
-    def _refuse(self, lid: int, s: StateIndex):
-        self._plan(lid, s)  # an unroutable state raises its RoutingError here
-        raise RoutingError("state %s has no slot on link %s" % (s, lid))
+    @staticmethod
+    def _refuse(g: _Group, k: int):
+        raise RoutingError("state %s has no slot on link %s: %s"
+                           % (g.table[k], g.link, g.refused[k]))
 
     def _set_totals(self):
         self._tot_np = _row_sums(self._occ)
@@ -262,8 +257,7 @@ class CtmModel(TrafficModel):
     def occupancy(self, group_id: str, cell: int) -> dict[StateIndex, float]:
         """The cell's non-zero occupancies by state, in state order."""
         g = self.groups[group_id]
-        return {s: n for s, n in zip(self._states[g.link], self._cell(g, cell % g.count))
-                if n}
+        return {s: n for s, n in zip(g.table, self._cell(g, cell % g.count)) if n}
 
     def set_occupancy(self, group_id: str, cell: int, amounts: dict[StateIndex, float]):
         """Replace the cell's occupancies (e.g. to seed a test); not within a
@@ -271,9 +265,11 @@ class CtmModel(TrafficModel):
         g = self.groups[group_id]
         row = np.zeros(self._occ.shape[1])
         for s, a in amounts.items():
-            k = self._slot[g.link].get(s)
+            k = self.routing.slots[g.link].get(s)
             if k is None:
-                self._refuse(g.link, s)
+                raise RoutingError("state %s has no slot on link %s" % (s, g.link))
+            if k in g.refused:
+                self._refuse(g, k)
             row[k] = a
         self._occ[g.start + cell % g.count] = row
         self._set_totals()
@@ -325,23 +321,30 @@ class CtmModel(TrafficModel):
         d = np.minimum(self._v_gs * last, (self._f_g * last) / np.maximum(n_tot, TINY))
         self._open(last)
         reqs: list[DemandRequest] = []
-        states, rcs, gids = self._group_states, self._group_rcs, self.group_ids
+        groups, rcs, gids = self._group_list, self._group_rcs, self.group_ids
         prev, by_rc = -1, {}
 
         def flush():
+            if not by_rc:
+                return
+            table = groups[prev].table
             if len(by_rc) == 1:
-                (rc, fluid), = by_rc.items()
-                reqs.append(DemandRequest(gids[prev], rc, FluxPacket(fluid)))
-            elif by_rc:
-                reqs.extend(self.requests(gids[prev], by_rc, FluxPacket))
+                (rc, amounts), = by_rc.items()
+                reqs.append(DemandRequest(gids[prev], rc, FluxPacket(table, amounts)))
+            else:
+                reqs.extend(self.requests(gids[prev], by_rc, partial(FluxPacket, table)))
 
-        for j, d_s in enumerate(d.ravel().tolist()):
-            if d_s > 0:
-                i, k = divmod(j, self._n_slots)
-                if i != prev:
-                    flush()
-                    prev, by_rc = i, {}
-                by_rc.setdefault(rcs[i][k], {})[states[i][k]] = d_s
+        d = d.ravel()
+        at = np.flatnonzero(d > 0)  # lane group by lane group, slot by slot
+        gi, ks = np.divmod(at, self._n_slots)
+        for i, k, d_s in zip(gi.tolist(), ks.tolist(), d[at].tolist()):
+            if i != prev:
+                flush()
+                prev, by_rc = i, {}
+            amounts = by_rc.get(rcs[i][k])
+            if amounts is None:
+                amounts = by_rc[rcs[i][k]] = [0.0] * len(groups[i].table)
+            amounts[k] = d_s
         flush()
         return reqs
 
@@ -349,40 +352,43 @@ class CtmModel(TrafficModel):
         """w (N - n) of the first cell, net of the fluid received since the
         last advance (Daganzo's receiving flow, once per own step)."""
         g = self.groups[group_id]
-        return max(0.0, max(0.0, self.link_w[g.link] * (g.n_max - self._tot[g.start]))
-                   - self._received[g.index])
+        # `x if x > 0.0 else 0.0` is `max(0.0, x)`, NaN and -0.0 included
+        free = self.link_w[g.link] * (g.n_max - self._tot[g.start])
+        free = (free if free > 0.0 else 0.0) - self._received[g.index]
+        return free if free > 0.0 else 0.0
 
     def remove(self, group_id: str, rc, packet: FluxPacket):
         g = self.groups[group_id]
         i = g.index
+        if packet.table is not g.table:
+            raise ProtocolError("lane group %s: packet is not over link %s's state table"
+                                % (group_id, g.link))
         if self._last is None:
             self._open(self._occ[self._last_rows])
-        last, slot = self._last, self._slot[g.link]
+        last = self._last
         base = i * self._n_slots
         out, cum = self._outflow[i], self._cum_out[i]
-        for s, a in packet.fluid.items():
-            k = base + slot[s]
-            cur = last[k] - a
-            if cur < NEG_TOL:
-                raise RuntimeError(
-                    "lane group %s: outflow exceeds occupancy for state %s" % (group_id, s)
-                )
-            last[k] = cur if cur > 0 else 0.0
-            out += a
-            cum += a
+        for k, a in enumerate(packet.amounts, base):
+            if a > 0:
+                cur = last[k] - a
+                if cur < NEG_TOL:
+                    raise RuntimeError("lane group %s: outflow exceeds occupancy for state %s"
+                                       % (group_id, packet.table[k - base]))
+                last[k] = cur if cur > 0 else 0.0
+                out += a
+                cum += a
         self._outflow[i], self._cum_out[i] = out, cum
         self._tot[g.start + g.count - 1] = sum(last[base:base + self._n_slots])
 
     def receive_fluid(self, group_id, amounts, now):
         g = self.groups[group_id]
-        slot, inflow = self._slot[g.link], self._inflow
+        inflow, refused = self._inflow, g.refused
+        self._received[g.index] += sum(amounts)
         base = g.start * self._n_slots
-        self._received[g.index] += sum(amounts.values())
-        for s, a in amounts.items():
+        for k, a in enumerate(amounts):
             if a > 0:
-                k = slot.get(s)
-                if k is None:
-                    self._refuse(g.link, s)
+                if k in refused:
+                    self._refuse(g, k)
                 k += base
                 inflow[k] = inflow.get(k, 0.0) + a
 
@@ -475,7 +481,7 @@ class CtmModel(TrafficModel):
 
     def state_counts(self, link_id: int) -> dict[StateIndex, float]:
         out: dict[StateIndex, float] = {}
-        states = self._states[link_id]
+        states = self.routing.tables[link_id]
         for gid in self.net.link_groups[link_id]:
             g = self.groups[gid]
             for i in range(g.count):
@@ -494,7 +500,7 @@ class CtmModel(TrafficModel):
         out = []
         for r, k in zip(*np.nonzero(bad)):
             g = self._row_group[r]
-            states = self._states[g.link]
+            states = g.table
             out.append("lane group %s cell %d state %s: occupancy %r" % (
                 self.group_ids[g.index], r - g.start,
                 states[k] if k < len(states) else "slot %d" % k, float(occ[r, k])))

@@ -251,8 +251,3 @@ class NewellModel(VehicleModel):
         """(vehicle, group_id, position_m, speed_kmh) for trajectory output."""
         return [(v, gid, x, speed) for gid in self.net.link_groups[link_id]
                 for v, x, speed in self.positions(self.groups[gid], 0.0)]
-
-    def local_density_per_m(self, link_id: int, offset_m: float) -> float:
-        total = sum(len(self.groups[g].cars) for g in self.net.link_groups[link_id])
-        length = max(self.groups[g].length for g in self.net.link_groups[link_id])
-        return total / length

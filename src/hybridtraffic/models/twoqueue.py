@@ -118,11 +118,6 @@ class TwoQueueModel(VehicleModel):
             gq = self.groups[gid]
             gq.tau = gq.length / (v_kmh / 3.6)
 
-    def local_density_per_m(self, link_id: int, offset_m: float) -> float:
-        total = sum(self.groups[g].stored() for g in self.net.link_groups[link_id])
-        length = max(self.groups[g].length for g in self.net.link_groups[link_id])
-        return total / length
-
     def _placed_positions(self, gq, now):
         limit = self.speed_limit_eff[gq.link]
         return [

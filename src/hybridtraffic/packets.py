@@ -1,7 +1,7 @@
 """Flux packets: the quantum of exchange between traffic models.
 
-A packet carries per-state contents which are either real vehicle amounts
-(fluid) or lists of Vehicle objects (vehicle-based). A single packet is
+A packet carries either fluid, real vehicle amounts over a state table, or
+lists of Vehicle objects per state (vehicle-based). A single packet is
 homogeneous: all-fluid or all-vehicle.
 """
 
@@ -40,46 +40,50 @@ class Vehicle:
 
 
 class FluxPacket:
-    """Either `fluid` or `vehicles` is populated, never both.
+    """Fluid (`table` and `amounts`) or `vehicles`, never both.
 
-    A packet's states are its keys in state order (`state_sort_key`), the
-    order in which every caller inserts them: `fluid_packet` and
-    `vehicle_packet` sort once, and a cut or a re-keying keeps the order. A
-    vehicle packet's lists keep each state's vehicles in FIFO order. `size`
+    A fluid packet's `amounts` are aligned with its `table`, a tuple of
+    states in state order (`state_sort_key`): a link's state table
+    (`RoutingContext.tables`), shared by every packet over that link and
+    never copied. A zero amount is a state the packet does not carry. A
+    vehicle packet's states are its keys in state order, the order in which
+    every caller inserts them (`vehicle_packet` sorts once, and a cut or a
+    re-keying keeps the order), each with its vehicles in FIFO order. `size`
     is the total amount, or the number of vehicles, summed once in state
     order when the packet is made."""
 
-    __slots__ = ("fluid", "vehicles", "size")
+    __slots__ = ("table", "amounts", "vehicles", "is_fluid", "size")
 
-    def __init__(self, fluid: dict[StateIndex, float] | None = None,
+    def __init__(self, table: tuple[StateIndex, ...] | None = None,
+                 amounts: list[float] | None = None,
                  vehicles: dict[StateIndex, list[Vehicle]] | None = None):
-        self.fluid = fluid = {} if fluid is None else fluid
-        self.vehicles = vehicles = {} if vehicles is None else vehicles
-        if vehicles:
-            if fluid:
-                raise ProtocolError("packet must be homogeneous (fluid or vehicle)")
-            self.size = float(sum(len(v) for v in vehicles.values()))
+        self.table, self.amounts, self.vehicles = table, amounts, vehicles
+        self.is_fluid = vehicles is None
+        if vehicles is None:
+            self.size = sum(amounts)
+        elif amounts is not None:
+            raise ProtocolError("packet must be homogeneous (fluid or vehicle)")
         else:
-            self.size = sum(fluid.values())
-
-    @property
-    def is_fluid(self) -> bool:
-        return not self.vehicles
+            self.size = float(sum(len(v) for v in vehicles.values()))
 
     def all_vehicles(self) -> list[Vehicle]:
         """The vehicles in state order, FIFO within a state."""
         return [v for vs in self.vehicles.values() for v in vs]
 
 
-def fluid_packet(amounts: dict[StateIndex, float]) -> FluxPacket:
-    """A fluid packet of the positive amounts, in state order; a negative
-    one is an error."""
+def fluid_packet(table: tuple[StateIndex, ...],
+                 amounts: dict[StateIndex, float]) -> FluxPacket:
+    """A fluid packet over `table` of the given per-state amounts; a
+    negative amount or a state not in the table is an error."""
+    out = [0.0] * len(table)
+    slot = {s: k for k, s in enumerate(table)}
     for s, a in amounts.items():
         if a < 0:
             raise ProtocolError("negative fluid amount for state %s" % (s,))
-    return FluxPacket(fluid={
-        s: amounts[s] for s in sorted(amounts, key=state_sort_key) if amounts[s] > 0
-    })
+        if s not in slot:
+            raise ProtocolError("state %s is not in the packet's table" % (s,))
+        out[slot[s]] = a
+    return FluxPacket(table, out)
 
 
 def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
@@ -139,7 +143,9 @@ class FluidToVehicleTranslator:
     def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
         """Whole vehicles condensed from a fluid packet at `location`."""
         out: list[Vehicle] = []
-        for s, a in p.fluid.items():
+        for s, a in zip(p.table, p.amounts):
+            if a <= 0:
+                continue
             key = (location, s)
             acc = self.residues.get(key, 0.0) + a
             count = int(math.floor(acc + 1e-12))

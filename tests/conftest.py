@@ -46,6 +46,11 @@ def successor_network(nexts):
     return Network.build(links, rcs)
 
 
+def by_state(packet) -> dict:
+    """A fluid packet's non-zero amounts by state, in table order."""
+    return {s: a for s, a in zip(packet.table, packet.amounts) if a > 0}
+
+
 def corridor_scenario_dict(
     model_blocks,
     n_links=4,

@@ -5,8 +5,10 @@ Each lane group is a chain of cells, each cell a dict of per-state
 occupancies, and every step is written plainly: the lateral lane-change pass
 cell by cell, demands from the last cell state by state, the internal fluxes
 cell by cell, with one lane plan per (link, state) resolved the first time
-the state is seen. The array model must give the same demands, supplies and
-occupancies, bit for bit while every cell holds at most two states
+the state is seen. Its requests carry, and its `remove` and `receive_fluid`
+take, plain state -> amount dicts, where the array model takes amounts over
+the link's state table. The array model must give the same demands, supplies
+and occupancies, bit for bit while every cell holds at most two states
 (`tests/test_ctm.py`).
 """
 
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from hybridtraffic.demand import ConfigurationError
 from hybridtraffic.models.base import DemandRequest, TrafficModel
-from hybridtraffic.packets import FluxPacket, StateIndex, state_sort_key
+from hybridtraffic.packets import StateIndex, state_sort_key
 
 NEG_TOL = -1e-9
 
@@ -237,7 +239,7 @@ class ReferenceCtmModel(TrafficModel):
                     if d_s <= 0:
                         continue
                     by_rc.setdefault(plan.rc[j], {})[s] = d_s
-                reqs += self.requests(gid, by_rc, FluxPacket)
+                reqs += self.requests(gid, by_rc, dict)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
@@ -245,10 +247,10 @@ class ReferenceCtmModel(TrafficModel):
         w = self.link_w[gc.link]
         return max(0.0, max(0.0, w * (gc.n_max - gc.cell_total(0))) - gc.received)
 
-    def remove(self, group_id: str, rc, packet: FluxPacket):
+    def remove(self, group_id: str, rc, amounts: dict[StateIndex, float]):
         gc = self.groups[group_id]
         last = gc.occ[-1]
-        for s, a in packet.fluid.items():
+        for s, a in amounts.items():
             cur = last.get(s, 0.0) - a
             if cur < NEG_TOL:
                 raise RuntimeError(

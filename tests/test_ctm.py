@@ -1,25 +1,27 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corridor_network, std_params
+from conftest import by_state, corridor_network, std_params
 from hybridtraffic.demand import (
     ConfigurationError,
     Profile,
     Route,
     RoutingContext,
+    RoutingError,
     SplitProfile,
     VehicleType,
 )
 from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.network import Link, Network, PartialLaneStructure, RoadConnection
-from hybridtraffic.packets import FluxPacket, StateIndex, fluid_packet
+from hybridtraffic.packets import FluxPacket, ProtocolError, StateIndex, fluid_packet
 from reference_ctm import ReferenceCtmModel
 
-S = StateIndex(0, 0)
+S = StateIndex(0, 0)  # the one state of `_single_link_model`'s link, slot 0
 
 
 def _routing_for(net, route_links):
@@ -68,7 +70,7 @@ def test_free_flow_pulse_advances(rng):
     # dt chosen so v*dt equals exactly one cell: pure translation
     m, _ = _single_link_model(dt=3.6, max_cell=100.0)
     gc = m.groups["0:1"]
-    m.receive_fluid("0:1", {S: 1.0}, 0.0)
+    m.receive_fluid("0:1", [1.0], 0.0)
     m.compute_demands(0.0, rng)
     m.advance_state(0.0, rng)
     assert m.occupancy("0:1", 0)[S] == pytest.approx(1.0)
@@ -92,7 +94,7 @@ def test_supply_and_demand_formulas(rng):
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
     assert reqs[0].rc is None  # terminal link: network exit
-    d = reqs[0].packet.fluid[S]
+    d = by_state(reqs[0].packet)[S]
     assert d == pytest.approx(min(m.link_v[0] * 10.0, gc.f_cap))
 
 
@@ -102,12 +104,12 @@ def test_supply_is_net_of_the_fluid_received_until_the_advance(rng):
     m, _ = _single_link_model(dt=2.0, lanes=2)
     gc = m.groups["0:1"]
     full = m.link_w[0] * gc.n_max  # 1.23 veh per step
-    m.receive_fluid("0:1", {S: 0.5}, 0.0)
+    m.receive_fluid("0:1", [0.5], 0.0)
     assert m.lane_group_supply("0:1") == full - 0.5
     m.compute_demands(0.0, rng)
-    m.receive_fluid("0:1", {S: 0.25}, 0.0)
+    m.receive_fluid("0:1", [0.25], 0.0)
     assert m.lane_group_supply("0:1") == full - 0.75
-    m.receive_fluid("0:1", {S: 1.0}, 0.0)
+    m.receive_fluid("0:1", [1.0], 0.0)
     assert m.lane_group_supply("0:1") == 0.0  # never negative
     m.advance_state(0.0, rng)
     n = gc.cell_total(0)
@@ -123,19 +125,48 @@ def test_demand_split_proportional_to_occupancy(rng):
     # not possible; instead check capacity apportionment with a full cell
     m.set_occupancy("0:1", -1, {S: 30.0})
     reqs = m.compute_demands(0.0, rng)
-    assert reqs[0].packet.fluid[S] == pytest.approx(gc.f_cap)
+    assert by_state(reqs[0].packet)[S] == pytest.approx(gc.f_cap)
 
 
 def test_remove_and_receive_conserve(rng):
     m, _ = _single_link_model()
     m.set_occupancy("0:1", -1, {S: 5.0})
     m.compute_demands(0.0, rng)
-    m.remove("0:1", None, fluid_packet({S: 2.0}))
+    table = m.routing.tables[0]
+    m.remove("0:1", None, fluid_packet(table, {S: 2.0}))
     assert m.occupancy("0:1", -1)[S] == pytest.approx(3.0)
-    with pytest.raises(RuntimeError):
-        m.remove("0:1", None, fluid_packet({S: 99.0}))
-    m.receive_fluid("0:1", {S: 1.25}, 0.0)
+    with pytest.raises(RuntimeError, match="outflow exceeds occupancy for state"):
+        m.remove("0:1", None, fluid_packet(table, {S: 99.0}))
+    # a packet over another table than the link's is refused
+    with pytest.raises(ProtocolError, match="not over link 0's state table"):
+        m.remove("0:1", None, fluid_packet((S,), {S: 1.0}))
+    m.receive_fluid("0:1", [1.25], 0.0)
     assert m.total_vehicles("0:1") == pytest.approx(3.0 + 1.25 + 5.0 - 5.0 + 2.0 - 2.0)
+
+
+def test_a_slot_without_a_lane_plan_is_refused_on_entry_naming_the_state_and_link():
+    # route 1 passes link 0 but jumps to link 2, which no road connection
+    # from link 0 reaches: its state keeps a slot in link 0's table, with no
+    # lane plan, and is refused the first time fluid arrives in that slot
+    net, _, _ = corridor_network(3, lanes=1)
+    m = CtmModel(dt=2.0, max_cell_length=100.0)
+    m.build(net, [0, 1, 2])
+    routing = RoutingContext(
+        net, vehicle_types={0: VehicleType(0, "routed")},
+        routes={0: Route(0, (0, 1, 2)), 1: Route(1, (0, 2))}, splits={})
+    m.set_routing(routing)
+    skipping = StateIndex(0, 1)
+    assert routing.tables[0] == (S, skipping)
+    m.receive_fluid("0:1", [1.0, 0.0], 0.0)  # the routable slot enters
+    with pytest.raises(RoutingError, match=re.escape(
+            "state %s has no slot on link 0: no lane group of link 0 leads to link 2"
+            % (skipping,))):
+        m.receive_fluid("0:1", [0.0, 1.0], 0.0)
+    with pytest.raises(RoutingError, match=re.escape("state %s has no slot on link 0"
+                                                     % (skipping,))):
+        m.set_occupancy("0:1", 0, {skipping: 1.0})
+    # nothing of the refused amount entered
+    assert m.total_vehicles("0:1") == 1.0
 
 
 def _diverge_net():
@@ -224,7 +255,7 @@ def test_oracle_equivalence_direct_drive(rng):
         for req in reqs:
             m.remove("0:1", None, req.packet)
         if take > 0:
-            m.receive_fluid("0:1", {S: take}, k * dt)
+            m.receive_fluid("0:1", [take], k * dt)
         m.advance_state(k * dt, rng)
         # oracle side
         out = min(v * n[-1], f_cap)
@@ -331,6 +362,7 @@ def test_array_model_matches_the_dict_reference(data):
         m.build(net, [0])
         m.set_routing(routing)
     gids = net.link_groups[0]
+    table = routing.tables[0]  # every state of the pool, in state order
     amount = st.one_of(st.just(0.0), st.floats(0.01, 8.0))
     for gid in gids:
         for i in range(arr.groups[gid].count):
@@ -340,10 +372,12 @@ def test_array_model_matches_the_dict_reference(data):
     exact = _at_most_two_states(ref)
 
     def receive():
+        # the reference takes a dict in state order, as the engine hands
+        # the amounts over; the array model the same amounts over the table
         for gid in gids:
-            inflow = {s: data.draw(amount) for s in states}
+            inflow = {s: data.draw(amount) for s in table if s in states}
             ref.receive_fluid(gid, inflow, 0.0)
-            arr.receive_fluid(gid, inflow, 0.0)
+            arr.receive_fluid(gid, fluid_packet(table, inflow).amounts, 0.0)
 
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         vsl = data.draw(st.none() | st.floats(20.0, 100.0), label="speed limit")
@@ -355,12 +389,15 @@ def test_array_model_matches_the_dict_reference(data):
         exact = exact and _at_most_two_states(ref)
         assert [(r.group_id, r.rc) for r in got] == [(r.group_id, r.rc) for r in want]
         for w, g in zip(want, got):
-            assert list(g.packet.fluid) == list(w.packet.fluid)  # state order
-            _same_amounts(g.packet.fluid, w.packet.fluid, exact)
+            assert g.packet.table is table
+            assert list(by_state(g.packet)) == list(w.packet)  # state order
+            _same_amounts(by_state(g.packet), w.packet, exact)
             alpha = data.draw(st.floats(0.0, 1.0), label="accepted share")
-            sent = {s: b for s, a in w.packet.fluid.items() if (b := a * alpha) > 0}
-            ref.remove(w.group_id, w.rc, FluxPacket(fluid=dict(sent)))
-            arr.remove(w.group_id, w.rc, FluxPacket(fluid=dict(sent)))
+            # the engine's cut: each amount times alpha, a zero share dropped
+            ref.remove(w.group_id, w.rc,
+                       {s: b for s, a in w.packet.items() if (b := a * alpha) > 0})
+            arr.remove(g.group_id, g.rc,
+                       FluxPacket(table, [a * alpha for a in g.packet.amounts]))
         for gid in gids:
             _same(arr.lane_group_supply(gid), ref.lane_group_supply(gid), exact)
             _same(arr.total_vehicles(gid), ref.total_vehicles(gid), exact)

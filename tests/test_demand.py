@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing
-from conftest import successor_network
+from conftest import by_state, successor_network
 from hybridtraffic.demand import (
     ConfigurationError,
     DemandProfile,
@@ -102,10 +102,11 @@ def test_assign_next_link_fluid_divides_exactly(rng):
         )
     ]
     ctx = _ctx(splits=splits, nexts={10: [11, 12], 11: [12], 12: []})
-    p = fluid_packet({StateIndex(1, 10): 4.0})
+    p = fluid_packet((StateIndex(1, 10),), {StateIndex(1, 10): 4.0})
     out = ctx.assign_next_link(p, 10, 0.0, rng)
-    assert out.fluid[StateIndex(1, 11)] == pytest.approx(1.0)
-    assert out.fluid[StateIndex(1, 12)] == pytest.approx(3.0)
+    assert out.table is ctx.tables[10]
+    assert by_state(out)[StateIndex(1, 11)] == pytest.approx(1.0)
+    assert by_state(out)[StateIndex(1, 12)] == pytest.approx(3.0)
     assert out.size == pytest.approx(4.0)
 
 
@@ -128,9 +129,9 @@ def test_assign_next_link_vehicles_sampled_and_conserved(rng):
 
 def test_assign_next_link_routed_unchanged(rng):
     ctx = _ctx()
-    p = fluid_packet({StateIndex(0, 0): 2.0})
+    p = fluid_packet(ctx.tables[10], {StateIndex(0, 0): 2.0})
     out = ctx.assign_next_link(p, 11, 0.0, rng)
-    assert out.fluid == {StateIndex(0, 0): 2.0}
+    assert by_state(out) == {StateIndex(0, 0): 2.0}
 
 
 def test_route_override_applies_where_route_passes(rng):
@@ -143,9 +144,9 @@ def test_route_override_applies_where_route_passes(rng):
     ctx.route_overrides[0] = 1
     assert ctx.entry_state(0, 10, 0, 0.0, rng) == StateIndex(0, 1)
     # override route does not pass link 11: state kept
-    p = fluid_packet({StateIndex(0, 0): 1.0})
+    p = fluid_packet(ctx.tables[10], {StateIndex(0, 0): 1.0})
     out = ctx.assign_next_link(p, 11, 0.0, rng)
-    assert out.fluid == {StateIndex(0, 0): 1.0}
+    assert by_state(out) == {StateIndex(0, 0): 1.0}
 
 
 # --- compiled rows ---------------------------------------------------------
@@ -169,7 +170,7 @@ def _diverge_engine(ratios):
 
 
 def _rekeyed(ctx, state, now, rng):
-    return ctx.assign_next_link(fluid_packet({state: 4.0}), 10, now, rng).fluid
+    return by_state(ctx.assign_next_link(fluid_packet((state,), {state: 4.0}), 10, now, rng))
 
 
 def test_two_piece_split_rekeys_with_the_new_ratios_from_the_boundary(rng):
@@ -216,13 +217,16 @@ def test_route_actuator_override_and_its_removal_are_honoured(rng):
 
 
 def test_rekeyed_fluid_stays_in_state_order(rng):
-    # the engine spreads and condenses a re-keyed packet in its key order,
-    # which must be state order for any mix of types, routes and overrides
+    # the engine spreads and condenses a re-keyed packet in the order of the
+    # entered link's state table, which must be state order for any mix of
+    # types, routes and overrides; a state the link cannot hold is refused
     from hybridtraffic.packets import state_sort_key
 
     nexts = {10: [11, 12, 13], 11: [12], 12: [], 13: []}
-    vtypes = {v: VehicleType(v, "routed" if v % 2 else "probabilistic") for v in range(4)}
-    routes = {0: Route(0, (10, 11, 12)), 1: Route(1, (10, 12)), 2: Route(2, (10, 13))}
+    # ids listed out of order: a table is built in state order regardless
+    vtypes = {v: VehicleType(v, "routed" if v % 2 else "probabilistic") for v in (3, 1, 2, 0)}
+    routes = {2: Route(2, (10, 13)), 0: Route(0, (10, 11, 12)), 1: Route(1, (10, 12))}
+    refused = 0
     for _ in range(300):
         splits = {
             (10, v): SplitProfile(10, v, {nl: Profile(0, 1, (float(rng.integers(0, 3)),))
@@ -235,11 +239,26 @@ def test_rekeyed_fluid_stays_in_state_order(rng):
         if rng.random() < 0.5:
             ctx.override_route(int(rng.choice([1, 3])), int(rng.integers(0, 3)))
         link = int(rng.choice([10, 11, 12]))
+        table = ctx.tables[link]
+        assert list(table) == sorted(table, key=state_sort_key)
         states = {StateIndex(v, int(rng.integers(0, 3)) if v % 2 else link) for v in range(4)}
-        p = fluid_packet({s: float(rng.random()) + 0.1 for s in states})
+        p = fluid_packet(tuple(sorted(states, key=state_sort_key)),
+                         {s: float(rng.random()) + 0.1 for s in states})
+        # a routed state re-keys to itself, or to its type's override route
+        # where that passes the link; the link holds the routes through it
+        overrides = ctx.route_overrides
+        stray = [s for s in states if s.vtype % 2
+                 and link not in routes[overrides.get(s.vtype, s.key)].links
+                 and link not in routes[s.key].links]
+        if stray:
+            with pytest.raises(RoutingError, match="has no slot on link %s$" % link):
+                ctx.assign_next_link(p, link, 0.0, rng)
+            refused += 1
+            continue
         out = ctx.assign_next_link(p, link, 0.0, rng)
-        assert list(out.fluid) == sorted(out.fluid, key=state_sort_key)
+        assert out.table is table
         assert out.size == pytest.approx(p.size)
+    assert 0 < refused < 300
 
 
 # --- the inverse-CDF draw against `rng.choice` ---------------------------
@@ -308,3 +327,62 @@ def test_inverse_cdf_draw_matches_rng_choice(case):
         runs.append(([(s, [v.id for v in vs]) for s, vs in out.items()],
                      [v.state for v in vehs], entry, rng.random()))
     assert runs[0] == runs[1]
+
+
+# --- slot amounts against the per-state amounts of the dict hand-over --------
+
+
+def test_a_diverge_rekeys_into_a_two_lane_group_link_as_the_per_state_hand_over_did():
+    """Fluid of a routed and a probabilistic state enters link 1, which
+    diverges to links 2 and 3 (split 0.2 : 0.5, normalised) through one
+    lane group each. The slot amounts of the re-keyed packet, the ledger and
+    the parts spread over the two lane groups (supply 0.9 and 0.35) equal,
+    bit for bit, the per-state amounts the StateIndex-dict hand-over gave."""
+    from types import SimpleNamespace
+
+    from hybridtraffic.engine import Engine
+    from hybridtraffic.scenario import parse_scenario
+
+    def link(i, lanes):
+        return {"id": i, "length": 500.0, "lanes": lanes, "capacity": 1800.0,
+                "speed": 100.0, "jam_density": 150.0}
+
+    def prof(v):
+        return {"start": 0.0, "period": 600.0, "values": [v]}
+
+    eng = Engine(parse_scenario({
+        "name": "diverge",
+        "links": [link(0, 1), link(1, 2), link(2, 1), link(3, 1)],
+        "road_connections": [
+            {"id": 0, "up_link": 0, "up_lanes": [1], "down_link": 1, "down_lanes": [1, 2]},
+            {"id": 1, "up_link": 1, "up_lanes": [1], "down_link": 2, "down_lanes": [1]},
+            {"id": 2, "up_link": 1, "up_lanes": [2], "down_link": 3, "down_lanes": [1]},
+        ],
+        "models": [{"kind": "ctm", "links": [0, 1, 2, 3], "dt": 2.0}],
+        "vehicle_types": [{"id": 0, "routing": "routed"},
+                          {"id": 1, "routing": "probabilistic"}],
+        "routes": [{"id": 0, "links": [0, 1, 3]}],
+        "demands": [{"link": 0, "vtype": 1, "profile": prof(0.0)}],
+        "splits": [{"link": 1, "vtype": 1, "ratios": {2: prof(0.2), 3: prof(0.5)}}],
+        "run": {"duration": 600.0, "output_dt": 10.0, "seed": 1},
+    }))
+    assert eng.model_of_link[1].net.link_groups[1] == ["1:1", "1:2"]
+    routed, through, left = StateIndex(0, 0), StateIndex(1, 2), StateIndex(1, 3)
+    assert eng.routing.tables[1] == (routed, through, left)
+    p = fluid_packet(eng.routing.tables[0], {routed: 0.37, StateIndex(1, 1): 1.1})
+    out = eng.routing.assign_next_link(p, 1, 0.0, eng.rng)
+    h = float.fromhex
+    # recorded from the StateIndex-dict hand-over on the same input
+    want = [h("0x1.7ae147ae147aep-2"), h("0x1.41d41d41d41d5p-2"), h("0x1.924924924924ap-1")]
+    assert out.amounts == want
+    got = []
+    receiver = SimpleNamespace(vehicle_based=False,
+                               receive_fluid=lambda g, part, t: got.append((g, part)))
+    eng._enter(receiver, 1, out, ("1:1", "1:2"), [0.9, 0.35], 0.9 + 0.35, 0.0)
+    assert got == [
+        ("1:1", [h("0x1.10cb295e9e1b1p-2"), h("0x1.cf6ee27345ecdp-3"),
+                 h("0x1.21a54d880bb40p-1")]),
+        ("1:2", [h("0x1.a858793dd97f6p-4"), h("0x1.6872b020c49bbp-4"),
+                 h("0x1.c28f5c28f5c2ap-3")]),
+    ]
+    assert list(eng.cum_in[1].items()) == list(zip(eng.routing.tables[1], want))

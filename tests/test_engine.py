@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import corridor_scenario_dict
+from conftest import by_state, corridor_scenario_dict
+from hybridtraffic.demand import RoutingError
 from hybridtraffic.engine import Engine, _Connection
-from hybridtraffic.packets import StateIndex, fluid_packet
+from hybridtraffic.packets import FluxPacket, StateIndex, fluid_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
 
 PAIRINGS = [
@@ -294,12 +297,14 @@ def test_junction_failure_names_junction_rc_and_lane_group():
 
 
 def _recording_ends(caps=None):
-    """A sender and a fluid receiver that record what they are handed; the
-    receiver reports the free space in `caps` as its lane groups' supply."""
+    """A sender and a fluid receiver that record what they are handed (the
+    sender each cut's non-zero amounts by state, the receiver each lane
+    group's amounts over the link's table); the receiver reports the free
+    space in `caps` as its lane groups' supply."""
     from types import SimpleNamespace
 
     sent, got = [], []
-    sender = SimpleNamespace(remove=lambda g, rc, p: sent.append((g, rc, p.fluid)))
+    sender = SimpleNamespace(remove=lambda g, rc, p: sent.append((g, rc, by_state(p))))
     receiver = SimpleNamespace(
         vehicle_based=False, receive_fluid=lambda h, part, t: got.append((h, part)),
         lane_group_supply=lambda h: caps[h])
@@ -309,24 +314,34 @@ def _recording_ends(caps=None):
 S0, S1 = StateIndex(0, 0), StateIndex(0, 1)
 
 
+def _two_route_engine(n_links=2, routes=((0, 1),)):
+    """A CTM corridor whose routed type also has route 1 (on links 0 and 1
+    by default), so every link it passes holds S0 and S1, in that order."""
+    d = corridor_scenario_dict([("ctm", list(range(n_links)))], n_links=n_links)
+    d["routes"] += [{"id": 1 + i, "links": list(r)} for i, r in enumerate(routes)]
+    return Engine(parse_scenario(d))
+
+
 def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     # the engine cuts a fluid request as it delivers it: each amount times
-    # min(1, delta / size), further limited by the free space, in state
-    # order, zero shares dropped, the offered packet left as it was
-    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    # min(1, delta / size), further limited by the free space, over the
+    # sender's state table, zero shares carried as zeros, the offered packet
+    # left as it was
+    eng = _two_route_engine()
+    assert eng.routing.tables[0] == eng.routing.tables[1] == (S0, S1)
     caps = {"1:1": 10.0}
     sender, receiver, sent, got = _recording_ends(caps)
-    conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
-    p = fluid_packet({S1: 1.0, S0: 3.0})
+    conn = _Connection(0, 0, 0, 1, receiver, ("1:1",), (0,))
+    p = fluid_packet(eng.routing.tables[0], {S1: 1.0, S0: 3.0})
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, [caps["1:1"]])
     assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]
     assert list(sent[0][2]) == [S0, S1]
-    assert got == [("1:1", {S0: 0.75, S1: 0.25})]
+    assert got == [("1:1", [0.75, 0.25])]
     assert eng.cum_out[0] == eng.cum_in[1] == {S0: 0.75, S1: 0.25}
-    assert p.fluid == {S0: 3.0, S1: 1.0}
+    assert p.amounts == [3.0, 1.0]
     # the whole request is accepted and fits
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
-    assert sent[-1][2] == p.fluid
+    assert sent[-1][2] == by_state(p)
     # the whole request is accepted, but only half of it fits
     caps["1:1"] = 2.0
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
@@ -335,32 +350,51 @@ def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     caps["1:1"] = 0.0
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 4.0, [caps["1:1"]])
     assert len(sent) == 3
-    # a share that scales to zero is not kept
+    # a share that scales to zero is not carried, booked or handed on
     caps["1:1"] = 10.0
-    tiny = fluid_packet({S0: 4.0, S1: 5e-324})
+    tiny = fluid_packet(eng.routing.tables[0], {S0: 4.0, S1: 5e-324})
+    before = dict(eng.cum_in[1])
     eng._deliver(0.0, sender, "0:1", conn, tiny, tiny.size, 1.0, [caps["1:1"]])
     assert sent[-1][2] == {S0: 1.0}
+    assert got[-1] == ("1:1", [1.0, 0.0])
+    assert eng.cum_in[1] == {S0: before[S0] + 1.0, S1: before[S1]}
 
 
 def test_fluid_entry_spreads_by_free_space_in_state_order():
     # what a lane group has received counts against its supply in the model
     # (test_ctm.py::test_supply_is_net_of_the_fluid_received_until_the_advance)
-    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    eng = _two_route_engine()
+    table = eng.routing.tables[1]
     _, receiver, _, got = _recording_ends()
-    eng._enter(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+    eng._enter(receiver, 1, fluid_packet(table, {S1: 1.0, S0: 3.0}), ("a", "b"),
                [9.0, 3.0], 12.0, 0.0)
-    assert got == [("a", {S0: 2.25, S1: 0.75}), ("b", {S0: 0.75, S1: 0.25})]
-    assert [list(part) for _, part in got] == [[S0, S1], [S0, S1]]
+    assert got == [("a", [2.25, 0.75]), ("b", [0.75, 0.25])]
     assert eng.cum_in[1] == {S0: 3.0, S1: 1.0}
     # a lane group without free space gets nothing while another has some
     got.clear()
-    eng._enter(receiver, 1, fluid_packet({S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0, 0.0)
-    assert got == [("b", {S0: 3.0})]
+    eng._enter(receiver, 1, fluid_packet(table, {S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0, 0.0)
+    assert got == [("b", [3.0, 0.0])]
     # without any free space the amounts are split evenly
     got.clear()
-    eng._enter(receiver, 1, fluid_packet({S1: 1.0, S0: 3.0}), ("a", "b"),
+    eng._enter(receiver, 1, fluid_packet(table, {S1: 1.0, S0: 3.0}), ("a", "b"),
                [0.0, 0.0], 0.0, 0.0)
-    assert got == [("a", {S0: 1.5, S1: 0.5}), ("b", {S0: 1.5, S1: 0.5})]
+    assert got == [("a", [1.5, 0.5]), ("b", [1.5, 0.5])]
+
+
+def test_a_state_the_entered_link_cannot_hold_is_refused_naming_it_and_the_link():
+    # route 1 runs on link 2 only, so link 1's table has no slot for its
+    # state: the delivery into link 1 refuses it as it re-keys the fluid,
+    # before anything enters the link
+    eng = _two_route_engine(n_links=3, routes=((2,),))
+    assert S1 not in eng.routing.tables[1] and S1 in eng.routing.tables[2]
+    sender, _, sent, _ = _recording_ends()
+    ctm = eng.model_of_link[1]
+    stray = FluxPacket((S1,), [1.0])
+    message = "state %s has no slot on link 1" % (S1,)
+    with pytest.raises(RoutingError, match=re.escape(message)):
+        eng._deliver(0.0, sender, "0:1", eng._rc[0], stray, 1.0, 1.0,
+                     [ctm.lane_group_supply("1:1")])
+    assert ctm.total_vehicles("1:1") == 0.0 and eng.cum_in[1] == {}
 
 
 # --- run-time failures name the element ------------------------------------

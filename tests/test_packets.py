@@ -17,6 +17,7 @@ from hybridtraffic.packets import (
 
 S0 = StateIndex(0, 0)
 S1 = StateIndex(0, 1)
+TABLE = (S0, S1)  # a state table: states in state order
 
 
 def _vehs(n, state=S0, start=0):
@@ -25,16 +26,17 @@ def _vehs(n, state=S0, start=0):
 
 def test_packet_homogeneity_enforced():
     with pytest.raises(ProtocolError):
-        FluxPacket(fluid={S0: 1.0}, vehicles={S1: _vehs(1)})
+        FluxPacket(TABLE, [1.0, 0.0], vehicles={S1: _vehs(1)})
 
 
 def test_totals_and_states():
-    p = fluid_packet({S0: 1.5, S1: 0.5})
+    p = fluid_packet(TABLE, {S0: 1.5, S1: 0.5})
     assert p.size == pytest.approx(2.0)
-    assert list(p.fluid) == [S0, S1]
-    # a fluid packet keeps its states in state order and its total
-    p = fluid_packet({S1: 0.5, S0: 1.5})
-    assert list(p.fluid) == [S0, S1]
+    assert p.is_fluid and p.table is TABLE and p.amounts == [1.5, 0.5]
+    # a fluid packet's amounts are aligned with its table, whatever order
+    # they are given in, and it keeps its total
+    p = fluid_packet(TABLE, {S1: 0.5, S0: 1.5})
+    assert p.amounts == [1.5, 0.5]
     assert p.size == 2.0
     q = vehicle_packet(_vehs(3))
     assert q.size == 3.0
@@ -61,8 +63,12 @@ def test_vehicle_packet_is_in_state_order_and_fifo_within_a_state(states, rnd):
 
 def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
     with pytest.raises(ProtocolError, match="negative fluid amount"):
-        fluid_packet({S0: 1.0, S1: -0.5})
-    assert fluid_packet({S0: 0.0, S1: 2.0}).fluid == {S1: 2.0}
+        fluid_packet(TABLE, {S0: 1.0, S1: -0.5})
+    with pytest.raises(ProtocolError, match="not in the packet's table"):
+        fluid_packet((S0,), {S1: 1.0})
+    # a zero amount is a state the packet does not carry
+    assert fluid_packet(TABLE, {S0: 0.0, S1: 2.0}).amounts == [0.0, 2.0]
+    assert fluid_packet(TABLE, {S1: 2.0}).amounts == [0.0, 2.0]
 
 
 def test_split_vehicle_floor_per_state():
@@ -100,7 +106,7 @@ def test_translator_residues_conserve():
     emitted = 0
     total = 0.0
     for _ in range(100):
-        out = tr.translate(fluid_packet({S0: 0.3}), "L", 0.0)
+        out = tr.translate(fluid_packet(TABLE, {S0: 0.3}), "L", 0.0)
         emitted += len(out)
         total += 0.3
     residue = tr.residues.get(("L", S0), 0.0)
@@ -111,10 +117,10 @@ def test_translator_residues_conserve():
 
 def test_translator_locations_independent():
     tr = FluidToVehicleTranslator(VehicleFactory())
-    tr.translate(fluid_packet({S0: 0.6}), "A", 0.0)
-    out = tr.translate(fluid_packet({S0: 0.6}), "B", 0.0)
+    tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A", 0.0)
+    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "B", 0.0)
     assert not out  # B's residue is independent of A's
-    out = tr.translate(fluid_packet({S0: 0.6}), "A", 0.0)
+    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A", 0.0)
     assert len(out) == 1
 
 

@@ -324,6 +324,28 @@ def test_cli_run_audit_reports_failures(tmp_path, capsys, monkeypatch):
     assert all("imbalance=" in line for line in err[1:])
 
 
+def test_cli_run_reports_the_boundary_residue_apart_from_the_vehicles(
+        tmp_path, capsys, monkeypatch):
+    # macro_meso's CTM hands fluid to a two_queue link; the fraction of a
+    # vehicle not yet condensed at that boundary is in no model
+    engines = []
+
+    def kept(*args, **kwargs):
+        engines.append(Engine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "Engine", kept)
+    assert cli_main(["run", "macro_meso", "--duration", "600",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    eng, = engines
+    residue = eng.total_in_residues()
+    assert 0.0 < residue < 1.0
+    assert eng.total_in_models() + residue == pytest.approx(eng.total_in_network())
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.endswith(", %g in the models, %g stranded in boundary residues"
+                         % (eng.total_in_models(), residue))
+
+
 def test_cli_resolves_bundled_scenarios(tmp_path):
     assert cli_main(["validate", "macro_meso"]) == 0
 

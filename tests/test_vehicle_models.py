@@ -100,5 +100,16 @@ def test_counts_totals_and_lookups_agree_over_every_stage(cls, rng):
 @pytest.mark.parametrize("cls", MODELS)
 def test_the_models_keep_only_their_dynamics(cls):
     shared = ("receive_vehicles", "receive_fluid", "remove", "state_counts",
-              "find_vehicle", "local_cumulative_count", "total_vehicles")
+              "find_vehicle", "local_cumulative_count", "local_density_per_m",
+              "total_vehicles")
     assert not set(shared) & set(vars(cls))
+
+
+@pytest.mark.parametrize("cls", MODELS)
+def test_local_density_counts_the_buffered_vehicles_too(cls):
+    # four vehicles sent into the empty 50 m lane are all on the link, placed
+    # or waiting in its entry buffer: 80 veh/km on both models
+    m = _model(cls)
+    m.receive_vehicles(0, _vehs(0, 1, 2, 3), 0.0)
+    assert m.groups["0:1"].stored() == 4
+    assert m.local_density_per_m(0, 25.0) * 1000.0 == pytest.approx(80.0)
