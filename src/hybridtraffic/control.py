@@ -130,8 +130,17 @@ class RcBlockActuator(Actuator):
 
     rc: int = -1
 
+    @staticmethod
+    def is_open(cmd) -> bool:
+        """The command's `open`, True when it has none; raises ControlError
+        unless the command is a map and its `open` a bool."""
+        is_open = cmd.get("open", True) if isinstance(cmd, dict) else None
+        if not isinstance(is_open, bool):
+            raise ControlError("rc_block command %r: 'open' must be true or false" % (cmd,))
+        return is_open
+
     def apply(self, engine, now, cmd):
-        if bool(cmd.get("open", True)):
+        if self.is_open(cmd):
             engine.closed_rcs.discard(self.rc)
         else:
             engine.closed_rcs.add(self.rc)
@@ -184,12 +193,27 @@ class DemandActuator(Actuator):
 
     source: int = -1
 
-    def apply(self, engine, now, cmd):
-        src = engine.sources[self.source]  # source ids are their indices
+    @staticmethod
+    def intensity(cmd) -> float | None:
+        """The command's `intensity_vph` as a finite float >= 0, or None
+        (no intensity) to return to the profile; raises ControlError
+        otherwise."""
+        if not isinstance(cmd, dict):
+            raise ControlError("demand command %r is not a map" % (cmd,))
         rate = cmd.get("intensity_vph")
-        if rate is not None and rate < 0:
-            raise ControlError("demand intensity must be >= 0")
-        src.override_rate = None if rate is None else float(rate)
+        if rate is None:
+            return None
+        try:
+            vph = float(rate)
+        except (TypeError, ValueError):
+            raise ControlError("demand intensity %r is not a number" % (rate,)) from None
+        if not 0 <= vph < math.inf:
+            raise ControlError("demand intensity %r veh/h must be >= 0 and finite" % vph)
+        return vph
+
+    def apply(self, engine, now, cmd):
+        # source ids are their indices
+        engine.sources[self.source].override_rate = self.intensity(cmd)
 
 
 @dataclass
@@ -266,15 +290,16 @@ class FixedTimeSignal:
         self.stages = stages
         self.rc_actuators = rc_actuators
         self.offset = offset
-        self.cycle = sum(float(s["duration"]) for s in stages)
-        if self.cycle <= 0:
-            raise ControlError("signal cycle must be positive")
+        self.durations = durations = [float(s["duration"]) for s in stages]
+        if not all(0 < d < math.inf for d in durations):
+            raise ControlError("signal stage durations %s must be positive and finite" % durations)
+        self.cycle = sum(durations)
 
     def _stage_at(self, now: float) -> dict:
         t = (now - self.offset) % self.cycle
         acc = 0.0
-        for st in self.stages:
-            acc += float(st["duration"])
+        for st, d in zip(self.stages, self.durations):
+            acc += d
             if t < acc - 1e-9:
                 return st
         return self.stages[-1]

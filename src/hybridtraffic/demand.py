@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import Network
-from .packets import FluxPacket, StateIndex, state_sort_key
+from .packets import FluxPacket, StateIndex
 
 
 class RoutingError(ValueError):
@@ -304,16 +304,16 @@ class RoutingContext:
     def assign_next_link(
         self, p: FluxPacket, entered_link: int, now: float, rng: np.random.Generator
     ) -> FluxPacket:
-        """Re-key a packet as it enters a link.
+        """Re-key a packet as it enters a link, into the slots of the entered
+        link's state table that each state's row compiled.
 
-        Fluid content of each state is divided over its row's ratios into
-        the slots of the entered link's state table; vehicles each take one
-        next state drawn from their state's row, one uniform per vehicle in
-        packet order, and keep their order within each new state. Totals are
-        conserved exactly.
+        Fluid content of each state is divided over its row's ratios;
+        vehicles each take one next state drawn from their state's row, one
+        uniform per vehicle in packet order, and keep their order within
+        each new state. Totals are conserved exactly.
         """
+        table = self.tables[entered_link]
         if p.is_fluid:
-            table = self.tables[entered_link]
             out = [0.0] * len(table)
             for s, amount in zip(p.table, p.amounts):
                 if amount > 0:
@@ -322,21 +322,14 @@ class RoutingContext:
                         out[k] += amount * r / total
             return FluxPacket(table, out)
 
-        vout: dict[StateIndex, list] = {}
-        for s, vehs in p.vehicles.items():
-            states, _, _, _, cdf, _ = self._row(s, entered_link, now)
-            if cdf is None:
-                picks = [vehs]
-            else:
-                picks = [[] for _ in states]
-                for v, u in zip(vehs, rng.random(len(vehs)).tolist()):
-                    picks[bisect_right(cdf, u)].append(v)
-            for ns, vs in zip(states, picks):
-                if vs:
-                    for v in vs:
-                        v.state = ns
-                    vout.setdefault(ns, []).extend(vs)
-        if len(p.vehicles) > 1:
-            # a row is in state order, but two rows' states may interleave
-            vout = {s: vout[s] for s in sorted(vout, key=state_sort_key)}
-        return FluxPacket(vehicles=vout)
+        vout: list[list] = [[] for _ in table]
+        for s, vehs in zip(p.table, p.vehicles):
+            if not vehs:
+                continue
+            states, slots, _, _, cdf, _ = self._row(s, entered_link, now)
+            picks = ([0] * len(vehs) if cdf is None else
+                     [bisect_right(cdf, u) for u in rng.random(len(vehs)).tolist()])
+            for v, i in zip(vehs, picks):
+                v.state = states[i]
+                vout[slots[i]].append(v)
+        return FluxPacket(table, [float(len(vs)) for vs in vout], vout)

@@ -21,7 +21,6 @@ from .packets import (
     ProtocolError,
     StateIndex,
     VehicleFactory,
-    state_sort_key,
     take,
     vehicle_packet,
 )
@@ -206,12 +205,12 @@ class Engine:
                 return tr.link, tr.group_id, tr.position, tr.speed_ms * 3.6
         return None
 
-    def link_state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        counts = dict(self.model_of_link[link_id].state_counts(link_id))
-        for (loc, s), r in self.translator.residues.items():
-            if loc == link_id:
-                counts[s] = counts.get(s, 0.0) + r
-        return counts
+    def link_state_counts(self, link_id: int) -> list[float]:
+        """Vehicles on the link per slot of its state table: the model's
+        counts plus the link's boundary residues."""
+        counts = self.model_of_link[link_id].state_counts(link_id)
+        res = self.translator.residues.get(link_id)
+        return counts if res is None else [n + r for n, r in zip(counts, res)]
 
     # --- main loop ------------------------------------------------------
 
@@ -385,49 +384,38 @@ class Engine:
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
         """Book a re-keyed packet into `link` and hand it to the link's model:
-        whole vehicles, condensed from fluid first, or amounts over the
-        link's state table (vehicles dissolve into counts; a probed one
-        starts a tracker) spread over `groups` (sorted, `caps` their supply,
-        summing to `space`) in proportion to their free space, evenly when
-        none has any (entry credit can admit a vehicle into full fluid lane
-        groups)."""
+        whole vehicles, condensed from fluid first, or the packet's amounts
+        over the link's state table (vehicles dissolve into their counts; a
+        probed one starts a tracker) spread over `groups` (sorted, `caps`
+        their supply, summing to `space`) in proportion to their free space,
+        evenly when none has any (entry credit can admit a vehicle into full
+        fluid lane groups)."""
         self._book(packet, self.cum_in[link])
         if receiver.vehicle_based:
             receiver.receive_vehicles(link, (
                 self.translator.translate(packet, link, t) if packet.is_fluid
                 else packet.all_vehicles()), t)
             return
-        if packet.is_fluid:
-            amounts = packet.amounts
-        else:
-            amounts = [0.0] * len(self.routing.tables[link])
-            slot = self.routing.slots[link]
-            for s, vs in packet.vehicles.items():
-                amounts[slot[s]] = float(len(vs))
+        if not packet.is_fluid and self._probed:
+            for s, vs in zip(packet.table, packet.vehicles):
                 for v in vs:
                     if v.id in self._probed:
                         self.trackers.append(VirtualTracker(v.id, s, link, groups[0], 0.0))
         if space <= 0:
             caps, space = [1.0] * len(groups), float(len(groups))
         for h, w in zip(groups, caps):
-            part = [a * w / space for a in amounts]
+            part = [a * w / space for a in packet.amounts]
             if any(part):
                 receiver.receive_fluid(h, part, t)
 
     @staticmethod
     def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
-        """Add the packet's per-state amounts, vehicle counts for whole
-        vehicles, to each ledger."""
-        if packet.is_fluid:
-            for s, a in zip(packet.table, packet.amounts):
-                if a > 0:
-                    for ledger in ledgers:
-                        ledger[s] = ledger.get(s, 0.0) + a
-            return
-        for s, vs in packet.vehicles.items():
-            a = float(len(vs))
-            for ledger in ledgers:
-                ledger[s] = ledger.get(s, 0.0) + a
+        """Add the packet's per-state amounts (vehicle counts for whole
+        vehicles) to each ledger."""
+        for s, a in zip(packet.table, packet.amounts):
+            if a > 0:
+                for ledger in ledgers:
+                    ledger[s] = ledger.get(s, 0.0) + a
 
     # --- sources ---------------------------------------------------------
 
@@ -450,7 +438,8 @@ class Engine:
                 for _ in range(n)
             ]
             model.receive_vehicles(link, vehicles, t)
-            self._book(vehicle_packet(vehicles), self.cum_in[link])
+            self._book(vehicle_packet(self.routing.tables[link], self.routing.slots[link],
+                                      vehicles), self.cum_in[link])
             return
         amount = min(src.buffer, allow)
         if amount <= 0:
@@ -493,41 +482,33 @@ class Engine:
         models' own invariants and the boundary residues, after a step."""
         for link in sorted(self.net.links):
             counts = self.link_state_counts(link)
-            states = set(counts) | set(self.cum_in[link]) | set(self.cum_out[link])
-            for s in sorted(states, key=state_sort_key):
-                bal = (
-                    self.cum_in[link].get(s, 0.0)
-                    - self.cum_out[link].get(s, 0.0)
-                    - counts.get(s, 0.0)
-                )
+            for s, n in zip(self.routing.tables[link], counts):
+                bal = self.cum_in[link].get(s, 0.0) - self.cum_out[link].get(s, 0.0) - n
                 if abs(bal) > 1e-9:
                     self.audit_failures.append(
                         "t=%.3f link=%s state=%s imbalance=%.3e" % (t, link, s, bal)
                     )
         for m in self.models:
             self.audit_failures += ["t=%.3f %s" % (t, msg) for msg in m.audit_failures()]
-        for (link, s), r in self.translator.residues.items():
-            if not 0.0 <= r < 1.0:
-                self.audit_failures.append(
-                    "t=%.3f link=%s state=%s residue=%r outside [0, 1)" % (t, link, s, r)
-                )
+        for link, res in self.translator.residues.items():
+            for s, r in zip(self.routing.tables[link], res):
+                if not 0.0 <= r < 1.0:
+                    self.audit_failures.append(
+                        "t=%.3f link=%s state=%s residue=%r outside [0, 1)" % (t, link, s, r)
+                    )
 
     # --- summary ----------------------------------------------------------
 
     def total_in_network(self) -> float:
         """Vehicles in the models plus the fluid stranded in the boundary
         residues of the fluid-to-vehicle translator."""
-        return sum(
-            sum(self.link_state_counts(l).values()) for l in self.net.links
-        )
+        return sum(sum(self.link_state_counts(l)) for l in self.net.links)
 
     def total_in_models(self) -> float:
-        return sum(
-            sum(self.model_of_link[l].state_counts(l).values()) for l in self.net.links
-        )
+        return sum(sum(self.model_of_link[l].state_counts(l)) for l in self.net.links)
 
     def total_in_residues(self) -> float:
-        return sum(self.translator.residues.values())
+        return sum(sum(res) for res in self.translator.residues.values())
 
     def total_injected(self) -> float:
         return sum(s.total_injected for s in self.sources)

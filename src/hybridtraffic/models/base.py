@@ -6,13 +6,14 @@ import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from ..demand import RoutingContext, RoutingError
 from ..network import Network
-from ..packets import FluxPacket, StateIndex
+from ..packets import FluxPacket, StateIndex, vehicle_packet
 
 
 @dataclass
@@ -146,9 +147,9 @@ class TrafficModel(ABC):
         pass
 
     @abstractmethod
-    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        """Per-state vehicle counts over the whole link (for conservation
-        audits and outputs)."""
+    def state_counts(self, link_id: int) -> list[float]:
+        """Vehicle counts over the whole link per slot of its state table
+        (for conservation audits and outputs)."""
 
     # --- optional hooks ------------------------------------------------
 
@@ -222,6 +223,13 @@ class VehicleModel(TrafficModel):
             while g.buffer and g.has_room():
                 self._place(gid, g, g.buffer.popleft(), now, fresh=False)
 
+    def vehicle_requests(self, group_id: str, by_rc: dict) -> list[DemandRequest]:
+        """`requests` for whole vehicles: each road connection's vehicles
+        (FIFO) as a packet over the lane group's link's state table."""
+        r, link = self.routing, self.groups[group_id].link
+        return self.requests(group_id, by_rc,
+                             partial(vehicle_packet, r.tables[link], r.slots[link]))
+
     def remove(self, group_id, rc, packet: FluxPacket):
         g = self.groups[group_id]
         ids = {v.id for v in packet.all_vehicles()}
@@ -236,11 +244,12 @@ class VehicleModel(TrafficModel):
     def total_vehicles(self, group_id: str) -> float:
         return float(self.groups[group_id].stored())
 
-    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        out: dict[StateIndex, float] = {}
+    def state_counts(self, link_id: int) -> list[float]:
+        slots = self.routing.slots[link_id]
+        out = [0.0] * len(slots)
         for gid in self.net.link_groups[link_id]:
             for v in self.groups[gid].vehicles():
-                out[v.state] = out.get(v.state, 0.0) + 1.0
+                out[slots[v.state]] += 1.0
         return out
 
     def positions(self, g: VehicleStore, now: float) -> list:

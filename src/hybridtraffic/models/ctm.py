@@ -479,17 +479,16 @@ class CtmModel(TrafficModel):
             self._out_of(g, i) * g.length / (n * self.dt),
         )
 
-    def state_counts(self, link_id: int) -> dict[StateIndex, float]:
-        out: dict[StateIndex, float] = {}
-        states = self.routing.tables[link_id]
+    def state_counts(self, link_id: int) -> list[float]:
+        out = [0.0] * len(self.routing.tables[link_id])
         for gid in self.net.link_groups[link_id]:
             g = self.groups[gid]
             for i in range(g.count):
-                for s, n in zip(states, self._cell(g, i)):
+                for k, n in enumerate(self._cell(g, i)):
                     if n > 0:
-                        out[s] = out.get(s, 0.0) + n
+                        out[k] += n
             for k, a in self._group_inflow(g) if self._inflow else ():
-                out[states[k]] = out.get(states[k], 0.0) + a
+                out[k] += a
         return out
 
     def audit_failures(self) -> list[str]:

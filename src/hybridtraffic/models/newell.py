@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..demand import ConfigurationError
-from ..packets import Vehicle, vehicle_packet
+from ..packets import Vehicle
 from .base import DemandRequest, VehicleModel, VehicleStore
 
 BIG_HEADWAY = 1e9
@@ -186,7 +186,7 @@ class NewellModel(VehicleModel):
                     break
                 by_rc.setdefault(car.target_rc, []).append(car.vehicle)
             if by_rc:
-                reqs += self.requests(gid, by_rc, vehicle_packet)
+                reqs += self.vehicle_requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

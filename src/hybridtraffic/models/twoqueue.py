@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ..packets import Vehicle, vehicle_packet
+from ..packets import Vehicle
 from .base import DemandRequest, VehicleModel, VehicleStore
 
 
@@ -84,7 +84,7 @@ class TwoQueueModel(VehicleModel):
             by_rc: dict[object, list[Vehicle]] = {}
             for v in islice(gq.waiting, k):
                 by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
-            reqs += self.requests(gid, by_rc, vehicle_packet)
+            reqs += self.vehicle_requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

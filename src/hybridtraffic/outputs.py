@@ -2,7 +2,8 @@
 
 Four files per run:
   lane_groups.csv   per lane group: count, mean speed, remaining space
-  link_states.csv   per link and state index: vehicle count
+  link_states.csv   per link and state index: vehicle count, one row per
+                    state of the link's table that holds any
   boundaries.csv    per link: cumulative boundary counts (in/out)
   trajectories.csv  per tracked vehicle: position and speed
 """
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-
-from .packets import state_sort_key
 
 
 def _f(x: float) -> str:
@@ -53,10 +52,10 @@ class OutputWriter:
             ])
         w = self._writers["link_states"]
         for link in sorted(engine.net.links):
-            counts = engine.link_state_counts(link)
-            for s in sorted(counts, key=state_sort_key):
-                key = "" if s.key is None else s.key
-                w.writerow([t, link, s.vtype, key, _f(counts[s])])
+            for s, n in zip(engine.routing.tables[link], engine.link_state_counts(link)):
+                if n > 0:
+                    key = "" if s.key is None else s.key
+                    w.writerow([t, link, s.vtype, key, _f(n)])
         w = self._writers["boundaries"]
         for link in sorted(engine.net.links):
             w.writerow([

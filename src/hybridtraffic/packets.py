@@ -1,7 +1,7 @@
 """Flux packets: the quantum of exchange between traffic models.
 
-A packet carries either fluid, real vehicle amounts over a state table, or
-lists of Vehicle objects per state (vehicle-based). A single packet is
+Every packet is laid out over a link's state table: per state, a fluid
+amount, or a FIFO list of Vehicle objects and its count. A single packet is
 homogeneous: all-fluid or all-vehicle.
 """
 
@@ -27,10 +27,6 @@ class StateIndex(NamedTuple):
     key: int | None
 
 
-def state_sort_key(s: StateIndex):
-    return (s.vtype, s.key is None, s.key if s.key is not None else 0)
-
-
 @dataclass
 class Vehicle:
     id: int
@@ -40,35 +36,27 @@ class Vehicle:
 
 
 class FluxPacket:
-    """Fluid (`table` and `amounts`) or `vehicles`, never both.
+    """Amounts over a state table, with the vehicles behind them or none.
 
-    A fluid packet's `amounts` are aligned with its `table`, a tuple of
-    states in state order (`state_sort_key`): a link's state table
-    (`RoutingContext.tables`), shared by every packet over that link and
-    never copied. A zero amount is a state the packet does not carry. A
-    vehicle packet's states are its keys in state order, the order in which
-    every caller inserts them (`vehicle_packet` sorts once, and a cut or a
-    re-keying keeps the order), each with its vehicles in FIFO order. `size`
-    is the total amount, or the number of vehicles, summed once in state
-    order when the packet is made."""
+    `table` is a link's state table (`RoutingContext.tables`), a tuple of
+    states in state order shared by every packet over that link and never
+    copied, and `amounts` is aligned with it: a zero is a state the packet
+    does not carry. A fluid packet has no `vehicles`; a vehicle packet has
+    one FIFO list per slot, and each amount is the length of its list.
+    `size` is the total amount, summed once in slot order when the packet
+    is made."""
 
     __slots__ = ("table", "amounts", "vehicles", "is_fluid", "size")
 
-    def __init__(self, table: tuple[StateIndex, ...] | None = None,
-                 amounts: list[float] | None = None,
-                 vehicles: dict[StateIndex, list[Vehicle]] | None = None):
+    def __init__(self, table: tuple[StateIndex, ...], amounts: list[float],
+                 vehicles: list[list[Vehicle]] | None = None):
         self.table, self.amounts, self.vehicles = table, amounts, vehicles
         self.is_fluid = vehicles is None
-        if vehicles is None:
-            self.size = sum(amounts)
-        elif amounts is not None:
-            raise ProtocolError("packet must be homogeneous (fluid or vehicle)")
-        else:
-            self.size = float(sum(len(v) for v in vehicles.values()))
+        self.size = sum(amounts)
 
     def all_vehicles(self) -> list[Vehicle]:
-        """The vehicles in state order, FIFO within a state."""
-        return [v for vs in self.vehicles.values() for v in vs]
+        """The vehicles in slot order, FIFO within a slot."""
+        return [v for vs in self.vehicles for v in vs]
 
 
 def fluid_packet(table: tuple[StateIndex, ...],
@@ -86,15 +74,15 @@ def fluid_packet(table: tuple[StateIndex, ...],
     return FluxPacket(table, out)
 
 
-def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
-    """A vehicle packet of `vehicles`, grouped by state in state order and
-    kept in their given (FIFO) order within a state."""
-    by_state: dict[StateIndex, list[Vehicle]] = {}
+def vehicle_packet(table: tuple[StateIndex, ...], slots: dict[StateIndex, int],
+                   vehicles: Iterable[Vehicle]) -> FluxPacket:
+    """A vehicle packet over `table` (`slots` maps each of its states to
+    its place) of `vehicles`, each in its state's slot, kept in their given
+    (FIFO) order within a slot."""
+    by_slot: list[list[Vehicle]] = [[] for _ in table]
     for v in vehicles:
-        by_state.setdefault(v.state, []).append(v)
-    if len(by_state) > 1:
-        by_state = {s: by_state[s] for s in sorted(by_state, key=state_sort_key)}
-    return FluxPacket(vehicles=by_state)
+        by_slot[slots[v.state]].append(v)
+    return FluxPacket(table, [float(len(vs)) for vs in by_slot], by_slot)
 
 
 # --- the sent part of a vehicle packet --------------------------------
@@ -102,16 +90,15 @@ def vehicle_packet(vehicles: Iterable[Vehicle]) -> FluxPacket:
 
 def take(p: FluxPacket, alpha: float, limit: int) -> FluxPacket:
     """The vehicles sent at scaling factor alpha in [0, 1], at most `limit`
-    of them: per state in state order the first floor(alpha*n) in FIFO
-    order, so whole vehicles never exceed the fraction alpha, until `limit`
-    are taken. (The engine scales fluid as it delivers it.)"""
-    vehicles = {}
-    for s, vehs in p.vehicles.items():
-        k = min(int(math.floor(alpha * len(vehs) + 1e-9)), limit)
-        if k > 0:
-            vehicles[s] = vehs[:k]
-            limit -= k
-    return FluxPacket(vehicles=vehicles)
+    of them: per slot in slot order the first floor(alpha*n) in FIFO order,
+    so whole vehicles never exceed the fraction alpha, until `limit` are
+    taken. (The engine scales fluid as it delivers it.)"""
+    sent = []
+    for vs in p.vehicles:
+        k = max(0, min(int(math.floor(alpha * len(vs) + 1e-9)), limit))
+        sent.append(vs[:k])
+        limit -= k
+    return FluxPacket(p.table, [float(len(vs)) for vs in sent], sent)
 
 
 # --- representation translation ---------------------------------------
@@ -132,28 +119,25 @@ class VehicleFactory:
 class FluidToVehicleTranslator:
     """Converts fluid amounts into whole vehicles.
 
-    Fractional parts accumulate in a per-(location, state) residue that
-    emits a vehicle once it reaches one.
+    Fractional parts accumulate in a residue per link, aligned with the
+    link's state table, that emits a vehicle once it reaches one.
     """
 
     def __init__(self, factory: VehicleFactory):
         self.factory = factory
-        self.residues: dict[tuple[Any, StateIndex], float] = {}
+        self.residues: dict[int, list[float]] = {}
 
-    def translate(self, p: FluxPacket, location: Any, now: float) -> list[Vehicle]:
-        """Whole vehicles condensed from a fluid packet at `location`."""
+    def translate(self, p: FluxPacket, link: int, now: float) -> list[Vehicle]:
+        """Whole vehicles condensed from a fluid packet over `link`'s table."""
         out: list[Vehicle] = []
-        for s, a in zip(p.table, p.amounts):
+        res = self.residues.setdefault(link, [0.0] * len(p.table))
+        for k, a in enumerate(p.amounts):
             if a <= 0:
                 continue
-            key = (location, s)
-            acc = self.residues.get(key, 0.0) + a
+            acc = res[k] + a
             count = int(math.floor(acc + 1e-12))
             for _ in range(count):
-                out.append(self.factory.make(s, now))
+                out.append(self.factory.make(p.table[k], now))
             acc -= count
-            if acc > 1e-15:
-                self.residues[key] = acc
-            else:
-                self.residues.pop(key, None)
+            res[k] = acc if acc > 1e-15 else 0.0
         return out

@@ -468,6 +468,10 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
                         act.ratios(net, cmd)
                     elif isinstance(act, control.VslActuator) and act.link in link_ids:
                         act.speed(net, cmd)
+                    elif isinstance(act, control.DemandActuator):
+                        act.intensity(cmd)
+                    elif isinstance(act, control.RcBlockActuator):
+                        act.is_open(cmd)
                 except control.ControlError as exc:
                     diags.append("controller %s: constant command to actuator %s: %s"
                                  % (c.id, aid, exc))

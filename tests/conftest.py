@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hybridtraffic.network import Link, Network, RoadConnection, RoadParams
+from hybridtraffic.packets import vehicle_packet
+from reference_routing import state_sort_key
 
 STD = dict(capacity_per_lane=1000.0, speed_limit=100.0, jam_density_per_lane=100.0)
 
@@ -47,8 +49,21 @@ def successor_network(nexts):
 
 
 def by_state(packet) -> dict:
-    """A fluid packet's non-zero amounts by state, in table order."""
+    """A packet's non-zero amounts by state, in table order."""
     return {s: a for s, a in zip(packet.table, packet.amounts) if a > 0}
+
+
+def vehicles_by_state(packet) -> dict:
+    """A vehicle packet's non-empty slots by state, in table order."""
+    return {s: vs for s, vs in zip(packet.table, packet.vehicles) if vs}
+
+
+def packet_of(vehicles, table=None):
+    """A vehicle packet over `table`, by default a table of the vehicles'
+    own states in state order."""
+    if table is None:
+        table = tuple(sorted({v.state for v in vehicles}, key=state_sort_key))
+    return vehicle_packet(table, {s: k for k, s in enumerate(table)}, vehicles)
 
 
 def corridor_scenario_dict(

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from hybridtraffic.demand import ConfigurationError
 from hybridtraffic.models.base import DemandRequest, TrafficModel
-from hybridtraffic.packets import StateIndex, state_sort_key
+from hybridtraffic.packets import StateIndex
+from reference_routing import state_sort_key
 
 NEG_TOL = -1e-9
 

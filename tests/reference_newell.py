@@ -13,7 +13,6 @@ connection, and leave the generator in the same state
 from __future__ import annotations
 
 from hybridtraffic.models.newell import BIG_HEADWAY
-from hybridtraffic.packets import vehicle_packet
 
 
 def draw(mean: float, sigma: float, rng) -> float:
@@ -63,5 +62,5 @@ def compute_demands(model, now, rng) -> list:
             if not car.exiting:
                 break
             by_rc.setdefault(car.target_rc, []).append(car.vehicle)
-        reqs += model.requests(gid, by_rc, vehicle_packet)
+        reqs += model.vehicle_requests(gid, by_rc)
     return reqs

@@ -254,6 +254,15 @@ def _without(d, key):
      dict(CONTROLLER, type="fixed_time_signal",
           params={"stages": [{"duration": 10.0, "open_rcs": [0]}], "rc_actuators": {0: 4}}),
      "controller 5: signal plan names actuator 4 it does not own"),
+    # a negative stage once kept the plan in its first stage, and a NaN one
+    # held the last stage for ever
+    *[("controllers",
+       dict(CONTROLLER, type="fixed_time_signal",
+            params={"stages": [{"duration": 30.0, "open_rcs": [0]},
+                               {"duration": bad, "open_rcs": []}], "rc_actuators": {}}),
+       "controller 5: signal stage durations [30.0, %s] must be positive and finite" % shown)
+      for bad, shown in ((-10, "-10.0"), (0, "0.0"), (float("nan"), "nan"),
+                         (float("inf"), "inf"))],
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing
-from conftest import by_state, successor_network
+from conftest import by_state, packet_of, successor_network, vehicles_by_state
 from hybridtraffic.demand import (
     ConfigurationError,
     DemandProfile,
@@ -16,7 +16,8 @@ from hybridtraffic.demand import (
     SplitProfile,
     VehicleType,
 )
-from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet, vehicle_packet
+from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet
+from reference_routing import state_sort_key
 
 
 def _ctx(splits=(), nexts=None):
@@ -119,11 +120,12 @@ def test_assign_next_link_vehicles_sampled_and_conserved(rng):
     ]
     ctx = _ctx(splits=splits, nexts={10: [11, 12], 11: [12], 12: []})
     vehs = [Vehicle(i, StateIndex(1, 10), 0.0) for i in range(200)]
-    out = ctx.assign_next_link(vehicle_packet(vehs), 10, 0.0, rng)
+    out = ctx.assign_next_link(packet_of(vehs), 10, 0.0, rng)
     assert out.size == 200
-    n11 = len(out.vehicles.get(StateIndex(1, 11), []))
+    assert out.table is ctx.tables[10]
+    n11 = len(vehicles_by_state(out).get(StateIndex(1, 11), []))
     assert 60 < n11 < 140  # p=0.5, loose bound
-    for s, vs in out.vehicles.items():
+    for s, vs in zip(out.table, out.vehicles):
         assert all(v.state == s for v in vs)
 
 
@@ -220,8 +222,6 @@ def test_rekeyed_fluid_stays_in_state_order(rng):
     # the engine spreads and condenses a re-keyed packet in the order of the
     # entered link's state table, which must be state order for any mix of
     # types, routes and overrides; a state the link cannot hold is refused
-    from hybridtraffic.packets import state_sort_key
-
     nexts = {10: [11, 12, 13], 11: [12], 12: [], 13: []}
     # ids listed out of order: a table is built in state order regardless
     vtypes = {v: VehicleType(v, "routed" if v % 2 else "probabilistic") for v in (3, 1, 2, 0)}
@@ -291,7 +291,7 @@ def _routing_cases(draw):
         override = dict(zip(nexts, ratios))
     route = draw(st.one_of(st.none(), st.integers(0, 1)))
     # type 2 also under a second key: a probabilistic row ignores the key,
-    # so the two rows' draws interleave and the result must be re-sorted
+    # so the two rows' draws interleave into the same slots
     states = [StateIndex(1, 10), StateIndex(2, 10), StateIndex(2, 9), StateIndex(0, 0),
               StateIndex(0, 1)]
     vehicles = draw(st.lists(st.sampled_from(states), min_size=1, max_size=50))
@@ -321,8 +321,8 @@ def test_inverse_cdf_draw_matches_rng_choice(case):
             ctx.override_route(0, route)
         vehs = [Vehicle(i, s, 0.0) for i, s in enumerate(states)]
         rng = np.random.default_rng(seed)
-        out = assign(ctx, vehicle_packet(vehs), 10, now, rng)
-        out = out.vehicles if isinstance(out, FluxPacket) else out
+        out = assign(ctx, packet_of(vehs), 10, now, rng)
+        out = vehicles_by_state(out) if isinstance(out, FluxPacket) else out
         entry = [ctx.entry_state(1, 10, None, now, rng) for _ in range(3)]
         runs.append(([(s, [v.id for v in vs]) for s, vs in out.items()],
                      [v.state for v in vehs], entry, rng.random()))

@@ -6,7 +6,7 @@ import pytest
 from conftest import by_state, corridor_scenario_dict
 from hybridtraffic.demand import RoutingError
 from hybridtraffic.engine import Engine, _Connection
-from hybridtraffic.packets import FluxPacket, StateIndex, fluid_packet
+from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet, vehicle_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
 
 PAIRINGS = [
@@ -52,7 +52,7 @@ def test_hybrid_corridor_conserves_and_flows(blocks):
 def test_vehicle_counts_are_integers_in_vehicle_models():
     eng = _run([("two_queue", [0, 1]), ("newell", [2, 3])])
     for l in eng.net.links:
-        for n in eng.model_of_link[l].state_counts(l).values():
+        for n in eng.model_of_link[l].state_counts(l):
             assert n == int(n)
     assert eng.total_exited() == int(eng.total_exited())
 
@@ -171,7 +171,7 @@ def test_translator_residue_counted_in_link_states():
     # boundary; link_state_counts must include it so the audit stays closed
     eng = _run([("ctm", [0, 1]), ("newell", [2, 3])], duration=200.0)
     assert eng.audit_failures == []
-    res = sum(r for (loc, _), r in eng.translator.residues.items())
+    res = sum(r for res in eng.translator.residues.values() for r in res)
     assert 0.0 <= res < 2.0  # strictly fractional per state
 
 
@@ -186,7 +186,8 @@ def test_audit_names_a_negative_occupancy_and_a_residue_outside_the_unit_interva
     def inject(e, t):
         if t == 10.0:
             e.model_of_link[1].set_occupancy("1:1", -1, {s: -0.5})
-            e.translator.residues[2, s] = 1.5
+            res = e.translator.residues.setdefault(2, [0.0] * len(e.routing.tables[2]))
+            res[e.routing.slots[2][s]] = 1.5
 
     # the CTM's demand step divides by the cell total floored at a tiny
     # positive value, which overflows for the negative cell
@@ -212,7 +213,7 @@ def test_source_blocked_by_full_link():
     eng = Engine(parse_scenario(d), audit=True)
     eng.run()
     assert eng.audit_failures == []
-    n0 = sum(eng.link_state_counts(0).values())
+    n0 = sum(eng.link_state_counts(0))
     assert n0 == pytest.approx(50.0)  # storage cap of link 0
     # the source keeps the surplus buffered instead of overfilling
     assert eng.total_injected() == pytest.approx(50.0)
@@ -379,6 +380,51 @@ def test_fluid_entry_spreads_by_free_space_in_state_order():
     eng._enter(receiver, 1, fluid_packet(table, {S1: 1.0, S0: 3.0}), ("a", "b"),
                [0.0, 0.0], 0.0, 0.0)
     assert got == [("a", [1.5, 0.5]), ("b", [1.5, 0.5])]
+
+
+@pytest.mark.parametrize("kind", ["ctm", "two_queue", "newell"])
+def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
+    # six vehicles of routes 0 and 1 (S0 and S1), interleaved, wait on a
+    # two_queue link; all six cross into link 1, which has room for them
+    d = corridor_scenario_dict([("two_queue", [0]), (kind, [1])], n_links=2, rate_vph=0.0)
+    d["routes"].append({"id": 1, "links": [0, 1]})
+    d["links"][1].update(capacity=20000.0, jam_density=2000.0)
+    eng = Engine(parse_scenario(d), audit=True)
+    sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
+    table, slots = eng.routing.tables[0], eng.routing.slots[0]
+    assert table == eng.routing.tables[1] == (S0, S1)
+    arrivals = [Vehicle(i, s, 0.0) for i, s in enumerate([S1, S0, S1, S0, S0, S1])]
+    sender.receive_vehicles(0, arrivals, 0.0)  # as a source enters them
+    eng._book(vehicle_packet(table, slots, arrivals), eng.cum_in[0])
+    sender.advance_state(20.0, rng)  # past the free-flow travel time
+    req, = sender.vehicle_requests("0:1", {0: list(sender.groups["0:1"].waiting)})
+    packet = req.packet
+    # one FIFO list per slot, and its count
+    assert [[v.id for v in vs] for vs in packet.vehicles] == [[1, 3, 4], [0, 2, 5]]
+    assert packet.amounts == [3.0, 3.0]
+
+    routed = []
+    assign = eng.routing.assign_next_link
+    eng.routing.assign_next_link = lambda *a: routed.append(assign(*a)) or routed[-1]
+    eng._probed = {3}
+    conn = eng._rc[0]
+    caps = [receiver.lane_group_supply(h) for h in conn.groups]
+    assert sum(caps) >= 6
+    eng._deliver(20.0, sender, "0:1", conn, packet, packet.size, packet.size, caps)
+    # re-keyed into link 1's table slot by slot, FIFO within a slot
+    assert routed[0].table is eng.routing.tables[1]
+    assert [[v.id for v in vs] for vs in routed[0].vehicles] == [[1, 3, 4], [0, 2, 5]]
+    assert eng.cum_out[0] == eng.cum_in[1] == {S0: 3.0, S1: 3.0}
+    assert eng.link_state_counts(0) == [0.0, 0.0]
+    assert eng.link_state_counts(1) == [3.0, 3.0]
+    if receiver.vehicle_based:
+        assert [v.id for v in receiver.groups["1:1"].vehicles()] == [1, 3, 4, 0, 2, 5]
+        assert eng.trackers == []
+    else:
+        # the vehicles dissolve into their counts; the probed one is tracked
+        assert [(tr.vehicle_id, tr.state, tr.link) for tr in eng.trackers] == [(3, S0, 1)]
+    eng._audit(20.0)
+    assert eng.audit_failures == []
 
 
 def test_a_state_the_entered_link_cannot_hold_is_refused_naming_it_and_the_link():

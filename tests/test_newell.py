@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_newell
-from conftest import corridor_network, corridor_scenario_dict, std_params
+from conftest import corridor_network, corridor_scenario_dict, packet_of, std_params
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.engine import Engine
 from hybridtraffic.models.newell import NewellModel, _Car
@@ -324,9 +324,7 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
             take = req.packet.all_vehicles()[: int(supply)]
             if not take:
                 continue
-            from hybridtraffic.packets import vehicle_packet
-
-            m.remove(req.group_id, rc, vehicle_packet(take))
+            m.remove(req.group_id, rc, packet_of(take, req.packet.table))
             for v in take:
                 v.state = StateIndex(1, 0 if rc == 0 else 1)
             m.receive_vehicles(1 if rc == 0 else 0, take, s * dt)

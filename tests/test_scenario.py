@@ -460,14 +460,19 @@ def test_validate_rejects_bad_constant_split_commands(ratios, problem):
         Engine(sc)
 
 
-def _commanded_vsl(cmd):
-    """A 2-link CTM corridor with a constant controller that commands a VSL
-    actuator on link 0 with `cmd` at 4 s."""
+def _commanded(actuator, cmd):
+    """A 2-link CTM corridor with a constant controller that commands
+    `actuator` (id 0) with `cmd` at 4 s."""
     d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2, duration=20.0)
-    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
+    d["actuators"] = [dict(actuator, id=0, dt=2.0)]
     d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [0],
                          "params": {"at": 4.0, "commands": {0: cmd}}}]
     return parse_scenario(d)
+
+
+def _commanded_vsl(cmd):
+    """`_commanded` with a VSL actuator on link 0."""
+    return _commanded({"kind": "vsl", "link": 0}, cmd)
 
 
 @pytest.mark.parametrize("cmd, problem", [
@@ -491,6 +496,54 @@ def test_validate_rejects_bad_constant_vsl_commands(cmd, problem):
     with pytest.raises(ControlError, match=re.escape(problem)):
         eng.actuators[0].apply(eng, 0.0, cmd)
     assert eng.model_of_link[0].speed_limit_eff[0] == 100.0
+
+
+DEMAND = {"kind": "demand", "source": 0}
+RC_BLOCK = {"kind": "rc_block", "rc": 0}
+
+
+@pytest.mark.parametrize("actuator, cmd, problem", [
+    (DEMAND, {"intensity_vph": float("nan")},
+     "demand intensity nan veh/h must be >= 0 and finite"),
+    (DEMAND, {"intensity_vph": float("inf")},
+     "demand intensity inf veh/h must be >= 0 and finite"),
+    (DEMAND, {"intensity_vph": -5}, "demand intensity -5.0 veh/h must be >= 0 and finite"),
+    (DEMAND, {"intensity_vph": "x"}, "demand intensity 'x' is not a number"),
+    (DEMAND, [500.0], "demand command [500.0] is not a map"),
+    (RC_BLOCK, {"open": "false"},
+     "rc_block command {'open': 'false'}: 'open' must be true or false"),
+    (RC_BLOCK, {"open": 0}, "rc_block command {'open': 0}: 'open' must be true or false"),
+    (RC_BLOCK, "closed", "rc_block command 'closed': 'open' must be true or false"),
+], ids=["demand-nan", "demand-inf", "demand-negative", "demand-text", "demand-list",
+        "rc-text", "rc-int", "rc-text-command"])
+def test_validate_rejects_bad_constant_demand_and_rc_block_commands(actuator, cmd, problem):
+    # these once validated clean: a NaN intensity silently stopped the
+    # source's fluid (total injected nan, audit clean), text stopped the run
+    # with a bare TypeError, a negative one failed only when it fired, and
+    # `open: "false"` opened the road connection
+    sc = _commanded(actuator, cmd)
+    assert validate_scenario(sc) == [
+        "controller 0: constant command to actuator 0: " + problem]
+    with pytest.raises(ScenarioError, match="constant command to actuator 0"):
+        Engine(sc)
+    # the actuator applies the same rule at run time, and changes nothing
+    eng = Engine(_commanded(actuator, {}))
+    with pytest.raises(ControlError, match=re.escape(problem)):
+        eng.actuators[0].apply(eng, 0.0, cmd)
+    assert eng.sources[0].override_rate is None and eng.closed_rcs == set()
+
+
+def test_good_constant_demand_and_rc_block_commands_apply():
+    eng = Engine(_commanded(DEMAND, {"intensity_vph": 500}))
+    eng.run()
+    assert eng.sources[0].override_rate == 500.0
+    eng.actuators[0].apply(eng, 20.0, {})  # no intensity: back to the profile
+    assert eng.sources[0].override_rate is None
+    eng = Engine(_commanded(RC_BLOCK, {"open": False}))
+    eng.run()
+    assert eng.closed_rcs == {0}
+    eng.actuators[0].apply(eng, 20.0, {})  # no `open`: opens it
+    assert eng.closed_rcs == set()
 
 
 def test_good_constant_vsl_command_is_clamped_at_the_structural_limit():

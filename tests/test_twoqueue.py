@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import corridor_network
+from conftest import corridor_network, packet_of
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models.twoqueue import TwoQueueModel
-from hybridtraffic.packets import StateIndex, Vehicle, vehicle_packet
+from hybridtraffic.packets import StateIndex, Vehicle
 
 S = StateIndex(0, 0)
 
@@ -101,7 +101,7 @@ def test_buffer_admitted_as_space_frees(rng):
 def test_remove_requires_waiting_vehicles(rng):
     m = _model()
     m.receive_vehicles(0, _vehs(2), now=0.0)
-    ghost = vehicle_packet(_vehs(1, start=99))
+    ghost = packet_of(_vehs(1, start=99))
     with pytest.raises(RuntimeError):
         m.remove("0:1", None, ghost)
 

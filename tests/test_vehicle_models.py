@@ -3,10 +3,10 @@
 
 import pytest
 
-from conftest import corridor_network
+from conftest import corridor_network, packet_of
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models import NewellModel, TwoQueueModel
-from hybridtraffic.packets import StateIndex, Vehicle, vehicle_packet
+from hybridtraffic.packets import StateIndex, Vehicle
 
 S, S2 = StateIndex(0, 0), StateIndex(1, 0)
 MODELS = [TwoQueueModel, NewellModel]
@@ -38,7 +38,7 @@ def _room_behind_a_buffer(m, rng):
     m.receive_vehicles(0, _vehs(*range(6)), 0.0)
     m.compute_demands(0.0, rng)
     m.advance_state(2.0, rng)
-    m.remove("0:1", None, vehicle_packet(_vehs(0, 1)))
+    m.remove("0:1", None, packet_of(_vehs(0, 1)))
     buffered = [v.id for v in m.groups["0:1"].buffer]
     assert buffered and m.lane_group_supply("0:1") > 0
     return buffered
@@ -72,7 +72,7 @@ def test_removing_an_absent_vehicle_names_the_lane_group(cls):
     m.receive_vehicles(0, _vehs(0), 0.0)
     msg = "lane group 0:1: 1 of 1 released vehicles not present"
     with pytest.raises(RuntimeError, match=msg):
-        m.remove("0:1", None, vehicle_packet(_vehs(99)))
+        m.remove("0:1", None, packet_of(_vehs(99)))
 
 
 @pytest.mark.parametrize("cls", MODELS)
@@ -87,7 +87,7 @@ def test_counts_totals_and_lookups_agree_over_every_stage(cls, rng):
     held = _vehs(2, 3, 4, 5, 200, 201)
     assert g.buffer and g.n_placed()
     assert sorted(v.id for v in g.vehicles()) == [v.id for v in held]
-    assert m.state_counts(0) == {S: 3.0, S2: 3.0}
+    assert dict(zip(m.routing.tables[0], m.state_counts(0))) == {S: 3.0, S2: 3.0}
     assert m.total_vehicles("0:1") == 6.0
     assert m.local_cumulative_count(0, 0.0) == 2.0
     for v in held:
