@@ -80,12 +80,17 @@ def main(argv=None) -> int:
         return 1
     # the fluid a boundary has not yet condensed into a whole vehicle is
     # in the network too, but in no model
+    stats = engine.stats
     print(
-        "simulated %r for %g s: %g veh injected, %g exited, %g in the models, "
-        "%g stranded in boundary residues"
+        "simulated %r for %g s (junction steps: %d in closed form, %d in the "
+        "node-model batch, %d node-model iterations): %g veh injected, %g exited, "
+        "%g in the models, %g stranded in boundary residues"
         % (
             sc.name,
             sc.run.duration,
+            stats.junctions_1x1,
+            stats.junctions_batched,
+            stats.nodemodel_iterations,
             engine.total_injected(),
             engine.total_exited(),
             engine.total_in_models(),

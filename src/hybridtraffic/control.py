@@ -293,6 +293,12 @@ class FixedTimeSignal:
         self.durations = durations = [float(s["duration"]) for s in stages]
         if not all(0 < d < math.inf for d in durations):
             raise ControlError("signal stage durations %s must be positive and finite" % durations)
+        for k, st in enumerate(stages):
+            open_rcs = st.get("open_rcs")
+            if not isinstance(open_rcs, list) or not all(r in rc_actuators for r in open_rcs):
+                raise ControlError(
+                    "signal stage %d: open_rcs must be a list of the plan's road connections "
+                    "%s, got %r" % (k, sorted(rc_actuators), open_rcs))
         self.cycle = sum(durations)
 
     def _stage_at(self, now: float) -> dict:

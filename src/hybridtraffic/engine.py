@@ -59,6 +59,18 @@ class _Clock:
         self.next_time = self.fired * self.period
 
 
+@dataclass(slots=True)
+class RunStats:
+    """Work counts of a run: junction steps solved in closed form (one
+    upstream group sending through a road connection with one downstream
+    group) and in the node-model batch, and the node-model iterations the
+    batch took, summed over its junctions."""
+
+    junctions_1x1: int = 0
+    junctions_batched: int = 0
+    nodemodel_iterations: int = 0
+
+
 @dataclass
 class VirtualTracker:
     """Engine-owned probe stand-in advected through fluid links."""
@@ -121,6 +133,12 @@ class Engine:
                 m.headway_query = self.boundary_headway
 
         self._rc, self._junctions = self._compile_junctions()
+        # every junction that is not 1x1x1, in one batch for the node model
+        self._jset = nodemodel.JunctionSet([
+            j for _, j in sorted(self._junctions.items())
+            if len(j.upstream) * len(j.rcs) * len(j.downstream) > 1])
+        self._rc_at = {r: i for i, r in enumerate(self._jset.rcs)}
+        self.stats = RunStats()
         self.model_of_group = {
             gid: m for m in self.models for gid in m.group_ids
         }
@@ -291,18 +309,121 @@ class Engine:
         for m, req in requests:
             if req.rc is not None:
                 junction_reqs.setdefault(self._rc[req.rc].junction, []).append((m, req))
-        for jid in sorted(junction_reqs):
-            self._solve_junction(t, self._junctions[jid], junction_reqs[jid])
+        self._solve_junctions(t, junction_reqs)
 
-    def _solve_junction(self, t, junction: nodemodel.Junction, reqs):
-        """Size the requests (once each), solve the junction and deliver.
-        Any failure is reported with the junction and, where one is in hand,
-        the road connection and upstream lane group."""
+    def _solve_junctions(self, t, junction_reqs: dict[int, list]):
+        """Size every offer once; solve the junctions where one upstream group
+        sends through a road connection with one downstream group in closed
+        form, and all others in one `nodemodel.solve` over `self._jset`; then
+        deliver, junctions in ascending id and pairs in pair order.
+
+        Every supply is read from the start of the step, net of what its lane
+        group has received since, and only a junction's own deliveries enter
+        its downstream groups; so the batch can read every supply it needs
+        before any delivery, and a junction solved in closed form before the
+        first batched one is delivered at once."""
+        jset, stats, model_of = self._jset, self.stats, self.model_of_group
+        plan = []  # from the first batched junction on: (junction, offers, its
+        # pairs' and downstream groups' offsets in the batch, None in closed form)
+        demand = supply = None
+        for jid in sorted(junction_reqs):
+            junction = self._junctions[jid]
+            offers = self._size_offers(junction, junction_reqs[jid])
+            if not offers:
+                continue
+            if len(offers) == 1:
+                (i, offer), = offers.items()
+                if len(self._rc[junction.pairs[i][1]].groups) == 1:
+                    # one upstream group, one rc and one downstream group
+                    # carry flow this step; the idle rest cannot change it
+                    stats.junctions_1x1 += 1
+                    if plan:
+                        plan.append((junction, offers, None, None))
+                    else:
+                        self._solve_1x1(t, junction, i, offer)
+                    continue
+            if demand is None:
+                demand, supply = [0.0] * len(jset.pairs), [0.0] * len(jset.downstream)
+            k = jset.place[jid]
+            p0, h0 = jset.pair_start[k], jset.down_start[k]
+            for i, offer in offers.items():
+                demand[p0 + i] = offer[2]
+            try:
+                for j, h in enumerate(junction.downstream, h0):
+                    supply[j] = model_of[h].lane_group_supply(h)
+            except Exception as exc:
+                raise SimulationError(exc, element="junction %s" % jid) from exc
+            plan.append((junction, offers, p0, h0))
+            stats.junctions_batched += 1
+        if not plan:
+            return
+        closed = [False] * len(jset.rcs)
+        for r in self.closed_rcs:
+            if r in self._rc_at:
+                closed[self._rc_at[r]] = True
+        try:
+            flows = nodemodel.solve(jset, demand, supply, closed)
+        except nodemodel.NodeModelError as exc:
+            where = None if exc.junction is None else "junction %s" % exc.junction
+            raise SimulationError(exc, element=where) from exc
+        stats.nodemodel_iterations += flows.iterations
+        flow = flows.flow.tolist()
+        for junction, offers, p0, h0 in plan:
+            if p0 is None:
+                self._solve_1x1(t, junction, *next(iter(offers.items())))
+            else:
+                self._deliver_batched(t, junction, offers, flow, supply, p0, h0)
+
+    def _solve_1x1(self, t, junction, i, offer):
+        """Solve the junction's one offer (pair `i`) by `nodemodel.solve_1x1`
+        and deliver it. A failure names the junction, road connection and
+        lane group."""
+        sender, packet, size = offer
+        g, r = junction.pairs[i]
+        conn = self._rc[r]
+        try:
+            caps = [conn.receiver.lane_group_supply(conn.groups[0])]
+            delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
+            if delta > nodemodel.EPS:
+                self._deliver(t, sender, g, conn, packet, size, delta, caps)
+        except Exception as exc:
+            where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
+            raise SimulationError(exc, element=where) from exc
+
+    def _deliver_batched(self, t, junction, offers, flow, supply, p0, h0):
+        """Deliver a batched junction's accepted offers in pair order: the
+        batch's `flow` from pair `p0` on, the first delivery within the
+        batch's `supply` from downstream group `h0` on. A failure names the
+        junction, road connection and lane group."""
         g = r = None
         try:
-            offers = {}  # pair index -> (sender, packet, size)
-            for m, req in reqs:
-                g, r = req.group_id, req.rc
+            first = True
+            for i in sorted(offers):  # in pair order
+                if flow[p0 + i] > nodemodel.EPS:
+                    g, r = junction.pairs[i]
+                    conn = self._rc[r]
+                    # the first delivery has the supply the solve read; a
+                    # later one reads it again, as earlier ones may have
+                    # filled it
+                    caps = ([supply[h0 + j] for j in conn.down_at] if first else
+                            [conn.receiver.lane_group_supply(h) for h in conn.groups])
+                    first = False
+                    sender, packet, size = offers[i]
+                    self._deliver(t, sender, g, conn, packet, size, flow[p0 + i], caps)
+        except Exception as exc:
+            where = "junction %s" % junction.id
+            if r is not None:
+                where += ", rc %s, lane group %s" % (r, g)
+            raise SimulationError(exc, element=where) from exc
+
+    def _size_offers(self, junction: nodemodel.Junction, reqs) -> dict:
+        """The junction's requests by pair index, as (sender, packet, size),
+        each sized once by its receiving model; empty ones left out. A
+        failure names the junction, road connection and lane group."""
+        offers = {}
+        for m, req in reqs:
+            g, r = req.group_id, req.rc
+            try:
                 size = self._rc[r].receiver.get_packet_size(req.packet, r)
                 if size < 0:
                     raise ProtocolError("negative packet size %r" % size)
@@ -311,46 +432,11 @@ class Engine:
                 i = junction.pair_index[g, r]
                 if i in offers:
                     raise ProtocolError("more than one request per lane group and rc")
-                offers[i] = (m, req.packet, size)
-            if len(offers) == 1:
-                (i, (sender, packet, size)), = offers.items()
-                g, r = junction.pairs[i]
-                conn = self._rc[r]
-                if len(conn.groups) == 1:
-                    # one upstream group, one rc and one downstream group
-                    # carry flow this step; the idle rest cannot change it
-                    caps = [conn.receiver.lane_group_supply(conn.groups[0])]
-                    delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
-                    if delta > nodemodel.EPS:
-                        self._deliver(t, sender, g, conn, packet, size, delta, caps)
-                    return
-            g = r = None
-            if not offers:
-                return
-            demand = [0.0] * len(junction.pairs)
-            for i, offer in offers.items():
-                demand[i] = offer[2]
-            model_of = self.model_of_group
-            supply = [model_of[h].lane_group_supply(h) for h in junction.downstream]
-            flow = nodemodel.solve(junction, demand, supply,
-                                   [r in self.closed_rcs for r in junction.rcs]).flow
-            first = True
-            for i in sorted(offers):  # in pair order
-                if flow[i] > nodemodel.EPS:
-                    g, r = junction.pairs[i]
-                    conn = self._rc[r]
-                    # the first delivery has the supply the solve read; a
-                    # later one reads it again, as earlier ones may have filled it
-                    caps = ([supply[j] for j in conn.down_at] if first else
-                            [conn.receiver.lane_group_supply(h) for h in conn.groups])
-                    first = False
-                    sender, packet, size = offers[i]
-                    self._deliver(t, sender, g, conn, packet, size, flow[i], caps)
-        except Exception as exc:
-            where = "junction %s" % junction.id
-            if r is not None:
-                where += ", rc %s, lane group %s" % (r, g)
-            raise SimulationError(exc, element=where) from exc
+            except Exception as exc:
+                where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
+                raise SimulationError(exc, element=where) from exc
+            offers[i] = (m, req.packet, size)
+        return offers
 
     # --- delivery --------------------------------------------------------
 

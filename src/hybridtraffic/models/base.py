@@ -105,8 +105,11 @@ class TrafficModel(ABC):
     @abstractmethod
     def lane_group_supply(self, group_id: str) -> float:
         """Vehicles the lane group can still take before its next advance
-        (>= 0), net of what it has received since its last one. The engine
-        reads it live whenever it needs a supply, and keeps no copy."""
+        (>= 0): from its state at its last advance, net of what it has
+        received since. Nothing removed from it since counts, so the value
+        does not depend on the order in which junctions are solved; the
+        engine reads it through this method whenever it needs a supply and
+        keeps no copy beyond one flow phase."""
 
     @abstractmethod
     def compute_demands(self, now: float, rng: np.random.Generator) -> list[DemandRequest]:

@@ -216,7 +216,8 @@ class CtmModel(TrafficModel):
         self._inflow: dict[int, float] = {}
         self._received = [0.0] * len(groups)
         self._tot_np = np.zeros(self._n_rows + 1)  # cell totals
-        self._tot = [0.0] * (self._n_rows + 1)  # the same as a list
+        self._tot = [0.0] * (self._n_rows + 1)  # the same as a list, which `remove` updates
+        self._tot0 = self._tot[:]  # and as the step began, for `lane_group_supply`
 
     def _plan(self, lid: int, s: StateIndex) -> tuple[tuple, tuple]:
         """Where the state goes on the link, per lane group inner to outer:
@@ -240,6 +241,7 @@ class CtmModel(TrafficModel):
     def _set_totals(self):
         self._tot_np = _row_sums(self._occ)
         self._tot = self._tot_np.tolist()
+        self._tot0 = self._tot[:]
 
     def _open(self, last: np.ndarray):
         """Start a flow phase: the last cells and outflows as Python lists."""
@@ -349,11 +351,14 @@ class CtmModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        """w (N - n) of the first cell, net of the fluid received since the
-        last advance (Daganzo's receiving flow, once per own step)."""
+        """w (N - n) of the first cell at the start of the step, net of the
+        fluid received since the last advance (Daganzo's receiving flow, once
+        per own step). What `remove` took out of a one-cell lane group this
+        step does not count: it would make the supply depend on the order
+        the junctions are solved in."""
         g = self.groups[group_id]
         # `x if x > 0.0 else 0.0` is `max(0.0, x)`, NaN and -0.0 included
-        free = self.link_w[g.link] * (g.n_max - self._tot[g.start])
+        free = self.link_w[g.link] * (g.n_max - self._tot0[g.start])
         free = (free if free > 0.0 else 0.0) - self._received[g.index]
         return free if free > 0.0 else 0.0
 

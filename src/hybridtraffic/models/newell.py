@@ -35,6 +35,7 @@ class _Lane(VehicleStore):
     jam_spacing: float  # m per vehicle at jam, single file
     means: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dv, dw, df per step
     cars: list[_Car] = field(default_factory=list)  # index 0 = downstream-most
+    gap0: float = math.inf  # upstream gap at the last advance
 
     def upstream_gap(self) -> float:
         return self.length if not self.cars else self.cars[-1].x
@@ -190,8 +191,13 @@ class NewellModel(VehicleModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
+        # a car placed since the last advance lowers the gap; one released
+        # does not raise it before the next, whatever the junction order
         lane = self.groups[group_id]
-        n = math.floor(lane.upstream_gap() / lane.jam_spacing + 1e-9)
+        gap = lane.upstream_gap()
+        if lane.gap0 < gap:
+            gap = lane.gap0
+        n = math.floor(gap / lane.jam_spacing + 1e-9)
         return float(max(0, n - len(lane.buffer)))
 
     def _pick(self, gids):
@@ -231,6 +237,9 @@ class NewellModel(VehicleModel):
                 car.exiting = False
                 prev_x = new_x
         self._admit(now)
+        for gid in self.group_ids:
+            lane = self.groups[gid]
+            lane.gap0 = lane.upstream_gap()
 
     # --- queries -------------------------------------------------------
 

@@ -18,6 +18,7 @@ class _Queues(VehicleStore):
     tau: float  # free-flow travel time, s
     transit: deque = field(default_factory=deque)  # (Vehicle, eligible_time)
     waiting: deque = field(default_factory=deque)  # Vehicle
+    released: int = 0  # vehicles released since the last advance
 
     def placed(self):
         return [v for v, _ in self.transit] + list(self.waiting)
@@ -32,6 +33,7 @@ class _Queues(VehicleStore):
         kept = deque(v for v in self.waiting if v.id not in ids)
         found = len(self.waiting) - len(kept)
         self.waiting = kept
+        self.released += found
         return found
 
 
@@ -88,14 +90,18 @@ class TwoQueueModel(VehicleModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        # buffered vehicles count against the link's holding capacity
+        # buffered vehicles count against the link's holding capacity, and
+        # so do those released since the last advance: the room they leave
+        # opens at the next step, whatever the order of the junctions
         gq = self.groups[group_id]
-        return max(0.0, gq.n_max - gq.stored())
+        return max(0.0, gq.n_max - (gq.stored() + gq.released))
 
     def advance_state(self, now, rng):
         self._admit(now)
         for gid in self.group_ids:
-            self._promote_transit(self.groups[gid], now)
+            gq = self.groups[gid]
+            gq.released = 0
+            self._promote_transit(gq, now)
 
     # --- queries -------------------------------------------------------
 

@@ -244,9 +244,12 @@ class ReferenceCtmModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
+        # the first cell at the start of the step: what `remove` took out of
+        # it since does not count
         gc = self.groups[group_id]
         w = self.link_w[gc.link]
-        return max(0.0, max(0.0, w * (gc.n_max - gc.cell_total(0))) - gc.received)
+        n = sum(gc.pre[0].values()) if gc.pre else gc.cell_total(0)
+        return max(0.0, max(0.0, w * (gc.n_max - n)) - gc.received)
 
     def remove(self, group_id: str, rc, amounts: dict[StateIndex, float]):
         gc = self.groups[group_id]

@@ -1,16 +1,20 @@
-"""The readable dict-based node model, kept as the oracle for the compiled
-solver in `hybridtraffic.nodemodel`, and a small adapter that poses one of
-its problems to that solver.
+"""The node model's test oracles, and adapters that pose a problem to the
+solver in `hybridtraffic.nodemodel`.
 
-`NodeProblem`, `NodeSolution` and `solve` state the node model plainly, over
-dicts keyed by lane group and road connection ids. The compiled `solve` takes
-the same float operations in the same order, so the two agree bit for bit
+Two oracles. `NodeProblem`, `NodeSolution` and `solve` state the node model
+plainly, over dicts keyed by lane group and road connection ids.
+`solve_list` is the per-junction solver over one compiled `Junction`'s
+flat lists; it takes the same float operations in the same order as the
+dict solver, and the batched `nodemodel.solve` takes them again for every
+junction of a `JunctionSet`, so all three agree bit for bit
 (`tests/test_nodemodel.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from hybridtraffic import nodemodel
 from hybridtraffic.nodemodel import EPS, NodeModelError
@@ -176,35 +180,209 @@ def solve(problem: NodeProblem) -> NodeSolution:
     return sol
 
 
-# --- adapter to the compiled solver -----------------------------------------
+# --- the per-junction list solver --------------------------------------------
 
 
-def compile_problem(problem: NodeProblem) -> nodemodel.Junction:
+def solve_list(junction: nodemodel.Junction, demand: list, supply: list,
+               closed: list) -> nodemodel.Flows:
+    """Allocate `demand` (veh per pair of `junction.pairs`) within `supply`
+    (veh per downstream lane group); `closed` flags each road connection.
+
+    Steps NM 0-6 take the same float operations in the same order as the
+    dict solver above; every sum runs left to right from 0.0, leaving out
+    only terms that are exactly 0.0 (closed road connections, blocked
+    groups), which cannot change it."""
+    if min(demand) < 0:
+        raise NodeModelError("negative demand on (%s, %s)"
+                             % junction.pairs[demand.index(min(demand))])
+    if min(supply) < 0:
+        raise NodeModelError("negative supply on %s"
+                             % junction.downstream[supply.index(min(supply))])
+    g_pairs, r_edges, h_edges = junction.g_pairs, junction.r_edges, junction.h_edges
+    n_r = len(r_edges)
+    d = list(demand)  # mutated: remaining demand
+    s = list(supply)  # mutated: remaining supply
+    flow, flow_h = [0.0] * len(d), [0.0] * len(s)
+
+    max_iters = max(1, len(g_pairs))
+    work_iters = 0
+    while True:
+        # NM 0: a road connection is blocked when closed or when all its
+        # downstream groups are full; an upstream group when it demands
+        # nothing or any road connection it demands is blocked. Groups that
+        # send sum their demand per road connection (NM 1) on the way.
+        blocked_r = list(closed)
+        for k, edges in enumerate(r_edges):
+            if not blocked_r[k]:
+                for _, h, _ in edges:
+                    if s[h] > EPS:
+                        break
+                else:
+                    blocked_r[k] = True
+        d_r = [0.0] * n_r
+        sending = []  # the demanded (r, pair) entries of each group that sends
+        for entries in g_pairs:
+            plus = []
+            for k, p in entries:
+                if d[p] > EPS:
+                    if blocked_r[k]:
+                        break
+                    plus.append((k, p))
+            else:
+                if plus:
+                    sending.append(plus)
+                    for k, p in entries:
+                        d_r[k] += d[p]
+
+        # stopping criterion: every upstream lane group blocked or empty
+        if not sending:
+            break
+        if work_iters >= max_iters:
+            raise NodeModelError(
+                "node model failed to terminate within %d iterations" % max_iters
+            )
+        work_iters += 1
+
+        # NM 1-2: apportionment mu per edge, demand per downstream group
+        mu, d_h = [0.0] * junction.n_edges, [0.0] * len(s)
+        for k, edges in enumerate(r_edges):
+            if closed[k]:
+                continue
+            s_r = 0.0
+            for _, h, lam in edges:
+                s_r += lam * s[h]
+            if s_r <= 0:
+                continue
+            for e, h, lam in edges:
+                mu[e] = m = lam * s[h] / s_r
+                d_h[h] += m * d_r[k]
+        psi_h = [max(0.0, 1.0 - x / y) if y > 0 else 0.0 for x, y in zip(s, d_h)]
+
+        # NM 3: propagate the excess-demand factors to the road connections
+        psi_r = [1.0] * n_r
+        for k, edges in enumerate(r_edges):
+            if not blocked_r[k]:
+                x = 0.0
+                for e, h, _ in edges:
+                    x += mu[e] * psi_h[h]
+                psi_r[k] = x
+
+        # NM 4-5: upstream reduction factors; advance and retain demand
+        delta_r = [0.0] * n_r
+        for plus in sending:
+            psi_g = 0.0  # the max over its demanded rcs; every psi_r >= 0
+            for k, _ in plus:
+                if psi_r[k] > psi_g:
+                    psi_g = psi_r[k]
+            for k, p in plus:
+                adv = d[p] * (1.0 - psi_g)
+                d[p] = psi_g * d[p]
+                flow[p] += adv
+                delta_r[k] += adv
+
+        # NM 6: flow into each downstream lane group; reduce supplies
+        total_advance = 0.0
+        for h, entries in enumerate(h_edges):
+            delta_h = 0.0
+            for k, e in entries:
+                if psi_r[k] >= 1.0 - 1e-15:
+                    continue  # delta_r is zero for blocked connections
+                delta_h += (1.0 - psi_h[h]) / (1.0 - psi_r[k]) * mu[e] * delta_r[k]
+            flow_h[h] += delta_h
+            s[h] = max(0.0, s[h] - delta_h)
+            total_advance += delta_h
+        if total_advance < EPS:
+            break  # numerical safety net beyond the |G| bound
+
+    return nodemodel.Flows(flow, flow_h, work_iters)
+
+
+def solve_each(jset: nodemodel.JunctionSet, demand, supply, closed) -> nodemodel.Flows:
+    """`nodemodel.solve`'s problem solved junction by junction with
+    `solve_list`; the flows are concatenated as numpy arrays, the iterations
+    summed."""
+    flow, flow_h, iterations = [], [], 0
+    demand, supply, closed = list(demand), list(supply), list(closed)
+    r0 = 0
+    for k, j in enumerate(jset.junctions):
+        p0, h0 = jset.pair_start[k], jset.down_start[k]
+        try:
+            got = solve_list(j, demand[p0:p0 + len(j.pairs)],
+                             supply[h0:h0 + len(j.downstream)],
+                             closed[r0:r0 + len(j.rcs)])
+        except NodeModelError as exc:
+            raise NodeModelError("junction %s: %s" % (j.id, exc), j.id) from exc
+        r0 += len(j.rcs)
+        flow += got.flow
+        flow_h += got.flow_h
+        iterations += got.iterations
+    return nodemodel.Flows(np.array(flow), np.array(flow_h), iterations)
+
+
+# --- adapters to the compiled solvers ----------------------------------------
+
+
+def compile_problem(problem: NodeProblem, id=0) -> nodemodel.Junction:
     """The problem's junction compiled as the engine compiles it."""
-    junction = nodemodel.Junction(0, problem.up_of_r, problem.down_of_r, problem.access)
+    junction = nodemodel.Junction(id, problem.up_of_r, problem.down_of_r, problem.access)
     assert junction.upstream == tuple(problem.upstream)
     assert junction.rcs == tuple(problem.rcs)
     assert junction.downstream == tuple(problem.downstream)
     return junction
 
 
-def solve_compiled(problem: NodeProblem) -> NodeSolution:
-    """`problem` solved by the compiled solver, as a `NodeSolution`: a flow for
-    every (g, r) pair of the junction (idle pairs too) and, per road
-    connection, the sum of its pairs' flows."""
-    junction = compile_problem(problem)
-    flows = nodemodel.solve(
-        junction,
-        [problem.demand.get(p, 0.0) for p in junction.pairs],
-        [problem.supply[h] for h in junction.downstream],
-        [r in problem.closed_rcs for r in junction.rcs],
-    )
+def _posed(junction: nodemodel.Junction, problem: NodeProblem):
+    """(demand, supply, closed) of `problem` over the junction's tables."""
+    return ([problem.demand.get(p, 0.0) for p in junction.pairs],
+            [problem.supply[h] for h in junction.downstream],
+            [r in problem.closed_rcs for r in junction.rcs])
+
+
+def _solution(junction: nodemodel.Junction, flow, flow_h, iterations) -> NodeSolution:
+    """A flow for every (g, r) pair of the junction (idle pairs too) and, per
+    road connection, the sum of its pairs' flows."""
     flow_r = dict.fromkeys(junction.rcs, 0.0)
-    for (g, r), f in zip(junction.pairs, flows.flow):
+    for (g, r), f in zip(junction.pairs, flow):
         flow_r[r] += f
     return NodeSolution(
-        flow_gr=dict(zip(junction.pairs, flows.flow)),
+        flow_gr=dict(zip(junction.pairs, flow)),
         flow_r=flow_r,
-        flow_h=dict(zip(junction.downstream, flows.flow_h)),
-        iterations=flows.iterations,
+        flow_h=dict(zip(junction.downstream, flow_h)),
+        iterations=iterations,
     )
+
+
+def solve_all(problems: list) -> tuple[list, int]:
+    """The problems solved at once by the batched solver over their union:
+    a `NodeSolution` per problem (its `iterations` left at 0) and the
+    iterations of the whole batch."""
+    jset, demand, supply, closed = union(problems)
+    flows = nodemodel.solve(jset, demand, supply, closed)
+    flow, flow_h = flows.flow.tolist(), flows.flow_h.tolist()
+    return [_solution(j, flow[p0:p0 + len(j.pairs)], flow_h[h0:h0 + len(j.downstream)], 0)
+            for j, p0, h0 in zip(jset.junctions, jset.pair_start, jset.down_start)
+            ], flows.iterations
+
+
+def solve_compiled(problem: NodeProblem, solver=None) -> NodeSolution:
+    """`problem` solved by the batched solver as a one-junction set, or by
+    `solver(junction, demand, supply, closed)` (e.g. `solve_list`), as a
+    `NodeSolution`."""
+    if solver is None:
+        (sol,), sol.iterations = solve_all([problem])
+        return sol
+    junction = compile_problem(problem)
+    return _solution(junction, *solver(junction, *_posed(junction, problem)))
+
+
+def union(problems: list) -> tuple:
+    """The problems as one `JunctionSet` with junction ids 0, 1, ...: (the
+    set, demand, supply, closed) in its concatenated order."""
+    jset = nodemodel.JunctionSet([compile_problem(p, k) for k, p in enumerate(problems)])
+    demand, supply, closed = [], [], []
+    for j, p in zip(jset.junctions, problems):
+        d, s, c = _posed(j, p)
+        demand += d
+        supply += s
+        closed += c
+    return jset, demand, supply, closed

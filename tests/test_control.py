@@ -263,6 +263,18 @@ def _without(d, key):
        "controller 5: signal stage durations [30.0, %s] must be positive and finite" % shown)
       for bad, shown in ((-10, "-10.0"), (0, "0.0"), (float("nan"), "nan"),
                          (float("inf"), "inf"))],
+    # a stage without open_rcs once validated clean and stopped the run at
+    # t=0 with KeyError 'open_rcs'; one naming road connection 7, which does
+    # not exist, validated clean and was never opened
+    *[("controllers",
+       dict(CONTROLLER, type="fixed_time_signal", actuators=[4],
+            params={"stages": [{"duration": 10.0, "open_rcs": [0]}, stage],
+                    "rc_actuators": {0: 4}}),
+       "controller 5: signal stage 1: open_rcs must be a list of the plan's road "
+       "connections [0], got %s" % shown)
+      for stage, shown in (({"duration": 10.0}, "None"),
+                           ({"duration": 10.0, "open_rcs": [7]}, "[7]"),
+                           ({"duration": 10.0, "open_rcs": 0}, "0"))],
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

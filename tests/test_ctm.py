@@ -117,6 +117,25 @@ def test_supply_is_net_of_the_fluid_received_until_the_advance(rng):
     assert m.lane_group_supply("0:1") == max(0.0, m.link_w[0] * (gc.n_max - n))
 
 
+def test_a_one_cell_lane_groups_supply_ignores_what_it_sent_until_the_advance(rng):
+    # the first cell is the last: what `remove` takes out of it would make the
+    # supply depend on whether its downstream junction was solved first
+    m, _ = _single_link_model(dt=2.0, max_cell=500.0)
+    gc = m.groups["0:1"]
+    assert gc.count == 1
+    m.set_occupancy("0:1", 0, {S: 10.0})
+    m.compute_demands(0.0, rng)
+    before = m.lane_group_supply("0:1")
+    assert before == m.link_w[0] * (gc.n_max - 10.0) > 0.25
+    m.remove("0:1", None, fluid_packet(m.routing.tables[0], {S: 3.0}))
+    assert m.total_vehicles("0:1") == 7.0
+    assert m.lane_group_supply("0:1") == before
+    m.receive_fluid("0:1", [0.25], 0.0)  # what it receives still counts
+    assert m.lane_group_supply("0:1") == before - 0.25
+    m.advance_state(0.0, rng)
+    assert m.lane_group_supply("0:1") == m.link_w[0] * (gc.n_max - 7.25)
+
+
 def test_demand_split_proportional_to_occupancy(rng):
     m, _ = _single_link_model(dt=2.0, lanes=2)
     gc = m.groups["0:1"]

@@ -279,6 +279,96 @@ def test_one_by_one_junctions_skip_the_general_solver(monkeypatch):
                          for j, demand in calls)
 
 
+def test_the_batch_holds_every_general_junction_and_no_1x1x1_one():
+    d = _merge_dict()
+    d["routes"].append({"id": 1, "links": [3, 2]})
+    eng = Engine(parse_scenario(d))
+    jset = eng._jset
+    assert jset.ids == (1,) and jset.rcs == (1, 5) and jset.downstream == ("2:1",)
+    assert jset.upstream == ("1:1", "3:1") and jset.pairs == (("1:1", 1), ("3:1", 5))
+    assert all(len(j.pairs) == 1 for jid, j in eng._junctions.items() if jid != 1)
+
+
+def _mixed_grid(seed: int) -> dict:
+    # CTM, a two_queue column and two Newell columns, a signal at every merge
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    from gridgen import GridSpec, grid_scenario
+
+    spec = GridSpec(rows=6, cols=6, blocks=(("ctm", 0, 5), ("two_queue", 2, 2),
+                                            ("newell", 4, 5)),
+                    signal_share=1.0, length_range=(60.0, 100.0), duration=300.0, dt=2.0)
+    return grid_scenario(spec, seed)
+
+
+def _outputs(d, out_dir):
+    from hybridtraffic.outputs import OutputWriter
+
+    eng = Engine(parse_scenario(d), audit=True)
+    with OutputWriter(str(out_dir)) as writer:
+        eng.run(observer=lambda e, t: writer.write(e, t))
+    return eng, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_batch_gives_the_outputs_of_a_per_junction_oracle_loop(
+        seed, tmp_path, monkeypatch):
+    from hybridtraffic import nodemodel
+    from reference_nodemodel import solve_each
+
+    d = _mixed_grid(seed)
+    batched, want = _outputs(d, tmp_path / "batched")
+    monkeypatch.setattr(nodemodel, "solve", solve_each)
+    each, got = _outputs(d, tmp_path / "each")
+    assert batched.stats.junctions_batched > 100
+    assert batched.stats.nodemodel_iterations > 0
+    assert each.stats == batched.stats
+    assert batched.audit_failures == each.audit_failures == []
+    assert got == want
+
+
+def test_cli_summary_reports_the_junction_steps_and_iterations(tmp_path, capsys, monkeypatch):
+    from hybridtraffic import cli
+    from hybridtraffic.scenario import save_scenario
+
+    engines = []
+
+    def kept(*args, **kwargs):
+        engines.append(Engine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "Engine", kept)
+    path = str(tmp_path / "grid.yaml")
+    save_scenario(parse_scenario(_mixed_grid(1)), path)
+    assert cli.main(["run", path, "--duration", "100", "--out-dir",
+                     str(tmp_path / "out")]) == 0
+    stats = engines[0].stats
+    assert stats.junctions_1x1 > 0 and stats.junctions_batched > 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert ("(junction steps: %d in closed form, %d in the node-model batch, %d "
+            "node-model iterations): " % (stats.junctions_1x1, stats.junctions_batched,
+                                          stats.nodemodel_iterations)) in line
+
+
+def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
+    from hybridtraffic import nodemodel
+    from hybridtraffic.engine import SimulationError
+
+    def failing(jset, demand, supply, closed):
+        raise nodemodel.NodeModelError("junction %s: no way through" % jset.ids[0],
+                                       jset.ids[0])
+
+    monkeypatch.setattr(nodemodel, "solve", failing)
+    d = _merge_dict(duration=200.0)
+    d["routes"].append({"id": 1, "links": [3, 2]})
+    d["demands"].append(dict(d["demands"][0], link=3, route=1))
+    with pytest.raises(SimulationError) as info:
+        Engine(parse_scenario(d)).run()
+    assert info.value.element == "junction 1" and "no way through" in str(info.value)
+
+
 def test_junction_failure_names_junction_rc_and_lane_group():
     from hybridtraffic.engine import SimulationError
 

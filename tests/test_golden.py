@@ -17,9 +17,9 @@ from gridgen import write_grid  # noqa: E402
 from harness import GRIDS  # noqa: E402
 
 GOLDEN = {
-    "macro_meso/boundaries.csv": "57532478d90c2759e0e410e2dac0a0c0a512ffee953e54afcd2c8ea4fdd1d385",
-    "macro_meso/lane_groups.csv": "679292f811a4820e6883d6a0397052bc193a24e1085c86842769c2cfc4e3d55b",
-    "macro_meso/link_states.csv": "e8b131459ec5d5a0d98fe97d467d8ffaccab6740ce6d530272a959186ec6cf95",
+    "macro_meso/boundaries.csv": "0635f186f157439090c53070fc0ed9664b7387e8c2d2ba845a43caa0d0bf1ecb",
+    "macro_meso/lane_groups.csv": "3356fcca517d0c46efca35ad675ae9ac56a6deb62086cbc2a4e120f945855f32",
+    "macro_meso/link_states.csv": "888d7569e569974cce46211d8716518a4a5124917badb8b683aae394610032e5",
     "macro_meso/trajectories.csv": "47295e7e97cf0f4e22a2fa31de6ac8b172ef8e16851a966e281a98e6b8071e76",
     "macro_micro/boundaries.csv": "26e2aa99bffd0e9b93b8b6ee177bf9f165751e376140e29d787c2fa9d1d6e6ff",
     "macro_micro/lane_groups.csv": "5d0c502e07434cc14223b90e94c0db522395332f31ac447045357ed313fb1539",
@@ -39,9 +39,9 @@ SCENARIOS = sorted({key.split("/")[0] for key in GOLDEN})
 # bench/run.py's grid_macro (~1000 CTM links with a two_queue block, signals,
 # turn splits) and grid_micro (noisy Newell behind a CTM entry block)
 GRID_GOLDEN = {
-    "grid_macro/boundaries.csv": "481b5843f68cf676b83851c7b3ad6e8fef1bd53e8cec27bc81cca050d474d351",
-    "grid_macro/lane_groups.csv": "bbd8ddd1c799d3982e8cbb45a2c24b007f2d8f3c8f31bd98e89a66fb451b53c4",
-    "grid_macro/link_states.csv": "4bb2d0977af170a893d7c24d0d244687f53181606faa9231f9d62b4457de30c6",
+    "grid_macro/boundaries.csv": "86fcb67a837a5a4079e6bdd349657b42e58c0fd336d1f0674512b84b7b473edb",
+    "grid_macro/lane_groups.csv": "77b6efa61e206b8643f8cb1e29cfdc68a2d75708274f024645c163ec6f477443",
+    "grid_macro/link_states.csv": "ac29faa125520c96243bbc5307133c5e37a6ac1cdf3827bdbe894494bfc6352d",
     "grid_macro/trajectories.csv": "47295e7e97cf0f4e22a2fa31de6ac8b172ef8e16851a966e281a98e6b8071e76",
     "grid_micro/boundaries.csv": "34b9907464862a25ede84df679c1e769d6707ca0c3e997145e074bffe9b196c7",
     "grid_micro/lane_groups.csv": "b947de7e41783d4e976c8bf8153b84ada0139f5c81bf90529b63ff1b97507922",

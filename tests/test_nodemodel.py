@@ -1,13 +1,14 @@
-"""The compiled node model (`hybridtraffic.nodemodel`): hand cases and
-fuzzed junctions through the adapter in `reference_nodemodel`, and bit-for-bit
-agreement with the dict-based oracle kept there."""
+"""The batched node model (`hybridtraffic.nodemodel`): hand cases and fuzzed
+junctions through the adapter in `reference_nodemodel`, and bit-for-bit
+agreement with the two oracles kept there: the dict solver, junction by
+junction, and the per-junction list solver, on unions of junctions."""
 
 import numpy as np
 import pytest
 
 from hybridtraffic import nodemodel
 from hybridtraffic.nodemodel import EPS, NodeModelError, solve_1x1
-from reference_nodemodel import NodeProblem, compile_problem
+from reference_nodemodel import NodeProblem, solve_all, solve_each, solve_list, union
 from reference_nodemodel import solve as reference_solve
 from reference_nodemodel import solve_compiled as solve
 
@@ -127,10 +128,10 @@ def test_closed_form_1x1_is_bitwise_solve_on_fuzzed_junctions():
     from junction_fuzz import random_siso
 
     rng = np.random.default_rng(7)
+    problems = [random_siso(rng) for _ in range(20000)]
     moved = 0
-    for _ in range(20000):
-        p = random_siso(rng)
-        expected = solve(p).flow_gr[("g", 0)]
+    for p, sol in zip(problems, solve_all(problems)[0]):
+        expected = sol.flow_gr[("g", 0)]
         assert _flow_1x1(p).hex() == expected.hex(), p
         moved += expected > EPS
     assert moved > 10000  # most draws do move flow
@@ -170,64 +171,143 @@ def test_idle_pairs_leave_the_solution_bitwise_unchanged():
     from junction_fuzz import random_junction_pair
 
     rng = np.random.default_rng(11)
-    compared = 0
-    for _ in range(3000):
-        pair = random_junction_pair(rng)
-        if pair is None:
-            continue
-        active, full = pair
-        a, f = solve(active).flow_gr, solve(full).flow_gr
+    pairs = [p for p in (random_junction_pair(rng) for _ in range(3000)) if p is not None]
+    actives, fulls = solve_all([a for a, _ in pairs])[0], solve_all([f for _, f in pairs])[0]
+    for a, f in zip(actives, fulls):
+        a, f = a.flow_gr, f.flow_gr
         assert {k: v.hex() for k, v in a.items()} == {k: f[k].hex() for k in a}
-        compared += len(full.upstream) > len(active.upstream)
-    assert compared > 300  # many draws had idle upstream groups
+    # many draws had idle upstream groups
+    assert sum(len(f.upstream) > len(a.upstream) for a, f in pairs) > 300
 
 
-def _same_bits(problem):
-    """The compiled solver's flows and iteration count are the oracle's, bit
-    for bit: per (g, r) pair and per downstream lane group, with idle pairs
-    at exactly 0.0."""
-    want, got = reference_solve(problem), solve(problem)
-    assert got.iterations == want.iterations
-    assert {k: f.hex() for k, f in got.flow_gr.items()} == {
-        k: want.flow_gr.get(k, 0.0).hex() for k in got.flow_gr}
-    assert {h: f.hex() for h, f in got.flow_h.items()} == {
-        h: f.hex() for h, f in want.flow_h.items()}
+def _same_bits(problems):
+    """Solved junction by junction, by the list solver, and all at once, by
+    the batched solver, the problems get the dict oracle's flows, bit for
+    bit: per (g, r) pair and per downstream lane group, with idle pairs at
+    exactly 0.0. The list solver's iteration counts are the oracle's, and
+    the batch's is their sum."""
+    batch, iterations = solve_all(problems)
+    for p, batched in zip(problems, batch):
+        want = reference_solve(p)
+        iterations -= want.iterations
+        listed = solve(p, solve_list)
+        assert listed.iterations == want.iterations
+        for got in (listed, batched):
+            assert {k: f.hex() for k, f in got.flow_gr.items()} == {
+                k: want.flow_gr.get(k, 0.0).hex() for k in got.flow_gr}
+            assert {h: f.hex() for h, f in got.flow_h.items()} == {
+                h: f.hex() for h, f in want.flow_h.items()}
+    assert iterations == 0
+
+
+def eps_net_merge():
+    # a huge demand beside a tiny one into a tiny supply: psi rounds to 1,
+    # the first iteration advances nothing, and only the EPS net stops it
+    return merge(1e9, 2e-9, 2e-9)
+
+
+HAND_CASES = (siso(10.0, 4.0), siso(3.0, 10.0), closed_siso(), merge(6.0, 6.0, 6.0),
+              merge(9.0, 3.0, 6.0), blocked_diverge(), eps_net_merge())
 
 
 def test_compiled_solver_is_bitwise_the_oracle_on_hand_cases():
-    for p in (siso(10.0, 4.0), siso(3.0, 10.0), closed_siso(), merge(6.0, 6.0, 6.0),
-              merge(9.0, 3.0, 6.0), blocked_diverge()):
-        _same_bits(p)
+    for p in HAND_CASES:
+        _same_bits([p])
+    _same_bits(list(HAND_CASES))
+    sol = solve(eps_net_merge())
+    assert sol.iterations == 1 and sum(sol.flow_gr.values()) == 0.0
 
 
 def test_compiled_solver_is_bitwise_the_oracle_on_fuzzed_junctions():
     from junction_fuzz import random_junction, random_junction_pair, random_siso
 
     rng = np.random.default_rng(3)
-    drawn = closed = 0
-    while drawn < 20000:
+    problems = []
+    while len(problems) < 20000:
         p = random_junction(rng)
-        if p is None:
-            continue
-        _same_bits(p)
-        drawn += 1
-        closed += bool(p.closed_rcs)
-    assert closed > 2000  # closed road connections are well covered
-    for _ in range(2000):
-        _same_bits(random_siso(rng))
+        if p is not None:
+            problems.append(p)
+    assert sum(bool(p.closed_rcs) for p in problems) > 2000  # closed rcs well covered
+    problems += [random_siso(rng) for _ in range(2000)]
     for _ in range(2000):
         pair = random_junction_pair(rng)
         if pair is not None:
-            _same_bits(pair[0])
-            _same_bits(pair[1])
+            problems += pair
+    for i in range(0, len(problems), 1000):  # unions of 1000 junctions
+        _same_bits(problems[i:i + 1000])
 
 
 def test_compiled_solver_rejects_negative_demand_and_supply():
-    junction = compile_problem(merge(1.0, 1.0, 1.0))
-    with pytest.raises(NodeModelError, match=r"negative demand on \(b, 1\)"):
-        nodemodel.solve(junction, [1.0, -1.0], [1.0], [False, False])
-    with pytest.raises(NodeModelError, match="negative supply on h"):
-        nodemodel.solve(junction, [1.0, 1.0], [-1.0], [False, False])
+    jset, demand, supply, closed = union([siso(), merge(1.0, 1.0, 1.0)])
+    assert jset.ids == (0, 1)
+    with pytest.raises(NodeModelError, match=r"junction 1: negative demand on \(b, 1\)"):
+        nodemodel.solve(jset, demand[:2] + [-1.0], supply, closed)
+    with pytest.raises(NodeModelError, match="junction 1: negative supply on h") as info:
+        nodemodel.solve(jset, demand, supply[:1] + [-1.0], closed)
+    assert info.value.junction == 1
+
+
+def _fuzzed_problems(rng, size):
+    """`size` junctions drawn by `random_junction`, `random_junction_pair`
+    (both of a pair, idle pairs and all) and `random_siso`."""
+    from junction_fuzz import random_junction, random_junction_pair, random_siso
+
+    problems = []
+    while len(problems) < size:
+        pick = rng.random()
+        if pick < 0.6:
+            p = random_junction(rng)
+            problems += [p] if p is not None else []
+        elif pick < 0.8:
+            pair = random_junction_pair(rng)
+            problems += list(pair) if pair is not None else []
+        else:
+            problems.append(random_siso(rng))
+    return problems[:size]
+
+
+def _bits(flows):
+    return ([x.hex() for x in flows.flow.tolist()],
+            [x.hex() for x in flows.flow_h.tolist()], flows.iterations)
+
+
+def test_batch_is_bitwise_the_list_oracle_on_unions_of_fuzzed_junctions():
+    rng = np.random.default_rng(17)
+    several = 0  # unions in which some junction needs more than one iteration
+    for size in [1, 2, 5, 20, 200] * 40:
+        problems = _fuzzed_problems(rng, size)
+        jset, demand, supply, closed = union(problems)
+        got = nodemodel.solve(jset, demand, supply, closed)
+        assert isinstance(got.iterations, int)
+        assert _bits(got) == _bits(solve_each(jset, demand, supply, closed))
+        several += max(reference_solve(p).iterations for p in problems) > 1
+    assert several > 50
+
+
+def test_batch_keeps_the_eps_net_of_each_junction():
+    # the net stops its own junction only: the others of the union iterate on
+    jset, demand, supply, closed = union(
+        [merge(9.0, 3.0, 6.0), eps_net_merge(), blocked_diverge(), siso(10.0, 4.0)])
+    got = nodemodel.solve(jset, demand, supply, closed)
+    assert _bits(got) == _bits(solve_each(jset, demand, supply, closed))
+    assert got.flow.tolist()[2:4] == [0.0, 0.0]
+    assert got.flow.tolist()[:2] == pytest.approx([4.5, 1.5], abs=1e-9)
+
+
+def test_a_junction_over_its_iteration_bound_is_named():
+    from junction_fuzz import random_junction
+
+    rng = np.random.default_rng(5)
+    while True:  # a junction that needs two iterations
+        p = random_junction(rng)
+        if p is not None and reference_solve(p).iterations == 2:
+            break
+    jset, demand, supply, closed = union([siso(), p, merge(6.0, 6.0, 6.0)])
+    jset.max_iters[1] = 1
+    with pytest.raises(NodeModelError, match="junction 1: node model failed to "
+                       "terminate within 1 iterations") as info:
+        nodemodel.solve(jset, demand, supply, closed)
+    assert info.value.junction == 1
 
 
 def test_junction_rejects_a_road_connection_without_lane_groups():

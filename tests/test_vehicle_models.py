@@ -33,14 +33,16 @@ def _vehs(*ids):
 
 def _room_behind_a_buffer(m, rng):
     """Receive six vehicles, advance once and release vehicles 0 and 1: the
-    lane group then has supply (and so room) while vehicles still wait in its
-    buffer."""
+    lane group then has room while vehicles still wait in its buffer. Its
+    supply does not see the release before the next advance."""
     m.receive_vehicles(0, _vehs(*range(6)), 0.0)
     m.compute_demands(0.0, rng)
     m.advance_state(2.0, rng)
+    supply = m.lane_group_supply("0:1")
     m.remove("0:1", None, packet_of(_vehs(0, 1)))
     buffered = [v.id for v in m.groups["0:1"].buffer]
-    assert buffered and m.lane_group_supply("0:1") > 0
+    assert buffered and m.groups["0:1"].has_room()
+    assert m.lane_group_supply("0:1") == supply
     return buffered
 
 
@@ -64,6 +66,27 @@ def test_a_newcomer_queues_behind_the_buffer_and_leaves_after_it(cls, rng):
     assert [v.id for v in m.groups["0:1"].buffer] == buffered + [100]
     order = _drain(m, rng, 2.0)
     assert order[-1] == 100 and set(buffered) < set(order)
+
+
+@pytest.mark.parametrize("cls", MODELS)
+def test_supply_sees_an_arrival_at_once_and_a_release_after_the_advance(cls, rng):
+    m = _model(cls)
+    m.receive_vehicles(0, _vehs(0), 0.0)
+    m.compute_demands(0.0, rng)
+    m.advance_state(0.0, rng)
+    t = 2.0
+    while not (reqs := m.compute_demands(t, rng)):  # until vehicle 0 is released
+        m.advance_state(t, rng)
+        t += 2.0
+        assert t < 100.0
+    start = m.lane_group_supply("0:1")
+    assert start > 0
+    m.remove(reqs[0].group_id, reqs[0].rc, reqs[0].packet)
+    assert m.lane_group_supply("0:1") == start
+    m.receive_vehicles(0, _vehs(2), t)
+    assert m.lane_group_supply("0:1") < start
+    m.advance_state(t, rng)
+    assert m.total_vehicles("0:1") == 1.0
 
 
 @pytest.mark.parametrize("cls", MODELS)
