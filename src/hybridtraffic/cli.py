@@ -83,14 +83,15 @@ def main(argv=None) -> int:
     stats = engine.stats
     print(
         "simulated %r for %g s (junction steps: %d in closed form, %d in the "
-        "node-model batch, %d node-model iterations): %g veh injected, %g exited, "
-        "%g in the models, %g stranded in boundary residues"
+        "node-model batch, %d node-model iterations, %d deliveries): %g veh "
+        "injected, %g exited, %g in the models, %g stranded in boundary residues"
         % (
             sc.name,
             sc.run.duration,
             stats.junctions_1x1,
             stats.junctions_batched,
             stats.nodemodel_iterations,
+            stats.deliveries,
             engine.total_injected(),
             engine.total_exited(),
             engine.total_in_models(),

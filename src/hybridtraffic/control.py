@@ -180,11 +180,19 @@ class RouterActuator(Actuator):
 
     vtype: int = -1
 
-    def apply(self, engine, now, cmd):
+    @staticmethod
+    def route(routes, cmd) -> int | None:
+        """The command's `route` as an id in `routes`, or None (no route) to
+        clear the override; raises ControlError otherwise."""
+        if not isinstance(cmd, dict):
+            raise ControlError("router command %r is not a map" % (cmd,))
         route = cmd.get("route")
-        if route is not None and route not in engine.routing.routes:
-            raise ControlError("unknown route %s" % route)
-        engine.routing.override_route(self.vtype, None if route is None else int(route))
+        if route is not None and (not isinstance(route, int) or route not in routes):
+            raise ControlError("unknown route %r" % (route,))
+        return route
+
+    def apply(self, engine, now, cmd):
+        engine.routing.override_route(self.vtype, self.route(engine.routing.routes, cmd))
 
 
 @dataclass

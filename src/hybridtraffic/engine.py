@@ -64,11 +64,13 @@ class RunStats:
     """Work counts of a run: junction steps solved in closed form (one
     upstream group sending through a road connection with one downstream
     group) and in the node-model batch, and the node-model iterations the
-    batch took, summed over its junctions."""
+    batch took, summed over its junctions; and the deliveries, the cuts
+    that moved traffic across a junction."""
 
     junctions_1x1: int = 0
     junctions_batched: int = 0
     nodemodel_iterations: int = 0
+    deliveries: int = 0
 
 
 @dataclass
@@ -95,7 +97,6 @@ class _Connection:
     down_link: int
     receiver: TrafficModel  # model of the downstream link
     groups: tuple  # D_r, sorted
-    down_at: tuple  # the place of each in its junction's `downstream`
 
 
 class Engine:
@@ -192,10 +193,8 @@ class Engine:
             for r in rcs:
                 rc = net.road_connections[r]
                 groups = tuple(net.rc_down_groups[r])
-                connections[r] = _Connection(
-                    r, jid, rc.up_link, rc.down_link, self.model_of_link[rc.down_link],
-                    groups, tuple(junction.downstream.index(h) for h in groups),
-                )
+                connections[r] = _Connection(r, jid, rc.up_link, rc.down_link,
+                                             self.model_of_link[rc.down_link], groups)
         return connections, junctions
 
     # --- cross-model queries -------------------------------------------
@@ -295,148 +294,105 @@ class Engine:
         # collect release requests, model order
         requests = [(m, req) for m in due_models for req in m.compute_demands(t, self.rng)]
 
-        # network exits are unconstrained
+        # network exits are unconstrained; every other request is sized once
+        # by its receiving model and offered to its junction, by pair index
+        # as (sender, packet, size)
+        offers: dict[int, dict] = {}
         for m, req in requests:
-            if req.rc is None:
-                try:
-                    m.remove(req.group_id, None, req.packet)
-                    link = self.net.lane_groups[req.group_id].link
-                    self._book(req.packet, self.cum_out[link], self.exits)
-                except Exception as exc:
-                    where = "lane group %s (exit)" % req.group_id
-                    raise SimulationError(exc, element=where) from exc
-        junction_reqs: dict[int, list] = {}
-        for m, req in requests:
-            if req.rc is not None:
-                junction_reqs.setdefault(self._rc[req.rc].junction, []).append((m, req))
-        self._solve_junctions(t, junction_reqs)
-
-    def _solve_junctions(self, t, junction_reqs: dict[int, list]):
-        """Size every offer once; solve the junctions where one upstream group
-        sends through a road connection with one downstream group in closed
-        form, and all others in one `nodemodel.solve` over `self._jset`; then
-        deliver, junctions in ascending id and pairs in pair order.
-
-        Every supply is read from the start of the step, net of what its lane
-        group has received since, and only a junction's own deliveries enter
-        its downstream groups; so the batch can read every supply it needs
-        before any delivery, and a junction solved in closed form before the
-        first batched one is delivered at once."""
-        jset, stats, model_of = self._jset, self.stats, self.model_of_group
-        plan = []  # from the first batched junction on: (junction, offers, its
-        # pairs' and downstream groups' offsets in the batch, None in closed form)
-        demand = supply = None
-        for jid in sorted(junction_reqs):
-            junction = self._junctions[jid]
-            offers = self._size_offers(junction, junction_reqs[jid])
-            if not offers:
-                continue
-            if len(offers) == 1:
-                (i, offer), = offers.items()
-                if len(self._rc[junction.pairs[i][1]].groups) == 1:
-                    # one upstream group, one rc and one downstream group
-                    # carry flow this step; the idle rest cannot change it
-                    stats.junctions_1x1 += 1
-                    if plan:
-                        plan.append((junction, offers, None, None))
-                    else:
-                        self._solve_1x1(t, junction, i, offer)
-                    continue
-            if demand is None:
-                demand, supply = [0.0] * len(jset.pairs), [0.0] * len(jset.downstream)
-            k = jset.place[jid]
-            p0, h0 = jset.pair_start[k], jset.down_start[k]
-            for i, offer in offers.items():
-                demand[p0 + i] = offer[2]
-            try:
-                for j, h in enumerate(junction.downstream, h0):
-                    supply[j] = model_of[h].lane_group_supply(h)
-            except Exception as exc:
-                raise SimulationError(exc, element="junction %s" % jid) from exc
-            plan.append((junction, offers, p0, h0))
-            stats.junctions_batched += 1
-        if not plan:
-            return
-        closed = [False] * len(jset.rcs)
-        for r in self.closed_rcs:
-            if r in self._rc_at:
-                closed[self._rc_at[r]] = True
-        try:
-            flows = nodemodel.solve(jset, demand, supply, closed)
-        except nodemodel.NodeModelError as exc:
-            where = None if exc.junction is None else "junction %s" % exc.junction
-            raise SimulationError(exc, element=where) from exc
-        stats.nodemodel_iterations += flows.iterations
-        flow = flows.flow.tolist()
-        for junction, offers, p0, h0 in plan:
-            if p0 is None:
-                self._solve_1x1(t, junction, *next(iter(offers.items())))
-            else:
-                self._deliver_batched(t, junction, offers, flow, supply, p0, h0)
-
-    def _solve_1x1(self, t, junction, i, offer):
-        """Solve the junction's one offer (pair `i`) by `nodemodel.solve_1x1`
-        and deliver it. A failure names the junction, road connection and
-        lane group."""
-        sender, packet, size = offer
-        g, r = junction.pairs[i]
-        conn = self._rc[r]
-        try:
-            caps = [conn.receiver.lane_group_supply(conn.groups[0])]
-            delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
-            if delta > nodemodel.EPS:
-                self._deliver(t, sender, g, conn, packet, size, delta, caps)
-        except Exception as exc:
-            where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
-            raise SimulationError(exc, element=where) from exc
-
-    def _deliver_batched(self, t, junction, offers, flow, supply, p0, h0):
-        """Deliver a batched junction's accepted offers in pair order: the
-        batch's `flow` from pair `p0` on, the first delivery within the
-        batch's `supply` from downstream group `h0` on. A failure names the
-        junction, road connection and lane group."""
-        g = r = None
-        try:
-            first = True
-            for i in sorted(offers):  # in pair order
-                if flow[p0 + i] > nodemodel.EPS:
-                    g, r = junction.pairs[i]
-                    conn = self._rc[r]
-                    # the first delivery has the supply the solve read; a
-                    # later one reads it again, as earlier ones may have
-                    # filled it
-                    caps = ([supply[h0 + j] for j in conn.down_at] if first else
-                            [conn.receiver.lane_group_supply(h) for h in conn.groups])
-                    first = False
-                    sender, packet, size = offers[i]
-                    self._deliver(t, sender, g, conn, packet, size, flow[p0 + i], caps)
-        except Exception as exc:
-            where = "junction %s" % junction.id
-            if r is not None:
-                where += ", rc %s, lane group %s" % (r, g)
-            raise SimulationError(exc, element=where) from exc
-
-    def _size_offers(self, junction: nodemodel.Junction, reqs) -> dict:
-        """The junction's requests by pair index, as (sender, packet, size),
-        each sized once by its receiving model; empty ones left out. A
-        failure names the junction, road connection and lane group."""
-        offers = {}
-        for m, req in reqs:
             g, r = req.group_id, req.rc
+            if r is None:
+                try:
+                    m.remove(g, None, req.packet)
+                    self._book(req.packet, self.cum_out[self.net.lane_groups[g].link],
+                               self.exits)
+                except Exception as exc:
+                    raise SimulationError(exc, element="lane group %s (exit)" % g) from exc
+                continue
+            conn = self._rc[r]
             try:
-                size = self._rc[r].receiver.get_packet_size(req.packet, r)
+                size = conn.receiver.get_packet_size(req.packet, r)
                 if size < 0:
                     raise ProtocolError("negative packet size %r" % size)
                 if size <= 0:
                     continue
-                i = junction.pair_index[g, r]
-                if i in offers:
+                i = self._junctions[conn.junction].pair_index[g, r]
+                junction_offers = offers.setdefault(conn.junction, {})
+                if i in junction_offers:
                     raise ProtocolError("more than one request per lane group and rc")
             except Exception as exc:
-                where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
+                where = "junction %s, rc %s, lane group %s" % (conn.junction, r, g)
                 raise SimulationError(exc, element=where) from exc
-            offers[i] = (m, req.packet, size)
-        return offers
+            junction_offers[i] = (m, req.packet, size)
+        self._solve_junctions(t, offers)
+
+    def _solve_junctions(self, t, offers: dict[int, dict]):
+        """Plan, solve and deliver the junctions' `offers`.
+
+        Plan: in ascending junction id, a junction where one upstream group
+        sends through a road connection with one downstream group is solved
+        in closed form; every other one fills its slice of the batch's
+        demand and supply. Solve: one `nodemodel.solve` over `self._jset`.
+        Deliver: junctions in ascending id, pairs in pair order, each pair
+        its closed-form or batched flow, within the receiving groups'
+        supply read just before.
+
+        Every supply is read from the start of the step, net of what its lane
+        group has received since, and only a junction's own deliveries enter
+        its downstream groups; so a supply reads the same whenever in the
+        pass it is read before its junction delivers."""
+        jset, stats = self._jset, self.stats
+        plan = []  # (junction, its offers, its pairs' offset in the batch or None)
+        demand = supply = None
+        for jid in sorted(offers):
+            junction, offered = self._junctions[jid], offers[jid]
+            if (len(offered) == 1
+                    and len(self._rc[junction.pairs[next(iter(offered))][1]].groups) == 1):
+                # one upstream group, one rc and one downstream group carry
+                # flow this step; the idle rest cannot change it
+                stats.junctions_1x1 += 1
+                plan.append((junction, offered, None))
+                continue
+            if demand is None:
+                demand, supply = [0.0] * len(jset.pairs), [0.0] * len(jset.downstream)
+            k = jset.place[jid]
+            p0, h0 = jset.pair_start[k], jset.down_start[k]
+            for i, (_, _, size) in offered.items():
+                demand[p0 + i] = size
+            try:
+                for j, h in enumerate(junction.downstream, h0):
+                    supply[j] = self.model_of_group[h].lane_group_supply(h)
+            except Exception as exc:
+                raise SimulationError(exc, element="junction %s" % jid) from exc
+            plan.append((junction, offered, p0))
+            stats.junctions_batched += 1
+        if demand is not None:
+            closed = [False] * len(jset.rcs)
+            for r in self.closed_rcs:
+                if r in self._rc_at:
+                    closed[self._rc_at[r]] = True
+            try:
+                flows = nodemodel.solve(jset, demand, supply, closed)
+            except nodemodel.NodeModelError as exc:
+                where = None if exc.junction is None else "junction %s" % exc.junction
+                raise SimulationError(exc, element=where) from exc
+            stats.nodemodel_iterations += flows.iterations
+            flow = flows.flow.tolist()
+        for junction, offered, p0 in plan:
+            for i in sorted(offered):  # in pair order
+                (g, r), (sender, packet, size) = junction.pairs[i], offered[i]
+                conn = self._rc[r]
+                try:
+                    if p0 is None:
+                        caps = [conn.receiver.lane_group_supply(conn.groups[0])]
+                        delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
+                    else:
+                        caps, delta = None, flow[p0 + i]
+                    if delta > nodemodel.EPS:
+                        self._deliver(t, sender, g, conn, packet, size, delta, caps or [
+                            conn.receiver.lane_group_supply(h) for h in conn.groups])
+                except Exception as exc:
+                    where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
+                    raise SimulationError(exc, element=where) from exc
 
     # --- delivery --------------------------------------------------------
 
@@ -463,6 +419,7 @@ class Engine:
             self._entry_credit[conn.id] = min(max(0.0, entitled - sent.size), 1.0)
             if not sent.size:
                 return
+        self.stats.deliveries += 1
         sender.remove(g, conn.id, sent)
         self._book(sent, self.cum_out[conn.up_link])
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)

@@ -472,6 +472,11 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
                         act.intensity(cmd)
                     elif isinstance(act, control.RcBlockActuator):
                         act.is_open(cmd)
+                    elif isinstance(act, control.RouterActuator):
+                        act.route(route_of, cmd)
+                    # every actuator takes its command as a map
+                    if not isinstance(cmd, dict):
+                        raise control.ControlError("command %r is not a map" % (cmd,))
                 except control.ControlError as exc:
                     diags.append("controller %s: constant command to actuator %s: %s"
                                  % (c.id, aid, exc))

@@ -329,6 +329,67 @@ def test_the_batch_gives_the_outputs_of_a_per_junction_oracle_loop(
     assert got == want
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "reversed"])
+@pytest.mark.parametrize("grid", ["mixed-1", "mixed-2", "macro"])
+def test_a_supply_reads_the_same_until_its_lane_group_is_entered(grid, reverse):
+    # what lets a junction pass read its supplies whenever it likes: within
+    # one pass, no delivery elsewhere and no removal moves a lane group's
+    # supply before something enters that group. With the junctions in
+    # reverse order most lane groups send before their own junction
+    # delivers; grid_macro's layout adds one-cell CTM lane groups, whose
+    # removals change the cell their supply is read from
+    from dataclasses import replace
+
+    from test_junction_order import reverse_junction_order
+    from gridgen import grid_scenario
+    from harness import GRIDS
+
+    d = (grid_scenario(replace(GRIDS["grid_macro"], rows=4), 1) if grid == "macro"
+         else _mixed_grid(int(grid[-1])))
+    eng = Engine(parse_scenario(reverse_junction_order(d) if reverse else d))
+    seen, entered = {}, set()  # this pass: first supply read, groups entered
+    rereads = []
+
+    def reading(supply):
+        def read(h):
+            value = supply(h)
+            if h in seen and h not in entered:
+                assert float(value).hex() == float(seen[h]).hex(), (eng.now, h, seen[h], value)
+                rereads.append(h)
+            seen.setdefault(h, value)
+            return value
+        return read
+
+    def entering_fluid(receive):
+        def enter(h, part, t):
+            entered.add(h)
+            return receive(h, part, t)
+        return enter
+
+    def entering_vehicles(receive):
+        def enter(link, vehicles, t):
+            entered.update(eng.net.link_groups[link])
+            return receive(link, vehicles, t)
+        return enter
+
+    for m in eng.models:
+        m.lane_group_supply = reading(m.lane_group_supply)
+        m.receive_fluid = entering_fluid(m.receive_fluid)
+        m.receive_vehicles = entering_vehicles(m.receive_vehicles)
+    solve_junctions = eng._solve_junctions
+
+    def one_pass(t, offers):
+        seen.clear()
+        entered.clear()
+        solve_junctions(t, offers)
+
+    eng._solve_junctions = one_pass
+    eng.run()
+    assert eng.stats.junctions_batched > 100
+    # a batched junction reads its supplies to plan and again to deliver
+    assert len(rereads) > 1000
+
+
 def test_cli_summary_reports_the_junction_steps_and_iterations(tmp_path, capsys, monkeypatch):
     from hybridtraffic import cli
     from hybridtraffic.scenario import save_scenario
@@ -345,11 +406,12 @@ def test_cli_summary_reports_the_junction_steps_and_iterations(tmp_path, capsys,
     assert cli.main(["run", path, "--duration", "100", "--out-dir",
                      str(tmp_path / "out")]) == 0
     stats = engines[0].stats
-    assert stats.junctions_1x1 > 0 and stats.junctions_batched > 0
+    assert stats.junctions_1x1 > 0 and stats.junctions_batched > 0 and stats.deliveries > 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert ("(junction steps: %d in closed form, %d in the node-model batch, %d "
-            "node-model iterations): " % (stats.junctions_1x1, stats.junctions_batched,
-                                          stats.nodemodel_iterations)) in line
+            "node-model iterations, %d deliveries): "
+            % (stats.junctions_1x1, stats.junctions_batched, stats.nodemodel_iterations,
+               stats.deliveries)) in line
 
 
 def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
@@ -369,19 +431,38 @@ def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
     assert info.value.element == "junction 1" and "no way through" in str(info.value)
 
 
-def test_junction_failure_names_junction_rc_and_lane_group():
+@pytest.mark.parametrize("fault", ["sizing", "closed_form_delivery", "batched_delivery"])
+def test_junction_failure_names_junction_rc_and_lane_group(fault):
+    # one wrapper names the element however the junction is solved
     from hybridtraffic.engine import SimulationError
 
-    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
+    if fault == "batched_delivery":
+        d = _merge_dict(duration=200.0)
+        d["routes"].append({"id": 1, "links": [3, 2]})
+        d["demands"].append(dict(d["demands"][0], link=3, route=1))
+    else:
+        d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
     eng = Engine(parse_scenario(d))
-    # a stub receiver on link 2 whose packet size is negative
-    eng.model_of_link[2].get_packet_size = lambda packet, rc: -1.0
+    receiver = eng.model_of_link[2]
+    if fault == "sizing":
+        # a stub receiver on link 2 whose packet size is negative
+        receiver.get_packet_size = lambda packet, rc: -1.0
+    elif fault == "closed_form_delivery":
+        receiver.receive_vehicles = _fails
+    else:
+        # only the merge enters link 2, and from its first step in the batch
+        # (both of its rcs send) its delivery fails
+        receive = receiver.receive_fluid
+        receiver.receive_fluid = lambda h, part, t: (
+            _fails() if h == "2:1" and eng.stats.junctions_batched else receive(h, part, t))
     with pytest.raises(SimulationError) as info:
         eng.run()
     err = info.value
     assert err.element == "junction 1, rc 1, lane group 1:1"
     assert err.time is not None and err.time > 0
-    assert "negative packet size" in str(err) and "element=junction 1" in str(err)
+    problem = "negative packet size" if fault == "sizing" else "stub failure"
+    assert problem in str(err) and "element=junction 1" in str(err)
+    assert eng.stats.junctions_batched == (fault == "batched_delivery")
 
 
 # --- one fluid delivery --------------------------------------------------
@@ -422,7 +503,7 @@ def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     assert eng.routing.tables[0] == eng.routing.tables[1] == (S0, S1)
     caps = {"1:1": 10.0}
     sender, receiver, sent, got = _recording_ends(caps)
-    conn = _Connection(0, 0, 0, 1, receiver, ("1:1",), (0,))
+    conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
     p = fluid_packet(eng.routing.tables[0], {S1: 1.0, S0: 3.0})
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, [caps["1:1"]])
     assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]

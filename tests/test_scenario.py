@@ -432,15 +432,16 @@ def test_validate_reports_split_ratios_that_sum_to_zero_within_the_run():
     assert validate_scenario(parse_scenario(d)) == []
 
 
-def _commanded_split(ratios):
+def _commanded_split(ratios, cmd=None):
     """The diverge, split half and half, with a constant controller that
-    commands its split actuator to `ratios` at 4 s."""
+    commands its split actuator to `ratios` (or sends it `cmd`) at 4 s."""
     d = _diverge(duration=20.0)
     half = {"start": 0.0, "period": 20.0, "values": [0.5]}
     d["splits"] = [{"link": 0, "vtype": 0, "ratios": {1: half, 3: dict(half)}}]
     d["actuators"] = [{"id": 0, "kind": "split", "dt": 2.0, "link": 0, "vtype": 0}]
     d["controllers"] = [{"id": 0, "type": "constant", "dt": 2.0, "actuators": [0],
-                         "params": {"at": 4.0, "commands": {0: {"ratios": ratios}}}}]
+                         "params": {"at": 4.0, "commands": {
+                             0: {"ratios": ratios} if cmd is None else cmd}}}]
     return parse_scenario(d)
 
 
@@ -531,6 +532,50 @@ def test_validate_rejects_bad_constant_demand_and_rc_block_commands(actuator, cm
     with pytest.raises(ControlError, match=re.escape(problem)):
         eng.actuators[0].apply(eng, 0.0, cmd)
     assert eng.sources[0].override_rate is None and eng.closed_rcs == set()
+
+
+ROUTER = {"kind": "router", "vtype": 0}
+
+
+@pytest.mark.parametrize("cmd, problem", [
+    ({"route": 99}, "unknown route 99"),
+    ({"route": "0"}, "unknown route '0'"),
+    (5, "router command 5 is not a map"),
+], ids=["unknown", "text", "not-a-map"])
+def test_validate_rejects_bad_constant_router_commands(cmd, problem):
+    # these once validated clean; the run then stopped when the command
+    # fired (`unknown route 99` at t=4, 'int' object is not iterable)
+    sc = _commanded(ROUTER, cmd)
+    assert validate_scenario(sc) == [
+        "controller 0: constant command to actuator 0: " + problem]
+    with pytest.raises(ScenarioError, match="constant command to actuator 0"):
+        Engine(sc)
+    # the actuator applies the same rule at run time, and changes nothing
+    eng = Engine(_commanded(ROUTER, {}))
+    with pytest.raises(ControlError, match=re.escape(problem)):
+        eng.actuators[0].apply(eng, 0.0, cmd)
+    assert eng.routing.route_overrides == {}
+
+
+def test_good_constant_router_command_validates_and_applies():
+    sc = _commanded(ROUTER, {"route": 0})
+    assert validate_scenario(sc) == []
+    eng = Engine(sc)
+    eng.run()
+    assert eng.routing.route_overrides == {0: 0}
+    eng.actuators[0].apply(eng, 20.0, {"route": None})
+    assert eng.routing.route_overrides == {}
+
+
+@pytest.mark.parametrize("cmd", [5, [1, 2]], ids=["int", "list"])
+def test_validate_rejects_a_constant_command_that_is_not_a_map(cmd):
+    # a split command once validated clean and then stopped the run in
+    # `Actuator.command` with 'int' object is not iterable
+    sc = _commanded_split(None, cmd)
+    assert validate_scenario(sc) == [
+        "controller 0: constant command to actuator 0: command %r is not a map" % (cmd,)]
+    with pytest.raises(ScenarioError, match="constant command to actuator 0"):
+        Engine(sc)
 
 
 def test_good_constant_demand_and_rc_block_commands_apply():
