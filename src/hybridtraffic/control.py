@@ -295,6 +295,8 @@ class FixedTimeSignal:
         # stages: [{"duration": s, "open_rcs": [..]}]; rc_actuators: rc -> actuator id
         if not stages:
             raise ControlError("signal plan needs at least one stage")
+        if not math.isfinite(offset):
+            raise ControlError("signal offset %r s must be finite" % offset)
         self.stages = stages
         self.rc_actuators = rc_actuators
         self.offset = offset
@@ -330,6 +332,8 @@ class ConstantCommand:
     """Issues a fixed command once at (or after) a trigger time."""
 
     def __init__(self, at_time: float, commands: dict):
+        if not math.isfinite(at_time):
+            raise ControlError("constant command time 'at' %r s must be finite" % at_time)
         self.at_time = at_time
         self.commands = commands
         self._done = False

@@ -152,6 +152,7 @@ class Engine:
             l: {} for l in self.net.links
         }
         self.exits: dict[StateIndex, float] = {}
+        self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet)
         self.audit_failures: list[str] = []
 
         # the schedule: control elements in the order they fire within a step
@@ -301,12 +302,8 @@ class Engine:
         for m, req in requests:
             g, r = req.group_id, req.rc
             if r is None:
-                try:
-                    m.remove(g, None, req.packet)
-                    self._book(req.packet, self.cum_out[self.net.lane_groups[g].link],
-                               self.exits)
-                except Exception as exc:
-                    raise SimulationError(exc, element="lane group %s (exit)" % g) from exc
+                self._cuts.append((m, g, None, req.packet))
+                self._book(req.packet, self.cum_out[self.net.lane_groups[g].link], self.exits)
                 continue
             conn = self._rc[r]
             try:
@@ -324,6 +321,7 @@ class Engine:
                 raise SimulationError(exc, element=where) from exc
             junction_offers[i] = (m, req.packet, size)
         self._solve_junctions(t, offers)
+        self._remove_cuts()
 
     def _solve_junctions(self, t, offers: dict[int, dict]):
         """Plan, solve and deliver the junctions' `offers`.
@@ -336,10 +334,10 @@ class Engine:
         its closed-form or batched flow, within the receiving groups'
         supply read just before.
 
-        Every supply is read from the start of the step, net of what its lane
-        group has received since, and only a junction's own deliveries enter
-        its downstream groups; so a supply reads the same whenever in the
-        pass it is read before its junction delivers."""
+        No cut leaves its sender before the pass ends (`_remove_cuts`), and
+        only a junction's own deliveries enter its downstream groups; so a
+        supply, the free space now, reads the same whenever in the pass it
+        is read before its junction delivers."""
         jset, stats = self._jset, self.stats
         plan = []  # (junction, its offers, its pairs' offset in the batch or None)
         demand = supply = None
@@ -400,7 +398,7 @@ class Engine:
         """Send the part of `packet` the junction accepted (`delta` of its
         `size`) from lane group g through the road connection: one cut within
         the receiving lane groups' supply (`caps`, read just before), then
-        remove, book, re-key, enter."""
+        book, re-key, enter; the cut leaves its sender after the pass."""
         receiver = conn.receiver
         allow = sum(caps)
         if packet.is_fluid:
@@ -420,10 +418,22 @@ class Engine:
             if not sent.size:
                 return
         self.stats.deliveries += 1
-        sender.remove(g, conn.id, sent)
+        self._cuts.append((sender, g, conn.id, sent))
         self._book(sent, self.cum_out[conn.up_link])
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
         self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
+
+    def _remove_cuts(self):
+        """Take the flow phase's cuts out of their senders in the order they
+        were made; until then nothing has left a sender since the step began."""
+        cuts, self._cuts = self._cuts, []
+        for sender, g, r, packet in cuts:
+            try:
+                sender.remove(g, r, packet)
+            except Exception as exc:
+                where = ("lane group %s (exit)" % g if r is None else
+                         "junction %s, rc %s, lane group %s" % (self._rc[r].junction, r, g))
+                raise SimulationError(exc, element=where) from exc
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
         """Book a re-keyed packet into `link` and hand it to the link's model:

@@ -105,11 +105,9 @@ class TrafficModel(ABC):
     @abstractmethod
     def lane_group_supply(self, group_id: str) -> float:
         """Vehicles the lane group can still take before its next advance
-        (>= 0): from its state at its last advance, net of what it has
-        received since. Nothing removed from it since counts, so the value
-        does not depend on the order in which junctions are solved; the
-        engine reads it through this method whenever it needs a supply and
-        keeps no copy beyond one flow phase."""
+        (>= 0): its free space now, net of what has arrived since its last
+        advance. The engine reads it through this method whenever it needs
+        a supply and keeps no copy beyond one flow phase."""
 
     @abstractmethod
     def compute_demands(self, now: float, rng: np.random.Generator) -> list[DemandRequest]:
@@ -119,7 +117,8 @@ class TrafficModel(ABC):
     @abstractmethod
     def remove(self, group_id: str, rc: int | None, packet: FluxPacket):
         """Take the given contents out of the lane group (the accepted part
-        of a previously offered demand)."""
+        of a previously offered demand); the engine calls it once every
+        junction of the flow phase has delivered."""
 
     def receive_fluid(self, group_id: str, amounts: list[float], now: float):
         """Insert fluid content at the upstream end of a lane group: amounts

@@ -35,7 +35,6 @@ class _Lane(VehicleStore):
     jam_spacing: float  # m per vehicle at jam, single file
     means: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dv, dw, df per step
     cars: list[_Car] = field(default_factory=list)  # index 0 = downstream-most
-    gap0: float = math.inf  # upstream gap at the last advance
 
     def upstream_gap(self) -> float:
         return self.length if not self.cars else self.cars[-1].x
@@ -50,14 +49,7 @@ class _Lane(VehicleStore):
         return self.upstream_gap() >= self.jam_spacing - 1e-9
 
     def release(self, ids):
-        kept = []
-        for c in self.cars:
-            if c.vehicle.id in ids:
-                # carry the crossing overshoot so the next link can grant the
-                # distance already earned this step (keeps mean speed exact)
-                c.vehicle.ext = max(0.0, c.tentative - self.length)
-            else:
-                kept.append(c)
+        kept = [c for c in self.cars if c.vehicle.id not in ids]
         found = len(self.cars) - len(kept)
         self.cars = kept
         return found
@@ -185,19 +177,18 @@ class NewellModel(VehicleModel):
             for car in lane.cars:
                 if not car.exiting:
                     break
+                # the overshoot it carries if let through, for the next link to
+                # grant (keeps mean speed exact); set before a receiver places it
+                car.vehicle.ext = max(0.0, car.tentative - lane.length)
                 by_rc.setdefault(car.target_rc, []).append(car.vehicle)
             if by_rc:
                 reqs += self.vehicle_requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        # a car placed since the last advance lowers the gap; one released
-        # does not raise it before the next, whatever the junction order
+        # a buffered vehicle takes the room of one placed
         lane = self.groups[group_id]
-        gap = lane.upstream_gap()
-        if lane.gap0 < gap:
-            gap = lane.gap0
-        n = math.floor(gap / lane.jam_spacing + 1e-9)
+        n = math.floor(lane.upstream_gap() / lane.jam_spacing + 1e-9)
         return float(max(0, n - len(lane.buffer)))
 
     def _pick(self, gids):
@@ -237,9 +228,6 @@ class NewellModel(VehicleModel):
                 car.exiting = False
                 prev_x = new_x
         self._admit(now)
-        for gid in self.group_ids:
-            lane = self.groups[gid]
-            lane.gap0 = lane.upstream_gap()
 
     # --- queries -------------------------------------------------------
 

@@ -458,6 +458,18 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
         for aid in sorted(named - set(c.actuator_ids)):
             diags.append("controller %s: %s names actuator %s it does not own"
                          % (c.id, plan, aid))
+        if plan == "signal plan":
+            # each road connection of the plan opens and closes through the
+            # rc_block actuator of that road connection
+            for rc, aid in sorted(alg.rc_actuators.items()):
+                act = actuator_of.get(aid)
+                if act is None or isinstance(act, control.RcBlockActuator) and act.rc == rc:
+                    continue
+                what = ("blocks road connection %s" % act.rc
+                        if isinstance(act, control.RcBlockActuator)
+                        else "is not an rc_block actuator")
+                diags.append("controller %s: signal plan drives road connection %s through "
+                             "actuator %s, which %s" % (c.id, rc, aid, what))
         if plan == "constant command":
             # by the rule the actuator applies at run time
             for aid, cmd in sorted(alg.commands.items()):

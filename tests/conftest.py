@@ -116,6 +116,31 @@ def corridor_scenario_dict(
     }
 
 
+def supplies_around_the_pass(eng, gid: str) -> list[list[float]]:
+    """Run `eng`; for each flow phase in which lane group `gid` sent through
+    a junction, its supply as the junction pass began, as it ended and once
+    the engine had taken the phase's cuts out of their senders."""
+    model, reads = eng.model_of_group[gid], []
+    solve_junctions, remove_cuts = eng._solve_junctions, eng._remove_cuts
+
+    def one_pass(t, offers):
+        start = model.lane_group_supply(gid)
+        solve_junctions(t, offers)
+        reads.append([start, model.lane_group_supply(gid)])
+
+    def cut():
+        sent = any(g == gid and r is not None for _, g, r, _ in eng._cuts)
+        remove_cuts()
+        if sent:
+            reads[-1].append(model.lane_group_supply(gid))
+        else:
+            reads.pop()
+
+    eng._solve_junctions, eng._remove_cuts = one_pass, cut
+    eng.run()
+    return reads
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

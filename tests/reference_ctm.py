@@ -244,12 +244,10 @@ class ReferenceCtmModel(TrafficModel):
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:
-        # the first cell at the start of the step: what `remove` took out of
-        # it since does not count
+        # the first cell now, net of the inflow it has not yet taken in
         gc = self.groups[group_id]
         w = self.link_w[gc.link]
-        n = sum(gc.pre[0].values()) if gc.pre else gc.cell_total(0)
-        return max(0.0, max(0.0, w * (gc.n_max - n)) - gc.received)
+        return max(0.0, max(0.0, w * (gc.n_max - gc.cell_total(0))) - gc.received)
 
     def remove(self, group_id: str, rc, amounts: dict[StateIndex, float]):
         gc = self.groups[group_id]

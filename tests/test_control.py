@@ -275,6 +275,17 @@ def _without(d, key):
       for stage, shown in (({"duration": 10.0}, "None"),
                            ({"duration": 10.0, "open_rcs": [7]}, "[7]"),
                            ({"duration": 10.0, "open_rcs": 0}, "0"))],
+    # a NaN offset once pinned the plan to its last stage, and a NaN trigger
+    # time fired a constant command at t=0
+    *[("controllers",
+       dict(CONTROLLER, type="fixed_time_signal",
+            params={"stages": [{"duration": 10.0, "open_rcs": [0]}], "rc_actuators": {0: 4},
+                    "offset": bad}),
+       "controller 5: signal offset %s s must be finite" % bad)
+      for bad in (float("nan"), float("inf"))],
+    *[("controllers", dict(CONTROLLER, type="constant", params={"at": bad, "commands": {}}),
+       "controller 5: constant command time 'at' %s s must be finite" % bad)
+      for bad in (float("nan"), float("inf"))],
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

@@ -431,12 +431,15 @@ def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
     assert info.value.element == "junction 1" and "no way through" in str(info.value)
 
 
-@pytest.mark.parametrize("fault", ["sizing", "closed_form_delivery", "batched_delivery"])
+@pytest.mark.parametrize("fault", ["sizing", "closed_form_delivery", "batched_delivery",
+                                   "closed_form_removal", "batched_removal"])
 def test_junction_failure_names_junction_rc_and_lane_group(fault):
-    # one wrapper names the element however the junction is solved
+    # one wrapper names the element however the junction is solved, and a
+    # cut taken out of its sender after the pass names where it was made
     from hybridtraffic.engine import SimulationError
 
-    if fault == "batched_delivery":
+    batched = fault.startswith("batched")
+    if batched:
         d = _merge_dict(duration=200.0)
         d["routes"].append({"id": 1, "links": [3, 2]})
         d["demands"].append(dict(d["demands"][0], link=3, route=1))
@@ -449,6 +452,14 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
         receiver.get_packet_size = lambda packet, rc: -1.0
     elif fault == "closed_form_delivery":
         receiver.receive_vehicles = _fails
+    elif fault.endswith("removal"):
+        # link 1's lane group fails to let go of what rc 1 took, in the batch
+        # from its first step there
+        sender = eng.model_of_link[1]
+        remove = sender.remove
+        sender.remove = lambda g, rc, p: (
+            _fails() if rc == 1 and (eng.stats.junctions_batched or not batched)
+            else remove(g, rc, p))
     else:
         # only the merge enters link 2, and from its first step in the batch
         # (both of its rcs send) its delivery fails
@@ -462,7 +473,7 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
     assert err.time is not None and err.time > 0
     problem = "negative packet size" if fault == "sizing" else "stub failure"
     assert problem in str(err) and "element=junction 1" in str(err)
-    assert eng.stats.junctions_batched == (fault == "batched_delivery")
+    assert eng.stats.junctions_batched == batched
 
 
 # --- one fluid delivery --------------------------------------------------
@@ -498,12 +509,19 @@ def test_fluid_delivery_scales_the_accepted_share_in_state_order():
     # the engine cuts a fluid request as it delivers it: each amount times
     # min(1, delta / size), further limited by the free space, over the
     # sender's state table, zero shares carried as zeros, the offered packet
-    # left as it was
+    # left as it was; the cut leaves the sender after the pass
     eng = _two_route_engine()
     assert eng.routing.tables[0] == eng.routing.tables[1] == (S0, S1)
     caps = {"1:1": 10.0}
     sender, receiver, sent, got = _recording_ends(caps)
     conn = _Connection(0, 0, 0, 1, receiver, ("1:1",))
+    deliver = eng._deliver
+
+    def _deliver(*args):
+        deliver(*args)
+        eng._remove_cuts()
+
+    eng._deliver = _deliver
     p = fluid_packet(eng.routing.tables[0], {S1: 1.0, S0: 3.0})
     eng._deliver(0.0, sender, "0:1", conn, p, 4.0, 1.0, [caps["1:1"]])
     assert sent == [("0:1", 0, {S0: 0.75, S1: 0.25})]
@@ -582,6 +600,7 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
     caps = [receiver.lane_group_supply(h) for h in conn.groups]
     assert sum(caps) >= 6
     eng._deliver(20.0, sender, "0:1", conn, packet, packet.size, packet.size, caps)
+    eng._remove_cuts()  # as the pass ends
     # re-keyed into link 1's table slot by slot, FIFO within a slot
     assert routed[0].table is eng.routing.tables[1]
     assert [[v.id for v in vs] for vs in routed[0].vehicles] == [[1, 3, 4], [0, 2, 5]]

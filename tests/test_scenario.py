@@ -182,6 +182,30 @@ def test_validate_reports_what_the_engine_rejects(change, diagnostic):
         Engine(sc)
 
 
+@pytest.mark.parametrize("actuator, what", [
+    ({"kind": "vsl", "link": 0}, "is not an rc_block actuator"),
+    ({"kind": "rc_block", "rc": 1}, "blocks road connection 1"),
+], ids=["vsl", "rc_block_of_another_rc"])
+def test_a_signal_plan_drives_the_rc_block_actuator_of_its_own_road_connection(
+        actuator, what):
+    # both once validated clean: a vsl actuator stopped the run at t=0 (its
+    # speed limit command {'open': True} has no 'speed_kmh'), and the
+    # rc_block actuator of rc 1 silently opened and closed rc 1 on rc 0's plan
+    with open(cli._resolve("macro_meso")) as f:
+        d = yaml.safe_load(f)
+    d["actuators"] = [dict(actuator, id=7, dt=2.0)]
+    d["controllers"] = [{"id": 3, "type": "fixed_time_signal", "dt": 2.0, "actuators": [7],
+                         "params": {"stages": [{"duration": 10.0, "open_rcs": [0]},
+                                               {"duration": 10.0, "open_rcs": []}],
+                                    "rc_actuators": {0: 7}}}]
+    sc = parse_scenario(d)
+    diag = ("controller 3: signal plan drives road connection 0 through actuator 7, which "
+            + what)
+    assert validate_scenario(sc) == [diag]
+    with pytest.raises(ScenarioError, match=re.escape(diag)):
+        Engine(sc)
+
+
 @pytest.mark.parametrize("name, model, key", [
     ("macro_micro", 0, "max_cell_lenght"), ("macro_micro", 0, "sigma_v"),
     ("macro_micro", 1, "max_cell_length"), ("macro_meso", 1, "lc_supply_factor"),

@@ -3,10 +3,13 @@
 
 import pytest
 
-from conftest import corridor_network, packet_of
+from conftest import (corridor_network, corridor_scenario_dict, packet_of,
+                      supplies_around_the_pass)
+from hybridtraffic import Engine
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models import NewellModel, TwoQueueModel
 from hybridtraffic.packets import StateIndex, Vehicle
+from hybridtraffic.scenario import parse_scenario
 
 S, S2 = StateIndex(0, 0), StateIndex(1, 0)
 MODELS = [TwoQueueModel, NewellModel]
@@ -33,16 +36,13 @@ def _vehs(*ids):
 
 def _room_behind_a_buffer(m, rng):
     """Receive six vehicles, advance once and release vehicles 0 and 1: the
-    lane group then has room while vehicles still wait in its buffer. Its
-    supply does not see the release before the next advance."""
+    lane group then has room while vehicles still wait in its buffer."""
     m.receive_vehicles(0, _vehs(*range(6)), 0.0)
     m.compute_demands(0.0, rng)
     m.advance_state(2.0, rng)
-    supply = m.lane_group_supply("0:1")
     m.remove("0:1", None, packet_of(_vehs(0, 1)))
     buffered = [v.id for v in m.groups["0:1"].buffer]
     assert buffered and m.groups["0:1"].has_room()
-    assert m.lane_group_supply("0:1") == supply
     return buffered
 
 
@@ -70,23 +70,21 @@ def test_a_newcomer_queues_behind_the_buffer_and_leaves_after_it(cls, rng):
 
 @pytest.mark.parametrize("cls", MODELS)
 def test_supply_sees_an_arrival_at_once_and_a_release_after_the_advance(cls, rng):
+    # the supply is the free space now, so an arrival lowers it at once ...
     m = _model(cls)
-    m.receive_vehicles(0, _vehs(0), 0.0)
-    m.compute_demands(0.0, rng)
-    m.advance_state(0.0, rng)
-    t = 2.0
-    while not (reqs := m.compute_demands(t, rng)):  # until vehicle 0 is released
-        m.advance_state(t, rng)
-        t += 2.0
-        assert t < 100.0
     start = m.lane_group_supply("0:1")
-    assert start > 0
-    m.remove(reqs[0].group_id, reqs[0].rc, reqs[0].packet)
-    assert m.lane_group_supply("0:1") == start
-    m.receive_vehicles(0, _vehs(2), t)
+    m.receive_vehicles(0, _vehs(0), 0.0)
     assert m.lane_group_supply("0:1") < start
-    m.advance_state(t, rng)
-    assert m.total_vehicles("0:1") == 1.0
+    # ... and a release raises it once the engine takes the release out of
+    # its sender, after every junction has delivered and just before the
+    # advance; through the junction pass it reads the same. A light demand
+    # often leaves one car on the lane, so a release empties it
+    d = corridor_scenario_dict([(cls.kind, [0, 1])], n_links=2, rate_vph=150.0,
+                               duration=300.0)
+    reads = supplies_around_the_pass(Engine(parse_scenario(d)), "0:1")
+    assert len(reads) > 10
+    assert all(end == start <= after for start, end, after in reads)
+    assert any(end < after for _, end, after in reads)
 
 
 @pytest.mark.parametrize("cls", MODELS)
