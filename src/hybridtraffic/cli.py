@@ -83,8 +83,9 @@ def main(argv=None) -> int:
     stats = engine.stats
     print(
         "simulated %r for %g s (junction steps: %d in closed form, %d in the "
-        "node-model batch, %d node-model iterations, %d deliveries): %g veh "
-        "injected, %g exited, %g in the models, %g stranded in boundary residues"
+        "node-model batch, %d node-model iterations, %d deliveries, %d of them "
+        "as array steps): %g veh injected, %g exited, %g in the models, %g "
+        "stranded in boundary residues"
         % (
             sc.name,
             sc.run.duration,
@@ -92,6 +93,7 @@ def main(argv=None) -> int:
             stats.junctions_batched,
             stats.nodemodel_iterations,
             stats.deliveries,
+            stats.array_deliveries,
             engine.total_injected(),
             engine.total_exited(),
             engine.total_in_models(),

@@ -205,10 +205,12 @@ class RoutingContext:
         }
         # actuated replacements: vehicle type -> route id, and
         # (link, vehicle type) -> turn ratios; set through `override_route`
-        # and `override_split`, which drop the compiled rows
+        # and `override_split`, which drop the compiled rows and count the
+        # drops in `version`, so a copy compiled from the rows can tell
         self.route_overrides: dict[int, int] = {}
         self.split_overrides: dict[tuple[int, int], dict[int, float]] = {}
         self._rows: dict[tuple[int, StateIndex], Row] = {}
+        self.version = 0
 
     def override_route(self, vtype: int, route: int | None):
         """Send a routed type along `route` wherever it passes; None clears."""
@@ -217,6 +219,7 @@ class RoutingContext:
         else:
             self.route_overrides[vtype] = route
         self._rows.clear()
+        self.version += 1
 
     def override_split(self, link: int, vtype: int, ratios: dict[int, float] | None):
         """Replace a split profile's ratios; None returns to the profile."""
@@ -225,6 +228,7 @@ class RoutingContext:
         else:
             self.split_overrides[link, vtype] = ratios
         self._rows.clear()
+        self.version += 1
 
     def _row(self, s: StateIndex, link: int, now: float) -> Row:
         """The compiled row of state `s` entering `link`, recompiled only

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import nodemodel
 from . import scenario as scenario_mod
+from .arraydelivery import ArrayJunctions
 from .control import ProbeSensor
 from .demand import RoutingContext, Source
 from .models.base import TrafficModel
@@ -65,12 +66,14 @@ class RunStats:
     upstream group sending through a road connection with one downstream
     group) and in the node-model batch, and the node-model iterations the
     batch took, summed over its junctions; and the deliveries, the cuts
-    that moved traffic across a junction."""
+    that moved traffic across a junction, and how many of them the array
+    junctions made as array steps."""
 
     junctions_1x1: int = 0
     junctions_batched: int = 0
     nodemodel_iterations: int = 0
     deliveries: int = 0
+    array_deliveries: int = 0
 
 
 @dataclass
@@ -153,6 +156,10 @@ class Engine:
         }
         self.exits: dict[StateIndex, float] = {}
         self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet)
+        # batched junctions whose lane groups all belong to one CTM model,
+        # delivered as array steps: junction id -> its model's deliverer
+        self._array_junctions: dict[int, ArrayJunctions] = self._compile_arrays()
+        self._arrays = list(dict.fromkeys(self._array_junctions.values()))
         self.audit_failures: list[str] = []
 
         # the schedule: control elements in the order they fire within a step
@@ -197,6 +204,23 @@ class Engine:
                 connections[r] = _Connection(r, jid, rc.up_link, rc.down_link,
                                              self.model_of_link[rc.down_link], groups)
         return connections, junctions
+
+    def _compile_arrays(self) -> dict[int, ArrayJunctions]:
+        by_model: dict = {}
+        for j in self._jset.junctions:
+            models = {self.model_of_group[g] for g in j.upstream + j.downstream}
+            if len(models) == 1:
+                m, = models
+                if m.kind == "ctm":
+                    by_model.setdefault(m, []).append(j)
+        out = {}
+        for m, junctions in by_model.items():
+            arrays = ArrayJunctions(self, m, junctions)
+            out.update(dict.fromkeys(arrays.start, arrays))
+        return out
+
+    def _name(self, model) -> str:
+        return "model %d (%s)" % (self.models.index(model), model.kind)
 
     # --- cross-model queries -------------------------------------------
 
@@ -266,8 +290,7 @@ class Engine:
                 try:
                     m.advance_state(t, self.rng)
                 except Exception as exc:
-                    where = "model %d (%s)" % (self.models.index(m), m.kind)
-                    raise SimulationError(exc, element=where) from exc
+                    raise SimulationError(exc, element=self._name(m)) from exc
             self._advance_trackers(t, due_models)
             for c, _ in due:
                 c.tick()
@@ -330,16 +353,21 @@ class Engine:
         sends through a road connection with one downstream group is solved
         in closed form; every other one fills its slice of the batch's
         demand and supply. Solve: one `nodemodel.solve` over `self._jset`.
-        Deliver: junctions in ascending id, pairs in pair order, each pair
-        its closed-form or batched flow, within the receiving groups'
-        supply read just before.
+        Deliver: the array junctions in the batch as array steps, model by
+        model (`ArrayJunctions.deliver`); then the other junctions in
+        ascending id, pairs in pair order, each pair its closed-form or
+        batched flow, within the receiving groups' supply read just before.
 
         No cut leaves its sender before the pass ends (`_remove_cuts`), and
         only a junction's own deliveries enter its downstream groups; so a
         supply, the free space now, reads the same whenever in the pass it
-        is read before its junction delivers."""
+        is read before its junction delivers, and the array junctions, which
+        touch no other junction's lane groups or ledgers and draw no random
+        number, may go first. An array step that fails commits nothing and
+        is redone pair by pair, which names the failing pair."""
         jset, stats = self._jset, self.stats
         plan = []  # (junction, its offers, its pairs' offset in the batch or None)
+        arrays: dict[ArrayJunctions, None] = {}  # those offered an array junction
         demand = supply = None
         for jid in sorted(offers):
             junction, offered = self._junctions[jid], offers[jid]
@@ -351,9 +379,15 @@ class Engine:
                 plan.append((junction, offered, None))
                 continue
             if demand is None:
-                demand, supply = [0.0] * len(jset.pairs), [0.0] * len(jset.downstream)
+                demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
             k = jset.place[jid]
             p0, h0 = jset.pair_start[k], jset.down_start[k]
+            stats.junctions_batched += 1
+            array = self._array_junctions.get(jid)
+            if array is not None:
+                array.items.append((junction, offered, p0))
+                arrays[array] = None
+                continue
             for i, (_, _, size) in offered.items():
                 demand[p0 + i] = size
             try:
@@ -362,8 +396,13 @@ class Engine:
             except Exception as exc:
                 raise SimulationError(exc, element="junction %s" % jid) from exc
             plan.append((junction, offered, p0))
-            stats.junctions_batched += 1
+        flow = pair_flow = None
         if demand is not None:
+            for array in arrays:
+                try:
+                    array.open(demand, supply)
+                except Exception as exc:
+                    raise SimulationError(exc, element=self._name(array.model)) from exc
             closed = [False] * len(jset.rcs)
             for r in self.closed_rcs:
                 if r in self._rc_at:
@@ -374,7 +413,22 @@ class Engine:
                 where = None if exc.junction is None else "junction %s" % exc.junction
                 raise SimulationError(exc, element=where) from exc
             stats.nodemodel_iterations += flows.iterations
-            flow = flows.flow.tolist()
+            flow = flows.flow
+            pair_flow = flow.tolist()
+        for array in arrays:
+            try:
+                n = array.deliver(t, flow, self.cum_in, self.cum_out)
+            except Exception as exc:
+                self._deliver_pairs(t, array.items, pair_flow)  # names the failing pair
+                raise SimulationError(exc, element=self._name(array.model)) from exc
+            stats.deliveries += n
+            stats.array_deliveries += n
+        self._deliver_pairs(t, plan, pair_flow)
+
+    def _deliver_pairs(self, t, plan, flow):
+        """Deliver the `plan`'s junctions pair by pair, in pair order: each
+        pair its closed-form flow, or its batched one out of `flow` (a list
+        over the batch's pairs)."""
         for junction, offered, p0 in plan:
             for i in sorted(offered):  # in pair order
                 (g, r), (sender, packet, size) = junction.pairs[i], offered[i]
@@ -425,8 +479,19 @@ class Engine:
 
     def _remove_cuts(self):
         """Take the flow phase's cuts out of their senders in the order they
-        were made; until then nothing has left a sender since the step began."""
+        were made, then the array junctions' (`ArrayJunctions.remove`, a
+        failure redone cut by cut); until then nothing has left a sender
+        since the step began."""
         cuts, self._cuts = self._cuts, []
+        self._remove(cuts)
+        for array in self._arrays:
+            try:
+                array.remove()
+            except Exception as exc:
+                self._remove([(array.model, g, r, p) for g, r, p in array.cuts()])
+                raise SimulationError(exc, element=self._name(array.model)) from exc
+
+    def _remove(self, cuts):
         for sender, g, r, packet in cuts:
             try:
                 sender.remove(g, r, packet)

@@ -45,6 +45,22 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return tot
 
 
+def round_sums(keys: list, vals: list, size: int, seed=None) -> tuple[list, list]:
+    """Rounds of `vals` by `keys` (places below `size`, each key at most
+    once per round) added up: the keys in the order they first arrived, and
+    for each its `seed(key)` (0.0 without a seed) plus its values in round
+    order, as a sequence of `x = x + v` in that order gives them."""
+    u, first = np.unique(np.concatenate(keys), return_index=True)
+    u = u[np.argsort(first)]
+    ul = u.tolist()
+    acc = np.zeros(size)
+    if seed is not None:
+        acc[u] = [seed(x) for x in ul]
+    for kr, vr in zip(keys, vals):
+        acc[kr] += vr
+    return ul, acc[u].tolist()
+
+
 class _Group:
     """One lane group's cell chain: rows `start` to `start + count - 1` of
     the model's arrays, upstream-most first; once routing is set, its link's
@@ -125,6 +141,7 @@ class CtmModel(TrafficModel):
         groups = list(self.groups.values())
         self._group_list = groups
         self._n_rows = n_rows
+        self._first_rows = np.array([g.start for g in groups], dtype=np.intp)
         self._last_rows = np.array([g.start + g.count - 1 for g in groups], dtype=np.intp)
         lc, inner, outer = [], [], []
         self._span = {}
@@ -190,6 +207,10 @@ class CtmModel(TrafficModel):
                          + [2] * (n_slots - len(lane_plans)))
             self._group_rcs.append([None if p is None else p[0][j] for p in lane_plans])
         move = np.array(moves, dtype=np.int8).reshape(len(groups), n_slots)
+        self._refused = np.zeros((len(groups), n_slots), bool)  # by lane group, slot
+        for g in groups:
+            if g.refused:
+                self._refused[g.index, list(g.refused)] = True
         # free-flow speed where the lane group serves the slot, else 0, so
         # that no demand is formed there
         self._served = move == 0
@@ -392,6 +413,56 @@ class CtmModel(TrafficModel):
                     self._refuse(g, k)
                 k += base
                 inflow[k] = inflow.get(k, 0.0) + a
+
+    # --- the same as array steps, over many lane groups ----------------
+    # (for `arraydelivery.ArrayJunctions`: each takes the float operations
+    # of `lane_group_supply`, `receive_fluid` or `remove` in their order)
+
+    def supply_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per lane group, w (N - n) of the first cell now, at least 0, and
+        the fluid received since the last advance: `lane_group_supply` is
+        the first net of the second, at least 0."""
+        fr = self._first_rows
+        free = self._w_r[fr] * (self._nmax_r[fr] - self._tot_np[fr])
+        return np.where(free > 0.0, free, 0.0), np.array(self._received)
+
+    def receive_rounds(self, received: np.ndarray, keys: list, vals: list):
+        """Take in rounds of `receive_fluid`: each lane group's `received`
+        now, and per round the amounts `vals` entering first-cell places
+        `keys` (lane group start row * slots + slot), a place at most once
+        per round."""
+        self._received = received.tolist()
+        if keys:
+            inflow = self._inflow
+            seed = (lambda x: inflow.get(x, 0.0)) if inflow else None
+            inflow.update(zip(*round_sums(keys, vals, (self._n_rows + 1) * self._n_slots, seed)))
+
+    def remove_rounds(self, rounds: list):
+        """Rounds of `remove`, each (lane group per entry, slot per entry,
+        amount per entry) in cut order, a lane group in at most one cut per
+        round; nothing changes if a cut exceeds an occupancy."""
+        n = self._n_slots
+        if self._last is None:
+            self._open(self._occ[self._last_rows])
+        last = np.array(self._last)
+        out, cum = np.array(self._outflow), np.array(self._cum_out)
+        for g, k, a in rounds:
+            at = g * n + k
+            cur = last[at] - a
+            if (cur < NEG_TOL).any():
+                raise RuntimeError("outflow exceeds occupancy")
+            last[at] = np.where(cur > 0, cur, 0.0)
+            np.add.at(out, g, a)
+            np.add.at(cum, g, a)
+        sent = np.zeros(len(self._group_list), bool)
+        for g, _, _ in rounds:
+            sent[g] = True
+        g = np.flatnonzero(sent)
+        tot = 0.0 + _row_sums(last.reshape(-1, n)[g])  # as `sum` adds from 0
+        self._last, self._outflow, self._cum_out = last.tolist(), out.tolist(), cum.tolist()
+        tots = self._tot
+        for r, v in zip(self._last_rows[g].tolist(), tot.tolist()):
+            tots[r] = v
 
     def advance_state(self, now, rng):
         occ, n = self._occ, self._tot_np  # totals of the intermediate state

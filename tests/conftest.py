@@ -129,7 +129,8 @@ def supplies_around_the_pass(eng, gid: str) -> list[list[float]]:
         reads.append([start, model.lane_group_supply(gid)])
 
     def cut():
-        sent = any(g == gid and r is not None for _, g, r, _ in eng._cuts)
+        sent = any(g == gid and r is not None for _, g, r, _ in eng._cuts) or any(
+            g == gid for a in eng._arrays for g, _, _ in a.cuts())
         remove_cuts()
         if sent:
             reads[-1].append(model.lane_group_supply(gid))

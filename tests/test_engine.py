@@ -350,15 +350,41 @@ def test_a_supply_reads_the_same_until_its_lane_group_is_entered(grid, reverse):
     seen, entered = {}, set()  # this pass: first supply read, groups entered
     rereads = []
 
+    def check(h, value):
+        if h in seen and h not in entered:
+            assert float(value).hex() == float(seen[h]).hex(), (eng.now, h, seen[h], value)
+            rereads.append(h)
+        seen.setdefault(h, value)
+
     def reading(supply):
         def read(h):
             value = supply(h)
-            if h in seen and h not in entered:
-                assert float(value).hex() == float(seen[h]).hex(), (eng.now, h, seen[h], value)
-                rereads.append(h)
-            seen.setdefault(h, value)
+            check(h, value)
             return value
         return read
+
+    # the array junctions read and fill their lane groups (model indices,
+    # the one past the last a padding) as array steps
+    def array_reading(supply, ids):
+        def read(hs):
+            values = supply(hs)
+            for h, value in zip(np.ravel(hs).tolist(), np.ravel(values).tolist()):
+                if h < len(ids):
+                    check(ids[h], value)
+            return values
+        return read
+
+    def array_entering(enter, ids):
+        def fill(hs, part):
+            entered.update(ids[h] for h in hs.tolist())
+            return enter(hs, part)
+        return fill
+
+    arrays = eng._arrays
+    assert arrays
+    for a in arrays:
+        a.supply = array_reading(a.supply, a.model.group_ids)
+        a.enter = array_entering(a.enter, a.model.group_ids)
 
     def entering_fluid(receive):
         def enter(h, part, t):
@@ -385,7 +411,7 @@ def test_a_supply_reads_the_same_until_its_lane_group_is_entered(grid, reverse):
 
     eng._solve_junctions = one_pass
     eng.run()
-    assert eng.stats.junctions_batched > 100
+    assert eng.stats.junctions_batched > 100 and eng.stats.array_deliveries > 0
     # a batched junction reads its supplies to plan and again to deliver
     assert len(rereads) > 1000
 
@@ -407,11 +433,12 @@ def test_cli_summary_reports_the_junction_steps_and_iterations(tmp_path, capsys,
                      str(tmp_path / "out")]) == 0
     stats = engines[0].stats
     assert stats.junctions_1x1 > 0 and stats.junctions_batched > 0 and stats.deliveries > 0
+    assert 0 < stats.array_deliveries < stats.deliveries
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert ("(junction steps: %d in closed form, %d in the node-model batch, %d "
-            "node-model iterations, %d deliveries): "
+            "node-model iterations, %d deliveries, %d of them as array steps): "
             % (stats.junctions_1x1, stats.junctions_batched, stats.nodemodel_iterations,
-               stats.deliveries)) in line
+               stats.deliveries, stats.array_deliveries)) in line
 
 
 def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
@@ -435,7 +462,10 @@ def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
                                    "closed_form_removal", "batched_removal"])
 def test_junction_failure_names_junction_rc_and_lane_group(fault):
     # one wrapper names the element however the junction is solved, and a
-    # cut taken out of its sender after the pass names where it was made
+    # cut taken out of its sender after the pass names where it was made.
+    # The merge lies within one CTM model, so in the batch it is an array
+    # junction: a failing array step is redone pair by pair, which names
+    # the pair
     from hybridtraffic.engine import SimulationError
 
     batched = fault.startswith("batched")
@@ -446,6 +476,7 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
     else:
         d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
     eng = Engine(parse_scenario(d))
+    assert (1 in eng._array_junctions) == batched
     receiver = eng.model_of_link[2]
     if fault == "sizing":
         # a stub receiver on link 2 whose packet size is negative
@@ -454,18 +485,23 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
         receiver.receive_vehicles = _fails
     elif fault.endswith("removal"):
         # link 1's lane group fails to let go of what rc 1 took, in the batch
-        # from its first step there
+        # from its first step there, cut by cut and as an array step
         sender = eng.model_of_link[1]
         remove = sender.remove
         sender.remove = lambda g, rc, p: (
             _fails() if rc == 1 and (eng.stats.junctions_batched or not batched)
             else remove(g, rc, p))
+        if batched:
+            array = eng._array_junctions[1]
+            remove_cuts = array.remove
+            array.remove = lambda: _fails() if eng.stats.junctions_batched else remove_cuts()
     else:
         # only the merge enters link 2, and from its first step in the batch
-        # (both of its rcs send) its delivery fails
-        receive = receiver.receive_fluid
-        receiver.receive_fluid = lambda h, part, t: (
-            _fails() if h == "2:1" and eng.stats.junctions_batched else receive(h, part, t))
+        # (both of its rcs send) its re-keying into link 2 fails, in the
+        # array step and pair by pair
+        row = eng.routing._row
+        eng.routing._row = lambda s, link, now: (
+            _fails() if link == 2 and eng.stats.junctions_batched else row(s, link, now))
     with pytest.raises(SimulationError) as info:
         eng.run()
     err = info.value
@@ -474,6 +510,27 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
     problem = "negative packet size" if fault == "sizing" else "stub failure"
     assert problem in str(err) and "element=junction 1" in str(err)
     assert eng.stats.junctions_batched == batched
+
+
+@pytest.mark.parametrize("step", ["delivery", "removal"])
+def test_an_array_step_that_fails_where_pair_by_pair_does_not_names_the_model(step):
+    # redone pair by pair, nothing fails: the array step's own error is raised
+    from hybridtraffic.engine import SimulationError
+
+    d = _merge_dict(duration=200.0)
+    d["routes"].append({"id": 1, "links": [3, 2]})
+    d["demands"].append(dict(d["demands"][0], link=3, route=1))
+    eng = Engine(parse_scenario(d))
+    array = eng._array_junctions[1]
+    if step == "delivery":
+        array.enter = _fails
+    else:
+        remove = array.remove
+        array.remove = lambda: _fails() if eng.stats.array_deliveries else remove()
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    assert info.value.element == "model 0 (ctm)" and "stub failure" in str(info.value)
+    assert eng.stats.junctions_batched == 1
 
 
 # --- one fluid delivery --------------------------------------------------

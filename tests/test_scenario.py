@@ -336,16 +336,33 @@ def test_cli_run_audit_clean(tmp_path, capsys):
 
 
 def test_cli_run_audit_reports_failures(tmp_path, capsys, monkeypatch):
-    # a CTM that keeps what it sends: every sent vehicle is counted twice
-    monkeypatch.setattr(CtmModel, "remove", lambda self, group_id, rc, packet: None)
-    p = tmp_path / "s.yaml"
-    p.write_text(yaml.safe_dump(_base()))
-    assert cli_main(["run", str(p), "--duration", "100", "--audit",
-                     "--out-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("error: audit found ")
-    assert 1 <= len(err) - 1 <= cli.AUDIT_SHOWN
-    assert all("imbalance=" in line for line in err[1:])
+    # a CTM that keeps what it sends: every sent vehicle is counted twice.
+    # On the corridor every cut leaves its sender through `remove`; on a CTM
+    # grid the junctions inside the model take theirs out as array steps,
+    # and only those keep what they send
+    import os
+    import sys
+    from dataclasses import replace
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    from gridgen import grid_scenario
+    from harness import GRIDS
+    from hybridtraffic.arraydelivery import ArrayJunctions
+
+    grid = grid_scenario(replace(GRIDS["grid_macro"], rows=4, blocks=(("ctm", 0, 9),)), 1)
+    for name, d, owner, attr, keep in (
+            ("corridor", _base(), CtmModel, "remove", lambda self, group_id, rc, packet: None),
+            ("grid", grid, ArrayJunctions, "remove", lambda self: None)):
+        monkeypatch.setattr(owner, attr, keep)
+        p = tmp_path / ("%s.yaml" % name)
+        p.write_text(yaml.safe_dump(d))
+        assert cli_main(["run", str(p), "--duration", "100", "--audit",
+                         "--out-dir", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: audit found ")
+        assert 1 <= len(err) - 1 <= cli.AUDIT_SHOWN
+        assert all("imbalance=" in line for line in err[1:])
+        monkeypatch.undo()
 
 
 def test_cli_run_reports_the_boundary_residue_apart_from_the_vehicles(
