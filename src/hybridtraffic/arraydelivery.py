@@ -14,10 +14,12 @@ Each step takes the float operations of the pair-by-pair path
 in the same order for each lane group, ledger entry and cell: a round holds
 at most one pair of a junction, a lane group and a link belong to one
 junction, so every per-key sum that runs across pairs runs across rounds,
-in pair order. The ledgers, the received fluid and the inflow are written
-back once per flow phase; cuts are taken out after the pass, with the
-per-cut clamp. An array step that fails commits nothing, and the engine
-redoes it pair by pair, which names the failing pair.
+in pair order. The CTM keeps what its cell layout implies (its receipts
+and removals as array steps); this module keeps the junctions, the routing
+map and the ledgers. The ledgers, the received fluid and the inflow are
+written back once per flow phase; cuts are taken out after the pass, with
+the per-cut clamp. An array step that fails commits nothing, and the
+engine redoes it pair by pair, which names the failing pair.
 """
 
 from __future__ import annotations
@@ -26,9 +28,36 @@ from itertools import chain
 
 import numpy as np
 
-from .models.ctm import _row_sums, round_sums
+from .models.ctm import _NEVER, _row_sums
 from .nodemodel import EPS
 from .packets import FluxPacket, ProtocolError
+
+
+class _Booking:
+    """One flow phase's rounds of amounts booked into places (below
+    `size`), a place at most one non-zero amount a round: per place, a seed
+    and then its amounts in round order added up, as a sequence of
+    `x = x + a` gives them, and the places in the order they were first
+    booked (round, then place)."""
+
+    def __init__(self, size: int):
+        self.rounds: list[np.ndarray] = []
+        self.first = np.full(size, _NEVER)
+
+    def add(self, places: np.ndarray, amounts: np.ndarray):
+        got = np.bincount(places.ravel(), weights=amounts.ravel(), minlength=self.first.size)
+        self.first[(got > 0) & (self.first == _NEVER)] = len(self.rounds)
+        self.rounds.append(got)
+
+    def sums(self, seed) -> tuple[list, list]:
+        """The booked places in order, and their `seed(place)` plus their
+        amounts."""
+        places = np.argsort(self.first, kind="stable")[:np.count_nonzero(self.first != _NEVER)]
+        at = places.tolist()
+        total = np.array([seed(x) for x in at], float)
+        for got in self.rounds:
+            total += got[places]
+        return at, total.tolist()
 
 
 class ArrayJunctions:
@@ -38,61 +67,80 @@ class ArrayJunctions:
 
     def __init__(self, engine, model, junctions):
         self.model, self.routing = model, engine.routing
-        self.n = model._n_slots
+        self.n = n = model._n_slots
         groups = model._group_list
         index = {gid: g.index for gid, g in model.groups.items()}
-        self._n_groups = len(groups)
-        # every (link, slot) of the model's links, for the ledgers
+        # every (link, slot) of the model's links, for the ledgers, and a
+        # place past the last for the slots past a link's table
         offset, self._ls_link, self._ls_state = {}, [], []
         for lid in model.links:
             offset[lid] = len(self._ls_link)
             table = engine.routing.tables[lid]
             self._ls_link += [lid] * len(table)
             self._ls_state += table
-        # per pair, junction by junction: its lane group, its road
-        # connection's place in `_rc_links`, its place in the batch, and its
-        # junction's place in the batch and name
+        self._n_places = len(self._ls_link) + 1
+        # per pair, junction by junction: its junction, lane group, road
+        # connection (its place in `_up`/`_down`), place in the batch, and
+        # its junction's first pair
         jset = engine._jset
         self.start = {}  # junction id -> its first pair
-        self.names = []  # (junction id, rc, lane group) per pair
-        pair_g, pair_rc, pair_batch, pair_j, rc_at = [], [], [], [], {}
-        rc_groups, self._rc_links, up_off, down_off = [], [], [], []
+        self._junction = []
+        pair_g, pair_rc, pair_batch, pair_first, rc_at = [], [], [], [], {}
+        rc_groups, up, down = [], [], []
         sup_pos, sup_g = [], []
         for j in junctions:
             k = jset.place[j.id]
             self.start[j.id] = len(pair_g)
+            self._junction += [j] * len(j.pairs)
             for i, (g, r) in enumerate(j.pairs):
                 if r not in rc_at:
                     conn = engine._rc[r]
                     rc_at[r] = len(rc_at)
                     rc_groups.append([index[h] for h in conn.groups])
-                    self._rc_links.append((conn.up_link, conn.down_link))
-                    up_off.append(offset[conn.up_link])
-                    down_off.append(offset[conn.down_link])
+                    up.append(conn.up_link)
+                    down.append(conn.down_link)
                 pair_g.append(index[g])
                 pair_rc.append(rc_at[r])
                 pair_batch.append(jset.pair_start[k] + i)
-                pair_j.append(k)
-                self.names.append((j.id, r, g))
+                pair_first.append(self.start[j.id])
             sup_pos += range(jset.down_start[k], jset.down_start[k] + len(j.downstream))
             sup_g += [index[h] for h in j.downstream]
         intp = np.intp
-        self._pair_g, self._pair_rc = np.array(pair_g, intp), np.array(pair_rc, intp)
-        self._pair_batch, self._pair_j = np.array(pair_batch, intp), np.array(pair_j, intp)
+        self._up, self._down = np.array(up, intp), np.array(down, intp)
+        self._pair_g, pair_rc = np.array(pair_g, intp), np.array(pair_rc, intp)
+        self._pair_batch, self._pair_first = np.array(pair_batch, intp), np.array(pair_first, intp)
         self._pair_table = [groups[g].table for g in pair_g]
         self._pair_len = np.array([len(t) for t in self._pair_table], intp)
-        # each road connection's downstream lane groups, padded with the
-        # index past the last lane group, whose supply is 0
+        # each pair's road connection's downstream lane groups, padded with
+        # the index past the last lane group, which stands for none
         width = max(map(len, rc_groups))
-        self._rc_groups = np.array([h + [len(groups)] * (width - len(h)) for h in rc_groups],
-                                   intp)
-        self._up_off, self._down_off = np.array(up_off, intp), np.array(down_off, intp)
+        self._h = np.array([h + [len(groups)] * (width - len(h)) for h in rc_groups],
+                           intp)[pair_rc]
+        # each pair's ledger places out of its upstream and into its
+        # downstream link, and its entries in the routing map, per slot
+        slots = np.arange(n)
+
+        def places(links):
+            lens = np.array([len(engine.routing.tables[lid]) for lid in links], intp)
+            off = np.array([offset[lid] for lid in links], intp)
+            return np.where(slots < lens[:, None], off[:, None] + slots,
+                            self._n_places - 1)[pair_rc]
+
+        self._out_places, self._in_places = places(up), places(down)
+        self._entries = pair_rc[:, None] * n + slots
         self._sup_pos, self._sup_g = np.array(sup_pos, intp), np.array(sup_g, intp)
         self._reset_map()
         # this pass's (junction, offers, pairs' offset in the batch), the
         # offers by pair index as (sender, packet, size)
         self.items: list[tuple] = []
-        self._cuts: list[tuple] = []  # per round: (pairs, sent, entries, slots, amounts)
+        # per round of the pass, the pairs that delivered and what they cut
+        self._cuts: list[tuple] = []
+
+    def name(self, pair: int) -> tuple:
+        """(junction id, rc, lane group) of a pair."""
+        j = self._junction[pair]
+        g, r = j.pairs[pair - self.start[j.id]]
+        return j.id, r, g
 
     # --- routing map ----------------------------------------------------
 
@@ -102,7 +150,7 @@ class ArrayJunctions:
         `RoutingContext._row` as next slots (padded with the column past
         the table), ratios (padded with 0) and their total."""
         self._version = self.routing.version
-        size = len(self._rc_links) * self.n
+        size = len(self._up) * self.n
         self._known = np.zeros(size, bool)
         self._dest = np.full((size, 1), self.n, np.intp)
         self._ratio = np.zeros((size, 1))
@@ -128,7 +176,7 @@ class ArrayJunctions:
         """Compile each of `entries` the map lacks, in entry order."""
         n = self.n
         for e in dict.fromkeys(entries[~self._known[entries]].tolist()):
-            up, down = self._rc_links[e // n]
+            up, down = int(self._up[e // n]), int(self._down[e // n])
             s = self.routing.tables[up][e % n]
             row = self.routing._row(s, down, t)
             w = len(row.slots)
@@ -150,70 +198,50 @@ class ArrayJunctions:
     def open(self, demand: np.ndarray, supply: np.ndarray):
         """Fill the batch's `demand` of the pairs `items` offer, and its
         `supply` of every array junction's downstream lane groups from the
-        model's free space and received fluid now."""
-        n, start, tables = self.n, self.start, self._pair_table
+        model's free space and received fluid now. Every pair has a row in
+        the pass's arrays: one not offered has size 0 and rank -1."""
+        start, tables = self.start, self._pair_table
         pairs, offers = [], []
-        for junction, offered, _ in self.items:
-            s0 = start[junction.id]
+        for j, offered, _ in self.items:
+            s0 = start[j.id]
             pairs += [s0 + i for i in offered]
             offers += offered.values()
         packets = [o[1] for o in offers]
         if not all(pk.table is tables[p] and pk.is_fluid for p, pk in zip(pairs, packets)):
             raise ProtocolError("a packet is not fluid over its lane group's table")
-        # the offers in junction and pair order, as rows
         pairs = np.array(pairs, np.intp)
         lens = self._pair_len[pairs]
         ends = np.cumsum(lens)
-        order = np.argsort(pairs)
-        row = np.empty_like(order)
-        row[order] = np.arange(len(order))
-        self._offered = np.zeros((len(pairs), n))
-        self._offered[np.repeat(row, lens), np.arange(ends[-1]) - np.repeat(ends - lens, lens)] = (
+        n_pairs = len(self._pair_g)
+        self._offered = np.zeros((n_pairs, self.n))
+        self._offered[np.repeat(pairs, lens), np.arange(ends[-1]) - np.repeat(ends - lens, lens)] = (
             np.fromiter(chain.from_iterable(pk.amounts for pk in packets), float, ends[-1]))
-        self._pairs = pairs = pairs[order]
-        self._size = np.array([o[2] for o in offers], float)[order]
-        self._psize = np.array([pk.size for pk in packets], float)[order]
-        # each pair's rank among its junction's offered pairs
-        j = self._pair_j[pairs]
-        first = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
-        self._rank = np.arange(len(pairs)) - np.repeat(first, np.diff(np.r_[first, len(pairs)]))
-        demand[self._pair_batch[pairs]] = self._size
-        # each lane group's free space and received fluid, and 0 for the
-        # index past the last
-        self._free, self._rec = (np.append(x, 0.0) for x in self.model.supply_parts())
-        supply[self._sup_pos] = self.supply(self._sup_g)
-
-    def supply(self, h: np.ndarray) -> np.ndarray:
-        """`lane_group_supply` of lane groups `h` (model indices) now, with
-        what this pass has delivered so far."""
-        free = self._free[h] - self._rec[h]
-        return np.where(free > 0.0, free, 0.0)
-
-    def enter(self, h: np.ndarray, part: np.ndarray):
-        """`receive_fluid` of each row of `part` (amounts over the model's
-        slots) into lane group h, at most once per lane group; kept until
-        the pass commits."""
-        positive = part > 0
-        if (positive & self.model._refused[h]).any():
-            raise ProtocolError("a refused slot receives fluid")
-        self._rec[h] += _row_sums(part)
-        e, k = np.nonzero(positive)
-        self._in_keys.append(self.model._first_rows[h[e]] * self.n + k)
-        self._in_vals.append(part[e, k])
+        self._size, self._psize = np.zeros(n_pairs), np.zeros(n_pairs)
+        self._size[pairs] = [o[2] for o in offers]
+        self._psize[pairs] = [pk.size for pk in packets]
+        # each offered pair's rank among its junction's offered pairs
+        on = np.zeros(n_pairs, bool)
+        on[pairs] = True
+        seen = np.cumsum(on)
+        first = self._pair_first
+        self._rank = np.where(on, seen - 1 - (seen[first] - on[first]), -1)
+        demand[self._pair_batch] = self._size
+        self.model.open_receipts()
+        supply[self._sup_pos] = self.model.receipt_supply(self._sup_g)
 
     def deliver(self, t, flow: np.ndarray, cum_in, cum_out) -> int:
         """Deliver the offered pairs with the batch's `flow`, in rounds by
         rank; book into the `cum_in`/`cum_out` ledgers and return the number
         of deliveries. Nothing is committed if it fails."""
-        n, pairs = self.n, self._pairs
+        n, model = self.n, self.model
         self._refresh_map(t)
-        delta = flow[self._pair_batch[pairs]]
-        self._in_keys, self._in_vals = [], []
-        booked_out, booked_in, cuts = ([], []), ([], []), []
+        delta = flow[self._pair_batch]
+        booked_out, booked_in = _Booking(self._n_places), _Booking(self._n_places)
+        cuts = []
         for rank in range(self._rank.max() + 1):
             at = np.flatnonzero(self._rank == rank)
-            h = self._rc_groups[self._pair_rc[pairs[at]]]
-            caps = self.supply(h)
+            h = self._h[at]
+            caps = model.receipt_supply(h)
             allow = _row_sums(caps)
             d, size = delta[at], self._size[at]
             total = np.minimum(np.minimum(1.0, d / size) * size, allow)
@@ -221,46 +249,40 @@ class ArrayJunctions:
             at, h, caps, allow, total = at[ok], h[ok], caps[ok], allow[ok], total[ok]
             if not at.size:
                 continue
-            p = pairs[at]
-            sent = self._offered[at] * np.minimum(1.0, total / self._psize[at])[:, None]
-            rc = self._pair_rc[p]
             # the cut: booked out of the upstream link, kept for removal
-            e, k = np.nonzero(sent > 0)
-            a = sent[e, k]
-            cuts.append((p, sent, e, k, a))
-            booked_out[0].append(self._up_off[rc[e]] + k)
-            booked_out[1].append(a)
+            sent = self._offered[at] * np.minimum(1.0, total / self._psize[at])[:, None]
+            cuts.append((at, sent))
+            booked_out.add(self._out_places[at], sent)
             # re-keyed through the routing map into the entered link's slots
-            rows = rc[e] * n + k
-            self._compile(rows, t)
-            routed = np.zeros((len(p), n + 1))
-            np.add.at(routed, (e[:, None], self._dest[rows]),
-                      a[:, None] * self._ratio[rows] / self._total[rows][:, None])
-            routed = routed[:, :n]
-            e, k = np.nonzero(routed > 0)
-            booked_in[0].append(self._down_off[rc[e]] + k)
-            booked_in[1].append(routed[e, k])
+            entries = self._entries[at]
+            lacking = (sent > 0) & ~self._known[entries]
+            if lacking.any():
+                self._compile(entries[lacking], t)
+            rows = np.arange(len(at)) * (n + 1)
+            routed = np.bincount(
+                (rows[:, None, None] + self._dest[entries]).ravel(),
+                weights=(sent[..., None] * self._ratio[entries]
+                         / self._total[entries][..., None]).ravel(),
+                minlength=len(at) * (n + 1)).reshape(-1, n + 1)[:, :n]
+            booked_in.add(self._in_places[at], routed)
             # spread over the road connection's lane groups by free space
-            e, j = np.nonzero(h < self._n_groups)
-            self.enter(h[e, j], routed[e] * caps[e, j][:, None] / allow[e][:, None])
+            model.receive_round(h, routed[:, None, :] * caps[..., None] / allow[:, None, None])
         # commit
-        self.model.receive_rounds(self._rec[:-1], self._in_keys, self._in_vals)
+        model.commit_receipts()
         link, state = self._ls_link, self._ls_state
-        for ledgers, (keys, vals) in ((cum_out, booked_out), (cum_in, booked_in)):
-            if keys:
-                for x, v in zip(*round_sums(keys, vals, len(link),
-                                            lambda x: ledgers[link[x]].get(state[x], 0.0))):
-                    ledgers[link[x]][state[x]] = v
+        for ledgers, booked in ((cum_out, booked_out), (cum_in, booked_in)):
+            for x, v in zip(*booked.sums(lambda x: ledgers[link[x]].get(state[x], 0.0))):
+                ledgers[link[x]][state[x]] = v
         self._cuts, self.items = cuts, []
-        return sum(len(c[0]) for c in cuts)
+        return sum(len(at) for at, _ in cuts)
 
     def cuts(self) -> list[tuple]:
         """The pass's cuts not yet taken out, as (lane group, rc, packet) in
         the order the pair-by-pair path makes them."""
         out = []
-        for p, sent, *_ in self._cuts:
-            for q, row in zip(p.tolist(), sent):
-                _, r, g = self.names[q]
+        for at, sent in self._cuts:
+            for q, row in zip(at.tolist(), sent):
+                _, r, g = self.name(q)
                 table = self._pair_table[q]
                 out.append((q, g, r, FluxPacket(table, row[:len(table)].tolist())))
         return [c[1:] for c in sorted(out, key=lambda c: c[0])]
@@ -269,5 +291,5 @@ class ArrayJunctions:
         """Take the pass's cuts out of the senders' last cells, round by
         round (`CtmModel.remove_rounds`)."""
         if self._cuts:
-            self.model.remove_rounds([(self._pair_g[p][e], k, a) for p, _, e, k, a in self._cuts])
+            self.model.remove_rounds([(self._pair_g[at], sent) for at, sent in self._cuts])
             self._cuts = []

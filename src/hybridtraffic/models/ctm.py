@@ -33,6 +33,7 @@ from .base import DemandRequest, TrafficModel
 
 NEG_TOL = -1e-9
 TINY = 5e-324  # divisor for empty cells: leaves every positive float as it is
+_NEVER = np.iinfo(np.intp).max  # a place not yet reached in the array steps' rounds
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -43,22 +44,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for k in range(2, a.shape[1]):
         tot += a[:, k]
     return tot
-
-
-def round_sums(keys: list, vals: list, size: int, seed=None) -> tuple[list, list]:
-    """Rounds of `vals` by `keys` (places below `size`, each key at most
-    once per round) added up: the keys in the order they first arrived, and
-    for each its `seed(key)` (0.0 without a seed) plus its values in round
-    order, as a sequence of `x = x + v` in that order gives them."""
-    u, first = np.unique(np.concatenate(keys), return_index=True)
-    u = u[np.argsort(first)]
-    ul = u.tolist()
-    acc = np.zeros(size)
-    if seed is not None:
-        acc[u] = [seed(x) for x in ul]
-    for kr, vr in zip(keys, vals):
-        acc[kr] += vr
-    return ul, acc[u].tolist()
 
 
 class _Group:
@@ -141,7 +126,9 @@ class CtmModel(TrafficModel):
         groups = list(self.groups.values())
         self._group_list = groups
         self._n_rows = n_rows
-        self._first_rows = np.array([g.start for g in groups], dtype=np.intp)
+        # each lane group's first row, and for the index past the last lane
+        # group (none, in the array steps) the row past the last
+        self._first_rows = np.array([g.start for g in groups] + [n_rows], dtype=np.intp)
         self._last_rows = np.array([g.start + g.count - 1 for g in groups], dtype=np.intp)
         lc, inner, outer = [], [], []
         self._span = {}
@@ -207,7 +194,8 @@ class CtmModel(TrafficModel):
                          + [2] * (n_slots - len(lane_plans)))
             self._group_rcs.append([None if p is None else p[0][j] for p in lane_plans])
         move = np.array(moves, dtype=np.int8).reshape(len(groups), n_slots)
-        self._refused = np.zeros((len(groups), n_slots), bool)  # by lane group, slot
+        # by lane group (and the index past the last), slot
+        self._refused = np.zeros((len(groups) + 1, n_slots), bool)
         for g in groups:
             if g.refused:
                 self._refused[g.index, list(g.refused)] = True
@@ -415,51 +403,85 @@ class CtmModel(TrafficModel):
                 inflow[k] = inflow.get(k, 0.0) + a
 
     # --- the same as array steps, over many lane groups ----------------
-    # (for `arraydelivery.ArrayJunctions`: each takes the float operations
-    # of `lane_group_supply`, `receive_fluid` or `remove` in their order)
+    # For `arraydelivery.ArrayJunctions`, in one flow phase: `open_receipts`,
+    # then rounds of `receipt_supply` and `receive_round`, `commit_receipts`
+    # and, after the junction pass, `remove_rounds`. Lane groups are given
+    # by index, the index past the last standing for none (supply 0, no
+    # receipt); each step takes the float operations of
+    # `lane_group_supply`, `receive_fluid` or `remove` in their order.
 
-    def supply_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per lane group, w (N - n) of the first cell now, at least 0, and
-        the fluid received since the last advance: `lane_group_supply` is
-        the first net of the second, at least 0."""
-        fr = self._first_rows
-        free = self._w_r[fr] * (self._nmax_r[fr] - self._tot_np[fr])
-        return np.where(free > 0.0, free, 0.0), np.array(self._received)
+    def open_receipts(self):
+        """Read every lane group's free space now, as `lane_group_supply`
+        does, and start taking rounds of receipts."""
+        fr = self._first_rows[:-1]
+        free = self._w_r[fr] * (self._nmax_r[fr] - np.array(self._tot)[fr])
+        self._free = np.append(np.where(free > 0.0, free, 0.0), 0.0)
+        self._rec = np.append(self._received, 0.0)
+        # the inflow by place, and the round in which each place first
+        # received (_NEVER where it has not)
+        self._pending = np.zeros((self._n_rows + 1) * self._n_slots)
+        if self._inflow:
+            size = len(self._inflow)
+            self._pending[np.fromiter(self._inflow, np.intp, size)] = np.fromiter(
+                self._inflow.values(), float, size)
+        self._first = np.full(self._pending.size, _NEVER)
+        self._round = 0
 
-    def receive_rounds(self, received: np.ndarray, keys: list, vals: list):
-        """Take in rounds of `receive_fluid`: each lane group's `received`
-        now, and per round the amounts `vals` entering first-cell places
-        `keys` (lane group start row * slots + slot), a place at most once
-        per round."""
-        self._received = received.tolist()
-        if keys:
-            inflow = self._inflow
-            seed = (lambda x: inflow.get(x, 0.0)) if inflow else None
-            inflow.update(zip(*round_sums(keys, vals, (self._n_rows + 1) * self._n_slots, seed)))
+    def receipt_supply(self, h: np.ndarray) -> np.ndarray:
+        """`lane_group_supply` of lane groups `h`, with the rounds so far."""
+        free = self._free[h] - self._rec[h]
+        return np.where(free > 0.0, free, 0.0)
+
+    def receive_round(self, h: np.ndarray, part: np.ndarray):
+        """One round of `receive_fluid`: lane group h[i] receives part[i]
+        (amounts over the slots), a lane group a non-zero part at most once
+        a round; kept until `commit_receipts`."""
+        n = self._n_slots
+        positive = part > 0
+        if (positive & self._refused[h]).any():
+            raise ProtocolError("a refused slot receives fluid")
+        self._rec += np.bincount(h.ravel(), weights=_row_sums(part.reshape(-1, n)),
+                                 minlength=self._rec.size)
+        places = (self._first_rows[h] * n)[..., None] + np.arange(n)
+        got = np.bincount(places.ravel(), weights=np.where(positive, part, 0.0).ravel(),
+                          minlength=self._pending.size)
+        self._pending += got
+        self._first[(got > 0) & (self._first == _NEVER)] = self._round
+        self._round += 1
+
+    def commit_receipts(self):
+        """Take in the rounds: the received totals, and the inflow, its new
+        places in the order they first received (round, then place)."""
+        self._received = self._rec[:-1].tolist()
+        new = np.count_nonzero(self._first != _NEVER)
+        if new:
+            places = np.argsort(self._first, kind="stable")[:new]
+            self._inflow.update(zip(places.tolist(), self._pending[places].tolist()))
 
     def remove_rounds(self, rounds: list):
-        """Rounds of `remove`, each (lane group per entry, slot per entry,
-        amount per entry) in cut order, a lane group in at most one cut per
-        round; nothing changes if a cut exceeds an occupancy."""
-        n = self._n_slots
+        """Rounds of `remove`, each (lane groups h, amounts): lane group
+        h[i] lets go of row i of the amounts (over the slots), a lane group
+        at most once a round; nothing changes if a cut exceeds an
+        occupancy."""
+        n, n_groups = self._n_slots, len(self._group_list)
         if self._last is None:
             self._open(self._occ[self._last_rows])
-        last = np.array(self._last)
+        last = np.array(self._last).reshape(n_groups, n)
         out, cum = np.array(self._outflow), np.array(self._cum_out)
-        for g, k, a in rounds:
-            at = g * n + k
-            cur = last[at] - a
-            if (cur < NEG_TOL).any():
+        cut = np.zeros(n_groups, bool)
+        for h, a in rounds:
+            took = a > 0
+            cur = last[h] - a
+            if (took & (cur < NEG_TOL)).any():
                 raise RuntimeError("outflow exceeds occupancy")
-            last[at] = np.where(cur > 0, cur, 0.0)
-            np.add.at(out, g, a)
-            np.add.at(cum, g, a)
-        sent = np.zeros(len(self._group_list), bool)
-        for g, _, _ in rounds:
-            sent[g] = True
-        g = np.flatnonzero(sent)
-        tot = 0.0 + _row_sums(last.reshape(-1, n)[g])  # as `sum` adds from 0
-        self._last, self._outflow, self._cum_out = last.tolist(), out.tolist(), cum.tolist()
+            last[h] = np.where(took, np.where(cur > 0, cur, 0.0), last[h])
+            for k in range(n):  # slot by slot, as `remove` adds
+                out[h] += a[:, k]
+                cum[h] += a[:, k]
+            cut[h[took.any(axis=1)]] = True
+        g = np.flatnonzero(cut)
+        tot = 0.0 + _row_sums(last[g])  # as `sum` adds from 0
+        self._last, self._outflow, self._cum_out = last.ravel().tolist(), out.tolist(), cum.tolist()
         tots = self._tot
         for r, v in zip(self._last_rows[g].tolist(), tot.tolist()):
             tots[r] = v

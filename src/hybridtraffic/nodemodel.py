@@ -22,11 +22,6 @@ import numpy as np
 
 EPS = 1e-9
 _FULL = 1.0 - 1e-15  # a road connection at psi_r >= this passes nothing
-# a batch of fewer pairs is never compacted. On grid_macro (1,633 pairs) a
-# pass over the whole batch takes about 250 us, one over the ~17 junctions
-# still sending at the second pass about 80 us, and carrying only those
-# about 80 us; on grid_micro (167 pairs) a whole pass takes about 80 us
-_COMPACT_PAIRS = 1024
 
 
 class NodeModelError(RuntimeError):
@@ -99,15 +94,11 @@ class JunctionSet:
     Within a junction, each downstream group's edges are in the order of R,
     each road connection's pairs in the order of G, and each upstream
     group's pairs are consecutive; so a sum `np.bincount` takes over them in
-    array order is the one the per-junction solver takes left to right.
-    `bounds` holds, per kind (pairs, upstream groups, road connections,
-    edges, downstream groups), where each junction's entries begin and
-    where the last junction's end."""
+    array order is the one the per-junction solver takes left to right."""
 
     __slots__ = ("junctions", "ids", "place", "upstream", "rcs", "downstream", "pairs",
                  "pair_start", "down_start", "pair_g", "pair_r", "g_first", "g_j",
-                 "j_first_g", "edge_r", "edge_h", "edge_lam", "h_j", "max_iters", "bounds",
-                 "tables")
+                 "j_first_g", "edge_r", "edge_h", "edge_lam", "h_j", "max_iters")
 
     def __init__(self, junctions: list[Junction]):
         self.junctions = tuple(junctions)
@@ -149,10 +140,6 @@ class JunctionSet:
         self.edge_lam = np.array(edge_lam, float)
         self.h_j = np.array(h_j, intp)
         self.max_iters = np.array([max(1, len(j.upstream)) for j in junctions], intp)
-        self.bounds = np.cumsum([[0] * 5] + [
-            [len(j.pairs), len(j.upstream), len(j.rcs), j.n_edges, len(j.downstream)]
-            for j in junctions], axis=0).T.astype(intp)
-        self.tables = _Tables.of(self)
 
 
 class Flows(NamedTuple):
@@ -166,58 +153,6 @@ def _where_positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The indices lo[0]..hi[0]-1, lo[1]..hi[1]-1, ... concatenated."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-
-
-def _renumber(full: int, kept: np.ndarray) -> np.ndarray:
-    """An index over `full` entries -> place in `kept` (-1 where dropped)."""
-    out = np.full(full, -1, np.intp)
-    out[kept] = np.arange(len(kept))
-    return out
-
-
-class _Tables(NamedTuple):
-    """The index arrays one pass of `solve` works on: those of a
-    `JunctionSet`, or of some of its junctions (`ks`, ascending)."""
-
-    ks: np.ndarray
-    pair_g: np.ndarray
-    pair_r: np.ndarray
-    g_first: np.ndarray
-    g_j: np.ndarray
-    j_first_g: np.ndarray
-    edge_r: np.ndarray
-    edge_h: np.ndarray
-    lam: np.ndarray
-    h_j: np.ndarray
-    max_iters: np.ndarray
-
-    @classmethod
-    def of(cls, jset: JunctionSet) -> "_Tables":
-        return cls(np.arange(len(jset.ids)), jset.pair_g, jset.pair_r, jset.g_first, jset.g_j,
-                   jset.j_first_g, jset.edge_r, jset.edge_h, jset.edge_lam, jset.h_j,
-                   jset.max_iters)
-
-    def keep(self, jset: JunctionSet, ks: np.ndarray):
-        """The tables of junctions `ks` of the set, and the places of their
-        pairs, road connections and downstream groups in the set's arrays."""
-        lo, hi = jset.bounds[:, ks], jset.bounds[:, ks + 1]
-        p, g, r, e, h = (_ranges(lo[i], hi[i]) for i in range(5))
-        b = jset.bounds[:, -1]
-        new_p, new_g, new_r, new_h, new_j = (
-            _renumber(b[0], p), _renumber(b[1], g), _renumber(b[2], r), _renumber(b[4], h),
-            _renumber(len(jset.ids), ks))
-        tables = _Tables(ks, new_g[jset.pair_g[p]], new_r[jset.pair_r[p]],
-                         new_p[jset.g_first[g]], new_j[jset.g_j[g]],
-                         new_g[jset.j_first_g[ks]], new_r[jset.edge_r[e]],
-                         new_h[jset.edge_h[e]], jset.edge_lam[e], new_j[jset.h_j[h]],
-                         jset.max_iters[ks])
-        return tables, p, r, h
-
-
 def solve(jset: JunctionSet, demand, supply, closed) -> Flows:
     """Allocate `demand` (veh per pair of `jset.pairs`) within `supply` (veh
     per downstream lane group of `jset.downstream`); `closed` flags each
@@ -228,8 +163,7 @@ def solve(jset: JunctionSet, demand, supply, closed) -> Flows:
     over entries in that solver's order, from 0.0, with the terms it leaves
     out added as exactly 0.0, which cannot change a sum; a junction stops
     iterating when it has no sending group or when an iteration advances
-    less than EPS. In a batch of `_COMPACT_PAIRS` pairs or more, the passes
-    after the first work on the junctions still iterating only."""
+    less than EPS."""
     d = np.array(demand, dtype=float)  # remaining demand
     s = np.array(supply, dtype=float)  # remaining supply
     closed = np.asarray(closed, dtype=bool)
@@ -243,51 +177,40 @@ def solve(jset: JunctionSet, demand, supply, closed) -> Flows:
         jid = jset.ids[jset.h_j[h]]
         raise NodeModelError("junction %s: negative supply on %s"
                              % (jid, jset.downstream[h]), jid)
-    t = jset.tables
-    n_j = len(jset.ids)
-    flow_all, flow_h_all = np.zeros(d.size), np.zeros(s.size)
-    iters_all = np.zeros(n_j, np.intp)
-    flow, flow_h, iters = flow_all, flow_h_all, iters_all
-    kept = None  # (pairs, downstream groups) of the set the tables keep
+    pair_g, pair_r, g_first = jset.pair_g, jset.pair_r, jset.g_first
+    edge_r, edge_h, lam = jset.edge_r, jset.edge_h, jset.edge_lam
+    n_r, n_h, n_j = len(jset.rcs), len(jset.downstream), len(jset.ids)
+    flow, flow_h = np.zeros(d.size), np.zeros(n_h)
+    iters = np.zeros(n_j, np.intp)
     active = np.ones(n_j, bool)
     while True:
-        n_r, n_h, n_j = len(closed), len(s), len(t.ks)
         # NM 0: a road connection is blocked when closed or when all its
         # downstream groups are full; an upstream group when it demands
         # nothing or any road connection it demands is blocked. Groups that
         # send sum their demand per road connection (NM 1): blocked groups
         # deliver nothing this iteration, so their retained demand exerts
         # no pressure on the downstream supplies.
-        open_r = np.bincount(t.edge_r, weights=s[t.edge_h] > EPS, minlength=n_r) > 0
+        open_r = np.bincount(edge_r, weights=s[edge_h] > EPS, minlength=n_r) > 0
         blocked_r = closed | ~open_r
         demanded = d > EPS
-        g_send = (np.logical_or.reduceat(demanded, t.g_first)
-                  & ~np.logical_or.reduceat(demanded & blocked_r[t.pair_r], t.g_first)
-                  & active[t.g_j])
+        g_send = (np.logical_or.reduceat(demanded, g_first)
+                  & ~np.logical_or.reduceat(demanded & blocked_r[pair_r], g_first)
+                  & active[jset.g_j])
         # stopping criterion: every upstream lane group blocked or empty
-        active &= np.logical_or.reduceat(g_send, t.j_first_g)
+        active &= np.logical_or.reduceat(g_send, jset.j_first_g)
         if not active.any():
             break
-        if kept is None and iters_all.any() and len(d) >= _COMPACT_PAIRS:
-            # after the first pass, carry on with the junctions still
-            # sending only; a stopped junction's entries never change again
-            t, p, r, h = t.keep(jset, np.flatnonzero(active))
-            kept = p, h
-            d, s, closed = d[p], s[h], closed[r]
-            flow, flow_h, iters, active = flow[p], flow_h[h], iters[t.ks], active[t.ks]
-            continue
-        over = active & (iters >= t.max_iters)
+        over = active & (iters >= jset.max_iters)
         if over.any():
-            k = int(t.ks[np.argmax(over)])
+            k = int(np.argmax(over))
             raise NodeModelError("junction %s: node model failed to terminate within %d "
                                  "iterations" % (jset.ids[k], jset.max_iters[k]), jset.ids[k])
         iters += active
-        send = g_send[t.pair_g]
+        send = g_send[pair_g]
         plus = send & demanded
-        d_r = np.bincount(t.pair_r, weights=np.where(send, d, 0.0), minlength=n_r)
+        d_r = np.bincount(pair_r, weights=np.where(send, d, 0.0), minlength=n_r)
 
         # NM 1-2: apportionment mu per edge, demand per downstream group
-        edge_r, edge_h, lam = t.edge_r, t.edge_h, t.lam
         s_lam = lam * s[edge_h]
         s_r = np.bincount(edge_r, weights=s_lam, minlength=n_r)
         apportioned = ~closed & (s_r > 0)
@@ -303,11 +226,11 @@ def solve(jset: JunctionSet, demand, supply, closed) -> Flows:
                          np.bincount(edge_r, weights=mu * psi_h[edge_h], minlength=n_r))
 
         # NM 4-5: upstream reduction factors; advance and retain demand
-        psi_g = np.maximum.reduceat(np.where(plus, psi_r[t.pair_r], 0.0), t.g_first)[t.pair_g]
+        psi_g = np.maximum.reduceat(np.where(plus, psi_r[pair_r], 0.0), g_first)[pair_g]
         adv = np.where(plus, d * (1.0 - psi_g), 0.0)
         d = np.where(plus, psi_g * d, d)
         np.add(flow, adv, out=flow, where=plus)
-        delta_r = np.bincount(t.pair_r, weights=adv, minlength=n_r)
+        delta_r = np.bincount(pair_r, weights=adv, minlength=n_r)
 
         # NM 6: flow into each downstream lane group; reduce supplies
         psi_e = psi_r[edge_r]
@@ -315,16 +238,13 @@ def solve(jset: JunctionSet, demand, supply, closed) -> Flows:
         term = ((1.0 - psi_h[edge_h]) / np.where(passing, 1.0 - psi_e, 1.0)
                 * mu * delta_r[edge_r])
         delta_h = np.bincount(edge_h, weights=np.where(passing, term, 0.0), minlength=n_h)
-        moving = active[t.h_j]
+        moving = active[jset.h_j]
         np.add(flow_h, delta_h, out=flow_h, where=moving)
         s = np.where(moving, _where_positive(s - delta_h), s)
         # numerical safety net beyond the |G| bound
-        active &= ~(np.bincount(t.h_j, weights=delta_h, minlength=n_j) < EPS)
+        active &= ~(np.bincount(jset.h_j, weights=delta_h, minlength=n_j) < EPS)
 
-    if kept is not None:
-        p, h = kept
-        flow_all[p], flow_h_all[h], iters_all[t.ks] = flow, flow_h, iters
-    return Flows(flow_all, flow_h_all, int(iters_all.sum()))
+    return Flows(flow, flow_h, int(iters.sum()))
 
 
 def solve_1x1(demand: float, supply: float, closed: bool = False) -> float:

@@ -121,7 +121,7 @@ def test_a_sender_through_an_array_junction_reads_one_supply_through_the_pass():
     # holds for one whose cuts the array step takes out
     eng = Engine(parse_scenario(_grid(4, 1)))
     array = eng._arrays[0]
-    gid = array.names[0][2]
+    gid = array.name(0)[2]
     reads = supplies_around_the_pass(eng, gid)
     assert len(reads) > 10 and eng.stats.array_deliveries > 0
     assert all(end == start <= after for start, end, after in reads)

@@ -364,7 +364,8 @@ def test_a_supply_reads_the_same_until_its_lane_group_is_entered(grid, reverse):
         return read
 
     # the array junctions read and fill their lane groups (model indices,
-    # the one past the last a padding) as array steps
+    # the one past the last standing for none) as array steps of their
+    # model; a lane group is entered by a non-zero part
     def array_reading(supply, ids):
         def read(hs):
             values = supply(hs)
@@ -374,17 +375,19 @@ def test_a_supply_reads_the_same_until_its_lane_group_is_entered(grid, reverse):
             return values
         return read
 
-    def array_entering(enter, ids):
+    def array_entering(receive, ids):
         def fill(hs, part):
-            entered.update(ids[h] for h in hs.tolist())
-            return enter(hs, part)
+            rows = part.reshape(np.size(hs), -1)
+            entered.update(ids[h] for h, row in zip(np.ravel(hs).tolist(), rows) if row.any())
+            return receive(hs, part)
         return fill
 
     arrays = eng._arrays
     assert arrays
     for a in arrays:
-        a.supply = array_reading(a.supply, a.model.group_ids)
-        a.enter = array_entering(a.enter, a.model.group_ids)
+        m = a.model
+        m.receipt_supply = array_reading(m.receipt_supply, m.group_ids)
+        m.receive_round = array_entering(m.receive_round, m.group_ids)
 
     def entering_fluid(receive):
         def enter(h, part, t):
@@ -523,7 +526,7 @@ def test_an_array_step_that_fails_where_pair_by_pair_does_not_names_the_model(st
     eng = Engine(parse_scenario(d))
     array = eng._array_junctions[1]
     if step == "delivery":
-        array.enter = _fails
+        array.model.receive_round = _fails
     else:
         remove = array.remove
         array.remove = lambda: _fails() if eng.stats.array_deliveries else remove()
