@@ -16,10 +16,13 @@ at most one pair of a junction, a lane group and a link belong to one
 junction, so every per-key sum that runs across pairs runs across rounds,
 in pair order. The CTM keeps what its cell layout implies (its receipts
 and removals as array steps); this module keeps the junctions, the routing
-map and the ledgers. The ledgers, the received fluid and the inflow are
-written back once per flow phase; cuts are taken out after the pass, with
-the per-cut clamp. An array step that fails commits nothing, and the
-engine redoes it pair by pair, which names the failing pair.
+map and, per round, one `np.bincount` of the amounts booked into the
+engine's ledger arrays, by (link, slot) place. The received fluid, the
+inflow and the ledger rounds are committed once per flow phase, the rounds
+added in round order, so each place still sums `x = x + a` in pair order;
+cuts are taken out after the pass, with the per-cut clamp. An array step
+that fails commits nothing, and the engine redoes it pair by pair, which
+names the failing pair.
 """
 
 from __future__ import annotations
@@ -28,36 +31,9 @@ from itertools import chain
 
 import numpy as np
 
-from .models.ctm import _NEVER, _row_sums
+from .models.ctm import _row_sums
 from .nodemodel import EPS
 from .packets import FluxPacket, ProtocolError
-
-
-class _Booking:
-    """One flow phase's rounds of amounts booked into places (below
-    `size`), a place at most one non-zero amount a round: per place, a seed
-    and then its amounts in round order added up, as a sequence of
-    `x = x + a` gives them, and the places in the order they were first
-    booked (round, then place)."""
-
-    def __init__(self, size: int):
-        self.rounds: list[np.ndarray] = []
-        self.first = np.full(size, _NEVER)
-
-    def add(self, places: np.ndarray, amounts: np.ndarray):
-        got = np.bincount(places.ravel(), weights=amounts.ravel(), minlength=self.first.size)
-        self.first[(got > 0) & (self.first == _NEVER)] = len(self.rounds)
-        self.rounds.append(got)
-
-    def sums(self, seed) -> tuple[list, list]:
-        """The booked places in order, and their `seed(place)` plus their
-        amounts."""
-        places = np.argsort(self.first, kind="stable")[:np.count_nonzero(self.first != _NEVER)]
-        at = places.tolist()
-        total = np.array([seed(x) for x in at], float)
-        for got in self.rounds:
-            total += got[places]
-        return at, total.tolist()
 
 
 class ArrayJunctions:
@@ -70,15 +46,6 @@ class ArrayJunctions:
         self.n = n = model._n_slots
         groups = model._group_list
         index = {gid: g.index for gid, g in model.groups.items()}
-        # every (link, slot) of the model's links, for the ledgers, and a
-        # place past the last for the slots past a link's table
-        offset, self._ls_link, self._ls_state = {}, [], []
-        for lid in model.links:
-            offset[lid] = len(self._ls_link)
-            table = engine.routing.tables[lid]
-            self._ls_link += [lid] * len(table)
-            self._ls_state += table
-        self._n_places = len(self._ls_link) + 1
         # per pair, junction by junction: its junction, lane group, road
         # connection (its place in `_up`/`_down`), place in the batch, and
         # its junction's first pair
@@ -117,12 +84,14 @@ class ArrayJunctions:
         self._h = np.array([h + [len(groups)] * (width - len(h)) for h in rc_groups],
                            intp)[pair_rc]
         # each pair's ledger places out of its upstream and into its
-        # downstream link, and its entries in the routing map, per slot
+        # downstream link (the engine's padding place past a link's table),
+        # and its entries in the routing map, per slot
         slots = np.arange(n)
+        self._n_places = engine._cum_in.size
 
         def places(links):
             lens = np.array([len(engine.routing.tables[lid]) for lid in links], intp)
-            off = np.array([offset[lid] for lid in links], intp)
+            off = np.array([engine.place_of[lid] for lid in links], intp)
             return np.where(slots < lens[:, None], off[:, None] + slots,
                             self._n_places - 1)[pair_rc]
 
@@ -229,14 +198,14 @@ class ArrayJunctions:
         self.model.open_receipts()
         supply[self._sup_pos] = self.model.receipt_supply(self._sup_g)
 
-    def deliver(self, t, flow: np.ndarray, cum_in, cum_out) -> int:
+    def deliver(self, t, flow: np.ndarray, cum_in: np.ndarray, cum_out: np.ndarray) -> int:
         """Deliver the offered pairs with the batch's `flow`, in rounds by
-        rank; book into the `cum_in`/`cum_out` ledgers and return the number
-        of deliveries. Nothing is committed if it fails."""
-        n, model = self.n, self.model
+        rank; book into the engine's `cum_in`/`cum_out` ledger arrays and
+        return the number of deliveries. Nothing is committed if it fails."""
+        n, model, places = self.n, self.model, self._n_places
         self._refresh_map(t)
         delta = flow[self._pair_batch]
-        booked_out, booked_in = _Booking(self._n_places), _Booking(self._n_places)
+        booked_out, booked_in = [], []  # per round, the amounts by place
         cuts = []
         for rank in range(self._rank.max() + 1):
             at = np.flatnonzero(self._rank == rank)
@@ -252,7 +221,8 @@ class ArrayJunctions:
             # the cut: booked out of the upstream link, kept for removal
             sent = self._offered[at] * np.minimum(1.0, total / self._psize[at])[:, None]
             cuts.append((at, sent))
-            booked_out.add(self._out_places[at], sent)
+            booked_out.append(np.bincount(self._out_places[at].ravel(), weights=sent.ravel(),
+                                          minlength=places))
             # re-keyed through the routing map into the entered link's slots
             entries = self._entries[at]
             lacking = (sent > 0) & ~self._known[entries]
@@ -264,15 +234,16 @@ class ArrayJunctions:
                 weights=(sent[..., None] * self._ratio[entries]
                          / self._total[entries][..., None]).ravel(),
                 minlength=len(at) * (n + 1)).reshape(-1, n + 1)[:, :n]
-            booked_in.add(self._in_places[at], routed)
+            booked_in.append(np.bincount(self._in_places[at].ravel(), weights=routed.ravel(),
+                                         minlength=places))
             # spread over the road connection's lane groups by free space
             model.receive_round(h, routed[:, None, :] * caps[..., None] / allow[:, None, None])
-        # commit
+        # commit: a place gets at most one non-zero amount a round, so adding
+        # the rounds in order is the pair-by-pair path's `x = x + a`
         model.commit_receipts()
-        link, state = self._ls_link, self._ls_state
-        for ledgers, booked in ((cum_out, booked_out), (cum_in, booked_in)):
-            for x, v in zip(*booked.sums(lambda x: ledgers[link[x]].get(state[x], 0.0))):
-                ledgers[link[x]][state[x]] = v
+        for ledger, rounds in ((cum_out, booked_out), (cum_in, booked_in)):
+            for got in rounds:
+                ledger += got
         self._cuts, self.items = cuts, []
         return sum(len(at) for at, _ in cuts)
 

@@ -4,6 +4,7 @@ source injection, control wiring, bookkeeping."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -89,6 +90,24 @@ class VirtualTracker:
     active: bool = True
 
 
+class LedgerView(Mapping):
+    """Read-only per-link view of a ledger array: `view[l]` is a fresh
+    {state: veh} dict over link l's whole state table, in table order."""
+
+    def __init__(self, values: np.ndarray, tables: dict, place_of: dict[int, int]):
+        self._values, self._tables, self._place_of = values, tables, place_of
+
+    def __getitem__(self, link: int) -> dict[StateIndex, float]:
+        p, table = self._place_of[link], self._tables[link]
+        return dict(zip(table, self._values[p:p + len(table)].tolist()))
+
+    def __iter__(self):
+        return iter(self._place_of)
+
+    def __len__(self) -> int:
+        return len(self._place_of)
+
+
 @dataclass(slots=True)
 class _Connection:
     """Static data of one road connection. Holds the receiving model, never
@@ -147,14 +166,18 @@ class Engine:
             gid: m for m in self.models for gid in m.group_ids
         }
 
-        # bookkeeping: per link, per state cumulative boundary flows
-        self.cum_in: dict[int, dict[StateIndex, float]] = {
-            l: {} for l in self.net.links
-        }
-        self.cum_out: dict[int, dict[StateIndex, float]] = {
-            l: {} for l in self.net.links
-        }
-        self.exits: dict[StateIndex, float] = {}
+        # bookkeeping: cumulative boundary flows and network exits, one float
+        # per (link, slot) place, a link's slots at consecutive places from
+        # its first, and a padding place past the last that takes the array
+        # junctions' zeros for slots past a link's table
+        self.place_of: dict[int, int] = {}
+        n_places = 0
+        for l in self.net.links:
+            self.place_of[l] = n_places
+            n_places += len(self.routing.tables[l])
+        self._cum_in, self._cum_out, self.exits = np.zeros((3, n_places + 1))
+        self.cum_in = LedgerView(self._cum_in, self.routing.tables, self.place_of)
+        self.cum_out = LedgerView(self._cum_out, self.routing.tables, self.place_of)
         self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet)
         # batched junctions whose lane groups all belong to one CTM model,
         # delivered as array steps: junction id -> its model's deliverer
@@ -326,7 +349,7 @@ class Engine:
             g, r = req.group_id, req.rc
             if r is None:
                 self._cuts.append((m, g, None, req.packet))
-                self._book(req.packet, self.cum_out[self.net.lane_groups[g].link], self.exits)
+                self._book(req.packet, self.net.lane_groups[g].link, self._cum_out, self.exits)
                 continue
             conn = self._rc[r]
             try:
@@ -417,7 +440,7 @@ class Engine:
             pair_flow = flow.tolist()
         for array in arrays:
             try:
-                n = array.deliver(t, flow, self.cum_in, self.cum_out)
+                n = array.deliver(t, flow, self._cum_in, self._cum_out)
             except Exception as exc:
                 self._deliver_pairs(t, array.items, pair_flow)  # names the failing pair
                 raise SimulationError(exc, element=self._name(array.model)) from exc
@@ -473,7 +496,7 @@ class Engine:
                 return
         self.stats.deliveries += 1
         self._cuts.append((sender, g, conn.id, sent))
-        self._book(sent, self.cum_out[conn.up_link])
+        self._book(sent, conn.up_link, self._cum_out)
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
         self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
 
@@ -508,7 +531,7 @@ class Engine:
         their supply, summing to `space`) in proportion to their free space,
         evenly when none has any (entry credit can admit a vehicle into full
         fluid lane groups)."""
-        self._book(packet, self.cum_in[link])
+        self._book(packet, link, self._cum_in)
         if receiver.vehicle_based:
             receiver.receive_vehicles(link, (
                 self.translator.translate(packet, link, t) if packet.is_fluid
@@ -526,14 +549,14 @@ class Engine:
             if any(part):
                 receiver.receive_fluid(h, part, t)
 
-    @staticmethod
-    def _book(packet: FluxPacket, *ledgers: dict[StateIndex, float]):
-        """Add the packet's per-state amounts (vehicle counts for whole
-        vehicles) to each ledger."""
-        for s, a in zip(packet.table, packet.amounts):
+    def _book(self, packet: FluxPacket, link: int, *ledgers: np.ndarray):
+        """Add the packet's amounts over `link`'s state table (vehicle counts
+        for whole vehicles) to each ledger, slot k at the link's first place
+        plus k."""
+        for k, a in enumerate(packet.amounts, self.place_of[link]):
             if a > 0:
                 for ledger in ledgers:
-                    ledger[s] = ledger.get(s, 0.0) + a
+                    ledger[k] += a
 
     # --- sources ---------------------------------------------------------
 
@@ -557,7 +580,7 @@ class Engine:
             ]
             model.receive_vehicles(link, vehicles, t)
             self._book(vehicle_packet(self.routing.tables[link], self.routing.slots[link],
-                                      vehicles), self.cum_in[link])
+                                      vehicles), link, self._cum_in)
             return
         amount = min(src.buffer, allow)
         if amount <= 0:
@@ -599,9 +622,9 @@ class Engine:
         """Each link's per-state balance of vehicles in, out and present, the
         models' own invariants and the boundary residues, after a step."""
         for link in sorted(self.net.links):
-            counts = self.link_state_counts(link)
-            for s, n in zip(self.routing.tables[link], counts):
-                bal = self.cum_in[link].get(s, 0.0) - self.cum_out[link].get(s, 0.0) - n
+            for s, n, a, b in zip(self.routing.tables[link], self.link_state_counts(link),
+                                  self.cum_in[link].values(), self.cum_out[link].values()):
+                bal = a - b - n
                 if abs(bal) > 1e-9:
                     self.audit_failures.append(
                         "t=%.3f link=%s state=%s imbalance=%.3e" % (t, link, s, bal)
@@ -632,4 +655,4 @@ class Engine:
         return sum(s.total_injected for s in self.sources)
 
     def total_exited(self) -> float:
-        return sum(self.exits.values())
+        return sum(self.exits.tolist())

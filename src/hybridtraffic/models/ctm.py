@@ -11,8 +11,9 @@ missing lateral neighbour. The lane changes, the demands and the internal
 fluxes are a fixed number of numpy operations per step, whatever the number
 of links.
 Within a flow phase the model works on per-step Python lists (each lane
-group's last cell, its outflow, the inflow and its total, the cell totals)
-and folds them into the arrays in `advance_state`.
+group's last cell, its outflow, its received total, the cell totals) and on
+the first-cell inflow, a dense (lane group, slot) array, and folds them
+into the arrays in `advance_state`.
 
 Every float operation keeps the order of the dict model kept as the oracle
 in `tests/reference_ctm.py`. A cell's total is summed column by column, in
@@ -33,7 +34,6 @@ from .base import DemandRequest, TrafficModel
 
 NEG_TOL = -1e-9
 TINY = 5e-324  # divisor for empty cells: leaves every positive float as it is
-_NEVER = np.iinfo(np.intp).max  # a place not yet reached in the array steps' rounds
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -126,9 +126,7 @@ class CtmModel(TrafficModel):
         groups = list(self.groups.values())
         self._group_list = groups
         self._n_rows = n_rows
-        # each lane group's first row, and for the index past the last lane
-        # group (none, in the array steps) the row past the last
-        self._first_rows = np.array([g.start for g in groups] + [n_rows], dtype=np.intp)
+        self._first_rows = np.array([g.start for g in groups], dtype=np.intp)
         self._last_rows = np.array([g.start + g.count - 1 for g in groups], dtype=np.intp)
         lc, inner, outer = [], [], []
         self._span = {}
@@ -220,9 +218,10 @@ class CtmModel(TrafficModel):
         # by lane group, slot by slot), and their outflows
         self._last: list[float] | None = None
         self._outflow: list[float] = []
-        # inflow by flat place in the occupancy array (first cell, slot),
-        # in the order it arrived, and its total per lane group
-        self._inflow: dict[int, float] = {}
+        # inflow into each lane group's first cell, by (lane group, slot),
+        # with a zero row for the index past the last, and its total per
+        # lane group
+        self._inflow = np.zeros((len(groups) + 1, n_slots))
         self._received = [0.0] * len(groups)
         self._tot_np = np.zeros(self._n_rows + 1)  # cell totals
         self._tot = [0.0] * (self._n_rows + 1)  # the same as a list, which `remove` updates
@@ -254,12 +253,6 @@ class CtmModel(TrafficModel):
         """Start a flow phase: the last cells and outflows as Python lists."""
         self._last = last.ravel().tolist()
         self._outflow = [0.0] * len(self._group_list)
-
-    def _group_inflow(self, g: _Group) -> list[tuple[int, float]]:
-        """The lane group's inflow this step, (slot, veh) in arrival order."""
-        n = self._n_slots
-        lo = g.start * n
-        return [(key - lo, a) for key, a in self._inflow.items() if lo <= key < lo + n]
 
     # --- seeding and reading one cell ----------------------------------
 
@@ -392,15 +385,13 @@ class CtmModel(TrafficModel):
 
     def receive_fluid(self, group_id, amounts, now):
         g = self.groups[group_id]
-        inflow, refused = self._inflow, g.refused
+        inflow, refused = self._inflow[g.index], g.refused
         self._received[g.index] += sum(amounts)
-        base = g.start * self._n_slots
         for k, a in enumerate(amounts):
             if a > 0:
                 if k in refused:
                     self._refuse(g, k)
-                k += base
-                inflow[k] = inflow.get(k, 0.0) + a
+                inflow[k] += a
 
     # --- the same as array steps, over many lane groups ----------------
     # For `arraydelivery.ArrayJunctions`, in one flow phase: `open_receipts`,
@@ -413,19 +404,11 @@ class CtmModel(TrafficModel):
     def open_receipts(self):
         """Read every lane group's free space now, as `lane_group_supply`
         does, and start taking rounds of receipts."""
-        fr = self._first_rows[:-1]
+        fr = self._first_rows
         free = self._w_r[fr] * (self._nmax_r[fr] - np.array(self._tot)[fr])
         self._free = np.append(np.where(free > 0.0, free, 0.0), 0.0)
         self._rec = np.append(self._received, 0.0)
-        # the inflow by place, and the round in which each place first
-        # received (_NEVER where it has not)
-        self._pending = np.zeros((self._n_rows + 1) * self._n_slots)
-        if self._inflow:
-            size = len(self._inflow)
-            self._pending[np.fromiter(self._inflow, np.intp, size)] = np.fromiter(
-                self._inflow.values(), float, size)
-        self._first = np.full(self._pending.size, _NEVER)
-        self._round = 0
+        self._pending = self._inflow.copy()
 
     def receipt_supply(self, h: np.ndarray) -> np.ndarray:
         """`lane_group_supply` of lane groups `h`, with the rounds so far."""
@@ -442,21 +425,15 @@ class CtmModel(TrafficModel):
             raise ProtocolError("a refused slot receives fluid")
         self._rec += np.bincount(h.ravel(), weights=_row_sums(part.reshape(-1, n)),
                                  minlength=self._rec.size)
-        places = (self._first_rows[h] * n)[..., None] + np.arange(n)
-        got = np.bincount(places.ravel(), weights=np.where(positive, part, 0.0).ravel(),
-                          minlength=self._pending.size)
-        self._pending += got
-        self._first[(got > 0) & (self._first == _NEVER)] = self._round
-        self._round += 1
+        places = (h * n)[..., None] + np.arange(n)
+        self._pending += np.bincount(
+            places.ravel(), weights=np.where(positive, part, 0.0).ravel(),
+            minlength=self._pending.size).reshape(self._pending.shape)
 
     def commit_receipts(self):
-        """Take in the rounds: the received totals, and the inflow, its new
-        places in the order they first received (round, then place)."""
+        """Take in the rounds: the received totals and the inflow."""
         self._received = self._rec[:-1].tolist()
-        new = np.count_nonzero(self._first != _NEVER)
-        if new:
-            places = np.argsort(self._first, kind="stable")[:new]
-            self._inflow.update(zip(places.tolist(), self._pending[places].tolist()))
+        self._inflow = self._pending
 
     def remove_rounds(self, rounds: list):
         """Rounds of `remove`, each (lane groups h, amounts): lane group
@@ -511,12 +488,8 @@ class CtmModel(TrafficModel):
                     self.group_ids[g.index], r - g.start))
             cur[neg] = 0.0
         # boundary inflow into the upstream-most cells
-        inflow = self._inflow
-        if inflow:
-            size = len(inflow)
-            occ.reshape(-1)[np.fromiter(inflow, np.intp, size)] += np.fromiter(
-                inflow.values(), float, size)
-            self._inflow = {}
+        occ[self._first_rows] += self._inflow[:-1]
+        self._inflow.fill(0.0)
         self._received = [0.0] * len(self._group_list)
         self._cum += flux
         self._flux_np, self._flux = flux, None
@@ -543,10 +516,8 @@ class CtmModel(TrafficModel):
 
     def total_vehicles(self, group_id: str) -> float:
         g = self.groups[group_id]
-        total = sum(self._tot[g.start:g.start + g.count])
-        if self._inflow:
-            total += sum(a for _, a in self._group_inflow(g))
-        return total
+        return (sum(self._tot[g.start:g.start + g.count])
+                + sum(self._inflow[g.index].tolist()))
 
     def mean_speed_kmh(self, group_id: str) -> float:
         g = self.groups[group_id]
@@ -581,8 +552,9 @@ class CtmModel(TrafficModel):
                 for k, n in enumerate(self._cell(g, i)):
                     if n > 0:
                         out[k] += n
-            for k, a in self._group_inflow(g) if self._inflow else ():
-                out[k] += a
+            for k, a in enumerate(self._inflow[g.index, :len(out)].tolist()):
+                if a > 0:
+                    out[k] += a
         return out
 
     def audit_failures(self) -> list[str]:

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import by_state, corridor_scenario_dict
 from hybridtraffic.demand import RoutingError
 from hybridtraffic.engine import Engine, _Connection
+from hybridtraffic.outputs import OutputWriter, _f
 from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet, vehicle_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
 
@@ -304,9 +306,7 @@ def _mixed_grid(seed: int) -> dict:
 
 
 def _outputs(d, out_dir):
-    from hybridtraffic.outputs import OutputWriter
-
-    eng = Engine(parse_scenario(d), audit=True)
+    eng =Engine(parse_scenario(d), audit=True)
     with OutputWriter(str(out_dir)) as writer:
         eng.run(observer=lambda e, t: writer.write(e, t))
     return eng, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -644,7 +644,7 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
     assert table == eng.routing.tables[1] == (S0, S1)
     arrivals = [Vehicle(i, s, 0.0) for i, s in enumerate([S1, S0, S1, S0, S0, S1])]
     sender.receive_vehicles(0, arrivals, 0.0)  # as a source enters them
-    eng._book(vehicle_packet(table, slots, arrivals), eng.cum_in[0])
+    eng._book(vehicle_packet(table, slots, arrivals), 0, eng._cum_in)
     sender.advance_state(20.0, rng)  # past the free-flow travel time
     req, = sender.vehicle_requests("0:1", {0: list(sender.groups["0:1"].waiting)})
     packet = req.packet
@@ -677,6 +677,43 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
     assert eng.audit_failures == []
 
 
+def test_a_ledger_reads_as_a_fresh_dict_over_the_links_table(tmp_path):
+    # `cum_in`/`cum_out` are read-only views of per-place arrays: each read
+    # is a new {state: veh} dict over the link's whole state table, in table
+    # order from t = 0 on, and its sum is what boundaries.csv writes
+    d = _merge_dict(duration=200.0)
+    d["routes"] = [{"id": 0, "links": [3, 2]}, {"id": 1, "links": [0, 1, 2]}]
+    d["demands"] = [dict(d["demands"][0], link=0, route=1),
+                    dict(d["demands"][0], link=3, route=0)]
+    eng = Engine(parse_scenario(d))
+    assert len(eng.routing.tables[2]) == 2
+    sums = {}
+
+    def observe(e, t):
+        for ledger in (e.cum_in, e.cum_out):
+            for l in e.net.links:
+                assert list(ledger[l]) == list(e.routing.tables[l])
+        for l in e.net.links:
+            sums[_f(t), str(l)] = [_f(sum(e.cum_in[l].values())),
+                                   _f(sum(e.cum_out[l].values()))]
+
+    observe(eng, 0.0)
+    with OutputWriter(str(tmp_path)) as writer:
+        eng.run(observer=lambda e, t: (observe(e, t), writer.write(e, t)))
+    with open(tmp_path / "boundaries.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == len(sums) and rows[-1][3] != "0"
+    assert all(sums[t, l] == [cum_in, cum_out] for t, l, cum_in, cum_out in rows)
+    for ledger in (eng.cum_in, eng.cum_out):
+        read = ledger[2]
+        want = dict(read)
+        read[StateIndex(0, 0)] += 1.0
+        read[StateIndex(9, 9)] = 1.0
+        assert ledger[2] == want and ledger[2] is not ledger[2]
+        with pytest.raises(TypeError):
+            ledger[2] = want
+
+
 def test_a_state_the_entered_link_cannot_hold_is_refused_naming_it_and_the_link():
     # route 1 runs on link 2 only, so link 1's table has no slot for its
     # state: the delivery into link 1 refuses it as it re-keys the fluid,
@@ -690,7 +727,8 @@ def test_a_state_the_entered_link_cannot_hold_is_refused_naming_it_and_the_link(
     with pytest.raises(RoutingError, match=re.escape(message)):
         eng._deliver(0.0, sender, "0:1", eng._rc[0], stray, 1.0, 1.0,
                      [ctm.lane_group_supply("1:1")])
-    assert ctm.total_vehicles("1:1") == 0.0 and eng.cum_in[1] == {}
+    assert ctm.total_vehicles("1:1") == 0.0
+    assert list(eng.cum_in[1].values()) == [0.0] * len(eng.routing.tables[1])
 
 
 # --- run-time failures name the element ------------------------------------
