@@ -8,6 +8,17 @@ depends on no other junction. So the engine delivers every array junction
 of a model in rounds by pair rank: round k takes the k-th offered pair of
 each junction at once, as a few numpy steps over the model's arrays.
 
+The offers come straight from the model's demand array: at build the
+deliverer maps each (lane group, slot) of the model to the pair its demand
+is offered on, or to no array pair, and the model turns only the places
+outside the map into packets (`CtmModel._to_packets`). Per flow phase the
+deliverer gathers its pairs' demand rows, sizes each as `FluxPacket.size`
+does (a left-to-right sum over the slots) and ranks the offered pairs of
+each junction. A junction whose one offered pair goes through a road
+connection with one downstream lane group is handed back to the engine
+with a packet of that row, for the closed form, as the pair-by-pair path
+would solve it.
+
 Each step takes the float operations of the pair-by-pair path
 (`Engine._deliver`, `RoutingContext.assign_next_link`, `Engine._enter`,
 `Engine._book`, `CtmModel.lane_group_supply`, `receive_fluid` and `remove`)
@@ -21,25 +32,24 @@ engine's ledger arrays, by (link, slot) place. The received fluid, the
 inflow and the ledger rounds are committed once per flow phase, the rounds
 added in round order, so each place still sums `x = x + a` in pair order;
 cuts are taken out after the pass, with the per-cut clamp. An array step
-that fails commits nothing, and the engine redoes it pair by pair, which
-names the failing pair.
+that fails commits nothing, and the engine redoes it pair by pair with
+packets built from the rows (`plan`), which names the failing pair.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
 from .models.ctm import _row_sums
 from .nodemodel import EPS
-from .packets import FluxPacket, ProtocolError
+from .packets import FluxPacket
 
 
 class ArrayJunctions:
     """The array junctions of one CTM model (`junctions`, ascending id):
-    static tables of their pairs and road connections, the compiled routing
-    map, and one flow phase's state between `open` and `remove`."""
+    static tables of their pairs and road connections, the map from the
+    model's demand places to the pairs, the compiled routing map, and one
+    flow phase's state between `offer` and `remove`."""
 
     def __init__(self, engine, model, junctions):
         self.model, self.routing = model, engine.routing
@@ -48,11 +58,12 @@ class ArrayJunctions:
         index = {gid: g.index for gid, g in model.groups.items()}
         # per pair, junction by junction: its junction, lane group, road
         # connection (its place in `_up`/`_down`), place in the batch, and
-        # its junction's first pair
+        # its junction's first and last pair
         jset = engine._jset
         self.start = {}  # junction id -> its first pair
         self._junction = []
-        pair_g, pair_rc, pair_batch, pair_first, rc_at = [], [], [], [], {}
+        pair_g, pair_r, pair_rc, pair_batch, pair_first, pair_last, rc_at = (
+            [], [], [], [], [], [], {})
         rc_groups, up, down = [], [], []
         sup_pos, sup_g = [], []
         for j in junctions:
@@ -67,17 +78,34 @@ class ArrayJunctions:
                     up.append(conn.up_link)
                     down.append(conn.down_link)
                 pair_g.append(index[g])
+                pair_r.append(r)
                 pair_rc.append(rc_at[r])
                 pair_batch.append(jset.pair_start[k] + i)
                 pair_first.append(self.start[j.id])
+            pair_last += [len(pair_g) - 1] * len(j.pairs)
             sup_pos += range(jset.down_start[k], jset.down_start[k] + len(j.downstream))
             sup_g += [index[h] for h in j.downstream]
         intp = np.intp
         self._up, self._down = np.array(up, intp), np.array(down, intp)
         self._pair_g, pair_rc = np.array(pair_g, intp), np.array(pair_rc, intp)
         self._pair_batch, self._pair_first = np.array(pair_batch, intp), np.array(pair_first, intp)
+        self._pair_last = np.array(pair_last, intp)
         self._pair_table = [groups[g].table for g in pair_g]
-        self._pair_len = np.array([len(t) for t in self._pair_table], intp)
+        self._one_down = np.array([len(rc_groups[i]) == 1 for i in pair_rc])
+        # the demand map: each pair's places in the model's (lane group,
+        # slot) demand array, flat, and which of them it offers, those
+        # whose slot leaves its lane group by the pair's road connection;
+        # the model makes packets of the places no pair offers
+        slots = np.arange(n)
+        self._src = self._pair_g[:, None] * n + slots
+        self._mine = np.zeros((len(pair_g), n), bool)
+        for q, (g, r) in enumerate(zip(pair_g, pair_r)):
+            rcs = model._group_rcs[g]
+            self._mine[q, :len(rcs)] = [x == r for x in rcs]
+        to_packets = np.ones(len(groups) * n, bool)
+        to_packets[self._src[self._mine]] = False
+        model._to_packets = to_packets
+        self._offered = np.zeros((len(pair_g), n))  # this phase's rows
         # each pair's road connection's downstream lane groups, padded with
         # the index past the last lane group, which stands for none
         width = max(map(len, rc_groups))
@@ -86,7 +114,6 @@ class ArrayJunctions:
         # each pair's ledger places out of its upstream and into its
         # downstream link (the engine's padding place past a link's table),
         # and its entries in the routing map, per slot
-        slots = np.arange(n)
         self._n_places = engine._cum_in.size
 
         def places(links):
@@ -99,9 +126,10 @@ class ArrayJunctions:
         self._entries = pair_rc[:, None] * n + slots
         self._sup_pos, self._sup_g = np.array(sup_pos, intp), np.array(sup_g, intp)
         self._reset_map()
-        # this pass's (junction, offers, pairs' offset in the batch), the
-        # offers by pair index as (sender, packet, size)
-        self.items: list[tuple] = []
+        # the batched junctions this flow phase offers (0 when none), and
+        # each pair's size and rank among its junction's batched pairs
+        self.batched = 0
+        self._size = self._rank = None
         # per round of the pass, the pairs that delivered and what they cut
         self._cuts: list[tuple] = []
 
@@ -164,36 +192,53 @@ class ArrayJunctions:
 
     # --- one flow phase ---------------------------------------------------
 
-    def open(self, demand: np.ndarray, supply: np.ndarray):
-        """Fill the batch's `demand` of the pairs `items` offer, and its
-        `supply` of every array junction's downstream lane groups from the
-        model's free space and received fluid now. Every pair has a row in
-        the pass's arrays: one not offered has size 0 and rank -1."""
-        start, tables = self.start, self._pair_table
-        pairs, offers = [], []
-        for j, offered, _ in self.items:
-            s0 = start[j.id]
-            pairs += [s0 + i for i in offered]
-            offers += offered.values()
-        packets = [o[1] for o in offers]
-        if not all(pk.table is tables[p] and pk.is_fluid for p, pk in zip(pairs, packets)):
-            raise ProtocolError("a packet is not fluid over its lane group's table")
-        pairs = np.array(pairs, np.intp)
-        lens = self._pair_len[pairs]
-        ends = np.cumsum(lens)
-        n_pairs = len(self._pair_g)
-        self._offered = np.zeros((n_pairs, self.n))
-        self._offered[np.repeat(pairs, lens), np.arange(ends[-1]) - np.repeat(ends - lens, lens)] = (
-            np.fromiter(chain.from_iterable(pk.amounts for pk in packets), float, ends[-1]))
-        self._size, self._psize = np.zeros(n_pairs), np.zeros(n_pairs)
-        self._size[pairs] = [o[2] for o in offers]
-        self._psize[pairs] = [pk.size for pk in packets]
-        # each offered pair's rank among its junction's offered pairs
-        on = np.zeros(n_pairs, bool)
-        on[pairs] = True
+    def offer(self) -> dict[int, dict]:
+        """Read this flow phase's offers from the model's demand array:
+        rank the pairs each junction batches, and return the junctions for
+        the closed form, each with its one offer by pair index as (sender,
+        packet, size)."""
+        off, first = self._offered, self._pair_first
+        np.take(self.model._demand, self._src, out=off)
+        np.copyto(off, 0.0, where=~((off > 0) & self._mine))
+        size = _row_sums(off)  # `FluxPacket.size`, summed left to right
+        on = size > 0
         seen = np.cumsum(on)
-        first = self._pair_first
-        self._rank = np.where(on, seen - 1 - (seen[first] - on[first]), -1)
+        before = seen[first] - on[first]  # offered pairs of the junctions before
+        single = on & (seen[self._pair_last] - before == 1) & self._one_down
+        closed = {}
+        for q in np.flatnonzero(single).tolist():
+            jid = self._junction[q].id
+            closed[jid] = {q - self.start[jid]: self._packet(q)}
+        # a junction for the closed form has no other offered pair, so the
+        # ranks within every other junction hold without it
+        on &= ~single
+        self._rank = np.where(on, seen - 1 - before, -1)
+        self._size = size * on
+        self.batched = int(np.count_nonzero(self._rank == 0))
+        return closed
+
+    def _packet(self, q: int) -> tuple:
+        """(sender, packet, size) of pair q's demand row."""
+        table = self._pair_table[q]
+        packet = FluxPacket(table, self._offered[q, :len(table)].tolist())
+        return self.model, packet, packet.size
+
+    def plan(self) -> list[tuple]:
+        """The batched offers as the pair-by-pair path takes them: per
+        junction, ascending, (junction, offers by pair index, the pairs'
+        offset in the batch)."""
+        out = []
+        for q in np.flatnonzero(self._rank >= 0).tolist():
+            j = self._junction[q]
+            if not out or out[-1][0] is not j:
+                out.append((j, {}, int(self._pair_batch[self.start[j.id]])))
+            out[-1][1][q - self.start[j.id]] = self._packet(q)
+        return out
+
+    def open(self, demand: np.ndarray, supply: np.ndarray):
+        """Fill the batch's `demand` of the pairs `offer` ranked, and its
+        `supply` of every array junction's downstream lane groups from the
+        model's free space and received fluid now."""
         demand[self._pair_batch] = self._size
         self.model.open_receipts()
         supply[self._sup_pos] = self.model.receipt_supply(self._sup_g)
@@ -215,11 +260,12 @@ class ArrayJunctions:
             d, size = delta[at], self._size[at]
             total = np.minimum(np.minimum(1.0, d / size) * size, allow)
             ok = (d > EPS) & (total > 0)
-            at, h, caps, allow, total = at[ok], h[ok], caps[ok], allow[ok], total[ok]
+            at, h, caps, allow, total, size = (
+                at[ok], h[ok], caps[ok], allow[ok], total[ok], size[ok])
             if not at.size:
                 continue
             # the cut: booked out of the upstream link, kept for removal
-            sent = self._offered[at] * np.minimum(1.0, total / self._psize[at])[:, None]
+            sent = self._offered[at] * np.minimum(1.0, total / size)[:, None]
             cuts.append((at, sent))
             booked_out.append(np.bincount(self._out_places[at].ravel(), weights=sent.ravel(),
                                           minlength=places))
@@ -244,7 +290,7 @@ class ArrayJunctions:
         for ledger, rounds in ((cum_out, booked_out), (cum_in, booked_in)):
             for got in rounds:
                 ledger += got
-        self._cuts, self.items = cuts, []
+        self._cuts, self.batched = cuts, 0
         return sum(len(at) for at, _ in cuts)
 
     def cuts(self) -> list[tuple]:

@@ -92,7 +92,11 @@ class VirtualTracker:
 
 class LedgerView(Mapping):
     """Read-only per-link view of a ledger array: `view[l]` is a fresh
-    {state: veh} dict over link l's whole state table, in table order."""
+    {state: veh} dict over link l's whole state table, in table order.
+
+    The engine, its audit and the outputs read the arrays themselves; the
+    view remains only for the benchmark's frozen output digest, which sums
+    `engine.cum_in[l].values()` (`bench/harness.py`)."""
 
     def __init__(self, values: np.ndarray, tables: dict, place_of: dict[int, int]):
         self._values, self._tables, self._place_of = values, tables, place_of
@@ -327,6 +331,10 @@ class Engine:
     # --- flow phase ------------------------------------------------------
 
     def _flow_phase(self, t, due_models):
+        """Sources, then the due models' requests, sized and grouped by
+        junction, and the array junctions' offers, read from their models'
+        demand arrays (`ArrayJunctions.offer`); then one junction pass and
+        the removal of its cuts."""
         # sources first, in id order
         due_ids = {id(m) for m in due_models}
         for src in self.sources:
@@ -366,6 +374,11 @@ class Engine:
                 where = "junction %s, rc %s, lane group %s" % (conn.junction, r, g)
                 raise SimulationError(exc, element=where) from exc
             junction_offers[i] = (m, req.packet, size)
+        # the array junctions read their offers from their models' demand
+        # arrays; those for the closed form join the rest
+        for array in self._arrays:
+            if id(array.model) in due_ids:
+                offers.update(array.offer())
         self._solve_junctions(t, offers)
         self._remove_cuts()
 
@@ -375,7 +388,10 @@ class Engine:
         Plan: in ascending junction id, a junction where one upstream group
         sends through a road connection with one downstream group is solved
         in closed form; every other one fills its slice of the batch's
-        demand and supply. Solve: one `nodemodel.solve` over `self._jset`.
+        demand and supply. The array junctions a deliverer ranked in
+        `offer` (the rest of its offered junctions are in `offers`, for the
+        closed form) fill theirs as array steps of their model (`open`).
+        Solve: one `nodemodel.solve` over `self._jset`.
         Deliver: the array junctions in the batch as array steps, model by
         model (`ArrayJunctions.deliver`); then the other junctions in
         ascending id, pairs in pair order, each pair its closed-form or
@@ -387,11 +403,15 @@ class Engine:
         is read before its junction delivers, and the array junctions, which
         touch no other junction's lane groups or ledgers and draw no random
         number, may go first. An array step that fails commits nothing and
-        is redone pair by pair, which names the failing pair."""
+        is redone pair by pair, with packets built from its demand rows
+        (`ArrayJunctions.plan`), which names the failing pair."""
         jset, stats = self._jset, self.stats
         plan = []  # (junction, its offers, its pairs' offset in the batch or None)
-        arrays: dict[ArrayJunctions, None] = {}  # those offered an array junction
+        arrays = [a for a in self._arrays if a.batched]
         demand = supply = None
+        if arrays:
+            demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
+            stats.junctions_batched += sum(a.batched for a in arrays)
         for jid in sorted(offers):
             junction, offered = self._junctions[jid], offers[jid]
             if (len(offered) == 1
@@ -406,11 +426,6 @@ class Engine:
             k = jset.place[jid]
             p0, h0 = jset.pair_start[k], jset.down_start[k]
             stats.junctions_batched += 1
-            array = self._array_junctions.get(jid)
-            if array is not None:
-                array.items.append((junction, offered, p0))
-                arrays[array] = None
-                continue
             for i, (_, _, size) in offered.items():
                 demand[p0 + i] = size
             try:
@@ -442,7 +457,7 @@ class Engine:
             try:
                 n = array.deliver(t, flow, self._cum_in, self._cum_out)
             except Exception as exc:
-                self._deliver_pairs(t, array.items, pair_flow)  # names the failing pair
+                self._deliver_pairs(t, array.plan(), pair_flow)  # names the failing pair
                 raise SimulationError(exc, element=self._name(array.model)) from exc
             stats.deliveries += n
             stats.array_deliveries += n
@@ -622,8 +637,10 @@ class Engine:
         """Each link's per-state balance of vehicles in, out and present, the
         models' own invariants and the boundary residues, after a step."""
         for link in sorted(self.net.links):
-            for s, n, a, b in zip(self.routing.tables[link], self.link_state_counts(link),
-                                  self.cum_in[link].values(), self.cum_out[link].values()):
+            table, p = self.routing.tables[link], self.place_of[link]
+            for s, n, a, b in zip(table, self.link_state_counts(link),
+                                  self._cum_in[p:p + len(table)].tolist(),
+                                  self._cum_out[p:p + len(table)].tolist()):
                 bal = a - b - n
                 if abs(bal) > 1e-9:
                     self.audit_failures.append(

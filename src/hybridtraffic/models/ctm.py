@@ -15,6 +15,13 @@ group's last cell, its outflow, its received total, the cell totals) and on
 the first-cell inflow, a dense (lane group, slot) array, and folds them
 into the arrays in `advance_state`.
 
+Every sending flow of a step is computed at once, as one (lane group,
+slot) demand array kept for the flow phase (`_demand`). A lane group's
+demand becomes one packet and request per road connection, exits last,
+except at the places the model's array junctions offer straight from that
+array (`arraydelivery.ArrayJunctions` marks them in `_to_packets`); a model
+with no array junction makes packets of every place.
+
 Every float operation keeps the order of the dict model kept as the oracle
 in `tests/reference_ctm.py`. A cell's total is summed column by column, in
 slot order, so it equals the dict model's sum whenever a cell holds at most
@@ -80,6 +87,10 @@ class CtmModel(TrafficModel):
         self.link_v: dict[int, float] = {}  # normalized free-flow speed per step
         self.link_w: dict[int, float] = {}  # normalized congestion speed per step
         self.link_cell_len: dict[int, float] = {}
+        # with array junctions (`arraydelivery.ArrayJunctions`), the (lane
+        # group, slot) places whose demand still becomes packets, flat; the
+        # rest the array junctions read from `_demand`
+        self._to_packets: np.ndarray | None = None
 
     # --- construction --------------------------------------------------
 
@@ -316,12 +327,16 @@ class CtmModel(TrafficModel):
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
+        """Form the step's demand array (`_demand`) and return the requests
+        of its places outside the array junctions' map, lane group by lane
+        group."""
         if self._lc is not None:
             self.lane_change_step()
         last = self._occ[self._last_rows]
         n_tot = last if last.shape[1] == 1 else _row_sums(last)[:, None]
         d = np.minimum(self._v_gs * last, (self._f_g * last) / np.maximum(n_tot, TINY))
         self._open(last)
+        self._demand = d
         reqs: list[DemandRequest] = []
         groups, rcs, gids = self._group_list, self._group_rcs, self.group_ids
         prev, by_rc = -1, {}
@@ -337,7 +352,10 @@ class CtmModel(TrafficModel):
                 reqs.extend(self.requests(gids[prev], by_rc, partial(FluxPacket, table)))
 
         d = d.ravel()
-        at = np.flatnonzero(d > 0)  # lane group by lane group, slot by slot
+        sending = d > 0
+        if self._to_packets is not None:
+            sending &= self._to_packets
+        at = np.flatnonzero(sending)  # lane group by lane group, slot by slot
         gi, ks = np.divmod(at, self._n_slots)
         for i, k, d_s in zip(gi.tolist(), ks.tolist(), d[at].tolist()):
             if i != prev:

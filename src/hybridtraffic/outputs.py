@@ -58,10 +58,13 @@ class OutputWriter:
                     w.writerow([t, link, s.vtype, key, _f(n)])
         w = self._writers["boundaries"]
         for link in sorted(engine.net.links):
+            # the link's places of the ledger arrays, summed in table order
+            p = engine.place_of[link]
+            q = p + len(engine.routing.tables[link])
             w.writerow([
                 t, link,
-                _f(sum(engine.cum_in[link].values())),
-                _f(sum(engine.cum_out[link].values())),
+                _f(sum(engine._cum_in[p:q].tolist())),
+                _f(sum(engine._cum_out[p:q].tolist())),
             ])
         w = self._writers["trajectories"]
         for model in engine.models:

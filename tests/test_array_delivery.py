@@ -1,20 +1,26 @@
 """The array junctions (batched junctions within one CTM model) against the
-pair-by-pair path as an oracle: emptying a built engine's array-junction set
-sends every junction pair by pair, and the outputs must be the same bytes,
-the ledgers the same floats place by place."""
+pair-by-pair path as an oracle: an engine built with no array junction
+offers every pair as a packet and sends every junction pair by pair, and
+the outputs must be the same bytes, the ledgers the same floats place by
+place."""
 
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from conftest import supplies_around_the_pass
 from hybridtraffic import Engine
+from hybridtraffic.arraydelivery import ArrayJunctions
 from hybridtraffic.demand import Route
 from hybridtraffic.engine import SimulationError
+from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.outputs import OutputWriter
-from hybridtraffic.packets import StateIndex
+from hybridtraffic.packets import FluxPacket, StateIndex
 from hybridtraffic.scenario import parse_scenario
 from test_engine import _merge_dict
 
@@ -26,9 +32,11 @@ from harness import GRIDS  # noqa: E402
 def _run(d, out_dir, arrays: bool):
     """The engine after a run, its CSVs, and each CTM model's per-step
     lists and first-cell inflow as every flow phase ended."""
-    eng = Engine(parse_scenario(d), audit=True)
-    if not arrays:
-        eng._array_junctions.clear()
+    # the oracle builds no array junction, so its models offer every pair
+    # as a packet
+    no_arrays = patch.object(Engine, "_compile_arrays", return_value={})
+    with nullcontext() if arrays else no_arrays:
+        eng = Engine(parse_scenario(d), audit=True)
     ctms, states = [m for m in eng.models if m.kind == "ctm"], []
     remove_cuts = eng._remove_cuts
 
@@ -50,6 +58,7 @@ def _same_as_pair_by_pair(d, tmp_path):
     array, want = _run(d, tmp_path / "arrays", arrays=True)
     pairs, got = _run(d, tmp_path / "pairs", arrays=False)
     assert array.stats.array_deliveries > 0 and pairs.stats.array_deliveries == 0
+    assert all(m._to_packets is None for m in pairs.models if m.kind == "ctm")
     assert replace(array.stats, array_deliveries=0) == pairs.stats
     assert array.audit_failures == pairs.audit_failures == []
     for ledger in ("cum_in", "cum_out"):
@@ -157,4 +166,96 @@ def test_no_array_state_without_a_junction_inside_one_ctm_model(workload):
 
     d = (grid_scenario(GRIDS["grid_micro"], 1) if workload == "grid_micro"
          else corridor_scenario_dict([("ctm", [0, 1, 2])], n_links=3))
-    assert Engine(parse_scenario(d))._array_junctions == {}
+    eng = Engine(parse_scenario(d))
+    assert eng._array_junctions == {}
+    # nor a demand map: every place of the CTM's demand becomes a packet
+    ctms = [m for m in eng.models if m.kind == "ctm"]
+    assert ctms and all(m._to_packets is None for m in ctms)
+
+
+# --- the hand-over from the CTM's demand array ---------------------------
+
+
+def _routes_into_the_merge(d, rates, exiting=()):
+    """`d` (`_merge_dict`) with one route 0 -> 1 -> 2 per rate of `rates`,
+    each with its own source on link 0, a route 3 -> 2 into the merge,
+    and one route 0 -> 1, exiting at link 1, per rate of `exiting`."""
+    base = d["demands"][0]
+    d["routes"], d["demands"] = [], []
+    for links, rate in ([([0, 1, 2], r) for r in rates] + [([3, 2], 400.0)]
+                        + [([0, 1], r) for r in exiting]):
+        rid = len(d["routes"])
+        d["routes"].append({"id": rid, "links": links})
+        d["demands"].append(dict(base, link=links[0], route=rid, profile=dict(
+            base["profile"], values=[rate])))
+    return d
+
+
+def test_a_pair_of_three_states_is_sized_as_its_packet(tmp_path, monkeypatch):
+    # link 1 carries three routes into the merge, so the array pair (1:1,
+    # rc 1) sums three amounts, where (a + b) + c is not always a + (b + c)
+    d = _routes_into_the_merge(_merge_dict(duration=200.0), [317.0, 211.0, 143.0])
+    sized = []
+    offer = ArrayJunctions.offer
+
+    def recording(self):
+        closed = offer(self)
+        for q in np.flatnonzero(self._rank >= 0).tolist():
+            table = self._pair_table[q]
+            sized.append((table, self._offered[q, :len(table)].tolist(), self._size[q]))
+        return closed
+
+    monkeypatch.setattr(ArrayJunctions, "offer", recording)
+    _same_as_pair_by_pair(d, tmp_path)
+    assert all(FluxPacket(table, amounts).size == size for table, amounts, size in sized)
+    three = [a for _, a, _ in sized if len(a) == 3 and all(a)]
+    assert any((a + b) + c != a + (b + c) for a, b, c in three)
+
+
+def test_exits_beside_an_array_pair_keep_their_request_order(tmp_path, monkeypatch):
+    # on link 1's one lane group route 3 exits while routes 0 and 1 send
+    # into the merge: the array run's requests are the pair-by-pair run's
+    # less those into the merge, in the same order
+    d = _routes_into_the_merge(_merge_dict(duration=200.0), [300.0, 200.0], [250.0])
+    requests = {True: [], False: []}  # by whether the model has array junctions
+    compute_demands = CtmModel.compute_demands
+
+    def recording(self, now, rng):
+        reqs = compute_demands(self, now, rng)
+        requests[self._to_packets is not None].append(
+            [(r.group_id, r.rc, r.packet.amounts) for r in reqs])
+        return reqs
+
+    monkeypatch.setattr(CtmModel, "compute_demands", recording)
+    eng = _same_as_pair_by_pair(d, tmp_path)
+    merge = set(eng._junctions[1].rcs)
+    assert requests[True] == [[r for r in phase if r[1] not in merge]
+                              for phase in requests[False]]
+    # in one phase, link 1 both exits and sends into the merge
+    assert any(("1:1", None) in {r[:2] for r in phase} and ("1:1", 1) in {r[:2] for r in phase}
+               for phase in requests[False])
+    p = eng.place_of[1]
+    assert eng.exits[p:p + len(eng.routing.tables[1])].any()
+
+
+def test_an_array_junction_with_one_offered_pair_takes_the_closed_form(tmp_path, monkeypatch):
+    # link 3 sends into the merge only in the second half of the run, so
+    # the merge first has one offered pair, through an rc with one
+    # downstream lane group: the closed form, counted as a 1x1 step
+    d = _routes_into_the_merge(_merge_dict(duration=300.0), [500.0])
+    d["demands"][1]["profile"] = {"start": 0.0, "period": 150.0, "values": [0.0, 400.0]}
+    closed = []
+    offer = ArrayJunctions.offer
+
+    def recording(self):
+        out = offer(self)
+        closed.extend(out)
+        return out
+
+    monkeypatch.setattr(ArrayJunctions, "offer", recording)
+    eng = _same_as_pair_by_pair(d, tmp_path)
+    assert closed and set(closed) == {1}
+    # junction 0 (link 0 -> 1) is 1x1x1 and always in closed form; the
+    # merge's own closed-form steps make up the rest of the count
+    assert eng.stats.junctions_1x1 > len(closed) > 10
+    assert eng.stats.junctions_batched > 10
