@@ -6,7 +6,9 @@ routing draws no random number, and since every supply is the free space at
 the start of the step, net of what has entered since, what it delivers
 depends on no other junction. So the engine delivers every array junction
 of a model in rounds by pair rank: round k takes the k-th offered pair of
-each junction at once, as a few numpy steps over the model's arrays.
+each junction at once, as a few numpy steps over the model's arrays. An
+array junction is delivered this way at every step, whatever it is
+offered; the path is fixed when the engine is built.
 
 The offers come straight from the model's demand array: at build the
 deliverer maps each (lane group, slot) of the model to the pair its demand
@@ -14,10 +16,7 @@ is offered on, or to no array pair, and the model turns only the places
 outside the map into packets (`CtmModel._to_packets`). Per flow phase the
 deliverer gathers its pairs' demand rows, sizes each as `FluxPacket.size`
 does (a left-to-right sum over the slots) and ranks the offered pairs of
-each junction. A junction whose one offered pair goes through a road
-connection with one downstream lane group is handed back to the engine
-with a packet of that row, for the closed form, as the pair-by-pair path
-would solve it.
+each junction.
 
 Each step takes the float operations of the pair-by-pair path
 (`Engine._deliver`, `RoutingContext.assign_next_link`, `Engine._enter`,
@@ -28,21 +27,29 @@ junction, so every per-key sum that runs across pairs runs across rounds,
 in pair order. The CTM keeps what its cell layout implies (its receipts
 and removals as array steps); this module keeps the junctions, the routing
 map and, per round, one `np.bincount` of the amounts booked into the
-engine's ledger arrays, by (link, slot) place. The received fluid, the
-inflow and the ledger rounds are committed once per flow phase, the rounds
-added in round order, so each place still sums `x = x + a` in pair order;
-cuts are taken out after the pass, with the per-cut clamp. An array step
-that fails commits nothing, and the engine redoes it pair by pair with
-packets built from the rows (`plan`), which names the failing pair.
+engine's ledger arrays, by (link, slot) place, added as the round is made,
+so each place still sums `x = x + a` in pair order. Cuts are taken out
+after the pass, with the per-cut clamp.
+
+A failure that the pair-by-pair path makes at a pair (a refused slot, an
+unroutable state, an outflow above the occupancy) is raised as a
+`PairError` that names the pair, from that path's own error. When several
+pairs fail in one flow phase, the lowest pair index of the first failing
+round is named, for delivery and for removal alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models.ctm import _row_sums
+from .models.ctm import RowError, _row_sums
 from .nodemodel import EPS
-from .packets import FluxPacket
+
+
+class PairError(Exception):
+    """An array step failed at the pair its args name, (junction id, rc,
+    lane group); its `__cause__` is the error the pair-by-pair path raises
+    there."""
 
 
 class ArrayJunctions:
@@ -62,8 +69,7 @@ class ArrayJunctions:
         jset = engine._jset
         self.start = {}  # junction id -> its first pair
         self._junction = []
-        pair_g, pair_r, pair_rc, pair_batch, pair_first, pair_last, rc_at = (
-            [], [], [], [], [], [], {})
+        pair_g, pair_r, pair_rc, pair_batch, pair_first, rc_at = [], [], [], [], [], {}
         rc_groups, up, down = [], [], []
         sup_pos, sup_g = [], []
         for j in junctions:
@@ -82,16 +88,12 @@ class ArrayJunctions:
                 pair_rc.append(rc_at[r])
                 pair_batch.append(jset.pair_start[k] + i)
                 pair_first.append(self.start[j.id])
-            pair_last += [len(pair_g) - 1] * len(j.pairs)
             sup_pos += range(jset.down_start[k], jset.down_start[k] + len(j.downstream))
             sup_g += [index[h] for h in j.downstream]
         intp = np.intp
         self._up, self._down = np.array(up, intp), np.array(down, intp)
         self._pair_g, pair_rc = np.array(pair_g, intp), np.array(pair_rc, intp)
         self._pair_batch, self._pair_first = np.array(pair_batch, intp), np.array(pair_first, intp)
-        self._pair_last = np.array(pair_last, intp)
-        self._pair_table = [groups[g].table for g in pair_g]
-        self._one_down = np.array([len(rc_groups[i]) == 1 for i in pair_rc])
         # the demand map: each pair's places in the model's (lane group,
         # slot) demand array, flat, and which of them it offers, those
         # whose slot leaves its lane group by the pair's road connection;
@@ -169,13 +171,20 @@ class ArrayJunctions:
                 kept.append((entry, key, pieces))
         self._timed = kept
 
-    def _compile(self, entries: np.ndarray, t):
-        """Compile each of `entries` the map lacks, in entry order."""
+    def _compile(self, entries: np.ndarray, rows: np.ndarray, t):
+        """Compile `entries`, each needed by the round's row of `rows`, in
+        row order. Return None, or the first row an entry fails to compile
+        for and the routing error; the entries before it are compiled."""
         n = self.n
-        for e in dict.fromkeys(entries[~self._known[entries]].tolist()):
+        for e, i in zip(entries.tolist(), rows.tolist()):
+            if self._known[e]:  # needed by an earlier row too
+                continue
             up, down = int(self._up[e // n]), int(self._down[e // n])
             s = self.routing.tables[up][e % n]
-            row = self.routing._row(s, down, t)
+            try:
+                row = self.routing._row(s, down, t)
+            except Exception as exc:
+                return i, exc
             w = len(row.slots)
             if w > self._dest.shape[1]:
                 extra = w - self._dest.shape[1]
@@ -192,48 +201,17 @@ class ArrayJunctions:
 
     # --- one flow phase ---------------------------------------------------
 
-    def offer(self) -> dict[int, dict]:
-        """Read this flow phase's offers from the model's demand array:
-        rank the pairs each junction batches, and return the junctions for
-        the closed form, each with its one offer by pair index as (sender,
-        packet, size)."""
+    def offer(self):
+        """Read this flow phase's offers from the model's demand array: size
+        each pair and rank the offered pairs of each junction."""
         off, first = self._offered, self._pair_first
         np.take(self.model._demand, self._src, out=off)
         np.copyto(off, 0.0, where=~((off > 0) & self._mine))
-        size = _row_sums(off)  # `FluxPacket.size`, summed left to right
-        on = size > 0
+        self._size = _row_sums(off)  # `FluxPacket.size`, summed left to right
+        on = self._size > 0
         seen = np.cumsum(on)
-        before = seen[first] - on[first]  # offered pairs of the junctions before
-        single = on & (seen[self._pair_last] - before == 1) & self._one_down
-        closed = {}
-        for q in np.flatnonzero(single).tolist():
-            jid = self._junction[q].id
-            closed[jid] = {q - self.start[jid]: self._packet(q)}
-        # a junction for the closed form has no other offered pair, so the
-        # ranks within every other junction hold without it
-        on &= ~single
-        self._rank = np.where(on, seen - 1 - before, -1)
-        self._size = size * on
+        self._rank = np.where(on, seen - 1 - (seen[first] - on[first]), -1)
         self.batched = int(np.count_nonzero(self._rank == 0))
-        return closed
-
-    def _packet(self, q: int) -> tuple:
-        """(sender, packet, size) of pair q's demand row."""
-        table = self._pair_table[q]
-        packet = FluxPacket(table, self._offered[q, :len(table)].tolist())
-        return self.model, packet, packet.size
-
-    def plan(self) -> list[tuple]:
-        """The batched offers as the pair-by-pair path takes them: per
-        junction, ascending, (junction, offers by pair index, the pairs'
-        offset in the batch)."""
-        out = []
-        for q in np.flatnonzero(self._rank >= 0).tolist():
-            j = self._junction[q]
-            if not out or out[-1][0] is not j:
-                out.append((j, {}, int(self._pair_batch[self.start[j.id]])))
-            out[-1][1][q - self.start[j.id]] = self._packet(q)
-        return out
 
     def open(self, demand: np.ndarray, supply: np.ndarray):
         """Fill the batch's `demand` of the pairs `offer` ranked, and its
@@ -245,12 +223,12 @@ class ArrayJunctions:
 
     def deliver(self, t, flow: np.ndarray, cum_in: np.ndarray, cum_out: np.ndarray) -> int:
         """Deliver the offered pairs with the batch's `flow`, in rounds by
-        rank; book into the engine's `cum_in`/`cum_out` ledger arrays and
-        return the number of deliveries. Nothing is committed if it fails."""
+        rank, each round booked into the engine's `cum_in`/`cum_out` ledger
+        arrays as it is made; return the number of deliveries. A round's
+        routing failure is raised once the pairs before it have entered."""
         n, model, places = self.n, self.model, self._n_places
         self._refresh_map(t)
         delta = flow[self._pair_batch]
-        booked_out, booked_in = [], []  # per round, the amounts by place
         cuts = []
         for rank in range(self._rank.max() + 1):
             at = np.flatnonzero(self._rank == rank)
@@ -264,49 +242,46 @@ class ArrayJunctions:
                 at[ok], h[ok], caps[ok], allow[ok], total[ok], size[ok])
             if not at.size:
                 continue
-            # the cut: booked out of the upstream link, kept for removal
+            # the cut: booked out of the upstream link, kept for removal; a
+            # place gets at most one non-zero amount a round, so adding the
+            # rounds in order is the pair-by-pair path's `x = x + a`
             sent = self._offered[at] * np.minimum(1.0, total / size)[:, None]
             cuts.append((at, sent))
-            booked_out.append(np.bincount(self._out_places[at].ravel(), weights=sent.ravel(),
-                                          minlength=places))
+            cum_out += np.bincount(self._out_places[at].ravel(), weights=sent.ravel(),
+                                   minlength=places)
             # re-keyed through the routing map into the entered link's slots
             entries = self._entries[at]
             lacking = (sent > 0) & ~self._known[entries]
-            if lacking.any():
-                self._compile(entries[lacking], t)
+            failed = (self._compile(entries[lacking], np.nonzero(lacking)[0], t)
+                      if lacking.any() else None)
+            stop = len(at) if failed is None else failed[0]
             rows = np.arange(len(at)) * (n + 1)
             routed = np.bincount(
                 (rows[:, None, None] + self._dest[entries]).ravel(),
                 weights=(sent[..., None] * self._ratio[entries]
                          / self._total[entries][..., None]).ravel(),
-                minlength=len(at) * (n + 1)).reshape(-1, n + 1)[:, :n]
-            booked_in.append(np.bincount(self._in_places[at].ravel(), weights=routed.ravel(),
-                                         minlength=places))
+                minlength=len(at) * (n + 1)).reshape(-1, n + 1)[:stop, :n]
+            cum_in += np.bincount(self._in_places[at[:stop]].ravel(), weights=routed.ravel(),
+                                  minlength=places)
             # spread over the road connection's lane groups by free space
-            model.receive_round(h, routed[:, None, :] * caps[..., None] / allow[:, None, None])
-        # commit: a place gets at most one non-zero amount a round, so adding
-        # the rounds in order is the pair-by-pair path's `x = x + a`
+            try:
+                model.receive_round(h[:stop], routed[:, None, :] * caps[:stop, :, None]
+                                    / allow[:stop, None, None])
+            except RowError as exc:
+                raise PairError(*self.name(at[exc.row])) from exc.__cause__
+            if failed is not None:
+                raise PairError(*self.name(at[stop])) from failed[1]
         model.commit_receipts()
-        for ledger, rounds in ((cum_out, booked_out), (cum_in, booked_in)):
-            for got in rounds:
-                ledger += got
         self._cuts, self.batched = cuts, 0
         return sum(len(at) for at, _ in cuts)
 
-    def cuts(self) -> list[tuple]:
-        """The pass's cuts not yet taken out, as (lane group, rc, packet) in
-        the order the pair-by-pair path makes them."""
-        out = []
-        for at, sent in self._cuts:
-            for q, row in zip(at.tolist(), sent):
-                _, r, g = self.name(q)
-                table = self._pair_table[q]
-                out.append((q, g, r, FluxPacket(table, row[:len(table)].tolist())))
-        return [c[1:] for c in sorted(out, key=lambda c: c[0])]
-
     def remove(self):
         """Take the pass's cuts out of the senders' last cells, round by
-        round (`CtmModel.remove_rounds`)."""
+        round (`CtmModel.remove_rounds`); a cut above its sender's
+        occupancy raises `PairError`."""
         if self._cuts:
-            self.model.remove_rounds([(self._pair_g[at], sent) for at, sent in self._cuts])
+            try:
+                self.model.remove_rounds([(self._pair_g[at], sent) for at, sent in self._cuts])
+            except RowError as exc:
+                raise PairError(*self.name(self._cuts[exc.round][0][exc.row])) from exc.__cause__
             self._cuts = []

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nodemodel
 from . import scenario as scenario_mod
-from .arraydelivery import ArrayJunctions
+from .arraydelivery import ArrayJunctions, PairError
 from .control import ProbeSensor
 from .demand import RoutingContext, Source
 from .models.base import TrafficModel
@@ -28,6 +28,7 @@ from .packets import (
 )
 
 TIME_TOL = 1e-6
+PAIR = "junction %s, rc %s, lane group %s"  # where a junction pair fails
 
 
 class SimulationError(RuntimeError):
@@ -63,12 +64,12 @@ class _Clock:
 
 @dataclass(slots=True)
 class RunStats:
-    """Work counts of a run: junction steps solved in closed form (one
-    upstream group sending through a road connection with one downstream
-    group) and in the node-model batch, and the node-model iterations the
-    batch took, summed over its junctions; and the deliveries, the cuts
-    that moved traffic across a junction, and how many of them the array
-    junctions made as array steps."""
+    """Work counts of a run: junction steps solved in closed form (the
+    steps of 1x1x1 junctions) and in the node-model batch (those of every
+    other junction), and the node-model iterations the batch took, summed
+    over its junctions; and the deliveries, the cuts that moved traffic
+    across a junction, and how many of them the array junctions made as
+    array steps."""
 
     junctions_1x1: int = 0
     junctions_batched: int = 0
@@ -371,40 +372,36 @@ class Engine:
                 if i in junction_offers:
                     raise ProtocolError("more than one request per lane group and rc")
             except Exception as exc:
-                where = "junction %s, rc %s, lane group %s" % (conn.junction, r, g)
-                raise SimulationError(exc, element=where) from exc
+                raise SimulationError(exc, element=PAIR % (conn.junction, r, g)) from exc
             junction_offers[i] = (m, req.packet, size)
-        # the array junctions read their offers from their models' demand
-        # arrays; those for the closed form join the rest
         for array in self._arrays:
             if id(array.model) in due_ids:
-                offers.update(array.offer())
+                array.offer()
         self._solve_junctions(t, offers)
         self._remove_cuts()
 
     def _solve_junctions(self, t, offers: dict[int, dict]):
-        """Plan, solve and deliver the junctions' `offers`.
+        """Plan, solve and deliver the junctions' `offers`; each junction's
+        path is fixed when the engine is built.
 
-        Plan: in ascending junction id, a junction where one upstream group
-        sends through a road connection with one downstream group is solved
-        in closed form; every other one fills its slice of the batch's
-        demand and supply. The array junctions a deliverer ranked in
-        `offer` (the rest of its offered junctions are in `offers`, for the
-        closed form) fill theirs as array steps of their model (`open`).
+        Plan: in ascending junction id, a 1x1x1 junction (not in
+        `self._jset`) is solved in closed form; every other one fills its
+        slice of the batch's demand and supply. The array junctions a
+        deliverer ranked in `offer` fill theirs as array steps of their
+        model (`open`).
         Solve: one `nodemodel.solve` over `self._jset`.
-        Deliver: the array junctions in the batch as array steps, model by
-        model (`ArrayJunctions.deliver`); then the other junctions in
-        ascending id, pairs in pair order, each pair its closed-form or
-        batched flow, within the receiving groups' supply read just before.
+        Deliver: the array junctions as array steps, model by model
+        (`ArrayJunctions.deliver`); then the other junctions in ascending
+        id, pairs in pair order, each pair its closed-form or batched flow,
+        within the receiving groups' supply read just before.
 
         No cut leaves its sender before the pass ends (`_remove_cuts`), and
         only a junction's own deliveries enter its downstream groups; so a
         supply, the free space now, reads the same whenever in the pass it
         is read before its junction delivers, and the array junctions, which
         touch no other junction's lane groups or ledgers and draw no random
-        number, may go first. An array step that fails commits nothing and
-        is redone pair by pair, with packets built from its demand rows
-        (`ArrayJunctions.plan`), which names the failing pair."""
+        number, may go first. A failing array step names its pair (see
+        `_array_step`)."""
         jset, stats = self._jset, self.stats
         plan = []  # (junction, its offers, its pairs' offset in the batch or None)
         arrays = [a for a in self._arrays if a.batched]
@@ -414,10 +411,7 @@ class Engine:
             stats.junctions_batched += sum(a.batched for a in arrays)
         for jid in sorted(offers):
             junction, offered = self._junctions[jid], offers[jid]
-            if (len(offered) == 1
-                    and len(self._rc[junction.pairs[next(iter(offered))][1]].groups) == 1):
-                # one upstream group, one rc and one downstream group carry
-                # flow this step; the idle rest cannot change it
+            if jid not in jset.place:
                 stats.junctions_1x1 += 1
                 plan.append((junction, offered, None))
                 continue
@@ -437,10 +431,7 @@ class Engine:
         flow = pair_flow = None
         if demand is not None:
             for array in arrays:
-                try:
-                    array.open(demand, supply)
-                except Exception as exc:
-                    raise SimulationError(exc, element=self._name(array.model)) from exc
+                self._array_step(array, array.open, demand, supply)
             closed = [False] * len(jset.rcs)
             for r in self.closed_rcs:
                 if r in self._rc_at:
@@ -454,14 +445,21 @@ class Engine:
             flow = flows.flow
             pair_flow = flow.tolist()
         for array in arrays:
-            try:
-                n = array.deliver(t, flow, self._cum_in, self._cum_out)
-            except Exception as exc:
-                self._deliver_pairs(t, array.plan(), pair_flow)  # names the failing pair
-                raise SimulationError(exc, element=self._name(array.model)) from exc
+            n = self._array_step(array, array.deliver, t, flow, self._cum_in, self._cum_out)
             stats.deliveries += n
             stats.array_deliveries += n
         self._deliver_pairs(t, plan, pair_flow)
+
+    def _array_step(self, array: ArrayJunctions, step, *args):
+        """`step(*args)` of an array deliverer. A failure is named by the
+        pair it is tied to (`PairError`), with the error the pair-by-pair
+        path raises there, or else by the deliverer's model."""
+        try:
+            return step(*args)
+        except PairError as exc:
+            raise SimulationError(exc.__cause__, element=PAIR % exc.args) from exc.__cause__
+        except Exception as exc:
+            raise SimulationError(exc, element=self._name(array.model)) from exc
 
     def _deliver_pairs(self, t, plan, flow):
         """Deliver the `plan`'s junctions pair by pair, in pair order: each
@@ -481,8 +479,7 @@ class Engine:
                         self._deliver(t, sender, g, conn, packet, size, delta, caps or [
                             conn.receiver.lane_group_supply(h) for h in conn.groups])
                 except Exception as exc:
-                    where = "junction %s, rc %s, lane group %s" % (junction.id, r, g)
-                    raise SimulationError(exc, element=where) from exc
+                    raise SimulationError(exc, element=PAIR % (junction.id, r, g)) from exc
 
     # --- delivery --------------------------------------------------------
 
@@ -518,16 +515,12 @@ class Engine:
     def _remove_cuts(self):
         """Take the flow phase's cuts out of their senders in the order they
         were made, then the array junctions' (`ArrayJunctions.remove`, a
-        failure redone cut by cut); until then nothing has left a sender
-        since the step began."""
+        failure named as in `_array_step`); until then nothing has left a
+        sender since the step began."""
         cuts, self._cuts = self._cuts, []
         self._remove(cuts)
         for array in self._arrays:
-            try:
-                array.remove()
-            except Exception as exc:
-                self._remove([(array.model, g, r, p) for g, r, p in array.cuts()])
-                raise SimulationError(exc, element=self._name(array.model)) from exc
+            self._array_step(array, array.remove)
 
     def _remove(self, cuts):
         for sender, g, r, packet in cuts:
@@ -535,7 +528,7 @@ class Engine:
                 sender.remove(g, r, packet)
             except Exception as exc:
                 where = ("lane group %s (exit)" % g if r is None else
-                         "junction %s, rc %s, lane group %s" % (self._rc[r].junction, r, g))
+                         PAIR % (self._rc[r].junction, r, g))
                 raise SimulationError(exc, element=where) from exc
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):

@@ -13,7 +13,10 @@ of links.
 Within a flow phase the model works on per-step Python lists (each lane
 group's last cell, its outflow, its received total, the cell totals) and on
 the first-cell inflow, a dense (lane group, slot) array, and folds them
-into the arrays in `advance_state`.
+into the arrays in `advance_state`. The array junctions' receipts and
+removals are the same steps over many lane groups at once: each round
+adds into the inflow as it is taken, and one that fails names its row
+(`RowError`) with the error the one-lane-group step raises.
 
 Every sending flow of a step is computed at once, as one (lane group,
 slot) demand array kept for the flow phase (`_demand`). A lane group's
@@ -51,6 +54,15 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for k in range(2, a.shape[1]):
         tot += a[:, k]
     return tot
+
+
+class RowError(Exception):
+    """An array step failed at row `row` of its round `round`; its
+    `__cause__` is the error the one-lane-group step raises there."""
+
+    def __init__(self, row: int, round: int = 0):
+        super().__init__("row %d of round %d" % (row, round))
+        self.row, self.round = row, round
 
 
 class _Group:
@@ -252,9 +264,15 @@ class CtmModel(TrafficModel):
         return rc, move
 
     @staticmethod
-    def _refuse(g: _Group, k: int):
-        raise RoutingError("state %s has no slot on link %s: %s"
-                           % (g.table[k], g.link, g.refused[k]))
+    def _refuse(g: _Group, k: int) -> RoutingError:
+        """The error of a state entering lane group g in slot k, refused."""
+        return RoutingError("state %s has no slot on link %s: %s"
+                            % (g.table[k], g.link, g.refused[k]))
+
+    def _overdraw(self, g: _Group, k: int) -> RuntimeError:
+        """The error of a cut above lane group g's last cell in slot k."""
+        return RuntimeError("lane group %s: outflow exceeds occupancy for state %s"
+                            % (self.group_ids[g.index], g.table[k]))
 
     def _set_totals(self):
         self._tot_np = _row_sums(self._occ)
@@ -282,7 +300,7 @@ class CtmModel(TrafficModel):
             if k is None:
                 raise RoutingError("state %s has no slot on link %s" % (s, g.link))
             if k in g.refused:
-                self._refuse(g, k)
+                raise self._refuse(g, k)
             row[k] = a
         self._occ[g.start + cell % g.count] = row
         self._set_totals()
@@ -393,8 +411,7 @@ class CtmModel(TrafficModel):
             if a > 0:
                 cur = last[k] - a
                 if cur < NEG_TOL:
-                    raise RuntimeError("lane group %s: outflow exceeds occupancy for state %s"
-                                       % (group_id, packet.table[k - base]))
+                    raise self._overdraw(g, k - base)
                 last[k] = cur if cur > 0 else 0.0
                 out += a
                 cum += a
@@ -408,7 +425,7 @@ class CtmModel(TrafficModel):
         for k, a in enumerate(amounts):
             if a > 0:
                 if k in refused:
-                    self._refuse(g, k)
+                    raise self._refuse(g, k)
                 inflow[k] += a
 
     # --- the same as array steps, over many lane groups ----------------
@@ -417,7 +434,8 @@ class CtmModel(TrafficModel):
     # and, after the junction pass, `remove_rounds`. Lane groups are given
     # by index, the index past the last standing for none (supply 0, no
     # receipt); each step takes the float operations of
-    # `lane_group_supply`, `receive_fluid` or `remove` in their order.
+    # `lane_group_supply`, `receive_fluid` or `remove` in their order, and
+    # raises their error for the first row that fails as a `RowError`.
 
     def open_receipts(self):
         """Read every lane group's free space now, as `lane_group_supply`
@@ -426,7 +444,6 @@ class CtmModel(TrafficModel):
         free = self._w_r[fr] * (self._nmax_r[fr] - np.array(self._tot)[fr])
         self._free = np.append(np.where(free > 0.0, free, 0.0), 0.0)
         self._rec = np.append(self._received, 0.0)
-        self._pending = self._inflow.copy()
 
     def receipt_supply(self, h: np.ndarray) -> np.ndarray:
         """`lane_group_supply` of lane groups `h`, with the rounds so far."""
@@ -434,41 +451,46 @@ class CtmModel(TrafficModel):
         return np.where(free > 0.0, free, 0.0)
 
     def receive_round(self, h: np.ndarray, part: np.ndarray):
-        """One round of `receive_fluid`: lane group h[i] receives part[i]
-        (amounts over the slots), a lane group a non-zero part at most once
-        a round; kept until `commit_receipts`."""
+        """One round of `receive_fluid`: lane group h[i, j] receives
+        part[i, j] (amounts over the slots), a lane group a non-zero part
+        at most once a round. A refused slot raises `RowError` for the
+        first row with one, from `receive_fluid`'s error."""
         n = self._n_slots
         positive = part > 0
-        if (positive & self._refused[h]).any():
-            raise ProtocolError("a refused slot receives fluid")
+        refused = positive & self._refused[h]
+        if refused.any():
+            i, j, k = np.argwhere(refused)[0].tolist()
+            raise RowError(i) from self._refuse(self._group_list[h[i, j]], k)
         self._rec += np.bincount(h.ravel(), weights=_row_sums(part.reshape(-1, n)),
                                  minlength=self._rec.size)
         places = (h * n)[..., None] + np.arange(n)
-        self._pending += np.bincount(
+        self._inflow += np.bincount(
             places.ravel(), weights=np.where(positive, part, 0.0).ravel(),
-            minlength=self._pending.size).reshape(self._pending.shape)
+            minlength=self._inflow.size).reshape(self._inflow.shape)
 
     def commit_receipts(self):
-        """Take in the rounds: the received totals and the inflow."""
+        """Take in the rounds' received totals."""
         self._received = self._rec[:-1].tolist()
-        self._inflow = self._pending
 
     def remove_rounds(self, rounds: list):
         """Rounds of `remove`, each (lane groups h, amounts): lane group
         h[i] lets go of row i of the amounts (over the slots), a lane group
-        at most once a round; nothing changes if a cut exceeds an
-        occupancy."""
+        at most once a round. A cut above an occupancy raises `RowError`
+        for the first such row of the first round with one, from
+        `remove`'s error."""
         n, n_groups = self._n_slots, len(self._group_list)
         if self._last is None:
             self._open(self._occ[self._last_rows])
         last = np.array(self._last).reshape(n_groups, n)
         out, cum = np.array(self._outflow), np.array(self._cum_out)
         cut = np.zeros(n_groups, bool)
-        for h, a in rounds:
+        for r, (h, a) in enumerate(rounds):
             took = a > 0
             cur = last[h] - a
-            if (took & (cur < NEG_TOL)).any():
-                raise RuntimeError("outflow exceeds occupancy")
+            over = took & (cur < NEG_TOL)
+            if over.any():
+                i, k = np.argwhere(over)[0].tolist()
+                raise RowError(i, r) from self._overdraw(self._group_list[h[i]], k)
             last[h] = np.where(took, np.where(cur > 0, cur, 0.0), last[h])
             for k in range(n):  # slot by slot, as `remove` adds
                 out[h] += a[:, k]

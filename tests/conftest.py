@@ -130,7 +130,7 @@ def supplies_around_the_pass(eng, gid: str) -> list[list[float]]:
 
     def cut():
         sent = any(g == gid and r is not None for _, g, r, _ in eng._cuts) or any(
-            g == gid for a in eng._arrays for g, _, _ in a.cuts())
+            a.name(q)[2] == gid for a in eng._arrays for at, _ in a._cuts for q in at.tolist())
         remove_cuts()
         if sent:
             reads[-1].append(model.lane_group_supply(gid))

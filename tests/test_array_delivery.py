@@ -22,7 +22,7 @@ from hybridtraffic.models.ctm import CtmModel
 from hybridtraffic.outputs import OutputWriter
 from hybridtraffic.packets import FluxPacket, StateIndex
 from hybridtraffic.scenario import parse_scenario
-from test_engine import _merge_dict
+from test_engine import _fails, _merge_dict, _two_route_merge
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
 from gridgen import grid_scenario  # noqa: E402
@@ -160,6 +160,129 @@ def test_the_array_path_refuses_a_state_with_no_slot_naming_the_pair():
     assert eng.stats.junctions_batched > 0 and err.time > 100.0
 
 
+# --- failures name their pair, as pair by pair ----------------------------
+
+
+def _failure(d, fault, arrays: bool):
+    """The engine built from `d`, with or without array junctions, and the
+    error its run stops with once `fault(engine)` has been applied."""
+    no_arrays = patch.object(Engine, "_compile_arrays", return_value={})
+    with nullcontext() if arrays else no_arrays:
+        eng = Engine(parse_scenario(d))
+    fault(eng)
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    return eng, info.value
+
+
+def _sending(eng, *gids):
+    """Whether each of lane groups `gids` of link 1's model has demand."""
+    m = eng.model_of_link[1]
+    return bool((m._demand[[m.groups[g].index for g in gids]] > 0).any(axis=1).all())
+
+
+def _unroutable(routed):
+    """Fail the routing rows of (state key, entered link) in `routed`."""
+    def fault(eng):
+        row = eng.routing._row
+        eng.routing._row = lambda s, link, now: (
+            _fails() if (s.key, link) in routed else row(s, link, now))
+    return fault
+
+
+def test_a_routing_row_failure_in_round_one_names_the_rank_one_pair():
+    # both of the merge's rcs first send in one step: rc 1's pair is rank
+    # 0, rc 5's rank 1, and only the state rc 5 carries cannot be routed
+    # into link 2
+    fault = _unroutable({(1, 2)})
+    eng, err = _failure(_two_route_merge(duration=200.0), fault, arrays=True)
+    assert err.element == "junction 1, rc 5, lane group 3:1"
+    assert "stub failure" in str(err)
+    assert eng._array_junctions[1]._rank.tolist() == [0, 1]
+    _, oracle = _failure(_two_route_merge(duration=200.0), fault, arrays=False)
+    assert (oracle.element, oracle.time) == (err.element, err.time)
+
+
+def test_a_cut_above_its_senders_last_cell_names_its_pair():
+    # once both rcs send, link 3's lane group has emptied its last cell
+    # when what rc 5 took from it is taken out: round 1 of the removal
+    def fault(eng):
+        sender, remove_cuts = eng.model_of_link[3], eng._remove_cuts
+
+        def overdrawn():
+            if _sending(eng, "1:1", "3:1"):
+                i, n = sender.groups["3:1"].index, sender._n_slots
+                sender._last[i * n:(i + 1) * n] = [0.0] * n
+            remove_cuts()
+
+        eng._remove_cuts = overdrawn
+
+    eng, err = _failure(_two_route_merge(duration=200.0), fault, arrays=True)
+    assert err.element == "junction 1, rc 5, lane group 3:1"
+    assert ("lane group 3:1: outflow exceeds occupancy for state StateIndex(vtype=0, key=1)"
+            in str(err))
+    assert eng.stats.array_deliveries == 2
+    _, oracle = _failure(_two_route_merge(duration=200.0), fault, arrays=False)
+    assert (oracle.element, str(oracle)) == (err.element, str(err))
+
+
+def _two_merges():
+    """Two copies of `_two_route_merge` in one CTM model, the second's
+    link, rc and route ids 10 higher."""
+    d = _two_route_merge(duration=200.0)
+
+    def moved(x, *keys):
+        return dict(x, **{k: x[k] + 10 for k in keys})
+
+    d["links"] += [moved(x, "id") for x in d["links"]]
+    d["road_connections"] += [moved(x, "id", "up_link", "down_link")
+                              for x in d["road_connections"]]
+    d["routes"] += [{"id": x["id"] + 10, "links": [l + 10 for l in x["links"]]}
+                    for x in d["routes"]]
+    d["demands"] += [moved(x, "link", "route") for x in d["demands"]]
+    d["models"][0]["links"] += [l + 10 for l in d["models"][0]["links"]]
+    return d
+
+
+@pytest.mark.parametrize("routed, named", [
+    # both merges' rank-0 pairs fail: the lower pair index, the first merge's
+    ({(0, 2), (10, 12)}, (0, 1, "1:1")),
+    # the first merge's rank-1 pair and the second's rank-0 pair fail: the
+    # first failing round names the second merge, where pair by pair the
+    # first merge's pair fails first
+    ({(1, 2), (10, 12)}, (1, 11, "11:1")),
+], ids=["same-round", "earlier-round"])
+def test_two_array_junctions_failing_in_one_phase_name_the_first_failing_round(routed, named):
+    d = _two_merges()
+    eng, err = _failure(d, _unroutable(routed), arrays=True)
+    merges = [eng._rc[r].junction for r in (1, 11)]
+    assert merges[0] < merges[1] and eng._array_junctions[merges[0]] is eng._arrays[0]
+    k, r, g = named
+    assert err.element == "junction %s, rc %s, lane group %s" % (merges[k], r, g)
+    _, oracle = _failure(d, _unroutable(routed), arrays=False)
+    assert oracle.time == err.time
+    assert oracle.element == "junction %s, rc %s, lane group %s" % (
+        (merges[0], 1, "1:1") if k == 0 else (merges[0], 5, "3:1"))
+
+
+def test_a_refusal_before_an_unroutable_pair_in_one_round_is_named_first():
+    # in round 0 of the first step both merges send, the first merge's
+    # pair (row 0) is refused in link 2, whose lane plan for route 0 is
+    # dropped, and the second's (row 1) cannot be routed into link 12:
+    # pair by pair the refusal comes first, though routing is compiled for
+    # the whole round before any receipt
+    def fault(eng):
+        eng.routing.routes[0] = Route(0, (0, 1, 2, 3))
+        eng.model_of_link[2].set_routing(eng.routing)
+        _unroutable({(10, 12)})(eng)
+
+    eng, err = _failure(_two_merges(), fault, arrays=True)
+    assert err.element == "junction %s, rc 1, lane group 1:1" % eng._rc[1].junction
+    assert "state StateIndex(vtype=0, key=0) has no slot on link 2" in str(err)
+    _, oracle = _failure(_two_merges(), fault, arrays=False)
+    assert (oracle.element, str(oracle)) == (err.element, str(err))
+
+
 @pytest.mark.parametrize("workload", ["grid_micro", "corridor"])
 def test_no_array_state_without_a_junction_inside_one_ctm_model(workload):
     from conftest import corridor_scenario_dict
@@ -199,11 +322,10 @@ def test_a_pair_of_three_states_is_sized_as_its_packet(tmp_path, monkeypatch):
     offer = ArrayJunctions.offer
 
     def recording(self):
-        closed = offer(self)
+        offer(self)
         for q in np.flatnonzero(self._rank >= 0).tolist():
-            table = self._pair_table[q]
+            table = self.model._group_list[self._pair_g[q]].table
             sized.append((table, self._offered[q, :len(table)].tolist(), self._size[q]))
-        return closed
 
     monkeypatch.setattr(ArrayJunctions, "offer", recording)
     _same_as_pair_by_pair(d, tmp_path)
@@ -236,26 +358,3 @@ def test_exits_beside_an_array_pair_keep_their_request_order(tmp_path, monkeypat
                for phase in requests[False])
     p = eng.place_of[1]
     assert eng.exits[p:p + len(eng.routing.tables[1])].any()
-
-
-def test_an_array_junction_with_one_offered_pair_takes_the_closed_form(tmp_path, monkeypatch):
-    # link 3 sends into the merge only in the second half of the run, so
-    # the merge first has one offered pair, through an rc with one
-    # downstream lane group: the closed form, counted as a 1x1 step
-    d = _routes_into_the_merge(_merge_dict(duration=300.0), [500.0])
-    d["demands"][1]["profile"] = {"start": 0.0, "period": 150.0, "values": [0.0, 400.0]}
-    closed = []
-    offer = ArrayJunctions.offer
-
-    def recording(self):
-        out = offer(self)
-        closed.extend(out)
-        return out
-
-    monkeypatch.setattr(ArrayJunctions, "offer", recording)
-    eng = _same_as_pair_by_pair(d, tmp_path)
-    assert closed and set(closed) == {1}
-    # junction 0 (link 0 -> 1) is 1x1x1 and always in closed form; the
-    # merge's own closed-form steps make up the rest of the count
-    assert eng.stats.junctions_1x1 > len(closed) > 10
-    assert eng.stats.junctions_batched > 10

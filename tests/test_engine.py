@@ -35,6 +35,17 @@ def _merge_dict(**kw):
     return d
 
 
+def _two_route_merge(**kw):
+    """`_merge_dict` with route 1 (3 -> 2) beside route 0 (0 -> 1 -> 2),
+    each with its own source; link 3 is as long as links 0 and 1 together,
+    so both of the merge's rcs first send in the same step."""
+    d = _merge_dict(**kw)
+    d["routes"].append({"id": 1, "links": [3, 2]})
+    d["demands"].append(dict(d["demands"][0], link=3, route=1))
+    d["links"][3]["length"] = 1000.0
+    return d
+
+
 def _run(blocks, duration=400.0, audit=True, **kw):
     d = corridor_scenario_dict(blocks, n_links=4, duration=duration, **kw)
     eng = Engine(parse_scenario(d), audit=audit)
@@ -276,9 +287,8 @@ def test_one_by_one_junctions_skip_the_general_solver(monkeypatch):
     d["routes"].append({"id": 1, "links": [3, 2]})
     d["demands"].append(dict(d["demands"][0], link=3, route=1))
     Engine(parse_scenario(d)).run()
-    # the merge, whenever both of its inputs send
-    assert calls and all(j.rcs == (1, 5) and len(demand) == 2 and min(demand) > 0
-                         for j, demand in calls)
+    # the merge, whenever one of its inputs sends
+    assert calls and all(j.rcs == (1, 5) and len(demand) == 2 for j, demand in calls)
 
 
 def test_the_batch_holds_every_general_junction_and_no_1x1x1_one():
@@ -467,57 +477,63 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
     # one wrapper names the element however the junction is solved, and a
     # cut taken out of its sender after the pass names where it was made.
     # The merge lies within one CTM model, so in the batch it is an array
-    # junction: a failing array step is redone pair by pair, which names
-    # the pair
+    # junction, whose failing step names the pair
     from hybridtraffic.engine import SimulationError
 
     batched = fault.startswith("batched")
     if batched:
-        d = _merge_dict(duration=200.0)
-        d["routes"].append({"id": 1, "links": [3, 2]})
-        d["demands"].append(dict(d["demands"][0], link=3, route=1))
+        d = _two_route_merge(duration=200.0)
     else:
         d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
     eng = Engine(parse_scenario(d))
     assert (1 in eng._array_junctions) == batched
+    array = eng._array_junctions.get(1)
+
+    def both_offered():
+        return array._size.all()
+
     receiver = eng.model_of_link[2]
     if fault == "sizing":
         # a stub receiver on link 2 whose packet size is negative
         receiver.get_packet_size = lambda packet, rc: -1.0
     elif fault == "closed_form_delivery":
         receiver.receive_vehicles = _fails
-    elif fault.endswith("removal"):
-        # link 1's lane group fails to let go of what rc 1 took, in the batch
-        # from its first step there, cut by cut and as an array step
+    elif fault == "closed_form_removal":
+        # link 1's lane group fails to let go of what rc 1 took
         sender = eng.model_of_link[1]
         remove = sender.remove
-        sender.remove = lambda g, rc, p: (
-            _fails() if rc == 1 and (eng.stats.junctions_batched or not batched)
-            else remove(g, rc, p))
-        if batched:
-            array = eng._array_junctions[1]
-            remove_cuts = array.remove
-            array.remove = lambda: _fails() if eng.stats.junctions_batched else remove_cuts()
+        sender.remove = lambda g, rc, p: _fails() if rc == 1 else remove(g, rc, p)
+    elif fault == "batched_removal":
+        # once both rcs send, link 1's lane group has emptied its last cell
+        # when the array step takes out what rc 1 took from it
+        sender, remove_cuts = eng.model_of_link[1], eng._remove_cuts
+
+        def overdrawn():
+            if both_offered():
+                i, n = sender.groups["1:1"].index, sender._n_slots
+                sender._last[i * n:(i + 1) * n] = [0.0] * n
+            remove_cuts()
+
+        eng._remove_cuts = overdrawn
     else:
-        # only the merge enters link 2, and from its first step in the batch
-        # (both of its rcs send) its re-keying into link 2 fails, in the
-        # array step and pair by pair
+        # only the merge enters link 2, and once both of its rcs send its
+        # re-keying into link 2 fails
         row = eng.routing._row
         eng.routing._row = lambda s, link, now: (
-            _fails() if link == 2 and eng.stats.junctions_batched else row(s, link, now))
+            _fails() if link == 2 and both_offered() else row(s, link, now))
     with pytest.raises(SimulationError) as info:
         eng.run()
     err = info.value
     assert err.element == "junction 1, rc 1, lane group 1:1"
     assert err.time is not None and err.time > 0
-    problem = "negative packet size" if fault == "sizing" else "stub failure"
+    problem = {"sizing": "negative packet size",
+               "batched_removal": "outflow exceeds occupancy"}.get(fault, "stub failure")
     assert problem in str(err) and "element=junction 1" in str(err)
     assert eng.stats.junctions_batched == batched
 
 
 @pytest.mark.parametrize("step", ["delivery", "removal"])
-def test_an_array_step_that_fails_where_pair_by_pair_does_not_names_the_model(step):
-    # redone pair by pair, nothing fails: the array step's own error is raised
+def test_an_array_step_failure_tied_to_no_pair_names_the_model(step):
     from hybridtraffic.engine import SimulationError
 
     d = _merge_dict(duration=200.0)

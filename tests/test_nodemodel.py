@@ -124,15 +124,37 @@ def _flow_1x1(p):
     return solve_1x1(p.demand[("g", 0)], p.supply["h"], 0 in p.closed_rcs)
 
 
+def _lone_pair(p, rng):
+    """`p`, a 1x1x1 junction, as the one demanded pair (g, 0) of a larger
+    junction: g also feeds an idle rc 2 into k, and an idle group a feeds
+    rc 1 into h and k."""
+    return NodeProblem(
+        upstream=["a", "g"], rcs=[0, 1, 2], downstream=["h", "k"],
+        down_of_g={"a": [1], "g": [0, 2]},
+        up_of_r={0: ["g"], 1: ["a"], 2: ["g"]},
+        down_of_r={0: ["h"], 1: ["h", "k"], 2: ["k"]},
+        up_of_h={"h": [0, 1], "k": [1, 2]},
+        demand=dict(p.demand),
+        supply={"h": p.supply["h"], "k": float(rng.uniform(0.0, 12.0))},
+        access={(0, "h"): p.access[(0, "h")], (1, "h"): 0.5, (1, "k"): 0.5, (2, "k"): 1.0},
+        closed_rcs=p.closed_rcs | {r for r in (1, 2) if rng.random() < 0.2},
+    )
+
+
 def test_closed_form_1x1_is_bitwise_solve_on_fuzzed_junctions():
+    # each draw alone, and as the one demanded pair of a larger junction
+    # beside idle pairs, rcs and downstream groups, as an engine batches a
+    # junction with one offered pair through an rc with one downstream
+    # lane group
     from junction_fuzz import random_siso
 
     rng = np.random.default_rng(7)
     problems = [random_siso(rng) for _ in range(20000)]
+    lone = [_lone_pair(p, rng) for p in problems]
     moved = 0
-    for p, sol in zip(problems, solve_all(problems)[0]):
+    for p, sol, among in zip(problems, solve_all(problems)[0], solve_all(lone)[0]):
         expected = sol.flow_gr[("g", 0)]
-        assert _flow_1x1(p).hex() == expected.hex(), p
+        assert _flow_1x1(p).hex() == expected.hex() == among.flow_gr[("g", 0)].hex(), p
         moved += expected > EPS
     assert moved > 10000  # most draws do move flow
 
