@@ -210,7 +210,8 @@ class ArrayJunctions:
         self._size = _row_sums(off)  # `FluxPacket.size`, summed left to right
         on = self._size > 0
         seen = np.cumsum(on)
-        self._rank = np.where(on, seen - 1 - (seen[first] - on[first]), -1)
+        before = seen[first] - on[first]  # offered pairs of the junctions before
+        self._rank = np.where(on, seen - 1 - before, -1)
         self.batched = int(np.count_nonzero(self._rank == 0))
 
     def open(self, demand: np.ndarray, supply: np.ndarray):

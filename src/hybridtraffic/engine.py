@@ -28,7 +28,7 @@ from .packets import (
 )
 
 TIME_TOL = 1e-6
-PAIR = "junction %s, rc %s, lane group %s"  # where a junction pair fails
+_PAIR = "junction %s, rc %s, lane group %s"  # where a junction pair fails
 
 
 class SimulationError(RuntimeError):
@@ -372,7 +372,7 @@ class Engine:
                 if i in junction_offers:
                     raise ProtocolError("more than one request per lane group and rc")
             except Exception as exc:
-                raise SimulationError(exc, element=PAIR % (conn.junction, r, g)) from exc
+                raise SimulationError(exc, element=_PAIR % (conn.junction, r, g)) from exc
             junction_offers[i] = (m, req.packet, size)
         for array in self._arrays:
             if id(array.model) in due_ids:
@@ -457,7 +457,7 @@ class Engine:
         try:
             return step(*args)
         except PairError as exc:
-            raise SimulationError(exc.__cause__, element=PAIR % exc.args) from exc.__cause__
+            raise SimulationError(exc.__cause__, element=_PAIR % exc.args) from exc.__cause__
         except Exception as exc:
             raise SimulationError(exc, element=self._name(array.model)) from exc
 
@@ -479,7 +479,7 @@ class Engine:
                         self._deliver(t, sender, g, conn, packet, size, delta, caps or [
                             conn.receiver.lane_group_supply(h) for h in conn.groups])
                 except Exception as exc:
-                    raise SimulationError(exc, element=PAIR % (junction.id, r, g)) from exc
+                    raise SimulationError(exc, element=_PAIR % (junction.id, r, g)) from exc
 
     # --- delivery --------------------------------------------------------
 
@@ -528,7 +528,7 @@ class Engine:
                 sender.remove(g, r, packet)
             except Exception as exc:
                 where = ("lane group %s (exit)" % g if r is None else
-                         PAIR % (self._rc[r].junction, r, g))
+                         _PAIR % (self._rc[r].junction, r, g))
                 raise SimulationError(exc, element=where) from exc
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
