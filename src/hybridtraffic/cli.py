@@ -42,8 +42,8 @@ def main(argv=None) -> int:
                        help="override output period, s")
     p_run.add_argument("--audit", action="store_true",
                        help="check vehicle conservation on every link, CTM "
-                            "occupancies and boundary residues after each step; "
-                            "exit 1 if a check fails")
+                            "occupancies, Newell lanes and boundary residues "
+                            "after each step; exit 1 if a check fails")
 
     p_val = sub.add_parser("validate", help="check a scenario file and report problems")
     p_val.add_argument("scenario", help="scenario file (or bundled scenario name)")

@@ -1,5 +1,14 @@
-"""Discrete-time Newell car-following model, one single-file vehicle lane
-per lane group, with stochastic per-step parameter draws."""
+"""Discrete-time Newell car-following model (Newell, TR-B 36(3), 2002), one
+single-file vehicle lane per lane group, with stochastic per-step parameter
+draws.
+
+Each lane keeps its cars as parallel Python lists, index 0 downstream-most:
+the vehicles, their positions, last advances and target road connections,
+and the tentative positions of the last demand pass, with a count of the
+fresh cars at the tail and of the exit candidates at the head. A step of the
+bundled corridors has about three busy lanes of 25 cars, where a numpy call
+costs more than the Python loop, so only the demand pass goes through numpy,
+once per step over every busy lane together."""
 
 from __future__ import annotations
 
@@ -17,42 +26,55 @@ GAP_EPS = 1e-3  # m, strict no-collision margin
 
 
 @dataclass
-class _Car:
-    vehicle: Vehicle
-    x: float  # m from the link's upstream end
-    # road connection toward the vehicle's next link (None: exits the
-    # network), resolved once when the car is placed in its lane
-    target_rc: int | None
-    tentative: float = 0.0
-    exiting: bool = False
-    last_advance: float = 0.0
-    fresh: bool = False  # entered this step, moves within the same update
-
-
-@dataclass
 class _Lane(VehicleStore):
     num_lanes: int
     jam_spacing: float  # m per vehicle at jam, single file
     means: tuple[float, float, float] = (0.0, 0.0, 0.0)  # dv, dw, df per step
-    cars: list[_Car] = field(default_factory=list)  # index 0 = downstream-most
+    # one entry per placed car, index 0 = downstream-most
+    veh: list[Vehicle] = field(default_factory=list)
+    x: list[float] = field(default_factory=list)  # m from the upstream end
+    adv: list[float] = field(default_factory=list)  # last advance, m
+    # road connection toward the car's next link (None: exits the network),
+    # resolved once when the car is placed in its lane
+    rc: list[int | None] = field(default_factory=list)
+    tent: list[float] = field(default_factory=list)  # tentative position
+    # the last n_fresh cars entered this step and move within the same
+    # update; the first n_exit reached the lane end in the demand pass
+    n_fresh: int = 0
+    n_exit: int = 0
 
     def upstream_gap(self) -> float:
-        return self.length if not self.cars else self.cars[-1].x
+        return self.x[-1] if self.x else self.length
 
     def placed(self):
-        return [c.vehicle for c in self.cars]
+        return self.veh[:]
 
     def n_placed(self) -> int:
-        return len(self.cars)
+        return len(self.veh)
 
     def has_room(self) -> bool:
         return self.upstream_gap() >= self.jam_spacing - 1e-9
 
     def release(self, ids):
-        kept = [c for c in self.cars if c.vehicle.id not in ids]
-        found = len(self.cars) - len(kept)
-        self.cars = kept
-        return found
+        n, veh = len(self.veh), self.veh
+        k = 0
+        while k < n and veh[k].id in ids:
+            k += 1
+        if k == len(ids):
+            # the released cars lead the lane
+            del veh[:k], self.x[:k], self.adv[:k], self.rc[:k], self.tent[:k]
+            self.n_exit = max(0, self.n_exit - k)
+            self.n_fresh = min(self.n_fresh, n - k)
+            return k
+        kept = [i for i in range(n) if veh[i].id not in ids]
+        self.veh = [veh[i] for i in kept]
+        self.x = [self.x[i] for i in kept]
+        self.adv = [self.adv[i] for i in kept]
+        self.rc = [self.rc[i] for i in kept]
+        self.tent = [self.tent[i] for i in kept]
+        self.n_exit = sum(i < self.n_exit for i in kept)
+        self.n_fresh = sum(i >= n - self.n_fresh for i in kept)
+        return n - len(kept)
 
 
 class NewellModel(VehicleModel):
@@ -116,18 +138,20 @@ class NewellModel(VehicleModel):
         exactly the slots still unfilled. The stream is thus read as one
         scalar `rng.normal(mean, sigma)` per term, redrawn while negative,
         would read it, and `mean + sigma * z` is the value that call gives."""
-        out = np.repeat([lane.means for lane in lanes],
-                        [len(lane.cars) for lane in lanes], axis=0)
+        out = np.repeat(np.array([lane.means for lane in lanes]),
+                        [len(lane.x) for lane in lanes], axis=0)
         sigma = (self.sigma_v, self.sigma_w, self.sigma_f)
         noisy = [j for j in range(3) if sigma[j] > 0]
         if not noisy:
             return out
-        mu = out[:, noisy].ravel()
-        s = np.tile([sigma[j] for j in noisy], len(out))
+        # (cars, noisy terms), so the slots run car by car
+        mu = out if len(noisy) == 3 else out[:, noisy]
+        s = [sigma[j] for j in noisy]
         z = rng.normal(0.0, 1.0, mu.size)
-        x = mu + s * z
+        x = mu + np.array(s) * z.reshape(mu.shape)
         if (x < 0).any():
-            x, mu, s, z = x.tolist(), mu.tolist(), s.tolist(), z.tolist()
+            x, mu, z = x.ravel().tolist(), mu.ravel().tolist(), z.tolist()
+            s = s * len(out)
             slot = pos = next(i for i, v in enumerate(x) if v < 0)
             while slot < len(x):
                 if pos == len(z):
@@ -137,50 +161,50 @@ class NewellModel(VehicleModel):
                 if v >= 0:
                     x[slot] = v
                     slot += 1
-        out[:, noisy] = np.reshape(x, (len(out), len(noisy)))
+            x = np.reshape(x, (len(out), len(noisy)))
+        if len(noisy) == 3:
+            return x
+        out[:, noisy] = x
         return out
 
     # --- protocol ------------------------------------------------------
 
     def compute_demands(self, now, rng) -> list[DemandRequest]:
-        busy = [(gid, self.groups[gid]) for gid in self.group_ids if self.groups[gid].cars]
+        busy = [(gid, self.groups[gid]) for gid in self.group_ids if self.groups[gid].x]
         if not busy:
             return []
-        lanes = [lane for _, lane in busy]
-        dv, dw, df = self._draws(lanes, rng).T
-        cars = [car for lane in lanes for car in lane.cars]
-        x = np.array([car.x for car in cars])
+        dv, dw, df = self._draws([lane for _, lane in busy], rng).T
         # the gap ahead: to the next car, or for a lane's leader to the end
         # of its lane plus the downstream tail's distance
+        xs, leads, lead_h = [], [], []
+        for _, lane in busy:
+            rc = lane.rc[0]
+            eta = BIG_HEADWAY if rc is None else self.headway_query(rc)
+            leads.append(len(xs))
+            lead_h.append((lane.length - lane.x[0]) + eta)
+            xs += lane.x
+        x = np.array(xs)
         h = np.empty_like(x)
         h[1:] = x[:-1] - x[1:]
-        end = np.empty_like(x)
-        k = 0
-        for lane in lanes:
-            lead = lane.cars[0]
-            if lead.target_rc is None:
-                eta = BIG_HEADWAY
-            else:
-                eta = self.headway_query(lead.target_rc)
-            h[k] = (lane.length - lead.x) + eta
-            end[k:k + len(lane.cars)] = lane.length - 1e-9
-            k += len(lane.cars)
+        h[leads] = lead_h
         # max(0, min(dv, h - dw, h * df)) per car, the same float operations
-        tentative = x + np.maximum(0.0, np.minimum(np.minimum(dv, h - dw), h * df))
-        for car, t, e in zip(cars, tentative.tolist(), (tentative >= end).tolist()):
-            car.tentative = t
-            car.exiting = e
+        tentative = (x + np.maximum(0.0, np.minimum(np.minimum(dv, h - dw), h * df))).tolist()
         reqs: list[DemandRequest] = []
-        for gid, lane in busy:
+        for (gid, lane), k in zip(busy, leads):
+            t = lane.tent = tentative[k:k + len(lane.x)]
+            end = lane.length - 1e-9
             # exit candidates are a prefix of the FIFO order
             by_rc: dict[object, list[Vehicle]] = {}
-            for car in lane.cars:
-                if not car.exiting:
-                    break
+            i = 0
+            while i < len(t) and t[i] >= end:
                 # the overshoot it carries if let through, for the next link to
                 # grant (keeps mean speed exact); set before a receiver places it
-                car.vehicle.ext = max(0.0, car.tentative - lane.length)
-                by_rc.setdefault(car.target_rc, []).append(car.vehicle)
+                over = t[i] - lane.length
+                v = lane.veh[i]
+                v.ext = over if over > 0.0 else 0.0
+                by_rc.setdefault(lane.rc[i], []).append(v)
+                i += 1
+            lane.n_exit = i
             if by_rc:
                 reqs += self.vehicle_requests(gid, by_rc)
         return reqs
@@ -196,37 +220,59 @@ class NewellModel(VehicleModel):
         return max(gids, key=lambda g: (self.groups[g].upstream_gap(), g))
 
     def _place(self, gid, lane, v, now, fresh):
-        lane.cars.append(_Car(v, 0.0, self.rc_toward(gid, lane.link, v.state), fresh=fresh))
+        lane.veh.append(v)
+        lane.x.append(0.0)
+        lane.adv.append(0.0)
+        lane.rc.append(self.rc_toward(gid, lane.link, v.state))
+        lane.tent.append(0.0)
+        if fresh:
+            lane.n_fresh += 1
 
     def advance_state(self, now, rng):
+        # The comparisons keep the rule of Python's min and max: the first
+        # argument unless a later one is strictly smaller (larger)
         for gid in self.group_ids:
             lane = self.groups[gid]
-            dv_mean, dw_mean, df_mean = lane.means
-            prev_x = None
-            for car in lane.cars:
-                if car.fresh:
+            xs, adv, tent = lane.x, lane.adv, lane.tent
+            n_exit, length = lane.n_exit, lane.length
+            fresh_from = len(xs) - lane.n_fresh
+            prev = math.inf  # nothing ahead holds the leader
+            for i in range(len(xs)):
+                x = xs[i]
+                if i < fresh_from:
+                    new = tent[i]
+                else:
                     # entered at the upstream boundary during this step: grant
                     # the overshoot carried from the previous link (or half a
                     # mean step when unknown, e.g. arriving from a queue or a
                     # source), constrained against the already-moved leader
-                    carried = car.vehicle.ext
-                    if not isinstance(carried, float):
-                        carried = 0.5 * dv_mean
-                    car.vehicle.ext = None
-                    h = (prev_x - car.x) if prev_x is not None else BIG_HEADWAY
-                    adv = max(0.0, min(carried, h - dw_mean, h * df_mean))
-                    car.tentative = min(car.x + adv, lane.length - 2 * GAP_EPS)
-                    car.fresh = False
-                new_x = car.tentative
-                if car.exiting:
-                    new_x = lane.length  # rejected at the boundary: park
-                if prev_x is not None:
-                    new_x = min(new_x, prev_x - GAP_EPS)
-                new_x = max(new_x, car.x)  # motion is monotone
-                car.last_advance = new_x - car.x
-                car.x = new_x
-                car.exiting = False
-                prev_x = new_x
+                    dv_mean, dw_mean, df_mean = lane.means
+                    v = lane.veh[i]
+                    a = v.ext
+                    if not isinstance(a, float):
+                        a = 0.5 * dv_mean
+                    v.ext = None
+                    h = prev - x if i else BIG_HEADWAY
+                    # max(0, min(a, h - dw, h * df)), short of the lane end
+                    if h - dw_mean < a:
+                        a = h - dw_mean
+                    if h * df_mean < a:
+                        a = h * df_mean
+                    if not a > 0.0:
+                        a = 0.0
+                    new = x + a
+                    if length - 2 * GAP_EPS < new:
+                        new = length - 2 * GAP_EPS
+                    tent[i] = new
+                if i < n_exit:
+                    new = length  # rejected at the boundary, fresh or not: park
+                if prev - GAP_EPS < new:
+                    new = prev - GAP_EPS
+                if x > new:
+                    new = x  # motion is monotone
+                adv[i] = new - x
+                xs[i] = prev = new
+            lane.n_fresh = lane.n_exit = 0
         self._admit(now)
 
     # --- queries -------------------------------------------------------
@@ -236,15 +282,41 @@ class NewellModel(VehicleModel):
 
     def mean_speed_kmh(self, group_id: str) -> float:
         lane = self.groups[group_id]
-        if not lane.cars:
+        if not lane.adv:
             return self.speed_limit_eff[lane.link]
-        mean_adv = sum(c.last_advance for c in lane.cars) / len(lane.cars)
-        return mean_adv / self.dt * 3.6
+        return sum(lane.adv) / len(lane.adv) / self.dt * 3.6
 
     def _placed_positions(self, lane, now):
-        return [(c.vehicle, c.x, c.last_advance / self.dt * 3.6) for c in lane.cars]
+        return [(v, x, a / self.dt * 3.6) for v, x, a in zip(lane.veh, lane.x, lane.adv)]
 
     def vehicle_positions(self, link_id: int):
         """(vehicle, group_id, position_m, speed_kmh) for trajectory output."""
-        return [(v, gid, x, speed) for gid in self.net.link_groups[link_id]
-                for v, x, speed in self.positions(self.groups[gid], 0.0)]
+        out = []
+        for gid in self.net.link_groups[link_id]:
+            lane = self.groups[gid]
+            out += [(v, gid, x, a / self.dt * 3.6)
+                    for v, x, a in zip(lane.veh, lane.x, lane.adv)]
+            out += [(v, gid, 0.0, 0.0) for v in lane.buffer]
+        return out
+
+    def audit_failures(self) -> list[str]:
+        out = []
+        for gid in self.group_ids:
+            lane = self.groups[gid]
+            sizes = [len(lane.veh), len(lane.x), len(lane.adv), len(lane.rc), len(lane.tent)]
+            n = sizes[0]
+            if sizes.count(n) != len(sizes):
+                out.append("lane group %s: car lists of lengths %s" % (gid, sizes))
+                continue
+            if lane.n_fresh > n:
+                out.append("lane group %s: %d fresh cars of %d" % (gid, lane.n_fresh, n))
+            ahead = lane.length
+            for v, x in zip(lane.veh, lane.x):
+                if not 0.0 <= x <= lane.length:
+                    out.append("lane group %s: vehicle %s at %r m, outside [0, %r]"
+                               % (gid, v.id, x, lane.length))
+                elif x > ahead:
+                    out.append("lane group %s: vehicle %s at %r m, ahead of the car in front at %r"
+                               % (gid, v.id, x, ahead))
+                ahead = x
+        return out

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_newell
 from conftest import corridor_network, corridor_scenario_dict, packet_of, std_params
+from hybridtraffic.cli import main as cli_main
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.engine import Engine
-from hybridtraffic.models.newell import NewellModel, _Car
+from hybridtraffic.models.newell import NewellModel
 from hybridtraffic.network import Link, Network, RoadConnection
 from hybridtraffic.packets import StateIndex, Vehicle
 from hybridtraffic.scenario import parse_scenario
@@ -37,15 +39,21 @@ def _vehs(n, start=0):
     return [Vehicle(id=start + i, state=S, created=0.0) for i in range(n)]
 
 
-def _place(m, gid, positions, start=0):
-    # downstream-most first; bypasses the entry buffer used by receive, so
-    # the road connection is resolved here as the model resolves it
+def _seed(m, gid, vehicles, positions):
+    # the lane group's cars, downstream-most first, none fresh or exiting;
+    # bypasses the entry buffer used by receive, so the road connection is
+    # resolved here as the model resolves it
     lane = m.groups[gid]
-    lane.cars = [
-        _Car(Vehicle(id=start + i, state=S, created=0.0), x,
-             m.rc_toward(gid, lane.link, S))
-        for i, x in enumerate(positions)
-    ]
+    lane.veh = list(vehicles)
+    lane.x = list(positions)
+    lane.adv = [0.0] * len(vehicles)
+    lane.rc = [m.rc_toward(gid, lane.link, v.state) for v in vehicles]
+    lane.tent = [0.0] * len(vehicles)
+    lane.n_fresh = lane.n_exit = 0
+
+
+def _place(m, gid, positions, start=0):
+    _seed(m, gid, _vehs(len(positions), start), positions)
 
 
 def test_jam_spacing_and_supply():
@@ -59,10 +67,10 @@ def test_free_car_advances_at_speed_limit(rng):
     m = _model(dt=2.0)
     m.receive_vehicles(0, _vehs(1), now=0.0)
     m.advance_state(0.0, rng)  # fresh car moves within its entry step
-    x0 = m.groups["0:1"].cars[0].x
+    x0 = m.groups["0:1"].x[0]
     m.compute_demands(2.0, rng)
     m.advance_state(2.0, rng)
-    x1 = m.groups["0:1"].cars[0].x
+    x1 = m.groups["0:1"].x[0]
     assert x1 - x0 == pytest.approx(100.0 / 3.6 * 2.0, abs=1e-9)
 
 
@@ -74,7 +82,7 @@ def test_follower_respects_wave_gap(rng):
     m.compute_demands(0.0, rng)
     # h = 10, delta_w = w*dt = 6.17 m -> advance h - dw = 3.83 m
     dw = std_params().congestion_wave_speed / 3.6 * 2.0
-    assert lane.cars[1].tentative - 390.0 == pytest.approx(10.0 - dw, abs=1e-6)
+    assert lane.tent[1] - 390.0 == pytest.approx(10.0 - dw, abs=1e-6)
 
 
 def test_capacity_term_caps_flow(rng):
@@ -96,7 +104,7 @@ def test_capacity_term_caps_flow(rng):
     m.compute_demands(0.0, rng)
     df = 1000.0 / 3600.0 * 0.5
     expect = min(100.0 / 3.6 * 0.5, 50.0 - lane.means[1], 50.0 * df)
-    assert lane.cars[1].tentative - 250.0 == pytest.approx(expect, abs=1e-9)
+    assert lane.tent[1] - 250.0 == pytest.approx(expect, abs=1e-9)
 
 
 def test_exit_demand_is_fifo_prefix(rng):
@@ -112,10 +120,10 @@ def test_rejected_exiter_parks_at_boundary(rng):
     m = _model(dt=2.0)
     lane = m.groups["0:1"]
     m.receive_vehicles(0, _vehs(1), now=0.0)
-    lane.cars[0].x = 499.0
+    lane.x[0] = 499.0
     m.compute_demands(0.0, rng)
     m.advance_state(0.0, rng)  # nothing removed: rejected at the boundary
-    assert lane.cars[0].x == pytest.approx(500.0)
+    assert lane.x[0] == pytest.approx(500.0)
     reqs = m.compute_demands(2.0, rng)
     assert reqs and reqs[0].packet.size == 1
 
@@ -132,7 +140,7 @@ def test_no_collisions_under_noise():
         for req in m.compute_demands(k * 2.0, rng):
             m.remove(req.group_id, None, req.packet)
         m.advance_state(k * 2.0, rng)
-        xs = [c.x for c in lane.cars]
+        xs = lane.x
         assert all(a > b for a, b in zip(xs, xs[1:])), "ordering lost at step %d" % k
 
 
@@ -170,8 +178,8 @@ def _stepped_pair(n_links, lanes, dt, sigmas, limits, cars, eta, seed):
 
 def _assert_same_step(pair):
     def cars(m):
-        return [(c.vehicle.id, c.tentative.hex(), c.exiting, c.target_rc)
-                for gid in m.group_ids for c in m.groups[gid].cars]
+        return [(lane.veh[i].id, lane.tent[i].hex(), i < lane.n_exit, lane.rc[i])
+                for lane in map(m.groups.get, m.group_ids) for i in range(len(lane.x))]
 
     def requests(reqs):
         return [(r.group_id, r.rc, [v.id for v in r.packet.all_vehicles()])
@@ -227,6 +235,116 @@ def test_no_draws_without_noise():
     assert pair[0][2].sizes == []
 
 
+# --- the list step against the scalar per-car loop ----------------------
+
+
+def _carrying(exts, start):
+    """Vehicles arriving with these carried overshoots (None: unknown)."""
+    return [Vehicle(id=start + i, state=S, created=0.0, ext=e) for i, e in enumerate(exts)]
+
+
+def _advanced_pair(n_links, length, dt, sigmas, cars, before, after, keep, seed):
+    """One step on twin models, one stepped by the model and one by the
+    scalar oracle: fresh cars placed before the demand pass, as a source
+    places them; the demand pass; a random subset of each lane's cars
+    released (an exit candidate with probability 1/2, any other car with
+    1/8, so a release need not lead the lane; none when `keep` is None);
+    fresh cars placed, as a junction places them; and the advance. Returns
+    both models, their requests and both generators."""
+    out = []
+    for demands, advance in (
+            (NewellModel.compute_demands, NewellModel.advance_state),
+            (reference_newell.compute_demands, reference_newell.advance_state)):
+        m = _model(n_links, length=length, dt=dt, **sigmas)
+        m.headway_query = lambda rc: 5.0 * rc
+        for lid, fs in enumerate(cars):
+            _place(m, "%d:1" % lid, sorted((f * length for f in fs), reverse=True),
+                   start=100 * lid)
+        for lid, exts in enumerate(before):
+            m.receive_vehicles(lid, _carrying(exts, 1000 + 100 * lid), 0.0)
+        rng = np.random.default_rng(seed)
+        reqs = demands(m, 0.0, rng)
+        if keep is not None:
+            pick = np.random.default_rng(keep)
+            for gid in m.group_ids:
+                lane = m.groups[gid]
+                vs = [v for i, v in enumerate(lane.veh)
+                      if pick.random() < (0.5 if i < lane.n_exit else 0.125)]
+                if vs:
+                    m.remove(gid, None, packet_of(vs))
+        for lid, exts in enumerate(after):
+            m.receive_vehicles(lid, _carrying(exts, 2000 + 100 * lid), 0.0)
+        advance(m, 2.0, rng)
+        out.append((m, [[v.id for v in r.packet.all_vehicles()] for r in reqs], rng))
+    return out
+
+
+def _assert_same_lanes(pair):
+    def lanes(m):
+        return [([v.id for v in g.veh], [x.hex() for x in g.x], [a.hex() for a in g.adv],
+                 [t.hex() for t in g.tent], g.rc, g.n_fresh, g.n_exit,
+                 [repr(v.ext) for v in g.veh], [v.id for v in g.buffer], g.cum_out)
+                for g in map(m.groups.get, m.group_ids)]
+
+    (m, reqs, rng), (ref, ref_reqs, ref_rng) = pair
+    assert lanes(m) == lanes(ref)
+    assert reqs == ref_reqs
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+EXTS = st.lists(st.one_of(st.none(), st.floats(0.0, 60.0)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from([50.0, 500.0]),
+        st.sampled_from([0.5, 2.0]),
+        st.fixed_dictionaries({"sigma_v": SIGMA, "sigma_w": SIGMA, "sigma_f": SIGMA}),
+        st.lists(st.lists(st.floats(0.0, 1.0), max_size=6, unique=True),
+                 min_size=n, max_size=n),
+        st.lists(EXTS, min_size=n, max_size=n),
+        st.lists(EXTS, min_size=n, max_size=n),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+    ))
+)
+def test_list_step_matches_scalar_oracle(case):
+    # a 50 m lane at dt 2 is shorter than one free step, so a newcomer placed
+    # before the demand pass is an exit candidate; kept back, it parks
+    _assert_same_lanes(_advanced_pair(*case))
+
+
+def test_a_newcomer_seen_exiting_and_kept_back_parks_at_the_lane_end():
+    # placed before the demand pass into an empty 50 m lane, one free step
+    # (55.6 m) takes it past the end; nothing is let through
+    pair = _advanced_pair(1, 50.0, 2.0, {}, [[]], [[None, 3.0]], [[]], keep=None, seed=0)
+    _assert_same_lanes(pair)
+    m, reqs, _ = pair[0]
+    lane = m.groups["0:1"]
+    assert reqs == [[1000]]
+    # it parks at the end, and the buffered one is admitted behind it
+    assert [v.id for v in lane.veh] == [1000, 1001] and not lane.buffer
+    assert lane.x == [50.0, 0.0] and lane.adv == [50.0, 0.0]
+
+
+def test_a_release_that_is_not_a_prefix_keeps_the_rest_in_order(rng):
+    m = _model(dt=2.0)
+    lane = m.groups["0:1"]
+    _place(m, "0:1", [499.0, 300.0, 200.0, 100.0])
+    reqs = m.compute_demands(0.0, rng)
+    assert [v.id for v in reqs[0].packet.all_vehicles()] == [0]
+    assert lane.n_exit == 1
+    m.receive_vehicles(0, _vehs(1, start=9), 0.0)  # fresh, at the tail
+    m.remove("0:1", None, packet_of([lane.veh[0], lane.veh[2]]))
+    assert [v.id for v in lane.veh] == [1, 3, 9]
+    assert [lane.x, lane.n_exit, lane.n_fresh] == [[300.0, 100.0, 0.0], 0, 1]
+    assert [len(lane.adv), len(lane.rc), len(lane.tent)] == [3, 3, 3]
+    m.advance_state(0.0, rng)
+    assert lane.x[0] > 300.0 and lane.x[2] > 0.0 and m.audit_failures() == []
+
+
 # --- variable speed limits reach the cached means -----------------------
 
 
@@ -236,7 +354,7 @@ def _free_advance(m, rng):
     _place(m, "0:1", [100.0])
     m.compute_demands(0.0, rng)
     m.advance_state(0.0, rng)
-    return lane.cars[0].x - 100.0
+    return lane.x[0] - 100.0
 
 
 def test_set_speed_limit_sets_the_free_advance(rng):
@@ -260,7 +378,7 @@ def test_buffer_counts_against_supply(rng):
     m = _model()
     m.receive_vehicles(0, _vehs(3), now=0.0)
     lane = m.groups["0:1"]
-    assert len(lane.cars) == 1 and len(lane.buffer) == 2
+    assert len(lane.x) == 1 and len(lane.buffer) == 2
     assert m.lane_group_supply("0:1") == 0.0
 
 
@@ -304,14 +422,10 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
     vid = 0
     for lid in (0, 1):
         # evenly spaced, downstream-most first, tagged with the next link
-        lane = m.groups["%d:1" % lid]
         k = per_link[lid]
         state = StateIndex(1, 1 - lid)
-        lane.cars = [
-            _Car(Vehicle(vid + j, state, 0.0), length - (j + 0.5) * length / k,
-                 m.rc_toward("%d:1" % lid, lid, state))
-            for j in range(k)
-        ] if k else []
+        _seed(m, "%d:1" % lid, [Vehicle(vid + j, state, 0.0) for j in range(k)],
+              [length - (j + 0.5) * length / k for j in range(k)])
         vid += k
     rng = np.random.default_rng(seed)
     crossings = 0
@@ -348,3 +462,50 @@ def test_ring_fd_matches_triangle(rho):
     q = ring_flow(rho, steps=600)
     expect = triangular_flow(rho)
     assert q == pytest.approx(expect, rel=0.02), "rho=%s: %s vs %s" % (rho, q, expect)
+
+
+# --- the audit hook -----------------------------------------------------
+
+
+def _swap(lane):
+    lane.x[0], lane.x[1] = lane.x[1], lane.x[0]
+    return "ahead of the car in front"
+
+
+def _nan(lane):
+    lane.x[-1] = math.nan
+    return "at nan m, outside [0, 500.0]"
+
+
+def _short(lane):
+    lane.tent.pop()
+    n = len(lane.veh)
+    return "car lists of lengths %s" % [n, n, n, n, n - 1]
+
+
+def _fresh(lane):
+    lane.n_fresh = len(lane.x) + 1
+    return "%d fresh cars of %d" % (lane.n_fresh, len(lane.x))
+
+
+@pytest.mark.parametrize("corrupt", [_swap, _nan, _short, _fresh])
+def test_run_audit_names_a_corrupted_lane(corrupt, tmp_path, capsys, monkeypatch):
+    # the lane is corrupted after the last advance, where the audit reads it
+    d = corridor_scenario_dict([("newell", [0, 1])], n_links=2, duration=100.0)
+    advance = NewellModel.advance_state
+    expected = []
+
+    def advance_and_corrupt(self, now, rng):
+        advance(self, now, rng)
+        if now == 100.0:
+            expected.append(corrupt(self.groups["0:1"]))
+
+    monkeypatch.setattr(NewellModel, "advance_state", advance_and_corrupt)
+    p = tmp_path / "s.yaml"
+    p.write_text(yaml.safe_dump(d))
+    assert cli_main(["run", str(p), "--audit", "--out-dt", "1000",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: audit found 1 failure(s), the first:"
+    assert err[1].startswith("  t=100.000 lane group 0:1: ")
+    assert expected[0] in err[1]
