@@ -56,25 +56,13 @@ class _Lane(VehicleStore):
         return self.upstream_gap() >= self.jam_spacing - 1e-9
 
     def release(self, ids):
-        n, veh = len(self.veh), self.veh
-        k = 0
-        while k < n and veh[k].id in ids:
-            k += 1
-        if k == len(ids):
-            # the released cars lead the lane
-            del veh[:k], self.x[:k], self.adv[:k], self.rc[:k], self.tent[:k]
-            self.n_exit = max(0, self.n_exit - k)
-            self.n_fresh = min(self.n_fresh, n - k)
-            return k
-        kept = [i for i in range(n) if veh[i].id not in ids]
-        self.veh = [veh[i] for i in kept]
-        self.x = [self.x[i] for i in kept]
-        self.adv = [self.adv[i] for i in kept]
-        self.rc = [self.rc[i] for i in kept]
-        self.tent = [self.tent[i] for i in kept]
-        self.n_exit = sum(i < self.n_exit for i in kept)
-        self.n_fresh = sum(i >= n - self.n_fresh for i in kept)
-        return n - len(kept)
+        n = len(self.veh)
+        gone = [i for i, v in enumerate(self.veh) if v.id in ids]
+        for i in reversed(gone):
+            del self.veh[i], self.x[i], self.adv[i], self.rc[i], self.tent[i]
+        self.n_exit -= sum(i < self.n_exit for i in gone)
+        self.n_fresh -= sum(i >= n - self.n_fresh for i in gone)
+        return len(gone)
 
 
 class NewellModel(VehicleModel):
@@ -145,7 +133,7 @@ class NewellModel(VehicleModel):
         if not noisy:
             return out
         # (cars, noisy terms), so the slots run car by car
-        mu = out if len(noisy) == 3 else out[:, noisy]
+        mu = out[:, noisy]
         s = [sigma[j] for j in noisy]
         z = rng.normal(0.0, 1.0, mu.size)
         x = mu + np.array(s) * z.reshape(mu.shape)
@@ -162,8 +150,6 @@ class NewellModel(VehicleModel):
                     x[slot] = v
                     slot += 1
             x = np.reshape(x, (len(out), len(noisy)))
-        if len(noisy) == 3:
-            return x
         out[:, noisy] = x
         return out
 
@@ -291,13 +277,8 @@ class NewellModel(VehicleModel):
 
     def vehicle_positions(self, link_id: int):
         """(vehicle, group_id, position_m, speed_kmh) for trajectory output."""
-        out = []
-        for gid in self.net.link_groups[link_id]:
-            lane = self.groups[gid]
-            out += [(v, gid, x, a / self.dt * 3.6)
-                    for v, x, a in zip(lane.veh, lane.x, lane.adv)]
-            out += [(v, gid, 0.0, 0.0) for v in lane.buffer]
-        return out
+        return [(v, gid, x, speed) for gid in self.net.link_groups[link_id]
+                for v, x, speed in self.positions(self.groups[gid], 0.0)]
 
     def audit_failures(self) -> list[str]:
         out = []

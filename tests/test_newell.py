@@ -268,10 +268,17 @@ def _advanced_pair(n_links, length, dt, sigmas, cars, before, after, keep, seed)
             pick = np.random.default_rng(keep)
             for gid in m.group_ids:
                 lane = m.groups[gid]
-                vs = [v for i, v in enumerate(lane.veh)
-                      if pick.random() < (0.5 if i < lane.n_exit else 0.125)]
+                n = len(lane.veh)
+                gone = [pick.random() < (0.5 if i < lane.n_exit else 0.125)
+                        for i in range(n)]
+                vs = [v for v, g in zip(lane.veh, gone) if g]
+                # the counts a release must leave: the kept exit candidates
+                # at the head and the kept fresh cars at the tail
+                n_exit = gone[:lane.n_exit].count(False)
+                n_fresh = gone[n - lane.n_fresh:].count(False) if lane.n_fresh else 0
                 if vs:
                     m.remove(gid, None, packet_of(vs))
+                assert (lane.n_exit, lane.n_fresh) == (n_exit, n_fresh)
         for lid, exts in enumerate(after):
             m.receive_vehicles(lid, _carrying(exts, 2000 + 100 * lid), 0.0)
         advance(m, 2.0, rng)
