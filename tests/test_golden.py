@@ -1,4 +1,4 @@
-"""Golden outputs: the four bundled scenarios, shortened to 600 s and run with
+"""Golden outputs: the six bundled scenarios, shortened to 600 s and run with
 seed 5 as acceptance criterion 8 runs them, and the benchmark's two generated
 grids at seed 1 with CSVs every 10 s, must write the same CSV bytes as the
 recorded digests. A change that moves any output byte fails here; if the
@@ -25,6 +25,10 @@ GOLDEN = {
     "macro_micro/lane_groups.csv": "5d0c502e07434cc14223b90e94c0db522395332f31ac447045357ed313fb1539",
     "macro_micro/link_states.csv": "d5c5c10442bcd7f73eaa3127fdfe727c5b35cedd341b9116f656a0a5b032b14c",
     "macro_micro/trajectories.csv": "3451473f1133de17e29ce4996e2451568e1ceb8f548ddda51bd1e083a3c3b898",
+    "meso_macro/boundaries.csv": "699e516893bba7d68006351ecdf64f830689c2352209eb74aa6d33679f027050",
+    "meso_macro/lane_groups.csv": "1ed4a6899228402976089928e30594ff1d9192118501cd5a256e9c7381effd69",
+    "meso_macro/link_states.csv": "6a4d50318537be56f87da1beff888b4df9fb3adb006510ac30171a95f4acd08a",
+    "meso_macro/trajectories.csv": "47295e7e97cf0f4e22a2fa31de6ac8b172ef8e16851a966e281a98e6b8071e76",
     "meso_micro/boundaries.csv": "bc08af1b4f075a8b8cf254f4ac75cd26ca9d10fed0252ef79991c365142bb402",
     "meso_micro/lane_groups.csv": "c77e4eedaefa34815031cbd12e88399b6260ea1f98d991cc3e01e5f349d76d2a",
     "meso_micro/link_states.csv": "d2a5d2b6f038a3bf006feb08f993b6c02884c91b3c179ece5bc439df2f9905ee",
@@ -33,6 +37,10 @@ GOLDEN = {
     "micro_macro/lane_groups.csv": "add0bb3a7d8b19f6d62fd401d2770a82c6698a42ff135e4f3391c32e4cf70c16",
     "micro_macro/link_states.csv": "b3329a843b621b6abba98f715d7726703d1882268962e3f51551530f55bbdaf6",
     "micro_macro/trajectories.csv": "395294d1712e1ba8b690e70647228b998a42693fbb226ee569759c3fb867697c",
+    "micro_meso/boundaries.csv": "88253546f636490be3c9d6f1601d91162b36ddff10a1eef381a502578f549bfd",
+    "micro_meso/lane_groups.csv": "ed8eb4f73566adc0ed7ee9fd2ea2257e01417d912302d72c959a6f7272214cd5",
+    "micro_meso/link_states.csv": "40bcb5cd2f42d3f75c4e0642119d4a3473136c7914a09f4a8fcb64c1e35d44f0",
+    "micro_meso/trajectories.csv": "bfbdfcf157ae3141363400f38cb75ba14c3306b227360fc695def82fddf8f42d",
 }
 SCENARIOS = sorted({key.split("/")[0] for key in GOLDEN})
 

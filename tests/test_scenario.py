@@ -21,7 +21,8 @@ from hybridtraffic.scenario import (
     validate_scenario,
 )
 
-BUNDLED = ["macro_meso", "macro_micro", "meso_micro", "micro_macro"]
+BUNDLED = ["macro_meso", "macro_micro", "meso_macro", "meso_micro", "micro_macro",
+           "micro_meso"]
 
 
 def _base():
@@ -278,6 +279,17 @@ def test_link_parameter_errors_name_the_link():
 def test_bundled_scenarios_are_valid(name):
     sc = load_scenario("src/hybridtraffic/scenarios/%s.yaml" % name)
     assert validate_scenario(sc) == []
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_drain_by_their_end(name):
+    # every corridor, both models on their shipped 2 s clocks, empties within
+    # the 1,500 s after its demand stops, to under one vehicle left
+    eng = Engine(load_scenario("src/hybridtraffic/scenarios/%s.yaml" % name))
+    eng.run()
+    assert eng.now == 4000.0
+    assert eng.total_injected() > 1000.0
+    assert eng.total_in_network() < 1.0
 
 
 # --- command line ------------------------------------------------------
