@@ -305,19 +305,21 @@ class RoutingContext:
             return self.routes[state.key].successor(current_link)
         return state.key
 
-    def assign_next_link(
-        self, p: FluxPacket, entered_link: int, now: float, rng: np.random.Generator
-    ) -> FluxPacket:
-        """Re-key a packet as it enters a link, into the slots of the entered
+    def assign_next_link(self, p, entered_link: int, now: float,
+                         rng: np.random.Generator):
+        """Re-key traffic as it enters a link, into the slots of the entered
         link's state table that each state's row compiled.
 
-        Fluid content of each state is divided over its row's ratios;
-        vehicles each take one next state drawn from their state's row, one
-        uniform per vehicle in packet order, and keep their order within
-        each new state. Totals are conserved exactly.
+        `p` is a fluid packet, whose content of each state is divided over
+        its row's ratios, into a packet over the entered link's table; or
+        whole cars as (slot, its cars in FIFO order) in slot order, the cars
+        of a slot sharing its state. Each car takes one next state drawn from
+        its state's row, one uniform per car in slot order, and the cars come
+        out as (slot of the entered link's table, its cars) in slot order,
+        FIFO within a slot. Totals are conserved exactly.
         """
-        table = self.tables[entered_link]
-        if p.is_fluid:
+        if isinstance(p, FluxPacket):
+            table = self.tables[entered_link]
             out = [0.0] * len(table)
             for s, amount in zip(p.table, p.amounts):
                 if amount > 0:
@@ -326,14 +328,12 @@ class RoutingContext:
                         out[k] += amount * r / total
             return FluxPacket(table, out)
 
-        vout: list[list] = [[] for _ in table]
-        for s, vehs in zip(p.table, p.vehicles):
-            if not vehs:
-                continue
-            states, slots, _, _, cdf, _ = self._row(s, entered_link, now)
+        vout: dict[int, list] = {}
+        for _, vehs in p:
+            states, slots, _, _, cdf, _ = self._row(vehs[0].state, entered_link, now)
             picks = ([0] * len(vehs) if cdf is None else
                      [bisect_right(cdf, u) for u in rng.random(len(vehs)).tolist()])
             for v, i in zip(vehs, picks):
                 v.state = states[i]
-                vout[slots[i]].append(v)
-        return FluxPacket(table, [float(len(vs)) for vs in vout], vout)
+                vout.setdefault(slots[i], []).append(v)
+        return sorted(vout.items())

@@ -1,5 +1,5 @@
-"""Simulation engine: clock, packet-exchange protocol, junction solving,
-source injection, control wiring, bookkeeping."""
+"""Simulation engine: clock, exchange protocol (fluid packets and car
+lists), junction solving, source injection, control wiring, bookkeeping."""
 
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from .packets import (
     ProtocolError,
     StateIndex,
     VehicleFactory,
+    by_slot,
     take,
-    vehicle_packet,
 )
 
 TIME_TOL = 1e-6
@@ -183,7 +183,7 @@ class Engine:
         self._cum_in, self._cum_out, self.exits = np.zeros((3, n_places + 1))
         self.cum_in = LedgerView(self._cum_in, self.routing.tables, self.place_of)
         self.cum_out = LedgerView(self._cum_out, self.routing.tables, self.place_of)
-        self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet)
+        self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet or cars)
         # batched junctions whose lane groups all belong to one CTM model,
         # delivered as array steps: junction id -> its model's deliverer
         self._array_junctions: dict[int, ArrayJunctions] = self._compile_arrays()
@@ -350,30 +350,37 @@ class Engine:
         # collect release requests, model order
         requests = [(m, req) for m in due_models for req in m.compute_demands(t, self.rng)]
 
-        # network exits are unconstrained; every other request is sized once
-        # by its receiving model and offered to its junction, by pair index
-        # as (sender, packet, size)
+        # network exits are unconstrained; every other request is sized once,
+        # a car list by its length and a packet by its receiving model, and
+        # offered to its junction, by pair index as (sender, packet or cars,
+        # size)
         offers: dict[int, dict] = {}
         for m, req in requests:
             g, r = req.group_id, req.rc
+            sent = req.packet if req.cars is None else req.cars
             if r is None:
-                self._cuts.append((m, g, None, req.packet))
-                self._book(req.packet, self.net.lane_groups[g].link, self._cum_out, self.exits)
+                self._cuts.append((m, g, None, sent))
+                link = self.net.lane_groups[g].link
+                if req.cars is None:
+                    self._book(sent, link, self._cum_out, self.exits)
+                else:
+                    self._book_cars(by_slot(sent, self.routing.slots[link]), link, self._cum_out, self.exits)
                 continue
             conn = self._rc[r]
             try:
-                size = conn.receiver.get_packet_size(req.packet, r)
-                if size < 0:
-                    raise ProtocolError("negative packet size %r" % size)
-                if size <= 0:
-                    continue
+                if req.cars is None:
+                    size = conn.receiver.get_packet_size(sent, r)
+                    if size < 0:
+                        raise ProtocolError("negative packet size %r" % size)
+                else:
+                    size = float(len(sent))
                 i = self._junctions[conn.junction].pair_index[g, r]
                 junction_offers = offers.setdefault(conn.junction, {})
                 if i in junction_offers:
                     raise ProtocolError("more than one request per lane group and rc")
             except Exception as exc:
                 raise SimulationError(exc, element=_PAIR % (conn.junction, r, g)) from exc
-            junction_offers[i] = (m, req.packet, size)
+            junction_offers[i] = (m, sent, size)
         for array in self._arrays:
             if id(array.model) in due_ids:
                 array.offer()
@@ -483,34 +490,42 @@ class Engine:
 
     # --- delivery --------------------------------------------------------
 
-    def _deliver(self, t, sender, g, conn: _Connection, packet, size, delta, caps):
-        """Send the part of `packet` the junction accepted (`delta` of its
-        `size`) from lane group g through the road connection: one cut within
-        the receiving lane groups' supply (`caps`, read just before), then
-        book, re-key, enter; the cut leaves its sender after the pass."""
+    def _deliver(self, t, sender, g, conn: _Connection, sent, size, delta, caps):
+        """Send the part of `sent` (a fluid packet, or a vehicle model's cars)
+        the junction accepted (`delta` of its `size`) from lane group g
+        through the road connection: one cut within the receiving lane
+        groups' supply (`caps`, read just before), then book, re-key, enter;
+        the cut leaves its sender after the pass."""
         receiver = conn.receiver
         allow = sum(caps)
-        if packet.is_fluid:
+        if isinstance(sent, FluxPacket):
             total = min(min(1.0, delta / size) * size, allow)
             if total <= 0:
                 return
-            alpha = min(1.0, total / packet.size)
+            alpha = min(1.0, total / sent.size)
             # a whole request is sent as it is (a * 1.0 == a)
-            sent = packet if alpha == 1.0 else FluxPacket(
-                packet.table, [a * alpha for a in packet.amounts])
-        else:
-            credit = self._entry_credit.get(conn.id, 0.0)
-            entitled = min(delta + credit, size)
-            # the entitled share per state, no more than fit in the supply plus the credit
-            sent = take(packet, entitled / size, int(math.floor(allow + credit + 1e-9)))
-            self._entry_credit[conn.id] = min(max(0.0, entitled - sent.size), 1.0)
-            if not sent.size:
-                return
+            if alpha != 1.0:
+                sent = FluxPacket(sent.table, [a * alpha for a in sent.amounts])
+            self.stats.deliveries += 1
+            self._cuts.append((sender, g, conn.id, sent))
+            self._book(sent, conn.up_link, self._cum_out)
+            routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
+            self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
+            return
+        credit = self._entry_credit.get(conn.id, 0.0)
+        entitled = min(delta + credit, size)
+        # the entitled share per state, no more than fit in the supply plus the credit
+        slots = take(by_slot(sent, self.routing.slots[conn.up_link]), entitled / size,
+                     int(math.floor(allow + credit + 1e-9)))
+        n = sum(len(vs) for _, vs in slots)
+        self._entry_credit[conn.id] = min(max(0.0, entitled - n), 1.0)
+        if not n:
+            return
         self.stats.deliveries += 1
-        self._cuts.append((sender, g, conn.id, sent))
-        self._book(sent, conn.up_link, self._cum_out)
-        routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-        self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
+        self._cuts.append((sender, g, conn.id, [v for _, vs in slots for v in vs]))
+        self._book_cars(slots, conn.up_link, self._cum_out)
+        routed = self.routing.assign_next_link(slots, conn.down_link, t, self.rng)
+        self._enter_cars(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
 
     def _remove_cuts(self):
         """Take the flow phase's cuts out of their senders in the order they
@@ -523,33 +538,25 @@ class Engine:
             self._array_step(array, array.remove)
 
     def _remove(self, cuts):
-        for sender, g, r, packet in cuts:
+        for sender, g, r, sent in cuts:
             try:
-                sender.remove(g, r, packet)
+                sender.remove(g, r, sent)
             except Exception as exc:
                 where = ("lane group %s (exit)" % g if r is None else
                          _PAIR % (self._rc[r].junction, r, g))
                 raise SimulationError(exc, element=where) from exc
 
     def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
-        """Book a re-keyed packet into `link` and hand it to the link's model:
-        whole vehicles, condensed from fluid first, or the packet's amounts
-        over the link's state table (vehicles dissolve into their counts; a
-        probed one starts a tracker) spread over `groups` (sorted, `caps`
-        their supply, summing to `space`) in proportion to their free space,
-        evenly when none has any (entry credit can admit a vehicle into full
-        fluid lane groups)."""
+        """Book a re-keyed fluid packet into `link` and hand it to the link's
+        model: as whole vehicles condensed from it, or as its amounts over
+        the link's state table spread over `groups` (sorted, `caps` their
+        supply, summing to `space`) in proportion to their free space, evenly
+        when none has any (entry credit can admit a vehicle into full fluid
+        lane groups)."""
         self._book(packet, link, self._cum_in)
         if receiver.vehicle_based:
-            receiver.receive_vehicles(link, (
-                self.translator.translate(packet, link, t) if packet.is_fluid
-                else packet.all_vehicles()), t)
+            receiver.receive_vehicles(link, self.translator.translate(packet, link, t), t)
             return
-        if not packet.is_fluid and self._probed:
-            for s, vs in zip(packet.table, packet.vehicles):
-                for v in vs:
-                    if v.id in self._probed:
-                        self.trackers.append(VirtualTracker(v.id, s, link, groups[0], 0.0))
         if space <= 0:
             caps, space = [1.0] * len(groups), float(len(groups))
         for h, w in zip(groups, caps):
@@ -557,14 +564,39 @@ class Engine:
             if any(part):
                 receiver.receive_fluid(h, part, t)
 
+    def _enter_cars(self, receiver, link, routed, groups, caps, space, t):
+        """Book re-keyed cars, (slot of `link`'s state table, its cars) in
+        slot order, into `link` and hand them to the link's model: whole, in
+        slot order and FIFO within a slot, or dissolved into their counts
+        through `_enter` (a probed car starts a tracker)."""
+        if receiver.vehicle_based:
+            self._book_cars(routed, link, self._cum_in)
+            receiver.receive_vehicles(link, [v for _, vs in routed for v in vs], t)
+            return
+        table = self.routing.tables[link]
+        amounts = [0.0] * len(table)
+        for k, vs in routed:
+            amounts[k] = float(len(vs))
+            for v in vs:
+                if v.id in self._probed:
+                    self.trackers.append(VirtualTracker(v.id, table[k], link, groups[0], 0.0))
+        self._enter(receiver, link, FluxPacket(table, amounts), groups, caps, space, t)
+
     def _book(self, packet: FluxPacket, link: int, *ledgers: np.ndarray):
-        """Add the packet's amounts over `link`'s state table (vehicle counts
-        for whole vehicles) to each ledger, slot k at the link's first place
-        plus k."""
+        """Add the packet's amounts over `link`'s state table to each ledger,
+        slot k at the link's first place plus k."""
         for k, a in enumerate(packet.amounts, self.place_of[link]):
             if a > 0:
                 for ledger in ledgers:
                     ledger[k] += a
+
+    def _book_cars(self, slots, link: int, *ledgers: np.ndarray):
+        """Add the car count of each of `slots`, (slot, cars), to each ledger
+        as `_book` adds an amount."""
+        p = self.place_of[link]
+        for k, vs in slots:
+            for ledger in ledgers:
+                ledger[p + k] += len(vs)
 
     # --- sources ---------------------------------------------------------
 
@@ -587,8 +619,7 @@ class Engine:
                 for _ in range(n)
             ]
             model.receive_vehicles(link, vehicles, t)
-            self._book(vehicle_packet(self.routing.tables[link], self.routing.slots[link],
-                                      vehicles), link, self._cum_in)
+            self._book_cars(by_slot(vehicles, self.routing.slots[link]), link, self._cum_in)
             return
         amount = min(src.buffer, allow)
         if amount <= 0:

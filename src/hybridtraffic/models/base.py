@@ -6,24 +6,32 @@ import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from ..demand import RoutingContext, RoutingError
 from ..network import Network
-from ..packets import FluxPacket, StateIndex, vehicle_packet
+from ..packets import FluxPacket, StateIndex, Vehicle
 
 
 @dataclass
 class DemandRequest:
-    """One release request: lane group g wants to send `packet` along road
-    connection `rc` (rc is None when the lane group exits the network)."""
+    """One release request: lane group g wants to send along road connection
+    `rc` (None when the lane group exits the network) either `packet`, a fluid
+    packet over its link's state table, or `cars`, whole vehicles as a FIFO
+    list."""
 
     group_id: str
     rc: int | None
-    packet: FluxPacket
+    packet: FluxPacket | None = None
+    cars: list[Vehicle] | None = None
+
+
+def _exits_last(rc: int | None):
+    """Sort key of road connections: ascending, the exit (None) last, the
+    order in which the engine books the exits."""
+    return (rc is None, rc or 0)
 
 
 class TrafficModel(ABC):
@@ -88,18 +96,16 @@ class TrafficModel(ABC):
     @staticmethod
     def requests(group_id: str, by_rc: dict, packet) -> list[DemandRequest]:
         """One request per road connection of `by_rc`, carrying `packet` of
-        its contents: rcs ascending and the exit (None) last, the order in
-        which the engine books the exits."""
-        return [
-            DemandRequest(group_id, rc, packet(by_rc[rc]))
-            for rc in sorted(by_rc, key=lambda x: (x is None, x or 0))
-        ]
+        its contents, in `_exits_last` order."""
+        return [DemandRequest(group_id, rc, packet(by_rc[rc]))
+                for rc in sorted(by_rc, key=_exits_last)]
 
     # --- protocol surface (Eqs. for |p|, send) --------------------------
 
     def get_packet_size(self, packet: FluxPacket, rc: int | None) -> float:
-        """The receiving model's norm for a packet; default is the vehicle
-        total, which suits all first-order models."""
+        """The receiving model's norm for a fluid packet; default is the
+        vehicle total, which suits all first-order models. (A car list is
+        sized by its length.)"""
         return packet.size
 
     @abstractmethod
@@ -115,10 +121,11 @@ class TrafficModel(ABC):
         May mutate internal working state (e.g. lateral movements)."""
 
     @abstractmethod
-    def remove(self, group_id: str, rc: int | None, packet: FluxPacket):
-        """Take the given contents out of the lane group (the accepted part
-        of a previously offered demand); the engine calls it once every
-        junction of the flow phase has delivered."""
+    def remove(self, group_id: str, rc: int | None, sent):
+        """Take the given contents (a fluid packet, or a list of cars) out of
+        the lane group: the accepted part of a previously offered demand. The
+        engine calls it once every junction of the flow phase has
+        delivered."""
 
     def receive_fluid(self, group_id: str, amounts: list[float], now: float):
         """Insert fluid content at the upstream end of a lane group: amounts
@@ -196,9 +203,11 @@ class VehicleStore:
 
 
 class VehicleModel(TrafficModel):
-    """A model of whole vehicles with one `VehicleStore` per lane group. Entry,
-    buffer admission, release, counts and lookups are here; a model adds its
-    dynamics and three hooks: `_pick(gids)`, the lane group among those
+    """A model of whole vehicles with one `VehicleStore` per lane group. Its
+    requests carry cars, FIFO lists of vehicles (`vehicle_requests`), which
+    cross a junction as lists and come back to `remove` as the list of those
+    sent. Entry, buffer admission, release, counts and lookups are here; a
+    model adds its dynamics and three hooks: `_pick(gids)`, the lane group among those
     serving its next link that a vehicle enters; `_place(gid, g, v, now,
     fresh)`, which places it at the upstream end (`fresh` in the flow phase,
     not from the buffer in an advance); and `_placed_positions(g, now)`, a
@@ -225,16 +234,16 @@ class VehicleModel(TrafficModel):
             while g.buffer and g.has_room():
                 self._place(gid, g, g.buffer.popleft(), now, fresh=False)
 
-    def vehicle_requests(self, group_id: str, by_rc: dict) -> list[DemandRequest]:
-        """`requests` for whole vehicles: each road connection's vehicles
-        (FIFO) as a packet over the lane group's link's state table."""
-        r, link = self.routing, self.groups[group_id].link
-        return self.requests(group_id, by_rc,
-                             partial(vehicle_packet, r.tables[link], r.slots[link]))
+    @staticmethod
+    def vehicle_requests(group_id: str, by_rc: dict) -> list[DemandRequest]:
+        """One request per road connection of `by_rc`, carrying its cars (a
+        non-empty FIFO list), in `_exits_last` order."""
+        return [DemandRequest(group_id, rc, cars=by_rc[rc])
+                for rc in sorted(by_rc, key=_exits_last)]
 
-    def remove(self, group_id, rc, packet: FluxPacket):
+    def remove(self, group_id, rc, cars: list[Vehicle]):
         g = self.groups[group_id]
-        ids = {v.id for v in packet.all_vehicles()}
+        ids = {v.id for v in cars}
         found = g.release(ids)
         if found != len(ids):
             raise RuntimeError(

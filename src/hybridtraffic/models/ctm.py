@@ -402,8 +402,6 @@ class CtmModel(TrafficModel):
         if packet.table is not g.table:
             raise ProtocolError("lane group %s: packet is not over link %s's state table"
                                 % (group_id, g.link))
-        if self._last is None:
-            self._open(self._occ[self._last_rows])
         last = self._last
         base = i * self._n_slots
         out, cum = self._outflow[i], self._cum_out[i]
@@ -479,8 +477,6 @@ class CtmModel(TrafficModel):
         for the first such row of the first round with one, from
         `remove`'s error."""
         n, n_groups = self._n_slots, len(self._group_list)
-        if self._last is None:
-            self._open(self._occ[self._last_rows])
         last = np.array(self._last).reshape(n_groups, n)
         out, cum = np.array(self._outflow), np.array(self._cum_out)
         cut = np.zeros(n_groups, bool)

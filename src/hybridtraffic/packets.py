@@ -1,15 +1,17 @@
-"""Flux packets: the quantum of exchange between traffic models.
+"""Flux packets, the quantum of fluid exchange between traffic models, and
+the cut of a car list.
 
-Every packet is laid out over a link's state table: per state, a fluid
-amount, or a FIFO list of Vehicle objects and its count. A single packet is
-homogeneous: all-fluid or all-vehicle.
+A fluid packet is laid out over a link's state table: one fluid amount per
+state. Whole vehicles never travel as packets: a vehicle model offers its
+cars as a FIFO list, and the engine takes the sent part of it slot by slot
+(`take`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 
 class ProtocolError(RuntimeError):
@@ -36,27 +38,19 @@ class Vehicle:
 
 
 class FluxPacket:
-    """Amounts over a state table, with the vehicles behind them or none.
+    """Fluid amounts over a state table.
 
     `table` is a link's state table (`RoutingContext.tables`), a tuple of
     states in state order shared by every packet over that link and never
     copied, and `amounts` is aligned with it: a zero is a state the packet
-    does not carry. A fluid packet has no `vehicles`; a vehicle packet has
-    one FIFO list per slot, and each amount is the length of its list.
-    `size` is the total amount, summed once in slot order when the packet
-    is made."""
+    does not carry. `size` is the total amount, summed once in slot order
+    when the packet is made."""
 
-    __slots__ = ("table", "amounts", "vehicles", "is_fluid", "size")
+    __slots__ = ("table", "amounts", "size")
 
-    def __init__(self, table: tuple[StateIndex, ...], amounts: list[float],
-                 vehicles: list[list[Vehicle]] | None = None):
-        self.table, self.amounts, self.vehicles = table, amounts, vehicles
-        self.is_fluid = vehicles is None
+    def __init__(self, table: tuple[StateIndex, ...], amounts: list[float]):
+        self.table, self.amounts = table, amounts
         self.size = sum(amounts)
-
-    def all_vehicles(self) -> list[Vehicle]:
-        """The vehicles in slot order, FIFO within a slot."""
-        return [v for vs in self.vehicles for v in vs]
 
 
 def fluid_packet(table: tuple[StateIndex, ...],
@@ -74,31 +68,35 @@ def fluid_packet(table: tuple[StateIndex, ...],
     return FluxPacket(table, out)
 
 
-def vehicle_packet(table: tuple[StateIndex, ...], slots: dict[StateIndex, int],
-                   vehicles: Iterable[Vehicle]) -> FluxPacket:
-    """A vehicle packet over `table` (`slots` maps each of its states to
-    its place) of `vehicles`, each in its state's slot, kept in their given
-    (FIFO) order within a slot."""
-    by_slot: list[list[Vehicle]] = [[] for _ in table]
-    for v in vehicles:
-        by_slot[slots[v.state]].append(v)
-    return FluxPacket(table, [float(len(vs)) for vs in by_slot], by_slot)
+# --- car lists ---------------------------------------------------------
 
 
-# --- the sent part of a vehicle packet --------------------------------
+def by_slot(cars: list[Vehicle], slots: dict[StateIndex, int]) -> list[tuple[int, list[Vehicle]]]:
+    """A car list by slot of a state table (`slots` maps each of its states
+    to its place): (slot, its cars in FIFO order) in slot order, a slot with
+    no car left out."""
+    out: dict[int, list[Vehicle]] = {}
+    for v in cars:
+        out.setdefault(slots[v.state], []).append(v)
+    return sorted(out.items())
 
 
-def take(p: FluxPacket, alpha: float, limit: int) -> FluxPacket:
-    """The vehicles sent at scaling factor alpha in [0, 1], at most `limit`
-    of them: per slot in slot order the first floor(alpha*n) in FIFO order,
-    so whole vehicles never exceed the fraction alpha, until `limit` are
-    taken. (The engine scales fluid as it delivers it.)"""
+
+def take(slots: list[tuple[int, list[Vehicle]]], alpha: float,
+         limit: int) -> list[tuple[int, list[Vehicle]]]:
+    """The cars sent at scaling factor alpha in [0, 1], at most `limit` of
+    them, out of `slots`, (slot, its cars in FIFO order) in slot order: per
+    slot in slot order the first floor(alpha*n) cars, so whole vehicles never
+    exceed the fraction alpha, until `limit` are taken. The sent cars are
+    (slot, cars) in slot order, a slot that sends none left out. (The engine
+    scales fluid as it delivers it.)"""
     sent = []
-    for vs in p.vehicles:
-        k = max(0, min(int(math.floor(alpha * len(vs) + 1e-9)), limit))
-        sent.append(vs[:k])
-        limit -= k
-    return FluxPacket(p.table, [float(len(vs)) for vs in sent], sent)
+    for k, vs in slots:
+        n = min(int(math.floor(alpha * len(vs) + 1e-9)), limit)
+        if n > 0:
+            sent.append((k, vs[:n]))
+            limit -= n
+    return sent
 
 
 # --- representation translation ---------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridtraffic.network import Link, Network, RoadConnection, RoadParams
-from hybridtraffic.packets import vehicle_packet
+from hybridtraffic.packets import by_slot
 from reference_routing import state_sort_key
 
 STD = dict(capacity_per_lane=1000.0, speed_limit=100.0, jam_density_per_lane=100.0)
@@ -53,17 +53,18 @@ def by_state(packet) -> dict:
     return {s: a for s, a in zip(packet.table, packet.amounts) if a > 0}
 
 
-def vehicles_by_state(packet) -> dict:
-    """A vehicle packet's non-empty slots by state, in table order."""
-    return {s: vs for s, vs in zip(packet.table, packet.vehicles) if vs}
+def cars_by_state(slots, table) -> dict:
+    """Cars by slot, (slot, cars) in slot order, as {state: cars} over
+    `table`, in table order."""
+    return {table[k]: vs for k, vs in slots}
 
 
-def packet_of(vehicles, table=None):
-    """A vehicle packet over `table`, by default a table of the vehicles'
-    own states in state order."""
+def slots_of(vehicles, table=None):
+    """The vehicles by slot of `table`, by default a table of their own
+    states in state order: (slot, cars) in slot order."""
     if table is None:
         table = tuple(sorted({v.state for v in vehicles}, key=state_sort_key))
-    return vehicle_packet(table, {s: k for k, s in enumerate(table)}, vehicles)
+    return by_slot(vehicles, {s: k for k, s in enumerate(table)})
 
 
 def corridor_scenario_dict(

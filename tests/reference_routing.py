@@ -1,11 +1,11 @@
 """The next-state draw written with `rng.choice`, kept as the oracle for the
 inverse-CDF draw in `hybridtraffic.demand`.
 
-Each vehicle of a packet, states in state order and FIFO within a state,
-takes one next state from its row: `rng.choice(n, p=ratios / sum)` when the
-row has two or more entries, the single entry without a draw otherwise. The
-re-keyed packet lists its new states in state order (`state_sort_key`), each
-with its vehicles in the order they were drawn.
+Each car of a car list by slot, states in state order and FIFO within a
+state, takes one next state from its row: `rng.choice(n, p=ratios / sum)`
+when the row has two or more entries, the single entry without a draw
+otherwise. The re-keyed cars list their new states in state order
+(`state_sort_key`), each with its cars in the order they were drawn.
 `RoutingContext.assign_next_link` must give every vehicle the same next
 state, keep the same order and leave the generator at the same position
 (`tests/test_demand.py`).
@@ -31,9 +31,10 @@ def draw(row, rng):
     return row.states[int(rng.choice(len(row.states), p=probs / probs.sum()))]
 
 
-def assign_next_link(ctx, p, entered_link, now, rng) -> dict:
-    """The re-keyed vehicles of packet `p`: new state -> vehicles."""
-    vehicles = {s: vs for s, vs in zip(p.table, p.vehicles) if vs}
+def assign_next_link(ctx, slots, entered_link, now, rng) -> dict:
+    """The re-keyed cars of `slots`, (slot, cars sharing its state): new
+    state -> cars."""
+    vehicles = {vs[0].state: vs for _, vs in slots}
     out: dict = {}
     for s in sorted(vehicles, key=state_sort_key):
         row = ctx._row(s, entered_link, now)

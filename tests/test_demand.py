@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing
-from conftest import by_state, packet_of, successor_network, vehicles_by_state
+from conftest import by_state, cars_by_state, slots_of, successor_network
 from hybridtraffic.demand import (
     ConfigurationError,
     DemandProfile,
@@ -16,7 +16,7 @@ from hybridtraffic.demand import (
     SplitProfile,
     VehicleType,
 )
-from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet
+from hybridtraffic.packets import StateIndex, Vehicle, fluid_packet
 from reference_routing import state_sort_key
 
 
@@ -120,12 +120,14 @@ def test_assign_next_link_vehicles_sampled_and_conserved(rng):
     ]
     ctx = _ctx(splits=splits, nexts={10: [11, 12], 11: [12], 12: []})
     vehs = [Vehicle(i, StateIndex(1, 10), 0.0) for i in range(200)]
-    out = ctx.assign_next_link(packet_of(vehs), 10, 0.0, rng)
-    assert out.size == 200
-    assert out.table is ctx.tables[10]
-    n11 = len(vehicles_by_state(out).get(StateIndex(1, 11), []))
+    out = ctx.assign_next_link(slots_of(vehs), 10, 0.0, rng)
+    assert sum(len(vs) for _, vs in out) == 200
+    # slots of the entered link's table, in slot order
+    assert [k for k, _ in out] == sorted(k for k, _ in out)
+    assert all(0 <= k < len(ctx.tables[10]) for k, _ in out)
+    n11 = len(cars_by_state(out, ctx.tables[10]).get(StateIndex(1, 11), []))
     assert 60 < n11 < 140  # p=0.5, loose bound
-    for s, vs in zip(out.table, out.vehicles):
+    for s, vs in cars_by_state(out, ctx.tables[10]).items():
         assert all(v.state == s for v in vs)
 
 
@@ -321,8 +323,8 @@ def test_inverse_cdf_draw_matches_rng_choice(case):
             ctx.override_route(0, route)
         vehs = [Vehicle(i, s, 0.0) for i, s in enumerate(states)]
         rng = np.random.default_rng(seed)
-        out = assign(ctx, packet_of(vehs), 10, now, rng)
-        out = vehicles_by_state(out) if isinstance(out, FluxPacket) else out
+        out = assign(ctx, slots_of(vehs), 10, now, rng)
+        out = cars_by_state(out, ctx.tables[10]) if isinstance(out, list) else out
         entry = [ctx.entry_state(1, 10, None, now, rng) for _ in range(3)]
         runs.append(([(s, [v.id for v in vs]) for s, vs in out.items()],
                      [v.state for v in vehs], entry, rng.random()))

@@ -8,7 +8,7 @@ from conftest import by_state, corridor_scenario_dict
 from hybridtraffic.demand import RoutingError
 from hybridtraffic.engine import Engine, _Connection
 from hybridtraffic.outputs import OutputWriter, _f
-from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, fluid_packet, vehicle_packet
+from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, by_slot, fluid_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
 
 PAIRINGS = [
@@ -647,39 +647,49 @@ def test_fluid_entry_spreads_by_free_space_in_state_order():
     assert got == [("a", [1.5, 0.5]), ("b", [1.5, 0.5])]
 
 
-@pytest.mark.parametrize("kind", ["ctm", "two_queue", "newell"])
-def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
-    # six vehicles of routes 0 and 1 (S0 and S1), interleaved, wait on a
-    # two_queue link; all six cross into link 1, which has room for them
+def _two_state_crossing(kind, rng):
+    """Six vehicles of routes 0 and 1 (S0 and S1), interleaved, waiting on a
+    two_queue link 0 to cross into link 1 of model `kind`, which has room for
+    them, with their request, and the re-keyings recorded."""
     d = corridor_scenario_dict([("two_queue", [0]), (kind, [1])], n_links=2, rate_vph=0.0)
     d["routes"].append({"id": 1, "links": [0, 1]})
     d["links"][1].update(capacity=20000.0, jam_density=2000.0)
     eng = Engine(parse_scenario(d), audit=True)
-    sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
+    sender = eng.model_of_link[0]
     table, slots = eng.routing.tables[0], eng.routing.slots[0]
     assert table == eng.routing.tables[1] == (S0, S1)
     arrivals = [Vehicle(i, s, 0.0) for i, s in enumerate([S1, S0, S1, S0, S0, S1])]
     sender.receive_vehicles(0, arrivals, 0.0)  # as a source enters them
-    eng._book(vehicle_packet(table, slots, arrivals), 0, eng._cum_in)
+    eng._book_cars(by_slot(arrivals, slots), 0, eng._cum_in)
     sender.advance_state(20.0, rng)  # past the free-flow travel time
     req, = sender.vehicle_requests("0:1", {0: list(sender.groups["0:1"].waiting)})
-    packet = req.packet
-    # one FIFO list per slot, and its count
-    assert [[v.id for v in vs] for vs in packet.vehicles] == [[1, 3, 4], [0, 2, 5]]
-    assert packet.amounts == [3.0, 3.0]
-
     routed = []
     assign = eng.routing.assign_next_link
     eng.routing.assign_next_link = lambda *a: routed.append(assign(*a)) or routed[-1]
     eng._probed = {3}
+    return eng, req, routed
+
+
+@pytest.mark.parametrize("kind", ["ctm", "two_queue", "newell"])
+def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
+    # all six cross into link 1, which has room for them
+    eng, req, routed = _two_state_crossing(kind, rng)
+    sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
+    cars = req.cars
+    # the request is the waiting queue's FIFO list; by slot, one FIFO list
+    # per slot and its count
+    slots = by_slot(cars, eng.routing.slots[0])
+    assert [[v.id for v in vs] for _, vs in slots] == [[1, 3, 4], [0, 2, 5]]
+    assert [len(vs) for _, vs in slots] == [3, 3]
+
     conn = eng._rc[0]
     caps = [receiver.lane_group_supply(h) for h in conn.groups]
     assert sum(caps) >= 6
-    eng._deliver(20.0, sender, "0:1", conn, packet, packet.size, packet.size, caps)
+    eng._deliver(20.0, sender, "0:1", conn, cars, 6.0, 6.0, caps)
     eng._remove_cuts()  # as the pass ends
     # re-keyed into link 1's table slot by slot, FIFO within a slot
-    assert routed[0].table is eng.routing.tables[1]
-    assert [[v.id for v in vs] for vs in routed[0].vehicles] == [[1, 3, 4], [0, 2, 5]]
+    assert [eng.routing.tables[1][k] for k, _ in routed[0]] == [S0, S1]
+    assert [[v.id for v in vs] for _, vs in routed[0]] == [[1, 3, 4], [0, 2, 5]]
     assert eng.cum_out[0] == eng.cum_in[1] == {S0: 3.0, S1: 3.0}
     assert eng.link_state_counts(0) == [0.0, 0.0]
     assert eng.link_state_counts(1) == [3.0, 3.0]
@@ -688,6 +698,31 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
         assert eng.trackers == []
     else:
         # the vehicles dissolve into their counts; the probed one is tracked
+        assert [(tr.vehicle_id, tr.state, tr.link) for tr in eng.trackers] == [(3, S0, 1)]
+    eng._audit(20.0)
+    assert eng.audit_failures == []
+
+    # a partial take: the junction accepts 4 of the 6, the first
+    # floor(4/6 * 3) = 2 of each slot, and the supply read before the cut
+    # caps it at 3, so slot 0 sends two and slot 1 the one left; the unsent
+    # entitlement is banked as entry credit, up to one vehicle
+    eng, req, routed = _two_state_crossing(kind, rng)
+    sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
+    conn = eng._rc[0]
+    assert receiver.lane_group_supply(conn.groups[0]) >= 3
+    eng._deliver(20.0, sender, "0:1", conn, req.cars, 6.0, 4.0, [3.0])
+    eng._remove_cuts()
+    assert eng.stats.deliveries == 1
+    assert eng._entry_credit[conn.id] == 1.0
+    assert [[v.id for v in vs] for _, vs in routed[0]] == [[1, 3], [0]]
+    assert eng.cum_out[0] == eng.cum_in[1] == {S0: 2.0, S1: 1.0}
+    assert eng.link_state_counts(0) == [1.0, 2.0]
+    assert eng.link_state_counts(1) == [2.0, 1.0]
+    assert [v.id for v in sender.groups["0:1"].vehicles()] == [2, 4, 5]
+    if receiver.vehicle_based:
+        assert [v.id for v in receiver.groups["1:1"].vehicles()] == [1, 3, 0]
+        assert eng.trackers == []
+    else:
         assert [(tr.vehicle_id, tr.state, tr.link) for tr in eng.trackers] == [(3, S0, 1)]
     eng._audit(20.0)
     assert eng.audit_failures == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_newell
-from conftest import corridor_network, corridor_scenario_dict, packet_of, std_params
+from conftest import corridor_network, corridor_scenario_dict, std_params
 from hybridtraffic.cli import main as cli_main
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.engine import Engine
@@ -113,7 +113,7 @@ def test_exit_demand_is_fifo_prefix(rng):
     _place(m, "0:1", [499.0, 250.0, 240.0])  # only the first reaches the end
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
-    assert [v.id for v in reqs[0].packet.all_vehicles()] == [0]
+    assert [v.id for v in reqs[0].cars] == [0]
 
 
 def test_rejected_exiter_parks_at_boundary(rng):
@@ -125,7 +125,7 @@ def test_rejected_exiter_parks_at_boundary(rng):
     m.advance_state(0.0, rng)  # nothing removed: rejected at the boundary
     assert lane.x[0] == pytest.approx(500.0)
     reqs = m.compute_demands(2.0, rng)
-    assert reqs and reqs[0].packet.size == 1
+    assert reqs and len(reqs[0].cars) == 1
 
 
 def test_no_collisions_under_noise():
@@ -138,7 +138,7 @@ def test_no_collisions_under_noise():
             m.receive_vehicles(0, _vehs(1, start=next_id), now=k * 2.0)
             next_id += 1
         for req in m.compute_demands(k * 2.0, rng):
-            m.remove(req.group_id, None, req.packet)
+            m.remove(req.group_id, None, req.cars)
         m.advance_state(k * 2.0, rng)
         xs = lane.x
         assert all(a > b for a, b in zip(xs, xs[1:])), "ordering lost at step %d" % k
@@ -182,7 +182,7 @@ def _assert_same_step(pair):
                 for lane in map(m.groups.get, m.group_ids) for i in range(len(lane.x))]
 
     def requests(reqs):
-        return [(r.group_id, r.rc, [v.id for v in r.packet.all_vehicles()])
+        return [(r.group_id, r.rc, [v.id for v in r.cars])
                 for r in reqs]
 
     (m, reqs, rng), (ref, ref_reqs, ref_rng) = pair
@@ -277,12 +277,12 @@ def _advanced_pair(n_links, length, dt, sigmas, cars, before, after, keep, seed)
                 n_exit = gone[:lane.n_exit].count(False)
                 n_fresh = gone[n - lane.n_fresh:].count(False) if lane.n_fresh else 0
                 if vs:
-                    m.remove(gid, None, packet_of(vs))
+                    m.remove(gid, None, vs)
                 assert (lane.n_exit, lane.n_fresh) == (n_exit, n_fresh)
         for lid, exts in enumerate(after):
             m.receive_vehicles(lid, _carrying(exts, 2000 + 100 * lid), 0.0)
         advance(m, 2.0, rng)
-        out.append((m, [[v.id for v in r.packet.all_vehicles()] for r in reqs], rng))
+        out.append((m, [[v.id for v in r.cars] for r in reqs], rng))
     return out
 
 
@@ -341,10 +341,10 @@ def test_a_release_that_is_not_a_prefix_keeps_the_rest_in_order(rng):
     lane = m.groups["0:1"]
     _place(m, "0:1", [499.0, 300.0, 200.0, 100.0])
     reqs = m.compute_demands(0.0, rng)
-    assert [v.id for v in reqs[0].packet.all_vehicles()] == [0]
+    assert [v.id for v in reqs[0].cars] == [0]
     assert lane.n_exit == 1
     m.receive_vehicles(0, _vehs(1, start=9), 0.0)  # fresh, at the tail
-    m.remove("0:1", None, packet_of([lane.veh[0], lane.veh[2]]))
+    m.remove("0:1", None, [lane.veh[0], lane.veh[2]])
     assert [v.id for v in lane.veh] == [1, 3, 9]
     assert [lane.x, lane.n_exit, lane.n_fresh] == [[300.0, 100.0, 0.0], 0, 1]
     assert [len(lane.adv), len(lane.rc), len(lane.tent)] == [3, 3, 3]
@@ -442,10 +442,10 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
             rc = req.rc
             gid = down_group[rc]
             supply = m.lane_group_supply(gid)
-            take = req.packet.all_vehicles()[: int(supply)]
+            take = req.cars[: int(supply)]
             if not take:
                 continue
-            m.remove(req.group_id, rc, packet_of(take, req.packet.table))
+            m.remove(req.group_id, rc, take)
             for v in take:
                 v.state = StateIndex(1, 0 if rc == 0 else 1)
             m.receive_vehicles(1 if rc == 0 else 0, take, s * dt)

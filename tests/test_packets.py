@@ -2,16 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import packet_of, vehicles_by_state
+import reference_take
+from conftest import cars_by_state, slots_of
 from hybridtraffic.packets import (
     FluidToVehicleTranslator,
+    FluxPacket,
     ProtocolError,
     StateIndex,
     Vehicle,
     VehicleFactory,
+    by_slot,
     fluid_packet,
     take,
-    vehicle_packet,
 )
 from reference_routing import state_sort_key
 
@@ -24,28 +26,28 @@ def _vehs(n, state=S0, start=0):
     return [Vehicle(id=start + i, state=state, created=0.0) for i in range(n)]
 
 
-def test_a_vehicle_packet_counts_its_vehicles_per_slot_of_its_table():
-    # one layout for both kinds: amounts over the table, and for whole
-    # vehicles one FIFO list per slot behind each amount
-    p = vehicle_packet(TABLE, {S0: 0, S1: 1}, _vehs(1, S1) + _vehs(2, S0, start=10))
-    assert p.table is TABLE and not p.is_fluid
-    assert p.amounts == [2.0, 1.0] and p.size == 3.0
-    assert [[v.id for v in vs] for vs in p.vehicles] == [[10, 11], [0]]
-    assert fluid_packet(TABLE, {S1: 1.0}).vehicles is None
+def test_a_car_list_by_slot_counts_its_cars_per_slot_of_its_table():
+    # fluid is amounts over the table; whole vehicles stay a FIFO list per
+    # slot, each slot's count its length
+    slots = by_slot(_vehs(1, S1) + _vehs(2, S0, start=10), {S0: 0, S1: 1})
+    assert [k for k, _ in slots] == [0, 1]
+    assert [len(vs) for _, vs in slots] == [2, 1] and sum(len(vs) for _, vs in slots) == 3
+    assert [[v.id for v in vs] for _, vs in slots] == [[10, 11], [0]]
+    assert not hasattr(fluid_packet(TABLE, {S1: 1.0}), "vehicles")
 
 
 def test_totals_and_states():
     p = fluid_packet(TABLE, {S0: 1.5, S1: 0.5})
     assert p.size == pytest.approx(2.0)
-    assert p.is_fluid and p.table is TABLE and p.amounts == [1.5, 0.5]
+    assert isinstance(p, FluxPacket) and p.table is TABLE and p.amounts == [1.5, 0.5]
     # a fluid packet's amounts are aligned with its table, whatever order
     # they are given in, and it keeps its total
     p = fluid_packet(TABLE, {S1: 0.5, S0: 1.5})
     assert p.amounts == [1.5, 0.5]
     assert p.size == 2.0
-    q = packet_of(_vehs(3), TABLE)
-    assert q.size == 3.0
-    assert not q.is_fluid
+    q = slots_of(_vehs(3), TABLE)
+    assert sum(len(vs) for _, vs in q) == 3
+    assert not isinstance(q, FluxPacket)  # cars travel as lists, not packets
 
 
 STATES = [StateIndex(1, None), StateIndex(0, 7), StateIndex(1, 2), StateIndex(0, None),
@@ -54,18 +56,18 @@ STATES = [StateIndex(1, None), StateIndex(0, 7), StateIndex(1, 2), StateIndex(0,
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.sampled_from(STATES), max_size=30), st.randoms(use_true_random=False))
-def test_vehicle_packet_is_in_state_order_and_fifo_within_a_state(states, rnd):
+def test_a_car_list_by_slot_is_in_state_order_and_fifo_within_a_state(states, rnd):
     vehs = [Vehicle(id=i, state=s, created=0.0) for i, s in enumerate(states)]
     rnd.shuffle(vehs)
     # a table lists every state a link can hold, in state order
     table = tuple(sorted(STATES, key=state_sort_key))
-    p = vehicle_packet(table, {s: k for k, s in enumerate(table)}, vehs)
-    assert list(vehicles_by_state(p)) == sorted(set(states), key=state_sort_key)
-    # each state keeps the given order of its vehicles
-    for s, vs in zip(p.table, p.vehicles):
+    slots = by_slot(vehs, {s: k for k, s in enumerate(table)})
+    assert list(cars_by_state(slots, table)) == sorted(set(states), key=state_sort_key)
+    # each state keeps the given order of its vehicles, and no slot is empty
+    for s, vs in cars_by_state(slots, table).items():
         assert vs == [v for v in vehs if v.state == s]
-    assert p.all_vehicles() == [v for vs in p.vehicles for v in vs]
-    assert p.size == len(vehs)
+    assert all(vs for _, vs in slots)
+    assert sum(len(vs) for _, vs in slots) == len(vehs)
 
 
 def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
@@ -78,36 +80,66 @@ def test_fluid_packet_rejects_negative_amounts_and_drops_zeros():
     assert fluid_packet(TABLE, {S1: 2.0}).amounts == [0.0, 2.0]
 
 
+def _ids(slots):
+    return [v.id for _, vs in slots for v in vs]
+
+
 def test_split_vehicle_floor_per_state():
-    p = packet_of(_vehs(5, S0) + _vehs(3, S1, start=100), TABLE)
-    sent = take(p, 0.5, 8)
+    slots = slots_of(_vehs(5, S0) + _vehs(3, S1, start=100), TABLE)
+    sent = take(slots, 0.5, 8)
     # floor(0.5*5)=2, floor(0.5*3)=1
-    assert len(vehicles_by_state(sent)[S0]) == 2
-    assert len(vehicles_by_state(sent)[S1]) == 1
+    assert len(cars_by_state(sent, TABLE)[S0]) == 2
+    assert len(cars_by_state(sent, TABLE)[S1]) == 1
     # FIFO: first vehicles go first, in sorted-state order
-    assert [v.id for v in sent.all_vehicles()] == [0, 1, 100]
-    assert take(p, 1.0, 8).size == 8
+    assert _ids(sent) == [0, 1, 100]
+    assert len(_ids(take(slots, 1.0, 8))) == 8
 
 
 def test_split_never_exceeds_alpha():
-    p = packet_of(_vehs(7), TABLE)
+    slots = slots_of(_vehs(7), TABLE)
     for alpha in (0.0, 0.1, 0.33, 0.5, 0.99, 1.0):
-        sent = take(p, alpha, 7)
-        assert sent.size <= alpha * 7 + 1e-9
+        sent = take(slots, alpha, 7)
+        assert len(_ids(sent)) <= alpha * 7 + 1e-9
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 10])
 def test_cut_stops_at_its_total_limit(limit):
     # per state floor(0.6*5)=3 and floor(0.6*3)=1: at most 4 before the limit
-    p = packet_of(_vehs(3, S1, start=100) + _vehs(5, S0), TABLE)
-    sent = take(p, 0.6, limit)
-    ids = [v.id for v in sent.all_vehicles()]
+    slots = slots_of(_vehs(3, S1, start=100) + _vehs(5, S0), TABLE)
+    sent = take(slots, 0.6, limit)
+    ids = _ids(sent)
     # the limit keeps a prefix of the uncut share, in state order
     assert ids == [0, 1, 2, 100][:limit]
-    assert sent.size == len(ids)
-    # each amount counts its slot's vehicles; the cut keeps the table
-    assert sent.table is TABLE
-    assert sent.amounts == [float(len(vs)) for vs in sent.vehicles]
+    # each slot of the cut is a slot of the table, with the cars it sent
+    assert [k for k, _ in sent] == [0, 1][:len(sent)]
+    assert all(vs for _, vs in sent)
+
+
+@st.composite
+def _cuts(draw):
+    """1-4 slots of FIFO car lists (some empty), an alpha in [0, 1], often
+    one that puts alpha*n within 1e-9 of an integer for a slot's n, and a
+    limit from 0 to the cars' total."""
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    slots, start = [], 0
+    for n in sizes:
+        slots.append([Vehicle(id=start + i, state=S0, created=0.0) for i in range(n)])
+        start += n
+    n = draw(st.sampled_from([m for m in sizes if m] or [1]))
+    near = draw(st.integers(0, n)) / n + draw(st.floats(-1e-9, 1e-9)) / n
+    alpha = draw(st.one_of(st.floats(0.0, 1.0), st.just(min(1.0, max(0.0, near)))))
+    return slots, alpha, draw(st.integers(0, start))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_cuts())
+def test_take_on_car_lists_matches_the_packet_cut(case):
+    slots, alpha, limit = case
+    want = reference_take.take(slots, alpha, limit)
+    got = take([(k, vs) for k, vs in enumerate(slots) if vs], alpha, limit)
+    assert {k: [v.id for v in vs] for k, vs in got} == {
+        k: [v.id for v in vs] for k, vs in enumerate(want) if vs}
+    assert [k for k, _ in got] == sorted(k for k, _ in got)
 
 
 def test_translator_residues_conserve():

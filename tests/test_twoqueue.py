@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corridor_network, packet_of
+from conftest import corridor_network
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
 from hybridtraffic.models.twoqueue import TwoQueueModel
 from hybridtraffic.packets import StateIndex, Vehicle
@@ -45,8 +45,8 @@ def test_transit_delay_enforced(rng):
     offered = []
     for k in range(9, 40):
         for req in m.compute_demands(k * 2.0, rng):
-            offered.extend(v.id for v in req.packet.all_vehicles())
-            m.remove(req.group_id, None, req.packet)
+            offered.extend(v.id for v in req.cars)
+            m.remove(req.group_id, None, req.cars)
         m.advance_state(k * 2.0, rng)
         if len(offered) == 3:
             break
@@ -60,8 +60,8 @@ def test_fifo_order(rng):
     k = 0
     while len(served) < 5 and k < 200:
         for req in m.compute_demands(k * 2.0, rng):
-            served.extend(v.id for v in req.packet.all_vehicles())
-            m.remove(req.group_id, None, req.packet)
+            served.extend(v.id for v in req.cars)
+            m.remove(req.group_id, None, req.cars)
         k += 1
     assert served == [0, 1, 2, 3, 4]
 
@@ -89,8 +89,8 @@ def test_buffer_admitted_as_space_frees(rng):
     k = 10
     while removed < 10 and k < 500:
         for req in m.compute_demands(k * 2.0, rng):
-            removed += req.packet.size
-            m.remove(req.group_id, None, req.packet)
+            removed += len(req.cars)
+            m.remove(req.group_id, None, req.cars)
         m.advance_state(k * 2.0, rng)
         k += 1
     assert removed >= 10
@@ -101,7 +101,7 @@ def test_buffer_admitted_as_space_frees(rng):
 def test_remove_requires_waiting_vehicles(rng):
     m = _model()
     m.receive_vehicles(0, _vehs(2), now=0.0)
-    ghost = packet_of(_vehs(1, start=99))
+    ghost = _vehs(1, start=99)
     with pytest.raises(RuntimeError):
         m.remove("0:1", None, ghost)
 
@@ -120,11 +120,11 @@ def test_service_draw_long_run_mean(rng):
             gq.waiting.extend(_vehs(10, start=next_id))
             next_id += 10
         reqs = m.compute_demands(1e9, rng)  # far past any transit delay
-        offered = sum(r.packet.size for r in reqs)
+        offered = sum(len(r.cars) for r in reqs)
         assert offered <= len(gq.waiting)
         total += offered
         for r in reqs:
-            m.remove(r.group_id, None, r.packet)
+            m.remove(r.group_id, None, r.cars)
     expect = draws * mean
     sigma = np.sqrt(draws * mean)
     assert abs(total - expect) < 3 * sigma

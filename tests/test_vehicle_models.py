@@ -3,7 +3,7 @@
 
 import pytest
 
-from conftest import (corridor_network, corridor_scenario_dict, packet_of,
+from conftest import (corridor_network, corridor_scenario_dict,
                       supplies_around_the_pass)
 from hybridtraffic import Engine
 from hybridtraffic.demand import Route, RoutingContext, VehicleType
@@ -40,7 +40,7 @@ def _room_behind_a_buffer(m, rng):
     m.receive_vehicles(0, _vehs(*range(6)), 0.0)
     m.compute_demands(0.0, rng)
     m.advance_state(2.0, rng)
-    m.remove("0:1", None, packet_of(_vehs(0, 1)))
+    m.remove("0:1", None, _vehs(0, 1))
     buffered = [v.id for v in m.groups["0:1"].buffer]
     assert buffered and m.groups["0:1"].has_room()
     return buffered
@@ -51,8 +51,8 @@ def _drain(m, rng, t):
     out = []
     while m.total_vehicles("0:1") and t < 2000.0:
         for req in m.compute_demands(t, rng):
-            m.remove(req.group_id, req.rc, req.packet)
-            out += [v.id for v in req.packet.all_vehicles()]
+            m.remove(req.group_id, req.rc, req.cars)
+            out += [v.id for v in req.cars]
         m.advance_state(t, rng)
         t += m.dt
     return out
@@ -93,7 +93,7 @@ def test_removing_an_absent_vehicle_names_the_lane_group(cls):
     m.receive_vehicles(0, _vehs(0), 0.0)
     msg = "lane group 0:1: 1 of 1 released vehicles not present"
     with pytest.raises(RuntimeError, match=msg):
-        m.remove("0:1", None, packet_of(_vehs(99)))
+        m.remove("0:1", None, _vehs(99))
 
 
 @pytest.mark.parametrize("cls", MODELS)
