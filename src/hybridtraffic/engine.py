@@ -364,7 +364,8 @@ class Engine:
                 if req.cars is None:
                     self._book(sent, link, self._cum_out, self.exits)
                 else:
-                    self._book_cars(by_slot(sent, self.routing.slots[link]), link, self._cum_out, self.exits)
+                    self._book_cars(by_slot(sent, self.routing.slots[link]), link,
+                                    self._cum_out, self.exits)
                 continue
             conn = self._rc[r]
             try:
@@ -496,7 +497,6 @@ class Engine:
         through the road connection: one cut within the receiving lane
         groups' supply (`caps`, read just before), then book, re-key, enter;
         the cut leaves its sender after the pass."""
-        receiver = conn.receiver
         allow = sum(caps)
         if isinstance(sent, FluxPacket):
             total = min(min(1.0, delta / size) * size, allow)
@@ -506,26 +506,23 @@ class Engine:
             # a whole request is sent as it is (a * 1.0 == a)
             if alpha != 1.0:
                 sent = FluxPacket(sent.table, [a * alpha for a in sent.amounts])
-            self.stats.deliveries += 1
-            self._cuts.append((sender, g, conn.id, sent))
-            self._book(sent, conn.up_link, self._cum_out)
-            routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-            self._enter(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
-            return
-        credit = self._entry_credit.get(conn.id, 0.0)
-        entitled = min(delta + credit, size)
-        # the entitled share per state, no more than fit in the supply plus the credit
-        slots = take(by_slot(sent, self.routing.slots[conn.up_link]), entitled / size,
-                     int(math.floor(allow + credit + 1e-9)))
-        n = sum(len(vs) for _, vs in slots)
-        self._entry_credit[conn.id] = min(max(0.0, entitled - n), 1.0)
-        if not n:
-            return
+            cut, book, enter = sent, self._book, self._enter
+        else:
+            credit = self._entry_credit.get(conn.id, 0.0)
+            entitled = min(delta + credit, size)
+            # the entitled share per state, no more than fit in the supply plus the credit
+            sent = take(by_slot(sent, self.routing.slots[conn.up_link]), entitled / size,
+                        int(math.floor(allow + credit + 1e-9)))
+            cut = [v for _, vs in sent for v in vs]
+            self._entry_credit[conn.id] = min(max(0.0, entitled - len(cut)), 1.0)
+            if not cut:
+                return
+            book, enter = self._book_cars, self._enter_cars
         self.stats.deliveries += 1
-        self._cuts.append((sender, g, conn.id, [v for _, vs in slots for v in vs]))
-        self._book_cars(slots, conn.up_link, self._cum_out)
-        routed = self.routing.assign_next_link(slots, conn.down_link, t, self.rng)
-        self._enter_cars(receiver, conn.down_link, routed, conn.groups, caps, allow, t)
+        self._cuts.append((sender, g, conn.id, cut))
+        book(sent, conn.up_link, self._cum_out)
+        routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
+        enter(conn.receiver, conn.down_link, routed, conn.groups, caps, allow, t)
 
     def _remove_cuts(self):
         """Take the flow phase's cuts out of their senders in the order they

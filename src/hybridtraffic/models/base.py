@@ -207,11 +207,12 @@ class VehicleModel(TrafficModel):
     requests carry cars, FIFO lists of vehicles (`vehicle_requests`), which
     cross a junction as lists and come back to `remove` as the list of those
     sent. Entry, buffer admission, release, counts and lookups are here; a
-    model adds its dynamics and three hooks: `_pick(gids)`, the lane group among those
-    serving its next link that a vehicle enters; `_place(gid, g, v, now,
-    fresh)`, which places it at the upstream end (`fresh` in the flow phase,
-    not from the buffer in an advance); and `_placed_positions(g, now)`, a
-    list of the (vehicle, position_m, speed_kmh) of each placed vehicle."""
+    model adds its dynamics and three hooks: `_pick(gids)`, the lane group
+    among those serving its next link that a vehicle enters; `_place(gid, g,
+    v, now, fresh)`, which places it at the upstream end (`fresh` in the flow
+    phase, not from the buffer in an advance); and `_placed_positions(g,
+    now)`, a list of the (vehicle, position_m, speed_kmh) of each placed
+    vehicle."""
 
     vehicle_based = True
 
