@@ -522,7 +522,7 @@ class Engine:
         self._cuts.append((sender, g, conn.id, cut))
         book(sent, conn.up_link, self._cum_out)
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
-        enter(conn.receiver, conn.down_link, routed, conn.groups, caps, allow, t)
+        enter(conn.receiver, conn.down_link, routed, conn.groups, caps, t)
 
     def _remove_cuts(self):
         """Take the flow phase's cuts out of their senders in the order they
@@ -543,17 +543,17 @@ class Engine:
                          _PAIR % (self._rc[r].junction, r, g))
                 raise SimulationError(exc, element=where) from exc
 
-    def _enter(self, receiver, link, packet: FluxPacket, groups, caps, space, t):
+    def _enter(self, receiver, link, packet: FluxPacket, groups, caps, t):
         """Book a re-keyed fluid packet into `link` and hand it to the link's
         model: as whole vehicles condensed from it, or as its amounts over
         the link's state table spread over `groups` (sorted, `caps` their
-        supply, summing to `space`) in proportion to their free space, evenly
-        when none has any (entry credit can admit a vehicle into full fluid
-        lane groups)."""
+        supply) in proportion to their free space, evenly when none has any
+        (entry credit can admit a vehicle into full fluid lane groups)."""
         self._book(packet, link, self._cum_in)
         if receiver.vehicle_based:
             receiver.receive_vehicles(link, self.translator.translate(packet, link, t), t)
             return
+        space = sum(caps)
         if space <= 0:
             caps, space = [1.0] * len(groups), float(len(groups))
         for h, w in zip(groups, caps):
@@ -561,7 +561,7 @@ class Engine:
             if any(part):
                 receiver.receive_fluid(h, part, t)
 
-    def _enter_cars(self, receiver, link, routed, groups, caps, space, t):
+    def _enter_cars(self, receiver, link, routed, groups, caps, t):
         """Book re-keyed cars, (slot of `link`'s state table, its cars) in
         slot order, into `link` and hand them to the link's model: whole, in
         slot order and FIFO within a slot, or dissolved into their counts
@@ -577,7 +577,7 @@ class Engine:
             for v in vs:
                 if v.id in self._probed:
                     self.trackers.append(VirtualTracker(v.id, table[k], link, groups[0], 0.0))
-        self._enter(receiver, link, FluxPacket(table, amounts), groups, caps, space, t)
+        self._enter(receiver, link, FluxPacket(table, amounts), groups, caps, t)
 
     def _book(self, packet: FluxPacket, link: int, *ledgers: np.ndarray):
         """Add the packet's amounts over `link`'s state table to each ledger,
@@ -626,7 +626,7 @@ class Engine:
         routed = self.routing.assign_next_link(p0, link, t, self.rng)
         groups = sorted(supply)  # the order fluid is spread in
         caps = [supply[h] for h in groups]
-        self._enter(model, link, routed, groups, caps, sum(caps), t)
+        self._enter(model, link, routed, groups, caps, t)
 
     # --- probes ----------------------------------------------------------
 

@@ -10,13 +10,15 @@ own slots stay zero, and so does the extra last row, which stands in for a
 missing lateral neighbour. The lane changes, the demands and the internal
 fluxes are a fixed number of numpy operations per step, whatever the number
 of links.
-Within a flow phase the model works on per-step Python lists (each lane
-group's last cell, its outflow, its received total, the cell totals) and on
-the first-cell inflow, a dense (lane group, slot) array, and folds them
-into the arrays in `advance_state`. The array junctions' receipts and
-removals are the same steps over many lane groups at once: each round
-adds into the inflow as it is taken, and one that fails names its row
-(`RowError`) with the error the one-lane-group step raises.
+Within a flow phase a cut (`remove`) goes straight into its lane group's
+last-cell row of the occupancy array, and its outflow into a per-lane-group
+array; fluid received goes into the first-cell inflow, a dense (lane group,
+slot) array that `advance_state` adds to the cells. Only the cell totals and
+the received totals stay Python lists, because every supply read
+(`lane_group_supply`) uses them. The array junctions' receipts and removals
+are the same steps over many lane groups at once: each round adds into the
+inflow as it is taken, and one that fails names its row (`RowError`) with
+the error the one-lane-group step raises.
 
 Every sending flow of a step is computed at once, as one (lane group,
 slot) demand array kept for the flow phase (`_demand`). A lane group's
@@ -232,15 +234,11 @@ class CtmModel(TrafficModel):
             self._lc_out[:-1] = lc_move == 1
         self._occ = np.zeros((self._n_rows + 1, n_slots))
         self._cum = np.zeros(self._n_rows)  # crossings of each internal boundary
-        self._cum_out = [0.0] * len(groups)  # crossings of each downstream boundary
+        self._cum_out = np.zeros(len(groups))  # crossings of each downstream boundary
         self._n_slots = n_slots
-        self._flux_np = np.zeros(self._n_rows)  # last step's internal fluxes
-        self._flux: list[float] | None = None  # the same as a list, once asked for
-        self._out_prev = [0.0] * len(groups)  # last step's outflows
-        # within a flow phase: the lane groups' last cells, flat (lane group
-        # by lane group, slot by slot), and their outflows
-        self._last: list[float] | None = None
-        self._outflow: list[float] = []
+        self._flux = np.zeros(self._n_rows)  # last step's internal fluxes
+        # each lane group's outflow in the last step, and in this one
+        self._out_prev, self._outflow = np.zeros(len(groups)), np.zeros(len(groups))
         # inflow into each lane group's first cell, by (lane group, slot),
         # with a zero row for the index past the last, and its total per
         # lane group
@@ -278,17 +276,13 @@ class CtmModel(TrafficModel):
         self._tot_np = _row_sums(self._occ)
         self._tot = self._tot_np.tolist()
 
-    def _open(self, last: np.ndarray):
-        """Start a flow phase: the last cells and outflows as Python lists."""
-        self._last = last.ravel().tolist()
-        self._outflow = [0.0] * len(self._group_list)
-
     # --- seeding and reading one cell ----------------------------------
 
     def occupancy(self, group_id: str, cell: int) -> dict[StateIndex, float]:
         """The cell's non-zero occupancies by state, in state order."""
         g = self.groups[group_id]
-        return {s: n for s, n in zip(g.table, self._cell(g, cell % g.count)) if n}
+        row = self._occ[g.start + cell % g.count].tolist()
+        return {s: n for s, n in zip(g.table, row) if n}
 
     def set_occupancy(self, group_id: str, cell: int, amounts: dict[StateIndex, float]):
         """Replace the cell's occupancies (e.g. to seed a test); not within a
@@ -304,12 +298,6 @@ class CtmModel(TrafficModel):
             row[k] = a
         self._occ[g.start + cell % g.count] = row
         self._set_totals()
-
-    def _cell(self, g: _Group, i: int) -> list[float]:
-        if self._last is not None and i == g.count - 1:
-            n = self._n_slots
-            return self._last[g.index * n:(g.index + 1) * n]
-        return self._occ[g.start + i].tolist()
 
     # --- lane changes (intermediate state) -----------------------------
 
@@ -353,7 +341,6 @@ class CtmModel(TrafficModel):
         last = self._occ[self._last_rows]
         n_tot = last if last.shape[1] == 1 else _row_sums(last)[:, None]
         d = np.minimum(self._v_gs * last, (self._f_g * last) / np.maximum(n_tot, TINY))
-        self._open(last)
         self._demand = d
         reqs: list[DemandRequest] = []
         groups, rcs, gids = self._group_list, self._group_rcs, self.group_ids
@@ -398,23 +385,22 @@ class CtmModel(TrafficModel):
 
     def remove(self, group_id: str, rc, packet: FluxPacket):
         g = self.groups[group_id]
-        i = g.index
+        i, r = g.index, g.start + g.count - 1
         if packet.table is not g.table:
             raise ProtocolError("lane group %s: packet is not over link %s's state table"
                                 % (group_id, g.link))
-        last = self._last
-        base = i * self._n_slots
-        out, cum = self._outflow[i], self._cum_out[i]
-        for k, a in enumerate(packet.amounts, base):
+        row = self._occ[r]
+        out, cum = float(self._outflow[i]), float(self._cum_out[i])
+        for k, a in enumerate(packet.amounts):
             if a > 0:
-                cur = last[k] - a
+                cur = float(row[k]) - a
                 if cur < NEG_TOL:
-                    raise self._overdraw(g, k - base)
-                last[k] = cur if cur > 0 else 0.0
+                    raise self._overdraw(g, k)
+                row[k] = cur if cur > 0 else 0.0
                 out += a
                 cum += a
         self._outflow[i], self._cum_out[i] = out, cum
-        self._tot[g.start + g.count - 1] = sum(last[base:base + self._n_slots])
+        self._tot[r] = sum(row.tolist())
 
     def receive_fluid(self, group_id, amounts, now):
         g = self.groups[group_id]
@@ -476,10 +462,9 @@ class CtmModel(TrafficModel):
         at most once a round. A cut above an occupancy raises `RowError`
         for the first such row of the first round with one, from
         `remove`'s error."""
-        n, n_groups = self._n_slots, len(self._group_list)
-        last = np.array(self._last).reshape(n_groups, n)
-        out, cum = np.array(self._outflow), np.array(self._cum_out)
-        cut = np.zeros(n_groups, bool)
+        n, rows = self._n_slots, self._last_rows
+        last, out, cum = self._occ[rows], self._outflow, self._cum_out
+        cut = np.zeros(len(rows), bool)
         for r, (h, a) in enumerate(rounds):
             took = a > 0
             cur = last[h] - a
@@ -492,17 +477,15 @@ class CtmModel(TrafficModel):
                 out[h] += a[:, k]
                 cum[h] += a[:, k]
             cut[h[took.any(axis=1)]] = True
+        self._occ[rows] = last
         g = np.flatnonzero(cut)
         tot = 0.0 + _row_sums(last[g])  # as `sum` adds from 0
-        self._last, self._outflow, self._cum_out = last.ravel().tolist(), out.tolist(), cum.tolist()
         tots = self._tot
-        for r, v in zip(self._last_rows[g].tolist(), tot.tolist()):
+        for r, v in zip(rows[g].tolist(), tot.tolist()):
             tots[r] = v
 
     def advance_state(self, now, rng):
         occ, n = self._occ, self._tot_np  # totals of the intermediate state
-        if self._last is not None:
-            occ[self._last_rows] = np.array(self._last).reshape(-1, self._n_slots)
         # internal fluxes from the intermediate state, split over the states
         # in proportion to their share of the cell: into the next cell, then
         # out of this one, clamped at 0 where anything left
@@ -528,11 +511,9 @@ class CtmModel(TrafficModel):
         self._inflow.fill(0.0)
         self._received = [0.0] * len(self._group_list)
         self._cum += flux
-        self._flux_np, self._flux = flux, None
-        if self._last is not None:
-            self._out_prev, self._last = self._outflow, None
-        else:
-            self._out_prev = [0.0] * len(self._group_list)
+        self._flux = flux
+        self._out_prev, self._outflow = self._outflow, self._out_prev
+        self._outflow.fill(0.0)
         self._set_totals()
 
     # --- queries -------------------------------------------------------
@@ -540,10 +521,8 @@ class CtmModel(TrafficModel):
     def _out_of(self, g: _Group, i: int) -> float:
         """Cell i's outflux in the last step, veh/step."""
         if i == g.count - 1:
-            return self._out_prev[g.index]
-        if self._flux is None:
-            self._flux = self._flux_np.tolist()
-        return self._flux[g.start + i]
+            return float(self._out_prev[g.index])
+        return float(self._flux[g.start + i])
 
     def distance_to_last_vehicle(self, group_id: str) -> float:
         g = self.groups[group_id]
@@ -584,8 +563,8 @@ class CtmModel(TrafficModel):
         out = [0.0] * len(self.routing.tables[link_id])
         for gid in self.net.link_groups[link_id]:
             g = self.groups[gid]
-            for i in range(g.count):
-                for k, n in enumerate(self._cell(g, i)):
+            for cell in self._occ[g.start:g.start + g.count].tolist():
+                for k, n in enumerate(cell):
                     if n > 0:
                         out[k] += n
             for k, a in enumerate(self._inflow[g.index, :len(out)].tolist()):
@@ -624,7 +603,7 @@ class CtmModel(TrafficModel):
         for gid in self.net.link_groups[link_id]:
             g = self.groups[gid]
             if g.count < 2:
-                total += self._cum_out[g.index]
+                total += float(self._cum_out[g.index])
                 continue
             b = min(g.count - 1, max(1, round(offset_m / g.length)))
             total += float(self._cum[g.start + b - 1])

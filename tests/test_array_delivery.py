@@ -30,8 +30,9 @@ from harness import GRIDS  # noqa: E402
 
 
 def _run(d, out_dir, arrays: bool):
-    """The engine after a run, its CSVs, and each CTM model's per-step
-    lists and first-cell inflow as every flow phase ended."""
+    """The engine after a run, its CSVs, and each CTM model's cell totals,
+    last cells, outflows, received totals and first-cell inflow as every
+    flow phase ended."""
     # the oracle builds no array junction, so its models offer every pair
     # as a packet
     no_arrays = patch.object(Engine, "_compile_arrays", return_value={})
@@ -42,8 +43,8 @@ def _run(d, out_dir, arrays: bool):
 
     def removing():
         remove_cuts()
-        states.append([(list(m._tot), m._last and list(m._last), list(m._outflow),
-                        list(m._cum_out), list(m._received),
+        states.append([(list(m._tot), m._occ[m._last_rows].tolist(), m._outflow.tolist(),
+                        m._cum_out.tolist(), list(m._received),
                         m._inflow.tolist())
                        for m in ctms])
 
@@ -75,9 +76,19 @@ def _grid(rows, seed, **spec):
     return grid_scenario(replace(GRIDS["grid_macro"], rows=rows, **spec), seed)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_grid_macros_layout_writes_the_pair_by_pair_bytes(seed, tmp_path):
-    eng = _same_as_pair_by_pair(_grid(20, seed), tmp_path)
+@pytest.mark.parametrize("seed, ctm_dt", [
+    pytest.param(1, 2.0, id="1"), pytest.param(2, 2.0, id="2"),
+    # the CTM steps every 1 s against the two_queue block's and the
+    # signals' 2 s, so on every other flow phase the CTM alone is due
+    pytest.param(1, 1.0, id="1-mixed"), pytest.param(2, 1.0, id="2-mixed"),
+])
+def test_grid_macros_layout_writes_the_pair_by_pair_bytes(seed, ctm_dt, tmp_path):
+    d = _grid(20, seed)
+    for m in d["models"]:
+        if m["kind"] == "ctm":
+            m["dt"] = ctm_dt
+    eng = _same_as_pair_by_pair(d, tmp_path)
+    assert sorted(m.dt for m in eng.models) == sorted([ctm_dt, 2.0])
     assert eng.stats.array_deliveries > eng.stats.deliveries / 2
 
 
@@ -211,8 +222,7 @@ def test_a_cut_above_its_senders_last_cell_names_its_pair():
 
         def overdrawn():
             if _sending(eng, "1:1", "3:1"):
-                i, n = sender.groups["3:1"].index, sender._n_slots
-                sender._last[i * n:(i + 1) * n] = [0.0] * n
+                sender._occ[sender._last_rows[sender.groups["3:1"].index]] = 0.0
             remove_cuts()
 
         eng._remove_cuts = overdrawn

@@ -380,7 +380,7 @@ def test_a_diverge_rekeys_into_a_two_lane_group_link_as_the_per_state_hand_over_
     got = []
     receiver = SimpleNamespace(vehicle_based=False,
                                receive_fluid=lambda g, part, t: got.append((g, part)))
-    eng._enter(receiver, 1, out, ("1:1", "1:2"), [0.9, 0.35], 0.9 + 0.35, 0.0)
+    eng._enter(receiver, 1, out, ("1:1", "1:2"), [0.9, 0.35], 0.0)
     assert got == [
         ("1:1", [h("0x1.10cb295e9e1b1p-2"), h("0x1.cf6ee27345ecdp-3"),
                  h("0x1.21a54d880bb40p-1")]),

@@ -510,8 +510,7 @@ def test_junction_failure_names_junction_rc_and_lane_group(fault):
 
         def overdrawn():
             if both_offered():
-                i, n = sender.groups["1:1"].index, sender._n_slots
-                sender._last[i * n:(i + 1) * n] = [0.0] * n
+                sender._occ[sender._last_rows[sender.groups["1:1"].index]] = 0.0
             remove_cuts()
 
         eng._remove_cuts = overdrawn
@@ -549,6 +548,40 @@ def test_an_array_step_failure_tied_to_no_pair_names_the_model(step):
     with pytest.raises(SimulationError) as info:
         eng.run()
     assert info.value.element == "model 0 (ctm)" and "stub failure" in str(info.value)
+    assert eng.stats.junctions_batched == 1
+
+
+def test_a_second_request_for_one_lane_group_and_rc_names_the_pair():
+    from hybridtraffic.engine import SimulationError
+
+    d = corridor_scenario_dict([("ctm", [0, 1]), ("newell", [2, 3])], n_links=4)
+    eng = Engine(parse_scenario(d))
+    sender = eng.model_of_link[1]
+    compute = sender.compute_demands
+
+    def twice(now, rng):
+        reqs = compute(now, rng)
+        return reqs + [req for req in reqs if req.group_id == "1:1"]
+
+    sender.compute_demands = twice
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    err = info.value
+    assert err.element == "junction 1, rc 1, lane group 1:1" and err.time > 0
+    assert "more than one request per lane group and rc" in str(err)
+
+
+def test_a_supply_read_failing_in_the_batch_plan_names_the_junction():
+    # the merge into link 2 is batched, but link 2 has a model of its own,
+    # so the merge is no array junction: the plan reads its supply
+    d = _two_route_merge(duration=200.0)
+    d["models"][0]["links"] = [0, 1, 3]
+    d["models"].append(dict(d["models"][0], links=[2]))
+    eng = Engine(parse_scenario(d))
+    assert 1 in eng._jset.place and 1 not in eng._array_junctions
+    eng.model_of_link[2].lane_group_supply = _fails
+    err = _failure(eng)
+    assert err.element == "junction 1" and err.time > 0
     assert eng.stats.junctions_batched == 1
 
 
@@ -633,17 +666,17 @@ def test_fluid_entry_spreads_by_free_space_in_state_order():
     table = eng.routing.tables[1]
     _, receiver, _, got = _recording_ends()
     eng._enter(receiver, 1, fluid_packet(table, {S1: 1.0, S0: 3.0}), ("a", "b"),
-               [9.0, 3.0], 12.0, 0.0)
+               [9.0, 3.0], 0.0)
     assert got == [("a", [2.25, 0.75]), ("b", [0.75, 0.25])]
     assert eng.cum_in[1] == {S0: 3.0, S1: 1.0}
     # a lane group without free space gets nothing while another has some
     got.clear()
-    eng._enter(receiver, 1, fluid_packet(table, {S0: 3.0}), ("a", "b"), [0.0, 5.0], 5.0, 0.0)
+    eng._enter(receiver, 1, fluid_packet(table, {S0: 3.0}), ("a", "b"), [0.0, 5.0], 0.0)
     assert got == [("b", [3.0, 0.0])]
     # without any free space the amounts are split evenly
     got.clear()
     eng._enter(receiver, 1, fluid_packet(table, {S1: 1.0, S0: 3.0}), ("a", "b"),
-               [0.0, 0.0], 0.0, 0.0)
+               [0.0, 0.0], 0.0)
     assert got == [("a", [1.5, 0.5]), ("b", [1.5, 0.5])]
 
 

@@ -34,12 +34,20 @@ def test_parse_serialize_round_trip():
     d["sensors"] = [{"id": 0, "kind": "lane_group", "dt": 10.0, "lane_group": "0:1"}]
     d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
     d["controllers"] = [{"id": 0, "type": "noop", "dt": 10.0}]
+    # link 0 carries partial lanes at both downstream positions, link 1 none
+    partials = [{"position": "inner-downstream", "lanes": 1, "length": 100.0},
+                {"position": "outer-downstream", "lanes": 2, "length": 150.0}]
+    d["links"][0]["partials"] = partials
     sc = parse_scenario(d)
     d2 = scenario_to_dict(sc)
     sc2 = parse_scenario(d2)
     assert scenario_to_dict(sc2) == d2  # fixed point after one round trip
     assert sc2.run.duration == sc.run.duration
     assert [l.id for l in sc2.links] == [0, 1]
+    assert d2["links"][0]["partials"] == partials and "partials" not in d2["links"][1]
+    assert [(p.position, p.lanes, p.length) for p in sc2.links[0].partials] == [
+        ("inner-downstream", 1, 100.0), ("outer-downstream", 2, 150.0)]
+    assert not sc2.links[1].partials
 
 
 def test_missing_required_field_raises():
