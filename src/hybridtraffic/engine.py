@@ -171,16 +171,21 @@ class Engine:
             gid: m for m in self.models for gid in m.group_ids
         }
 
-        # bookkeeping: cumulative boundary flows and network exits, one float
-        # per (link, slot) place, a link's slots at consecutive places from
-        # its first, and a padding place past the last that takes the array
-        # junctions' zeros for slots past a link's table
+        # bookkeeping: cumulative boundary flows, one float per (link, slot)
+        # place, a link's slots at consecutive places from its first, and a
+        # padding place past the last that takes the array junctions' zeros
+        # for slots past a link's table; an exit place's state leaves the
+        # network at its link, so its `_cum_out` is what has exited there
         self.place_of: dict[int, int] = {}
+        self._exit_places: list[int] = []
         n_places = 0
         for l in self.net.links:
             self.place_of[l] = n_places
-            n_places += len(self.routing.tables[l])
-        self._cum_in, self._cum_out, self.exits = np.zeros((3, n_places + 1))
+            for s in self.routing.tables[l]:
+                if self.routing.next_link_of(s, l) is None:
+                    self._exit_places.append(n_places)
+                n_places += 1
+        self._cum_in, self._cum_out = np.zeros((2, n_places + 1))
         self.cum_in = LedgerView(self._cum_in, self.routing.tables, self.place_of)
         self.cum_out = LedgerView(self._cum_out, self.routing.tables, self.place_of)
         self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet or cars)
@@ -352,24 +357,21 @@ class Engine:
 
         # network exits are unconstrained; every other request is sized once,
         # a car list by its length and a packet by its receiving model, and
-        # offered to its junction, by pair index as (sender, packet or cars,
-        # size)
+        # offered to its junction, by pair index as (sender, sent, size)
         offers: dict[int, dict] = {}
-        for m, req in requests:
-            g, r = req.group_id, req.rc
-            sent = req.packet if req.cars is None else req.cars
+        for m, (g, r, sent) in requests:
+            fluid = isinstance(sent, FluxPacket)
             if r is None:
                 self._cuts.append((m, g, None, sent))
                 link = self.net.lane_groups[g].link
-                if req.cars is None:
-                    self._book(sent, link, self._cum_out, self.exits)
+                if fluid:
+                    self._book(sent, link, self._cum_out)
                 else:
-                    self._book_cars(by_slot(sent, self.routing.slots[link]), link,
-                                    self._cum_out, self.exits)
+                    self._book_cars(by_slot(sent, self.routing.slots[link]), link, self._cum_out)
                 continue
             conn = self._rc[r]
             try:
-                if req.cars is None:
+                if fluid:
                     size = conn.receiver.get_packet_size(sent, r)
                     if size < 0:
                         raise ProtocolError("negative packet size %r" % size)
@@ -389,19 +391,19 @@ class Engine:
         self._remove_cuts()
 
     def _solve_junctions(self, t, offers: dict[int, dict]):
-        """Plan, solve and deliver the junctions' `offers`; each junction's
-        path is fixed when the engine is built.
+        """Solve and deliver the junctions' `offers`; each junction's path is
+        fixed when the engine is built.
 
-        Plan: in ascending junction id, a 1x1x1 junction (not in
-        `self._jset`) is solved in closed form; every other one fills its
-        slice of the batch's demand and supply. The array junctions a
-        deliverer ranked in `offer` fill theirs as array steps of their
-        model (`open`).
-        Solve: one `nodemodel.solve` over `self._jset`.
+        Batch: every offered junction in `self._jset` (any that is not
+        1x1x1) fills its slice of the batch's demand and supply, in
+        ascending id; then the array junctions a deliverer ranked in `offer`
+        fill theirs as array steps of their model (`open`), and one
+        `nodemodel.solve` runs over `self._jset`.
         Deliver: the array junctions as array steps, model by model
-        (`ArrayJunctions.deliver`); then the other junctions in ascending
-        id, pairs in pair order, each pair its closed-form or batched flow,
-        within the receiving groups' supply read just before.
+        (`ArrayJunctions.deliver`); then the offered junctions in ascending
+        id, pairs in pair order, each pair its batched flow or, at a 1x1x1
+        junction, its closed-form one, within the receiving groups' supply
+        read just before.
 
         No cut leaves its sender before the pass ends (`_remove_cuts`), and
         only a junction's own deliveries enter its downstream groups; so a
@@ -411,33 +413,23 @@ class Engine:
         number, may go first. A failing array step names its pair (see
         `_array_step`)."""
         jset, stats = self._jset, self.stats
-        plan = []  # (junction, its offers, its pairs' offset in the batch or None)
         arrays = [a for a in self._arrays if a.batched]
-        demand = supply = None
-        if arrays:
-            demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
-            stats.junctions_batched += sum(a.batched for a in arrays)
-        for jid in sorted(offers):
-            junction, offered = self._junctions[jid], offers[jid]
-            if jid not in jset.place:
-                stats.junctions_1x1 += 1
-                plan.append((junction, offered, None))
-                continue
-            if demand is None:
-                demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
-            k = jset.place[jid]
-            p0, h0 = jset.pair_start[k], jset.down_start[k]
-            stats.junctions_batched += 1
-            for i, (_, _, size) in offered.items():
-                demand[p0 + i] = size
-            try:
-                for j, h in enumerate(junction.downstream, h0):
-                    supply[j] = self.model_of_group[h].lane_group_supply(h)
-            except Exception as exc:
-                raise SimulationError(exc, element="junction %s" % jid) from exc
-            plan.append((junction, offered, p0))
+        batched = [jid for jid in sorted(offers) if jid in jset.place]
+        stats.junctions_1x1 += len(offers) - len(batched)
+        stats.junctions_batched += len(batched) + sum(a.batched for a in arrays)
         flow = pair_flow = None
-        if demand is not None:
+        if arrays or batched:
+            demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
+            for jid in batched:
+                k = jset.place[jid]
+                p0, h0 = jset.pair_start[k], jset.down_start[k]
+                for i, (_, _, size) in offers[jid].items():
+                    demand[p0 + i] = size
+                try:
+                    for j, h in enumerate(self._junctions[jid].downstream, h0):
+                        supply[j] = self.model_of_group[h].lane_group_supply(h)
+                except Exception as exc:
+                    raise SimulationError(exc, element="junction %s" % jid) from exc
             for array in arrays:
                 self._array_step(array, array.open, demand, supply)
             closed = [False] * len(jset.rcs)
@@ -456,7 +448,7 @@ class Engine:
             n = self._array_step(array, array.deliver, t, flow, self._cum_in, self._cum_out)
             stats.deliveries += n
             stats.array_deliveries += n
-        self._deliver_pairs(t, plan, pair_flow)
+        self._deliver_pairs(t, offers, pair_flow)
 
     def _array_step(self, array: ArrayJunctions, step, *args):
         """`step(*args)` of an array deliverer. A failure is named by the
@@ -469,13 +461,16 @@ class Engine:
         except Exception as exc:
             raise SimulationError(exc, element=self._name(array.model)) from exc
 
-    def _deliver_pairs(self, t, plan, flow):
-        """Deliver the `plan`'s junctions pair by pair, in pair order: each
-        pair its closed-form flow, or its batched one out of `flow` (a list
-        over the batch's pairs)."""
-        for junction, offered, p0 in plan:
+    def _deliver_pairs(self, t, offers, flow):
+        """Deliver the offered junctions in ascending id, pair by pair in pair
+        order: each pair its batched flow out of `flow` (a list over the
+        batch's pairs), or at a 1x1x1 junction its closed-form one."""
+        jset = self._jset
+        for jid in sorted(offers):
+            junction, offered = self._junctions[jid], offers[jid]
+            p0 = jset.pair_start[jset.place[jid]] if jid in jset.place else None
             for i in sorted(offered):  # in pair order
-                (g, r), (sender, packet, size) = junction.pairs[i], offered[i]
+                (g, r), (sender, sent, size) = junction.pairs[i], offered[i]
                 conn = self._rc[r]
                 try:
                     if p0 is None:
@@ -484,7 +479,7 @@ class Engine:
                     else:
                         caps, delta = None, flow[p0 + i]
                     if delta > nodemodel.EPS:
-                        self._deliver(t, sender, g, conn, packet, size, delta, caps or [
+                        self._deliver(t, sender, g, conn, sent, size, delta, caps or [
                             conn.receiver.lane_group_supply(h) for h in conn.groups])
                 except Exception as exc:
                     raise SimulationError(exc, element=_PAIR % (junction.id, r, g)) from exc
@@ -551,7 +546,7 @@ class Engine:
         (entry credit can admit a vehicle into full fluid lane groups)."""
         self._book(packet, link, self._cum_in)
         if receiver.vehicle_based:
-            receiver.receive_vehicles(link, self.translator.translate(packet, link, t), t)
+            receiver.receive_vehicles(link, self.translator.translate(packet, link), t)
             return
         space = sum(caps)
         if space <= 0:
@@ -579,21 +574,19 @@ class Engine:
                     self.trackers.append(VirtualTracker(v.id, table[k], link, groups[0], 0.0))
         self._enter(receiver, link, FluxPacket(table, amounts), groups, caps, t)
 
-    def _book(self, packet: FluxPacket, link: int, *ledgers: np.ndarray):
-        """Add the packet's amounts over `link`'s state table to each ledger,
+    def _book(self, packet: FluxPacket, link: int, ledger: np.ndarray):
+        """Add the packet's amounts over `link`'s state table to the ledger,
         slot k at the link's first place plus k."""
         for k, a in enumerate(packet.amounts, self.place_of[link]):
             if a > 0:
-                for ledger in ledgers:
-                    ledger[k] += a
+                ledger[k] += a
 
-    def _book_cars(self, slots, link: int, *ledgers: np.ndarray):
-        """Add the car count of each of `slots`, (slot, cars), to each ledger
+    def _book_cars(self, slots, link: int, ledger: np.ndarray):
+        """Add the car count of each of `slots`, (slot, cars), to the ledger
         as `_book` adds an amount."""
         p = self.place_of[link]
         for k, vs in slots:
-            for ledger in ledgers:
-                ledger[p + k] += len(vs)
+            ledger[p + k] += len(vs)
 
     # --- sources ---------------------------------------------------------
 
@@ -612,7 +605,7 @@ class Engine:
             src.withdraw(float(n))
             vehicles = [
                 self.factory.make(self.routing.entry_state(
-                    src.demand.vtype, link, src.demand.route, t, self.rng), t)
+                    src.demand.vtype, link, src.demand.route, t, self.rng))
                 for _ in range(n)
             ]
             model.receive_vehicles(link, vehicles, t)
@@ -647,6 +640,10 @@ class Engine:
                 if nxt is None or self.model_of_link[nxt].vehicle_based:
                     tr.active = False
                     break
+                # re-keyed as fluid entering nxt is, to the row's largest
+                # share (the first on a tie), with no random draw
+                row = self.routing._row(tr.state, nxt, t)
+                tr.state = row.states[row.ratios.index(max(row.ratios))]
                 tr.position -= length
                 tr.link = nxt
                 tr.group_id = self.net.link_groups[nxt][0]
@@ -693,4 +690,5 @@ class Engine:
         return sum(s.total_injected for s in self.sources)
 
     def total_exited(self) -> float:
-        return sum(self.exits.tolist())
+        """`_cum_out` summed over the exit places, in place order."""
+        return sum(self._cum_out[self._exit_places].tolist(), 0.0)

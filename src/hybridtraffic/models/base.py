@@ -7,6 +7,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,17 +16,14 @@ from ..network import Network
 from ..packets import FluxPacket, StateIndex, Vehicle
 
 
-@dataclass
-class DemandRequest:
+class DemandRequest(NamedTuple):
     """One release request: lane group g wants to send along road connection
-    `rc` (None when the lane group exits the network) either `packet`, a fluid
-    packet over its link's state table, or `cars`, whole vehicles as a FIFO
-    list."""
+    `rc` (None when the lane group exits the network) `sent`, a fluid packet
+    over its link's state table or whole vehicles as a FIFO car list."""
 
     group_id: str
     rc: int | None
-    packet: FluxPacket | None = None
-    cars: list[Vehicle] | None = None
+    sent: FluxPacket | list[Vehicle]
 
 
 def _exits_last(rc: int | None):
@@ -94,10 +92,11 @@ class TrafficModel(ABC):
         return cands
 
     @staticmethod
-    def requests(group_id: str, by_rc: dict, packet) -> list[DemandRequest]:
-        """One request per road connection of `by_rc`, carrying `packet` of
-        its contents, in `_exits_last` order."""
-        return [DemandRequest(group_id, rc, packet(by_rc[rc]))
+    def requests(group_id: str, by_rc: dict) -> list[DemandRequest]:
+        """One request per road connection of `by_rc`, carrying what it maps
+        the road connection to (a fluid packet or a non-empty car list), in
+        `_exits_last` order."""
+        return [DemandRequest(group_id, rc, by_rc[rc])
                 for rc in sorted(by_rc, key=_exits_last)]
 
     # --- protocol surface (Eqs. for |p|, send) --------------------------
@@ -204,7 +203,7 @@ class VehicleStore:
 
 class VehicleModel(TrafficModel):
     """A model of whole vehicles with one `VehicleStore` per lane group. Its
-    requests carry cars, FIFO lists of vehicles (`vehicle_requests`), which
+    requests carry cars, FIFO lists of vehicles (`requests`), which
     cross a junction as lists and come back to `remove` as the list of those
     sent. Entry, buffer admission, release, counts and lookups are here; a
     model adds its dynamics and three hooks: `_pick(gids)`, the lane group
@@ -234,13 +233,6 @@ class VehicleModel(TrafficModel):
             g = self.groups[gid]
             while g.buffer and g.has_room():
                 self._place(gid, g, g.buffer.popleft(), now, fresh=False)
-
-    @staticmethod
-    def vehicle_requests(group_id: str, by_rc: dict) -> list[DemandRequest]:
-        """One request per road connection of `by_rc`, carrying its cars (a
-        non-empty FIFO list), in `_exits_last` order."""
-        return [DemandRequest(group_id, rc, cars=by_rc[rc])
-                for rc in sorted(by_rc, key=_exits_last)]
 
     def remove(self, group_id, rc, cars: list[Vehicle]):
         g = self.groups[group_id]

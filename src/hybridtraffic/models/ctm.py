@@ -36,7 +36,6 @@ two states.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -347,14 +346,10 @@ class CtmModel(TrafficModel):
         prev, by_rc = -1, {}
 
         def flush():
-            if not by_rc:
-                return
-            table = groups[prev].table
-            if len(by_rc) == 1:
-                (rc, amounts), = by_rc.items()
-                reqs.append(DemandRequest(gids[prev], rc, FluxPacket(table, amounts)))
-            else:
-                reqs.extend(self.requests(gids[prev], by_rc, partial(FluxPacket, table)))
+            if by_rc:
+                table = groups[prev].table
+                reqs.extend(self.requests(gids[prev], {
+                    rc: FluxPacket(table, amounts) for rc, amounts in by_rc.items()}))
 
         d = d.ravel()
         sending = d > 0

@@ -192,7 +192,7 @@ class NewellModel(VehicleModel):
                 i += 1
             lane.n_exit = i
             if by_rc:
-                reqs += self.vehicle_requests(gid, by_rc)
+                reqs += self.requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

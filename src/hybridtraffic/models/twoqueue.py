@@ -84,7 +84,7 @@ class TwoQueueModel(VehicleModel):
             by_rc: dict[object, list[Vehicle]] = {}
             for v in islice(gq.waiting, k):
                 by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
-            reqs += self.vehicle_requests(gid, by_rc)
+            reqs += self.requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

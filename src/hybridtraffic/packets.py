@@ -33,7 +33,6 @@ class StateIndex(NamedTuple):
 class Vehicle:
     id: int
     state: StateIndex
-    created: float
     ext: Any = None  # model-specific extension slot
 
 
@@ -108,8 +107,8 @@ class VehicleFactory:
     def __init__(self):
         self._next = 0
 
-    def make(self, state: StateIndex, now: float) -> Vehicle:
-        v = Vehicle(id=self._next, state=state, created=now)
+    def make(self, state: StateIndex) -> Vehicle:
+        v = Vehicle(id=self._next, state=state)
         self._next += 1
         return v
 
@@ -125,7 +124,7 @@ class FluidToVehicleTranslator:
         self.factory = factory
         self.residues: dict[int, list[float]] = {}
 
-    def translate(self, p: FluxPacket, link: int, now: float) -> list[Vehicle]:
+    def translate(self, p: FluxPacket, link: int) -> list[Vehicle]:
         """Whole vehicles condensed from a fluid packet over `link`'s table."""
         out: list[Vehicle] = []
         res = self.residues.setdefault(link, [0.0] * len(p.table))
@@ -135,7 +134,7 @@ class FluidToVehicleTranslator:
             acc = res[k] + a
             count = int(math.floor(acc + 1e-12))
             for _ in range(count):
-                out.append(self.factory.make(p.table[k], now))
+                out.append(self.factory.make(p.table[k]))
             acc -= count
             res[k] = acc if acc > 1e-15 else 0.0
         return out

@@ -240,7 +240,7 @@ class ReferenceCtmModel(TrafficModel):
                     if d_s <= 0:
                         continue
                     by_rc.setdefault(plan.rc[j], {})[s] = d_s
-                reqs += self.requests(gid, by_rc, dict)
+                reqs += self.requests(gid, by_rc)
         return reqs
 
     def lane_group_supply(self, group_id: str) -> float:

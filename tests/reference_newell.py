@@ -74,7 +74,7 @@ def compute_demands(model, now, rng) -> list:
         for i in range(n_exit):
             lane.veh[i].ext = max(0.0, lane.tent[i] - lane.length)
             by_rc.setdefault(lane.rc[i], []).append(lane.veh[i])
-        reqs += model.vehicle_requests(gid, by_rc)
+        reqs += model.requests(gid, by_rc)
     return reqs
 
 

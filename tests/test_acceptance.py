@@ -264,10 +264,10 @@ def test_criterion_7_queue_service_rate_and_minimum_dwell():
             gq.waiting.extend(_vehs(10, start=next_id))
             next_id += 10
         reqs = m.compute_demands(1e9, rng)
-        got = sum(len(r.cars) for r in reqs)
+        got = sum(len(r.sent) for r in reqs)
         total += got
         for r in reqs:
-            m.remove(r.group_id, None, r.cars)
+            m.remove(r.group_id, None, r.sent)
     sigma = float(np.sqrt(draws * mean))
     rate_ok = abs(total - draws * mean) < 3 * sigma
 
@@ -285,9 +285,9 @@ def test_criterion_7_queue_service_rate_and_minimum_dwell():
             entry[vid] = t
             vid += 1
         for req in m2.compute_demands(t, rng):
-            for vh in req.cars:
+            for vh in req.sent:
                 min_dwell = min(min_dwell, t - entry[vh.id])
-            m2.remove(req.group_id, None, req.cars)
+            m2.remove(req.group_id, None, req.sent)
         m2.advance_state(t, rng)
     dwell_ok = min_dwell >= tau - 1e-9
     _report(

@@ -286,6 +286,7 @@ def _without(d, key):
     *[("controllers", dict(CONTROLLER, type="constant", params={"at": bad, "commands": {}}),
        "controller 5: constant command time 'at' %s s must be finite" % bad)
       for bad in (float("nan"), float("inf"))],
+    ("actuators", dict(ACTUATOR, kind="radar"), "actuator 4: unknown kind 'radar'"),
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

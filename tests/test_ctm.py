@@ -97,7 +97,7 @@ def test_supply_and_demand_formulas(rng):
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
     assert reqs[0].rc is None  # terminal link: network exit
-    d = by_state(reqs[0].packet)[S]
+    d = by_state(reqs[0].sent)[S]
     assert d == pytest.approx(min(m.link_v[0] * 10.0, gc.f_cap))
 
 
@@ -143,7 +143,7 @@ def test_demand_split_proportional_to_occupancy(rng):
     # not possible; instead check capacity apportionment with a full cell
     m.set_occupancy("0:1", -1, {S: 30.0})
     reqs = m.compute_demands(0.0, rng)
-    assert by_state(reqs[0].packet)[S] == pytest.approx(gc.f_cap)
+    assert by_state(reqs[0].sent)[S] == pytest.approx(gc.f_cap)
 
 
 def test_remove_and_receive_conserve(rng):
@@ -271,7 +271,7 @@ def test_oracle_equivalence_direct_drive(rng):
         take = min(buffer_model, supply)
         buffer_model -= take
         for req in reqs:
-            m.remove("0:1", None, req.packet)
+            m.remove("0:1", None, req.sent)
         if take > 0:
             m.receive_fluid("0:1", [take], k * dt)
         m.advance_state(k * dt, rng)
@@ -407,15 +407,15 @@ def test_array_model_matches_the_dict_reference(data):
         exact = exact and _at_most_two_states(ref)
         assert [(r.group_id, r.rc) for r in got] == [(r.group_id, r.rc) for r in want]
         for w, g in zip(want, got):
-            assert g.packet.table is table
-            assert list(by_state(g.packet)) == list(w.packet)  # state order
-            _same_amounts(by_state(g.packet), w.packet, exact)
+            assert g.sent.table is table
+            assert list(by_state(g.sent)) == list(w.sent)  # state order
+            _same_amounts(by_state(g.sent), w.sent, exact)
             alpha = data.draw(st.floats(0.0, 1.0), label="accepted share")
             # the engine's cut: each amount times alpha, a zero share dropped
             ref.remove(w.group_id, w.rc,
-                       {s: b for s, a in w.packet.items() if (b := a * alpha) > 0})
+                       {s: b for s, a in w.sent.items() if (b := a * alpha) > 0})
             arr.remove(g.group_id, g.rc,
-                       FluxPacket(table, [a * alpha for a in g.packet.amounts]))
+                       FluxPacket(table, [a * alpha for a in g.sent.amounts]))
         for gid in gids:
             _same(arr.lane_group_supply(gid), ref.lane_group_supply(gid), exact)
             _same(arr.total_vehicles(gid), ref.total_vehicles(gid), exact)

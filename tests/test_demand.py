@@ -119,7 +119,7 @@ def test_assign_next_link_vehicles_sampled_and_conserved(rng):
         )
     ]
     ctx = _ctx(splits=splits, nexts={10: [11, 12], 11: [12], 12: []})
-    vehs = [Vehicle(i, StateIndex(1, 10), 0.0) for i in range(200)]
+    vehs = [Vehicle(i, StateIndex(1, 10)) for i in range(200)]
     out = ctx.assign_next_link(slots_of(vehs), 10, 0.0, rng)
     assert sum(len(vs) for _, vs in out) == 200
     # slots of the entered link's table, in slot order
@@ -321,7 +321,7 @@ def test_inverse_cdf_draw_matches_rng_choice(case):
             ctx.override_split(10, 1, override)
         if route is not None:
             ctx.override_route(0, route)
-        vehs = [Vehicle(i, s, 0.0) for i, s in enumerate(states)]
+        vehs = [Vehicle(i, s) for i, s in enumerate(states)]
         rng = np.random.default_rng(seed)
         out = assign(ctx, slots_of(vehs), 10, now, rng)
         out = cars_by_state(out, ctx.tables[10]) if isinstance(out, list) else out

@@ -150,12 +150,18 @@ def test_same_seed_reproduces_history():
     assert trace(11) != trace(12)
 
 
-def test_probe_tracker_crosses_into_fluid_link():
-    # vehicles dissolve at the micro->macro boundary; a probe keeps reporting
+def _probe_run(routing):
+    """A probe on vehicle 0 of a Newell -> CTM corridor whose one vehicle type
+    is `routing`: the sensor's history, and each active tracker's (vehicle,
+    link, position) at every output time."""
     d = corridor_scenario_dict(
-        [("newell", [0, 1]), ("ctm", [2, 3])], n_links=4, duration=400.0,
+        [("newell", [0, 1]), ("ctm", [2, 3, 4])], n_links=5, duration=600.0,
         rate_vph=600.0,
     )
+    if routing == "probabilistic":
+        d["vehicle_types"] = [{"id": 0, "routing": "probabilistic"}]
+        d["routes"] = []
+        del d["demands"][0]["route"]
     d["sensors"] = [{"id": 0, "kind": "probe", "dt": 2.0, "vehicle": 0}]
     eng = Engine(parse_scenario(d))
     seen_on_fluid = []
@@ -166,17 +172,33 @@ def test_probe_tracker_crosses_into_fluid_link():
                 seen_on_fluid.append((tr.vehicle_id, tr.link, tr.position))
 
     eng.run(observer=obs)
+    return eng.sensors[0].history, seen_on_fluid
+
+
+def test_probe_tracker_crosses_into_fluid_link():
+    # vehicles dissolve at the micro->macro boundary; a probe keeps reporting
+    history, seen_on_fluid = _probe_run("routed")
     assert seen_on_fluid, "probe never tracked through the fluid region"
     links = {l for _, l, _ in seen_on_fluid}
-    assert links <= {2, 3}
-    reported = {m["link"] for m in eng.sensors[0].history if m["active"]}
-    assert {2, 3} <= reported
+    assert links <= {2, 3, 4}
+    reported = [m["link"] for m in history if m["active"]]
+    assert list(dict.fromkeys(reported)) == [0, 1, 2, 3, 4]
+    # it leaves the network past link 4
+    assert not history[-1]["active"]
     # position advances monotonically within a link
     per_link = {}
     for vid, l, x in seen_on_fluid:
         per_link.setdefault(l, []).append(x)
     for xs in per_link.values():
         assert all(b >= a for a, b in zip(xs, xs[1:]))
+
+
+def test_a_probabilistic_probe_tracker_follows_the_routed_ones_path():
+    # a probabilistic state is keyed by its next link, so a tracker that kept
+    # its state on entering a fluid link "moved" into that link again for
+    # ever, stuck on link 3; re-keyed as the fluid is, on a corridor with no
+    # diverge it reports exactly what the routed probe does
+    assert _probe_run("probabilistic") == _probe_run("routed")
 
 
 def test_translator_residue_counted_in_link_states():
@@ -691,11 +713,11 @@ def _two_state_crossing(kind, rng):
     sender = eng.model_of_link[0]
     table, slots = eng.routing.tables[0], eng.routing.slots[0]
     assert table == eng.routing.tables[1] == (S0, S1)
-    arrivals = [Vehicle(i, s, 0.0) for i, s in enumerate([S1, S0, S1, S0, S0, S1])]
+    arrivals = [Vehicle(i, s) for i, s in enumerate([S1, S0, S1, S0, S0, S1])]
     sender.receive_vehicles(0, arrivals, 0.0)  # as a source enters them
     eng._book_cars(by_slot(arrivals, slots), 0, eng._cum_in)
     sender.advance_state(20.0, rng)  # past the free-flow travel time
-    req, = sender.vehicle_requests("0:1", {0: list(sender.groups["0:1"].waiting)})
+    req, = sender.requests("0:1", {0: list(sender.groups["0:1"].waiting)})
     routed = []
     assign = eng.routing.assign_next_link
     eng.routing.assign_next_link = lambda *a: routed.append(assign(*a)) or routed[-1]
@@ -708,7 +730,7 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
     # all six cross into link 1, which has room for them
     eng, req, routed = _two_state_crossing(kind, rng)
     sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
-    cars = req.cars
+    cars = req.sent
     # the request is the waiting queue's FIFO list; by slot, one FIFO list
     # per slot and its count
     slots = by_slot(cars, eng.routing.slots[0])
@@ -743,7 +765,7 @@ def test_a_two_state_vehicle_packet_crosses_a_junction_slot_by_slot(kind, rng):
     sender, receiver = eng.model_of_link[0], eng.model_of_link[1]
     conn = eng._rc[0]
     assert receiver.lane_group_supply(conn.groups[0]) >= 3
-    eng._deliver(20.0, sender, "0:1", conn, req.cars, 6.0, 4.0, [3.0])
+    eng._deliver(20.0, sender, "0:1", conn, req.sent, 6.0, 4.0, [3.0])
     eng._remove_cuts()
     assert eng.stats.deliveries == 1
     assert eng._entry_credit[conn.id] == 1.0

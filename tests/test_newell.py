@@ -36,7 +36,7 @@ def _model(n_links=1, lanes=1, length=500.0, dt=2.0, **sig):
 
 
 def _vehs(n, start=0):
-    return [Vehicle(id=start + i, state=S, created=0.0) for i in range(n)]
+    return [Vehicle(id=start + i, state=S) for i in range(n)]
 
 
 def _seed(m, gid, vehicles, positions):
@@ -113,7 +113,7 @@ def test_exit_demand_is_fifo_prefix(rng):
     _place(m, "0:1", [499.0, 250.0, 240.0])  # only the first reaches the end
     reqs = m.compute_demands(0.0, rng)
     assert len(reqs) == 1
-    assert [v.id for v in reqs[0].cars] == [0]
+    assert [v.id for v in reqs[0].sent] == [0]
 
 
 def test_rejected_exiter_parks_at_boundary(rng):
@@ -125,7 +125,7 @@ def test_rejected_exiter_parks_at_boundary(rng):
     m.advance_state(0.0, rng)  # nothing removed: rejected at the boundary
     assert lane.x[0] == pytest.approx(500.0)
     reqs = m.compute_demands(2.0, rng)
-    assert reqs and len(reqs[0].cars) == 1
+    assert reqs and len(reqs[0].sent) == 1
 
 
 def test_no_collisions_under_noise():
@@ -138,7 +138,7 @@ def test_no_collisions_under_noise():
             m.receive_vehicles(0, _vehs(1, start=next_id), now=k * 2.0)
             next_id += 1
         for req in m.compute_demands(k * 2.0, rng):
-            m.remove(req.group_id, None, req.cars)
+            m.remove(req.group_id, None, req.sent)
         m.advance_state(k * 2.0, rng)
         xs = lane.x
         assert all(a > b for a, b in zip(xs, xs[1:])), "ordering lost at step %d" % k
@@ -182,7 +182,7 @@ def _assert_same_step(pair):
                 for lane in map(m.groups.get, m.group_ids) for i in range(len(lane.x))]
 
     def requests(reqs):
-        return [(r.group_id, r.rc, [v.id for v in r.cars])
+        return [(r.group_id, r.rc, [v.id for v in r.sent])
                 for r in reqs]
 
     (m, reqs, rng), (ref, ref_reqs, ref_rng) = pair
@@ -240,7 +240,7 @@ def test_no_draws_without_noise():
 
 def _carrying(exts, start):
     """Vehicles arriving with these carried overshoots (None: unknown)."""
-    return [Vehicle(id=start + i, state=S, created=0.0, ext=e) for i, e in enumerate(exts)]
+    return [Vehicle(id=start + i, state=S, ext=e) for i, e in enumerate(exts)]
 
 
 def _advanced_pair(n_links, length, dt, sigmas, cars, before, after, keep, seed):
@@ -282,7 +282,7 @@ def _advanced_pair(n_links, length, dt, sigmas, cars, before, after, keep, seed)
         for lid, exts in enumerate(after):
             m.receive_vehicles(lid, _carrying(exts, 2000 + 100 * lid), 0.0)
         advance(m, 2.0, rng)
-        out.append((m, [[v.id for v in r.cars] for r in reqs], rng))
+        out.append((m, [[v.id for v in r.sent] for r in reqs], rng))
     return out
 
 
@@ -341,7 +341,7 @@ def test_a_release_that_is_not_a_prefix_keeps_the_rest_in_order(rng):
     lane = m.groups["0:1"]
     _place(m, "0:1", [499.0, 300.0, 200.0, 100.0])
     reqs = m.compute_demands(0.0, rng)
-    assert [v.id for v in reqs[0].cars] == [0]
+    assert [v.id for v in reqs[0].sent] == [0]
     assert lane.n_exit == 1
     m.receive_vehicles(0, _vehs(1, start=9), 0.0)  # fresh, at the tail
     m.remove("0:1", None, [lane.veh[0], lane.veh[2]])
@@ -431,7 +431,7 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
         # evenly spaced, downstream-most first, tagged with the next link
         k = per_link[lid]
         state = StateIndex(1, 1 - lid)
-        _seed(m, "%d:1" % lid, [Vehicle(vid + j, state, 0.0) for j in range(k)],
+        _seed(m, "%d:1" % lid, [Vehicle(vid + j, state) for j in range(k)],
               [length - (j + 0.5) * length / k for j in range(k)])
         vid += k
     rng = np.random.default_rng(seed)
@@ -442,7 +442,7 @@ def ring_flow(density_per_km, steps=400, seed=5, length=500.0, **sig):
             rc = req.rc
             gid = down_group[rc]
             supply = m.lane_group_supply(gid)
-            take = req.cars[: int(supply)]
+            take = req.sent[: int(supply)]
             if not take:
                 continue
             m.remove(req.group_id, rc, take)

@@ -23,7 +23,7 @@ TABLE = (S0, S1)  # a state table: states in state order
 
 
 def _vehs(n, state=S0, start=0):
-    return [Vehicle(id=start + i, state=state, created=0.0) for i in range(n)]
+    return [Vehicle(id=start + i, state=state) for i in range(n)]
 
 
 def test_a_car_list_by_slot_counts_its_cars_per_slot_of_its_table():
@@ -57,7 +57,7 @@ STATES = [StateIndex(1, None), StateIndex(0, 7), StateIndex(1, 2), StateIndex(0,
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.sampled_from(STATES), max_size=30), st.randoms(use_true_random=False))
 def test_a_car_list_by_slot_is_in_state_order_and_fifo_within_a_state(states, rnd):
-    vehs = [Vehicle(id=i, state=s, created=0.0) for i, s in enumerate(states)]
+    vehs = [Vehicle(id=i, state=s) for i, s in enumerate(states)]
     rnd.shuffle(vehs)
     # a table lists every state a link can hold, in state order
     table = tuple(sorted(STATES, key=state_sort_key))
@@ -123,7 +123,7 @@ def _cuts(draw):
     sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
     slots, start = [], 0
     for n in sizes:
-        slots.append([Vehicle(id=start + i, state=S0, created=0.0) for i in range(n)])
+        slots.append([Vehicle(id=start + i, state=S0) for i in range(n)])
         start += n
     n = draw(st.sampled_from([m for m in sizes if m] or [1]))
     near = draw(st.integers(0, n)) / n + draw(st.floats(-1e-9, 1e-9)) / n
@@ -147,7 +147,7 @@ def test_translator_residues_conserve():
     emitted = 0
     total = 0.0
     for _ in range(100):
-        out = tr.translate(fluid_packet(TABLE, {S0: 0.3}), "L", 0.0)
+        out = tr.translate(fluid_packet(TABLE, {S0: 0.3}), "L")
         emitted += len(out)
         total += 0.3
     residue = tr.residues["L"][0]  # per location, aligned with its table
@@ -158,15 +158,15 @@ def test_translator_residues_conserve():
 
 def test_translator_locations_independent():
     tr = FluidToVehicleTranslator(VehicleFactory())
-    tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A", 0.0)
-    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "B", 0.0)
+    tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A")
+    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "B")
     assert not out  # B's residue is independent of A's
-    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A", 0.0)
+    out = tr.translate(fluid_packet(TABLE, {S0: 0.6}), "A")
     assert len(out) == 1
 
 
 def test_factory_ids_sequential():
     f = VehicleFactory()
-    a = f.make(S0, 0.0)
-    b = f.make(S0, 0.0)
+    a = f.make(S0)
+    b = f.make(S0)
     assert (a.id, b.id) == (0, 1)

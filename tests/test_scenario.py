@@ -161,6 +161,12 @@ def _constant_command_unowned(d):
 _ONE_SPLIT = {"link": 0, "vtype": 0, "ratios": {1: {"period": 4000, "values": [1.0]}}}
 
 
+def _demand_at_unknown_link(d):
+    # of a new probabilistic type, which needs no route
+    d["vehicle_types"].append({"id": 1, "routing": "probabilistic"})
+    d["demands"].append({"link": 9, "vtype": 1, "profile": {"period": 4000, "values": [100.0]}})
+
+
 @pytest.mark.parametrize("change, diagnostic", [
     (lambda d: d["models"][0].update(dt=10), r"model 0 \(ctm\): link 0: CFL violated"),
     (lambda d: d["models"][0].update(max_cell_length=0),
@@ -176,8 +182,29 @@ _ONE_SPLIT = {"link": 0, "vtype": 0, "ratios": {1: {"period": 4000, "values": [1
      r"duplicate split profile for link 0, type 0$"),
     (_constant_command_unowned,
      r"controller 0: constant command names actuator 0 it does not own"),
+    # and the other diagnostics, each naming the element at fault
+    (lambda d: d["links"].append(dict(d["links"][5])), r"network: duplicate link ids$"),
+    (lambda d: d["road_connections"].append(dict(d["road_connections"][4])),
+     r"network: duplicate road connection ids$"),
+    (lambda d: d["road_connections"][4].update(down_lanes=[1, 2]),
+     r"road connection 4: lane out of range \[2\] on downstream link 5$"),
+    (lambda d: d["models"][1]["links"].append(9), r"model 1 references unknown link 9$"),
+    (lambda d: d["routes"].append({"id": 1, "links": [4, 9]}),
+     r"route 1 references unknown links$"),
+    (_demand_at_unknown_link, r"demand references unknown link 9$"),
+    (lambda d: d["demands"][0].update(vtype=9), r"demand references unknown vehicle type 9$"),
+    (lambda d: d["demands"][0].pop("route"),
+     r"demand for routed type 0 at link 0 has no route$"),
+    (lambda d: d["demands"][0].update(route=9), r"demand references unknown route 9$"),
+    (lambda d: d.update(splits=[dict(_ONE_SPLIT, link=9)]), r"split references unknown link 9$"),
+    (lambda d: d.update(splits=[dict(_ONE_SPLIT, vtype=9)]),
+     r"split references unknown vehicle type 9$"),
+    (lambda d: d.update(splits=[dict(_ONE_SPLIT, ratios={2: {"period": 4000, "values": [1.0]}})]),
+     r"split at link 0 names non-successor links \[2\]$"),
 ], ids=["cfl", "max_cell_length", "lc_supply_factor", "nan_sigma", "dup_vtype",
-        "dup_route", "dup_split", "constant_unowned"])
+        "dup_route", "dup_split", "constant_unowned", "dup_link", "dup_rc", "rc_lanes",
+        "model_link", "route_links", "demand_link", "demand_vtype", "demand_no_route",
+        "demand_route", "split_link", "split_vtype", "split_non_successor"])
 def test_validate_reports_what_the_engine_rejects(change, diagnostic):
     # each of these once validated clean and then failed, or ran another
     # scenario than the one validated, once the engine was built
@@ -257,13 +284,36 @@ def test_profiles_reject_bad_values_at_parse(path, value, owner):
         parse_scenario(d)
 
 
+def _partial(**kw):
+    return dict({"position": "outer-downstream", "lanes": 1, "length": 100.0}, **kw)
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("vehicle_types", 0, "routing"), "foo",
      "vehicle type 0: unknown routing behavior 'foo'"),
     (("routes", 0, "links"), [0, 1, 0], "route 0 repeats a link"),
     (("links", 0, "lanes"), 0, "link 0: needs >=1 full lane"),
     (("links", 0, "length"), -5, "link 0: length must be positive"),
-], ids=["routing", "route", "lanes", "length"])
+    (("links", 0, "speed"), 0, "link 0: speed_limit must be positive"),
+    (("links", 0, "jam_density"), 0, "link 0: jam_density_per_lane must be positive"),
+    (("links", 0, "partials"), [_partial(position="middle")],
+     "link 0: unknown partial-lane position 'middle'"),
+    (("links", 0, "partials"), [_partial(lanes=0)],
+     "link 0: partial-lane structure needs >=1 lane"),
+    (("links", 0, "partials"), [_partial(length=0.0)],
+     "link 0: partial-lane length must be positive"),
+    (("links", 0, "partials"), [_partial(), _partial(length=50.0)],
+     "link 0: duplicate partial-lane position outer-downstream"),
+    (("links", 0, "partials"), [_partial(length=600.0)],
+     "link 0: partial lane longer than link"),
+    (("road_connections", 0, "up_lanes"), [],
+     "road connection 0: lane sets must be non-empty"),
+    (("models", 0, "links"), [], "model 0 (ctm): model spec with no links"),
+    (("routes", 0, "links"), [], "route 0 is empty"),
+    (("demands", 0, "profile", "values"), [], "demand 0: profile needs at least one sample"),
+], ids=["routing", "route", "lanes", "length", "speed", "jam_density", "partial_position",
+        "partial_lanes", "partial_length", "partial_twice", "partial_too_long", "rc_lanes",
+        "model_links", "route_empty", "profile_empty"])
 def test_bad_entries_fail_as_scenario_errors_naming_the_entry(path, value, message):
     # the constructors' own errors once escaped parsing unwrapped
     d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
@@ -413,6 +463,24 @@ def test_cli_resolves_bundled_scenarios(tmp_path):
 
 def test_cli_unknown_scenario_fails():
     assert cli_main(["validate", "no_such_scenario"]) != 0
+
+
+def test_cli_refuses_a_file_that_is_not_a_mapping(tmp_path, capsys):
+    p = tmp_path / "list.yaml"
+    p.write_text("- links\n- models\n")
+    assert cli_main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == "error: scenario file must contain a mapping\n"
+
+
+def test_validate_flags_a_road_connection_into_no_lane_of_its_link():
+    # every lane of a link is in one of its lane groups, so a road connection
+    # that reaches none of them has every downstream lane out of range too
+    d = _base()
+    d["road_connections"][0]["down_lanes"] = [3]
+    assert validate_scenario(parse_scenario(d)) == [
+        "road connection 0: lane out of range [3] on downstream link 1",
+        "road connection 0 reaches no downstream lane group",
+    ]
 
 
 def test_partial_lane_gates_are_rejected():

@@ -172,7 +172,7 @@ def test_routing_error_from_rc_toward_and_groups_toward(kind, rng):
     # and the models' own entry points surface it
     with pytest.raises(RoutingError):
         if m.vehicle_based:
-            m.receive_vehicles(0, [Vehicle(id=0, state=skipping, created=0.0)], 0.0)
+            m.receive_vehicles(0, [Vehicle(id=0, state=skipping)], 0.0)
         else:
             m.receive_fluid("0:1", [0.0, 1.0], 0.0)  # link 0's table: through, skipping
             m.compute_demands(0.0, rng)

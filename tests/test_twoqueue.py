@@ -25,7 +25,7 @@ def _model(n_links=1, lanes=1, length=500.0, dt=2.0):
 
 
 def _vehs(n, start=0):
-    return [Vehicle(id=start + i, state=S, created=0.0) for i in range(n)]
+    return [Vehicle(id=start + i, state=S) for i in range(n)]
 
 
 def test_capacity_parameters():
@@ -45,8 +45,8 @@ def test_transit_delay_enforced(rng):
     offered = []
     for k in range(9, 40):
         for req in m.compute_demands(k * 2.0, rng):
-            offered.extend(v.id for v in req.cars)
-            m.remove(req.group_id, None, req.cars)
+            offered.extend(v.id for v in req.sent)
+            m.remove(req.group_id, None, req.sent)
         m.advance_state(k * 2.0, rng)
         if len(offered) == 3:
             break
@@ -60,8 +60,8 @@ def test_fifo_order(rng):
     k = 0
     while len(served) < 5 and k < 200:
         for req in m.compute_demands(k * 2.0, rng):
-            served.extend(v.id for v in req.cars)
-            m.remove(req.group_id, None, req.cars)
+            served.extend(v.id for v in req.sent)
+            m.remove(req.group_id, None, req.sent)
         k += 1
     assert served == [0, 1, 2, 3, 4]
 
@@ -89,8 +89,8 @@ def test_buffer_admitted_as_space_frees(rng):
     k = 10
     while removed < 10 and k < 500:
         for req in m.compute_demands(k * 2.0, rng):
-            removed += len(req.cars)
-            m.remove(req.group_id, None, req.cars)
+            removed += len(req.sent)
+            m.remove(req.group_id, None, req.sent)
         m.advance_state(k * 2.0, rng)
         k += 1
     assert removed >= 10
@@ -120,11 +120,11 @@ def test_service_draw_long_run_mean(rng):
             gq.waiting.extend(_vehs(10, start=next_id))
             next_id += 10
         reqs = m.compute_demands(1e9, rng)  # far past any transit delay
-        offered = sum(len(r.cars) for r in reqs)
+        offered = sum(len(r.sent) for r in reqs)
         assert offered <= len(gq.waiting)
         total += offered
         for r in reqs:
-            m.remove(r.group_id, None, r.cars)
+            m.remove(r.group_id, None, r.sent)
     expect = draws * mean
     sigma = np.sqrt(draws * mean)
     assert abs(total - expect) < 3 * sigma

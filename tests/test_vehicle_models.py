@@ -31,7 +31,7 @@ def _model(cls):
 
 
 def _vehs(*ids):
-    return [Vehicle(id=i, state=S if i % 2 == 0 else S2, created=0.0) for i in ids]
+    return [Vehicle(id=i, state=S if i % 2 == 0 else S2) for i in ids]
 
 
 def _room_behind_a_buffer(m, rng):
@@ -51,8 +51,8 @@ def _drain(m, rng, t):
     out = []
     while m.total_vehicles("0:1") and t < 2000.0:
         for req in m.compute_demands(t, rng):
-            m.remove(req.group_id, req.rc, req.cars)
-            out += [v.id for v in req.cars]
+            m.remove(req.group_id, req.rc, req.sent)
+            out += [v.id for v in req.sent]
         m.advance_state(t, rng)
         t += m.dt
     return out
