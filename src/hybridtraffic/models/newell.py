@@ -56,8 +56,14 @@ class _Lane(VehicleStore):
         return self.upstream_gap() >= self.jam_spacing - 1e-9
 
     def release(self, ids):
+        # the cars sent are among the first at the head: stop once all are found
         n = len(self.veh)
-        gone = [i for i, v in enumerate(self.veh) if v.id in ids]
+        gone = []
+        for i, v in enumerate(self.veh):
+            if v.id in ids:
+                gone.append(i)
+                if len(gone) == len(ids):
+                    break
         for i in reversed(gone):
             del self.veh[i], self.x[i], self.adv[i], self.rc[i], self.tent[i]
         self.n_exit -= sum(i < self.n_exit for i in gone)

@@ -29,9 +29,16 @@ class _Queues(VehicleStore):
         return self.n_placed() < self.n_max - 1e-9
 
     def release(self, ids):
-        kept = deque(v for v in self.waiting if v.id not in ids)
-        found = len(self.waiting) - len(kept)
-        self.waiting = kept
+        # the cars sent are among the first waiting: pop until all are found,
+        # then put back in order those passed over
+        kept, found = [], 0
+        while self.waiting and found < len(ids):
+            v = self.waiting.popleft()
+            if v.id in ids:
+                found += 1
+            else:
+                kept.append(v)
+        self.waiting.extendleft(reversed(kept))
         return found
 
 

@@ -1,14 +1,22 @@
 """Scenario files: YAML schema, parsing, validation, serialization, and
-construction of the runtime objects the engine needs."""
+construction of the runtime objects the engine needs.
+
+A file is read by PyYAML's safe rules (YAML 1.1, libyaml's parser when
+present): the composed document is built in one eager pass (`_EagerBuild`),
+each distinct scalar resolved and built once. Anchors, aliases and `<<`
+merges work; a document that contains itself is an error."""
 
 from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.nodes import ScalarNode
 
 from . import control
 from .demand import (
@@ -297,9 +305,80 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+_MAP = "tag:yaml.org,2002:map"
+_SEQ = "tag:yaml.org,2002:seq"
+
+
+class _EagerBuild:
+    """Safe-loader overrides that build the composed document in one eager
+    pass, to the data the safe loader alone gives.
+
+    Each distinct scalar is resolved once per (value, implicit) and built
+    once per (tag, value). Plain maps (after their `<<` merges) and lists
+    are built here, every other node by the safe constructor. Collections
+    are memoized by node, so an alias is its anchor's object; a collection
+    that contains itself is an error. Every memo belongs to one loader, so
+    to one document."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags = {}
+        self._scalars = {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not ScalarNode:
+            return super().resolve(kind, value, implicit)
+        try:
+            return self._tags[value, implicit]
+        except KeyError:
+            tag = self._tags[value, implicit] = super().resolve(kind, value, implicit)
+            return tag
+
+    def get_single_data(self):
+        node = self.get_single_node()
+        return None if node is None else self._build(node)
+
+    def _build(self, node):
+        if type(node) is ScalarNode:
+            key = (node.tag, node.value)
+            try:
+                return self._scalars[key]
+            except KeyError:
+                data = self._scalars[key] = self.construct_object(node, deep=True)
+                return data
+        built = self.constructed_objects
+        if node in built:
+            return built[node]
+        if node.tag != _MAP and node.tag != _SEQ:
+            return self.construct_object(node, deep=True)
+        building = self.recursive_objects
+        if node in building:
+            raise ConstructorError(None, None, "found a %s that contains itself"
+                                   % node.id, node.start_mark)
+        building[node] = None
+        if node.tag == _SEQ:
+            data = [self._build(child) for child in node.value]
+        else:
+            self.flatten_mapping(node)
+            data = {}
+            for key_node, value_node in node.value:
+                key = self._build(key_node)
+                if type(key_node) is not ScalarNode and not isinstance(key, Hashable):
+                    raise ConstructorError("while constructing a mapping", node.start_mark,
+                                           "found unhashable key", key_node.start_mark)
+                data[key] = self._build(value_node)
+        del building[node]
+        built[node] = data
+        return data
+
+
+class _Loader(_EagerBuild, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path) as f:
-        data = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        data = yaml.load(f, Loader=_Loader)
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a mapping")
     return parse_scenario(data)

@@ -187,6 +187,17 @@ def test_a_slot_without_a_lane_plan_is_refused_on_entry_naming_the_state_and_lin
     assert m.total_vehicles("0:1") == 1.0
 
 
+def test_seeding_a_state_outside_the_links_table_names_the_state_and_link():
+    # route 3 does not exist, so its state has no slot in link 0's table
+    m, _ = _single_link_model()
+    m.set_occupancy("0:1", 0, {S: 2.0})
+    stranger = StateIndex(0, 3)
+    with pytest.raises(RoutingError, match=re.escape(
+            "state %s has no slot on link 0" % (stranger,))):
+        m.set_occupancy("0:1", 0, {S: 1.0, stranger: 1.0})
+    assert m.occupancy("0:1", 0) == {S: 2.0}
+
+
 def _diverge_net():
     links = [
         Link(id=0, length=500, full_lanes=2, params=std_params()),

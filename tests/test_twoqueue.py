@@ -106,6 +106,19 @@ def test_remove_requires_waiting_vehicles(rng):
         m.remove("0:1", None, ghost)
 
 
+def test_releasing_the_head_of_a_long_queue_keeps_the_rest_in_order():
+    m = _model()
+    gq = m.groups["0:1"]
+    cars = _vehs(40)
+    gq.waiting.extend(cars)
+    m.remove("0:1", None, [cars[0], cars[2]])
+    assert [v.id for v in gq.waiting] == [1] + list(range(3, 40))
+    assert gq.cum_out == 2
+    with pytest.raises(RuntimeError, match="1 of 2 released vehicles not present"):
+        m.remove("0:1", None, [cars[3], Vehicle(id=99, state=S)])
+    assert [v.id for v in gq.waiting] == [1] + list(range(4, 40))
+
+
 def test_service_draw_long_run_mean(rng):
     """Saturated queue throughput matches the Poisson service mean."""
     m = _model(lanes=1, dt=2.0)
