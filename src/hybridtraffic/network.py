@@ -104,15 +104,10 @@ class Link:
         """Length of an individual lane (partial lanes are shorter)."""
         if 1 <= lane <= self.full_lanes:
             return self.length
-        if lane < 1:
-            for p in self.partials:
-                if p.position.startswith("inner"):
-                    return p.length
-        else:
-            for p in self.partials:
-                if p.position.startswith("outer"):
-                    return p.length
-        raise NetworkError("link %s has no lane %s" % (self.id, lane))
+        if lane not in self.lanes:
+            raise NetworkError("link %s has no lane %s" % (self.id, lane))
+        side = "inner" if lane < 1 else "outer"
+        return next(p.length for p in self.partials if p.position.startswith(side))
 
 
 @dataclass(frozen=True)

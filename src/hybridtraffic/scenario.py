@@ -2,9 +2,10 @@
 construction of the runtime objects the engine needs.
 
 A file is read by PyYAML's safe rules (YAML 1.1, libyaml's parser when
-present): the composed document is built in one eager pass (`_EagerBuild`),
-each distinct scalar resolved and built once. Anchors, aliases and `<<`
-merges work; a document that contains itself is an error."""
+present) and built straight from the parser's events, with no node tree
+(`_EagerBuild`), each distinct scalar resolved and built once. Anchors,
+aliases and `<<` merges work as in PyYAML's safe loader; a document that
+contains itself is an error."""
 
 from __future__ import annotations
 
@@ -15,8 +16,18 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 import yaml
+from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
-from yaml.nodes import ScalarNode
+from yaml.events import (
+    AliasEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
 
 from . import control
 from .demand import (
@@ -307,69 +318,230 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 _MAP = "tag:yaml.org,2002:map"
 _SEQ = "tag:yaml.org,2002:seq"
+_STR = "tag:yaml.org,2002:str"
+_MERGE = "tag:yaml.org,2002:merge"
+_VALUE = "tag:yaml.org,2002:value"
+_MISS = object()
 
 
 class _EagerBuild:
-    """Safe-loader overrides that build the composed document in one eager
-    pass, to the data the safe loader alone gives.
+    """Safe-loader overrides that build the document straight from the
+    parser's events, to the data the safe loader alone gives.
 
-    Each distinct scalar is resolved once per (value, implicit) and built
-    once per (tag, value). Plain maps (after their `<<` merges) and lists
-    are built here, every other node by the safe constructor. Collections
-    are memoized by node, so an alias is its anchor's object; a collection
+    A scalar is resolved once per (value, implicit) and built once per
+    (tag, value). Plain maps and lists are built here as their events
+    arrive; no node is made for them. A collection with any other tag is
+    composed into nodes, with all it holds, and built by the safe
+    constructor; so is the value of a `<<` key, whose pairs the safe
+    constructor's `flatten_mapping` merges ahead of the map's own. An alias
+    is its anchor's object: where nodes are read, a built object stands in
+    as a node that the constructor reads back as that object. A map or list
     that contains itself is an error. Every memo belongs to one loader, so
     to one document."""
 
     def __init__(self, stream):
         super().__init__(stream)
-        self._tags = {}
-        self._scalars = {}
-
-    def resolve(self, kind, value, implicit):
-        if kind is not ScalarNode:
-            return super().resolve(kind, value, implicit)
-        try:
-            return self._tags[value, implicit]
-        except KeyError:
-            tag = self._tags[value, implicit] = super().resolve(kind, value, implicit)
-            return tag
+        self._plain = {}  # (value, implicit) -> data of an untagged scalar
+        self._scalars = {}  # (tag, value) -> data
+        self._anchors = {}  # anchor -> its data, or its node if composed
+        self._marks = {}  # anchor -> its start mark
+        self._open = {}  # anchor -> kind of a map or list still being built
+        self._nodes = {}  # id(data) -> the node the constructor reads as data
 
     def get_single_data(self):
-        node = self.get_single_node()
-        return None if node is None else self._build(node)
-
-    def _build(self, node):
-        if type(node) is ScalarNode:
-            key = (node.tag, node.value)
-            try:
-                return self._scalars[key]
-            except KeyError:
-                data = self._scalars[key] = self.construct_object(node, deep=True)
-                return data
-        built = self.constructed_objects
-        if node in built:
-            return built[node]
-        if node.tag != _MAP and node.tag != _SEQ:
-            return self.construct_object(node, deep=True)
-        building = self.recursive_objects
-        if node in building:
-            raise ConstructorError(None, None, "found a %s that contains itself"
-                                   % node.id, node.start_mark)
-        building[node] = None
-        if node.tag == _SEQ:
-            data = [self._build(child) for child in node.value]
-        else:
-            self.flatten_mapping(node)
-            data = {}
-            for key_node, value_node in node.value:
-                key = self._build(key_node)
-                if type(key_node) is not ScalarNode and not isinstance(key, Hashable):
-                    raise ConstructorError("while constructing a mapping", node.start_mark,
-                                           "found unhashable key", key_node.start_mark)
-                data[key] = self._build(value_node)
-        del building[node]
-        built[node] = data
+        get = self.get_event
+        get()  # stream start
+        if type(get()) is StreamEndEvent:
+            return None
+        root = get()
+        data = self._build(root)
+        get()  # document end
+        event = get()
+        if type(event) is not StreamEndEvent:
+            raise ComposerError("expected a single document in the stream", root.start_mark,
+                                "but found another document", event.start_mark)
         return data
+
+    def _build(self, event):
+        """The data of the node that starts with `event`, read to its end."""
+        cls = type(event)
+        if cls is AliasEvent:
+            return self._data(self._anchored(event))
+        tag = event.tag
+        if cls is not ScalarEvent and tag not in (
+                None, "!", _SEQ if cls is SequenceStartEvent else _MAP):
+            return self._data(self._compose(event))
+        anchor = event.anchor
+        if anchor is not None:
+            self._name(event)
+        if cls is ScalarEvent:
+            if tag is None:
+                key = event.value, event.implicit
+                try:
+                    data = self._plain[key]
+                except KeyError:
+                    data = self._plain[key] = self._scalar(
+                        event, self.resolve(ScalarNode, *key))
+            else:
+                data = self._scalar(event, self._tag(event))
+        else:
+            if anchor is not None:
+                self._open[anchor] = "sequence" if cls is SequenceStartEvent else "mapping"
+            data = self._list() if cls is SequenceStartEvent else self._dict(event.start_mark)
+            if anchor is not None:
+                del self._open[anchor]
+        if anchor is not None:
+            self._anchors[anchor] = data
+        return data
+
+    def _list(self):
+        get, build = self.get_event, self._build
+        data = []
+        while type(event := get()) is not SequenceEndEvent:
+            data.append(build(event))
+        return data
+
+    def _dict(self, mark):
+        get, build, plain = self.get_event, self._build, self._plain
+        data, merges = {}, []
+        while type(event := get()) is not MappingEndEvent:
+            key = _MISS
+            if type(event) is ScalarEvent and event.anchor is None and event.tag is None:
+                key = plain.get((event.value, event.implicit), _MISS)
+            if key is _MISS:
+                key = self._key(event, mark)
+                if type(key) is ScalarNode:  # the key of a `<<` merge
+                    source = MappingNode(_MAP, [(key, self._compose(get()))], mark, mark)
+                    self.flatten_mapping(source)
+                    merges += source.value
+                    continue
+            data[key] = build(get())
+        if merges:
+            merged = self.construct_mapping(MappingNode(_MAP, merges, mark, mark), deep=True)
+            merged.update(data)
+            data = merged
+        return data
+
+    def _key(self, event, mark):
+        """A map key from its first event: its data, or its node if it is
+        the key of a `<<` merge."""
+        if type(event) is not ScalarEvent:
+            if type(event) is AliasEvent:
+                obj = self._anchored(event)
+                if type(obj) is ScalarNode and obj.tag == _MERGE:
+                    return obj
+                data, key_mark = self._data(obj), self._marks[event.anchor]
+            else:
+                data, key_mark = self._build(event), event.start_mark
+            if not isinstance(data, Hashable):
+                raise ConstructorError("while constructing a mapping", mark,
+                                       "found unhashable key", key_mark)
+            return data
+        if event.anchor is not None:
+            self._name(event)
+        tag = self._tag(event)
+        if tag == _MERGE:
+            data = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+        elif tag == _VALUE:  # `=` is a string key
+            data = self._scalar(event, _STR)
+        else:
+            data = self._scalar(event, tag)
+            if event.tag is None:
+                self._plain[event.value, event.implicit] = data
+        if event.anchor is not None:
+            self._anchors[event.anchor] = data
+        return data
+
+    def _tag(self, event):
+        tag = event.tag
+        if tag is None or tag == "!":
+            return self.resolve(ScalarNode, event.value, event.implicit)
+        return tag
+
+    def _scalar(self, event, tag):
+        """A scalar's data under `tag`, built once per (tag, value)."""
+        key = tag, event.value
+        try:
+            return self._scalars[key]
+        except KeyError:
+            node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+            data = self._scalars[key] = self.construct_object(node, deep=True)
+            return data
+
+    def _name(self, event):
+        anchor = event.anchor
+        if anchor in self._marks:
+            raise ComposerError("found duplicate anchor %r; first occurrence" % anchor,
+                                self._marks[anchor], "second occurrence", event.start_mark)
+        self._marks[anchor] = event.start_mark
+
+    def _anchored(self, alias):
+        """What an alias names: built data, or a node."""
+        anchor = alias.anchor
+        if anchor in self._open:
+            raise ConstructorError(None, None, "found a %s that contains itself"
+                                   % self._open[anchor], self._marks[anchor])
+        try:
+            return self._anchors[anchor]
+        except KeyError:
+            raise ComposerError(None, None, "found undefined alias %r" % anchor,
+                                alias.start_mark) from None
+
+    def _data(self, obj):
+        """Built data as it is; a node built by the safe constructor."""
+        if not isinstance(obj, Node):
+            return obj
+        data = self.construct_object(obj, deep=True)
+        self._nodes[id(data)] = obj
+        return data
+
+    def _compose(self, event):
+        """The node that starts with `event`, with every node under it, for
+        the safe constructor."""
+        cls = type(event)
+        if cls is AliasEvent:
+            anchor = event.anchor
+            obj = self._anchored(event)
+            return obj if isinstance(obj, Node) else self._stand_in(obj, self._marks[anchor])
+        anchor, tag = event.anchor, event.tag
+        if anchor is not None:
+            self._name(event)
+        if cls is ScalarEvent:
+            node = ScalarNode(self._tag(event), event.value, event.start_mark, event.end_mark,
+                              event.style)
+        else:
+            kind = SequenceNode if cls is SequenceStartEvent else MappingNode
+            if tag is None or tag == "!":
+                tag = self.resolve(kind, None, event.implicit)
+            node = kind(tag, [], event.start_mark, None, event.flow_style)
+        if anchor is not None:
+            self._anchors[anchor] = node
+        get = self.get_event
+        if cls is SequenceStartEvent:
+            while type(event := get()) is not SequenceEndEvent:
+                node.value.append(self._compose(event))
+            node.end_mark = event.end_mark
+        elif cls is MappingStartEvent:
+            while type(event := get()) is not MappingEndEvent:
+                node.value.append((self._compose(event), self._compose(get())))
+            node.end_mark = event.end_mark
+        return node
+
+    def _stand_in(self, data, mark):
+        """A node the safe constructor reads as the built `data`, with nodes
+        under it for what `data` holds."""
+        node = self._nodes.get(id(data))
+        if node is None:
+            if type(data) is dict:
+                node = MappingNode(_MAP, [(self._stand_in(k, None), self._stand_in(v, None))
+                                          for k, v in data.items()], mark, mark)
+            elif type(data) is list:
+                node = SequenceNode(_SEQ, [self._stand_in(x, None) for x in data], mark, mark)
+            else:
+                node = ScalarNode(None, None, mark, mark)
+            self._nodes[id(data)] = node
+            self.constructed_objects[node] = data
+        return node
 
 
 class _Loader(_EagerBuild, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

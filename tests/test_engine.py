@@ -607,6 +607,34 @@ def test_a_supply_read_failing_in_the_batch_plan_names_the_junction():
     assert eng.stats.junctions_batched == 1
 
 
+def test_a_later_pair_of_a_batched_junction_reads_the_supply_its_earlier_pairs_left():
+    # the batch plans with the supply read before any pair delivers; each
+    # pair then delivers within the supply read just before it, so the
+    # second pair into link 2's one lane group reads what the first pair's
+    # entry left, not the plan's value
+    d = _two_route_merge(duration=300.0)
+    d["models"][0]["links"] = [0, 1, 3]
+    d["models"].append(dict(d["models"][0], links=[2]))
+    eng = Engine(parse_scenario(d))
+    assert 1 in eng._jset.place and 1 not in eng._array_junctions
+    receiver = eng.model_of_link[2]
+    deliveries = {}  # t -> [(caps, supply once the pair has entered)]
+    deliver = eng._deliver
+
+    def recording(t, sender, g, conn, sent, size, delta, caps):
+        deliver(t, sender, g, conn, sent, size, delta, caps)
+        if conn.junction == 1:
+            deliveries.setdefault(t, []).append((caps, receiver.lane_group_supply("2:1")))
+
+    eng._deliver = recording
+    eng.run()
+    both = [pairs for pairs in deliveries.values() if len(pairs) == 2]
+    assert len(both) > 20
+    for (first_caps, left), (second_caps, _) in both:
+        assert second_caps == [left]
+    assert all(left < first_caps[0] for (first_caps, left), _ in both)
+
+
 # --- one fluid delivery --------------------------------------------------
 
 
@@ -878,6 +906,24 @@ def test_model_advance_failure_names_the_model():
     eng.model_of_link[2].advance_state = _fails
     err = _failure(eng)
     assert err.element == "model 1 (newell)" and err.time == 0.0
+
+
+def test_an_observer_failure_is_wrapped_naming_the_time():
+    # an error from outside every element is named by its time alone
+    from hybridtraffic.engine import SimulationError
+
+    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+
+    def observer(e, t):
+        if t >= 20.0:
+            raise KeyError("stub failure")
+
+    with pytest.raises(SimulationError) as info:
+        eng.run(observer=observer)
+    err = info.value
+    assert str(err) == "[t=20.000] 'stub failure'"
+    assert err.time == 20.0 and err.element is None
+    assert isinstance(err.__cause__, KeyError)
 
 
 @pytest.mark.parametrize("kind", ["sensor", "controller", "actuator"])

@@ -39,6 +39,10 @@ def test_lane_numbering_with_partials():
     assert link.lane_length(0) == 100
     assert link.lane_length(1) == 500
     assert link.lane_length(3) == 80
+    # network.py asks only for the lanes of a link's own lane groups; a
+    # caller asking for another lane is told so
+    with pytest.raises(NetworkError, match="^link 0 has no lane 4$"):
+        link.lane_length(4)
 
 
 def test_lane_groups_single_pipe():
@@ -106,6 +110,11 @@ def test_lane_access_fraction():
     net = Network.build(links, rcs)
     # downstream link is one 3-lane group, 2 of 3 lanes reachable
     assert net.lane_access_fraction(0, "1:1") == pytest.approx(2 / 3)
+    # the engine asks only for the lane groups an rc reaches; a caller
+    # asking for another one is told so, not handed a share of 0
+    with pytest.raises(NetworkError, match="^lane group 0:1 is not downstream of road "
+                       "connection 0$"):
+        net.lane_access_fraction(0, "0:1")
 
 
 def test_validate_reports_missing_links_and_lanes():

@@ -397,6 +397,15 @@ def test_cli_run_checks_overrides_like_file_values(override, message, tmp_path,
     assert not out.exists()
 
 
+def test_cli_run_failing_after_set_up_exits_1_with_its_error(tmp_path, capsys):
+    # the scenario loads and the engine is built; the output directory names
+    # a file, so opening the CSVs fails and the run never starts
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main(["run", "macro_meso", "--duration", "20", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 17] File exists: %r\n" % str(out)
+
+
 def test_cli_run_audit_clean(tmp_path, capsys):
     p = tmp_path / "s.yaml"
     p.write_text(yaml.safe_dump(_base()))

@@ -134,3 +134,20 @@ def test_local_density_counts_the_buffered_vehicles_too(cls):
     m.receive_vehicles(0, _vehs(0, 1, 2, 3), 0.0)
     assert m.groups["0:1"].stored() == 4
     assert m.local_density_per_m(0, 25.0) * 1000.0 == pytest.approx(80.0)
+
+
+@pytest.mark.parametrize("cls", MODELS, ids=lambda c: c.kind)
+def test_a_vehicle_model_refuses_fluid(cls):
+    m = _model(cls)
+    with pytest.raises(RuntimeError, match="^%s model receives whole vehicles only$" % cls.kind):
+        m.receive_fluid("0:1", [1.0], 0.0)
+
+
+def test_a_fluid_model_refuses_whole_vehicles():
+    from hybridtraffic.models import CtmModel
+
+    net, _, _ = corridor_network(1, lanes=1)
+    m = CtmModel(dt=2.0, max_cell_length=100.0)
+    m.build(net, [0])
+    with pytest.raises(RuntimeError, match="^ctm model receives fluid only; translate first$"):
+        m.receive_vehicles(0, _vehs(0), 0.0)

@@ -1,5 +1,6 @@
-"""The scenario loader builds a composed document in one eager pass; it must
-give the data PyYAML's safe loader gives, value for value and type for type."""
+"""The scenario loader builds the document straight from the parser's
+events; it must give the data PyYAML's safe loader gives, value for value and
+type for type, and refuse what it refuses with the same error and place."""
 
 import glob
 import math
@@ -135,3 +136,84 @@ def test_a_scenario_file_that_contains_itself_fails_at_load(tmp_path, capsys):
     assert cli_main(["validate", str(p)]) == 2
     err = capsys.readouterr().err
     assert "found a sequence that contains itself" in err and "line 1" in err
+
+
+# merges, tags and aliases where the loader hands nodes to the safe constructor
+EDGES = [
+    "{=: 1}",
+    "a: &p {k: 1}\nb: !!omap [*p, j: *p]\n",
+    "a: {<<: !!set {x, y}, z: 1}",
+    "a: {<<: !!omap [x: 1, y: 2], z: 1}",
+    "a: {<<: !foo {x: 1}}",
+    "a: &s !!set {x}\nb: {<<: *s}\n",
+    "a: &l [!!set {x}, {y: 1}]\nb: {<<: *l}\n",
+    "a: !!set {<<: {q: 1}}",
+    "{<<: {a: 1, b: 1}, <<: {a: 2}, c: 3}",
+    "x: &m {a: 1}\ny: {b: 0, <<: [*m, {b: 2, c: 3}], a: 3}\n",
+    "- &a !!str 1\n- *a\n- &b {x: *a}\n- !!pairs [*b, y: *b]\n",
+    "{&k a: 1, b: *k, *k: 2}",
+    "x: {&m <<: {a: 1}, b: 0}\ny: {*m: {c: 2}, d: 1}\n",
+]
+
+ERRORS = [
+    "a: 1\n---\nb: 2\n",  # a second document
+    "--- 1\n--- 2\n",
+    "a: *x\n",  # an undefined alias
+    "- !!omap [*q]\n",
+    "a: &x 1\nb: &x 2\n",  # a duplicate anchor
+    "a: &x [1]\nb: {c: &x 2}\n",
+    "a: &e [1]\nb: {*e: 1}\n",  # an unhashable key
+    "{{a: 1}: 2}",
+    "a: {<<: 1}",  # a merge of what is no map
+    "a:\n  b: 1\nc: {<<: [{a: 1}, 2]}\n",
+    "[<<]",  # a merge key or `=` outside a key
+    "{a: <<}",
+    "[=]",
+    "{=: 1, b: =}",
+    "a: !!omap [{b: 1, c: 2}]",  # the safe constructor's own checks
+    "a: &m [1]\nb: !!omap [*m]\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGES)
+def test_merges_tags_and_aliases_load_as_the_safe_loader_loads_them(text):
+    _check(text)
+
+
+def _place(mark):
+    return None if mark is None else (mark.line, mark.column)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", ERRORS)
+def test_an_error_is_the_safe_loaders_at_the_same_place(loader, text):
+    with pytest.raises(yaml.MarkedYAMLError) as want:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(yaml.MarkedYAMLError) as got:
+        yaml.load(text, Loader=loader)
+    w, g = want.value, got.value
+    assert type(g) is type(w)
+    assert (g.context, g.problem) == (w.context, w.problem)
+    assert _place(g.context_mark) == _place(w.context_mark)
+    assert _place(g.problem_mark) == _place(w.problem_mark)
+
+
+@pytest.mark.parametrize("loader", LOADERS + [yaml.SafeLoader])
+def test_an_alias_in_a_tagged_collection_or_a_merge_is_its_anchors_object(loader):
+    d = yaml.load("a: &p [1]\nb: !!omap [j: *p]\nc: {<<: {k: *p}}\n"
+                  "d: !!omap [k: &v {x: 1}]\ne: *v\n", Loader=loader)
+    assert d["b"][0][1] is d["a"] and d["c"]["k"] is d["a"]
+    assert d["e"] is d["d"][0][1]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("links: []\n---\nlinks: []\n", "expected a single document in the stream"),
+    ("a: 1\nlinks: *l\n", "found undefined alias 'l'"),
+    ("a: &l []\nlinks: &l []\n", "found duplicate anchor 'l'"),
+])
+def test_a_file_the_loader_refuses_exits_2_naming_the_problem(tmp_path, capsys, text, error):
+    p = tmp_path / "bad.yaml"
+    p.write_text(text)
+    assert cli_main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err and "line 2" in err
