@@ -1,15 +1,18 @@
-"""Scenario files: YAML schema, parsing, validation, serialization, and
-construction of the runtime objects the engine needs.
+"""Scenario files: the schema of their entries, parsing, validation,
+serialization, and construction of the runtime objects the engine needs.
 
 A file is read by PyYAML's safe rules (YAML 1.1, libyaml's parser when
-present) and built straight from the parser's events, with no node tree
-(`_EagerBuild`), each distinct scalar resolved and built once. Anchors,
-aliases and `<<` merges work as in PyYAML's safe loader; a document that
-contains itself is an error."""
+present) and built straight from the parser's events into plain maps, lists
+and scalars (`_EagerBuild`), each distinct scalar resolved and built once.
+Anchors, aliases and `<<` merges work as in PyYAML's safe loader. A document
+that contains itself is an error, and so is a collection tagged `!!set`,
+`!!omap`, `!!pairs` or the like. `SCHEMA` declares every key of every kind of
+entry, and each entry is read through it (`_fields`), so an entry that is
+not a map, an unknown or missing key and a value of another type are
+errors that name the entry."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
@@ -21,13 +24,12 @@ from yaml.constructor import ConstructorError
 from yaml.events import (
     AliasEvent,
     MappingEndEvent,
-    MappingStartEvent,
     ScalarEvent,
     SequenceEndEvent,
     SequenceStartEvent,
     StreamEndEvent,
 )
-from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 
 from . import control
 from .demand import (
@@ -108,211 +110,252 @@ class Scenario:
     run: RunSettings = field(default_factory=lambda: RunSettings(duration=3600.0))
 
 
+# --- the schema --------------------------------------------------------
+
+_R = object()  # the default of a key an entry must give
+
+# The types of values: what an error calls each, its test, and what a value
+# that passes becomes (None: itself). An integer is an int and not a bool; a
+# number is an int or a float, and becomes a float. Nothing is truncated.
+_INT_T, _NUMBER_T = frozenset([int]), frozenset([int, float])
+_INT = ("an integer", lambda v: type(v) is int, None)
+_NUMBER = ("a number", lambda v: type(v) in _NUMBER_T, float)
+_TEXT = ("a string", lambda v: type(v) is str, None)
+_NUMBERS = ("a list of numbers", lambda v: type(v) is list and {*map(type, v)} <= _NUMBER_T,
+            lambda v: tuple(map(float, v)))
+_LIST = ("a list", lambda v: type(v) is list, None)
+_ENTRY = ("a map", lambda v: type(v) is dict, None)
+_BY_ID = ("a map with integer keys", lambda v: type(v) is dict and {*map(type, v)} <= _INT_T,
+          dict)
+_ID_TO_ID = ("a map of integers to integers",
+             lambda v: type(v) is dict and {*map(type, v), *map(type, v.values())} <= _INT_T,
+             dict)
+_ANY = ("anything", lambda v: True, None)
+
+
+def _ints(make):
+    """The type of a list of integers, made into `make`."""
+    return "a list of integers", lambda v: type(v) is list and {*map(type, v)} <= _INT_T, make
+
+
+_CONTROL = {"id": (_INT, _R), "kind": (_TEXT, _R), "dt": (_NUMBER, _R)}
+_CONTROLLER = {"id": (_INT, _R), "type": (_TEXT, _R), "dt": (_NUMBER, _R),
+               "sensors": (_ints(list), ()), "actuators": (_ints(list), ())}
+
+# Every kind of entry a scenario file holds: each key it may have, the type
+# of its value, and its default (_R: the entry must give it). The
+# entries a list or map holds (`links`, `partials`, `profile`, `ratios`,
+# `params`, `stages`, ...) are read as their own kinds where they are built.
+# A sensor, actuator or controller takes the keys of the kind or type its
+# `kind` or `type` names (`_PICKS`); a model's other keys are its
+# parameters, which MODELS declares and `_make_model` reads at validate time.
+SCHEMA = {
+    "scenario": {
+        "name": (_TEXT, "unnamed"),
+        "links": (_LIST, _R),
+        "road_connections": (_LIST, ()),
+        "models": (_LIST, _R),
+        "vehicle_types": (_LIST, _R),
+        "routes": (_LIST, ()),
+        "demands": (_LIST, ()),
+        "splits": (_LIST, ()),
+        "sensors": (_LIST, ()),
+        "actuators": (_LIST, ()),
+        "controllers": (_LIST, ()),
+        "run": (_ENTRY, _R),
+    },
+    "link": {"id": (_INT, _R), "length": (_NUMBER, _R), "lanes": (_INT, _R),
+             "capacity": (_NUMBER, _R), "speed": (_NUMBER, _R), "jam_density": (_NUMBER, _R),
+             "partials": (_LIST, ())},
+    "partial": {"position": (_TEXT, _R), "lanes": (_INT, _R), "length": (_NUMBER, _R)},
+    "road connection": {"id": (_INT, _R), "up_link": (_INT, _R),
+                        "up_lanes": (_ints(frozenset), _R), "down_link": (_INT, _R),
+                        "down_lanes": (_ints(frozenset), _R)},
+    "model": {"kind": (_TEXT, _R), "links": (_ints(list), _R), "dt": (_NUMBER, _R)},
+    "vehicle type": {"id": (_INT, _R), "routing": (_TEXT, _R)},
+    "route": {"id": (_INT, _R), "links": (_ints(tuple), _R)},
+    "demand": {"link": (_INT, _R), "vtype": (_INT, _R), "profile": (_ENTRY, _R),
+               "route": (_INT, None)},
+    "profile": {"start": (_NUMBER, 0.0), "period": (_NUMBER, _R), "values": (_NUMBERS, _R)},
+    "split": {"link": (_INT, _R), "vtype": (_INT, _R), "ratios": (_BY_ID, _R)},  # of profiles
+    "run": {"duration": (_NUMBER, _R), "output_dt": (_NUMBER, 10.0), "seed": (_INT, 0),
+            "distribution": (_TEXT, "equalizing")},
+    "sensor": _CONTROL,
+    "lane_group sensor": {**_CONTROL, "lane_group": (_TEXT, _R)},
+    "local sensor": {**_CONTROL, "link": (_INT, _R), "offset": (_NUMBER, 0.0)},
+    "probe sensor": {**_CONTROL, "vehicle": (_INT, _R)},
+    "actuator": _CONTROL,
+    "rc_block actuator": {**_CONTROL, "rc": (_INT, _R)},
+    "vsl actuator": {**_CONTROL, "link": (_INT, _R)},
+    "router actuator": {**_CONTROL, "vtype": (_INT, _R)},
+    "demand actuator": {**_CONTROL, "source": (_INT, _R)},
+    "split actuator": {**_CONTROL, "link": (_INT, _R), "vtype": (_INT, _R)},
+    "controller": _CONTROLLER,
+    "fixed_time_signal controller": {**_CONTROLLER, "params": (_ENTRY, _R)},
+    "fixed_time_signal params": {"stages": (_LIST, _R), "rc_actuators": (_ID_TO_ID, _R),
+                                 "offset": (_NUMBER, 0.0)},
+    "stage": {"duration": (_NUMBER, _R), "open_rcs": (_ANY, None)},  # the signal checks it
+    "constant controller": {**_CONTROLLER, "params": (_ENTRY, {})},
+    "constant params": {"at": (_NUMBER, 0.0), "commands": (_BY_ID, {})},  # of any command
+    "noop controller": _CONTROLLER,
+}
+_PICKS = {"sensor": "kind", "actuator": "kind", "controller": "type"}
+
+
+def _typed(key, want: tuple, v):
+    what, ok, make = want
+    if not ok(v):
+        raise ScenarioError("%r must be %s, got %r" % (key, what, v))
+    return v if make is None else make(v)
+
+
+def _fields(d, kind: str) -> dict:
+    """Entry `d` read by SCHEMA[kind]: the value of each key it gives, of
+    its type, and the default of each it leaves out; a model's other keys
+    are its `params`. An entry that is not a map, an unknown kind or type, a
+    missing required key, an unknown key or a value of another type is a
+    ScenarioError."""
+    if type(d) is not dict:
+        raise ScenarioError("must be a map, got %r" % (d,))
+    keys = SCHEMA[kind]
+    pick = _PICKS.get(kind)
+    if pick is not None and pick in d:
+        keys = SCHEMA.get("%s %s" % (d[pick], kind))
+        if keys is None:
+            raise ScenarioError("unknown %s %r" % (pick, d[pick]))
+    f = {}
+    for k, (want, default) in keys.items():
+        v = d.get(k, default)
+        if v is _R:
+            raise ScenarioError("missing required key %r" % k)
+        f[k] = v if v is default else _typed(k, want, v)
+    if kind == "model":
+        f["params"] = {k: v for k, v in d.items() if k not in keys}
+    elif not keys.keys() >= d.keys():
+        raise ScenarioError("unknown key %r" % next(k for k in d if k not in keys))
+    return f
+
+
+def _owner(kind: str, d, i: int) -> str:
+    """How an error names entry `i` of a list of `kind`s: by its id where it
+    has one, else by its place."""
+    get = d.get if type(d) is dict else {}.get
+    if kind in ("scenario", "run"):
+        return kind
+    if kind == "model":
+        return "model %d (%s)" % (i, get("kind"))
+    if kind == "demand":
+        return "demand %d" % i
+    if kind == "split":
+        return "split at link %s, type %s" % (get("link"), get("vtype"))
+    return "%s %s" % (kind, get("id", "#%d" % i))
+
+
+def _entries(kind: str, entries, make, diags: list[str] | None = None) -> list:
+    """Each of `entries` read as a `kind` and built by `make`. An error names
+    its entry: it is raised as a ScenarioError, or, given `diags`, reported
+    there and the entry left out."""
+    built = []
+    for i, d in enumerate(entries):
+        try:
+            built.append(make(_fields(d, kind)))
+        except (ValueError, TypeError) as exc:
+            owner, msg = _owner(kind, d, i), str(exc)
+            if not msg.startswith((owner + ":", owner + " ")):
+                msg = "%s: %s" % (owner, msg)
+            if diags is None:
+                raise ScenarioError(msg) from exc
+            diags.append(msg)
+    return built
+
+
 # --- parsing -----------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _entry(owner: str):
-    """Report a constructor's or a number conversion's error as a
-    `ScenarioError` naming the entry."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        msg = str(exc)
-        named = msg.startswith((owner + ":", owner + " "))
-        raise ScenarioError(msg if named else "%s: %s" % (owner, msg)) from exc
+def _profile(d) -> Profile:
+    f = _fields(d, "profile")
+    return Profile(start_time=f["start"], period=f["period"], values=f["values"])
 
 
-def _profile(d: dict) -> Profile:
-    return Profile(
-        start_time=float(d.get("start", 0.0)),
-        period=float(d["period"]),
-        values=tuple(float(v) for v in d["values"]),
-    )
+def _partial(d) -> PartialLaneStructure:
+    if type(d) is dict and "gates" in d:
+        raise ScenarioError("partial-lane gates are not supported (the simulator has no gate "
+                            "model); remove the 'gates' entry")
+    f = _fields(d, "partial")
+    if f["position"] in ("inner-upstream", "outer-upstream"):
+        raise ScenarioError("partial lanes at the upstream end are not supported (every lane "
+                            "group is aligned at the downstream end); got %r" % f["position"])
+    return PartialLaneStructure(**f)
 
 
-def _profile_dict(p: Profile) -> dict:
-    return {"start": p.start_time, "period": p.period, "values": list(p.values)}
+def _link(f: dict) -> Link:
+    return Link(id=f["id"], length=f["length"], full_lanes=f["lanes"],
+                params=RoadParams(f["capacity"], f["speed"], f["jam_density"]),
+                partials=tuple(map(_partial, f["partials"])))
 
 
-def _partial(link_id, d: dict) -> PartialLaneStructure:
-    if "gates" in d:
+def _run(f: dict) -> RunSettings:
+    distribution = f.pop("distribution")
+    if distribution != "equalizing":
         raise ScenarioError(
-            "link %s: partial-lane gates are not supported (the simulator has no "
-            "gate model); remove the 'gates' entry" % link_id
-        )
-    if d.get("position") in ("inner-upstream", "outer-upstream"):
-        raise ScenarioError(
-            "link %s: partial lanes at the upstream end are not supported (every "
-            "lane group is aligned at the downstream end); got %r" % (link_id, d["position"])
-        )
-    return PartialLaneStructure(
-        position=d["position"], lanes=int(d["lanes"]), length=float(d["length"])
-    )
+            "distribution %r is not supported (fluid is spread over lane groups in proportion "
+            "to their free space); remove the 'distribution' entry" % distribution)
+    return RunSettings(**f)
 
 
 def parse_scenario(data: dict) -> Scenario:
-    try:
-        links = []
-        for d in data["links"]:
-            with _entry("link %s" % d.get("id")):
-                partials = tuple(_partial(d.get("id"), p) for p in d.get("partials", []))
-                links.append(Link(
-                    id=int(d["id"]),
-                    length=float(d["length"]),
-                    full_lanes=int(d["lanes"]),
-                    params=RoadParams(
-                        capacity_per_lane=float(d["capacity"]),
-                        speed_limit=float(d["speed"]),
-                        jam_density_per_lane=float(d["jam_density"]),
-                    ),
-                    partials=partials,
-                ))
-        rcs = []
-        for d in data.get("road_connections", []):
-            with _entry("road connection %s" % d.get("id")):
-                rcs.append(RoadConnection(
-                    id=int(d["id"]),
-                    up_link=int(d["up_link"]),
-                    up_lanes=frozenset(int(l) for l in d["up_lanes"]),
-                    down_link=int(d["down_link"]),
-                    down_lanes=frozenset(int(l) for l in d["down_lanes"]),
-                ))
-        models = []
-        for i, d in enumerate(data["models"]):
-            with _entry("model %d (%s)" % (i, d.get("kind"))):
-                models.append(ModelSpec(
-                    kind=d["kind"],
-                    links=[int(l) for l in d["links"]],
-                    dt=float(d["dt"]),
-                    params={k: v for k, v in d.items() if k not in ("kind", "links", "dt")},
-                ))
-        vtypes, routes = [], []
-        for d in data["vehicle_types"]:
-            with _entry("vehicle type %s" % d.get("id")):
-                vtypes.append(VehicleType(id=int(d["id"]), routing=d["routing"]))
-        for d in data.get("routes", []):
-            with _entry("route %s" % d.get("id")):
-                routes.append(Route(id=int(d["id"]), links=tuple(int(l) for l in d["links"])))
-        demands = []
-        for i, d in enumerate(data.get("demands", [])):
-            with _entry("demand %d" % i):
-                demands.append(DemandProfile(
-                    link=int(d["link"]),
-                    vtype=int(d["vtype"]),
-                    profile=_profile(d["profile"]),
-                    route=int(d["route"]) if d.get("route") is not None else None,
-                ))
-        splits = []
-        for d in data.get("splits", []):
-            with _entry("split at link %(link)s, type %(vtype)s" % d):
-                splits.append(SplitProfile(
-                    link=int(d["link"]),
-                    vtype=int(d["vtype"]),
-                    ratios={int(nl): _profile(p) for nl, p in d["ratios"].items()},
-                ))
-        run_d = data["run"]
-        if run_d.get("distribution", "equalizing") != "equalizing":
-            raise ScenarioError(
-                "run: distribution %r is not supported (fluid is spread over lane "
-                "groups in proportion to their free space); remove the "
-                "'distribution' entry" % run_d["distribution"]
-            )
-        with _entry("run"):
-            run = RunSettings(
-                duration=float(run_d["duration"]),
-                output_dt=float(run_d.get("output_dt", 10.0)),
-                seed=int(run_d.get("seed", 0)),
-            )
-    except KeyError as exc:
-        raise ScenarioError("missing required field %s" % exc) from exc
+    (top,) = _entries("scenario", [data], dict)
     return Scenario(
-        name=str(data.get("name", "unnamed")),
-        links=links,
-        road_connections=rcs,
-        models=models,
-        vehicle_types=vtypes,
-        routes=routes,
-        demands=demands,
-        splits=splits,
-        sensors=list(data.get("sensors", [])),
-        actuators=list(data.get("actuators", [])),
-        controllers=list(data.get("controllers", [])),
-        run=run,
+        name=top["name"],
+        links=_entries("link", top["links"], _link),
+        road_connections=_entries("road connection", top["road_connections"],
+                                  lambda f: RoadConnection(**f)),
+        models=_entries("model", top["models"], lambda f: ModelSpec(**f)),
+        vehicle_types=_entries("vehicle type", top["vehicle_types"], lambda f: VehicleType(**f)),
+        routes=_entries("route", top["routes"], lambda f: Route(**f)),
+        demands=_entries("demand", top["demands"], lambda f: DemandProfile(
+            link=f["link"], vtype=f["vtype"], profile=_profile(f["profile"]), route=f["route"])),
+        splits=_entries("split", top["splits"], lambda f: SplitProfile(
+            link=f["link"], vtype=f["vtype"],
+            ratios={nl: _profile(p) for nl, p in f["ratios"].items()})),
+        # read when they are built, at validate time
+        sensors=list(top["sensors"]),
+        actuators=list(top["actuators"]),
+        controllers=list(top["controllers"]),
+        run=_entries("run", [top["run"]], _run)[0],
     )
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
+    """The data of a file that parses to `sc`, with only the keys SCHEMA
+    declares."""
+    def profile(p: Profile) -> dict:
+        return {"start": p.start_time, "period": p.period, "values": list(p.values)}
+
     return {
         "name": sc.name,
-        "links": [
-            {
-                "id": l.id,
-                "length": l.length,
-                "lanes": l.full_lanes,
-                "capacity": l.params.capacity_per_lane,
-                "speed": l.params.speed_limit,
-                "jam_density": l.params.jam_density_per_lane,
-                **(
-                    {
-                        "partials": [
-                            {
-                                "position": p.position,
-                                "lanes": p.lanes,
-                                "length": p.length,
-                            }
-                            for p in l.partials
-                        ]
-                    }
-                    if l.partials
-                    else {}
-                ),
-            }
-            for l in sc.links
-        ],
-        "road_connections": [
-            {
-                "id": r.id,
-                "up_link": r.up_link,
-                "up_lanes": sorted(r.up_lanes),
-                "down_link": r.down_link,
-                "down_lanes": sorted(r.down_lanes),
-            }
-            for r in sc.road_connections
-        ],
-        "models": [
-            {"kind": m.kind, "links": m.links, "dt": m.dt, **m.params}
-            for m in sc.models
-        ],
-        "vehicle_types": [
-            {"id": v.id, "routing": v.routing} for v in sc.vehicle_types
-        ],
+        "links": [{
+            "id": l.id, "length": l.length, "lanes": l.full_lanes,
+            "capacity": l.params.capacity_per_lane, "speed": l.params.speed_limit,
+            "jam_density": l.params.jam_density_per_lane,
+            **({"partials": [dict(vars(p)) for p in l.partials]} if l.partials else {}),
+        } for l in sc.links],
+        "road_connections": [{**vars(r), "up_lanes": sorted(r.up_lanes),
+                              "down_lanes": sorted(r.down_lanes)} for r in sc.road_connections],
+        "models": [{"kind": m.kind, "links": m.links, "dt": m.dt, **m.params} for m in sc.models],
+        "vehicle_types": [dict(vars(v)) for v in sc.vehicle_types],
         "routes": [{"id": r.id, "links": list(r.links)} for r in sc.routes],
-        "demands": [
-            {
-                "link": d.link,
-                "vtype": d.vtype,
-                "profile": _profile_dict(d.profile),
-                **({"route": d.route} if d.route is not None else {}),
-            }
-            for d in sc.demands
-        ],
-        "splits": [
-            {
-                "link": s.link,
-                "vtype": s.vtype,
-                "ratios": {nl: _profile_dict(p) for nl, p in s.ratios.items()},
-            }
-            for s in sc.splits
-        ],
+        "demands": [{
+            "link": d.link, "vtype": d.vtype, "profile": profile(d.profile),
+            **({"route": d.route} if d.route is not None else {}),
+        } for d in sc.demands],
+        "splits": [{"link": s.link, "vtype": s.vtype,
+                    "ratios": {nl: profile(p) for nl, p in s.ratios.items()}}
+                   for s in sc.splits],
         "sensors": sc.sensors,
         "actuators": sc.actuators,
         "controllers": sc.controllers,
-        "run": {
-            "duration": sc.run.duration,
-            "output_dt": sc.run.output_dt,
-            "seed": sc.run.seed,
-        },
+        "run": dict(vars(sc.run)),
     }
 
 
@@ -322,31 +365,44 @@ _STR = "tag:yaml.org,2002:str"
 _MERGE = "tag:yaml.org,2002:merge"
 _VALUE = "tag:yaml.org,2002:value"
 _MISS = object()
+_MERGE_KEY = object()  # a `<<` key: its value is merged into its map
+# what the safe loader calls the node of each kind of data, or of an unread
+# list's first event; anything else is a "scalar"
+_NODE_ID = {dict: "mapping", list: "sequence", SequenceStartEvent: "sequence"}
+
+
+def _mergeable(item, mark, where):
+    """Refuse an item of a `<<` list that is not a map, as the safe
+    constructor does."""
+    if type(item) is not dict:
+        raise ConstructorError("while constructing a mapping", mark, "expected a mapping for "
+                               "merging, but found %s" % _NODE_ID.get(type(item), "scalar"),
+                               where)
 
 
 class _EagerBuild:
     """Safe-loader overrides that build the document straight from the
-    parser's events, to the data the safe loader alone gives.
+    parser's events: plain maps, lists and scalars, to the data the safe
+    loader gives.
 
-    A scalar is resolved once per (value, implicit) and built once per
-    (tag, value). Plain maps and lists are built here as their events
-    arrive; no node is made for them. A collection with any other tag is
-    composed into nodes, with all it holds, and built by the safe
-    constructor; so is the value of a `<<` key, whose pairs the safe
-    constructor's `flatten_mapping` merges ahead of the map's own. An alias
-    is its anchor's object: where nodes are read, a built object stands in
-    as a node that the constructor reads back as that object. A map or list
-    that contains itself is an error. Every memo belongs to one loader, so
-    to one document."""
+    A scalar is resolved once per (value, implicit) and built by the safe
+    constructor once per (tag, value). A map or list is built as its events
+    arrive; one with a tag other than `!!map`, `!!seq` or `!` (`!!set`,
+    `!!omap`, `!!pairs`, ...) is refused at its line, since no scenario key
+    holds one. An alias is its anchor's object, and a map or list that
+    contains itself is an error. The maps a `<<` key names are merged into
+    its map in the safe constructor's order: the map's own keys win, and of
+    a list of maps the earlier win; a merge of anything else is its error,
+    at its place. Every memo belongs to one loader, so to one document."""
 
     def __init__(self, stream):
         super().__init__(stream)
         self._plain = {}  # (value, implicit) -> data of an untagged scalar
         self._scalars = {}  # (tag, value) -> data
-        self._anchors = {}  # anchor -> its data, or its node if composed
+        self._anchors = {}  # anchor -> its data
         self._marks = {}  # anchor -> its start mark
+        self._items = {}  # anchor of a list -> the start mark of each item
         self._open = {}  # anchor -> kind of a map or list still being built
-        self._nodes = {}  # id(data) -> the node the constructor reads as data
 
     def get_single_data(self):
         get = self.get_event
@@ -366,11 +422,18 @@ class _EagerBuild:
         """The data of the node that starts with `event`, read to its end."""
         cls = type(event)
         if cls is AliasEvent:
-            return self._data(self._anchored(event))
+            data = self._anchored(event)
+            if data is _MERGE_KEY:
+                raise ConstructorError(None, None, "could not determine a constructor for "
+                                       "the tag %r" % _MERGE, self._marks[event.anchor])
+            return data
         tag = event.tag
         if cls is not ScalarEvent and tag not in (
                 None, "!", _SEQ if cls is SequenceStartEvent else _MAP):
-            return self._data(self._compose(event))
+            kind = "sequence" if cls is SequenceStartEvent else "mapping"
+            tag = tag.replace("tag:yaml.org,2002:", "!!")
+            raise ConstructorError(None, None, "found a %s tagged %s, which no scenario key "
+                                   "can hold" % (kind, tag), event.start_mark)
         anchor = event.anchor
         if anchor is not None:
             self._name(event)
@@ -387,7 +450,12 @@ class _EagerBuild:
         else:
             if anchor is not None:
                 self._open[anchor] = "sequence" if cls is SequenceStartEvent else "mapping"
-            data = self._list() if cls is SequenceStartEvent else self._dict(event.start_mark)
+            if cls is not SequenceStartEvent:
+                data = self._dict(event.start_mark)
+            elif anchor is None:
+                data = self._list()
+            else:  # with its items' marks, for a merge that reaches it by an alias
+                data = self._marked_list(self._items.setdefault(anchor, []))
             if anchor is not None:
                 del self._open[anchor]
         if anchor is not None:
@@ -401,36 +469,75 @@ class _EagerBuild:
             data.append(build(event))
         return data
 
+    def _marked_list(self, marks):
+        get, build = self.get_event, self._build
+        data = []
+        while type(event := get()) is not SequenceEndEvent:
+            data.append(build(event))
+            marks.append(event.start_mark if type(event) is not AliasEvent
+                         else self._marks[event.anchor])
+        return data
+
     def _dict(self, mark):
         get, build, plain = self.get_event, self._build, self._plain
-        data, merges = {}, []
+        data, merged = {}, None
         while type(event := get()) is not MappingEndEvent:
             key = _MISS
             if type(event) is ScalarEvent and event.anchor is None and event.tag is None:
                 key = plain.get((event.value, event.implicit), _MISS)
             if key is _MISS:
                 key = self._key(event, mark)
-                if type(key) is ScalarNode:  # the key of a `<<` merge
-                    source = MappingNode(_MAP, [(key, self._compose(get()))], mark, mark)
-                    self.flatten_mapping(source)
-                    merges += source.value
+                if key is _MERGE_KEY:
+                    merged = self._merge(get(), mark, merged or {})
                     continue
             data[key] = build(get())
-        if merges:
-            merged = self.construct_mapping(MappingNode(_MAP, merges, mark, mark), deep=True)
+        if merged:
             merged.update(data)
-            data = merged
+            return merged
         return data
 
+    def _merge(self, event, mark, into: dict) -> dict:
+        """`into` updated with what the `<<` value that starts with `event`
+        merges into the map at `mark`, in the order and with the errors of
+        the safe constructor's merge: a list's items are checked in turn, and
+        its earlier maps win."""
+        if (type(event) is SequenceStartEvent and event.anchor is None
+                and event.tag in (None, "!", _SEQ)):
+            maps, get = [], self.get_event
+            while type(item := get()) is not SequenceEndEvent:
+                if type(item) is AliasEvent:
+                    value, where = self._anchored(item), self._marks[item.anchor]
+                elif type(item) is ScalarEvent or type(item) is SequenceStartEvent:
+                    value, where = item, item.start_mark  # refused unread
+                else:
+                    value, where = self._build(item), item.start_mark
+                _mergeable(value, mark, where)
+                maps.append(value)
+        else:
+            value = self._build(event)
+            if type(value) is dict:
+                maps = [value]
+            elif type(value) is list:  # an anchored list, built with its items' marks
+                maps = value
+                for item, where in zip(value, self._items[event.anchor]):
+                    _mergeable(item, mark, where)
+            else:
+                raise ConstructorError(
+                    "while constructing a mapping", mark, "expected a mapping or list of "
+                    "mappings for merging, but found %s" % _NODE_ID.get(type(value), "scalar"),
+                    event.start_mark if event.anchor is None else self._marks[event.anchor])
+        for m in reversed(maps):
+            into.update(m)
+        return into
+
     def _key(self, event, mark):
-        """A map key from its first event: its data, or its node if it is
-        the key of a `<<` merge."""
+        """A map key from its first event: its data, or _MERGE_KEY."""
         if type(event) is not ScalarEvent:
             if type(event) is AliasEvent:
-                obj = self._anchored(event)
-                if type(obj) is ScalarNode and obj.tag == _MERGE:
-                    return obj
-                data, key_mark = self._data(obj), self._marks[event.anchor]
+                data = self._anchored(event)
+                if data is _MERGE_KEY:
+                    return data
+                key_mark = self._marks[event.anchor]
             else:
                 data, key_mark = self._build(event), event.start_mark
             if not isinstance(data, Hashable):
@@ -441,7 +548,7 @@ class _EagerBuild:
             self._name(event)
         tag = self._tag(event)
         if tag == _MERGE:
-            data = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+            data = _MERGE_KEY
         elif tag == _VALUE:  # `=` is a string key
             data = self._scalar(event, _STR)
         else:
@@ -476,7 +583,7 @@ class _EagerBuild:
         self._marks[anchor] = event.start_mark
 
     def _anchored(self, alias):
-        """What an alias names: built data, or a node."""
+        """The data an alias names."""
         anchor = alias.anchor
         if anchor in self._open:
             raise ConstructorError(None, None, "found a %s that contains itself"
@@ -486,62 +593,6 @@ class _EagerBuild:
         except KeyError:
             raise ComposerError(None, None, "found undefined alias %r" % anchor,
                                 alias.start_mark) from None
-
-    def _data(self, obj):
-        """Built data as it is; a node built by the safe constructor."""
-        if not isinstance(obj, Node):
-            return obj
-        data = self.construct_object(obj, deep=True)
-        self._nodes[id(data)] = obj
-        return data
-
-    def _compose(self, event):
-        """The node that starts with `event`, with every node under it, for
-        the safe constructor."""
-        cls = type(event)
-        if cls is AliasEvent:
-            anchor = event.anchor
-            obj = self._anchored(event)
-            return obj if isinstance(obj, Node) else self._stand_in(obj, self._marks[anchor])
-        anchor, tag = event.anchor, event.tag
-        if anchor is not None:
-            self._name(event)
-        if cls is ScalarEvent:
-            node = ScalarNode(self._tag(event), event.value, event.start_mark, event.end_mark,
-                              event.style)
-        else:
-            kind = SequenceNode if cls is SequenceStartEvent else MappingNode
-            if tag is None or tag == "!":
-                tag = self.resolve(kind, None, event.implicit)
-            node = kind(tag, [], event.start_mark, None, event.flow_style)
-        if anchor is not None:
-            self._anchors[anchor] = node
-        get = self.get_event
-        if cls is SequenceStartEvent:
-            while type(event := get()) is not SequenceEndEvent:
-                node.value.append(self._compose(event))
-            node.end_mark = event.end_mark
-        elif cls is MappingStartEvent:
-            while type(event := get()) is not MappingEndEvent:
-                node.value.append((self._compose(event), self._compose(get())))
-            node.end_mark = event.end_mark
-        return node
-
-    def _stand_in(self, data, mark):
-        """A node the safe constructor reads as the built `data`, with nodes
-        under it for what `data` holds."""
-        node = self._nodes.get(id(data))
-        if node is None:
-            if type(data) is dict:
-                node = MappingNode(_MAP, [(self._stand_in(k, None), self._stand_in(v, None))
-                                          for k, v in data.items()], mark, mark)
-            elif type(data) is list:
-                node = SequenceNode(_SEQ, [self._stand_in(x, None) for x in data], mark, mark)
-            else:
-                node = ScalarNode(None, None, mark, mark)
-            self._nodes[id(data)] = node
-            self.constructed_objects[node] = data
-        return node
 
 
 class _Loader(_EagerBuild, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -668,7 +719,7 @@ def _checked(sc: Scenario) -> tuple[dict, list[str]]:
                         )
 
     elements = {
-        key: _built(key[:-1], make, getattr(sc, key), diags)
+        key: _entries(key[:-1], getattr(sc, key), make, diags)
         for key, make in (("sensors", _make_sensor), ("actuators", _make_actuator),
                           ("controllers", _make_controller))
     }
@@ -779,92 +830,51 @@ def _keyed(items: list, key, duplicate: str, diags: list[str]) -> dict:
     return out
 
 
-def _built(label: str, make, entries: list[dict], diags: list[str]) -> list:
-    """Each entry built by `make`; a construction error becomes a diagnostic
-    naming the entry, which is then left out."""
-    built = []
-    for i, d in enumerate(entries):
-        try:
-            built.append(make(d))
-        except KeyError as exc:
-            diags.append("%s %s: missing field %s" % (label, d.get("id", "#%d" % i), exc))
-        except (ValueError, TypeError) as exc:
-            diags.append("%s %s: %s" % (label, d.get("id", "#%d" % i), exc))
-    return built
-
-
 # --- runtime construction ---------------------------------------------
 
 
 def _make_model(spec: ModelSpec):
     cls, defaults = MODELS[spec.kind]
-    for k in spec.params:
+    params = dict(defaults)
+    for k, v in spec.params.items():
         if k not in defaults:
             raise ValueError("unknown parameter %r" % k)
-    return cls(dt=spec.dt, **{k: float(spec.params.get(k, d)) for k, d in defaults.items()})
+        params[k] = _typed(k, _NUMBER, v)
+    return cls(dt=spec.dt, **params)
 
 
-def _make_sensor(d: dict):
-    kind = d["kind"]
+def _make_sensor(f: dict):
+    kind, common = f["kind"], {"id": f["id"], "dt": f["dt"]}
     if kind == "lane_group":
-        return control.LaneGroupSensor(
-            id=int(d["id"]), dt=float(d["dt"]), group_id=str(d["lane_group"])
-        )
+        return control.LaneGroupSensor(**common, group_id=f["lane_group"])
     if kind == "local":
-        return control.LocalSensor(
-            id=int(d["id"]), dt=float(d["dt"]),
-            link=int(d["link"]), offset_m=float(d.get("offset", 0.0)),
-        )
-    if kind == "probe":
-        return control.ProbeSensor(
-            id=int(d["id"]), dt=float(d["dt"]), vehicle_id=int(d["vehicle"])
-        )
-    raise ScenarioError("unknown kind %r" % kind)
+        return control.LocalSensor(**common, link=f["link"], offset_m=f["offset"])
+    return control.ProbeSensor(**common, vehicle_id=f["vehicle"])
 
 
-def _make_actuator(d: dict):
-    kind = d["kind"]
-    aid, dt = int(d["id"]), float(d["dt"])
-    if kind == "rc_block":
-        return control.RcBlockActuator(id=aid, dt=dt, rc=int(d["rc"]))
-    if kind == "vsl":
-        return control.VslActuator(id=aid, dt=dt, link=int(d["link"]))
-    if kind == "router":
-        return control.RouterActuator(id=aid, dt=dt, vtype=int(d["vtype"]))
-    if kind == "demand":
-        return control.DemandActuator(id=aid, dt=dt, source=int(d["source"]))
-    if kind == "split":
-        return control.SplitActuator(
-            id=aid, dt=dt, link=int(d["link"]), vtype=int(d["vtype"])
-        )
-    raise ScenarioError("unknown kind %r" % kind)
+# each actuator kind's class, whose fields are its keys
+_ACTUATORS = {"rc_block": control.RcBlockActuator, "vsl": control.VslActuator,
+              "router": control.RouterActuator, "demand": control.DemandActuator,
+              "split": control.SplitActuator}
 
 
-def _make_controller(d: dict):
-    ctype = d["type"]
-    params = d.get("params", {})
+def _make_actuator(f: dict):
+    return _ACTUATORS[f.pop("kind")](**f)
+
+
+def _make_controller(f: dict):
+    ctype = f["type"]
     if ctype == "fixed_time_signal":
-        algo = control.FixedTimeSignal(
-            stages=params["stages"],
-            rc_actuators={int(k): int(v) for k, v in params["rc_actuators"].items()},
-            offset=float(params.get("offset", 0.0)),
-        )
+        p = _fields(f["params"], "fixed_time_signal params")
+        algo = control.FixedTimeSignal(stages=[_fields(s, "stage") for s in p["stages"]],
+                                       rc_actuators=p["rc_actuators"], offset=p["offset"])
     elif ctype == "constant":
-        algo = control.ConstantCommand(
-            at_time=float(params.get("at", 0.0)),
-            commands={int(k): v for k, v in params.get("commands", {}).items()},
-        )
-    elif ctype == "noop":
-        algo = None
+        p = _fields(f["params"], "constant params")
+        algo = control.ConstantCommand(at_time=p["at"], commands=p["commands"])
     else:
-        raise ScenarioError("unknown type %r" % ctype)
-    return control.Controller(
-        id=int(d["id"]),
-        dt=float(d["dt"]),
-        sensor_ids=[int(s) for s in d.get("sensors", [])],
-        actuator_ids=[int(a) for a in d.get("actuators", [])],
-        algorithm=algo,
-    )
+        algo = None
+    return control.Controller(id=f["id"], dt=f["dt"], sensor_ids=f["sensors"],
+                              actuator_ids=f["actuators"], algorithm=algo)
 
 
 def build_runtime(sc: Scenario) -> dict:

@@ -239,10 +239,10 @@ def _without(d, key):
     ("actuators", dict(ACTUATOR, dt=-2), "actuator 4: period dt must be positive"),
     ("controllers", dict(CONTROLLER, dt=0), "controller 5: period dt must be positive"),
     ("controllers", dict(CONTROLLER, dt=-2), "controller 5: period dt must be positive"),
-    ("sensors", _without(SENSOR, "dt"), "sensor 3: missing field 'dt'"),
-    ("actuators", _without(ACTUATOR, "dt"), "actuator 4: missing field 'dt'"),
-    ("sensors", _without(SENSOR, "id"), "sensor #0: missing field 'id'"),
-    ("controllers", _without(CONTROLLER, "type"), "controller 5: missing field 'type'"),
+    ("sensors", _without(SENSOR, "dt"), "sensor 3: missing required key 'dt'"),
+    ("actuators", _without(ACTUATOR, "dt"), "actuator 4: missing required key 'dt'"),
+    ("sensors", _without(SENSOR, "id"), "sensor #0: missing required key 'id'"),
+    ("controllers", _without(CONTROLLER, "type"), "controller 5: missing required key 'type'"),
     ("sensors", dict(SENSOR, kind="radar"), "sensor 3: unknown kind 'radar'"),
     ("controllers", dict(CONTROLLER, type="adaptive"), "controller 5: unknown type 'adaptive'"),
     ("controllers",

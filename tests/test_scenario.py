@@ -29,25 +29,48 @@ def _base():
     return corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
 
 
-def test_parse_serialize_round_trip():
-    d = _base()
-    d["sensors"] = [{"id": 0, "kind": "lane_group", "dt": 10.0, "lane_group": "0:1"}]
-    d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
-    d["controllers"] = [{"id": 0, "type": "noop", "dt": 10.0}]
-    # link 0 carries partial lanes at both downstream positions, link 1 none
-    partials = [{"position": "inner-downstream", "lanes": 1, "length": 100.0},
-                {"position": "outer-downstream", "lanes": 2, "length": 150.0}]
-    d["links"][0]["partials"] = partials
-    sc = parse_scenario(d)
+# link 0 of the corridor carries partial lanes at both downstream positions
+PARTIALS = [{"position": "inner-downstream", "lanes": 1, "length": 100.0},
+            {"position": "outer-downstream", "lanes": 2, "length": 150.0}]
+
+
+def _round_trip_data(name: str) -> dict:
+    """A corridor with partial lanes and control elements, a bundled
+    scenario, or a small generated grid with signals."""
+    if name == "corridor":
+        d = _base()
+        d["sensors"] = [{"id": 0, "kind": "lane_group", "dt": 10.0, "lane_group": "0:1"}]
+        d["actuators"] = [{"id": 0, "kind": "vsl", "dt": 2.0, "link": 0}]
+        d["controllers"] = [{"id": 0, "type": "noop", "dt": 10.0}]
+        d["links"][0]["partials"] = copy.deepcopy(PARTIALS)
+        return d
+    if name == "grid":
+        import os
+        import sys
+        from dataclasses import replace
+
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+        from gridgen import grid_scenario
+        from harness import GRIDS
+
+        return grid_scenario(replace(GRIDS["grid_macro"], rows=4), 1)
+    with open(cli._resolve(name)) as f:
+        return yaml.safe_load(f)
+
+
+@pytest.mark.parametrize("name", ["corridor", *BUNDLED, "grid"])
+def test_parse_serialize_round_trip(name):
+    sc = parse_scenario(_round_trip_data(name))
     d2 = scenario_to_dict(sc)
-    sc2 = parse_scenario(d2)
+    sc2 = parse_scenario(d2)  # which refuses any key the schema does not declare
     assert scenario_to_dict(sc2) == d2  # fixed point after one round trip
-    assert sc2.run.duration == sc.run.duration
-    assert [l.id for l in sc2.links] == [0, 1]
-    assert d2["links"][0]["partials"] == partials and "partials" not in d2["links"][1]
-    assert [(p.position, p.lanes, p.length) for p in sc2.links[0].partials] == [
-        ("inner-downstream", 1, 100.0), ("outer-downstream", 2, 150.0)]
-    assert not sc2.links[1].partials
+    assert sc2 == sc
+    assert validate_scenario(sc2) == []  # and the model parameters and control entries
+    if name == "corridor":
+        assert d2["links"][0]["partials"] == PARTIALS and "partials" not in d2["links"][1]
+        assert [(p.position, p.lanes, p.length) for p in sc2.links[0].partials] == [
+            ("inner-downstream", 1, 100.0), ("outer-downstream", 2, 150.0)]
+        assert not sc2.links[1].partials
 
 
 def test_missing_required_field_raises():
@@ -201,10 +224,19 @@ def _demand_at_unknown_link(d):
      r"split references unknown vehicle type 9$"),
     (lambda d: d.update(splits=[dict(_ONE_SPLIT, ratios={2: {"period": 4000, "values": [1.0]}})]),
      r"split at link 0 names non-successor links \[2\]$"),
+    # a control entry is read when it is built; these once raised a bare
+    # AttributeError, validated clean, or named lane group '61'
+    (lambda d: d.update(sensors=[3]), r"sensor #0: must be a map, got 3$"),
+    (lambda d: d.update(sensors=[{"id": 0, "kind": "local", "dt": 10.0, "link": 1,
+                                  "ofset": 250.0}]), r"sensor 0: unknown key 'ofset'$"),
+    (lambda d: d.update(sensors=[{"id": 0, "kind": "lane_group", "dt": 10.0,
+                                  "lane_group": yaml.safe_load("1:1")}]),  # base 60
+     r"sensor 0: 'lane_group' must be a string, got 61$"),
 ], ids=["cfl", "max_cell_length", "lc_supply_factor", "nan_sigma", "dup_vtype",
         "dup_route", "dup_split", "constant_unowned", "dup_link", "dup_rc", "rc_lanes",
         "model_link", "route_links", "demand_link", "demand_vtype", "demand_no_route",
-        "demand_route", "split_link", "split_vtype", "split_non_successor"])
+        "demand_route", "split_link", "split_vtype", "split_non_successor",
+        "sensor_not_a_map", "sensor_unknown_key", "lane_group_base_60"])
 def test_validate_reports_what_the_engine_rejects(change, diagnostic):
     # each of these once validated clean and then failed, or ran another
     # scenario than the one validated, once the engine was built
@@ -311,9 +343,24 @@ def _partial(**kw):
     (("models", 0, "links"), [], "model 0 (ctm): model spec with no links"),
     (("routes", 0, "links"), [], "route 0 is empty"),
     (("demands", 0, "profile", "values"), [], "demand 0: profile needs at least one sample"),
+    # each of these once raised a bare AttributeError or TypeError naming no
+    # entry, or loaded and validated clean
+    (("links", 1), [0, 500], "link #1: must be a map, got [0, 500]"),
+    (("links",), None, "scenario: 'links' must be a list, got None"),
+    (("run",), [1], "scenario: 'run' must be a map, got [1]"),
+    (("links", 0, "colour"), "red", "link 0: unknown key 'colour'"),
+    (("run", "sed"), 3, "run: unknown key 'sed'"),
+    (("spilts",), [], "scenario: unknown key 'spilts'"),
+    (("road_connections", 0, "up_lanes"), {1},
+     "road connection 0: 'up_lanes' must be a list of integers, got {1}"),
+    (("name",), [1], "scenario: 'name' must be a string, got [1]"),
+    (("links", 0), {"id": 0, "length": 500.0, "lanes": 1, "capacity": 1000.0, "speed": 100.0,
+                    "jam_densty": 100.0}, "link 0: missing required key 'jam_density'"),
 ], ids=["routing", "route", "lanes", "length", "speed", "jam_density", "partial_position",
         "partial_lanes", "partial_length", "partial_twice", "partial_too_long", "rc_lanes",
-        "model_links", "route_empty", "profile_empty"])
+        "model_links", "route_empty", "profile_empty", "link_not_a_map", "links_null",
+        "run_not_a_map", "link_unknown_key", "run_unknown_key", "top_unknown_key",
+        "up_lanes_set", "name_not_text", "link_misspelt_key"])
 def test_bad_entries_fail_as_scenario_errors_naming_the_entry(path, value, message):
     # the constructors' own errors once escaped parsing unwrapped
     d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
@@ -530,12 +577,21 @@ def test_only_the_equalizing_distribution_is_accepted():
     assert "distribution" not in scenario_to_dict(sc)["run"]
 
 
-@pytest.mark.parametrize("path, value, owner", [
-    (("links", 0, "lanes"), "two", "link 0: "),
-    (("models", 0, "dt"), None, "model 0 (ctm): "),
-    (("run", "seed"), "abc", "run: "),
-], ids=["lanes", "model_dt", "seed"])
-def test_bad_numbers_fail_as_scenario_errors_naming_the_entry(path, value, owner):
+@pytest.mark.parametrize("path, value, message", [
+    (("links", 0, "lanes"), "two", "link 0: 'lanes' must be an integer, got 'two'"),
+    (("models", 0, "dt"), None, "model 0 (ctm): 'dt' must be a number, got None"),
+    (("run", "seed"), "abc", "run: 'seed' must be an integer, got 'abc'"),
+    # each of these once loaded as a number it is not: 2, 1, link 0, seed 1,
+    # and the profile (1.0, 2.0)
+    (("links", 0, "lanes"), 2.5, "link 0: 'lanes' must be an integer, got 2.5"),
+    (("links", 0, "lanes"), True, "link 0: 'lanes' must be an integer, got True"),
+    (("links", 0, "id"), 0.9, "link 0.9: 'id' must be an integer, got 0.9"),
+    (("run", "seed"), 1.7, "run: 'seed' must be an integer, got 1.7"),
+    (("demands", 0, "profile", "values"), "12",
+     "demand 0: 'values' must be a list of numbers, got '12'"),
+], ids=["lanes", "model_dt", "seed", "lanes_fraction", "lanes_bool", "id_fraction",
+        "seed_fraction", "values_text"])
+def test_bad_numbers_fail_as_scenario_errors_naming_the_entry(path, value, message):
     # the ValueError/TypeError of a conversion once escaped parsing unwrapped
     d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
     target = d
@@ -544,7 +600,7 @@ def test_bad_numbers_fail_as_scenario_errors_naming_the_entry(path, value, owner
     target[path[-1]] = value
     with pytest.raises(ScenarioError) as info:
         parse_scenario(d)
-    assert str(info.value).startswith(owner)
+    assert str(info.value) == message
 
 
 def test_validate_reports_split_ratios_that_sum_to_zero_within_the_run():
