@@ -84,8 +84,8 @@ def main(argv=None) -> int:
     print(
         "simulated %r for %g s (junction steps: %d in closed form, %d in the "
         "node-model batch, %d node-model iterations, %d deliveries, %d of them "
-        "as array steps): %g veh injected, %g exited, %g in the models, %g "
-        "stranded in boundary residues"
+        "as array steps, %d supply re-reads): %g veh injected, %g exited, %g in "
+        "the models, %g stranded in boundary residues"
         % (
             sc.name,
             sc.run.duration,
@@ -94,6 +94,7 @@ def main(argv=None) -> int:
             stats.nodemodel_iterations,
             stats.deliveries,
             stats.array_deliveries,
+            stats.supply_rereads,
             engine.total_injected(),
             engine.total_exited(),
             engine.total_in_models(),

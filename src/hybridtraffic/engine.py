@@ -67,15 +67,18 @@ class RunStats:
     """Work counts of a run: junction steps solved in closed form (the
     steps of 1x1x1 junctions) and in the node-model batch (those of every
     other junction), and the node-model iterations the batch took, summed
-    over its junctions; and the deliveries, the cuts that moved traffic
+    over its junctions; the deliveries, the cuts that moved traffic
     across a junction, and how many of them the array junctions made as
-    array steps."""
+    array steps; and the lane group supplies a batched pair read again,
+    because an earlier pair of its junction had entered its receiving link
+    in the same pass."""
 
     junctions_1x1: int = 0
     junctions_batched: int = 0
     nodemodel_iterations: int = 0
     deliveries: int = 0
     array_deliveries: int = 0
+    supply_rereads: int = 0
 
 
 @dataclass
@@ -124,6 +127,9 @@ class _Connection:
     down_link: int
     receiver: TrafficModel  # model of the downstream link
     groups: tuple  # D_r, sorted
+    # the place of each of D_r among its junction's downstream lane groups
+    # (`Junction.r_edges`), where the batch's supply vector holds its supply
+    down_at: tuple = ()
 
 
 class Engine:
@@ -231,11 +237,12 @@ class Engine:
                 {(r, h): net.lane_access_fraction(r, h)
                  for r in rcs for h in net.rc_down_groups[r]},
             )
-            for r in rcs:
+            for k, r in enumerate(junction.rcs):
                 rc = net.road_connections[r]
                 groups = tuple(net.rc_down_groups[r])
                 connections[r] = _Connection(r, jid, rc.up_link, rc.down_link,
-                                             self.model_of_link[rc.down_link], groups)
+                                             self.model_of_link[rc.down_link], groups,
+                                             tuple(h for _, h, _ in junction.r_edges[k]))
         return connections, junctions
 
     def _compile_arrays(self) -> dict[int, ArrayJunctions]:
@@ -403,21 +410,23 @@ class Engine:
         (`ArrayJunctions.deliver`); then the offered junctions in ascending
         id, pairs in pair order, each pair its batched flow or, at a 1x1x1
         junction, its closed-form one, within the receiving groups' supply
-        read just before.
+        now: the plan's, unless an earlier pair of the junction has entered
+        the pair's receiving link in this pass (`_deliver_pairs`).
 
         No cut leaves its sender before the pass ends (`_remove_cuts`), and
         only a junction's own deliveries enter its downstream groups; so a
         supply, the free space now, reads the same whenever in the pass it
-        is read before its junction delivers, and the array junctions, which
-        touch no other junction's lane groups or ledgers and draw no random
-        number, may go first. A failing array step names its pair (see
-        `_array_step`)."""
+        is read before its junction delivers, a batched pair whose link no
+        earlier pair of its junction entered may take the plan's value of
+        it, and the array junctions, which touch no other junction's lane
+        groups or ledgers and draw no random number, may go first. A
+        failing array step names its pair (see `_array_step`)."""
         jset, stats = self._jset, self.stats
         arrays = [a for a in self._arrays if a.batched]
         batched = [jid for jid in sorted(offers) if jid in jset.place]
         stats.junctions_1x1 += len(offers) - len(batched)
         stats.junctions_batched += len(batched) + sum(a.batched for a in arrays)
-        flow = pair_flow = None
+        flow = pair_flow = plan_supply = None
         if arrays or batched:
             demand, supply = np.zeros(len(jset.pairs)), np.zeros(len(jset.downstream))
             for jid in batched:
@@ -443,12 +452,12 @@ class Engine:
                 raise SimulationError(exc, element=where) from exc
             stats.nodemodel_iterations += flows.iterations
             flow = flows.flow
-            pair_flow = flow.tolist()
+            pair_flow, plan_supply = flow.tolist(), supply.tolist()
         for array in arrays:
             n = self._array_step(array, array.deliver, t, flow, self._cum_in, self._cum_out)
             stats.deliveries += n
             stats.array_deliveries += n
-        self._deliver_pairs(t, offers, pair_flow)
+        self._deliver_pairs(t, offers, pair_flow, plan_supply)
 
     def _array_step(self, array: ArrayJunctions, step, *args):
         """`step(*args)` of an array deliverer. A failure is named by the
@@ -461,26 +470,47 @@ class Engine:
         except Exception as exc:
             raise SimulationError(exc, element=self._name(array.model)) from exc
 
-    def _deliver_pairs(self, t, offers, flow):
+    def _deliver_pairs(self, t, offers, flow, supply):
         """Deliver the offered junctions in ascending id, pair by pair in pair
         order: each pair its batched flow out of `flow` (a list over the
-        batch's pairs), or at a 1x1x1 junction its closed-form one."""
-        jset = self._jset
+        batch's pairs), or at a 1x1x1 junction its closed-form one, within
+        the receiving lane groups' supply now.
+
+        A 1x1x1 junction reads that supply. A batched pair takes it from
+        the plan's `supply` (a list over the batch's downstream lane groups)
+        unless an earlier pair of its junction has entered the pair's
+        receiving link in this pass; then it reads it again, as an entry
+        lowers the supply of whichever lane group of that link it fills,
+        which for a car is the one its next link picks, in D_r or not."""
+        jset, stats = self._jset, self.stats
         for jid in sorted(offers):
             junction, offered = self._junctions[jid], offers[jid]
-            p0 = jset.pair_start[jset.place[jid]] if jid in jset.place else None
+            k = jset.place.get(jid)
+            if k is not None:
+                p0, h0 = jset.pair_start[k], jset.down_start[k]
+                entered = []  # links the junction's pairs have entered so far
             for i in sorted(offered):  # in pair order
                 (g, r), (sender, sent, size) = junction.pairs[i], offered[i]
                 conn = self._rc[r]
                 try:
-                    if p0 is None:
+                    if k is None:
                         caps = [conn.receiver.lane_group_supply(conn.groups[0])]
                         delta = nodemodel.solve_1x1(size, caps[0], r in self.closed_rcs)
+                        if delta > nodemodel.EPS:
+                            self._deliver(t, sender, g, conn, sent, size, delta, caps)
+                        continue
+                    delta = flow[p0 + i]
+                    if delta <= nodemodel.EPS:
+                        continue
+                    if conn.down_link in entered:
+                        caps = [conn.receiver.lane_group_supply(h) for h in conn.groups]
+                        stats.supply_rereads += len(caps)
                     else:
-                        caps, delta = None, flow[p0 + i]
-                    if delta > nodemodel.EPS:
-                        self._deliver(t, sender, g, conn, sent, size, delta, caps or [
-                            conn.receiver.lane_group_supply(h) for h in conn.groups])
+                        caps = [supply[h0 + h] for h in conn.down_at]
+                    made = stats.deliveries
+                    self._deliver(t, sender, g, conn, sent, size, delta, caps)
+                    if stats.deliveries != made:  # it entered the link
+                        entered.append(conn.down_link)
                 except Exception as exc:
                     raise SimulationError(exc, element=_PAIR % (junction.id, r, g)) from exc
 
@@ -490,8 +520,8 @@ class Engine:
         """Send the part of `sent` (a fluid packet, or a vehicle model's cars)
         the junction accepted (`delta` of its `size`) from lane group g
         through the road connection: one cut within the receiving lane
-        groups' supply (`caps`, read just before), then book, re-key, enter;
-        the cut leaves its sender after the pass."""
+        groups' supply (`caps`, their free space now), then book, re-key,
+        enter; the cut leaves its sender after the pass."""
         allow = sum(caps)
         if isinstance(sent, FluxPacket):
             total = min(min(1.0, delta / size) * size, allow)

@@ -60,7 +60,10 @@ def _same_as_pair_by_pair(d, tmp_path):
     pairs, got = _run(d, tmp_path / "pairs", arrays=False)
     assert array.stats.array_deliveries > 0 and pairs.stats.array_deliveries == 0
     assert all(m._to_packets is None for m in pairs.models if m.kind == "ctm")
-    assert replace(array.stats, array_deliveries=0) == pairs.stats
+    # a pair-by-pair re-read of a supply is a read the array steps make
+    # from their model's arrays instead
+    assert (replace(array.stats, array_deliveries=0, supply_rereads=0)
+            == replace(pairs.stats, supply_rereads=0))
     assert array.audit_failures == pairs.audit_failures == []
     for ledger in ("cum_in", "cum_out"):
         for link, by_state in getattr(pairs, ledger).items():

@@ -469,11 +469,13 @@ def test_cli_summary_reports_the_junction_steps_and_iterations(tmp_path, capsys,
     stats = engines[0].stats
     assert stats.junctions_1x1 > 0 and stats.junctions_batched > 0 and stats.deliveries > 0
     assert 0 < stats.array_deliveries < stats.deliveries
+    assert stats.supply_rereads > 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert ("(junction steps: %d in closed form, %d in the node-model batch, %d "
-            "node-model iterations, %d deliveries, %d of them as array steps): "
+            "node-model iterations, %d deliveries, %d of them as array steps, %d "
+            "supply re-reads): "
             % (stats.junctions_1x1, stats.junctions_batched, stats.nodemodel_iterations,
-               stats.deliveries, stats.array_deliveries)) in line
+               stats.deliveries, stats.array_deliveries, stats.supply_rereads)) in line
 
 
 def test_a_batch_failure_names_the_junction_the_solver_reports(monkeypatch):
@@ -633,6 +635,57 @@ def test_a_later_pair_of_a_batched_junction_reads_the_supply_its_earlier_pairs_l
     for (first_caps, left), (second_caps, _) in both:
         assert second_caps == [left]
     assert all(left < first_caps[0] for (first_caps, left), _ in both)
+
+
+def _placed_past_their_rc(**kw):
+    """A two_queue merge into two-lane link 2, whose lane groups lead on to
+    different links: 2:1 to link 4, 2:2 to link 5. rc 1 (0->2) reaches only
+    2:1 and rc 5 (3->2) only 2:2, but both routes go on to link 5."""
+    d = corridor_scenario_dict([("two_queue", [0, 2, 3, 4, 5])], n_links=2, **kw)
+    link = d["links"][0]
+    d["links"] = [dict(link, id=i, lanes=2 if i == 2 else 1) for i in (0, 2, 3, 4, 5)]
+    d["road_connections"] = [
+        {"id": r, "up_link": up, "up_lanes": [a], "down_link": down, "down_lanes": [b]}
+        for r, up, a, down, b in ((1, 0, 1, 2, 1), (5, 3, 1, 2, 2),
+                                  (6, 2, 1, 4, 1), (7, 2, 2, 5, 1))]
+    d["routes"] = [{"id": 0, "links": [0, 2, 5]}, {"id": 1, "links": [3, 2, 5]}]
+    d["demands"] = [dict(d["demands"][0], link=links[0], route=rid)
+                    for rid, links in ((0, [0]), (1, [3]))]
+    return d
+
+
+def test_a_batched_pair_reads_again_a_supply_an_earlier_pair_filled_outside_its_lane_groups():
+    # a car is placed in the lane group its next link picks: route 0's
+    # cars cross rc 1, whose only lane group is 2:1, into 2:2. rc 5's pair
+    # comes later in the junction and reaches only 2:2, so it must read
+    # 2:2's supply again, not take the plan's, though 2:2 is not rc 1's
+    eng = Engine(parse_scenario(_placed_past_their_rc(duration=300.0)))
+    assert eng.net.rc_down_groups[1] == ["2:1"] and eng.net.rc_down_groups[5] == ["2:2"]
+    assert [r for _, r in eng._junctions[1].pairs] == [1, 5] and 1 in eng._jset.place
+    receiver = eng.model_of_link[2]
+    planned, delivered = {}, {}  # t -> 2:2's supply as the pass began; the pairs
+    solve_junctions, deliver = eng._solve_junctions, eng._deliver
+
+    def planning(t, offers):
+        planned[t] = receiver.lane_group_supply("2:2")
+        solve_junctions(t, offers)
+
+    def recording(t, sender, g, conn, sent, size, delta, caps):
+        made = eng.stats.deliveries
+        deliver(t, sender, g, conn, sent, size, delta, caps)
+        if conn.junction == 1:
+            delivered.setdefault(t, []).append((conn.id, caps, eng.stats.deliveries > made,
+                                                receiver.lane_group_supply("2:2")))
+
+    eng._solve_junctions, eng._deliver = planning, recording
+    eng.run()
+    both = [(t, pairs) for t, pairs in delivered.items()
+            if [r for r, *_ in pairs] == [1, 5] and pairs[0][2]]
+    assert len(both) > 10
+    for t, ((_, _, _, left), (_, caps, _, _)) in both:
+        assert left < planned[t]  # rc 1's cars went into 2:2
+        assert caps == [left]
+    assert eng.stats.supply_rereads >= len(both)
 
 
 # --- one fluid delivery --------------------------------------------------
