@@ -211,14 +211,42 @@ class VehicleModel(TrafficModel):
     v, now, fresh)`, which places it at the upstream end (`fresh` in the flow
     phase, not from the buffer in an advance); and `_placed_positions(g,
     now)`, a list of the (vehicle, position_m, speed_kmh) of each placed
-    vehicle."""
+    vehicle.
+
+    Two entry tables resolve a state's routing once rather than per car:
+    `_entry_groups` maps (link, state) to the lane groups of the link that
+    serve the state's next link (`groups_toward`), which a car entering the
+    link chooses among, and `_exit_rc` maps (lane group, state) to the road
+    connection the state leaves the lane group by (`rc_toward`), which a
+    placed car and a demand pass read. Each entry is filled on its first
+    use, a refusal is raised there and never stored, and `set_routing`
+    empties both, so a route replaced before it is called again is read
+    afresh."""
 
     vehicle_based = True
 
+    def set_routing(self, routing: RoutingContext):
+        super().set_routing(routing)
+        self._entry_groups: dict[tuple[int, StateIndex], list[str]] = {}
+        self._exit_rc: dict[tuple[str, StateIndex], int | None] = {}
+
+    def _rc_of(self, group_id: str, link_id: int, state: StateIndex) -> int | None:
+        """`rc_toward`, through the `_exit_rc` table."""
+        key = group_id, state
+        try:
+            return self._exit_rc[key]
+        except KeyError:
+            rc = self._exit_rc[key] = self.rc_toward(group_id, link_id, state)
+            return rc
+
     def receive_vehicles(self, link_id, vehicles, now):
         # an arrival queues behind any buffered vehicle, so entry is FIFO
+        entry = self._entry_groups
         for v in vehicles:
-            gids = self.groups_toward(link_id, v.state)
+            key = link_id, v.state
+            gids = entry.get(key)
+            if gids is None:
+                gids = entry[key] = self.groups_toward(link_id, v.state)
             gid = gids[0] if len(gids) == 1 else self._pick(gids)
             g = self.groups[gid]
             if g.buffer or not g.has_room():

@@ -215,7 +215,7 @@ class NewellModel(VehicleModel):
         lane.veh.append(v)
         lane.x.append(0.0)
         lane.adv.append(0.0)
-        lane.rc.append(self.rc_toward(gid, lane.link, v.state))
+        lane.rc.append(self._rc_of(gid, lane.link, v.state))
         lane.tent.append(0.0)
         if fresh:
             lane.n_fresh += 1

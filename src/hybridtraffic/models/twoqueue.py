@@ -90,7 +90,7 @@ class TwoQueueModel(VehicleModel):
                 continue
             by_rc: dict[object, list[Vehicle]] = {}
             for v in islice(gq.waiting, k):
-                by_rc.setdefault(self.rc_toward(gid, gq.link, v.state), []).append(v)
+                by_rc.setdefault(self._rc_of(gid, gq.link, v.state), []).append(v)
             reqs += self.requests(gid, by_rc)
         return reqs
 

@@ -151,3 +151,27 @@ def test_a_fluid_model_refuses_whole_vehicles():
     m.build(net, [0])
     with pytest.raises(RuntimeError, match="^ctm model receives fluid only; translate first$"):
         m.receive_vehicles(0, _vehs(0), 0.0)
+
+
+@pytest.mark.parametrize("cls", MODELS)
+def test_a_route_replaced_before_set_routing_is_entered_afresh(cls):
+    # the entry tables resolve a state's lane groups once; `set_routing`
+    # drops them, so a car entering after it follows the replaced route
+    from test_engine import _placed_past_their_rc
+
+    d = _placed_past_their_rc(duration=100.0)
+    d["models"][0]["kind"] = cls.kind
+    eng = Engine(parse_scenario(d))
+    m = eng.model_of_link[2]
+
+    def entered(vid):
+        v = Vehicle(id=vid, state=S)
+        m.receive_vehicles(2, [v], 0.0)
+        return [gid for gid in ("2:1", "2:2") if v in m.groups[gid].vehicles()]
+
+    assert entered(-1) == ["2:2"]  # route 0 goes on to link 5
+    eng.routing.routes[0] = Route(0, (0, 2, 4))
+    m.set_routing(eng.routing)
+    assert entered(-2) == ["2:1"]
+    if cls is NewellModel:
+        assert m.groups["2:1"].rc == [6] and m.groups["2:2"].rc == [7]
