@@ -313,10 +313,11 @@ class RoutingContext:
         `p` is a fluid packet, whose content of each state is divided over
         its row's ratios, into a packet over the entered link's table; or
         whole cars as (slot, its cars in FIFO order) in slot order, the cars
-        of a slot sharing its state. Each car takes one next state drawn from
-        its state's row, one uniform per car in slot order, and the cars come
-        out as (slot of the entered link's table, its cars) in slot order,
-        FIFO within a slot. Totals are conserved exactly.
+        of a slot sharing its state. The cars of a slot whose row has one
+        next state take it together; under a row with two or more, each car
+        takes one drawn from its ratios, one uniform per car in slot order.
+        The cars come out as (slot of the entered link's table, its cars) in
+        slot order, FIFO within a slot. Totals are conserved exactly.
         """
         if isinstance(p, FluxPacket):
             table = self.tables[entered_link]
@@ -331,9 +332,18 @@ class RoutingContext:
         vout: dict[int, list] = {}
         for _, vehs in p:
             states, slots, _, _, cdf, _ = self._row(vehs[0].state, entered_link, now)
-            picks = ([0] * len(vehs) if cdf is None else
-                     [bisect_right(cdf, u) for u in rng.random(len(vehs)).tolist()])
-            for v, i in zip(vehs, picks):
+            if cdf is None:
+                s = states[0]
+                for v in vehs:
+                    v.state = s
+                vs = vout.get(slots[0])
+                if vs is None:
+                    vout[slots[0]] = list(vehs)
+                else:
+                    vs += vehs
+                continue
+            for v, u in zip(vehs, rng.random(len(vehs)).tolist()):
+                i = bisect_right(cdf, u)
                 v.state = states[i]
                 vout.setdefault(slots[i], []).append(v)
         return sorted(vout.items())

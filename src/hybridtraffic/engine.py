@@ -269,9 +269,14 @@ class Engine:
         nearest vehicle reachable through rc_id (the emptiest lane group)."""
         conn = self._rc[rc_id]
         model, groups = conn.receiver, conn.groups
-        if len(groups) == 1:
-            return model.distance_to_last_vehicle(groups[0])
-        gid = min(groups, key=lambda g: (model.total_vehicles(g), g))
+        # the fewest vehicles, the first in (sorted) order on a tie
+        gid, least = groups[0], None
+        for g in groups[1:]:
+            if least is None:
+                least = model.total_vehicles(gid)
+            n = model.total_vehicles(g)
+            if n < least:
+                gid, least = g, n
         return model.distance_to_last_vehicle(gid)
 
     def find_vehicle(self, vehicle_id: int):
@@ -536,9 +541,8 @@ class Engine:
             credit = self._entry_credit.get(conn.id, 0.0)
             entitled = min(delta + credit, size)
             # the entitled share per state, no more than fit in the supply plus the credit
-            sent = take(by_slot(sent, self.routing.slots[conn.up_link]), entitled / size,
-                        int(math.floor(allow + credit + 1e-9)))
-            cut = [v for _, vs in sent for v in vs]
+            sent, cut = take(sent, self.routing.slots[conn.up_link], entitled / size,
+                             int(math.floor(allow + credit + 1e-9)))
             self._entry_credit[conn.id] = min(max(0.0, entitled - len(cut)), 1.0)
             if not cut:
                 return

@@ -81,21 +81,34 @@ def by_slot(cars: list[Vehicle], slots: dict[StateIndex, int]) -> list[tuple[int
 
 
 
-def take(slots: list[tuple[int, list[Vehicle]]], alpha: float,
-         limit: int) -> list[tuple[int, list[Vehicle]]]:
+def take(cars: list[Vehicle], slots: dict[StateIndex, int], alpha: float,
+         limit: int) -> tuple[list[tuple[int, list[Vehicle]]], list[Vehicle]]:
     """The cars sent at scaling factor alpha in [0, 1], at most `limit` of
-    them, out of `slots`, (slot, its cars in FIFO order) in slot order: per
-    slot in slot order the first floor(alpha*n) cars, so whole vehicles never
-    exceed the fraction alpha, until `limit` are taken. The sent cars are
-    (slot, cars) in slot order, a slot that sends none left out. (The engine
-    scales fluid as it delivers it.)"""
-    sent = []
-    for k, vs in slots:
+    them, out of a FIFO car list over a state table (`slots` maps each of
+    its states to its place): per slot in slot order the first floor(alpha*n)
+    of the slot's n cars, so whole vehicles never exceed the fraction alpha,
+    until `limit` are taken. Return the sent cars as (slot, cars) in slot
+    order, FIFO within a slot and a slot that sends none left out, and the
+    same cars as one list, in that order. (The engine scales fluid as it
+    delivers it.)"""
+    by: dict[int, list[Vehicle]] = {}
+    for v in cars:
+        k = slots[v.state]
+        vs = by.get(k)
+        if vs is None:
+            by[k] = [v]
+        else:
+            vs.append(v)
+    sent, cut = [], []
+    for k in sorted(by):
+        vs = by[k]
         n = min(int(math.floor(alpha * len(vs) + 1e-9)), limit)
         if n > 0:
-            sent.append((k, vs[:n]))
+            del vs[n:]
+            sent.append((k, vs))
+            cut += vs
             limit -= n
-    return sent
+    return sent, cut
 
 
 # --- representation translation ---------------------------------------

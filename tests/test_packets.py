@@ -84,32 +84,34 @@ def _ids(slots):
     return [v.id for _, vs in slots for v in vs]
 
 
+SLOTS = {s: k for k, s in enumerate(TABLE)}
+
+
 def test_split_vehicle_floor_per_state():
-    slots = slots_of(_vehs(5, S0) + _vehs(3, S1, start=100), TABLE)
-    sent = take(slots, 0.5, 8)
+    cars = _vehs(5, S0) + _vehs(3, S1, start=100)
+    sent, cut = take(cars, SLOTS, 0.5, 8)
     # floor(0.5*5)=2, floor(0.5*3)=1
     assert len(cars_by_state(sent, TABLE)[S0]) == 2
     assert len(cars_by_state(sent, TABLE)[S1]) == 1
     # FIFO: first vehicles go first, in sorted-state order
-    assert _ids(sent) == [0, 1, 100]
-    assert len(_ids(take(slots, 1.0, 8))) == 8
+    assert _ids(sent) == [0, 1, 100] == [v.id for v in cut]
+    assert len(_ids(take(cars, SLOTS, 1.0, 8)[0])) == 8
 
 
 def test_split_never_exceeds_alpha():
-    slots = slots_of(_vehs(7), TABLE)
+    cars = _vehs(7)
     for alpha in (0.0, 0.1, 0.33, 0.5, 0.99, 1.0):
-        sent = take(slots, alpha, 7)
-        assert len(_ids(sent)) <= alpha * 7 + 1e-9
+        sent, cut = take(cars, SLOTS, alpha, 7)
+        assert len(_ids(sent)) == len(cut) <= alpha * 7 + 1e-9
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 10])
 def test_cut_stops_at_its_total_limit(limit):
     # per state floor(0.6*5)=3 and floor(0.6*3)=1: at most 4 before the limit
-    slots = slots_of(_vehs(3, S1, start=100) + _vehs(5, S0), TABLE)
-    sent = take(slots, 0.6, limit)
+    sent, cut = take(_vehs(3, S1, start=100) + _vehs(5, S0), SLOTS, 0.6, limit)
     ids = _ids(sent)
     # the limit keeps a prefix of the uncut share, in state order
-    assert ids == [0, 1, 2, 100][:limit]
+    assert ids == [0, 1, 2, 100][:limit] == [v.id for v in cut]
     # each slot of the cut is a slot of the table, with the cars it sent
     assert [k for k, _ in sent] == [0, 1][:len(sent)]
     assert all(vs for _, vs in sent)
@@ -117,29 +119,35 @@ def test_cut_stops_at_its_total_limit(limit):
 
 @st.composite
 def _cuts(draw):
-    """1-4 slots of FIFO car lists (some empty), an alpha in [0, 1], often
-    one that puts alpha*n within 1e-9 of an integer for a slot's n, and a
-    limit from 0 to the cars' total."""
+    """1-4 slots of FIFO car lists (some empty), slot k's cars of state
+    (0, k); the FIFO list they make, the slots' cars interleaved in a drawn
+    order that keeps each slot's; an alpha in [0, 1], often one that puts
+    alpha*n within 1e-9 of an integer for a slot's n, and a limit from 0 to
+    the cars' total."""
     sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
     slots, start = [], 0
-    for n in sizes:
-        slots.append([Vehicle(id=start + i, state=S0) for i in range(n)])
+    for k, n in enumerate(sizes):
+        slots.append([Vehicle(id=start + i, state=StateIndex(0, k)) for i in range(n)])
         start += n
+    queues = [list(vs) for vs in slots]
+    cars = [queues[k].pop(0) for k in draw(st.permutations(
+        [k for k, n in enumerate(sizes) for _ in range(n)]))]
     n = draw(st.sampled_from([m for m in sizes if m] or [1]))
     near = draw(st.integers(0, n)) / n + draw(st.floats(-1e-9, 1e-9)) / n
     alpha = draw(st.one_of(st.floats(0.0, 1.0), st.just(min(1.0, max(0.0, near)))))
-    return slots, alpha, draw(st.integers(0, start))
+    return slots, cars, alpha, draw(st.integers(0, start))
 
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(_cuts())
 def test_take_on_car_lists_matches_the_packet_cut(case):
-    slots, alpha, limit = case
+    slots, cars, alpha, limit = case
     want = reference_take.take(slots, alpha, limit)
-    got = take([(k, vs) for k, vs in enumerate(slots) if vs], alpha, limit)
+    got, cut = take(cars, {StateIndex(0, k): k for k in range(len(slots))}, alpha, limit)
     assert {k: [v.id for v in vs] for k, vs in got} == {
         k: [v.id for v in vs] for k, vs in enumerate(want) if vs}
     assert [k for k, _ in got] == sorted(k for k, _ in got)
+    assert [v.id for v in cut] == _ids(got)
 
 
 def test_translator_residues_conserve():
