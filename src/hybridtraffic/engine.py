@@ -4,6 +4,7 @@ lists), junction solving, source injection, control wiring, bookkeeping."""
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
@@ -191,7 +192,13 @@ class Engine:
                 if self.routing.next_link_of(s, l) is None:
                     self._exit_places.append(n_places)
                 n_places += 1
-        self._cum_in, self._cum_out = np.zeros((2, n_places + 1))
+        # each ledger is an `array.array` of doubles, which `_book` and
+        # `_book_cars` add into as Python floats, and a numpy view of the
+        # same memory, which the array junctions, the audit and the outputs
+        # read
+        self._in_book, self._out_book = (array("d", bytes(8 * (n_places + 1)))
+                                         for _ in range(2))
+        self._cum_in, self._cum_out = np.frombuffer(self._in_book), np.frombuffer(self._out_book)
         self.cum_in = LedgerView(self._cum_in, self.routing.tables, self.place_of)
         self.cum_out = LedgerView(self._cum_out, self.routing.tables, self.place_of)
         self._cuts: list[tuple] = []  # (sender, lane group, rc or None, packet or cars)
@@ -377,9 +384,9 @@ class Engine:
                 self._cuts.append((m, g, None, sent))
                 link = self.net.lane_groups[g].link
                 if fluid:
-                    self._book(sent, link, self._cum_out)
+                    self._book(sent, link, self._out_book)
                 else:
-                    self._book_cars(by_slot(sent, self.routing.slots[link]), link, self._cum_out)
+                    self._book_cars(by_slot(sent, self.routing.slots[link]), link, self._out_book)
                 continue
             conn = self._rc[r]
             try:
@@ -549,7 +556,7 @@ class Engine:
             book, enter = self._book_cars, self._enter_cars
         self.stats.deliveries += 1
         self._cuts.append((sender, g, conn.id, cut))
-        book(sent, conn.up_link, self._cum_out)
+        book(sent, conn.up_link, self._out_book)
         routed = self.routing.assign_next_link(sent, conn.down_link, t, self.rng)
         enter(conn.receiver, conn.down_link, routed, conn.groups, caps, t)
 
@@ -578,7 +585,7 @@ class Engine:
         the link's state table spread over `groups` (sorted, `caps` their
         supply) in proportion to their free space, evenly when none has any
         (entry credit can admit a vehicle into full fluid lane groups)."""
-        self._book(packet, link, self._cum_in)
+        self._book(packet, link, self._in_book)
         if receiver.vehicle_based:
             receiver.receive_vehicles(link, self.translator.translate(packet, link), t)
             return
@@ -596,7 +603,7 @@ class Engine:
         slot order and FIFO within a slot, or dissolved into their counts
         through `_enter` (a probed car starts a tracker)."""
         if receiver.vehicle_based:
-            self._book_cars(routed, link, self._cum_in)
+            self._book_cars(routed, link, self._in_book)
             receiver.receive_vehicles(link, [v for _, vs in routed for v in vs], t)
             return
         table = self.routing.tables[link]
@@ -608,14 +615,15 @@ class Engine:
                     self.trackers.append(VirtualTracker(v.id, table[k], link, groups[0], 0.0))
         self._enter(receiver, link, FluxPacket(table, amounts), groups, caps, t)
 
-    def _book(self, packet: FluxPacket, link: int, ledger: np.ndarray):
-        """Add the packet's amounts over `link`'s state table to the ledger,
-        slot k at the link's first place plus k."""
+    def _book(self, packet: FluxPacket, link: int, ledger: array):
+        """Add the packet's amounts over `link`'s state table to the ledger
+        (`_in_book` or `_out_book`), slot k at the link's first place plus
+        k."""
         for k, a in enumerate(packet.amounts, self.place_of[link]):
             if a > 0:
                 ledger[k] += a
 
-    def _book_cars(self, slots, link: int, ledger: np.ndarray):
+    def _book_cars(self, slots, link: int, ledger: array):
         """Add the car count of each of `slots`, (slot, cars), to the ledger
         as `_book` adds an amount."""
         p = self.place_of[link]
@@ -643,7 +651,7 @@ class Engine:
                 for _ in range(n)
             ]
             model.receive_vehicles(link, vehicles, t)
-            self._book_cars(by_slot(vehicles, self.routing.slots[link]), link, self._cum_in)
+            self._book_cars(by_slot(vehicles, self.routing.slots[link]), link, self._in_book)
             return
         amount = min(src.buffer, allow)
         if amount <= 0:
