@@ -254,16 +254,15 @@ class RoutingContext:
     def _next_states(self, s: StateIndex, link: int, now: float):
         """Next states, ratios and split profile pieces for state `s`
         entering `link`: a routed type keeps its route, or takes the override
-        route where that passes the link; a probabilistic type is keyed None
-        on a terminal link, by the single successor, or by the positive split
-        ratios in link order."""
+        route where that passes the link (one with no route, which no table
+        holds, is refused by its slot in `_compile`); a probabilistic type is
+        keyed None on a terminal link, by the single successor, or by the
+        positive split ratios in link order."""
         vtype = s.vtype
         if self.vehicle_types[vtype].is_routed:
             rid = self.route_overrides.get(vtype)
             if rid is not None and link in self.routes[rid].links:
                 return (StateIndex(vtype, rid),), (1.0,), None
-            if s.key is None:
-                raise RoutingError("routed type %s needs a route" % vtype)
             return (s,), (1.0,), None
         nexts = self.successors[link]
         if len(nexts) < 2:

@@ -236,6 +236,21 @@ def _fields(d, kind: str) -> dict:
     return f
 
 
+class _HeldError(ScenarioError):
+    """A schema error in an entry another entry holds, its message led by
+    the held entry's place; `_entries` puts the holder's name before it."""
+
+
+def _held(d, kind: str, place: str) -> dict:
+    """`_fields(d, kind)` of an entry held in another (a partial, a split
+    ratio, a controller's params, a signal stage), an error naming it by
+    `place`."""
+    try:
+        return _fields(d, kind)
+    except ScenarioError as exc:
+        raise _HeldError("%s: %s" % (place, exc)) from exc
+
+
 def _owner(kind: str, d, i: int) -> str:
     """How an error names entry `i` of a list of `kind`s: by its id where it
     has one, else by its place."""
@@ -261,7 +276,9 @@ def _entries(kind: str, entries, make, diags: list[str] | None = None) -> list:
             built.append(make(_fields(d, kind)))
         except (ValueError, TypeError) as exc:
             owner, msg = _owner(kind, d, i), str(exc)
-            if not msg.startswith((owner + ":", owner + " ")):
+            if isinstance(exc, _HeldError):
+                msg = "%s, %s" % (owner, msg)
+            elif not msg.startswith((owner + ":", owner + " ")):
                 msg = "%s: %s" % (owner, msg)
             if diags is None:
                 raise ScenarioError(msg) from exc
@@ -272,16 +289,15 @@ def _entries(kind: str, entries, make, diags: list[str] | None = None) -> list:
 # --- parsing -----------------------------------------------------------
 
 
-def _profile(d) -> Profile:
-    f = _fields(d, "profile")
+def _profile(f: dict) -> Profile:
     return Profile(start_time=f["start"], period=f["period"], values=f["values"])
 
 
-def _partial(d) -> PartialLaneStructure:
+def _partial(i: int, d) -> PartialLaneStructure:
     if type(d) is dict and "gates" in d:
         raise ScenarioError("partial-lane gates are not supported (the simulator has no gate "
                             "model); remove the 'gates' entry")
-    f = _fields(d, "partial")
+    f = _held(d, "partial", "partial #%d" % i)
     if f["position"] in ("inner-upstream", "outer-upstream"):
         raise ScenarioError("partial lanes at the upstream end are not supported (every lane "
                             "group is aligned at the downstream end); got %r" % f["position"])
@@ -291,7 +307,7 @@ def _partial(d) -> PartialLaneStructure:
 def _link(f: dict) -> Link:
     return Link(id=f["id"], length=f["length"], full_lanes=f["lanes"],
                 params=RoadParams(f["capacity"], f["speed"], f["jam_density"]),
-                partials=tuple(map(_partial, f["partials"])))
+                partials=tuple(_partial(i, p) for i, p in enumerate(f["partials"])))
 
 
 def _run(f: dict) -> RunSettings:
@@ -314,10 +330,12 @@ def parse_scenario(data: dict) -> Scenario:
         vehicle_types=_entries("vehicle type", top["vehicle_types"], lambda f: VehicleType(**f)),
         routes=_entries("route", top["routes"], lambda f: Route(**f)),
         demands=_entries("demand", top["demands"], lambda f: DemandProfile(
-            link=f["link"], vtype=f["vtype"], profile=_profile(f["profile"]), route=f["route"])),
+            link=f["link"], vtype=f["vtype"], profile=_profile(_fields(f["profile"], "profile")),
+            route=f["route"])),
         splits=_entries("split", top["splits"], lambda f: SplitProfile(
             link=f["link"], vtype=f["vtype"],
-            ratios={nl: _profile(p) for nl, p in f["ratios"].items()})),
+            ratios={nl: _profile(_held(p, "profile", "ratio to link %s" % nl))
+                    for nl, p in f["ratios"].items()})),
         # read when they are built, at validate time
         sensors=list(top["sensors"]),
         actuators=list(top["actuators"]),
@@ -865,11 +883,12 @@ def _make_actuator(f: dict):
 def _make_controller(f: dict):
     ctype = f["type"]
     if ctype == "fixed_time_signal":
-        p = _fields(f["params"], "fixed_time_signal params")
-        algo = control.FixedTimeSignal(stages=[_fields(s, "stage") for s in p["stages"]],
-                                       rc_actuators=p["rc_actuators"], offset=p["offset"])
+        p = _held(f["params"], "fixed_time_signal params", "params")
+        stages = [_held(s, "stage", "stage #%d" % i) for i, s in enumerate(p["stages"])]
+        algo = control.FixedTimeSignal(stages=stages, rc_actuators=p["rc_actuators"],
+                                       offset=p["offset"])
     elif ctype == "constant":
-        p = _fields(f["params"], "constant params")
+        p = _held(f["params"], "constant params", "params")
         algo = control.ConstantCommand(at_time=p["at"], commands=p["commands"])
     else:
         algo = None

@@ -287,6 +287,14 @@ def _without(d, key):
        "controller 5: constant command time 'at' %s s must be finite" % bad)
       for bad in (float("nan"), float("inf"))],
     ("actuators", dict(ACTUATOR, kind="radar"), "actuator 4: unknown kind 'radar'"),
+    # a stage and the params are named by their place in the controller
+    ("controllers",
+     dict(CONTROLLER, type="fixed_time_signal",
+          params={"stages": [{"duration": 10.0, "open_rcs": [0]}, {"open_rcs": []}],
+                  "rc_actuators": {0: 4}}),
+     "controller 5, stage #1: missing required key 'duration'"),
+    ("controllers", dict(CONTROLLER, type="constant", params={"at": 0.0, "comands": {}}),
+     "controller 5, params: unknown key 'comands'"),
 ])
 def test_malformed_control_entries_fail_validation(section, entry, diag):
     # validate is asserted first: a non-positive period makes `run` loop forever

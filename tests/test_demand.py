@@ -81,6 +81,15 @@ def test_entry_state_routed_and_probabilistic(rng):
     assert rng.bit_generator.state == before  # only a diverge draws
 
 
+def test_a_routed_entry_with_no_route_is_refused_by_its_slot(rng):
+    # no state table holds a routed type without a route (`validate` refuses
+    # a routed demand with none), so its row refuses it as any state the
+    # link cannot hold
+    with pytest.raises(RoutingError, match=r"^state StateIndex\(vtype=0, key=None\) "
+                                           r"has no slot on link 10$"):
+        _ctx().entry_state(0, 10, None, 0.0, rng)
+
+
 def test_next_link_of():
     ctx = _ctx()
     assert ctx.next_link_of(StateIndex(0, 0), 11) == 12

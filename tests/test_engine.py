@@ -6,7 +6,7 @@ import pytest
 
 from conftest import by_state, corridor_scenario_dict
 from hybridtraffic.demand import RoutingError
-from hybridtraffic.engine import Engine, _Connection
+from hybridtraffic.engine import Engine, SimulationError, _Connection
 from hybridtraffic.outputs import OutputWriter, _f
 from hybridtraffic.packets import FluxPacket, StateIndex, Vehicle, by_slot, fluid_packet
 from hybridtraffic.scenario import parse_scenario, validate_scenario
@@ -959,6 +959,39 @@ def test_model_advance_failure_names_the_model():
     eng.model_of_link[2].advance_state = _fails
     err = _failure(eng)
     assert err.element == "model 1 (newell)" and err.time == 0.0
+
+
+def test_split_ratios_that_sum_to_zero_are_refused_naming_the_pair_and_the_link():
+    # `validate` refuses a split profile whose ratios sum to zero within the
+    # run and a split actuator checks its ratios, so only an override set
+    # through the routing itself reaches this refusal, at the first entry
+    # into the diverge
+    d = _placed_past_their_rc(duration=300.0)
+    d["vehicle_types"] = [{"id": 0, "routing": "probabilistic"}]
+    d["routes"] = []
+    for demand in d["demands"]:
+        del demand["route"]
+    half = {"start": 0.0, "period": 300.0, "values": [0.5]}
+    d["splits"] = [{"link": 2, "vtype": 0, "ratios": {4: half, 5: half}}]
+    eng = Engine(parse_scenario(d))
+    eng.routing.override_split(2, 0, {4: 0.0, 5: 0.0})
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    err = info.value
+    assert err.reason.args == ("split ratios at link 2, type 0 sum to zero",)
+    assert err.element == "junction 1, rc 1, lane group 0:1" and err.time > 0
+
+
+def test_a_negative_ctm_occupancy_is_refused_naming_the_lane_group_and_cell():
+    # a speed above one cell per step (the CFL rule `_normalized_speeds`
+    # refuses at build, forced here) sends more out of a cell than it holds
+    eng = Engine(parse_scenario(corridor_scenario_dict([("ctm", [0, 1])], n_links=2)))
+    eng.model_of_link[0]._v_r[:] = 1.5
+    with pytest.raises(SimulationError) as info:
+        eng.run()
+    err = info.value
+    assert err.reason.args == ("negative occupancy in 1:1 cell 0",)
+    assert err.element == "model 0 (ctm)" and err.time == 12.0
 
 
 def test_an_observer_failure_is_wrapped_naming_the_time():

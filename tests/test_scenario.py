@@ -356,11 +356,16 @@ def _partial(**kw):
     (("name",), [1], "scenario: 'name' must be a string, got [1]"),
     (("links", 0), {"id": 0, "length": 500.0, "lanes": 1, "capacity": 1000.0, "speed": 100.0,
                     "jam_densty": 100.0}, "link 0: missing required key 'jam_density'"),
+    # an entry held in another is named by its place there, after its holder
+    (("links", 0, "partials"), [_partial(), 3], "link 0, partial #1: must be a map, got 3"),
+    (("splits",), [{"link": 0, "vtype": 0, "ratios": {1: 5}}],
+     "split at link 0, type 0, ratio to link 1: must be a map, got 5"),
 ], ids=["routing", "route", "lanes", "length", "speed", "jam_density", "partial_position",
         "partial_lanes", "partial_length", "partial_twice", "partial_too_long", "rc_lanes",
         "model_links", "route_empty", "profile_empty", "link_not_a_map", "links_null",
         "run_not_a_map", "link_unknown_key", "run_unknown_key", "top_unknown_key",
-        "up_lanes_set", "name_not_text", "link_misspelt_key"])
+        "up_lanes_set", "name_not_text", "link_misspelt_key", "partial_not_a_map",
+        "split_ratio_not_a_map"])
 def test_bad_entries_fail_as_scenario_errors_naming_the_entry(path, value, message):
     # the constructors' own errors once escaped parsing unwrapped
     d = corridor_scenario_dict([("ctm", [0, 1])], n_links=2)
