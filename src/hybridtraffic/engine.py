@@ -196,8 +196,8 @@ class Engine:
         # `_book_cars` add into as Python floats, and a numpy view of the
         # same memory, which the array junctions, the audit and the outputs
         # read
-        self._in_book, self._out_book = (array("d", bytes(8 * (n_places + 1)))
-                                         for _ in range(2))
+        self._in_book = array("d", [0.0]) * (n_places + 1)
+        self._out_book = array("d", [0.0]) * (n_places + 1)
         self._cum_in, self._cum_out = np.frombuffer(self._in_book), np.frombuffer(self._out_book)
         self.cum_in = LedgerView(self._cum_in, self.routing.tables, self.place_of)
         self.cum_out = LedgerView(self._cum_out, self.routing.tables, self.place_of)
@@ -276,7 +276,8 @@ class Engine:
         nearest vehicle reachable through rc_id (the emptiest lane group)."""
         conn = self._rc[rc_id]
         model, groups = conn.receiver, conn.groups
-        # the fewest vehicles, the first in (sorted) order on a tie
+        # the fewest vehicles, the first in (sorted) order on a tie; a lone
+        # lane group's count is never read
         gid, least = groups[0], None
         for g in groups[1:]:
             if least is None:
