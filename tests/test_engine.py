@@ -649,8 +649,7 @@ def _placed_past_their_rc(**kw):
         for r, up, a, down, b in ((1, 0, 1, 2, 1), (5, 3, 1, 2, 2),
                                   (6, 2, 1, 4, 1), (7, 2, 2, 5, 1))]
     d["routes"] = [{"id": 0, "links": [0, 2, 5]}, {"id": 1, "links": [3, 2, 5]}]
-    d["demands"] = [dict(d["demands"][0], link=links[0], route=rid)
-                    for rid, links in ((0, [0]), (1, [3]))]
+    d["demands"] = [dict(d["demands"][0], link=link, route=rid) for rid, link in ((0, 0), (1, 3))]
     return d
 
 
